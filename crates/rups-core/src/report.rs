@@ -13,7 +13,7 @@
 //! the [`FlightRecorder`](rups_obs::FlightRecorder) can ring-buffer it
 //! and dump it verbatim into the black box.
 
-use rups_obs::{FlightConfig, TriggerOp, TriggerRule};
+use rups_obs::{FlightConfig, Signal, TriggerRule};
 use serde::{Deserialize, Serialize};
 
 /// Why a [`FixReport`] was recorded.
@@ -64,56 +64,25 @@ pub struct FixReport {
     pub snapshot_age_s: f64,
 }
 
-/// The flight-recorder trigger rules matched to this crate's metric
-/// names — the predicates ISSUE/DESIGN call out:
+/// The flight-recorder trigger rules over this crate's signals:
 ///
-/// * **`fix_error_spike`** — ≥ 50 % of graded fix attempts in a window
+/// * **`fix_error_spike`** — ≥ 50 % of assessed fix attempts in a window
 ///   were rejected (needs ≥ 4 attempts to arm);
 /// * **`validation_rejection_burst`** — ≥ 8 inbox snapshot rejections in
 ///   one window;
 /// * **`window_cache_collapse`** — the engine's checking-window memo hit
 ///   rate fell to ≤ 5 % over ≥ 64 lookups.
 pub fn default_flight_config() -> FlightConfig {
-    let c = |names: &[&str]| -> Vec<String> { names.iter().map(|s| s.to_string()).collect() };
     FlightConfig {
         rules: vec![
-            TriggerRule {
-                name: "fix_error_spike".into(),
-                numerator: c(&["rups_core_quality_rejected"]),
-                denominator: c(&[
-                    "rups_core_quality_rejected",
-                    "rups_core_quality_grade_high",
-                    "rups_core_quality_grade_medium",
-                    "rups_core_quality_grade_low",
-                ]),
-                op: TriggerOp::AtLeast,
-                threshold: 0.5,
-                min_events: 4,
-            },
-            TriggerRule {
-                name: "validation_rejection_burst".into(),
-                numerator: c(&[
-                    "rups_core_inbox_rejected_malformed",
-                    "rups_core_inbox_rejected_channel_mismatch",
-                    "rups_core_inbox_rejected_undersized",
-                    "rups_core_inbox_rejected_stale",
-                ]),
-                denominator: Vec::new(),
-                op: TriggerOp::AtLeast,
-                threshold: 8.0,
-                min_events: 8,
-            },
-            TriggerRule {
-                name: "window_cache_collapse".into(),
-                numerator: c(&["rups_core_engine_window_hits"]),
-                denominator: c(&[
-                    "rups_core_engine_window_hits",
-                    "rups_core_engine_window_misses",
-                ]),
-                op: TriggerOp::AtMost,
-                threshold: 0.05,
-                min_events: 64,
-            },
+            TriggerRule::new("fix_error_spike", Signal::FixRejectionRate, 0.5, 4),
+            TriggerRule::new(
+                "validation_rejection_burst",
+                Signal::ValidationRejections,
+                8.0,
+                8,
+            ),
+            TriggerRule::new("window_cache_collapse", Signal::WindowHitRate, 0.05, 64),
         ],
         ..FlightConfig::default()
     }
@@ -126,17 +95,41 @@ mod tests {
     #[test]
     fn default_rules_cover_the_three_failure_modes() {
         let cfg = default_flight_config();
-        let names: Vec<&str> = cfg.rules.iter().map(|r| r.name.as_str()).collect();
+        let rules: Vec<(&str, Signal)> = cfg
+            .rules
+            .iter()
+            .map(|r| (r.name.as_str(), r.signal))
+            .collect();
         assert_eq!(
-            names,
+            rules,
             [
-                "fix_error_spike",
-                "validation_rejection_burst",
-                "window_cache_collapse"
+                ("fix_error_spike", Signal::FixRejectionRate),
+                ("validation_rejection_burst", Signal::ValidationRejections),
+                ("window_cache_collapse", Signal::WindowHitRate)
             ]
         );
         // Retention bounds stay at the library defaults.
         assert!(cfg.window_capacity > 0 && cfg.fix_capacity > 0);
+    }
+
+    #[test]
+    fn rules_over_the_rejection_ratio_share_one_signal() {
+        // The flight trigger, the burn-rate SLO and the fleet ranking all
+        // read rejected ÷ assessed fixes, so their verdicts cross-link.
+        let trigger = default_flight_config().rules[0].clone();
+        let slo = rups_obs::default_slos(1e9).pop().unwrap();
+        let ranking = rups_obs::FleetAggregator::default().criteria[1].clone();
+        assert_eq!(
+            [
+                trigger.name.as_str(),
+                slo.name.as_str(),
+                ranking.label.as_str()
+            ],
+            ["fix_error_spike", "error_budget_burn", "fix_reject_rate"]
+        );
+        assert_eq!(trigger.signal, Signal::FixRejectionRate);
+        assert_eq!(slo.signal, trigger.signal);
+        assert_eq!(ranking.signal, trigger.signal);
     }
 
     #[test]

@@ -48,8 +48,8 @@ use rups_core::testfield;
 use rups_fuse::{FixGraph, FuseConfig, Fuser};
 use rups_obs::{
     default_detectors, diagnose, Alarm, DetectorBank, DetectorSpec, DiagnosisReport,
-    FleetAggregator, FleetSnapshot, MetricsSnapshot, NodeWindow, Registry, SpanRecorder, Stage,
-    CLOCK_OFFSET_GAUGE,
+    FleetAggregator, FleetSnapshot, MetricsSnapshot, NodeWindow, Registry, Signal, SpanRecorder,
+    Stage, CLOCK_OFFSET_GAUGE,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -236,41 +236,25 @@ pub struct DiagnosisArtifact {
     pub timeline: Vec<WindowRow>,
 }
 
-/// The counter-derived ratio `num / den`; 0 when `den` is 0.
-fn ratio(snap: &MetricsSnapshot, num: &[&str], den: &[&str]) -> f64 {
-    let sum = |names: &[&str]| -> u64 {
-        names
-            .iter()
-            .map(|n| snap.counter(n).unwrap_or(0))
-            .sum::<u64>()
-    };
-    let d = sum(den);
-    if d == 0 {
-        0.0
-    } else {
-        sum(num) as f64 / d as f64
-    }
-}
-
 /// The detector bindings of this run: the default RUPS set plus a link
 /// delivery-rate binding (a receiver-side blackout starves one inbox
 /// without raising any *rejection*, so only the wire's own delivered /
 /// offered ratio sees it at fleet level).
-fn detectors() -> Vec<DetectorSpec> {
+pub fn detectors() -> Vec<DetectorSpec> {
     let mut specs = default_detectors();
     // Debug builds run the engine one to two orders of magnitude slower
     // and jitter whole histogram buckets between windows; a wider
     // deviation floor keeps scheduler noise from scoring as a level
     // shift while a 2 s injected spike still scores ≫ threshold.
     for spec in specs.iter_mut() {
-        if spec.name == "fix_p99_latency" {
+        if spec.signal == Signal::FixP99Latency {
             spec.min_deviation = 2e7;
         }
     }
-    specs.push(DetectorSpec::counter_ratio_down(
+    specs.push(DetectorSpec::ewma(
         "link_delivery_rate",
-        &["rups_v2v_link_delivered"],
-        &["rups_v2v_link_offered"],
+        Signal::LinkDeliveryRate,
+        0.02,
     ));
     specs
 }
@@ -668,30 +652,15 @@ pub fn run(p: &Params) -> Figure {
     };
     let series = vec![
         series_of("fleet link delivery rate per window", &|d| {
-            ratio(d, &["rups_v2v_link_delivered"], &["rups_v2v_link_offered"])
+            Signal::LinkDeliveryRate.read(d).map_or(0.0, |r| r.value)
         }),
         series_of("fleet validation rejection rate per window", &|d| {
-            ratio(
-                d,
-                &[
-                    "rups_core_inbox_rejected_malformed",
-                    "rups_core_inbox_rejected_channel_mismatch",
-                    "rups_core_inbox_rejected_undersized",
-                    "rups_core_inbox_rejected_stale",
-                ],
-                &[
-                    "rups_core_inbox_rejected_malformed",
-                    "rups_core_inbox_rejected_channel_mismatch",
-                    "rups_core_inbox_rejected_undersized",
-                    "rups_core_inbox_rejected_stale",
-                    "rups_core_inbox_accepted",
-                    "rups_core_inbox_ignored_outdated",
-                ],
-            )
+            Signal::ValidationRejectionRate
+                .read(d)
+                .map_or(0.0, |r| r.value)
         }),
         series_of("fleet engine query p99 per window (ms)", &|d| {
-            d.histogram("rups_core_engine_query_ns")
-                .map_or(0.0, |h| h.p99 / 1e6)
+            Signal::FixP99Latency.read(d).map_or(0.0, |r| r.value / 1e6)
         }),
         Series::new(
             "alarms per window",

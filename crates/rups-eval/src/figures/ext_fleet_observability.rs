@@ -58,7 +58,8 @@ use rups_fuse::{FixGraph, FuseConfig, Fuser};
 use rups_obs::{
     check_fleet_rules, default_slos, evaluate_slos, merged_chrome_trace, write_chrome_trace,
     ChromeTrace, ClockModel, FleetAggregator, FleetSnapshot, MetricsSnapshot, NodeTrace, Registry,
-    SkewEstimator, SloSpec, SloVerdict, SpanRecorder, TraceContext, TriggerEvent, TRACE_ARG,
+    Signal, SkewEstimator, SloSpec, SloVerdict, SpanRecorder, TraceContext, TriggerEvent,
+    FIX_ERROR_GAUGE, TRACE_ARG,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -293,22 +294,6 @@ fn estimate_clock(node_syncs: &[u64], anchor_syncs: &[u64]) -> (ClockModel, usiz
     (est.estimate(), k)
 }
 
-/// The counter-derived ratio `num / den`; 0 when `den` is 0.
-fn ratio(snap: &MetricsSnapshot, num: &[&str], den: &[&str]) -> f64 {
-    let sum = |names: &[&str]| -> u64 {
-        names
-            .iter()
-            .map(|n| snap.counter(n).unwrap_or(0))
-            .sum::<u64>()
-    };
-    let d = sum(den);
-    if d == 0 {
-        0.0
-    } else {
-        sum(num) as f64 / d as f64
-    }
-}
-
 /// Runs the experiment, writing both artefacts when paths are set.
 pub fn run(p: &Params) -> Figure {
     let s = &p.scale;
@@ -458,7 +443,7 @@ pub fn run(p: &Params) -> Figure {
                 }
                 if err_n[k] > 0 {
                     registries[k]
-                        .gauge("rups_node_fix_error_m")
+                        .gauge(FIX_ERROR_GAUGE)
                         .set(err_sum[k] / err_n[k] as f64);
                 }
             }
@@ -620,34 +605,18 @@ pub fn run(p: &Params) -> Figure {
     };
     let series = vec![
         series_of("fleet link delivery rate per window", &|d| {
-            ratio(
-                d,
-                &["rups_v2v_link_delivered"],
-                &["rups_v2v_link_offered"],
-            )
+            Signal::LinkDeliveryRate.read(d).map_or(0.0, |r| r.value)
         }),
         series_of("fleet snapshots accepted per window", &|d| {
             d.counter("rups_core_inbox_accepted").unwrap_or(0) as f64
         }),
         series_of("fleet engine query p99 per window (µs)", &|d| {
-            d.histogram("rups_core_engine_query_ns")
-                .map_or(0.0, |h| h.p99 / 1_000.0)
+            Signal::FixP99Latency
+                .read(d)
+                .map_or(0.0, |r| r.value / 1_000.0)
         }),
         series_of("fleet fix availability per window", &|d| {
-            ratio(
-                d,
-                &[
-                    "rups_core_quality_grade_high",
-                    "rups_core_quality_grade_medium",
-                    "rups_core_quality_grade_low",
-                ],
-                &[
-                    "rups_core_quality_grade_high",
-                    "rups_core_quality_grade_medium",
-                    "rups_core_quality_grade_low",
-                    "rups_core_quality_rejected",
-                ],
-            )
+            Signal::FixAvailability.read(d).map_or(0.0, |r| r.value)
         }),
     ];
 
@@ -731,7 +700,7 @@ mod tests {
             .fleet
             .worst
             .iter()
-            .any(|w| w.criterion == "rups_node_fix_error_m" && !w.ranked.is_empty()));
+            .any(|w| w.criterion == FIX_ERROR_GAUGE && !w.ranked.is_empty()));
         assert!(art.prometheus.contains(&format!(
             "rups_fleet_nodes {}",
             p.n_vehicles

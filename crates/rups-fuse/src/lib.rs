@@ -63,40 +63,3 @@ pub use graph::{weight_for, FixEdge, FixGraph};
 pub use planar::{solve_planar, PlanarConfig, PlanarGraph, PlanarSolution, RangeEdge};
 pub use solve::{FuseConfig, FuseError, FusedSolution, Fuser, OutlierConfig, RejectedEdge};
 pub use synth::{generate, SynthConfig, SynthRng, SynthScenario};
-
-use rups_obs::{TriggerOp, TriggerRule};
-
-/// A flight-recorder trigger rule matched to this crate's metrics: fires
-/// when an observation window demotes at least `threshold` edges
-/// (rejections under burst faults normally trickle in one at a time; a
-/// burst of them means a systematically corrupted neighbourhood).
-pub fn reject_spike_rule(threshold: u64) -> TriggerRule {
-    TriggerRule {
-        name: "fuse_reject_spike".into(),
-        numerator: vec!["rups_fuse_edges_rejected".into()],
-        denominator: Vec::new(),
-        op: TriggerOp::AtLeast,
-        threshold: threshold as f64,
-        min_events: threshold,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reject_spike_rule_fires_on_counter_delta() {
-        use rups_obs::Registry;
-        let reg = Registry::new();
-        let before = reg.snapshot();
-        let c = reg.counter("rups_fuse_edges_rejected");
-        for _ in 0..3 {
-            c.inc();
-        }
-        let delta = reg.snapshot().delta(&before);
-        let rule = reject_spike_rule(3);
-        assert_eq!(rule.check(&delta), Some(3.0));
-        assert_eq!(reject_spike_rule(4).check(&delta), None);
-    }
-}

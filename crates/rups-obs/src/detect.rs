@@ -16,31 +16,33 @@
 //!   deviations and fires on *slow drifts* a z-score never sees, such as a
 //!   kernel regression inflating p99 latency a few percent per window.
 //!
-//! Detectors are *declaratively bound* to metrics via [`DetectorSpec`]: a
-//! reading (histogram p99 or counter ratio), a direction, and arming
-//! thresholds. Windows with fewer than `min_events` supporting events
-//! neither update the baseline nor fire — an idle window is not evidence.
+//! Detectors are *declaratively bound* to a [`Signal`] via
+//! [`DetectorSpec`]; the signal's own [`Direction`](crate::Direction) says
+//! which departures are anomalous. Windows whose reading does not arm at
+//! `min_events` neither update the baseline nor fire — an idle window is
+//! not evidence.
 //! The first `warmup_windows` observed windows train the baseline silently
 //! so a clean warmup segment can never false-alarm.
 //!
 //! ```
-//! use rups_obs::{DetectorBank, DetectorSpec, Registry};
+//! use rups_obs::{DetectorBank, DetectorSpec, Registry, Signal};
 //!
 //! let reg = Registry::new();
-//! let hits = reg.counter("cache_hits");
-//! let total = reg.counter("cache_lookups");
-//! let mut bank = DetectorBank::new(vec![DetectorSpec::counter_ratio_down(
-//!     "cache_hit_rate",
-//!     &["cache_hits"],
-//!     &["cache_lookups"],
+//! let hits = reg.counter("rups_core_engine_window_hits");
+//! let misses = reg.counter("rups_core_engine_window_misses");
+//! let mut bank = DetectorBank::new(vec![DetectorSpec::ewma(
+//!     "window_hit_rate",
+//!     Signal::WindowHitRate,
+//!     0.02,
 //! )]);
 //! let mut prev = reg.snapshot();
 //! for window in 0..12 {
 //!     // 90% hit rate while healthy, collapsing to zero at window 8.
 //!     for k in 0..50u64 {
-//!         total.inc();
 //!         if window < 8 && k % 10 != 0 {
 //!             hits.inc();
+//!         } else {
+//!             misses.inc();
 //!         }
 //!     }
 //!     let snap = reg.snapshot();
@@ -48,12 +50,14 @@
 //!     prev = snap;
 //!     assert_eq!(!alarms.is_empty(), window >= 8, "window {window}");
 //!     if !alarms.is_empty() {
-//!         assert_eq!(alarms[0].detector, "cache_hit_rate");
+//!         assert_eq!(alarms[0].detector, "window_hit_rate");
+//!         assert_eq!(alarms[0].signal, Signal::WindowHitRate);
 //!     }
 //! }
 //! ```
 
 use crate::registry::{MetricsSnapshot, Registry};
+use crate::signal::Signal;
 use serde::{Deserialize, Serialize};
 
 /// Counter incremented once per emitted [`Alarm`] when the bank is given a
@@ -69,44 +73,16 @@ pub enum DetectorKind {
     Cusum,
 }
 
-/// Which side of the baseline is anomalous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Direction {
-    /// Fire when the reading rises above baseline (latency, rejections).
-    Up,
-    /// Fire when the reading falls below baseline (availability, arrivals).
-    Down,
-}
-
-/// How the scalar reading is extracted from a window delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReadingKind {
-    /// p99 of the named histogram; the window's event count arms it.
-    HistogramP99,
-    /// Sum of `numerators` over sum of `denominators` (counters); the
-    /// denominator sum arms it.
-    CounterRatio,
-}
-
-/// One detector, declaratively bound to a metric reading.
+/// One detector, declaratively bound to a signal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectorSpec {
     /// Detector name carried on every alarm, e.g. `"fix_p99_latency"`.
     pub name: String,
     /// Streaming algorithm watching the reading.
     pub kind: DetectorKind,
-    /// How the reading is computed from a window delta.
-    pub reading: ReadingKind,
-    /// Direction considered anomalous.
-    pub direction: Direction,
-    /// Numerator metric names (the histogram name for
-    /// [`ReadingKind::HistogramP99`], counter names summed for
-    /// [`ReadingKind::CounterRatio`]).
-    pub numerators: Vec<String>,
-    /// Denominator counter names summed for [`ReadingKind::CounterRatio`];
-    /// unused (empty) for histogram readings.
-    pub denominators: Vec<String>,
-    /// Minimum supporting events in a window before it counts at all.
+    /// The signal watched; its direction is the anomalous one.
+    pub signal: Signal,
+    /// Minimum events before a window's reading counts at all.
     pub min_events: u64,
     /// Score that fires the alarm: a robust z for
     /// [`DetectorKind::EwmaZScore`], the accumulated sum for
@@ -126,85 +102,29 @@ pub struct DetectorSpec {
 }
 
 impl DetectorSpec {
-    /// EWMA z-score on a histogram p99, firing when latency rises.
-    pub fn histogram_p99_up(name: &str, histogram: &str) -> Self {
+    /// EWMA z-score on `signal`, firing on a level shift in its bad
+    /// direction; `min_deviation` in the signal's units.
+    pub fn ewma(name: &str, signal: Signal, min_deviation: f64) -> Self {
         DetectorSpec {
             name: name.to_string(),
             kind: DetectorKind::EwmaZScore,
-            reading: ReadingKind::HistogramP99,
-            direction: Direction::Up,
-            numerators: vec![histogram.to_string()],
-            denominators: Vec::new(),
+            signal,
             min_events: 4,
             threshold: 6.0,
             alpha: 0.3,
             warmup_windows: 3,
-            min_deviation: 2e5, // 0.2 ms: below scheduler noise on a p99
+            min_deviation,
             slack: 0.5,
         }
     }
 
-    /// EWMA z-score on a counter ratio, firing when the ratio collapses.
-    pub fn counter_ratio_down(name: &str, numerators: &[&str], denominators: &[&str]) -> Self {
+    /// CUSUM on `signal`, firing on a drift in its bad direction;
+    /// `min_deviation` in the signal's units.
+    pub fn cusum(name: &str, signal: Signal, min_deviation: f64) -> Self {
         DetectorSpec {
-            name: name.to_string(),
-            kind: DetectorKind::EwmaZScore,
-            reading: ReadingKind::CounterRatio,
-            direction: Direction::Down,
-            numerators: numerators.iter().map(|s| s.to_string()).collect(),
-            denominators: denominators.iter().map(|s| s.to_string()).collect(),
-            min_events: 4,
-            threshold: 6.0,
-            alpha: 0.3,
-            warmup_windows: 3,
-            min_deviation: 0.02,
-            slack: 0.5,
-        }
-    }
-
-    /// CUSUM on a counter ratio, firing when the ratio drifts upward.
-    pub fn counter_ratio_cusum_up(name: &str, numerators: &[&str], denominators: &[&str]) -> Self {
-        DetectorSpec {
-            name: name.to_string(),
             kind: DetectorKind::Cusum,
-            reading: ReadingKind::CounterRatio,
-            direction: Direction::Up,
-            numerators: numerators.iter().map(|s| s.to_string()).collect(),
-            denominators: denominators.iter().map(|s| s.to_string()).collect(),
-            min_events: 4,
             threshold: 8.0,
-            alpha: 0.3,
-            warmup_windows: 3,
-            min_deviation: 0.02,
-            slack: 0.5,
-        }
-    }
-
-    /// The scalar reading and its arming event count for one window delta,
-    /// or `None` when the metrics are absent / the reading is undefined.
-    fn read(&self, delta: &MetricsSnapshot) -> Option<(f64, u64)> {
-        match self.reading {
-            ReadingKind::HistogramP99 => {
-                let name = self.numerators.first()?;
-                let h = delta.histograms.iter().find(|h| &h.name == name)?;
-                if h.count == 0 {
-                    return None;
-                }
-                Some((h.p99, h.count))
-            }
-            ReadingKind::CounterRatio => {
-                let sum = |names: &[String]| -> u64 {
-                    names
-                        .iter()
-                        .filter_map(|n| delta.counter(n))
-                        .fold(0u64, u64::saturating_add)
-                };
-                let den = sum(&self.denominators);
-                if den == 0 {
-                    return None;
-                }
-                Some((sum(&self.numerators) as f64 / den as f64, den))
-            }
+            ..DetectorSpec::ewma(name, signal, min_deviation)
         }
     }
 }
@@ -214,6 +134,8 @@ impl DetectorSpec {
 pub struct Alarm {
     /// Name of the firing [`DetectorSpec`].
     pub detector: String,
+    /// The signal the detector watches.
+    pub signal: Signal,
     /// Algorithm that fired.
     pub kind: DetectorKind,
     /// Harness timestamp of the firing window (as passed to
@@ -308,12 +230,14 @@ impl DetectorBank {
         self.windows_seen += 1;
         let mut alarms = Vec::new();
         for (spec, state) in self.specs.iter().zip(self.states.iter_mut()) {
-            let Some((value, events)) = spec.read(delta) else {
+            let Some(value) = spec
+                .signal
+                .read_armed(delta, spec.min_events)
+                .map(|r| r.value)
+                .filter(|v| v.is_finite())
+            else {
                 continue;
             };
-            if events < spec.min_events || !value.is_finite() {
-                continue;
-            }
             if !state.primed {
                 state.mean = value;
                 state.dev = 0.0;
@@ -324,10 +248,7 @@ impl DetectorBank {
             let residual = value - state.mean;
             // 1.4826 rescales a MAD-like deviation to a Gaussian sigma.
             let sigma = (1.4826 * state.dev).max(spec.min_deviation);
-            let directed = match spec.direction {
-                Direction::Up => residual / sigma,
-                Direction::Down => -residual / sigma,
-            };
+            let directed = spec.signal.direction().badness(residual) / sigma;
             state.armed_windows += 1;
             let warm = state.armed_windows > spec.warmup_windows;
             let fired = match spec.kind {
@@ -346,6 +267,7 @@ impl DetectorBank {
             if fired {
                 alarms.push(Alarm {
                     detector: spec.name.clone(),
+                    signal: spec.signal,
                     kind: spec.kind,
                     t_s,
                     window_index,
@@ -380,48 +302,19 @@ impl DetectorBank {
 
 /// The default detector bindings for a RUPS node's window stream: p99
 /// query latency (level shift), fix availability (level shift down),
-/// inbox rejection rate (drift up) and fuse edge-rejection rate (drift
-/// up). Metric names follow the workspace convention (see
-/// `default_flight_config` in rups-core for the producing sites).
+/// inbox rejection rate (drift up) and fuse rejections per solve (drift
+/// up).
 pub fn default_detectors() -> Vec<DetectorSpec> {
-    const GRADES: [&str; 3] = [
-        "rups_core_quality_grade_high",
-        "rups_core_quality_grade_medium",
-        "rups_core_quality_grade_low",
-    ];
-    const ASSESSED: [&str; 4] = [
-        "rups_core_quality_grade_high",
-        "rups_core_quality_grade_medium",
-        "rups_core_quality_grade_low",
-        "rups_core_quality_rejected",
-    ];
-    const INBOX_REJECTS: [&str; 4] = [
-        "rups_core_inbox_rejected_malformed",
-        "rups_core_inbox_rejected_channel_mismatch",
-        "rups_core_inbox_rejected_undersized",
-        "rups_core_inbox_rejected_stale",
-    ];
-    const INBOX_ALL: [&str; 6] = [
-        "rups_core_inbox_rejected_malformed",
-        "rups_core_inbox_rejected_channel_mismatch",
-        "rups_core_inbox_rejected_undersized",
-        "rups_core_inbox_rejected_stale",
-        "rups_core_inbox_accepted",
-        "rups_core_inbox_ignored_outdated",
-    ];
     vec![
-        DetectorSpec::histogram_p99_up("fix_p99_latency", "rups_core_engine_query_ns"),
-        DetectorSpec::counter_ratio_down("fix_availability", &GRADES, &ASSESSED),
-        DetectorSpec::counter_ratio_cusum_up(
+        // 0.2 ms: below scheduler noise on a p99.
+        DetectorSpec::ewma("fix_p99_latency", Signal::FixP99Latency, 2e5),
+        DetectorSpec::ewma("fix_availability", Signal::FixAvailability, 0.02),
+        DetectorSpec::cusum(
             "validation_rejection_rate",
-            &INBOX_REJECTS,
-            &INBOX_ALL,
+            Signal::ValidationRejectionRate,
+            0.02,
         ),
-        DetectorSpec::counter_ratio_cusum_up(
-            "fuse_rejection_rate",
-            &["rups_fuse_edges_rejected"],
-            &["rups_fuse_solves"],
-        ),
+        DetectorSpec::cusum("fuse_rejection_rate", Signal::FuseRejectionsPerSolve, 0.02),
     ]
 }
 
@@ -429,7 +322,10 @@ pub fn default_detectors() -> Vec<DetectorSpec> {
 mod tests {
     use super::*;
 
-    fn ratio_delta(reg: &Registry, prev: &mut MetricsSnapshot) -> MetricsSnapshot {
+    const HIGH: &str = "rups_core_quality_grade_high";
+    const REJECTED: &str = "rups_core_quality_rejected";
+
+    fn next_delta(reg: &Registry, prev: &mut MetricsSnapshot) -> MetricsSnapshot {
         let snap = reg.snapshot();
         let d = snap.delta(prev);
         *prev = snap;
@@ -439,30 +335,31 @@ mod tests {
     #[test]
     fn ewma_fires_on_level_shift_and_not_on_clean_warmup() {
         let reg = Registry::new();
-        let ok = reg.counter("ok");
-        let all = reg.counter("all");
-        let mut bank = DetectorBank::new(vec![DetectorSpec::counter_ratio_down(
+        let (ok, bad) = (reg.counter(HIGH), reg.counter(REJECTED));
+        let mut bank = DetectorBank::new(vec![DetectorSpec::ewma(
             "avail",
-            &["ok"],
-            &["all"],
+            Signal::FixAvailability,
+            0.02,
         )]);
         let mut prev = reg.snapshot();
         let mut first_fire = None;
         for w in 0..20u64 {
             for k in 0..40u64 {
-                all.inc();
                 // Healthy 0.9 availability with mild wobble, then collapse.
                 let healthy = k % 10 != 0 && (k + w) % 17 != 0;
                 if w < 12 && healthy {
                     ok.inc();
+                } else {
+                    bad.inc();
                 }
             }
-            let alarms = bank.observe(w as f64, &ratio_delta(&reg, &mut prev));
+            let alarms = bank.observe(w as f64, &next_delta(&reg, &mut prev));
             if w < 12 {
                 assert!(alarms.is_empty(), "false alarm on clean window {w}");
             } else if first_fire.is_none() && !alarms.is_empty() {
                 first_fire = Some(w);
                 assert_eq!(alarms[0].detector, "avail");
+                assert_eq!(alarms[0].signal, Signal::FixAvailability);
                 assert_eq!(alarms[0].window_index, w);
                 assert!(alarms[0].score >= alarms[0].threshold);
             }
@@ -473,12 +370,11 @@ mod tests {
     #[test]
     fn cusum_accumulates_a_slow_drift() {
         let reg = Registry::new();
-        let rej = reg.counter("rej");
-        let all = reg.counter("all");
-        let mut bank = DetectorBank::new(vec![DetectorSpec::counter_ratio_cusum_up(
+        let (ok, bad) = (reg.counter(HIGH), reg.counter(REJECTED));
+        let mut bank = DetectorBank::new(vec![DetectorSpec::cusum(
             "rej_rate",
-            &["rej"],
-            &["all"],
+            Signal::FixRejectionRate,
+            0.02,
         )]);
         let mut prev = reg.snapshot();
         let mut fired_at = None;
@@ -487,12 +383,13 @@ mod tests {
             // too slow for any single-window z, obvious in accumulation.
             let pct = if w < 10 { 5 } else { 5 + 2 * (w - 10) };
             for k in 0..100u64 {
-                all.inc();
                 if k < pct.min(100) {
-                    rej.inc();
+                    bad.inc();
+                } else {
+                    ok.inc();
                 }
             }
-            let alarms = bank.observe(w as f64, &ratio_delta(&reg, &mut prev));
+            let alarms = bank.observe(w as f64, &next_delta(&reg, &mut prev));
             if w < 10 {
                 assert!(alarms.is_empty(), "false alarm on clean window {w}");
             }
@@ -508,9 +405,10 @@ mod tests {
     #[test]
     fn histogram_p99_detector_fires_on_slowdown() {
         let reg = Registry::new();
-        let lat = reg.histogram("q_ns");
+        let lat = reg.histogram("rups_core_engine_query_ns");
         let mut bank =
-            DetectorBank::new(vec![DetectorSpec::histogram_p99_up("p99", "q_ns")]).with_registry(&reg);
+            DetectorBank::new(vec![DetectorSpec::ewma("p99", Signal::FixP99Latency, 2e5)])
+                .with_registry(&reg);
         let mut prev = reg.snapshot();
         let mut fired = None;
         for w in 0..16u64 {
@@ -519,9 +417,7 @@ mod tests {
                 let base = if w < 10 { 1_000_000 } else { 20_000_000 };
                 lat.record(base + k * 10_000);
             }
-            let snap = reg.snapshot();
-            let alarms = bank.observe(w as f64, &snap.delta(&prev));
-            prev = snap;
+            let alarms = bank.observe(w as f64, &next_delta(&reg, &mut prev));
             if w < 10 {
                 assert!(alarms.is_empty(), "false alarm on window {w}");
             } else if fired.is_none() && !alarms.is_empty() {
@@ -537,43 +433,36 @@ mod tests {
     #[test]
     fn under_armed_windows_neither_fire_nor_train() {
         let reg = Registry::new();
-        let ok = reg.counter("ok");
-        let all = reg.counter("all");
-        let mut spec = DetectorSpec::counter_ratio_down("avail", &["ok"], &["all"]);
+        let (ok, bad) = (reg.counter(HIGH), reg.counter(REJECTED));
+        let mut spec = DetectorSpec::ewma("avail", Signal::FixAvailability, 0.02);
         spec.min_events = 50;
         let mut bank = DetectorBank::new(vec![spec]);
         let mut prev = reg.snapshot();
-        // Ten windows of 10 events each: all below min_events.
+        // Ten windows of 10 failed fixes each: all below min_events.
         for w in 0..10u64 {
-            for _ in 0..10u64 {
-                all.inc();
-            }
-            let alarms = bank.observe(w as f64, &ratio_delta(&reg, &mut prev));
+            bad.add(10);
+            let alarms = bank.observe(w as f64, &next_delta(&reg, &mut prev));
             assert!(alarms.is_empty());
         }
-        // A zero-availability window with enough events still cannot fire:
+        // A full-availability window with enough events cannot fire either:
         // the baseline was never primed, so this window primes it instead.
-        for _ in 0..60u64 {
-            all.inc();
-            ok.inc();
-        }
-        assert!(bank
-            .observe(10.0, &ratio_delta(&reg, &mut prev))
-            .is_empty());
+        ok.add(60);
+        assert!(bank.observe(10.0, &next_delta(&reg, &mut prev)).is_empty());
         assert_eq!(bank.windows_seen(), 11);
     }
 
     #[test]
     fn default_bindings_cover_the_four_slo_axes() {
         let specs = default_detectors();
-        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let bound: Vec<(&str, Signal)> =
+            specs.iter().map(|s| (s.name.as_str(), s.signal)).collect();
         assert_eq!(
-            names,
+            bound,
             [
-                "fix_p99_latency",
-                "fix_availability",
-                "validation_rejection_rate",
-                "fuse_rejection_rate"
+                ("fix_p99_latency", Signal::FixP99Latency),
+                ("fix_availability", Signal::FixAvailability),
+                ("validation_rejection_rate", Signal::ValidationRejectionRate),
+                ("fuse_rejection_rate", Signal::FuseRejectionsPerSolve),
             ]
         );
         assert!(specs
@@ -585,6 +474,7 @@ mod tests {
     fn alarm_round_trips_through_json() {
         let a = Alarm {
             detector: "fix_p99_latency".into(),
+            signal: Signal::FixP99Latency,
             kind: DetectorKind::EwmaZScore,
             t_s: 120.0,
             window_index: 7,

@@ -11,28 +11,23 @@
 //! guilty node's span ring so the report carries evidence, not just a
 //! verdict. The caller may attach the matching flight-recorder dump.
 //!
-//! Stage evidence, all normalised into `[0, 1]`:
+//! Stage evidence is one [`Signal`] per stage ([`Stage::signal`]),
+//! compared between the two windows and normalised into `[0, 1]`:
 //!
-//! | stage  | signal                                                        |
-//! |--------|---------------------------------------------------------------|
-//! | beacon | jump in the node's `rups_node_clock_offset_ns` gauge          |
-//! | link   | collapse of the node's inbox *arrival* count                  |
-//! | inbox  | rise of the node's validation-rejection ratio                 |
-//! | engine | inflation of the node's `rups_core_engine_query_ns` p99       |
-//! | fuse   | rise of the node's fuse edge-rejections per solve             |
+//! | stage  | signal                                | evidence                     |
+//! |--------|---------------------------------------|------------------------------|
+//! | beacon | [`Signal::ClockOffset`]               | jump of the clock offset     |
+//! | link   | [`Signal::InboxArrivals`]             | collapse of arrivals         |
+//! | inbox  | [`Signal::ValidationRejectionRate`]   | rise of the rejection ratio  |
+//! | engine | [`Signal::FixP99Latency`]             | inflation of the query p99   |
+//! | fuse   | [`Signal::FuseRejectionsPerSolve`]    | rise of rejections per solve |
 
 use crate::detect::Alarm;
 use crate::flight::{FlightDump, SpanDump};
 use crate::registry::MetricsSnapshot;
+use crate::signal::Signal;
 use crate::span::SpanRecord;
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
-
-/// Gauge a fleet harness sets per node to its estimated clock offset
-/// against the fleet timebase, nanoseconds. A jump in it localises a
-/// clock fault to the node's beacon stage (its broadcasts carry the bad
-/// timestamps).
-pub const CLOCK_OFFSET_GAUGE: &str = "rups_node_clock_offset_ns";
 
 /// Clock-offset jump (ns) scoring as full evidence: half a second.
 const CLOCK_JUMP_FULL_NS: f64 = 5e8;
@@ -70,6 +65,17 @@ impl Stage {
         Stage::Engine,
         Stage::Fuse,
     ];
+
+    /// The signal this stage's evidence reads.
+    pub fn signal(self) -> Signal {
+        match self {
+            Stage::Beacon => Signal::ClockOffset,
+            Stage::Link => Signal::InboxArrivals,
+            Stage::Inbox => Signal::ValidationRejectionRate,
+            Stage::Engine => Signal::FixP99Latency,
+            Stage::Fuse => Signal::FuseRejectionsPerSolve,
+        }
+    }
 }
 
 /// One node's per-window metric snapshots, as [`diagnose`] consumes them.
@@ -135,88 +141,22 @@ impl DiagnosisReport {
     }
 }
 
-fn counter_sum(snap: &MetricsSnapshot, names: &[&str]) -> u64 {
-    names
-        .iter()
-        .filter_map(|n| snap.counter(n))
-        .fold(0u64, u64::saturating_add)
-}
-
-const INBOX_REJECTS: [&str; 4] = [
-    "rups_core_inbox_rejected_malformed",
-    "rups_core_inbox_rejected_channel_mismatch",
-    "rups_core_inbox_rejected_undersized",
-    "rups_core_inbox_rejected_stale",
-];
-
-const INBOX_ALL: [&str; 6] = [
-    "rups_core_inbox_rejected_malformed",
-    "rups_core_inbox_rejected_channel_mismatch",
-    "rups_core_inbox_rejected_undersized",
-    "rups_core_inbox_rejected_stale",
-    "rups_core_inbox_accepted",
-    "rups_core_inbox_ignored_outdated",
-];
-
-/// Scores one `(node, stage)` pair; `None` when the stage's metrics are
-/// absent on this node (it then simply does not rank).
+/// Scores one `(node, stage)` pair; `None` when the stage's signal has no
+/// reading in one of the node's two windows (it then simply does not
+/// rank).
 fn stage_score(stage: Stage, w: &NodeWindow) -> Option<f64> {
+    let before = stage.signal().read(&w.baseline)?.value;
+    let after = stage.signal().read(&w.firing)?.value;
     let score = match stage {
-        Stage::Beacon => {
-            let before = w.baseline.gauge(CLOCK_OFFSET_GAUGE)?;
-            let after = w.firing.gauge(CLOCK_OFFSET_GAUGE)?;
-            if !before.is_finite() || !after.is_finite() {
-                return None;
-            }
-            (after - before).abs() / CLOCK_JUMP_FULL_NS
-        }
-        Stage::Link => {
-            let before = counter_sum(&w.baseline, &INBOX_ALL);
-            let after = counter_sum(&w.firing, &INBOX_ALL);
-            if before == 0 {
-                return None;
-            }
-            1.0 - after as f64 / before as f64
-        }
-        Stage::Inbox => {
-            let ratio = |s: &MetricsSnapshot| {
-                let all = counter_sum(s, &INBOX_ALL);
-                (all > 0).then(|| counter_sum(s, &INBOX_REJECTS) as f64 / all as f64)
-            };
-            ratio(&w.firing)? - ratio(&w.baseline)?
-        }
-        Stage::Engine => {
-            let before = w.baseline.histogram("rups_core_engine_query_ns")?;
-            let after = w.firing.histogram("rups_core_engine_query_ns")?;
-            if before.count == 0 || after.count == 0 || before.p99 <= 0.0 {
-                return None;
-            }
-            (after.p99 / before.p99 - 1.0) / ENGINE_SLOWDOWN_FULL
-        }
-        Stage::Fuse => {
-            let per_solve = |s: &MetricsSnapshot| {
-                let solves = s.counter("rups_fuse_solves").unwrap_or(0);
-                (solves > 0)
-                    .then(|| s.counter("rups_fuse_edges_rejected").unwrap_or(0) as f64 / solves as f64)
-            };
-            (per_solve(&w.firing)? - per_solve(&w.baseline)?) / FUSE_REJECTS_FULL
-        }
+        Stage::Beacon => (after - before).abs() / CLOCK_JUMP_FULL_NS,
+        Stage::Link if before == 0.0 => return None,
+        Stage::Link => 1.0 - after / before,
+        Stage::Inbox => after - before,
+        Stage::Engine if before <= 0.0 => return None,
+        Stage::Engine => (after / before - 1.0) / ENGINE_SLOWDOWN_FULL,
+        Stage::Fuse => (after - before) / FUSE_REJECTS_FULL,
     };
     Some(score.clamp(0.0, 1.0))
-}
-
-fn span_dump(r: &SpanRecord) -> SpanDump {
-    SpanDump {
-        name: r.name.to_string(),
-        start_ns: r.start_ns,
-        dur_ns: r.dur_ns,
-        args: Value::Map(
-            r.args
-                .iter()
-                .map(|(k, v)| (k.to_string(), crate::trace::arg_value(v)))
-                .collect(),
-        ),
-    }
 }
 
 /// Localises `alarm` to the worst `(node, stage)` pair and assembles a
@@ -284,7 +224,7 @@ pub fn diagnose(
             if exemplar_traces.contains(&(t as u64)) {
                 exemplar_spans.push(ExemplarSpan {
                     node_id: *node_id,
-                    span: span_dump(r),
+                    span: r.into(),
                 });
                 if exemplar_spans.len() >= MAX_EXEMPLAR_SPANS {
                     break 'outer;
@@ -310,11 +250,13 @@ mod tests {
     use super::*;
     use crate::detect::DetectorKind;
     use crate::registry::Registry;
+    use crate::signal::{CLOCK_OFFSET_GAUGE, INBOX_REJECTED};
     use crate::span::SpanArgs;
 
     fn alarm() -> Alarm {
         Alarm {
             detector: "fix_availability".into(),
+            signal: Signal::FixAvailability,
             kind: DetectorKind::EwmaZScore,
             t_s: 100.0,
             window_index: 5,
@@ -330,7 +272,7 @@ mod tests {
         let mk = || {
             let reg = Registry::new();
             reg.counter("rups_core_inbox_accepted").add(95);
-            reg.counter("rups_core_inbox_rejected_stale").add(5);
+            reg.counter(INBOX_REJECTED[3]).add(5);
             let h = reg.histogram("rups_core_engine_query_ns");
             for _ in 0..16 {
                 h.record(1_000_000);
@@ -353,7 +295,7 @@ mod tests {
         // Node 2's arrivals collapse in the firing window.
         let reg = Registry::new();
         reg.counter("rups_core_inbox_accepted").add(4);
-        reg.counter("rups_core_inbox_rejected_stale").add(1);
+        reg.counter(INBOX_REJECTED[3]).add(1);
         let h = reg.histogram("rups_core_engine_query_ns");
         for _ in 0..16 {
             h.record(1_000_000);
@@ -368,11 +310,23 @@ mod tests {
     }
 
     #[test]
+    fn a_window_without_arrivals_is_full_link_evidence() {
+        // A blacked-out receiver records no inbox counters at all; its
+        // compacted delta must still score the Link stage, at 1.0.
+        let mut nodes = vec![healthy(1)];
+        let reg = Registry::new();
+        reg.histogram("rups_core_engine_query_ns").record(1_000_000);
+        nodes[0].firing = reg.snapshot().compact();
+        let report = diagnose(&alarm(), &nodes, &[]).unwrap();
+        assert_eq!((report.worst_stage, report.worst_score), (Stage::Link, 1.0));
+    }
+
+    #[test]
     fn clock_jump_localises_to_the_beacon_stage() {
         let mut nodes = vec![healthy(1), healthy(2)];
         let reg = Registry::new();
         reg.counter("rups_core_inbox_accepted").add(95);
-        reg.counter("rups_core_inbox_rejected_stale").add(5);
+        reg.counter(INBOX_REJECTED[3]).add(5);
         let h = reg.histogram("rups_core_engine_query_ns");
         for _ in 0..16 {
             h.record(1_000_000);
@@ -390,7 +344,7 @@ mod tests {
         let mut nodes = vec![healthy(1), healthy(2)];
         let reg = Registry::new();
         reg.counter("rups_core_inbox_accepted").add(95);
-        reg.counter("rups_core_inbox_rejected_stale").add(5);
+        reg.counter(INBOX_REJECTED[3]).add(5);
         let h = reg.histogram("rups_core_engine_query_ns");
         for _ in 0..16 {
             h.record(50_000_000); // 50× the healthy 1 ms

@@ -6,106 +6,38 @@
 //! counters sum, same-named log₂ histograms bucket-merge exactly (so
 //! fleet quantiles are computed over the union distribution, not averaged
 //! per node), gauges average weighted by each node's sample count — and
-//! ranks the top-k *worst* nodes under declarative [`Criterion`]s (p99
-//! latency, error rates, gauges such as per-node fix error).
+//! ranks the top-k *worst* nodes under declarative [`Criterion`]s, each
+//! reading one [`Signal`] (p99 latency, error rates, gauges such as
+//! per-node fix error).
 //!
 //! The merged snapshot is an ordinary [`MetricsSnapshot`]: per-window
 //! fleet deltas come from [`MetricsSnapshot::delta`] and feed the same
-//! [`TriggerRule`]s the per-node
+//! [`TriggerRule`](crate::TriggerRule)s the per-node
 //! [`FlightRecorder`](crate::FlightRecorder) evaluates — see
-//! [`check_fleet_rules`].
+//! [`check_fleet_rules`](crate::check_fleet_rules).
 
-use crate::flight::{TriggerEvent, TriggerRule};
 use crate::hist::{HistogramSample, ShapeMismatch};
 use crate::registry::{escape_label_value, CounterSample, GaugeSample, MetricsSnapshot};
+use crate::signal::{Signal, FIX_ERROR_GAUGE};
 use serde::{Deserialize, Serialize};
 
-/// What a [`Criterion`] reads from a node snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CriterionKind {
-    /// p99 of the histogram named by `metric` (ns for latency
-    /// histograms).
-    HistogramP99,
-    /// `sum(num) / sum(den)` over counters (unranked when the denominator
-    /// is 0).
-    CounterRatio,
-    /// The current value of the gauge named by `metric` (e.g. per-node
-    /// mean fix error in metres).
-    GaugeValue,
-}
-
-/// How to score one node when ranking the fleet's worst.
-///
-/// Higher scores are worse under every criterion, so floors ("good"
-/// ratios) must be expressed as their bad complement (e.g. rank by
-/// rejection rate, not acceptance rate). Flat like
-/// [`TriggerRule`] so it serialises through the declarative config
-/// channel: `metric` feeds the histogram/gauge kinds, `num`/`den` the
-/// ratio kind; unused fields stay empty.
+/// How to rank the fleet's worst nodes: by one signal, worst first in the
+/// signal's own [`Direction`](crate::Direction) (highest latency first,
+/// lowest availability first). A node without a reading does not rank.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Criterion {
     /// Label this ranking is published under.
     pub label: String,
-    /// Which reading to take.
-    pub kind: CriterionKind,
-    /// Histogram or gauge name (ratio criteria leave it empty).
-    pub metric: String,
-    /// Counter names summed into the numerator (ratio criteria only).
-    pub num: Vec<String>,
-    /// Counter names summed into the denominator (ratio criteria only).
-    pub den: Vec<String>,
+    /// The signal each node is scored by.
+    pub signal: Signal,
 }
 
 impl Criterion {
-    /// A p99-of-histogram criterion labelled by the metric name.
-    pub fn histogram_p99(metric: &str) -> Self {
-        Criterion {
-            label: metric.to_string(),
-            kind: CriterionKind::HistogramP99,
-            metric: metric.to_string(),
-            num: Vec::new(),
-            den: Vec::new(),
-        }
-    }
-
-    /// A counter-ratio criterion.
-    pub fn counter_ratio(label: &str, num: Vec<String>, den: Vec<String>) -> Self {
+    /// A ranking of `signal` published as `label`.
+    pub fn new(label: &str, signal: Signal) -> Self {
         Criterion {
             label: label.to_string(),
-            kind: CriterionKind::CounterRatio,
-            metric: String::new(),
-            num,
-            den,
-        }
-    }
-
-    /// A gauge-value criterion labelled by the gauge name.
-    pub fn gauge_value(metric: &str) -> Self {
-        Criterion {
-            label: metric.to_string(),
-            kind: CriterionKind::GaugeValue,
-            metric: metric.to_string(),
-            num: Vec::new(),
-            den: Vec::new(),
-        }
-    }
-
-    /// Scores one node's snapshot; `None` when the inputs are absent or
-    /// empty (the node then simply does not rank).
-    pub fn score(&self, snap: &MetricsSnapshot) -> Option<f64> {
-        match self.kind {
-            CriterionKind::HistogramP99 => {
-                let h = snap.histogram(&self.metric)?;
-                (h.count > 0).then_some(h.p99)
-            }
-            CriterionKind::CounterRatio => {
-                let sum = |names: &[String]| -> u64 {
-                    names.iter().map(|n| snap.counter(n).unwrap_or(0)).sum()
-                };
-                let d = sum(&self.den);
-                (d > 0).then(|| sum(&self.num) as f64 / d as f64)
-            }
-            CriterionKind::GaugeValue => snap.gauge(&self.metric).filter(|v| v.is_finite()),
+            signal,
         }
     }
 }
@@ -115,7 +47,7 @@ impl Criterion {
 pub struct NodeScore {
     /// Vehicle/node id.
     pub node_id: u64,
-    /// The score (higher is worse).
+    /// The node's reading of the criterion's signal.
     pub value: f64,
 }
 
@@ -124,6 +56,8 @@ pub struct NodeScore {
 pub struct WorstList {
     /// The criterion's label.
     pub criterion: String,
+    /// The signal the nodes were scored by.
+    pub signal: Signal,
     /// Top-k nodes, worst first.
     pub ranked: Vec<NodeScore>,
 }
@@ -184,25 +118,15 @@ pub struct FleetAggregator {
 }
 
 impl Default for FleetAggregator {
-    /// Ranks by engine-query p99, quality-rejection rate and the per-node
-    /// fix-error gauge (`rups_node_fix_error_m`, set by fleet harnesses),
-    /// keeping the worst 3.
+    /// Ranks by engine-query p99, fix-rejection rate and the per-node
+    /// fix-error gauge (set by fleet harnesses), keeping the worst 3.
     fn default() -> Self {
         FleetAggregator {
             top_k: 3,
             criteria: vec![
-                Criterion::histogram_p99("rups_core_engine_query_ns"),
-                Criterion::counter_ratio(
-                    "fix_reject_rate",
-                    vec!["rups_core_quality_rejected".into()],
-                    vec![
-                        "rups_core_quality_grade_high".into(),
-                        "rups_core_quality_grade_medium".into(),
-                        "rups_core_quality_grade_low".into(),
-                        "rups_core_quality_rejected".into(),
-                    ],
-                ),
-                Criterion::gauge_value("rups_node_fix_error_m"),
+                Criterion::new("rups_core_engine_query_ns", Signal::FixP99Latency),
+                Criterion::new("fix_reject_rate", Signal::FixRejectionRate),
+                Criterion::new(FIX_ERROR_GAUGE, Signal::FixError),
             ],
         }
     }
@@ -294,20 +218,22 @@ impl FleetAggregator {
                 let mut ranked: Vec<NodeScore> = parts
                     .iter()
                     .filter_map(|(id, snap)| {
-                        c.score(snap).map(|value| NodeScore {
+                        c.signal.read(snap).map(|r| NodeScore {
                             node_id: *id,
-                            value,
+                            value: r.value,
                         })
                     })
                     .collect();
+                let dir = c.signal.direction();
                 ranked.sort_by(|a, b| {
-                    b.value
-                        .partial_cmp(&a.value)
+                    dir.badness(b.value)
+                        .partial_cmp(&dir.badness(a.value))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
                 ranked.truncate(self.top_k);
                 WorstList {
                     criterion: c.label.clone(),
+                    signal: c.signal,
                     ranked,
                 }
             })
@@ -325,30 +251,10 @@ impl FleetAggregator {
     }
 }
 
-/// Evaluates flight-recorder [`TriggerRule`]s against one fleet window
-/// delta — the fleet-level analogue of the per-node
-/// [`FlightRecorder::observe`](crate::FlightRecorder::observe) check.
-pub fn check_fleet_rules(
-    rules: &[TriggerRule],
-    t_s: f64,
-    delta: &MetricsSnapshot,
-) -> Vec<TriggerEvent> {
-    rules
-        .iter()
-        .filter_map(|r| {
-            r.check(delta).map(|value| TriggerEvent {
-                t_s,
-                rule: r.name.clone(),
-                value,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::TriggerOp;
+    use crate::flight::{check_fleet_rules, TriggerRule};
     use crate::registry::Registry;
 
     fn node_snapshot(queries: u64, rejected: u64, latency_ns: &[u64]) -> MetricsSnapshot {
@@ -361,8 +267,7 @@ mod tests {
         for &v in latency_ns {
             h.record(v);
         }
-        reg.gauge("rups_node_fix_error_m")
-            .set(rejected as f64 * 0.5);
+        reg.gauge(FIX_ERROR_GAUGE).set(rejected as f64 * 0.5);
         reg.snapshot()
     }
 
@@ -407,7 +312,11 @@ mod tests {
             .find(|g| g.name == "rups_node_fix_error_m")
             .unwrap();
         // Weighted: (100·1 + 1·101) / 101 ≈ 1.99 — not the unweighted 51.
-        assert!((merged.value - 201.0 / 101.0).abs() < 1e-9, "{}", merged.value);
+        assert!(
+            (merged.value - 201.0 / 101.0).abs() < 1e-9,
+            "{}",
+            merged.value
+        );
         assert_eq!(merged.samples, 101, "merged weight sums node weights");
         // All-zero weights (never-set gauges) degrade to the plain mean.
         let a = Registry::new();
@@ -417,7 +326,12 @@ mod tests {
         let fleet = FleetAggregator::new()
             .aggregate(&[(1, a.snapshot()), (2, b.snapshot())])
             .unwrap();
-        let idle = fleet.merged.gauges.iter().find(|g| g.name == "idle").unwrap();
+        let idle = fleet
+            .merged
+            .gauges
+            .iter()
+            .find(|g| g.name == "idle")
+            .unwrap();
         assert_eq!((idle.value, idle.samples), (0.0, 0));
     }
 
@@ -444,6 +358,23 @@ mod tests {
         assert!(rej.ranked[0].value > rej.ranked[1].value);
         let err = by_label("rups_node_fix_error_m");
         assert_eq!(err.ranked[0].node_id, 3);
+        assert_eq!(
+            fleet.worst.iter().map(|w| w.signal).collect::<Vec<_>>(),
+            [
+                Signal::FixP99Latency,
+                Signal::FixRejectionRate,
+                Signal::FixError
+            ]
+        );
+        // A signal that degrades downwards ranks its lowest readings first.
+        let avail = FleetAggregator {
+            top_k: 2,
+            criteria: vec![Criterion::new("availability", Signal::FixAvailability)],
+        }
+        .aggregate(&parts)
+        .unwrap();
+        let ids: Vec<u64> = avail.worst[0].ranked.iter().map(|s| s.node_id).collect();
+        assert_eq!(ids, [3, 2]);
     }
 
     #[test]
@@ -475,18 +406,17 @@ mod tests {
             .unwrap();
         let delta = after.delta(&before);
         assert_eq!(delta.counter("rups_core_quality_rejected"), Some(15));
-        let rules = vec![TriggerRule {
-            name: "fleet_reject_burst".into(),
-            numerator: vec!["rups_core_quality_rejected".into()],
-            denominator: Vec::new(),
-            op: TriggerOp::AtLeast,
-            threshold: 10.0,
-            min_events: 1,
-        }];
+        let rules = vec![TriggerRule::new(
+            "fleet_reject_spike",
+            Signal::FixRejectionRate,
+            0.5,
+            1,
+        )];
         let fired = check_fleet_rules(&rules, 42.0, &delta);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].rule, "fleet_reject_burst");
-        assert_eq!(fired[0].value, 15.0);
+        assert_eq!(fired[0].rule, "fleet_reject_spike");
+        assert_eq!(fired[0].signal, Signal::FixRejectionRate);
+        assert_eq!(fired[0].value, 0.75, "15 rejected of 20 assessed");
         assert_eq!(fired[0].t_s, 42.0);
         // Below threshold → silent.
         assert!(check_fleet_rules(&rules, 43.0, &before.delta(&before)).is_empty());
@@ -496,10 +426,9 @@ mod tests {
     fn fleet_prometheus_exposition_labels_are_escaped() {
         let agg = FleetAggregator {
             top_k: 1,
-            criteria: vec![Criterion::counter_ratio(
+            criteria: vec![Criterion::new(
                 "weird \"label\"\nwith\\stuff",
-                vec!["rups_core_quality_rejected".into()],
-                vec!["rups_core_engine_queries".into()],
+                Signal::FixRejectionRate,
             )],
         };
         let fleet = agg

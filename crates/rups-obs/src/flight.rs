@@ -17,72 +17,63 @@
 //! [`FlightConfig`].
 
 use crate::registry::{MetricsSnapshot, Registry};
-use crate::span::SpanRecorder;
+use crate::signal::Signal;
+use crate::span::{SpanRecord, SpanRecorder};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// How a [`TriggerRule`] compares its observed value to the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TriggerOp {
-    /// Fires when `value >= threshold` (spikes, bursts).
-    AtLeast,
-    /// Fires when `value <= threshold` (collapses).
-    AtMost,
-}
-
 /// One declarative trigger predicate, evaluated against every observation
-/// window's counter *delta*.
-///
-/// The observed value is the sum of the `numerator` counters; when
-/// `denominator` is non-empty the value becomes
-/// `numerator / denominator` (a rate). `min_events` gates noisy small
-/// windows: the rule only arms once the denominator (or, for raw counts,
-/// the numerator) saw at least that many events in the window.
+/// window's delta: it fires when the window's reading of `signal` arms at
+/// `min_events` and reaches `threshold` on the signal's bad side (at or
+/// above for signals that degrade upwards, at or below for the others).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TriggerRule {
     /// Rule name, stamped on fired [`TriggerEvent`]s.
     pub name: String,
-    /// Counter names summed into the numerator.
-    pub numerator: Vec<String>,
-    /// Counter names summed into the denominator; empty → raw count rule.
-    pub denominator: Vec<String>,
-    /// Comparison direction.
-    pub op: TriggerOp,
-    /// Threshold the observed value is compared against.
+    /// The signal the rule reads.
+    pub signal: Signal,
+    /// The first value that fires.
     pub threshold: f64,
     /// Minimum events in the window before the rule arms.
     pub min_events: u64,
 }
 
 impl TriggerRule {
-    /// Evaluates the rule against one window delta, returning the observed
-    /// value when the rule fires.
-    pub fn check(&self, delta: &MetricsSnapshot) -> Option<f64> {
-        let sum =
-            |names: &[String]| -> u64 { names.iter().map(|n| delta.counter(n).unwrap_or(0)).sum() };
-        let num = sum(&self.numerator);
-        let (value, events) = if self.denominator.is_empty() {
-            (num as f64, num)
-        } else {
-            let den = sum(&self.denominator);
-            let v = if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            };
-            (v, den)
-        };
-        if events < self.min_events {
-            return None;
+    /// A rule firing when `signal` reaches `threshold` over at least
+    /// `min_events` events.
+    pub fn new(name: &str, signal: Signal, threshold: f64, min_events: u64) -> Self {
+        TriggerRule {
+            name: name.to_string(),
+            signal,
+            threshold,
+            min_events,
         }
-        let fired = match self.op {
-            TriggerOp::AtLeast => value >= self.threshold,
-            TriggerOp::AtMost => value <= self.threshold,
-        };
-        fired.then_some(value)
     }
+}
+
+/// Evaluates trigger `rules` against one window delta, returning the rules
+/// that fired. This is the one rule loop: [`FlightRecorder::observe`] runs
+/// it over a node's own windows, fleet harnesses over fleet-merged ones.
+pub fn check_fleet_rules(
+    rules: &[TriggerRule],
+    t_s: f64,
+    delta: &MetricsSnapshot,
+) -> Vec<TriggerEvent> {
+    rules
+        .iter()
+        .filter_map(|r| {
+            let reading = r.signal.read_armed(delta, r.min_events)?;
+            let dir = r.signal.direction();
+            (dir.badness(reading.value) >= dir.badness(r.threshold)).then(|| TriggerEvent {
+                t_s,
+                rule: r.name.clone(),
+                signal: r.signal,
+                value: reading.value,
+            })
+        })
+        .collect()
 }
 
 /// Retention and trigger configuration of a [`FlightRecorder`].
@@ -126,6 +117,8 @@ pub struct TriggerEvent {
     pub t_s: f64,
     /// Name of the [`TriggerRule`] that fired.
     pub rule: String,
+    /// The signal the rule read.
+    pub signal: Signal,
     /// The observed value that crossed the threshold.
     pub value: f64,
 }
@@ -142,6 +135,22 @@ pub struct SpanDump {
     pub dur_ns: u64,
     /// Structured arguments as a JSON map.
     pub args: Value,
+}
+
+impl From<&SpanRecord> for SpanDump {
+    fn from(r: &SpanRecord) -> Self {
+        SpanDump {
+            name: r.name.to_string(),
+            start_ns: r.start_ns,
+            dur_ns: r.dur_ns,
+            args: Value::Map(
+                r.args
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), crate::trace::arg_value(v)))
+                    .collect(),
+            ),
+        }
+    }
 }
 
 /// The black box: everything the recorder held when it was dumped.
@@ -242,18 +251,7 @@ impl FlightRecorder {
             None => Vec::new(),
             Some(prev) => {
                 let delta = now.delta(&prev);
-                let fired: Vec<TriggerEvent> = self
-                    .cfg
-                    .rules
-                    .iter()
-                    .filter_map(|r| {
-                        r.check(&delta).map(|value| TriggerEvent {
-                            t_s,
-                            rule: r.name.clone(),
-                            value,
-                        })
-                    })
-                    .collect();
+                let fired = check_fleet_rules(&self.cfg.rules, t_s, &delta);
                 if self.cfg.window_capacity > 0 {
                     if inner.windows.len() == self.cfg.window_capacity {
                         inner.windows.pop_front();
@@ -290,20 +288,7 @@ impl FlightRecorder {
             Some(rec) => {
                 let recent = rec.recent();
                 let skip = recent.len().saturating_sub(self.cfg.span_tail);
-                recent[skip..]
-                    .iter()
-                    .map(|r| SpanDump {
-                        name: r.name.to_string(),
-                        start_ns: r.start_ns,
-                        dur_ns: r.dur_ns,
-                        args: Value::Map(
-                            r.args
-                                .iter()
-                                .map(|(k, v)| (k.to_string(), crate::trace::arg_value(v)))
-                                .collect(),
-                        ),
-                    })
-                    .collect()
+                recent[skip..].iter().map(SpanDump::from).collect()
             }
         };
         let inner = self.inner.lock().expect("flight recorder poisoned");
@@ -334,30 +319,18 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn rate_rule(name: &str, num: &str, den: &[&str], op: TriggerOp, thr: f64) -> TriggerRule {
-        TriggerRule {
-            name: name.into(),
-            numerator: vec![num.into()],
-            denominator: den.iter().map(|s| s.to_string()).collect(),
-            op,
-            threshold: thr,
-            min_events: 4,
-        }
-    }
-
     #[test]
     fn rate_rule_fires_on_spike_and_respects_min_events() {
         let reg = Arc::new(Registry::new());
-        let rejected = reg.counter("rejected");
-        let graded = reg.counter("graded");
+        let rejected = reg.counter("rups_core_quality_rejected");
+        let graded = reg.counter("rups_core_quality_grade_high");
         let rec = FlightRecorder::new(
             FlightConfig {
-                rules: vec![rate_rule(
+                rules: vec![TriggerRule::new(
                     "fix_error_spike",
-                    "rejected",
-                    &["rejected", "graded"],
-                    TriggerOp::AtLeast,
+                    Signal::FixRejectionRate,
                     0.5,
+                    4,
                 )],
                 ..FlightConfig::default()
             },
@@ -374,39 +347,30 @@ mod tests {
         let fired = rec.observe(2.0);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "fix_error_spike");
+        assert_eq!(fired[0].signal, Signal::FixRejectionRate);
         assert!((fired[0].value - 0.8).abs() < 1e-12);
         assert!(rec.has_triggered());
-        // Healthy window: quiet again, but the fired event is retained.
+        // Exactly at the threshold over exactly min_events: fires too.
+        rejected.add(2);
+        graded.add(2);
+        assert_eq!(rec.observe(3.0).len(), 1);
+        // Healthy window: quiet again, but the fired events are retained.
         graded.add(10);
-        assert!(rec.observe(3.0).is_empty());
-        assert_eq!(rec.dump().triggered.len(), 1);
+        assert!(rec.observe(4.0).is_empty());
+        assert_eq!(rec.dump().triggered.len(), 2);
     }
 
     #[test]
-    fn count_rule_and_atmost_collapse() {
+    fn count_rule_and_collapse_of_a_falling_signal() {
         let reg = Arc::new(Registry::new());
-        let bad = reg.counter("inbox_rejected");
-        let hits = reg.counter("hits");
-        let misses = reg.counter("misses");
+        let bad = reg.counter(crate::signal::INBOX_REJECTED[0]);
+        let hits = reg.counter("rups_core_engine_window_hits");
+        let misses = reg.counter("rups_core_engine_window_misses");
         let rec = FlightRecorder::new(
             FlightConfig {
                 rules: vec![
-                    TriggerRule {
-                        name: "rejection_burst".into(),
-                        numerator: vec!["inbox_rejected".into()],
-                        denominator: vec![],
-                        op: TriggerOp::AtLeast,
-                        threshold: 8.0,
-                        min_events: 8,
-                    },
-                    TriggerRule {
-                        name: "cache_collapse".into(),
-                        numerator: vec!["hits".into()],
-                        denominator: vec!["hits".into(), "misses".into()],
-                        op: TriggerOp::AtMost,
-                        threshold: 0.05,
-                        min_events: 16,
-                    },
+                    TriggerRule::new("rejection_burst", Signal::ValidationRejections, 8.0, 8),
+                    TriggerRule::new("cache_collapse", Signal::WindowHitRate, 0.05, 16),
                 ],
                 ..FlightConfig::default()
             },
@@ -421,8 +385,12 @@ mod tests {
         misses.add(40); // hit rate 0/40 = 0 ≤ 0.05 over ≥16 events
         let fired = rec.observe(2.0);
         let names: Vec<&str> = fired.iter().map(|f| f.rule.as_str()).collect();
-        assert!(names.contains(&"rejection_burst"), "{names:?}");
-        assert!(names.contains(&"cache_collapse"), "{names:?}");
+        assert_eq!(names, ["rejection_burst", "cache_collapse"]);
+        assert_eq!(fired[0].value, 9.0);
+        // A window without lookups has no hit rate: the collapse rule
+        // cannot fire on an idle engine.
+        bad.add(1);
+        assert!(rec.observe(3.0).is_empty());
     }
 
     #[test]

@@ -165,10 +165,12 @@ impl Drop for Timer {
     }
 }
 
-/// Two histogram samples disagreed about their bucket layout: subtracting
-/// or merging them bucket-by-bucket would silently misattribute counts, so
-/// the shape-checked operations ([`HistogramSample::try_delta`],
-/// [`HistogramSample::try_merge`]) refuse with this error instead.
+/// Two histogram samples disagreed about their bucket layout, or share one
+/// that is neither empty (compacted) nor [`N_BUCKETS`] long: subtracting
+/// or merging them bucket-by-bucket would misattribute counts or read
+/// past the last bucket, so the shape-checked operations
+/// ([`HistogramSample::try_delta`], [`HistogramSample::try_merge`]) refuse
+/// with this error instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShapeMismatch {
     /// Name of the histogram whose shapes disagreed.
@@ -207,8 +209,10 @@ pub struct HistogramSample {
     pub p95: f64,
     /// 99th percentile, interpolated (0 when empty).
     pub p99: f64,
-    /// Per-bucket counts, [`N_BUCKETS`] entries; bucket `i` covers
-    /// `[bucket_lo(i), bucket_hi(i))`.
+    /// Per-bucket counts, [`N_BUCKETS`] entries (or none once
+    /// [`compact`]ed); bucket `i` covers `[bucket_lo(i), bucket_hi(i))`.
+    ///
+    /// [`compact`]: crate::registry::MetricsSnapshot::compact
     pub buckets: Vec<u64>,
 }
 
@@ -219,14 +223,7 @@ impl HistogramSample {
     ///
     /// [`compact`]: crate::registry::MetricsSnapshot::compact
     pub fn from_buckets(name: String, count: u64, sum: u64, buckets: Vec<u64>) -> Self {
-        debug_assert!(buckets.is_empty() || buckets.len() == N_BUCKETS);
-        let q = |p| {
-            if buckets.is_empty() {
-                0.0
-            } else {
-                quantile_of(&buckets, count, p).unwrap_or(0.0)
-            }
-        };
+        let q = |p| quantile_of(&buckets, count, p).unwrap_or(0.0);
         HistogramSample {
             p50: q(0.50),
             p95: q(0.95),
@@ -239,9 +236,31 @@ impl HistogramSample {
     }
 
     /// Interpolated quantile (`q` in `(0, 1]`); `None` on an empty
-    /// histogram.
+    /// histogram or one without [`N_BUCKETS`] buckets (compacted or
+    /// malformed).
     pub fn quantile(&self, q: f64) -> Option<f64> {
         quantile_of(&self.buckets, self.count, q)
+    }
+
+    /// Whether the bucket vector has a shape this crate can read: empty
+    /// (compacted) or exactly [`N_BUCKETS`] long.
+    pub(crate) fn is_well_shaped(&self) -> bool {
+        self.buckets.is_empty() || self.buckets.len() == N_BUCKETS
+    }
+
+    /// The shape gate of [`try_delta`](Self::try_delta) and
+    /// [`try_merge`](Self::try_merge): both samples must share one
+    /// well-shaped bucket layout.
+    fn check_shape(&self, other: &HistogramSample) -> Result<(), ShapeMismatch> {
+        if self.buckets.len() == other.buckets.len() && self.is_well_shaped() {
+            Ok(())
+        } else {
+            Err(ShapeMismatch {
+                name: self.name.clone(),
+                expected: self.buckets.len(),
+                got: other.buckets.len(),
+            })
+        }
     }
 
     /// Mean of the recorded values (`None` when empty).
@@ -263,7 +282,8 @@ impl HistogramSample {
     }
 
     /// Shape-checked [`delta`](Self::delta): errors when the two samples
-    /// disagree about their bucket count instead of guessing an alignment.
+    /// disagree about their bucket count, or share a malformed one, instead
+    /// of guessing an alignment.
     ///
     /// A *counter reset* in between (any bucket or the total count shrank —
     /// the histogram was replaced or zeroed) cannot yield a meaningful
@@ -271,13 +291,7 @@ impl HistogramSample {
     /// full current sample. Ordinary in-between recording only ever grows
     /// buckets, so this never triggers on live data.
     pub fn try_delta(&self, earlier: &HistogramSample) -> Result<HistogramSample, ShapeMismatch> {
-        if self.buckets.len() != earlier.buckets.len() {
-            return Err(ShapeMismatch {
-                name: self.name.clone(),
-                expected: self.buckets.len(),
-                got: earlier.buckets.len(),
-            });
-        }
+        self.check_shape(earlier)?;
         let reset = self.count < earlier.count
             || self
                 .buckets
@@ -304,15 +318,10 @@ impl HistogramSample {
     /// Merges another sample of the *same-shaped* histogram into this one
     /// (bucket-wise saturating sum, quantiles recomputed over the union) —
     /// the primitive fleet aggregation is built on. The merged sample keeps
-    /// this sample's name. Errors on a bucket-count mismatch.
+    /// this sample's name. Errors on a bucket-count mismatch or a malformed
+    /// shared one.
     pub fn try_merge(&self, other: &HistogramSample) -> Result<HistogramSample, ShapeMismatch> {
-        if self.buckets.len() != other.buckets.len() {
-            return Err(ShapeMismatch {
-                name: self.name.clone(),
-                expected: self.buckets.len(),
-                got: other.buckets.len(),
-            });
-        }
+        self.check_shape(other)?;
         let buckets: Vec<u64> = self
             .buckets
             .iter()
@@ -329,9 +338,10 @@ impl HistogramSample {
 }
 
 /// Shared quantile walk: find the bucket holding the `ceil(q·count)`-th
-/// sample and interpolate linearly within it.
+/// sample and interpolate linearly within it. Only a full [`N_BUCKETS`]
+/// vector has bucket bounds to interpolate in.
 fn quantile_of(buckets: &[u64], count: u64, q: f64) -> Option<f64> {
-    if count == 0 {
+    if count == 0 || buckets.len() != N_BUCKETS {
         return None;
     }
     let q = q.clamp(0.0, 1.0);
@@ -564,6 +574,48 @@ mod tests {
         let e = compacted.try_merge(&five).unwrap_err();
         assert_eq!((e.expected, e.got), (0, N_BUCKETS));
         assert!(e.to_string().contains("shape mismatch"), "{e}");
+    }
+
+    #[test]
+    fn malformed_bucket_shapes_are_rejected_not_read() {
+        // Deserialised samples are the way bad shapes arrive.
+        let sample = |n_buckets: usize, at: usize, count: u64| -> HistogramSample {
+            let mut buckets = vec![0u64; n_buckets];
+            buckets[at] = count;
+            let json = format!(
+                r#"{{"name":"h","count":{count},"sum":{count},"p50":0,"p95":0,"p99":0,"buckets":{buckets:?}}}"#
+            );
+            serde_json::from_str(&json).unwrap()
+        };
+        // 70 buckets with the mass past the top: no quantile, no panic.
+        let long = sample(70, 66, 1);
+        assert!(!long.is_well_shaped());
+        assert_eq!(long.quantile(0.99), None);
+        // Two 50-bucket samples agree with each other but not with the
+        // layout: delta and merge refuse instead of reading past bucket 43.
+        let (now, then) = (sample(50, 48, 3), sample(50, 48, 1));
+        let err = now.try_delta(&then).unwrap_err();
+        assert_eq!((err.name.as_str(), err.expected, err.got), ("h", 50, 50));
+        assert!(now.try_merge(&then).is_err());
+        assert!(long.try_merge(&long).is_err());
+        let snap = |h: &HistogramSample| crate::registry::MetricsSnapshot {
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: vec![h.clone()],
+        };
+        assert!(snap(&now).try_delta(&snap(&then)).is_err());
+        // The exposition keeps the totals and labels no bucket it cannot
+        // bound.
+        let text = snap(&long).to_prometheus();
+        assert!(text.contains("h_count 1"), "{text}");
+        assert_eq!(text.matches("_bucket{").count(), 1, "only +Inf: {text}");
+        // The infallible delta degrades to the current sample unchanged.
+        let d = snap(&now).delta(&snap(&then));
+        assert_eq!(d.histograms[0], now);
+        assert!(d.histograms[0].p99 <= bucket_hi(N_BUCKETS - 1) as f64);
+        // Building from a malformed vector yields zero quantiles.
+        let built = HistogramSample::from_buckets("h".into(), 1, 1, long.buckets.clone());
+        assert_eq!((built.p50, built.p95, built.p99), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   [`MetricsSnapshot::delta`] for per-epoch timelines.
 //!
 //! On top sits a "self-driving" layer that watches the telemetry stream
-//! itself:
+//! itself, reading every metric through one closed vocabulary of
+//! [`Signal`]s:
 //!
 //! - [`DetectorBank`] — streaming robust detectors (EWMA z-score, CUSUM)
 //!   over per-window deltas, emitting typed [`Alarm`]s online.
@@ -57,25 +58,19 @@ pub mod flight;
 pub mod hist;
 pub mod registry;
 pub mod sample;
+pub mod signal;
 pub mod skew;
 pub mod slo;
 pub mod span;
 pub mod trace;
 
 pub use context::{TraceContext, CLOCK_ARG, TRACE_ARG, TRACE_CONTEXT_WIRE_BYTES};
-pub use detect::{
-    default_detectors, Alarm, DetectorBank, DetectorKind, DetectorSpec, Direction, ReadingKind,
-};
-pub use diagnose::{
-    diagnose, DiagnosisReport, ExemplarSpan, NodeWindow, Stage, StageScore, CLOCK_OFFSET_GAUGE,
-};
-pub use fleet::{
-    check_fleet_rules, Criterion, CriterionKind, FleetAggregator, FleetSnapshot, NodeScore,
-    WorstList,
-};
+pub use detect::{default_detectors, Alarm, DetectorBank, DetectorKind, DetectorSpec};
+pub use diagnose::{diagnose, DiagnosisReport, ExemplarSpan, NodeWindow, Stage, StageScore};
+pub use fleet::{Criterion, FleetAggregator, FleetSnapshot, NodeScore, WorstList};
 pub use flight::{
-    FlightConfig, FlightDump, FlightRecorder, SpanDump, TriggerEvent, TriggerOp, TriggerRule,
-    WindowDelta,
+    check_fleet_rules, FlightConfig, FlightDump, FlightRecorder, SpanDump, TriggerEvent,
+    TriggerRule, WindowDelta,
 };
 pub use hist::{
     bucket_hi, bucket_index, bucket_lo, Histogram, HistogramSample, ShapeMismatch, Timer,
@@ -86,8 +81,9 @@ pub use registry::{
     GaugeSample, MetricsSnapshot, Registry,
 };
 pub use sample::{SampleConfig, SamplerStats, TailSampler, OVERHEAD_HELP};
+pub use signal::{Direction, Reading, Signal, CLOCK_OFFSET_GAUGE, FIX_ERROR_GAUGE};
 pub use skew::{ClockModel, SkewEstimator};
-pub use slo::{default_slos, evaluate_slos, SloKind, SloReport, SloSpec, SloVerdict};
+pub use slo::{default_slos, evaluate_slos, SloReport, SloSpec, SloVerdict};
 pub use span::{SpanArgs, SpanGuard, SpanRecord, SpanRecorder};
 pub use trace::{
     chrome_trace, chrome_trace_tail, component_of, merged_chrome_trace,

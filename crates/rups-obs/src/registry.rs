@@ -403,8 +403,11 @@ impl MetricsSnapshot {
                 ..h.clone()
             };
             let _ = writeln!(out, "# TYPE {} histogram", h.name);
+            // A malformed bucket vector has no bounds to label its buckets
+            // with; only the totals are exposed.
+            let buckets: &[u64] = if h.is_well_shaped() { &h.buckets } else { &[] };
             let mut cum = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
+            for (i, &c) in buckets.iter().enumerate() {
                 if c == 0 {
                     continue;
                 }

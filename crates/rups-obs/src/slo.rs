@@ -1,136 +1,73 @@
 //! Declarative service-level objectives evaluated from telemetry alone.
 //!
-//! An [`SloSpec`] names one objective over the fleet's metrics — a latency
-//! quantile ceiling, a success-ratio floor, a failure-ratio ceiling, or an
-//! error-budget burn-rate ceiling — and [`evaluate_slos`] checks a whole
-//! spec set against a cumulative [`MetricsSnapshot`] plus the per-window
-//! deltas of the run's timeline, producing a machine-readable
-//! [`SloVerdict`]. Nothing here looks at ground truth: a soak harness or
-//! CI gate passes or fails purely on what the registries observed, which
-//! is exactly the discipline a production fleet would run under.
+//! An [`SloSpec`] names one objective over a [`Signal`]: the signal must
+//! stay on the good side of a threshold — below it for signals that
+//! degrade upwards (latency, rejection rates), above it for those that
+//! degrade downwards (availability) — or, with a burn objective, no window
+//! may burn error budget faster than the threshold. [`evaluate_slos`]
+//! checks a whole spec set against a cumulative [`MetricsSnapshot`] plus
+//! the per-window deltas of the run's timeline, producing a
+//! machine-readable [`SloVerdict`]. Nothing here looks at ground truth: a
+//! soak harness or CI gate passes or fails purely on what the registries
+//! observed, which is exactly the discipline a production fleet would run
+//! under.
 //!
 //! Burn rate follows the SRE convention: with availability objective `o`,
 //! a window whose failure ratio is `f` burns budget at rate `f / (1 - o)`
-//! (rate 1 = exactly exhausting the budget over the period). The
-//! [`BurnRateMax`](SloKind::BurnRateMax) objective caps the *worst* armed
-//! window, catching short bursts a run-wide average would hide.
+//! (rate 1 = exactly exhausting the budget over the period). A burn
+//! objective caps the *worst* armed window, catching short bursts a
+//! run-wide average would hide.
 
 use crate::registry::MetricsSnapshot;
+use crate::signal::Signal;
 use serde::{Deserialize, Serialize};
 
-/// The objective kinds. Which [`SloSpec`] fields each kind reads is
-/// documented per variant; unused fields stay empty/zero (the spec is a
-/// flat struct, like [`TriggerRule`](crate::TriggerRule), so it
-/// serialises through the declarative config channel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SloKind {
-    /// The cumulative p99 of the histogram named by `metric` must stay at
-    /// or below `threshold` (ns).
-    P99MaxNs,
-    /// `sum(num)/sum(den)` over cumulative counters must reach
-    /// `threshold` (availability-style floors; `num` = good events).
-    RatioMin,
-    /// `sum(num)/sum(den)` over cumulative counters must stay at or below
-    /// `threshold` (rejection-rate-style ceilings; `num` = bad events).
-    RatioMax,
-    /// Per-window error-budget burn rate (`num` = bad, `den` = total,
-    /// budget from `objective`) must stay at or below `threshold` in
-    /// every armed window.
-    BurnRateMax,
-}
-
-/// A named objective plus its arming gate.
+/// A named objective over one signal plus its arming gate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloSpec {
     /// Objective name, stamped on the report.
     pub name: String,
-    /// The predicate kind.
-    pub kind: SloKind,
-    /// Histogram name ([`P99MaxNs`](SloKind::P99MaxNs) only).
-    pub metric: String,
-    /// Numerator counter names (ratio/burn kinds).
-    pub num: Vec<String>,
-    /// Denominator counter names (ratio/burn kinds).
-    pub den: Vec<String>,
-    /// The threshold the observed value is compared against (ns, ratio,
-    /// or burn rate, by kind).
+    /// The signal the objective reads.
+    pub signal: Signal,
+    /// The last acceptable value: the cumulative reading, or with a burn
+    /// objective every armed window's burn rate, must not be worse.
     pub threshold: f64,
-    /// The availability objective a burn-rate budget derives from, in
-    /// (0, 1) ([`BurnRateMax`](SloKind::BurnRateMax) only).
-    pub objective: f64,
-    /// Minimum events (histogram count, ratio denominator, or per-window
-    /// total) before the objective arms; under-armed objectives pass
-    /// vacuously so short smoke runs don't fail on noise.
+    /// Minimum events (see [`Reading::arms`](crate::Reading::arms)) before
+    /// the objective arms — per window under a burn objective.
+    /// Under-armed objectives pass vacuously so short smoke runs don't
+    /// fail on noise.
     pub min_events: u64,
+    /// `Some(o)`: judge every window's failure ratio (the signal, which
+    /// must degrade upwards) as a burn rate against availability objective
+    /// `o` in (0, 1), instead of the cumulative reading.
+    pub burn_objective: Option<f64>,
 }
 
 impl SloSpec {
-    /// A p99 latency ceiling on `metric`.
-    pub fn p99_max_ns(name: &str, metric: &str, max_ns: f64, min_events: u64) -> Self {
+    /// An objective on the cumulative reading of `signal`.
+    pub fn new(name: &str, signal: Signal, threshold: f64, min_events: u64) -> Self {
         SloSpec {
             name: name.to_string(),
-            kind: SloKind::P99MaxNs,
-            metric: metric.to_string(),
-            num: Vec::new(),
-            den: Vec::new(),
-            threshold: max_ns,
-            objective: 0.0,
+            signal,
+            threshold,
             min_events,
+            burn_objective: None,
         }
     }
 
-    /// A ratio floor (`sum(num)/sum(den) ≥ min`).
-    pub fn ratio_min(name: &str, num: Vec<String>, den: Vec<String>, min: f64) -> Self {
-        SloSpec {
-            name: name.to_string(),
-            kind: SloKind::RatioMin,
-            metric: String::new(),
-            num,
-            den,
-            threshold: min,
-            objective: 0.0,
-            min_events: 16,
-        }
-    }
-
-    /// A ratio ceiling (`sum(num)/sum(den) ≤ max`).
-    pub fn ratio_max(name: &str, num: Vec<String>, den: Vec<String>, max: f64) -> Self {
-        SloSpec {
-            name: name.to_string(),
-            kind: SloKind::RatioMax,
-            metric: String::new(),
-            num,
-            den,
-            threshold: max,
-            objective: 0.0,
-            min_events: 16,
-        }
-    }
-
-    /// A per-window burn-rate ceiling against an availability objective.
-    pub fn burn_rate_max(
+    /// A per-window burn-rate ceiling on failure ratio `signal` against
+    /// availability objective `objective`.
+    pub fn burn_rate(
         name: &str,
-        bad: Vec<String>,
-        total: Vec<String>,
+        signal: Signal,
         objective: f64,
         max_burn: f64,
+        min_events: u64,
     ) -> Self {
         SloSpec {
-            name: name.to_string(),
-            kind: SloKind::BurnRateMax,
-            metric: String::new(),
-            num: bad,
-            den: total,
-            threshold: max_burn,
-            objective,
-            min_events: 8,
+            burn_objective: Some(objective),
+            ..SloSpec::new(name, signal, max_burn, min_events)
         }
-    }
-
-    /// The same spec with a different arming gate.
-    pub fn with_min_events(mut self, min_events: u64) -> Self {
-        self.min_events = min_events;
-        self
     }
 }
 
@@ -139,6 +76,8 @@ impl SloSpec {
 pub struct SloReport {
     /// Spec name.
     pub name: String,
+    /// The signal the spec read.
+    pub signal: Signal,
     /// Whether the objective held (true when never armed).
     pub pass: bool,
     /// The observed value compared against the threshold (0 when never
@@ -161,13 +100,9 @@ pub struct SloVerdict {
     pub reports: Vec<SloReport>,
 }
 
-fn counter_sum(snap: &MetricsSnapshot, names: &[String]) -> u64 {
-    names.iter().map(|n| snap.counter(n).unwrap_or(0)).sum()
-}
-
 /// Evaluates `specs` against the run's cumulative snapshot and its
-/// per-window deltas (`windows` may be empty; burn-rate objectives then
-/// never arm).
+/// per-window deltas (`windows` may be empty; burn objectives then never
+/// arm).
 pub fn evaluate_slos(
     specs: &[SloSpec],
     cumulative: &MetricsSnapshot,
@@ -176,57 +111,35 @@ pub fn evaluate_slos(
     let reports: Vec<SloReport> = specs
         .iter()
         .map(|spec| {
-            // `upper_is_bad`: whether the observation breaches by exceeding
-            // the threshold (ceilings) rather than undershooting (floors).
-            let (observed, events, upper_is_bad) = match spec.kind {
-                SloKind::P99MaxNs => {
-                    let (p99, count) = cumulative
-                        .histogram(&spec.metric)
-                        .map(|h| (h.p99, h.count))
-                        .unwrap_or((0.0, 0));
-                    (p99, count, true)
-                }
-                SloKind::RatioMin | SloKind::RatioMax => {
-                    let d = counter_sum(cumulative, &spec.den);
-                    let v = if d == 0 {
-                        0.0
-                    } else {
-                        counter_sum(cumulative, &spec.num) as f64 / d as f64
-                    };
-                    (v, d, spec.kind == SloKind::RatioMax)
-                }
-                SloKind::BurnRateMax => {
-                    let budget = (1.0 - spec.objective).max(1e-9);
-                    let mut worst = 0.0f64;
-                    let mut armed_events = 0u64;
-                    for w in windows {
-                        let t = counter_sum(w, &spec.den);
-                        if t < spec.min_events.max(1) {
-                            continue;
-                        }
-                        let burn = (counter_sum(w, &spec.num) as f64 / t as f64) / budget;
-                        if burn > worst {
-                            worst = burn;
-                        }
-                        armed_events += t;
-                    }
-                    (worst, armed_events, true)
+            // (observed, events), when armed.
+            let observation = match spec.burn_objective {
+                None => spec
+                    .signal
+                    .read_armed(cumulative, spec.min_events)
+                    .map(|r| (r.value, r.events)),
+                Some(objective) => {
+                    let budget = (1.0 - objective).max(1e-9);
+                    let armed: Vec<_> = windows
+                        .iter()
+                        .filter_map(|w| spec.signal.read_armed(w, spec.min_events))
+                        .collect();
+                    (!armed.is_empty()).then(|| {
+                        armed.iter().fold((0.0f64, 0u64), |(worst, events), r| {
+                            (worst.max(r.value / budget), events + r.events)
+                        })
+                    })
                 }
             };
-            let armed = events >= spec.min_events && events > 0;
-            let pass = !armed
-                || if upper_is_bad {
-                    observed <= spec.threshold
-                } else {
-                    observed >= spec.threshold
-                };
+            let dir = spec.signal.direction();
+            let (observed, events) = observation.unwrap_or((0.0, 0));
             SloReport {
                 name: spec.name.clone(),
-                pass,
-                observed: if armed { observed } else { 0.0 },
+                signal: spec.signal,
+                pass: observation.is_none() || dir.badness(observed) <= dir.badness(spec.threshold),
+                observed,
                 threshold: spec.threshold,
-                events: if armed { events } else { 0 },
-                armed,
+                events,
+                armed: observation.is_some(),
             }
         })
         .collect();
@@ -237,42 +150,20 @@ pub fn evaluate_slos(
 }
 
 /// The RUPS fleet's default objectives: engine-query p99 under
-/// `p99_max_ns`, fix availability (graded fixes over all assessed) of at
-/// least 85 %, inbox validation-rejection rate at most 25 %, and no
-/// window burning error budget faster than 6× against an 85 % objective.
+/// `p99_max_ns`, fix availability of at least 85 %, inbox
+/// validation-rejection rate at most 25 %, and no window burning error
+/// budget faster than 6× against an 85 % objective.
 pub fn default_slos(p99_max_ns: f64) -> Vec<SloSpec> {
-    let grades = vec![
-        "rups_core_quality_grade_high".to_string(),
-        "rups_core_quality_grade_medium".to_string(),
-        "rups_core_quality_grade_low".to_string(),
-    ];
-    let mut assessed = grades.clone();
-    assessed.push("rups_core_quality_rejected".to_string());
-    let inbox_rejects = vec![
-        "rups_core_inbox_rejected_malformed".to_string(),
-        "rups_core_inbox_rejected_channel_mismatch".to_string(),
-        "rups_core_inbox_rejected_undersized".to_string(),
-        "rups_core_inbox_rejected_stale".to_string(),
-    ];
-    let mut inbox_all = inbox_rejects.clone();
-    inbox_all.push("rups_core_inbox_accepted".to_string());
-    inbox_all.push("rups_core_inbox_ignored_outdated".to_string());
     vec![
-        SloSpec::p99_max_ns(
-            "fix_p99_latency",
-            "rups_core_engine_query_ns",
-            p99_max_ns,
+        SloSpec::new("fix_p99_latency", Signal::FixP99Latency, p99_max_ns, 16),
+        SloSpec::new("fix_availability", Signal::FixAvailability, 0.85, 16),
+        SloSpec::new(
+            "validation_rejection_rate",
+            Signal::ValidationRejectionRate,
+            0.25,
             16,
         ),
-        SloSpec::ratio_min("fix_availability", grades.clone(), assessed.clone(), 0.85),
-        SloSpec::ratio_max("validation_rejection_rate", inbox_rejects, inbox_all, 0.25),
-        SloSpec::burn_rate_max(
-            "error_budget_burn",
-            vec!["rups_core_quality_rejected".into()],
-            assessed,
-            0.85,
-            6.0,
-        ),
+        SloSpec::burn_rate("error_budget_burn", Signal::FixRejectionRate, 0.85, 6.0, 8),
     ]
 }
 
@@ -280,6 +171,10 @@ pub fn default_slos(p99_max_ns: f64) -> Vec<SloSpec> {
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use crate::signal::INBOX_REJECTED;
+
+    const OK: &str = "rups_core_quality_grade_high";
+    const BAD: &str = "rups_core_quality_rejected";
 
     fn snap(pairs: &[(&str, u64)], latencies: &[u64]) -> MetricsSnapshot {
         let reg = Registry::new();
@@ -296,12 +191,7 @@ mod tests {
     #[test]
     fn p99_objective_passes_and_fails_on_the_tail() {
         let fast = snap(&[], &[1_000; 32]);
-        let spec = vec![SloSpec::p99_max_ns(
-            "lat",
-            "rups_core_engine_query_ns",
-            10_000.0,
-            16,
-        )];
+        let spec = vec![SloSpec::new("lat", Signal::FixP99Latency, 10_000.0, 16)];
         let v = evaluate_slos(&spec, &fast, &[]);
         assert!(v.pass, "{:?}", v.reports);
         assert!(v.reports[0].armed);
@@ -315,46 +205,34 @@ mod tests {
 
     #[test]
     fn ratio_floors_and_ceilings() {
-        let good = snap(&[("ok", 90), ("bad", 10)], &[]);
+        let good = snap(&[(OK, 90), (BAD, 10)], &[]);
         let specs = vec![
-            SloSpec::ratio_min(
-                "avail",
-                vec!["ok".into()],
-                vec!["ok".into(), "bad".into()],
-                0.85,
-            )
-            .with_min_events(10),
-            SloSpec::ratio_max(
-                "rejects",
-                vec!["bad".into()],
-                vec!["ok".into(), "bad".into()],
-                0.15,
-            )
-            .with_min_events(10),
+            SloSpec::new("avail", Signal::FixAvailability, 0.85, 10),
+            SloSpec::new("rejects", Signal::FixRejectionRate, 0.15, 10),
         ];
         let v = evaluate_slos(&specs, &good, &[]);
         assert!(v.pass, "{:?}", v.reports);
-        let degraded = snap(&[("ok", 60), ("bad", 40)], &[]);
+        let degraded = snap(&[(OK, 60), (BAD, 40)], &[]);
         let v = evaluate_slos(&specs, &degraded, &[]);
         assert!(!v.pass);
         assert!(!v.reports[0].pass, "availability floor broken");
         assert!(!v.reports[1].pass, "rejection ceiling broken");
+        // The threshold is the last acceptable value on either side.
+        let edge = snap(&[(OK, 85), (BAD, 15)], &[]);
+        let v = evaluate_slos(&specs, &edge, &[]);
+        assert!(v.pass, "{:?}", v.reports);
     }
 
     #[test]
     fn under_armed_objectives_pass_vacuously() {
-        let tiny = snap(&[("ok", 2), ("bad", 1)], &[500]);
+        let tiny = snap(&[(OK, 2), (BAD, 1)], &[500]);
         let specs = vec![
             // Would fail if armed: 2/3 < 0.99.
-            SloSpec::ratio_min(
-                "avail",
-                vec!["ok".into()],
-                vec!["ok".into(), "bad".into()],
-                0.99,
-            ),
+            SloSpec::new("avail", Signal::FixAvailability, 0.99, 16),
             // Would fail if armed: one 500 ns sample vs a 1 ns ceiling.
-            SloSpec::p99_max_ns("lat", "rups_core_engine_query_ns", 1.0, 16),
-            SloSpec::p99_max_ns("missing_hist", "never_registered_ns", 1.0, 1),
+            SloSpec::new("lat", Signal::FixP99Latency, 1.0, 16),
+            // No solves: a zero denominator never arms.
+            SloSpec::new("fuse", Signal::FuseRejectionsPerSolve, 0.0, 1),
         ];
         let v = evaluate_slos(&specs, &tiny, &[]);
         assert!(v.pass, "{:?}", v.reports);
@@ -366,26 +244,26 @@ mod tests {
     fn burn_rate_caps_the_worst_window() {
         // Objective 0.9 → budget 0.1. Window A burns at 0.5 (5% bad),
         // window B at 4.0 (40% bad). Ceiling 3.0 must fail on B alone.
-        let w_a = snap(&[("bad", 5), ("all", 100)], &[]);
-        let w_b = snap(&[("bad", 40), ("all", 100)], &[]);
+        let w_a = snap(&[(BAD, 5), (OK, 95)], &[]);
+        let w_b = snap(&[(BAD, 40), (OK, 60)], &[]);
         let spec = |max_burn: f64| {
-            vec![SloSpec::burn_rate_max(
+            vec![SloSpec::burn_rate(
                 "burn",
-                vec!["bad".into()],
-                vec!["all".into()],
+                Signal::FixRejectionRate,
                 0.9,
                 max_burn,
-            )
-            .with_min_events(50)]
+                50,
+            )]
         };
         let cum = snap(&[], &[]);
         let v = evaluate_slos(&spec(3.0), &cum, &[w_a.clone(), w_b.clone()]);
         assert!(!v.pass);
         assert!((v.reports[0].observed - 4.0).abs() < 1e-9);
+        assert_eq!(v.reports[0].events, 200);
         let v = evaluate_slos(&spec(5.0), &cum, &[w_a.clone(), w_b.clone()]);
         assert!(v.pass, "{:?}", v.reports);
         // Small windows below min_events never arm the objective.
-        let w_small = snap(&[("bad", 10), ("all", 10)], &[]);
+        let w_small = snap(&[(BAD, 10)], &[]);
         let v = evaluate_slos(&spec(0.1), &cum, &[w_small]);
         assert!(v.pass);
         assert!(!v.reports[0].armed);
@@ -399,7 +277,7 @@ mod tests {
             reg.counter("rups_core_quality_grade_medium").add(15);
             reg.counter("rups_core_quality_rejected").add(5);
             reg.counter("rups_core_inbox_accepted").add(95);
-            reg.counter("rups_core_inbox_rejected_stale").add(5);
+            reg.counter(INBOX_REJECTED[3]).add(5);
             let h = reg.histogram("rups_core_engine_query_ns");
             for _ in 0..100 {
                 h.record(2_000_000);
@@ -409,7 +287,11 @@ mod tests {
         let specs = default_slos(250e6);
         let v = evaluate_slos(&specs, &healthy, std::slice::from_ref(&healthy));
         assert!(v.pass, "{:?}", v.reports);
+        assert!(v.reports.iter().all(|r| r.armed));
         assert_eq!(v.reports.len(), specs.len());
+        for (r, s) in v.reports.iter().zip(&specs) {
+            assert_eq!(r.signal, s.signal, "{} names its signal", r.name);
+        }
         let json = serde_json::to_string(&v).unwrap();
         let back: SloVerdict = serde_json::from_str(&json).unwrap();
         assert_eq!(back, v);
