@@ -1,9 +1,9 @@
 //! SLO-gated soak harness: sustained multi-vehicle load, judged from
 //! telemetry alone.
 //!
-//! [`run_soak`] drives an n-vehicle convoy — traced beacons over a
-//! faulted [`V2vLink`], codec validation, [`SnapshotInbox`] vetting and
-//! periodic [`fix_inbox_parallel`] epochs on every vehicle — for a fixed
+//! [`run_soak`] drives an n-vehicle [`ConvoyRig`] — traced beacons over
+//! its faulted link, codec validation, inbox vetting and periodic fix
+//! epochs on every vehicle — for a fixed
 //! *wall-clock* budget, looping the simulated drive as fast as the build
 //! allows. While it runs it does two production-shaped things:
 //!
@@ -31,32 +31,22 @@
 //! cannot mask — or cause — a leak. The outcome serialises to JSON; the
 //! `soak` binary exits non-zero on any breach, which is the CI gate.
 //!
-//! [`V2vLink`]: v2v_sim::link::V2vLink
-//! [`SnapshotInbox`]: rups_core::inbox::SnapshotInbox
-//! [`fix_inbox_parallel`]: rups_core::pipeline::RupsNode::fix_inbox_parallel
 //! [`FleetAggregator`]: rups_obs::FleetAggregator
 //! [`default_slos`]: rups_obs::default_slos
 //! [`evaluate_slos`]: rups_obs::evaluate_slos
 
 use crate::bench_config;
-use rups_core::geo::GeoSample;
-use rups_core::gsm::PowerVector;
-use rups_core::inbox::{InboxConfig, SnapshotInbox};
-use rups_core::pipeline::RupsNode;
-use rups_core::quality::{FixQuality, QualityConfig};
-use rups_core::testfield;
+use rups_core::quality::FixQuality;
+use rups_eval::rig::{acceptance_faults, ConvoyRig, ConvoySpec, SPAN_RING};
 use rups_obs::{
-    default_detectors, default_slos, evaluate_slos, Alarm, DetectorBank, FleetAggregator,
-    MetricsSnapshot, Registry, SampleConfig, SloSpec, SloVerdict, SpanRecorder, TailSampler,
-    TRACE_ARG,
+    default_detectors, default_slos, evaluate_slos, Alarm, DetectorBank, MetricsSnapshot,
+    SampleConfig, SloSpec, SloVerdict, TailSampler, TRACE_ARG,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use v2v_sim::codec::{try_encode_snapshot, CodecMetrics};
 use v2v_sim::fault::FaultConfig;
-use v2v_sim::link::V2vLink;
 
 /// Newest fleet-window deltas retained for burn-rate evaluation.
 pub const WINDOW_CAP: usize = 1024;
@@ -112,13 +102,7 @@ impl Default for SoakConfig {
             horizon_s: 10.0,
             fix_stride_s: 5,
             window_epochs: 16,
-            faults: FaultConfig {
-                duplicate: 0.05,
-                reorder: 0.05,
-                corrupt: 0.01,
-                jitter_s: 0.02,
-                ..FaultConfig::bursty(0.15, 0.35, 1.0)
-            },
+            faults: acceptance_faults(),
             wall_secs: 20.0,
             p99_max_ns: 250e6,
             mem_growth_tol: 0.02,
@@ -254,130 +238,100 @@ fn mem_verdict(cfg: &SoakConfig, samples: &[u64]) -> MemVerdict {
     }
 }
 
+/// Appends to the alarm log, keeping the newest [`WINDOW_CAP`].
+fn log_alarms(log: &mut VecDeque<Alarm>, fired: Vec<Alarm>) {
+    for alarm in fired {
+        if log.len() == WINDOW_CAP {
+            log.pop_front();
+        }
+        log.push_back(alarm);
+    }
+}
+
+/// Adds the trace ids in a sampler's durable ring to `kept`.
+fn harvest(kept: &mut HashSet<u64>, sampler: &TailSampler) {
+    let committed = sampler.committed();
+    kept.extend(
+        committed
+            .iter()
+            .filter_map(|r| r.args.get(TRACE_ARG))
+            .map(|v| v as u64),
+    );
+}
+
 /// Runs the soak. `live_bytes` is sampled once per fix epoch; wire it to
 /// the counting allocator of the hosting binary/test.
 pub fn run_soak(cfg: &SoakConfig, live_bytes: &dyn Fn() -> u64) -> SoakOutcome {
     let mut rc = bench_config(cfg.n_channels, 85.min(cfg.context_m / 2), cfg.n_channels);
     rc.max_context_m = cfg.context_m + 50;
-    let field = |metre: f64, ch: usize| testfield::rssi(cfg.seed, metre, ch);
-    let quality_cfg = QualityConfig::default();
-
-    let n = cfg.n_vehicles;
-    let ids: Vec<u64> = (1..=n as u64).collect();
-    let registries: Vec<Arc<Registry>> = ids.iter().map(|_| Arc::new(Registry::new())).collect();
-    let spans: Vec<Arc<SpanRecorder>> = ids
-        .iter()
-        .map(|_| Arc::new(SpanRecorder::new(4096)))
-        .collect();
     let sample_cfg = SampleConfig::default();
-    let samplers: Vec<Arc<TailSampler>> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, _)| Arc::new(TailSampler::new(sample_cfg).with_registry(&registries[k])))
+    let mut rig = ConvoyRig::with_extras(
+        ConvoySpec {
+            cfg: rc,
+            n_vehicles: cfg.n_vehicles,
+            gap_m: cfg.gap_m,
+            field_seed: cfg.seed,
+            context_m: cfg.context_m,
+            horizon_s: cfg.horizon_s,
+            faults: cfg.faults,
+            link_seed: cfg.seed ^ 0x11,
+            span_capacity: SPAN_RING,
+        },
+        |_, node, registry, _| {
+            node.with_trace_sampler(Arc::new(
+                TailSampler::new(sample_cfg).with_registry(registry),
+            ))
+        },
+    );
+    let samplers: Vec<Arc<TailSampler>> = rig
+        .ids()
+        .map(|id| Arc::clone(rig.vehicle(id).node.trace_sampler().expect("wired above")))
         .collect();
-    let mut nodes: Vec<RupsNode> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| {
-            RupsNode::new(rc.clone())
-                .with_vehicle_id(id)
-                .with_observability(Arc::clone(&registries[k]))
-                .with_span_recorder(Arc::clone(&spans[k]))
-                .with_trace_sampler(Arc::clone(&samplers[k]))
-        })
-        .collect();
-    let link = V2vLink::with_faults_in(cfg.faults, cfg.seed ^ 0x11, Arc::clone(&registries[0]));
-    let endpoints: Vec<_> = ids.iter().map(|&id| link.join(id)).collect();
-    let mut inboxes: Vec<SnapshotInbox> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, _)| {
-            SnapshotInbox::new(InboxConfig::for_rups(&rc, cfg.horizon_s))
-                .with_registry(&registries[k])
-        })
-        .collect();
-    let codecs: Vec<CodecMetrics> = registries
-        .iter()
-        .map(|r| CodecMetrics::register(r))
-        .collect();
-    let aggregator = FleetAggregator::new();
 
     let warmup_m = cfg.context_m + 10;
     let mut windows: VecDeque<MetricsSnapshot> = VecDeque::with_capacity(WINDOW_CAP);
-    let mut prev_merged: Option<MetricsSnapshot> = None;
     let mut mem_samples: Vec<u64> = Vec::with_capacity(MEM_SAMPLE_CAP);
     let mut sample_stride = 1u64;
     let mut epochs = 0u64;
-    let mut bank = DetectorBank::new(default_detectors()).with_registry(&registries[0]);
+    let mut bank = DetectorBank::new(default_detectors()).with_registry(&rig.vehicle(1).registry);
     let mut alarms: VecDeque<Alarm> = VecDeque::with_capacity(WINDOW_CAP);
     // The exhaustive shadow the samplers are judged against: every trace id
     // whose fix verdict was anomalous, per vehicle.
-    let mut shadow: Vec<HashSet<u64>> = ids.iter().map(|_| HashSet::new()).collect();
+    let mut shadow: Vec<HashSet<u64>> = samplers.iter().map(|_| HashSet::new()).collect();
     // Trace ids seen in each durable ring, harvested per window so the
     // ring's bounded eviction cannot erase evidence of a commit.
-    let mut kept_traces: Vec<HashSet<u64>> = ids.iter().map(|_| HashSet::new()).collect();
-
-    let snapshot_fleet = |aggregator: &FleetAggregator| -> MetricsSnapshot {
-        let parts: Vec<(u64, MetricsSnapshot)> = ids
-            .iter()
-            .zip(registries.iter())
-            .map(|(&id, reg)| (id, reg.snapshot()))
-            .collect();
-        aggregator
-            .aggregate(&parts)
-            .expect("uncompacted per-node snapshots always bucket-merge")
-            .merged
-    };
+    let mut kept_traces: Vec<HashSet<u64>> = samplers.iter().map(|_| HashSet::new()).collect();
 
     let start = Instant::now();
     let mut metre = 0usize;
     loop {
         let t = metre as f64;
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let road_m = t + k as f64 * cfg.gap_m;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(rc.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .expect("synthetic drive never mismatches");
-        }
+        rig.drive(t);
         if metre >= warmup_m {
-            for (k, node) in nodes.iter_mut().enumerate() {
-                let (snap, ctx) = node.traced_snapshot(Some(cfg.context_m), metre as u32);
-                if let (Ok(bytes), Some(ctx)) = (try_encode_snapshot(&snap), ctx) {
-                    endpoints[k].broadcast_traced(t, bytes, ctx);
-                }
+            for id in rig.ids() {
+                rig.beacon_traced(id, t, |_| {});
             }
-            for (k, ep) in endpoints.iter().enumerate() {
-                for delivery in ep.poll_until(t) {
-                    if let Ok(snap) = codecs[k].decode(&delivery.payload) {
-                        let _ = inboxes[k].accept(snap, delivery.arrival_s);
-                    }
-                }
-            }
+            rig.deliver(t);
             if (metre - warmup_m).is_multiple_of(cfg.fix_stride_s) {
-                for (k, node) in nodes.iter_mut().enumerate() {
+                for (id, shadow) in rig.ids().zip(shadow.iter_mut()) {
                     // Map sender → trace id before the pass so anomalous
                     // verdicts can be attributed to their traces (the
                     // node's sampler settles them internally; this is the
                     // harness's independent shadow record).
-                    let traces: HashMap<u64, u64> = inboxes[k]
+                    let traces: HashMap<u64, u64> = rig
+                        .vehicle(id)
+                        .inbox
                         .fresh(t)
                         .iter()
                         .filter_map(|s| Some((s.vehicle_id?, s.trace?.trace_id)))
                         .collect();
-                    for (vid, graded) in node.fix_inbox_parallel(&inboxes[k], t, &quality_cfg) {
+                    for (sender, graded) in rig.grade(id, t) {
                         let anomalous = match &graded {
                             Err(_) => true,
                             Ok(g) => g.report.quality == FixQuality::Low,
                         };
-                        if anomalous {
-                            if let Some(tid) = vid.and_then(|v| traces.get(&v)) {
-                                shadow[k].insert(*tid);
-                            }
+                        if let (true, Some(tid)) = (anomalous, traces.get(&sender)) {
+                            shadow.insert(*tid);
                         }
                     }
                 }
@@ -396,34 +350,18 @@ pub fn run_soak(cfg: &SoakConfig, live_bytes: &dyn Fn() -> u64) -> SoakOutcome {
                     mem_samples.push(live_bytes());
                 }
                 if epochs.is_multiple_of(cfg.window_epochs as u64) {
-                    let merged = snapshot_fleet(&aggregator);
-                    let delta = match &prev_merged {
-                        Some(prev) => merged.delta(prev),
-                        None => merged.clone(),
-                    };
+                    let (_, delta) = rig.fleet_window();
                     // The detector bank sees the window online — alarms
                     // are early warnings of what the end-of-run SLO
                     // verdict would catch, stamped with their detection
                     // window (newest WINDOW_CAP retained).
-                    for alarm in bank.observe(t, &delta) {
-                        if alarms.len() == WINDOW_CAP {
-                            alarms.pop_front();
-                        }
-                        alarms.push_back(alarm);
-                    }
+                    log_alarms(&mut alarms, bank.observe(t, &delta));
                     if windows.len() == WINDOW_CAP {
                         windows.pop_front();
                     }
                     windows.push_back(delta.compact());
-                    prev_merged = Some(merged);
-                    for (k, sampler) in samplers.iter().enumerate() {
-                        kept_traces[k].extend(
-                            sampler
-                                .committed()
-                                .iter()
-                                .filter_map(|r| r.args.get(TRACE_ARG))
-                                .map(|v| v as u64),
-                        );
+                    for (kept, sampler) in kept_traces.iter_mut().zip(&samplers) {
+                        harvest(kept, sampler);
                     }
                 }
                 // The wall budget is checked at epoch granularity: every
@@ -437,23 +375,17 @@ pub fn run_soak(cfg: &SoakConfig, live_bytes: &dyn Fn() -> u64) -> SoakOutcome {
     }
     let wall_s = start.elapsed().as_secs_f64();
 
-    let cumulative = snapshot_fleet(&aggregator);
+    let (fleet, tail) = rig.fleet_window();
+    let cumulative = fleet.merged;
     let slo_specs = default_slos(cfg.p99_max_ns);
+    let had_window = !windows.is_empty();
     let mut windows: Vec<MetricsSnapshot> = windows.into_iter().collect();
     // The trailing partial window still counts against burn-rate — and the
     // detector bank sees it too, so a fault landing in the last stretch of
     // the run is not silently unwatched.
-    if let Some(prev) = &prev_merged {
-        let tail = cumulative.delta(prev);
-        if tail.counters.iter().any(|c| c.value > 0) {
-            for alarm in bank.observe(metre as f64, &tail) {
-                if alarms.len() == WINDOW_CAP {
-                    alarms.pop_front();
-                }
-                alarms.push_back(alarm);
-            }
-            windows.push(tail.compact());
-        }
+    if had_window && tail.counters.iter().any(|c| c.value > 0) {
+        log_alarms(&mut alarms, bank.observe(metre as f64, &tail));
+        windows.push(tail.compact());
     }
     let slo = evaluate_slos(&slo_specs, &cumulative, &windows);
     let mem = mem_verdict(cfg, &mem_samples);
@@ -468,13 +400,7 @@ pub fn run_soak(cfg: &SoakConfig, live_bytes: &dyn Fn() -> u64) -> SoakOutcome {
     let mut head_rate = f64::INFINITY;
     let mut anomalous_retained = 0u64;
     for (k, sampler) in samplers.iter().enumerate() {
-        kept_traces[k].extend(
-            sampler
-                .committed()
-                .iter()
-                .filter_map(|r| r.args.get(TRACE_ARG))
-                .map(|v| v as u64),
-        );
+        harvest(&mut kept_traces[k], sampler);
         let st = sampler.stats();
         spans_ingested += st.spans_ingested;
         spans_committed += st.spans_committed;

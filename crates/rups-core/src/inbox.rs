@@ -358,6 +358,8 @@ impl SnapshotInbox {
 
     /// Every held context still within the staleness horizon at `now_s`,
     /// freshest first — the only thing the query path should ever see.
+    /// Equally fresh contexts come in ascending vehicle id order (the
+    /// anonymous slot first), so the order never depends on hashing.
     pub fn fresh(&self, now_s: f64) -> Vec<&ContextSnapshot> {
         let horizon = self.cfg.staleness_horizon_s;
         let mut held: Vec<&Held> = self
@@ -366,7 +368,11 @@ impl SnapshotInbox {
             .chain(self.anon.iter())
             .filter(|h| now_s - h.newest_s <= horizon)
             .collect();
-        held.sort_by(|a, b| b.newest_s.total_cmp(&a.newest_s));
+        held.sort_by(|a, b| {
+            b.newest_s
+                .total_cmp(&a.newest_s)
+                .then(a.snap.vehicle_id.cmp(&b.snap.vehicle_id))
+        });
         held.into_iter().map(|h| &h.snap).collect()
     }
 
@@ -480,6 +486,16 @@ mod tests {
         assert_eq!(ib.evict_stale(140.0), 1);
         assert_eq!(ib.len(), 1);
         assert!(ib.neighbour(1).is_none());
+
+        // Equally fresh neighbours come back in ascending id order, however
+        // they arrived: a convoy beaconing in lockstep shares every stamp.
+        let mut ib = inbox();
+        for id in (1..=16).rev() {
+            ib.accept(snap(Some(id), 50, 8, 200.0), 200.0).unwrap();
+        }
+        let ids: Vec<Option<u64>> = ib.fresh(200.0).iter().map(|s| s.vehicle_id).collect();
+        let want: Vec<Option<u64>> = (1..=16).map(Some).collect();
+        assert_eq!(ids, want);
     }
 
     #[test]

@@ -37,26 +37,19 @@
 //! [`Alarm`]: rups_obs::Alarm
 //! [`diagnose`]: fn@rups_obs::diagnose
 
-use crate::figures::EvalScale;
+use crate::figures::{results_path, write_json, EvalScale};
+use crate::rig::{tag_beacon, ConvoyRig, ConvoySpec};
 use crate::series::{Figure, Series};
 use rups_core::geo::{GeoSample, GeoTrajectory};
-use rups_core::gsm::PowerVector;
-use rups_core::inbox::{InboxConfig, SnapshotInbox};
-use rups_core::pipeline::RupsNode;
-use rups_core::quality::QualityConfig;
-use rups_core::testfield;
-use rups_fuse::{FixGraph, FuseConfig, Fuser};
+use rups_fuse::{FuseConfig, Fuser};
 use rups_obs::{
     default_detectors, diagnose, Alarm, DetectorBank, DetectorSpec, DiagnosisReport,
-    FleetAggregator, FleetSnapshot, MetricsSnapshot, NodeWindow, Registry, Signal, SpanRecorder,
-    Stage, CLOCK_OFFSET_GAUGE,
+    MetricsSnapshot, NodeWindow, Signal, Stage, CLOCK_OFFSET_GAUGE,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use v2v_sim::codec::{try_encode_snapshot, CodecMetrics};
 use v2v_sim::fault::FaultConfig;
-use v2v_sim::link::V2vLink;
 
 /// Windows the detectors are allowed before a fault counts as missed (and
 /// the quiet streak a window must survive before it is certified as a
@@ -116,17 +109,6 @@ pub struct Params {
     pub out_path: Option<String>,
 }
 
-/// Default home of the diagnosis artefact, resolved against the
-/// workspace so it lands in `results/` regardless of the invocation
-/// directory.
-pub fn default_out_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-diagnosis-report.json"
-    )
-    .to_string()
-}
-
 impl Default for Params {
     fn default() -> Self {
         Self {
@@ -152,7 +134,7 @@ impl Default for Params {
             engine_clear_w: 11,
             engine_spike_ns: 2_000_000_000,
             engine_spikes_per_epoch: 8,
-            out_path: Some(default_out_path()),
+            out_path: Some(results_path("ext-diagnosis-report.json")),
         }
     }
 }
@@ -264,62 +246,26 @@ pub fn run(p: &Params) -> Figure {
     let s = &p.scale;
     let mut cfg = s.rups_config();
     cfg.max_context_m = p.context_m + 150;
-    let field_seed = s.seed ^ 0xD1A6;
-    let field = |metre: f64, ch: usize| testfield::rssi(field_seed, metre, ch);
-    let quality_cfg = QualityConfig::default();
-
-    let n = p.n_vehicles;
-    let ids: Vec<u64> = (1..=n as u64).collect();
-    let registries: Vec<Arc<Registry>> = ids.iter().map(|_| Arc::new(Registry::new())).collect();
-    let rings: Vec<Arc<SpanRecorder>> = ids
-        .iter()
-        .map(|_| Arc::new(SpanRecorder::new(p.span_capacity)))
-        .collect();
-    let mut nodes: Vec<RupsNode> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| {
-            RupsNode::new(cfg.clone())
-                .with_vehicle_id(id)
-                .with_observability(Arc::clone(&registries[k]))
-                .with_span_recorder(Arc::clone(&rings[k]))
-        })
-        .collect();
-    let link = V2vLink::with_faults_in(p.base_faults, s.seed ^ 0xD1A6, Arc::clone(&registries[0]));
-    let endpoints: Vec<_> = ids.iter().map(|&id| link.join(id)).collect();
-    let mut inboxes: Vec<SnapshotInbox> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, _)| {
-            SnapshotInbox::new(InboxConfig::for_rups(&cfg, p.horizon_s))
-                .with_registry(&registries[k])
-                .with_spans(Arc::clone(&rings[k]))
-        })
-        .collect();
-    let codecs: Vec<CodecMetrics> = registries
-        .iter()
-        .map(|r| CodecMetrics::register(r))
-        .collect();
+    let mut rig = ConvoyRig::new(ConvoySpec {
+        cfg,
+        n_vehicles: p.n_vehicles,
+        gap_m: p.gap_m,
+        field_seed: s.seed ^ 0xD1A6,
+        context_m: p.context_m,
+        horizon_s: p.horizon_s,
+        faults: p.base_faults,
+        link_seed: s.seed ^ 0xD1A6,
+        span_capacity: p.span_capacity,
+    });
+    let anchor = &rig.vehicle(1).registry;
     let fuser = Fuser::new(FuseConfig {
-        anchor: Some(ids[0]),
+        anchor: Some(1),
         ..FuseConfig::default()
     })
-    .with_observability(Arc::clone(&registries[0]));
+    .with_observability(Arc::clone(anchor));
     // The anchor's own clock is the fleet timebase by definition.
-    registries[0].gauge(CLOCK_OFFSET_GAUGE).set(0.0);
-
-    let aggregator = FleetAggregator::new();
-    let mut bank = DetectorBank::new(detectors()).with_registry(&registries[0]);
-    let snapshot_fleet = |aggregator: &FleetAggregator| -> FleetSnapshot {
-        let parts: Vec<(u64, MetricsSnapshot)> = ids
-            .iter()
-            .zip(registries.iter())
-            .map(|(&id, reg)| (id, reg.snapshot()))
-            .collect();
-        aggregator
-            .aggregate(&parts)
-            .expect("uncompacted per-node snapshots always bucket-merge")
-    };
+    anchor.gauge(CLOCK_OFFSET_GAUGE).set(0.0);
+    let mut bank = DetectorBank::new(detectors()).with_registry(anchor);
 
     let stride = p.window_stride_s as u64;
     // A fault spanning windows [onset, clear) is active at the metres
@@ -331,18 +277,15 @@ pub fn run(p: &Params) -> Figure {
     };
     let blackout = FaultConfig::iid_loss(1.0);
     let mut blackout_on = false;
-    let engine_idx = ids
-        .iter()
-        .position(|&id| id == p.engine_target)
-        .expect("engine_target is a convoy vehicle");
 
-    let mut prev_merged: Option<FleetSnapshot> = None;
-    let mut node_prev: Vec<MetricsSnapshot> =
-        registries.iter().map(|r| r.snapshot()).collect();
+    let mut node_prev: Vec<MetricsSnapshot> = rig
+        .ids()
+        .map(|id| rig.vehicle(id).registry.snapshot())
+        .collect();
     // Per-node window-delta history (last DETECTION_HORIZON_W windows)
     // plus the certified healthy baseline each diagnosis compares against.
-    let mut history: Vec<VecDeque<MetricsSnapshot>> = ids.iter().map(|_| VecDeque::new()).collect();
-    let mut certified: Vec<Option<MetricsSnapshot>> = ids.iter().map(|_| None).collect();
+    let mut history: Vec<VecDeque<MetricsSnapshot>> = rig.ids().map(|_| VecDeque::new()).collect();
+    let mut certified: Vec<Option<MetricsSnapshot>> = rig.ids().map(|_| None).collect();
     let mut window_alarmed: Vec<bool> = Vec::new();
     let mut alarms: Vec<Alarm> = Vec::new();
     let mut reports: Vec<DiagnosisReport> = Vec::new();
@@ -351,17 +294,7 @@ pub fn run(p: &Params) -> Figure {
     let total_m = p.warmup_m + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let road_m = t + k as f64 * p.gap_m;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(cfg.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .expect("synthetic drive never mismatches");
-        }
+        rig.drive(t);
         if metre < p.warmup_m {
             continue;
         }
@@ -371,85 +304,61 @@ pub fn run(p: &Params) -> Figure {
         // link's runtime per-receiver override.
         let want_blackout = active(epoch_m, p.burst_onset_w, p.burst_clear_w);
         if want_blackout != blackout_on {
-            link.set_receiver_faults(p.burst_target, want_blackout.then_some(blackout))
+            rig.link()
+                .set_receiver_faults(p.burst_target, want_blackout.then_some(blackout))
                 .expect("blackout override validates");
             blackout_on = want_blackout;
         }
         let clock_active = active(epoch_m, p.clock_onset_w, p.clock_clear_w);
         let engine_active = active(epoch_m, p.engine_onset_w, p.engine_clear_w);
 
-        // Everyone beacons a traced snapshot (1 Hz) and drains its inbox.
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let (mut snap, ctx) = node.traced_snapshot(Some(p.context_m), metre as u32);
-            let ctx = ctx.expect("convoy vehicles carry ids");
-            {
-                let mut g = rings[k].span("v2v.beacon");
-                g.set_args(ctx.args());
-            }
-            // Fault B: the faulty vehicle's clock falls behind, so its
-            // beacons carry timestamps past the staleness horizon.
-            if clock_active && ids[k] == p.clock_target {
-                let shifted: Vec<GeoSample> = snap
-                    .geo
-                    .samples()
-                    .iter()
-                    .map(|g| GeoSample {
-                        heading_rad: g.heading_rad,
-                        timestamp_s: g.timestamp_s - p.clock_jump_s,
-                    })
-                    .collect();
-                snap.geo = GeoTrajectory::from_samples(shifted);
-            }
-            if let Ok(bytes) = try_encode_snapshot(&snap) {
-                endpoints[k].broadcast_traced(t, bytes, ctx);
-            }
+        // Everyone beacons a traced snapshot (1 Hz), tagging its own
+        // `v2v.beacon` span, and drains its inbox.
+        for id in rig.ids() {
+            let ring = &rig.vehicle(id).spans;
+            rig.beacon_traced(id, t, |snap| {
+                tag_beacon(ring, snap);
+                // Fault B: the faulty vehicle's clock falls behind, so its
+                // beacons carry timestamps past the staleness horizon.
+                if clock_active && id == p.clock_target {
+                    let shifted: Vec<GeoSample> = snap
+                        .geo
+                        .samples()
+                        .iter()
+                        .map(|g| GeoSample {
+                            heading_rad: g.heading_rad,
+                            timestamp_s: g.timestamp_s - p.clock_jump_s,
+                        })
+                        .collect();
+                    snap.geo = GeoTrajectory::from_samples(shifted);
+                }
+            });
         }
-        for (k, ep) in endpoints.iter().enumerate() {
-            for delivery in ep.poll_until(t) {
-                if let Ok(snap) = codecs[k].decode(&delivery.payload) {
-                    // The anchor derives every sender's apparent clock
-                    // offset from the beacon's own stamps (what a fleet
-                    // backend recovers from sync fenceposts) and writes
-                    // it into that node's metrics slot — the beacon-stage
-                    // evidence `diagnose` keys on.
-                    if k == 0 {
-                        if let (Some(sender), Some(newest)) =
-                            (snap.vehicle_id, snap.geo.samples().last())
-                        {
-                            if let Some(idx) = ids.iter().position(|&i| i == sender) {
-                                let apparent_ns =
-                                    (newest.timestamp_s - delivery.arrival_s) * 1e9;
-                                registries[idx].gauge(CLOCK_OFFSET_GAUGE).set(apparent_ns);
-                            }
-                        }
-                    }
-                    let _ = inboxes[k].accept(snap, delivery.arrival_s);
+        for a in rig.deliver(t) {
+            // The anchor derives every sender's apparent clock offset from
+            // the beacon's own stamps (what a fleet backend recovers from
+            // sync fenceposts) and writes it into that node's metrics slot
+            // — the beacon-stage evidence `diagnose` keys on.
+            if let (1, Some(sender), Some(stamped_s)) = (a.receiver, a.sender, a.stamped_s) {
+                if rig.ids().contains(&sender) {
+                    let apparent_ns = (stamped_s - a.arrival_s) * 1e9;
+                    rig.vehicle(sender)
+                        .registry
+                        .gauge(CLOCK_OFFSET_GAUGE)
+                        .set(apparent_ns);
                 }
             }
         }
 
         if epoch_m.is_multiple_of(p.fix_stride_s as u64) {
-            let mut graph = FixGraph::new();
-            for &id in &ids {
-                graph.insert_node(id);
-            }
-            for (k, node) in nodes.iter_mut().enumerate() {
-                let observer = ids[k];
-                for (id, graded) in node.fix_inbox_parallel(&inboxes[k], t, &quality_cfg) {
-                    let Some(neighbour) = id else { continue };
-                    if neighbour == observer || !ids.contains(&neighbour) {
-                        continue;
-                    }
-                    if let Ok(graded) = graded {
-                        graph.insert_fix(observer, neighbour, &graded);
-                    }
-                }
-            }
-            let _ = fuser.solve_traced(&graph, None);
+            let _ = fuser.solve_traced(&rig.fix_graph(&rig.grade_all(t)), None);
             // Fault C: the target vehicle's kernel slows down — its
             // engine histogram records seconds-long queries.
             if engine_active {
-                let h = registries[engine_idx].histogram("rups_core_engine_query_ns");
+                let h = rig
+                    .vehicle(p.engine_target)
+                    .registry
+                    .histogram("rups_core_engine_query_ns");
                 for _ in 0..p.engine_spikes_per_epoch {
                     h.record(p.engine_spike_ns);
                 }
@@ -457,17 +366,12 @@ pub fn run(p: &Params) -> Figure {
         }
 
         if epoch_m > 0 && epoch_m.is_multiple_of(stride) {
-            let fleet = snapshot_fleet(&aggregator);
-            let fleet_delta = match &prev_merged {
-                Some(prev) => fleet.delta(prev),
-                None => fleet.merged.clone(),
-            };
-            prev_merged = Some(fleet);
-            let node_delta: Vec<MetricsSnapshot> = registries
-                .iter()
+            let (_, fleet_delta) = rig.fleet_window();
+            let node_delta: Vec<MetricsSnapshot> = rig
+                .ids()
                 .zip(node_prev.iter_mut())
-                .map(|(reg, prev)| {
-                    let snap = reg.snapshot();
+                .map(|(id, prev)| {
+                    let snap = rig.vehicle(id).registry.snapshot();
                     let delta = snap.delta(prev);
                     *prev = snap;
                     delta
@@ -476,22 +380,22 @@ pub fn run(p: &Params) -> Figure {
 
             let fired = bank.observe(t, &fleet_delta);
             for alarm in &fired {
-                let node_windows: Vec<NodeWindow> = ids
-                    .iter()
+                let node_windows: Vec<NodeWindow> = rig
+                    .ids()
+                    .zip(&node_delta)
                     .enumerate()
-                    .map(|(k, &id)| NodeWindow {
+                    .map(|(k, (id, firing))| NodeWindow {
                         node_id: id,
                         baseline: certified[k]
                             .clone()
                             .or_else(|| history[k].front().cloned())
-                            .unwrap_or_else(|| node_delta[k].clone()),
-                        firing: node_delta[k].clone(),
+                            .unwrap_or_else(|| firing.clone()),
+                        firing: firing.clone(),
                     })
                     .collect();
-                let spans: Vec<(u64, Vec<rups_obs::SpanRecord>)> = ids
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &id)| (id, rings[k].recent()))
+                let spans: Vec<(u64, Vec<rups_obs::SpanRecord>)> = rig
+                    .ids()
+                    .map(|id| (id, rig.vehicle(id).spans.recent()))
                     .collect();
                 reports.push(
                     diagnose(alarm, &node_windows, &spans)
@@ -515,11 +419,9 @@ pub fn run(p: &Params) -> Figure {
             // Certify the oldest held window as the healthy baseline only
             // once the bank stayed quiet for the full detection horizon.
             let w = window_alarmed.len();
-            if w as u64 >= DETECTION_HORIZON_W
-                && window_alarmed[w - 3..].iter().all(|&a| !a)
-            {
-                for k in 0..n {
-                    certified[k] = history[k].front().cloned();
+            if w as u64 >= DETECTION_HORIZON_W && window_alarmed[w - 3..].iter().all(|&a| !a) {
+                for (cert, held) in certified.iter_mut().zip(&history) {
+                    *cert = held.front().cloned();
                 }
             }
         }
@@ -595,7 +497,7 @@ pub fn run(p: &Params) -> Figure {
 
     let artifact = DiagnosisArtifact {
         figure_id: "ext-diagnosis".into(),
-        n_vehicles: n,
+        n_vehicles: p.n_vehicles,
         window_stride_s: p.window_stride_s,
         base_faults: p.base_faults,
         windows_observed: bank.windows_seen(),
@@ -610,7 +512,7 @@ pub fn run(p: &Params) -> Figure {
 
     let mut notes = Vec::new();
     if let Some(path) = &p.out_path {
-        write_artifact(path, &artifact);
+        write_json(path, &artifact);
         notes.push(format!("diagnosis artefact written to {path}"));
     }
     notes.push(format!(
@@ -675,17 +577,6 @@ pub fn run(p: &Params) -> Figure {
         notes,
         series,
     }
-}
-
-/// Serialises the diagnosis artefact to `path`, creating parent
-/// directories.
-fn write_artifact(path: &str, artifact: &DiagnosisArtifact) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent).expect("create diagnosis output dir");
-    }
-    let json = serde_json::to_string_pretty(artifact).expect("serialize diagnosis artifact");
-    std::fs::write(p, json).expect("write diagnosis artifact");
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Extension experiment: end-to-end robustness of the exchange path under
 //! channel faults (hardening of §V-B).
 //!
-//! Two vehicles drive the same road at a fixed gap. The front vehicle
-//! beacons its journey context once per second through a [`V2vLink`] whose
-//! Gilbert–Elliott fault model injects burst loss, duplication,
-//! reordering, payload damage and jitter. The rear vehicle runs the full
-//! hardened receive path — time-aware [`poll_until`] delivery, codec
-//! validation, [`SnapshotInbox`] vetting, graded fixes via
-//! [`fix_inbox_parallel`] — and we measure, per fault severity:
+//! Two vehicles of a [`ConvoyRig`] drive the same road at a fixed gap. The
+//! front vehicle beacons its journey context once per second through the
+//! rig's link, whose Gilbert–Elliott fault model injects burst loss,
+//! duplication, reordering, payload damage and jitter. The rear vehicle
+//! runs the full hardened receive path — time-aware delivery, codec
+//! validation, inbox vetting, graded fixes — and we measure, per fault
+//! severity:
 //!
 //! * **fix availability** — the fraction of query epochs with a usable
 //!   (fresh, vetted) fix, and
@@ -18,23 +18,13 @@
 //! snapshots arrive — damaged input surfaces as typed rejections and
 //! quality downgrades, never as panics or silent garbage.
 //!
-//! [`V2vLink`]: v2v_sim::link::V2vLink
-//! [`poll_until`]: v2v_sim::link::Endpoint::poll_until
-//! [`SnapshotInbox`]: rups_core::inbox::SnapshotInbox
-//! [`fix_inbox_parallel`]: rups_core::pipeline::RupsNode::fix_inbox_parallel
+//! [`ConvoyRig`]: crate::rig::ConvoyRig
 
 use crate::figures::EvalScale;
+use crate::rig::{acceptance_faults, ConvoyRig, ConvoySpec, SPAN_RING};
 use crate::series::{Figure, Series};
-use rups_core::geo::GeoSample;
-use rups_core::gsm::PowerVector;
-use rups_core::inbox::{InboxConfig, SnapshotInbox};
-use rups_core::pipeline::RupsNode;
-use rups_core::quality::QualityConfig;
-use rups_core::testfield;
 use serde::{Deserialize, Serialize};
-use v2v_sim::codec::{decode_snapshot, try_encode_snapshot};
 use v2v_sim::fault::FaultConfig;
-use v2v_sim::link::V2vLink;
 
 /// One fault-severity cell of the sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,17 +80,8 @@ pub fn default_cells() -> Vec<Cell> {
             faults: FaultConfig::iid_loss(0.10),
         },
         Cell {
-            // Stationary bad fraction 0.15/(0.15+0.35) = 0.30 with total
-            // loss in bursts: 30 % expected loss, plus 1 % corruption —
-            // the ISSUE acceptance cell.
             label: "burst 30% loss + 1% corruption".into(),
-            faults: FaultConfig {
-                duplicate: 0.05,
-                reorder: 0.05,
-                corrupt: 0.01,
-                jitter_s: 0.02,
-                ..FaultConfig::bursty(0.15, 0.35, 1.0)
-            },
+            faults: acceptance_faults(),
         },
         Cell {
             label: "burst 50% loss + heavy damage".into(),
@@ -120,11 +101,7 @@ pub fn default_cells() -> Vec<Cell> {
 pub fn quick_params() -> Params {
     Params {
         scale: EvalScale::quick(),
-        gap_m: 60.0,
-        context_m: 250,
-        warmup_m: 260,
-        horizon_s: 10.0,
-        cells: default_cells(),
+        ..Params::default()
     }
 }
 
@@ -149,64 +126,38 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     // The rear vehicle only needs enough own context to cover the beaconed
     // snapshot; capping it keeps the per-epoch SYN search cheap.
     cfg.max_context_m = p.context_m + 150;
-    let field_seed = s.seed ^ 0xFA17;
-    let field = |metre: f64, ch: usize| testfield::rssi(field_seed, metre, ch);
+    // Rear vehicle 1 and front vehicle 2, exactly `gap_m` apart.
+    let mut rig = ConvoyRig::new(ConvoySpec {
+        cfg,
+        n_vehicles: 2,
+        gap_m: p.gap_m,
+        field_seed: s.seed ^ 0xFA17,
+        context_m: p.context_m,
+        horizon_s: p.horizon_s,
+        faults: *faults,
+        link_seed,
+        span_capacity: SPAN_RING,
+    });
 
-    let mut rear = RupsNode::new(cfg.clone()).with_vehicle_id(1);
-    let mut front = RupsNode::new(cfg.clone()).with_vehicle_id(2);
-    let link = V2vLink::with_faults(*faults, link_seed);
-    let ep_rear = link.join(1);
-    let ep_front = link.join(2);
-    let mut inbox = SnapshotInbox::new(InboxConfig::for_rups(&cfg, p.horizon_s));
-    let quality_cfg = QualityConfig::default();
-
-    let mut codec_rejects = 0u64;
     let mut fixes = 0usize;
     let mut epochs = 0usize;
     let mut abs_errs = Vec::new();
     let mut worst: f64 = 0.0;
 
-    // Both vehicles drive 1 m/s; simulated time equals the rear vehicle's
-    // road metre, and the front vehicle stays exactly `gap_m` ahead.
     let total_m = p.warmup_m + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
-        for (node, offset) in [(&mut rear, 0.0), (&mut front, p.gap_m)] {
-            let road_m = t + offset;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(cfg.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .expect("synthetic drive never mismatches");
-        }
+        rig.drive(t);
         if metre < p.warmup_m {
             continue;
         }
 
-        // Front vehicle beacons its recent context (1 Hz).
-        let snap = front.snapshot(Some(p.context_m));
-        if let Ok(wire) = try_encode_snapshot(&snap) {
-            ep_front.broadcast(t, wire);
-        }
-
-        // Rear vehicle: time-aware receive → codec → inbox → graded fixes.
-        for delivery in ep_rear.poll_until(t) {
-            match decode_snapshot(&delivery.payload) {
-                Ok(snap) => {
-                    // Typed inbox rejections are counted by the inbox itself.
-                    let _ = inbox.accept(snap, t);
-                }
-                Err(_) => codec_rejects += 1,
-            }
-        }
+        // Front vehicle beacons its recent context (1 Hz); the rear runs
+        // the time-aware receive → codec → inbox → graded-fix path.
+        rig.beacon(2, t);
+        rig.deliver(t);
         epochs += 1;
-        for (id, graded) in rear.fix_inbox_parallel(&inbox, t, &quality_cfg) {
-            if id != Some(2) {
-                continue;
-            }
+        for (_, graded) in rig.grade(1, t) {
             if let Ok(graded) = graded {
                 fixes += 1;
                 let err = (graded.fix.distance_m - p.gap_m).abs();
@@ -216,27 +167,28 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
         }
     }
 
-    // The per-grade quality counters accumulate in the node's registry as
-    // `fix_inbox_parallel` grades each fix; read them back instead of
-    // tallying grades by hand.
-    let metrics = rear.registry().snapshot();
-    let quality = [
-        metrics.counter("rups_core_quality_grade_low").unwrap_or(0),
-        metrics
-            .counter("rups_core_quality_grade_medium")
-            .unwrap_or(0),
-        metrics.counter("rups_core_quality_grade_high").unwrap_or(0),
-    ];
-
+    // Grades and codec rejections accumulate in the rear vehicle's
+    // registry (`rups_core_quality_grade_*`, `rups_v2v_codec_rejected_*`);
+    // read them back instead of tallying by hand.
+    let rear = rig.vehicle(1);
+    let metrics = rear.registry.snapshot();
+    let count = |name: &str| metrics.counter(name).unwrap_or(0);
     CellOutcome {
         epochs,
         fixes,
         mean_abs_err_m: abs_errs.iter().sum::<f64>() / abs_errs.len().max(1) as f64,
         worst_abs_err_m: worst,
-        codec_rejects,
-        inbox_rejects: inbox.stats().rejected(),
-        quality,
-        graded_rejects: metrics.counter("rups_core_quality_rejected").unwrap_or(0),
+        codec_rejects: ["truncated", "bad_magic", "bad_version", "corrupt"]
+            .iter()
+            .map(|why| count(&format!("rups_v2v_codec_rejected_{why}")))
+            .sum(),
+        inbox_rejects: rear.inbox.stats().rejected(),
+        quality: [
+            count("rups_core_quality_grade_low"),
+            count("rups_core_quality_grade_medium"),
+            count("rups_core_quality_grade_high"),
+        ],
+        graded_rejects: count("rups_core_quality_rejected"),
     }
 }
 

@@ -2,10 +2,10 @@
 //! aggregation over a 6-vehicle convoy at the fault acceptance cell.
 //!
 //! Extends [`ext_observability`] (one shared registry, one vehicle pair)
-//! to the production-shaped layout: every vehicle of the convoy owns a
-//! *private* [`Registry`] and [`SpanRecorder`], beacons a **traced**
-//! snapshot ([`RupsNode::traced_snapshot`]) through one shared faulted
-//! [`V2vLink`], and runs the hardened receive path plus per-epoch fusion
+//! to the production-shaped layout: every vehicle of the [`ConvoyRig`]
+//! owns a *private* registry and span ring, beacons a **traced**
+//! snapshot ([`RupsNode::traced_snapshot`]) through the rig's faulted
+//! link, and runs the hardened receive path plus per-epoch fusion
 //! on the anchor vehicle. The harness then does what a fleet backend
 //! would do:
 //!
@@ -34,10 +34,8 @@
 //! rankings, clock models, SLO verdict, trace-crossing summary).
 //!
 //! [`ext_observability`]: crate::figures::ext_observability
-//! [`Registry`]: rups_obs::Registry
-//! [`SpanRecorder`]: rups_obs::SpanRecorder
+//! [`ConvoyRig`]: crate::rig::ConvoyRig
 //! [`RupsNode::traced_snapshot`]: rups_core::pipeline::RupsNode::traced_snapshot
-//! [`V2vLink`]: v2v_sim::link::V2vLink
 //! [`ClockModel`]: rups_obs::ClockModel
 //! [`SkewEstimator`]: rups_obs::SkewEstimator
 //! [`FleetAggregator`]: rups_obs::FleetAggregator
@@ -45,28 +43,20 @@
 //! [`default_slos`]: rups_obs::default_slos
 //! [`evaluate_slos`]: rups_obs::evaluate_slos
 
-use crate::figures::EvalScale;
+use crate::figures::{results_path, write_json, EvalScale};
+use crate::rig::{acceptance_faults, tag_beacon, ConvoyRig, ConvoySpec};
 use crate::series::{Figure, Series};
-use rups_core::geo::GeoSample;
-use rups_core::gsm::PowerVector;
-use rups_core::inbox::{InboxConfig, SnapshotInbox};
-use rups_core::pipeline::RupsNode;
-use rups_core::quality::QualityConfig;
 use rups_core::report::default_flight_config;
-use rups_core::testfield;
-use rups_fuse::{FixGraph, FuseConfig, Fuser};
+use rups_fuse::{FuseConfig, Fuser};
 use rups_obs::{
     check_fleet_rules, default_slos, evaluate_slos, merged_chrome_trace, write_chrome_trace,
-    ChromeTrace, ClockModel, FleetAggregator, FleetSnapshot, MetricsSnapshot, NodeTrace, Registry,
-    Signal, SkewEstimator, SloSpec, SloVerdict, SpanRecorder, TraceContext, TriggerEvent,
-    FIX_ERROR_GAUGE, TRACE_ARG,
+    ChromeTrace, ClockModel, FleetSnapshot, MetricsSnapshot, NodeTrace, Signal, SkewEstimator,
+    SloSpec, SloVerdict, SpanRecorder, TraceContext, TriggerEvent, FIX_ERROR_GAUGE, TRACE_ARG,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use v2v_sim::codec::{try_encode_snapshot, CodecMetrics};
 use v2v_sim::fault::FaultConfig;
-use v2v_sim::link::V2vLink;
 
 /// Parameters of the fleet-observability run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,26 +91,6 @@ pub struct Params {
     pub fleet_out_path: Option<String>,
 }
 
-/// Default home of the merged Chrome trace, resolved against the
-/// workspace so the artefact lands in `results/` regardless of the
-/// invocation directory.
-pub fn default_trace_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-fleet-observability-trace.json"
-    )
-    .to_string()
-}
-
-/// Default home of the fleet artefact.
-pub fn default_fleet_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-fleet-observability-fleet.json"
-    )
-    .to_string()
-}
-
 impl Default for Params {
     fn default() -> Self {
         Self {
@@ -132,11 +102,11 @@ impl Default for Params {
             horizon_s: 10.0,
             fuse_stride_s: 10,
             window_stride_s: 60,
-            faults: super::ext_observability::default_faults(),
+            faults: acceptance_faults(),
             span_capacity: 8192,
             slo_p99_max_ns: 500e6,
-            trace_out_path: Some(default_trace_path()),
-            fleet_out_path: Some(default_fleet_path()),
+            trace_out_path: Some(results_path("ext-fleet-observability-trace.json")),
+            fleet_out_path: Some(results_path("ext-fleet-observability-fleet.json")),
         }
     }
 }
@@ -299,119 +269,64 @@ pub fn run(p: &Params) -> Figure {
     let s = &p.scale;
     let mut cfg = s.rups_config();
     cfg.max_context_m = p.context_m + 150;
-    let field_seed = s.seed ^ 0xF1EE7;
-    let field = |metre: f64, ch: usize| testfield::rssi(field_seed, metre, ch);
-    let quality_cfg = QualityConfig::default();
-
     let n = p.n_vehicles;
-    let ids: Vec<u64> = (1..=n as u64).collect();
-    let registries: Vec<Arc<Registry>> = ids.iter().map(|_| Arc::new(Registry::new())).collect();
-    let rings: Vec<Arc<SpanRecorder>> = ids
-        .iter()
-        .map(|_| Arc::new(SpanRecorder::new(p.span_capacity)))
-        .collect();
-    let mut nodes: Vec<RupsNode> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| {
-            RupsNode::new(cfg.clone())
-                .with_vehicle_id(id)
-                .with_observability(Arc::clone(&registries[k]))
-                .with_span_recorder(Arc::clone(&rings[k]))
-        })
-        .collect();
-    // The wire gets its own ring: fault events become pid 0 of the merged
-    // trace, tagged with the trace of the beacon they damaged.
-    let wire_spans = Arc::new(SpanRecorder::new(p.span_capacity));
-    // Link counters land in the anchor's registry (the sim's one wire has
-    // no node of its own to meter it).
-    let link = V2vLink::with_faults_in(p.faults, s.seed ^ 0xF1EE7, Arc::clone(&registries[0]))
-        .with_spans(Arc::clone(&wire_spans));
-    let endpoints: Vec<_> = ids.iter().map(|&id| link.join(id)).collect();
-    let mut inboxes: Vec<SnapshotInbox> = ids
-        .iter()
-        .enumerate()
-        .map(|(k, _)| {
-            SnapshotInbox::new(InboxConfig::for_rups(&cfg, p.horizon_s))
-                .with_registry(&registries[k])
-                .with_spans(Arc::clone(&rings[k]))
-        })
-        .collect();
-    let codecs: Vec<CodecMetrics> = registries
-        .iter()
-        .map(|r| CodecMetrics::register(r))
-        .collect();
+    // Every vehicle owns a registry and span ring; the wire's fault events
+    // become pid 0 of the merged trace, tagged with the trace of the beacon
+    // they damaged, and its counters land in the anchor's registry (the
+    // sim's one wire has no node of its own to meter it).
+    let mut rig = ConvoyRig::new(ConvoySpec {
+        cfg,
+        n_vehicles: n,
+        gap_m: p.gap_m,
+        field_seed: s.seed ^ 0xF1EE7,
+        context_m: p.context_m,
+        horizon_s: p.horizon_s,
+        faults: p.faults,
+        link_seed: s.seed ^ 0xF1EE7,
+        span_capacity: p.span_capacity,
+    });
     // The anchor vehicle runs the fuser; its solves land in its own
     // registry and span ring.
+    let anchor = rig.vehicle(1);
     let fuser = Fuser::new(FuseConfig {
-        anchor: Some(ids[0]),
+        anchor: Some(1),
         ..FuseConfig::default()
     })
-    .with_observability(Arc::clone(&registries[0]))
-    .with_spans(Arc::clone(&rings[0]));
+    .with_observability(Arc::clone(&anchor.registry))
+    .with_spans(Arc::clone(&anchor.spans));
 
     let truth = |a: u64, b: u64| (b as f64 - a as f64) * p.gap_m;
-    let aggregator = FleetAggregator::new();
     let fleet_rules = default_flight_config().rules;
+    let close_window = |t_s: f64, delta: MetricsSnapshot| FleetWindow {
+        t_s,
+        triggers: check_fleet_rules(&fleet_rules, t_s, &delta),
+        delta: delta.compact(),
+    };
     let mut windows: Vec<FleetWindow> = Vec::new();
-    let mut prev_merged: Option<FleetSnapshot> = None;
     let mut last_anchor_ctx: Option<TraceContext> = None;
     // Per-vehicle running |fix error| stats feeding the worst-node gauge.
     let mut err_sum = vec![0.0f64; n];
     let mut err_n = vec![0u64; n];
 
-    let snapshot_fleet = |aggregator: &FleetAggregator| -> FleetSnapshot {
-        let parts: Vec<(u64, MetricsSnapshot)> = ids
-            .iter()
-            .zip(registries.iter())
-            .map(|(&id, reg)| (id, reg.snapshot()))
-            .collect();
-        aggregator
-            .aggregate(&parts)
-            .expect("uncompacted per-node snapshots always bucket-merge")
-    };
-
     let total_m = p.warmup_m + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let road_m = t + k as f64 * p.gap_m;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(cfg.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .expect("synthetic drive never mismatches");
-        }
+        rig.drive(t);
         if metre < p.warmup_m {
             continue;
         }
 
-        // Everyone beacons a traced snapshot (1 Hz) and drains its inbox.
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let (snap, ctx) = node.traced_snapshot(Some(p.context_m), metre as u32);
-            let ctx = ctx.expect("convoy vehicles carry ids");
-            {
-                let mut g = rings[k].span("v2v.beacon");
-                g.set_args(ctx.args());
-            }
-            if let Ok(bytes) = try_encode_snapshot(&snap) {
-                endpoints[k].broadcast_traced(t, bytes, ctx);
-            }
+        // Everyone beacons a traced snapshot (1 Hz), tagging its own
+        // `v2v.beacon` span, and drains its inbox.
+        for id in rig.ids() {
+            let ring = &rig.vehicle(id).spans;
+            rig.beacon_traced(id, t, |snap| tag_beacon(ring, snap));
         }
-        for (k, ep) in endpoints.iter().enumerate() {
-            for delivery in ep.poll_until(t) {
-                if let Ok(snap) = codecs[k].decode(&delivery.payload) {
-                    let ctx = snap.trace;
-                    let accepted = inboxes[k].accept(snap, delivery.arrival_s);
-                    // The anchor tags its next solve with the freshest
-                    // beacon it accepted, closing the causal chain.
-                    if k == 0 && accepted == Ok(true) && ctx.is_some() {
-                        last_anchor_ctx = ctx;
-                    }
-                }
+        for a in rig.deliver(t) {
+            // The anchor tags its next solve with the freshest beacon it
+            // accepted, closing the causal chain.
+            if a.receiver == 1 && a.accepted == Ok(true) && a.trace.is_some() {
+                last_anchor_ctx = a.trace;
             }
         }
 
@@ -419,64 +334,36 @@ pub fn run(p: &Params) -> Figure {
         if epoch_m.is_multiple_of(p.fuse_stride_s) {
             // One `clock.sync` fencepost per ring per epoch: the pairs
             // against the anchor ring recover each clock's offset/drift.
-            for ring in rings.iter() {
-                ring.event("clock.sync");
+            for id in rig.ids() {
+                rig.vehicle(id).spans.event("clock.sync");
             }
-            wire_spans.event("clock.sync");
+            rig.wire().event("clock.sync");
 
-            let mut graph = FixGraph::new();
-            for &id in &ids {
-                graph.insert_node(id);
+            let fixes = rig.grade_all(t);
+            for f in &fixes {
+                let k = f.observer as usize - 1;
+                err_sum[k] += (f.graded.fix.distance_m - truth(f.observer, f.neighbour)).abs();
+                err_n[k] += 1;
             }
-            for (k, node) in nodes.iter_mut().enumerate() {
-                let observer = ids[k];
-                for (id, graded) in node.fix_inbox_parallel(&inboxes[k], t, &quality_cfg) {
-                    let Some(neighbour) = id else { continue };
-                    if neighbour == observer || !ids.contains(&neighbour) {
-                        continue;
-                    }
-                    if let Ok(graded) = graded {
-                        err_sum[k] += (graded.fix.distance_m - truth(observer, neighbour)).abs();
-                        err_n[k] += 1;
-                        graph.insert_fix(observer, neighbour, &graded);
-                    }
-                }
+            for id in rig.ids() {
+                let k = id as usize - 1;
                 if err_n[k] > 0 {
-                    registries[k]
-                        .gauge(FIX_ERROR_GAUGE)
-                        .set(err_sum[k] / err_n[k] as f64);
+                    let mean = err_sum[k] / err_n[k] as f64;
+                    rig.vehicle(id).registry.gauge(FIX_ERROR_GAUGE).set(mean);
                 }
             }
-            let _ = fuser.solve_traced(&graph, last_anchor_ctx);
+            let _ = fuser.solve_traced(&rig.fix_graph(&fixes), last_anchor_ctx);
         }
 
         if epoch_m > 0 && epoch_m.is_multiple_of(p.window_stride_s) {
-            let fleet = snapshot_fleet(&aggregator);
-            let delta = match &prev_merged {
-                Some(prev) => fleet.delta(prev),
-                None => fleet.merged.clone(),
-            };
-            windows.push(FleetWindow {
-                t_s: t,
-                triggers: check_fleet_rules(&fleet_rules, t, &delta),
-                delta: delta.compact(),
-            });
-            prev_merged = Some(fleet);
+            windows.push(close_window(t, rig.fleet_window().1));
         }
     }
 
     // Final fleet snapshot, trailing window, SLO verdict.
-    let fleet = snapshot_fleet(&aggregator);
-    let tail_delta = match &prev_merged {
-        Some(prev) => fleet.delta(prev),
-        None => fleet.merged.clone(),
-    };
+    let (fleet, tail_delta) = rig.fleet_window();
     if tail_delta.counters.iter().any(|c| c.value > 0) {
-        windows.push(FleetWindow {
-            t_s: (total_m - 1) as f64,
-            triggers: check_fleet_rules(&fleet_rules, (total_m - 1) as f64, &tail_delta),
-            delta: tail_delta.compact(),
-        });
+        windows.push(close_window((total_m - 1) as f64, tail_delta));
     }
     let slo_specs = default_slos(p.slo_p99_max_ns);
     let window_deltas: Vec<MetricsSnapshot> = windows.iter().map(|w| w.delta.clone()).collect();
@@ -490,14 +377,15 @@ pub fn run(p: &Params) -> Figure {
             .map(|r| r.start_ns)
             .collect()
     };
-    let anchor_syncs = sync_ts(&rings[0]);
+    let anchor_syncs = sync_ts(&rig.vehicle(1).spans);
     let mut clocks = Vec::new();
     let mut node_traces = Vec::new();
-    for (k, &id) in ids.iter().enumerate() {
-        let (model, sync_points) = if k == 0 {
+    for id in rig.ids() {
+        let ring = &rig.vehicle(id).spans;
+        let (model, sync_points) = if id == 1 {
             (ClockModel::IDENTITY, anchor_syncs.len())
         } else {
-            estimate_clock(&sync_ts(&rings[k]), &anchor_syncs)
+            estimate_clock(&sync_ts(ring), &anchor_syncs)
         };
         clocks.push(NodeClock {
             node: id,
@@ -505,18 +393,17 @@ pub fn run(p: &Params) -> Figure {
             drift_ppm: model.drift_ppm,
             sync_points,
         });
-        node_traces.push(
-            NodeTrace::new(id, format!("vehicle-{id}"), rings[k].recent()).with_clock(model),
-        );
+        node_traces
+            .push(NodeTrace::new(id, format!("vehicle-{id}"), ring.recent()).with_clock(model));
     }
-    let (wire_model, wire_points) = estimate_clock(&sync_ts(&wire_spans), &anchor_syncs);
+    let (wire_model, wire_points) = estimate_clock(&sync_ts(rig.wire()), &anchor_syncs);
     clocks.push(NodeClock {
         node: 0,
         offset_ns: wire_model.offset_ns,
         drift_ppm: wire_model.drift_ppm,
         sync_points: wire_points,
     });
-    node_traces.push(NodeTrace::new(0, "wire", wire_spans.recent()).with_clock(wire_model));
+    node_traces.push(NodeTrace::new(0, "wire", rig.wire().recent()).with_clock(wire_model));
     let merged = merged_chrome_trace(&node_traces);
     let trace_summary = summarise_traces(&merged);
 
@@ -544,7 +431,7 @@ pub fn run(p: &Params) -> Figure {
         ));
     }
     if let Some(path) = &p.fleet_out_path {
-        write_fleet_artifact(path, &artifact);
+        write_json(path, &artifact);
         notes.push(format!("fleet artefact written to {path}"));
     }
 
@@ -626,16 +513,6 @@ pub fn run(p: &Params) -> Figure {
         notes,
         series,
     }
-}
-
-/// Serialises the fleet artefact to `path`, creating parent directories.
-fn write_fleet_artifact(path: &str, artifact: &FleetArtifact) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent).expect("create fleet output dir");
-    }
-    let json = serde_json::to_string_pretty(artifact).expect("serialize fleet artifact");
-    std::fs::write(p, json).expect("write fleet artifact");
 }
 
 #[cfg(test)]

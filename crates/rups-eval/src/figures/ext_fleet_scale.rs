@@ -25,7 +25,7 @@
 //! [`ext_scalability`]: crate::figures::ext_scalability
 //! [`CellIndex`]: rups_fleet::CellIndex
 
-use crate::figures::EvalScale;
+use crate::figures::{results_path, write_json, EvalScale};
 use crate::series::{Figure, Series};
 use rups_fleet::{FleetConfig, FleetSim};
 use serde::{Deserialize, Serialize};
@@ -63,17 +63,6 @@ pub struct Params {
     pub out_path: Option<String>,
 }
 
-/// Default home of the committed artefact, resolved against the
-/// workspace so it lands in `results/` regardless of invocation
-/// directory.
-pub fn default_artifact_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-fleet-scale.json"
-    )
-    .to_string()
-}
-
 impl Default for Params {
     fn default() -> Self {
         Self {
@@ -90,7 +79,7 @@ impl Default for Params {
             max_context_m: 280,
             warmup_s: 40,
             epochs: 4,
-            out_path: Some(default_artifact_path()),
+            out_path: Some(results_path("ext-fleet-scale.json")),
         }
     }
 }
@@ -235,7 +224,7 @@ pub fn run(p: &Params) -> Figure {
 
     let mut notes = Vec::new();
     if let Some(path) = &p.out_path {
-        write_artifact(path, &artifact);
+        write_json(path, &artifact);
         notes.push(format!("fleet-scale artefact written to {path}"));
     }
     for c in &artifact.cells {
@@ -320,16 +309,6 @@ pub fn run(p: &Params) -> Figure {
         notes,
         series,
     }
-}
-
-/// Serialises the artefact to `path`, creating parent directories.
-fn write_artifact(path: &str, artifact: &ScaleArtifact) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent).expect("create fleet-scale output dir");
-    }
-    let json = serde_json::to_string_pretty(artifact).expect("serialize fleet-scale artifact");
-    std::fs::write(p, json).expect("write fleet-scale artifact");
 }
 
 #[cfg(test)]

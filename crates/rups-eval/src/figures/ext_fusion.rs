@@ -1,11 +1,10 @@
 //! Extension experiment: cooperative fix-graph fusion in an N-vehicle
 //! convoy under channel faults (the `rups-fuse` crate end-to-end).
 //!
-//! Every vehicle of the convoy beacons its journey context once per
-//! second through one shared [`V2vLink`] carrying the PR 2 fault model,
-//! and runs the hardened receive path (codec validation →
-//! [`SnapshotInbox`] vetting). At each fuse epoch every vehicle grades
-//! fixes against every snapshot it holds via [`fix_inbox_parallel`]; the
+//! Every vehicle of a [`ConvoyRig`] beacons its journey context once per
+//! second through the rig's faulted link and runs the hardened receive
+//! path (codec validation → inbox vetting). At each fuse epoch every
+//! vehicle grades fixes against every snapshot it holds; the
 //! epoch's graded fixes become a [`FixGraph`] and the [`Fuser`] solves it
 //! into one consistent set of relative positions. Per severity cell we
 //! compare, over the pairs that have at least one *direct* fix that
@@ -24,36 +23,20 @@
 //! fixes reaches vehicles whose shared context is too small for a direct
 //! SYN match).
 //!
-//! [`V2vLink`]: v2v_sim::link::V2vLink
-//! [`SnapshotInbox`]: rups_core::inbox::SnapshotInbox
-//! [`fix_inbox_parallel`]: rups_core::pipeline::RupsNode::fix_inbox_parallel
+//! [`ConvoyRig`]: crate::rig::ConvoyRig
 //! [`FixGraph`]: rups_fuse::FixGraph
 //! [`Fuser`]: rups_fuse::Fuser
 
 use crate::figures::EvalScale;
+use crate::rig::{best_fix, ConvoyRig, ConvoySpec, SPAN_RING};
 use crate::series::{Figure, Series};
-use rups_core::geo::GeoSample;
-use rups_core::gsm::PowerVector;
-use rups_core::inbox::{InboxConfig, SnapshotInbox};
-use rups_core::pipeline::{GradedFix, RupsNode};
-use rups_core::quality::QualityConfig;
-use rups_core::testfield;
-use rups_fuse::{weight_for, FixGraph, FuseConfig, Fuser};
+use rups_fuse::{FuseConfig, Fuser};
 use rups_obs::Registry;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use v2v_sim::codec::{decode_snapshot, try_encode_snapshot};
 use v2v_sim::fault::FaultConfig;
-use v2v_sim::link::V2vLink;
 
-/// One fault-severity cell of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Cell {
-    /// Legend label.
-    pub label: String,
-    /// The channel impairments of this cell.
-    pub faults: FaultConfig,
-}
+pub use super::ext_faults::Cell;
 
 /// Parameters of the fusion experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,32 +79,12 @@ impl Default for Params {
 }
 
 /// The default severity ladder: the paper's ideal channel, mild i.i.d.
-/// loss, and the ISSUE acceptance cell (30 % expected burst loss plus
-/// payload corruption).
+/// loss, and the acceptance cell (30 % expected burst loss plus payload
+/// corruption) — the ext-faults ladder without its heaviest cell.
 pub fn default_cells() -> Vec<Cell> {
-    vec![
-        Cell {
-            label: "ideal channel".into(),
-            faults: FaultConfig::ideal(),
-        },
-        Cell {
-            label: "i.i.d. 10% loss".into(),
-            faults: FaultConfig::iid_loss(0.10),
-        },
-        Cell {
-            // Stationary bad fraction 0.15/(0.15+0.35) = 0.30 with the
-            // loss arriving in bursts, plus duplication, reordering and
-            // 1 % payload corruption.
-            label: "burst 30% loss + 1% corruption".into(),
-            faults: FaultConfig {
-                duplicate: 0.05,
-                reorder: 0.05,
-                corrupt: 0.01,
-                jitter_s: 0.02,
-                ..FaultConfig::bursty(0.15, 0.35, 1.0)
-            },
-        },
-    ]
+    let mut cells = super::ext_faults::default_cells();
+    cells.truncate(3);
+    cells
 }
 
 /// Smaller run for tests.
@@ -129,12 +92,7 @@ pub fn quick_params() -> Params {
     Params {
         scale: EvalScale::quick(),
         n_vehicles: 5,
-        gap_m: 40.0,
-        context_m: 250,
-        warmup_m: 260,
-        horizon_s: 10.0,
-        fuse_stride_s: 10,
-        cells: default_cells(),
+        ..Params::default()
     }
 }
 
@@ -161,22 +119,17 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     let s = &p.scale;
     let mut cfg = s.rups_config();
     cfg.max_context_m = p.context_m + 150;
-    let field_seed = s.seed ^ 0xF05E;
-    let field = |metre: f64, ch: usize| testfield::rssi(field_seed, metre, ch);
-    let quality_cfg = QualityConfig::default();
-
-    let n = p.n_vehicles;
-    let ids: Vec<u64> = (1..=n as u64).collect();
-    let mut nodes: Vec<RupsNode> = ids
-        .iter()
-        .map(|&id| RupsNode::new(cfg.clone()).with_vehicle_id(id))
-        .collect();
-    let link = V2vLink::with_faults(*faults, link_seed);
-    let endpoints: Vec<_> = ids.iter().map(|&id| link.join(id)).collect();
-    let mut inboxes: Vec<SnapshotInbox> = ids
-        .iter()
-        .map(|_| SnapshotInbox::new(InboxConfig::for_rups(&cfg, p.horizon_s)))
-        .collect();
+    let mut rig = ConvoyRig::new(ConvoySpec {
+        cfg,
+        n_vehicles: p.n_vehicles,
+        gap_m: p.gap_m,
+        field_seed: s.seed ^ 0xF05E,
+        context_m: p.context_m,
+        horizon_s: p.horizon_s,
+        faults: *faults,
+        link_seed,
+        span_capacity: SPAN_RING,
+    });
 
     let registry = Arc::new(Registry::new());
     let fuser = Fuser::new(FuseConfig {
@@ -187,7 +140,7 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
 
     // Truth: vehicle k sits (k−1)·gap ahead of vehicle 1, all at 1 m/s.
     let truth = |a: u64, b: u64| (b as f64 - a as f64) * p.gap_m;
-    let n_pairs = n * (n - 1) / 2;
+    let n = p.n_vehicles;
 
     let mut fuse_epochs = 0usize;
     let mut best_errs = Vec::new();
@@ -200,35 +153,16 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     let total_m = p.warmup_m + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let road_m = t + k as f64 * p.gap_m;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(cfg.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .expect("synthetic drive never mismatches");
-        }
+        rig.drive(t);
         if metre < p.warmup_m {
             continue;
         }
 
         // Everyone beacons (1 Hz) and drains their endpoint.
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let snap = node.snapshot(Some(p.context_m));
-            if let Ok(wire) = try_encode_snapshot(&snap) {
-                endpoints[k].broadcast(t, wire);
-            }
+        for id in rig.ids() {
+            rig.beacon(id, t);
         }
-        for (k, ep) in endpoints.iter().enumerate() {
-            for delivery in ep.poll_until(t) {
-                if let Ok(snap) = decode_snapshot(&delivery.payload) {
-                    let _ = inboxes[k].accept(snap, t);
-                }
-            }
-        }
+        rig.deliver(t);
 
         if !(metre - p.warmup_m).is_multiple_of(p.fuse_stride_s) {
             continue;
@@ -237,54 +171,26 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
 
         // Each vehicle grades fixes against every snapshot it holds; the
         // epoch's graded fixes become the fix graph.
-        let mut graph = FixGraph::new();
-        for &id in &ids {
-            graph.insert_node(id);
-        }
-        // Direct fixes per unordered pair, keyed (lo, hi).
-        let mut direct: Vec<Vec<(u64, u64, GradedFix)>> = vec![Vec::new(); n_pairs];
-        let pair_slot = |a: u64, b: u64| {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            let (i, j) = (lo as usize - 1, hi as usize - 1);
-            // Row-major upper triangle of an n×n table.
-            i * n - i * (i + 1) / 2 + (j - i - 1)
-        };
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let observer = ids[k];
-            for (id, graded) in node.fix_inbox_parallel(&inboxes[k], t, &quality_cfg) {
-                let Some(neighbour) = id else { continue };
-                if neighbour == observer || !ids.contains(&neighbour) {
-                    continue;
-                }
-                if let Ok(graded) = graded {
-                    graph.insert_fix(observer, neighbour, &graded);
-                    direct[pair_slot(observer, neighbour)].push((observer, neighbour, graded));
-                }
-            }
-        }
-
-        let solution = fuser.solve(&graph).ok();
-        for a in 1..=n as u64 {
-            for b in (a + 1)..=n as u64 {
+        let fixes = rig.grade_all(t);
+        let solution = fuser.solve(&rig.fix_graph(&fixes)).ok();
+        for a in rig.ids() {
+            for b in a + 1..=n as u64 {
                 pair_slots += 1;
-                let fused = solution.as_ref().and_then(|sol| sol.displacement(a, b));
-                if let Some(d) = fused {
+                let best = best_fix(&fixes, a, b);
+                if let Some(d) = solution.as_ref().and_then(|sol| sol.displacement(a, b)) {
                     fused_slots += 1;
-                    let err = (d - truth(a, b)).abs();
                     // Only pairs with a direct competitor enter the error
                     // comparison; fused-only pairs are the coverage story.
-                    if !direct[pair_slot(a, b)].is_empty() {
+                    if best.is_some() {
+                        let err = (d - truth(a, b)).abs();
                         fused_errs.push(err);
                         fused_worst = fused_worst.max(err);
                     }
                 }
-                let best = direct[pair_slot(a, b)]
-                    .iter()
-                    .max_by(|x, y| weight_for(&x.2.report).total_cmp(&weight_for(&y.2.report)));
-                if let Some((observer, neighbour, graded)) = best {
+                if let Some(f) = best {
                     direct_slots += 1;
-                    let err = (graded.fix.distance_m - truth(*observer, *neighbour)).abs();
-                    best_errs.push(err);
+                    best_errs
+                        .push((f.graded.fix.distance_m - truth(f.observer, f.neighbour)).abs());
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! Extension experiment: the unified telemetry layer under fault injection.
 //!
 //! Re-runs the two-vehicle faulted exchange of [`ext_faults`] with every
-//! stage wired onto **one shared metrics registry** — the rear node's SYN
-//! engine and quality grading, the [`V2vLink`] fault model, the codec
-//! validator and the [`SnapshotInbox`] — plus one shared span ring
-//! recording the hot-path trace events. While the scenario replays, the
+//! stage metered by **one registry**, the rear vehicle's in the
+//! [`ConvoyRig`]: its node's SYN engine and quality grading, its codec
+//! validator and inbox, and the link's fault model. The rear's span ring
+//! records the hot-path trace events; the link's fault events land in
+//! the rig's wire ring. While the scenario replays, the
 //! harness samples the registry every `epoch_stride` query epochs and
 //! emits the per-window [`MetricsSnapshot::delta`]s as a machine-readable
 //! timeline (`results/ext-observability-metrics.json` by default).
@@ -18,8 +19,8 @@
 //! [`Params::max_windows`] so the committed artefact stays reviewable;
 //! the cumulative snapshot stays complete.
 //!
-//! Two forensic artefacts ride along: the span ring is exported as a
-//! Chrome trace-event JSON (`results/ext-observability-trace.json`,
+//! Two forensic artefacts ride along: the rear and wire rings are exported
+//! as one Chrome trace-event JSON (`results/ext-observability-trace.json`,
 //! loadable in `chrome://tracing`/Perfetto), and a
 //! [`FlightRecorder`] wired into the rear node
 //! watches the run. Two thirds in, a burst of structurally valid but
@@ -29,28 +30,22 @@
 //! — lands in `results/ext-observability-flight.json`.
 //!
 //! [`ext_faults`]: crate::figures::ext_faults
-//! [`V2vLink`]: v2v_sim::link::V2vLink
-//! [`SnapshotInbox`]: rups_core::inbox::SnapshotInbox
+//! [`ConvoyRig`]: crate::rig::ConvoyRig
 //! [`MetricsSnapshot::delta`]: rups_obs::MetricsSnapshot::delta
 
-use crate::figures::EvalScale;
+use crate::figures::{results_path, write_json, EvalScale};
+use crate::rig::{acceptance_faults, ConvoyRig, ConvoySpec};
 use crate::series::{Figure, Series};
 use rups_core::config::RupsConfig;
 use rups_core::geo::GeoSample;
 use rups_core::gsm::PowerVector;
-use rups_core::inbox::{InboxConfig, SnapshotInbox};
 use rups_core::pipeline::{ContextSnapshot, RupsNode};
-use rups_core::quality::QualityConfig;
 use rups_core::report::default_flight_config;
 use rups_core::testfield;
-use rups_obs::{
-    chrome_trace_tail, write_chrome_trace, FlightRecorder, MetricsSnapshot, Registry, SpanRecorder,
-};
+use rups_obs::{chrome_trace, write_chrome_trace, FlightRecorder, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use v2v_sim::codec::{try_encode_snapshot, CodecMetrics};
 use v2v_sim::fault::FaultConfig;
-use v2v_sim::link::V2vLink;
 
 /// Parameters of the telemetry-under-faults run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,7 +69,7 @@ pub struct Params {
     /// Hard cap on timeline windows in the artefact (the committed file
     /// must stay diff-reviewable; see EXPERIMENTS.md).
     pub max_windows: usize,
-    /// Capacity of the shared span ring.
+    /// Capacity of each span ring.
     pub span_capacity: usize,
     /// Newest span records exported into the Chrome trace.
     pub trace_max_events: usize,
@@ -91,47 +86,6 @@ pub struct Params {
     pub flight_out_path: Option<String>,
 }
 
-/// The default on-disk home of the timeline, resolved against the
-/// workspace so the artefact lands in `results/` regardless of the
-/// invocation directory.
-pub fn default_out_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-observability-metrics.json"
-    )
-    .to_string()
-}
-
-/// Default home of the Chrome trace-event export.
-pub fn default_trace_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-observability-trace.json"
-    )
-    .to_string()
-}
-
-/// Default home of the flight-recorder dump.
-pub fn default_flight_path() -> String {
-    concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ext-observability-flight.json"
-    )
-    .to_string()
-}
-
-/// The fault cell the timeline is recorded under: ~30 % expected burst
-/// loss with duplication, reordering, corruption and jitter on top.
-pub fn default_faults() -> FaultConfig {
-    FaultConfig {
-        duplicate: 0.05,
-        reorder: 0.05,
-        corrupt: 0.01,
-        jitter_s: 0.02,
-        ..FaultConfig::bursty(0.15, 0.35, 1.0)
-    }
-}
-
 impl Default for Params {
     fn default() -> Self {
         Self {
@@ -140,15 +94,15 @@ impl Default for Params {
             context_m: 250,
             warmup_m: 260,
             horizon_s: 10.0,
-            faults: default_faults(),
+            faults: acceptance_faults(),
             epoch_stride: 60,
             max_windows: 24,
             span_capacity: 4096,
             trace_max_events: 2048,
             rogue_burst: 4,
-            out_path: Some(default_out_path()),
-            trace_out_path: Some(default_trace_path()),
-            flight_out_path: Some(default_flight_path()),
+            out_path: Some(results_path("ext-observability-metrics.json")),
+            trace_out_path: Some(results_path("ext-observability-trace.json")),
+            flight_out_path: Some(results_path("ext-observability-flight.json")),
         }
     }
 }
@@ -192,8 +146,8 @@ pub struct MetricsTimeline {
     /// The registry at the end of the run; window deltas of any counter
     /// sum to its cumulative value here.
     pub cumulative: MetricsSnapshot,
-    /// Spans recorded into the shared ring over the whole run (may exceed
-    /// the ring capacity; the ring keeps the newest).
+    /// Spans recorded into the rear and wire rings over the whole run (may
+    /// exceed the ring capacity; each ring keeps its newest).
     pub spans_recorded: u64,
 }
 
@@ -215,31 +169,33 @@ pub fn run(p: &Params) -> Figure {
     let mut cfg = s.rups_config();
     cfg.max_context_m = p.context_m + 150;
     let field_seed = s.seed ^ 0xFA17;
-    let field = |metre: f64, ch: usize| testfield::rssi(field_seed, metre, ch);
 
-    // The unified wiring: one registry, one span ring, every stage, plus
-    // the flight recorder watching the rear node's fix pipeline.
-    let registry = Arc::new(Registry::new());
-    let spans = Arc::new(SpanRecorder::new(p.span_capacity));
-    let flight = Arc::new(
-        FlightRecorder::new(default_flight_config(), Arc::clone(&registry))
-            .with_spans(Arc::clone(&spans)),
+    // Rear vehicle 1 receives: its registry also meters the link and its
+    // ring holds engine and inbox spans; a flight recorder watches its
+    // fix pipeline. Front vehicle 2 beacons.
+    let mut rig = ConvoyRig::with_extras(
+        ConvoySpec {
+            cfg: cfg.clone(),
+            n_vehicles: 2,
+            gap_m: p.gap_m,
+            field_seed,
+            context_m: p.context_m,
+            horizon_s: p.horizon_s,
+            faults: p.faults,
+            link_seed: s.seed ^ 0x0B5E,
+            span_capacity: p.span_capacity,
+        },
+        |id, node, registry, spans| match id {
+            1 => node.with_flight_recorder(Arc::new(
+                FlightRecorder::new(default_flight_config(), Arc::clone(registry))
+                    .with_spans(Arc::clone(spans)),
+            )),
+            _ => node,
+        },
     );
-    let mut rear = RupsNode::new(cfg.clone())
-        .with_vehicle_id(1)
-        .with_observability(Arc::clone(&registry))
-        .with_span_recorder(Arc::clone(&spans))
-        .with_flight_recorder(Arc::clone(&flight));
-    let mut front = RupsNode::new(cfg.clone()).with_vehicle_id(2);
-    let link = V2vLink::with_faults_in(p.faults, s.seed ^ 0x0B5E, Arc::clone(&registry))
-        .with_spans(Arc::clone(&spans));
-    let ep_rear = link.join(1);
-    let ep_front = link.join(2);
-    let mut inbox = SnapshotInbox::new(InboxConfig::for_rups(&cfg, p.horizon_s))
-        .with_registry(&registry)
-        .with_spans(Arc::clone(&spans));
-    let codec = CodecMetrics::register(&registry);
-    let quality_cfg = QualityConfig::default();
+    let rear = rig.vehicle(1);
+    let (registry, spans) = (Arc::clone(&rear.registry), Arc::clone(&rear.spans));
+    let flight = Arc::clone(rear.node.flight_recorder().expect("wired above"));
 
     // One query epoch per metre after warmup; the stride grows as needed
     // so the committed timeline never exceeds `max_windows` entries.
@@ -256,38 +212,23 @@ pub fn run(p: &Params) -> Figure {
     let total_m = p.warmup_m + duration_epochs;
     for metre in 0..total_m {
         let t = metre as f64;
-        for (node, offset) in [(&mut rear, 0.0), (&mut front, p.gap_m)] {
-            let road_m = t + offset;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(cfg.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .expect("synthetic drive never mismatches");
-        }
+        rig.drive(t);
         if metre < p.warmup_m {
             continue;
         }
 
-        let snap = front.snapshot(Some(p.context_m));
-        if let Ok(wire) = try_encode_snapshot(&snap) {
-            ep_front.broadcast(t, wire);
-        }
-        for delivery in ep_rear.poll_until(t) {
-            if let Ok(snap) = codec.decode(&delivery.payload) {
-                let _ = inbox.accept(snap, t);
-            }
-        }
+        rig.beacon(2, t);
+        rig.deliver(t);
         epochs += 1;
         if p.rogue_burst > 0 && epochs == inject_epoch {
             for i in 0..p.rogue_burst as u64 {
                 let rogue = rogue_snapshot(&cfg, p.context_m, field_seed ^ (0x60D + i), 100 + i, t);
-                let _ = inbox.accept(rogue, t);
+                let _ = rig.accept(1, rogue, t);
             }
         }
-        for _ in rear.fix_inbox_parallel(&inbox, t, &quality_cfg) {}
+        // Grading feeds the registry and the flight recorder; the fixes
+        // themselves are not needed.
+        rig.grade(1, t);
 
         if epochs.is_multiple_of(stride) {
             let now = registry.snapshot();
@@ -315,15 +256,19 @@ pub fn run(p: &Params) -> Figure {
         faults: p.faults,
         entries,
         cumulative,
-        spans_recorded: spans.recorded_total(),
+        spans_recorded: spans.recorded_total() + rig.wire().recorded_total(),
     };
     let mut notes = Vec::new();
     if let Some(path) = &p.out_path {
-        write_timeline(path, &timeline);
+        write_json(path, &timeline);
         notes.push(format!("metrics timeline written to {path}"));
     }
     if let Some(path) = &p.trace_out_path {
-        let trace = chrome_trace_tail(&spans, p.trace_max_events);
+        // The rear ring and the wire's fault events, in recording order.
+        let mut records = spans.recent();
+        records.extend(rig.wire().recent());
+        records.sort_by_key(|r| r.start_ns + r.dur_ns);
+        let trace = chrome_trace(&records[records.len().saturating_sub(p.trace_max_events)..]);
         write_chrome_trace(path, &trace);
         notes.push(format!(
             "chrome trace ({} events) written to {path}",
@@ -428,7 +373,7 @@ pub fn run(p: &Params) -> Figure {
         cum.counter("rups_core_quality_rejected").unwrap_or(0),
     ));
     notes.push(format!(
-        "{} spans recorded into a {}-slot ring ({} timeline windows of {} epochs)",
+        "{} spans recorded into the rear and wire rings ({} slots each; {} timeline windows of {} epochs)",
         timeline.spans_recorded,
         p.span_capacity,
         timeline.entries.len(),
@@ -469,16 +414,6 @@ fn rogue_snapshot(
             .expect("rogue synthetic drive never mismatches");
     }
     rogue.snapshot(Some(context_m))
-}
-
-/// Serialises the timeline to `path`, creating parent directories.
-fn write_timeline(path: &str, timeline: &MetricsTimeline) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent).expect("create metrics output dir");
-    }
-    let json = serde_json::to_string_pretty(timeline).expect("serialize metrics timeline");
-    std::fs::write(p, json).expect("write metrics timeline");
 }
 
 #[cfg(test)]

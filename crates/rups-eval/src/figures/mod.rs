@@ -59,6 +59,23 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 
+/// Where a committed artefact lives: `results/<file>` at the workspace
+/// root, whatever the invocation directory.
+pub fn results_path(file: &str) -> String {
+    format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Serialises `value` as pretty JSON to `path`, creating parent
+/// directories.
+pub fn write_json(path: &str, value: &impl Serialize) {
+    let p = std::path::Path::new(path);
+    if let Some(parent) = p.parent() {
+        std::fs::create_dir_all(parent).expect("create artefact directory");
+    }
+    let json = serde_json::to_string_pretty(value).expect("serialize artefact");
+    std::fs::write(p, json).expect("write artefact");
+}
+
 /// Global knobs controlling how big the accuracy experiments run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalScale {

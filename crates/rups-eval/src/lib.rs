@@ -14,6 +14,7 @@
 pub mod figures;
 pub mod queries;
 pub mod replay;
+pub mod rig;
 pub mod series;
 pub mod tracegen;
 

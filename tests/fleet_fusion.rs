@@ -9,13 +9,9 @@
 
 use std::sync::Arc;
 
-use rups::core::inbox::{InboxConfig, SnapshotInbox};
 use rups::core::prelude::*;
-use rups::core::quality::QualityConfig;
-use rups::core::testfield;
-use rups::fuse::{weight_for, FixGraph, FuseConfig, Fuser};
-use rups::v2v::fault::FaultConfig;
-use rups::v2v::{decode_snapshot, try_encode_snapshot, V2vLink};
+use rups::eval::rig::{acceptance_faults, best_fix, ConvoyRig, ConvoySpec, SPAN_RING};
+use rups::fuse::{FuseConfig, Fuser};
 use rups_obs::{FlightConfig, FlightRecorder, Registry};
 
 const N_CHANNELS: usize = 48;
@@ -35,35 +31,19 @@ fn cfg() -> RupsConfig {
     }
 }
 
-/// The ISSUE acceptance channel: 30 % expected loss arriving in bursts,
-/// plus duplication, reordering and payload corruption.
-fn burst_faults() -> FaultConfig {
-    FaultConfig {
-        duplicate: 0.05,
-        reorder: 0.05,
-        corrupt: 0.01,
-        jitter_s: 0.02,
-        ..FaultConfig::bursty(0.15, 0.35, 1.0)
-    }
-}
-
 #[test]
 fn fused_fleet_beats_best_single_fix_under_burst_loss() {
-    let cfg = cfg();
-    let field = |metre: f64, ch: usize| testfield::rssi(0xF1EE7, metre, ch);
-    let quality_cfg = QualityConfig::default();
-
-    let ids: Vec<u64> = (1..=N_VEHICLES as u64).collect();
-    let mut nodes: Vec<RupsNode> = ids
-        .iter()
-        .map(|&id| RupsNode::new(cfg.clone()).with_vehicle_id(id))
-        .collect();
-    let link = V2vLink::with_faults(burst_faults(), 20160523);
-    let endpoints: Vec<_> = ids.iter().map(|&id| link.join(id)).collect();
-    let mut inboxes: Vec<SnapshotInbox> = ids
-        .iter()
-        .map(|_| SnapshotInbox::new(InboxConfig::for_rups(&cfg, 10.0)))
-        .collect();
+    let mut rig = ConvoyRig::new(ConvoySpec {
+        cfg: cfg(),
+        n_vehicles: N_VEHICLES,
+        gap_m: GAP_M,
+        field_seed: 0xF1EE7,
+        context_m: CONTEXT_M,
+        horizon_s: 10.0,
+        faults: acceptance_faults(),
+        link_seed: 20160523,
+        span_capacity: SPAN_RING,
+    });
 
     // Fusion observability: rejections must surface on the registry AND
     // in the flight recorder, not vanish silently.
@@ -90,36 +70,17 @@ fn fused_fleet_beats_best_single_fix_under_burst_loss() {
 
     for metre in 0..WARMUP_M + DRIVE_S {
         let t = metre as f64;
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let road_m = t + k as f64 * GAP_M;
-            node.append_metre(
-                GeoSample {
-                    heading_rad: 0.0,
-                    timestamp_s: t,
-                },
-                &PowerVector::from_fn(cfg.n_channels, |ch| Some(field(road_m, ch))),
-            )
-            .unwrap();
-        }
+        rig.drive(t);
         if metre < WARMUP_M {
             continue;
         }
 
         // Every vehicle beacons (1 Hz) through the shared faulty link and
         // drains its endpoint into its vetted inbox.
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let snap = node.snapshot(Some(CONTEXT_M));
-            if let Ok(wire) = try_encode_snapshot(&snap) {
-                endpoints[k].broadcast(t, wire);
-            }
+        for id in rig.ids() {
+            rig.beacon(id, t);
         }
-        for (k, ep) in endpoints.iter().enumerate() {
-            for delivery in ep.poll_until(t) {
-                if let Ok(snap) = decode_snapshot(&delivery.payload) {
-                    let _ = inboxes[k].accept(snap, t);
-                }
-            }
-        }
+        rig.deliver(t);
         if !(metre - WARMUP_M).is_multiple_of(FUSE_STRIDE_S) {
             continue;
         }
@@ -127,25 +88,8 @@ fn fused_fleet_beats_best_single_fix_under_burst_loss() {
 
         // Epoch fix graph: every vehicle grades fixes against every
         // snapshot it holds; best direct fix per pair is the baseline.
-        let mut graph = FixGraph::new();
-        for &id in &ids {
-            graph.insert_node(id);
-        }
-        let mut direct: Vec<(u64, u64, GradedFix)> = Vec::new();
-        for (k, node) in nodes.iter_mut().enumerate() {
-            let observer = ids[k];
-            for (id, graded) in node.fix_inbox_parallel(&inboxes[k], t, &quality_cfg) {
-                let (Some(neighbour), Ok(graded)) = (id, graded) else {
-                    continue;
-                };
-                if neighbour == observer {
-                    continue;
-                }
-                graph.insert_fix(observer, neighbour, &graded);
-                direct.push((observer, neighbour, graded));
-            }
-        }
-        let Ok(solution) = fuser.solve(&graph) else {
+        let direct = rig.grade_all(t);
+        let Ok(solution) = fuser.solve(&rig.fix_graph(&direct)) else {
             continue;
         };
         solved_epochs += 1;
@@ -153,21 +97,16 @@ fn fused_fleet_beats_best_single_fix_under_burst_loss() {
             full_coverage_epochs += 1;
         }
 
-        for a in &ids {
-            for b in &ids {
-                if b <= a {
-                    continue;
-                }
-                let best = direct
-                    .iter()
-                    .filter(|(o, n, _)| (o.min(n), o.max(n)) == (a, b))
-                    .max_by(|x, y| weight_for(&x.2.report).total_cmp(&weight_for(&y.2.report)));
-                let Some((o, n, graded)) = best else { continue };
-                let Some(fused) = solution.displacement(*a, *b) else {
+        for a in rig.ids() {
+            for b in a + 1..=N_VEHICLES as u64 {
+                let Some(f) = best_fix(&direct, a, b) else {
                     continue;
                 };
-                best_errs.push((graded.fix.distance_m - truth(*o, *n)).abs());
-                fused_errs.push((fused - truth(*a, *b)).abs());
+                let Some(fused) = solution.displacement(a, b) else {
+                    continue;
+                };
+                best_errs.push((f.graded.fix.distance_m - truth(f.observer, f.neighbour)).abs());
+                fused_errs.push((fused - truth(a, b)).abs());
             }
         }
     }
