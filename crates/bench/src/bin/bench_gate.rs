@@ -2,15 +2,17 @@
 //! and compares each against its committed baseline.
 //!
 //! ```text
-//! bench_gate [--bench syn_batch|syn_kernels|fleet|all] [--baseline <path>]
-//!            [--out <path>] [--tolerance <frac>] [--samples <n>]
+//! bench_gate [--bench syn_batch|syn_kernels|fleet|codec|all]
+//!            [--baseline <path>] [--out <path>] [--tolerance <frac>]
+//!            [--samples <n>]
 //! ```
 //!
-//! Three workloads are gated: `syn_batch` (end-to-end batched vs naive
+//! Four workloads are gated: `syn_batch` (end-to-end batched vs naive
 //! fixes, including the engine cache rates), `syn_kernels` (per-kernel
-//! nanoseconds on the SYN hot path) and `fleet` (one sharded fleet epoch
-//! at 1 and 4 workers plus the cell-index microbenches). Defaults: all
-//! benches, committed
+//! nanoseconds on the SYN hot path), `fleet` (one sharded fleet epoch
+//! at 1 and 4 workers plus the cell-index microbenches) and `codec`
+//! (snapshot encode and decode at 600 m and 1 km × 194 channels).
+//! Defaults: all benches, committed
 //! baselines `results/BENCH_<bench>.json`, verdicts next to them as
 //! `results/BENCH_<bench>.verdict.json`, tolerance from
 //! `RUPS_BENCH_TOLERANCE` (falling back to the library default of 0.35 —
@@ -23,7 +25,7 @@
 //! written either way, so CI can upload them as artifacts.
 
 use rups_bench::baseline::{self, Baseline, CompareConfig};
-use rups_bench::{fleet, syn_batch, syn_kernels};
+use rups_bench::{codec, fleet, syn_batch, syn_kernels};
 use std::process::ExitCode;
 
 struct Args {
@@ -110,9 +112,10 @@ fn main() -> ExitCode {
     let run_batch = matches!(args.bench.as_str(), "all" | "syn_batch");
     let run_kernels = matches!(args.bench.as_str(), "all" | "syn_kernels");
     let run_fleet = matches!(args.bench.as_str(), "all" | "fleet");
+    let run_codec = matches!(args.bench.as_str(), "all" | "codec");
     assert!(
-        run_batch || run_kernels || run_fleet,
-        "--bench must be syn_batch, syn_kernels, fleet, or all (got {})",
+        run_batch || run_kernels || run_fleet || run_codec,
+        "--bench must be syn_batch, syn_kernels, fleet, codec, or all (got {})",
         args.bench
     );
     assert!(
@@ -128,6 +131,9 @@ fn main() -> ExitCode {
     }
     if run_fleet {
         pass &= gate_one("fleet", fleet::measure(args.samples), &args);
+    }
+    if run_codec {
+        pass &= gate_one("codec", codec::measure(args.samples), &args);
     }
     if pass {
         ExitCode::SUCCESS

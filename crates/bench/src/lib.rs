@@ -12,6 +12,7 @@ use rups_eval::tracegen::{generate, ScenarioTrace, TraceConfig};
 use urban_sim::road::RoadClass;
 
 pub mod baseline;
+pub mod codec;
 pub mod fleet;
 pub mod soak;
 pub mod syn_batch;

@@ -174,8 +174,10 @@ impl GsmTrajectory {
 
     /// An empty trajectory with per-row capacity reserved for `cap` metres.
     pub fn with_capacity(n_channels: usize, cap: usize) -> Self {
+        // Not `vec![Vec::with_capacity(cap); n]`: cloning a `Vec` keeps its
+        // length but not its spare capacity, so only one row would reserve.
         Self {
-            rows: vec![Vec::with_capacity(cap); n_channels],
+            rows: (0..n_channels).map(|_| Vec::with_capacity(cap)).collect(),
             len: 0,
         }
     }
@@ -490,6 +492,19 @@ mod tests {
         assert_eq!(col.values(), &[-2.0, -12.0, -22.0]);
         assert_eq!(t.channel(1), &[-10.0, -11.0, -12.0, -13.0, -14.0]);
         assert_eq!(t.get(1, 3), Some(-13.0));
+    }
+
+    #[test]
+    fn with_capacity_reserves_every_row() {
+        let t = GsmTrajectory::with_capacity(4, 100);
+        assert_eq!(t.n_channels(), 4);
+        for (ch, row) in t.rows.iter().enumerate() {
+            assert!(
+                row.capacity() >= 100,
+                "row {ch} reserved {}",
+                row.capacity()
+            );
+        }
     }
 
     #[test]

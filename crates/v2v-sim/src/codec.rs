@@ -22,10 +22,17 @@
 //! One metre of a 194-channel context costs `2 + 4 + 194 = 200` bytes, so a
 //! 1 km context is ≈200 KB — the paper quotes 182 KB for its 115-channel
 //! prototype plus geometry, same order (§V-B).
+//!
+//! The body is metre-major, but [`GsmTrajectory`] stores channel rows, so
+//! both directions are a transpose. They run one block of `BLOCK_M`
+//! metres at a time: the block's slice of the body stays in cache while
+//! every channel row streams through it, and each row is read or written
+//! contiguously. The per-metre original lives on as the differential
+//! oracle in `tests/fuzz_codec.rs`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rups_core::geo::{GeoSample, GeoTrajectory};
-use rups_core::gsm::{GsmTrajectory, PowerVector};
+use rups_core::gsm::GsmTrajectory;
 use rups_core::pipeline::ContextSnapshot;
 use rups_obs::{Counter, Registry, TraceContext, TRACE_CONTEXT_WIRE_BYTES};
 
@@ -41,6 +48,10 @@ pub const FLAG_VEHICLE_ID: u8 = 0x01;
 /// as they always did (the bit stays clear), and decoders ignore flag bits
 /// they do not know, so pre-extension payloads decode unchanged.
 pub const FLAG_TRACE: u8 = 0x02;
+
+/// Metres per transpose block: 64 metres of a 194-channel body are 12.8 KB,
+/// which stays in L1 while the channel rows pass over it.
+const BLOCK_M: usize = 64;
 
 /// Decoding/encoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +73,14 @@ pub enum CodecError {
         /// Metres in the GSM half.
         gsm: usize,
     },
+    /// A snapshot offered for encoding with more channels than the `u16`
+    /// header field or more metres than the `u32` one can count.
+    Oversized {
+        /// Channels in the snapshot.
+        n_channels: usize,
+        /// Metres in the snapshot.
+        len_m: usize,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -75,6 +94,10 @@ impl std::fmt::Display for CodecError {
                 f,
                 "misaligned snapshot: geo half has {geo} m, gsm half {gsm} m"
             ),
+            CodecError::Oversized { n_channels, len_m } => write!(
+                f,
+                "oversized snapshot: {n_channels} channels × {len_m} m exceeds the header fields"
+            ),
         }
     }
 }
@@ -82,13 +105,21 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Quantises an RSSI in dBm to the wire byte (0.5 dB resolution from
-/// −110 dBm). `255` encodes a missing measurement.
+/// −110 dBm, halves rounded away from zero). `255` encodes a missing
+/// measurement.
 #[inline]
 pub fn quantise_rssi(dbm: f32) -> u8 {
     if dbm.is_nan() {
         return 255;
     }
-    (((dbm + 110.0) * 2.0).round().clamp(0.0, 254.0)) as u8
+    // `round().clamp(0, 254)` without `f32::round`, which is a libm call on
+    // baseline x86-64: clamp first, then truncate and add the half step
+    // back. On [0, 254] both the truncation and the fraction are exact, so
+    // this equals the rounded form on every input (swept against it in
+    // `tests/fuzz_codec.rs`).
+    let x = ((dbm + 110.0) * 2.0).clamp(0.0, 254.0);
+    let whole = x as u8;
+    whole + (x - whole as f32 >= 0.5) as u8
 }
 
 /// Inverse of [`quantise_rssi`]; `255` becomes `NaN` (missing).
@@ -122,57 +153,74 @@ pub fn dequantise_rssi(q: u8) -> f32 {
 /// assert_eq!(back.len(), 10);
 /// ```
 pub fn encode_snapshot(snap: &ContextSnapshot) -> Bytes {
-    let n_channels = snap.gsm.n_channels();
-    // Contract for misaligned input: encode the aligned prefix rather than
-    // panicking on out-of-bounds indexing mid-encode (a release build used
-    // to do exactly that). Callers that must treat misalignment as an
-    // error use [`try_encode_snapshot`].
-    let len = snap.gsm.len().min(snap.geo.len());
-    let mut buf = BytesMut::with_capacity(32 + len * (6 + n_channels));
-    buf.put_u32_le(MAGIC);
-    buf.put_u8(VERSION);
-    let mut flags = 0u8;
-    if snap.vehicle_id.is_some() {
-        flags |= FLAG_VEHICLE_ID;
-    }
+    // Contract for misaligned or oversized input: encode the prefix the
+    // header can describe — the aligned metres, at most `u32::MAX` of them,
+    // over the first `u16::MAX` channels — rather than panicking mid-encode
+    // or writing a header that disagrees with its body. Callers that must
+    // treat either as an error use [`try_encode_snapshot`].
+    let n_channels = snap.gsm.n_channels().min(u16::MAX as usize);
+    let len = snap.gsm.len().min(snap.geo.len()).min(u32::MAX as usize);
     // A trace is only carried alongside a sender id: the id + the trace's
     // logical clock are what let receivers verify the trace survived the
     // wire (see `decode_snapshot`), so an anonymous traced payload would be
     // unverifiable and is encoded untraced instead.
-    if snap.trace.is_some() && snap.vehicle_id.is_some() {
+    let trace = snap.trace.filter(|_| snap.vehicle_id.is_some());
+    let mut flags = 0u8;
+    if snap.vehicle_id.is_some() {
+        flags |= FLAG_VEHICLE_ID;
+    }
+    if trace.is_some() {
         flags |= FLAG_TRACE;
     }
+    let stride = 6 + n_channels;
+    // The longest header (fixed fields, sender id, trace, t0) plus the body.
+    let mut buf = Vec::with_capacity(12 + 8 + TRACE_CONTEXT_WIRE_BYTES + 8 + len * stride);
+    buf.put_u32_le(MAGIC);
+    buf.put_u8(VERSION);
     buf.put_u8(flags);
     buf.put_u16_le(n_channels as u16);
     buf.put_u32_le(len as u32);
     if let Some(id) = snap.vehicle_id {
         buf.put_u64_le(id);
     }
-    if let (Some(trace), true) = (&snap.trace, snap.vehicle_id.is_some()) {
+    if let Some(trace) = trace {
         buf.put_slice(&trace.to_wire());
     }
     let t0 = snap.geo.samples().first().map_or(0.0, |s| s.timestamp_s);
     buf.put_f64_le(t0);
-    for i in 0..len {
-        let g = snap.geo.samples()[i];
-        buf.put_i16_le((g.heading_rad * 1e4).round().clamp(-32768.0, 32767.0) as i16);
-        buf.put_f32_le((g.timestamp_s - t0) as f32);
+    let head = buf.len();
+    buf.resize(head + len * stride, 0);
+    let body = &mut buf[head..];
+    for (metre, g) in body.chunks_exact_mut(stride).zip(snap.geo.samples()) {
+        let heading = (g.heading_rad * 1e4).round().clamp(-32768.0, 32767.0) as i16;
+        metre[..2].copy_from_slice(&heading.to_le_bytes());
+        metre[2..6].copy_from_slice(&((g.timestamp_s - t0) as f32).to_le_bytes());
+    }
+    for (b, block) in body.chunks_mut(BLOCK_M * stride).enumerate() {
         for ch in 0..n_channels {
-            let v = snap.gsm.channel(ch)[i];
-            buf.put_u8(quantise_rssi(v));
+            let row = &snap.gsm.channel(ch)[b * BLOCK_M..];
+            for (metre, &v) in block.chunks_exact_mut(stride).zip(row) {
+                metre[6 + ch] = quantise_rssi(v);
+            }
         }
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Serialises a snapshot, rejecting one whose geo and GSM halves disagree
-/// on length instead of silently encoding the aligned prefix (the
-/// [`encode_snapshot`] contract).
+/// on length, or one too large for the header fields, instead of silently
+/// encoding a prefix (the [`encode_snapshot`] contract).
 pub fn try_encode_snapshot(snap: &ContextSnapshot) -> Result<Bytes, CodecError> {
     if snap.geo.len() != snap.gsm.len() {
         return Err(CodecError::Misaligned {
             geo: snap.geo.len(),
             gsm: snap.gsm.len(),
+        });
+    }
+    if snap.gsm.n_channels() > u16::MAX as usize || snap.gsm.len() > u32::MAX as usize {
+        return Err(CodecError::Oversized {
+            n_channels: snap.gsm.n_channels(),
+            len_m: snap.gsm.len(),
         });
     }
     Ok(encode_snapshot(snap))
@@ -224,39 +272,49 @@ pub fn decode_snapshot(mut data: &[u8]) -> Result<ContextSnapshot, CodecError> {
     } else {
         None
     };
-    if data.remaining() < 8 + len * (6 + n_channels) {
+    // Both factors come off the wire: a product past `usize` cannot be in
+    // the buffer either.
+    let stride = 6 + n_channels;
+    let need = len.checked_mul(stride).and_then(|body| body.checked_add(8));
+    if need.is_none_or(|need| data.remaining() < need) {
         return Err(CodecError::Truncated);
     }
     let t0 = data.get_f64_le();
-    let mut geo = GeoTrajectory::with_capacity(len);
-    let mut gsm = GsmTrajectory::with_capacity(n_channels, len);
-    let mut col = vec![f32::NAN; n_channels];
     if !t0.is_finite() {
         return Err(CodecError::Corrupt("non-finite base timestamp"));
     }
+    let body = &data[..len * stride];
+    let mut samples = Vec::with_capacity(len);
     let mut prev_dt = f64::NEG_INFINITY;
-    for _ in 0..len {
-        let heading = data.get_i16_le() as f64 / 1e4;
-        let dt = data.get_f32_le() as f64;
+    for metre in body.chunks_exact(stride) {
+        let heading = i16::from_le_bytes([metre[0], metre[1]]) as f64 / 1e4;
+        let dt = f32::from_le_bytes([metre[2], metre[3], metre[4], metre[5]]) as f64;
         // Metre marks are recorded in time order; anything else means the
         // payload bytes do not describe a real trajectory.
         if !dt.is_finite() || dt < prev_dt {
             return Err(CodecError::Corrupt("metre timestamps not non-decreasing"));
         }
         prev_dt = dt;
-        geo.push(GeoSample {
+        samples.push(GeoSample {
             heading_rad: heading,
             timestamp_s: t0 + dt,
         });
-        for slot in col.iter_mut() {
-            *slot = dequantise_rssi(data.get_u8());
+    }
+    let table: [f32; 256] = std::array::from_fn(|q| dequantise_rssi(q as u8));
+    let mut rows: Vec<Vec<f32>> = (0..n_channels).map(|_| Vec::with_capacity(len)).collect();
+    for block in body.chunks(BLOCK_M * stride) {
+        for (ch, row) in rows.iter_mut().enumerate() {
+            row.extend(
+                block
+                    .chunks_exact(stride)
+                    .map(|metre| table[metre[6 + ch] as usize]),
+            );
         }
-        gsm.push(&PowerVector::from_values(col.clone()));
     }
     Ok(ContextSnapshot {
         vehicle_id,
-        geo,
-        gsm,
+        geo: GeoTrajectory::from_samples(samples),
+        gsm: GsmTrajectory::from_rows(rows),
         trace,
     })
 }
@@ -301,8 +359,8 @@ impl CodecMetrics {
             Err(CodecError::BadMagic) => self.rejected_bad_magic.inc(),
             Err(CodecError::BadVersion(_)) => self.rejected_bad_version.inc(),
             Err(CodecError::Corrupt(_)) => self.rejected_corrupt.inc(),
-            // decode never reports Misaligned (an encode-side error).
-            Err(CodecError::Misaligned { .. }) => {}
+            // decode never reports the encode-side errors.
+            Err(CodecError::Misaligned { .. } | CodecError::Oversized { .. }) => {}
         }
         out
     }
@@ -311,6 +369,7 @@ impl CodecMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rups_core::gsm::PowerVector;
 
     fn snapshot(len: usize, n_channels: usize, with_id: bool) -> ContextSnapshot {
         let mut geo = GeoTrajectory::new();
@@ -399,10 +458,10 @@ mod tests {
         // orphan trace id in a merged fleet trace.
         let trace_off = 4 + 1 + 1 + 2 + 4 + 8;
         for bit_of in [
-            trace_off,                        // trace_id low byte
-            trace_off + 7,                    // trace_id high byte
+            trace_off,                                // trace_id low byte
+            trace_off + 7,                            // trace_id high byte
             trace_off + TRACE_CONTEXT_WIRE_BYTES - 1, // clock high byte
-            4 + 1 + 1 + 2 + 4,                // vehicle_id low byte
+            4 + 1 + 1 + 2 + 4,                        // vehicle_id low byte
         ] {
             let mut damaged = wire.to_vec();
             damaged[bit_of] ^= 0x40;
@@ -494,6 +553,63 @@ mod tests {
         assert_eq!(back.geo.len(), back.gsm.len());
         // Aligned snapshots pass through the fallible path unchanged.
         assert_eq!(try_encode_snapshot(&full).unwrap(), encode_snapshot(&full));
+    }
+
+    #[test]
+    fn oversized_snapshots_are_rejected_or_framed_as_their_prefix() {
+        // The header counts channels in a `u16`. These two counts used to
+        // wrap: 65,536 to 0, which decoded as Corrupt, and 65,537 to 1,
+        // which decoded as a valid one-channel snapshot unrelated to the
+        // body behind the header.
+        for n_channels in [65_536usize, 65_537] {
+            let rows = (0..n_channels)
+                .map(|ch| vec![-60.0 - (ch % 40) as f32, f32::NAN])
+                .collect();
+            let geo = (0..2)
+                .map(|i| GeoSample {
+                    heading_rad: 0.0,
+                    timestamp_s: i as f64,
+                })
+                .collect();
+            let snap = ContextSnapshot {
+                vehicle_id: Some(3),
+                geo: GeoTrajectory::from_samples(geo),
+                gsm: GsmTrajectory::from_rows(rows),
+                trace: None,
+            };
+            assert_eq!(
+                try_encode_snapshot(&snap),
+                Err(CodecError::Oversized {
+                    n_channels,
+                    len_m: 2
+                })
+            );
+            // The infallible encoder frames the first `u16::MAX` channels.
+            let wire = encode_snapshot(&snap);
+            assert_eq!(wire.len(), encoded_size(2, u16::MAX as usize));
+            let back = decode_snapshot(&wire).unwrap();
+            assert_eq!(back.gsm.n_channels(), u16::MAX as usize);
+            assert_eq!(back.len(), 2);
+            for ch in [0, 1, 39, 40, 65_534] {
+                assert_eq!(back.gsm.get(ch, 0), snap.gsm.get(ch, 0));
+                assert_eq!(back.gsm.get(ch, 1), None);
+            }
+        }
+    }
+
+    #[test]
+    fn largest_header_claim_is_truncated_not_overflowed() {
+        // `len_m × (6 + n_channels)` comes off the wire; the largest claim
+        // must be measured against the buffer, not wrap into a small size.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&MAGIC.to_le_bytes());
+        wire.push(VERSION);
+        wire.push(0);
+        wire.extend_from_slice(&u16::MAX.to_le_bytes());
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        wire.extend_from_slice(&0f64.to_le_bytes());
+        wire.extend_from_slice(&[0u8; 64]);
+        assert_eq!(decode_snapshot(&wire), Err(CodecError::Truncated));
     }
 
     #[test]
