@@ -90,6 +90,7 @@ fn bench_n_syn_points(c: &mut Criterion) {
 /// §V-B tracking: the anchored incremental check vs a full search, the
 /// speedup that makes 10 Hz neighbour tracking affordable.
 fn bench_tracking_vs_full(c: &mut Criterion) {
+    use rups_core::engine::SynQueryEngine;
     use rups_core::tracker::NeighbourTracker;
     let mut g = c.benchmark_group("ablation/tracking");
     g.sample_size(10);
@@ -100,9 +101,11 @@ fn bench_tracking_vs_full(c: &mut Criterion) {
         bench.iter(|| black_box(find_syn_points(black_box(&a), black_box(&b), &cfg)))
     });
     g.bench_function("anchored_incremental", |bench| {
+        let engine = SynQueryEngine::new(cfg.clone());
+        engine.set_context(&a);
         let mut tracker = NeighbourTracker::new(cfg.clone());
-        tracker.update(&a, &b).unwrap(); // acquire once outside the loop
-        bench.iter(|| black_box(tracker.update(black_box(&a), black_box(&b)).unwrap()))
+        tracker.update(&engine, &b).unwrap(); // acquire once outside the loop
+        bench.iter(|| black_box(tracker.update(black_box(&engine), black_box(&b)).unwrap()))
     });
     g.finish();
 }

@@ -2,12 +2,12 @@
 //!
 //! The paper measures ≈1.2 ms for a 1000 m context with a 45-channel ×
 //! 100 m window (i7-2640M). These benches sweep each factor of the `O(mwk)`
-//! bound independently and compare the sequential kernel against the rayon
-//! parallel variant.
+//! bound independently. The engine's two kernels are compared in the
+//! `syn_kernels` and `syn_batch` benches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rups_bench::{bench_config, synthetic_context};
-use rups_core::syn::{find_best_syn, find_best_syn_fft, find_best_syn_parallel};
+use rups_core::syn::find_best_syn;
 use std::hint::black_box;
 
 /// Sweep the context length m (paper operating point: m = 1000).
@@ -55,31 +55,10 @@ fn bench_window_channels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sequential vs rayon-parallel placement scoring at the paper's operating
-/// point.
-fn bench_parallel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("syn_search/parallelism");
-    g.sample_size(10);
-    let cfg = bench_config(194, 100, 45);
-    let a = synthetic_context(4, 0, 1000, 194);
-    let b = synthetic_context(4, 300, 1000, 194);
-    g.bench_function("sequential", |bench| {
-        bench.iter(|| black_box(find_best_syn(black_box(&a), black_box(&b), &cfg)))
-    });
-    g.bench_function("rayon", |bench| {
-        bench.iter(|| black_box(find_best_syn_parallel(black_box(&a), black_box(&b), &cfg)))
-    });
-    g.bench_function("fft", |bench| {
-        bench.iter(|| black_box(find_best_syn_fft(black_box(&a), black_box(&b), &cfg)))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_context_length,
     bench_window_length,
-    bench_window_channels,
-    bench_parallel
+    bench_window_channels
 );
 criterion_main!(benches);

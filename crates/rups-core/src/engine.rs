@@ -18,16 +18,17 @@
 //!   context (the sliding-side inputs of the FFT kernel);
 //! * per-`(len, end)` checking windows with their fixed-window sums and
 //!   memoised reversed spectra (the fixed-side inputs of the FFT kernel);
-//! * reusable scratch arenas (FFT work areas, conversion buffers, score
-//!   vectors), pooled so concurrent rayon queries allocate nothing in
-//!   steady state;
+//! * scratch arenas (FFT work areas, conversion buffers, score vectors)
+//!   from the process-wide pool of [`crate::syn_fast`], so concurrent rayon
+//!   queries allocate nothing in steady state;
 //! * a per-batch kernel choice — reference scan vs FFT/prefix-sum scan —
 //!   driven by context density and length.
 //!
-//! Scores are **bit-identical** to [`crate::syn::find_best_syn`] (reference
-//! kernel) and to [`crate::syn_fast::slide_scores_fast`] (FFT kernel): both
-//! kernels run the exact same arithmetic through shared helpers; the engine
-//! only changes *where* the inputs come from. Cache-hit and scratch-reuse
+//! On the reference kernel, results are **bit-identical** to
+//! [`crate::syn::find_syn_points`]: both run the same rolling scan and peak
+//! search; the engine only changes *where* the inputs come from. The FFT
+//! kernel agrees with it to floating-point rounding, and a warm engine
+//! answers bit for bit like a cold one. Cache-hit and scratch-reuse
 //! counters are exported via [`SynQueryEngine::stats`] for the bench
 //! harness.
 
@@ -40,12 +41,11 @@ use crate::resolve;
 use crate::syn::{self, SynPoint};
 use crate::syn_fast;
 use crate::window::CheckWindow;
-use rayon::prelude::*;
 use rups_obs::{Counter, Histogram, Registry, SpanArgs, SpanRecorder, TraceContext};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Which sliding-scan kernel a query (or batch of queries) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,9 +96,11 @@ pub struct EngineStats {
     pub window_hits: u64,
     /// Checking-window constructions (channel selection + fixed sums).
     pub window_misses: u64,
-    /// Scratch arenas reused from the pool.
+    /// Scratch arenas this engine's queries reused from the process-wide
+    /// pool.
     pub scratch_reuses: u64,
-    /// Scratch arenas freshly allocated.
+    /// Scratch arenas this engine's queries had to allocate because the
+    /// pool was empty.
     pub scratch_allocs: u64,
     /// Directed passes answered by the reference scan.
     pub reference_passes: u64,
@@ -331,10 +333,8 @@ struct WindowEntry {
     spectra: RwLock<HashMap<usize, Arc<Vec<Vec<Complex>>>>>,
 }
 
-/// Per-query scratch arena: every buffer a directed pass needs, reused
-/// across queries via the engine's pool. The dense-kernel buffers are the
-/// shared [`syn_fast::DenseScratch`] so the engine's FFT passes and the
-/// standalone entry points stage their work identically.
+/// Per-query scratch arena: every buffer a directed pass needs, popped from
+/// the process-wide pool of [`syn_fast::with_scratch`] for one query.
 type Scratch = syn_fast::DenseScratch;
 
 /// Caching, batching SYN-query engine (see the module docs).
@@ -350,7 +350,6 @@ pub struct SynQueryEngine {
     /// [`SynQueryEngine::set_context`].
     own_version: AtomicU64,
     windows: RwLock<WindowMemo>,
-    scratch: Mutex<Vec<Scratch>>,
     registry: Arc<Registry>,
     metrics: EngineMetrics,
     /// Span sink for the query stages, when attached (None costs one
@@ -394,7 +393,6 @@ impl SynQueryEngine {
             ctx: RwLock::new(None),
             own_version: AtomicU64::new(0),
             windows: RwLock::new(HashMap::new()),
-            scratch: Mutex::new(Vec::new()),
             registry,
             metrics,
             spans: None,
@@ -480,11 +478,17 @@ impl SynQueryEngine {
         ctx
     }
 
-    fn current_ctx(&self) -> Option<Arc<OwnContext>> {
+    /// The installed own context, or the error a query without one
+    /// reports.
+    pub(crate) fn own_context(&self) -> Result<Arc<OwnContext>, RupsError> {
         self.ctx
             .read()
             .expect("engine context lock poisoned")
             .clone()
+            .ok_or(RupsError::InsufficientContext {
+                available_m: 0,
+                required_m: self.cfg.min_window_len_m.max(2),
+            })
     }
 
     /// Snapshot of the cache/scratch/kernel counters, read straight off the
@@ -533,10 +537,8 @@ impl SynQueryEngine {
     /// context of `their_len` metres, given the installed own context
     /// ([`Kernel::Reference`] when none is installed).
     pub fn choose_kernel(&self, their_len: usize) -> Kernel {
-        match self.current_ctx() {
-            Some(ctx) => self.kernel_for(&ctx, their_len),
-            None => Kernel::Reference,
-        }
+        self.own_context()
+            .map_or(Kernel::Reference, |ctx| self.kernel_for(&ctx, their_len))
     }
 
     /// Density/length heuristic: the FFT scan costs `O(k·m log m)` with a
@@ -557,28 +559,17 @@ impl SynQueryEngine {
         }
     }
 
+    /// Runs `f` with an arena from the process-wide scratch pool, counting
+    /// the pop as a reuse or an allocation.
     fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
-        let popped = self
-            .scratch
-            .lock()
-            .expect("engine scratch lock poisoned")
-            .pop();
-        let mut s = match popped {
-            Some(s) => {
+        syn_fast::with_scratch(|s, reused| {
+            if reused {
                 self.metrics.scratch_reuses.inc();
-                s
-            }
-            None => {
+            } else {
                 self.metrics.scratch_allocs.inc();
-                Scratch::default()
             }
-        };
-        let r = f(&mut s);
-        self.scratch
-            .lock()
-            .expect("engine scratch lock poisoned")
-            .push(s);
-        r
+            f(s)
+        })
     }
 
     /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`
@@ -632,96 +623,24 @@ impl SynQueryEngine {
     /// bits) match [`crate::syn::find_syn_points`] run against the same
     /// interpolated context.
     pub fn find_syn_points(&self, theirs: &GsmTrajectory) -> Result<Vec<SynPoint>, RupsError> {
-        let ctx = self.current_ctx();
-        let kernel = match &ctx {
-            Some(c) => self.kernel_for(c, theirs.len()),
-            None => Kernel::Reference,
-        };
-        self.find_syn_points_in(ctx, theirs, kernel, false)
+        let ctx = self.own_context()?;
+        let kernel = self.kernel_for(&ctx, theirs.len());
+        self.query(&ctx, theirs, kernel, None, &mut 0)
     }
 
-    /// [`find_syn_points`](Self::find_syn_points) with an explicit kernel
-    /// and (for the reference kernel) rayon-parallel placement scoring.
+    /// [`find_syn_points`](Self::find_syn_points) with an explicit kernel.
     pub fn find_syn_points_with(
         &self,
         theirs: &GsmTrajectory,
         kernel: Kernel,
-        parallel: bool,
     ) -> Result<Vec<SynPoint>, RupsError> {
-        self.find_syn_points_in(self.current_ctx(), theirs, kernel, parallel)
+        let ctx = self.own_context()?;
+        self.query(&ctx, theirs, kernel, None, &mut 0)
     }
 
-    /// Best single SYN point (the first entry of the multi-SYN search, like
-    /// [`crate::syn::find_best_syn`] versus
-    /// [`crate::syn::find_syn_points`]).
-    pub fn find_best_syn(&self, theirs: &GsmTrajectory) -> Result<SynPoint, RupsError> {
-        self.find_syn_points(theirs).map(|pts| pts[0])
-    }
-
-    /// Full distance fix against one neighbour snapshot (SYN search +
-    /// resolution + aggregation), using the installed context.
-    pub fn fix(&self, neighbour: &ContextSnapshot) -> Result<DistanceFix, RupsError> {
-        let points = self.find_syn_points(&neighbour.gsm)?;
-        self.build_fix(self.context_len(), neighbour.gsm.len(), points)
-    }
-
-    /// Fixes distances to a whole epoch of neighbours in one rayon
-    /// work-stealing pass, preserving input order. The kernel is chosen
-    /// once per batch from the own-context density and the median
-    /// neighbour length; scratch arenas are pooled across the tasks.
-    pub fn fix_batch(&self, neighbours: &[ContextSnapshot]) -> Vec<Result<DistanceFix, RupsError>> {
-        match self.current_ctx() {
-            Some(ctx) => self.fix_batch_ctx(&ctx, neighbours),
-            None => neighbours
-                .iter()
-                .map(|_| {
-                    Err(RupsError::InsufficientContext {
-                        available_m: 0,
-                        required_m: self.cfg.min_window_len_m.max(2),
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn fix_batch_ctx(
-        &self,
-        ctx: &Arc<OwnContext>,
-        neighbours: &[ContextSnapshot],
-    ) -> Vec<Result<DistanceFix, RupsError>> {
-        self.fix_batch_ctx_diag(ctx, neighbours)
-            .into_iter()
-            .map(|(res, _)| res)
-            .collect()
-    }
-
-    /// [`fix_batch_ctx`](Self::fix_batch_ctx) that also returns per-query
-    /// [`QueryDiag`]s, feeding fix explainability in the pipeline.
-    pub(crate) fn fix_batch_ctx_diag(
-        &self,
-        ctx: &Arc<OwnContext>,
-        neighbours: &[ContextSnapshot],
-    ) -> Vec<(Result<DistanceFix, RupsError>, QueryDiag)> {
-        let kernel = self.batch_kernel(ctx, neighbours);
-        neighbours
-            .par_iter()
-            .map(|nb| {
-                let mut scanned = 0u32;
-                let res = self
-                    .query_ctx_counted(ctx, &nb.gsm, kernel, false, &mut scanned, nb.trace)
-                    .and_then(|points| self.build_fix(ctx.gsm.len(), nb.gsm.len(), points));
-                (
-                    res,
-                    QueryDiag {
-                        kernel,
-                        windows_scanned: scanned,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    fn batch_kernel(&self, ctx: &OwnContext, neighbours: &[ContextSnapshot]) -> Kernel {
+    /// The kernel for one batch of neighbours: chosen once from the
+    /// own-context density and the median neighbour length.
+    pub(crate) fn batch_kernel(&self, ctx: &OwnContext, neighbours: &[ContextSnapshot]) -> Kernel {
         if neighbours.is_empty() {
             return Kernel::Reference;
         }
@@ -730,6 +649,7 @@ impl SynQueryEngine {
         self.kernel_for(ctx, lens[lens.len() / 2])
     }
 
+    /// Resolves and aggregates a query's SYN points into a distance fix.
     pub(crate) fn build_fix(
         &self,
         ours_len: usize,
@@ -752,49 +672,21 @@ impl SynQueryEngine {
         })
     }
 
-    fn find_syn_points_in(
-        &self,
-        ctx: Option<Arc<OwnContext>>,
-        theirs: &GsmTrajectory,
-        kernel: Kernel,
-        parallel: bool,
-    ) -> Result<Vec<SynPoint>, RupsError> {
-        match ctx {
-            Some(ctx) => self.query_ctx(&ctx, theirs, kernel, parallel),
-            None => Err(RupsError::InsufficientContext {
-                available_m: 0,
-                required_m: self.cfg.min_window_len_m.max(2),
-            }),
-        }
-    }
-
-    /// The engine's replica of `syn::find_syn_points_impl`: identical
-    /// control flow (adaptive length, forward + perspective-swapped reverse
-    /// passes, threshold filtering, multi-SYN stride loop), with the own
-    /// side served from the cache.
-    pub(crate) fn query_ctx(
+    /// The engine's double-sliding multi-SYN search: the control flow of
+    /// [`crate::syn::find_syn_points`] (adaptive length, forward +
+    /// perspective-swapped reverse passes, threshold filtering, multi-SYN
+    /// stride loop), with the own side served from the cache. Counts the
+    /// directed passes it actually ran into `scanned`. When the neighbour
+    /// snapshot carried a [`TraceContext`] the `engine.query` span joins that
+    /// causal trace (its args gain `trace` + `clock` alongside the window
+    /// sizes).
+    pub(crate) fn query(
         &self,
         ctx: &OwnContext,
         theirs: &GsmTrajectory,
         kernel: Kernel,
-        parallel: bool,
-    ) -> Result<Vec<SynPoint>, RupsError> {
-        let mut scanned = 0u32;
-        self.query_ctx_counted(ctx, theirs, kernel, parallel, &mut scanned, None)
-    }
-
-    /// [`query_ctx`](Self::query_ctx) that counts the directed sliding
-    /// passes it actually ran into `scanned`. When the neighbour snapshot
-    /// carried a [`TraceContext`] the `engine.query` span joins that causal
-    /// trace (its args gain `trace` + `clock` alongside the window sizes).
-    pub(crate) fn query_ctx_counted(
-        &self,
-        ctx: &OwnContext,
-        theirs: &GsmTrajectory,
-        kernel: Kernel,
-        parallel: bool,
-        scanned: &mut u32,
         trace: Option<TraceContext>,
+        scanned: &mut u32,
     ) -> Result<Vec<SynPoint>, RupsError> {
         self.metrics.queries.inc();
         let _t = self.metrics.query_ns.start_timer();
@@ -825,19 +717,31 @@ impl SynQueryEngine {
             return Err(too_short());
         }
         self.with_scratch(|scratch| {
+            // Forward: an own window slid over their trajectory.
+            let fwd = |e: &WindowEntry, end: usize, scratch: &mut Scratch| {
+                self.directed(ctx, kernel, ours, end, theirs, &e.window, scratch, |s| {
+                    self.fft_peak_own_fixed(ctx, e, end, theirs, s)
+                })
+            };
+            // Reverse: their window slid over ours, swapped to our view.
+            let rev = |wnd: &CheckWindow, end: usize, scratch: &mut Scratch| {
+                self.directed(ctx, kernel, theirs, end, ours, wnd, scratch, |s| {
+                    self.fft_peak_their_fixed(ctx, wnd, end, theirs, s)
+                })
+                .map(syn::swap_perspective)
+            };
             // Most recent segment: the full double-sliding check.
             let entry = self
                 .window_entry(ctx, w, ours.len())
                 .ok_or_else(too_short)?;
             *scanned += 1;
-            let fwd = self.directed_fwd(ctx, &entry, ours.len(), theirs, kernel, parallel, scratch);
-            let rev = CheckWindow::with_len(theirs, &self.cfg, w, theirs.len())
-                .and_then(|wnd| {
+            let best_fwd = fwd(&entry, ours.len(), scratch);
+            let best_rev =
+                CheckWindow::with_len(theirs, &self.cfg, w, theirs.len()).and_then(|wnd| {
                     *scanned += 1;
-                    self.directed_rev(ctx, &wnd, theirs.len(), theirs, kernel, parallel, scratch)
-                })
-                .map(syn::swap_perspective);
-            let best = match syn::better_pass(fwd, rev) {
+                    rev(&wnd, theirs.len(), scratch)
+                });
+            let best = match syn::better_pass(best_fwd, best_rev) {
                 Some(b) => b,
                 None => {
                     return Err(RupsError::NoSynPoint {
@@ -853,19 +757,18 @@ impl SynQueryEngine {
                 });
             }
             let mut points = vec![best];
-            // Older segments, symmetrically (cf. syn::find_syn_points_impl).
+            // Older segments, symmetrically (cf. syn::find_syn_points).
             for s in 1..self.cfg.n_syn_points {
-                let fwd = ours
+                let older_fwd = ours
                     .len()
                     .checked_sub(s * self.cfg.syn_segment_stride_m)
                     .filter(|&end| end >= w)
                     .and_then(|end| self.window_entry(ctx, w, end).map(|e| (end, e)))
                     .and_then(|(end, e)| {
                         *scanned += 1;
-                        self.directed_fwd(ctx, &e, end, theirs, kernel, parallel, scratch)
-                            .filter(|p| p.score >= e.window.threshold)
+                        fwd(&e, end, scratch).filter(|p| p.score >= e.window.threshold)
                     });
-                let rev = theirs
+                let older_rev = theirs
                     .len()
                     .checked_sub(s * self.cfg.syn_segment_stride_m)
                     .filter(|&end| end >= w)
@@ -874,11 +777,9 @@ impl SynQueryEngine {
                     })
                     .and_then(|(end, wnd)| {
                         *scanned += 1;
-                        self.directed_rev(ctx, &wnd, end, theirs, kernel, parallel, scratch)
-                            .filter(|p| p.score >= wnd.threshold)
-                    })
-                    .map(syn::swap_perspective);
-                if let Some(p) = syn::better_pass(fwd, rev) {
+                        rev(&wnd, end, scratch).filter(|p| p.score >= wnd.threshold)
+                    });
+                if let Some(p) = syn::better_pass(older_fwd, older_rev) {
                     points.push(p);
                 }
             }
@@ -886,89 +787,32 @@ impl SynQueryEngine {
         })
     }
 
-    /// Forward directed pass: the own window `[end − w, end)` (cached
-    /// channels + fixed sums) slid over the neighbour trajectory.
+    /// One directed pass: the `fixed` window `[end − w, end)` slid over
+    /// `sliding`, returning the best placement from the `fixed` side's
+    /// perspective. On [`Kernel::Fft`] over a dense own context `fft` scans
+    /// it from the cached side's memos; when `fft` finds a non-finite
+    /// selected row (`None`), or on [`Kernel::Reference`], the rolling
+    /// reference scan of [`crate::syn`] runs instead.
     #[allow(clippy::too_many_arguments)]
-    fn directed_fwd(
+    fn directed(
         &self,
         ctx: &OwnContext,
-        entry: &WindowEntry,
-        end: usize,
-        theirs: &GsmTrajectory,
         kernel: Kernel,
-        parallel: bool,
-        scratch: &mut Scratch,
-    ) -> Option<SynPoint> {
-        let w = entry.window.len_m;
-        if end < w || theirs.len() < w {
-            return None;
-        }
-        let scan_t = self.metrics.kernel_scan_ns.start_timer();
-        let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let fft_peak = if kernel == Kernel::Fft && ctx.dense {
-            self.fft_peak_own_fixed(ctx, entry, end, theirs, scratch)
-        } else {
-            None
-        };
-        let best = match fft_peak {
-            Some(p) => {
-                self.metrics.fft_passes.inc();
-                p
-            }
-            None => {
-                if kernel == Kernel::Fft {
-                    self.metrics.fft_fallbacks.inc();
-                }
-                self.metrics.reference_passes.inc();
-                if parallel {
-                    scratch.scores =
-                        syn::slide_scores_parallel(&ctx.gsm, end - w, theirs, &entry.window);
-                } else {
-                    syn::slide_scores_into(
-                        &ctx.gsm,
-                        end - w,
-                        theirs,
-                        &entry.window,
-                        &mut scratch.scores,
-                    );
-                }
-                syn::peak(&scratch.scores)
-            }
-        };
-        drop(scan_t);
-        drop(scan_s);
-        let (j, score, refine) = best?;
-        Some(SynPoint {
-            self_end: end,
-            other_end: j + w,
-            refine_m: refine,
-            score,
-            window_len: w,
-        })
-    }
-
-    /// Reverse directed pass: the neighbour window `[end − w, end)` slid
-    /// over the own trajectory (cached rows + prefix sums). Returns the hit
-    /// from the *neighbour's* perspective; the caller swaps it.
-    #[allow(clippy::too_many_arguments)]
-    fn directed_rev(
-        &self,
-        ctx: &OwnContext,
+        fixed: &GsmTrajectory,
+        end: usize,
+        sliding: &GsmTrajectory,
         window: &CheckWindow,
-        end: usize,
-        theirs: &GsmTrajectory,
-        kernel: Kernel,
-        parallel: bool,
         scratch: &mut Scratch,
+        fft: impl FnOnce(&mut Scratch) -> Option<Option<(usize, f64, f64)>>,
     ) -> Option<SynPoint> {
         let w = window.len_m;
-        if end < w || ctx.gsm.len() < w {
+        if end < w || sliding.len() < w {
             return None;
         }
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
         let fft_peak = if kernel == Kernel::Fft && ctx.dense {
-            self.fft_peak_their_fixed(ctx, window, end, theirs, scratch)
+            fft(scratch)
         } else {
             None
         };
@@ -982,11 +826,7 @@ impl SynQueryEngine {
                     self.metrics.fft_fallbacks.inc();
                 }
                 self.metrics.reference_passes.inc();
-                if parallel {
-                    scratch.scores = syn::slide_scores_parallel(theirs, end - w, &ctx.gsm, window);
-                } else {
-                    syn::slide_scores_into(theirs, end - w, &ctx.gsm, window, &mut scratch.scores);
-                }
+                syn::slide_scores_into(fixed, end - w, sliding, window, scratch);
                 syn::peak(&scratch.scores)
             }
         };
@@ -1309,26 +1149,12 @@ mod tests {
         engine.set_context(&ours);
         let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
         let got = engine
-            .find_syn_points_with(&theirs, Kernel::Reference, false)
+            .find_syn_points_with(&theirs, Kernel::Reference)
             .unwrap();
         assert_eq!(expect.len(), got.len());
         for (e, g) in expect.iter().zip(&got) {
             assert_eq!(e, g, "engine must replicate the reference bit-for-bit");
         }
-    }
-
-    #[test]
-    fn fft_kernel_is_bit_identical_to_syn_fast_entry_point() {
-        let ours = traj(12, 0, 400, 24);
-        let theirs = traj(12, 55, 400, 24);
-        let c = cfg(24);
-        let engine = SynQueryEngine::new(c.clone());
-        engine.set_context(&ours);
-        let expect = syn::find_syn_points_fft(&ours, &theirs, &c).unwrap();
-        let got = engine
-            .find_syn_points_with(&theirs, Kernel::Fft, false)
-            .unwrap();
-        assert_eq!(expect, got);
     }
 
     #[test]
@@ -1348,32 +1174,9 @@ mod tests {
             s.window_hits > 0,
             "repeat queries must hit the window memo: {s:?}"
         );
-        assert_eq!(s.scratch_allocs, 1, "one scratch arena should suffice");
-        assert_eq!(s.scratch_reuses, 2);
-    }
-
-    #[test]
-    fn batch_matches_individual_queries() {
-        let ours = traj(14, 0, 350, 16);
-        let c = cfg(16);
-        let engine = SynQueryEngine::new(c);
-        engine.set_context(&ours);
-        let snaps: Vec<ContextSnapshot> = [25usize, 60, 90]
-            .iter()
-            .map(|&off| ContextSnapshot {
-                vehicle_id: Some(off as u64),
-                geo: crate::geo::GeoTrajectory::new(),
-                gsm: traj(14, off, 350, 16),
-                trace: None,
-            })
-            .collect();
-        let batch = engine.fix_batch(&snaps);
-        for (snap, fix) in snaps.iter().zip(&batch) {
-            let single = engine.fix(snap).unwrap();
-            let fix = fix.as_ref().unwrap();
-            assert_eq!(single.syn_points.len(), fix.syn_points.len());
-            assert!((single.distance_m - fix.distance_m).abs() < 1e-9);
-        }
+        // One pop from the process-wide pool per query; whether it reuses
+        // or allocates depends on what concurrently running tests hold.
+        assert_eq!(s.scratch_allocs + s.scratch_reuses, 3, "{s:?}");
     }
 
     #[test]
@@ -1400,14 +1203,20 @@ mod tests {
         };
         let engine = SynQueryEngine::new(c.clone());
         engine.set_context(&ours);
-        let got = engine
-            .find_syn_points_with(&theirs, Kernel::Fft, false)
-            .unwrap();
-        let expect = syn::find_syn_points_fft(&ours, &theirs, &c).unwrap();
-        assert_eq!(expect, got);
+        let got = engine.find_syn_points_with(&theirs, Kernel::Fft).unwrap();
+        let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
+        assert_eq!(expect.len(), got.len());
+        for (e, g) in expect.iter().zip(&got) {
+            assert_eq!(
+                e.self_end as i64 - e.other_end as i64,
+                g.self_end as i64 - g.other_end as i64
+            );
+            assert!((e.score - g.score).abs() < 1e-9, "{e:?} vs {g:?}");
+        }
+        let s = engine.stats();
         assert!(
-            engine.stats().fft_fallbacks > 0,
-            "NaN neighbour rows must trigger the reference fallback"
+            s.fft_fallbacks > 0 && s.fft_passes > 0,
+            "NaN neighbour rows must trigger the reference fallback per pass: {s:?}"
         );
     }
 

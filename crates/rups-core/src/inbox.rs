@@ -220,17 +220,7 @@ impl SnapshotInbox {
     /// Validates a snapshot against the thresholds at time `now_s` without
     /// storing it. Returns the newest-metre timestamp on success.
     pub fn validate(&self, snap: &ContextSnapshot, now_s: f64) -> Result<f64, RupsError> {
-        if snap.geo.len() != snap.gsm.len() {
-            return Err(RupsError::MalformedSnapshot(
-                "geo and gsm halves differ in length",
-            ));
-        }
-        if snap.gsm.n_channels() != self.cfg.n_channels {
-            return Err(RupsError::ChannelMismatch {
-                ours: self.cfg.n_channels,
-                theirs: snap.gsm.n_channels(),
-            });
-        }
+        snap.validate(self.cfg.n_channels)?;
         if snap.len() < self.cfg.min_context_m {
             return Err(RupsError::InsufficientContext {
                 available_m: snap.len(),

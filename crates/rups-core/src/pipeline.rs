@@ -9,7 +9,7 @@
 
 use crate::binding::{ScanSample, TrajectoryBinder};
 use crate::config::RupsConfig;
-use crate::engine::{EngineStats, QueryDiag, SynQueryEngine};
+use crate::engine::{EngineStats, Kernel, QueryDiag, SynQueryEngine};
 use crate::error::RupsError;
 use crate::geo::{GeoSample, GeoTrajectory};
 use crate::gsm::{GsmTrajectory, PowerVector};
@@ -18,6 +18,7 @@ use crate::quality::{assess, FixQuality, QualityConfig, QualityReport};
 use crate::report::{FixOutcome, FixReport};
 use crate::syn::SynPoint;
 use crate::tracker::{NeighbourTracker, TrackedFix};
+use rayon::prelude::*;
 use rups_obs::{Counter, FlightRecorder, Registry, SpanRecorder, TailSampler, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -60,6 +61,26 @@ impl ContextSnapshot {
     pub fn with_trace(mut self, trace: TraceContext) -> Self {
         self.trace = Some(trace);
         self
+    }
+
+    /// Structural validation a snapshot must pass before it can touch the
+    /// correlation kernels: aligned halves and `n_channels` channels (a
+    /// mismatched snapshot is trivial to produce via the wire codec, and
+    /// the anchored tracking path would otherwise feed it to
+    /// `correlation` with undefined results).
+    pub fn validate(&self, n_channels: usize) -> Result<(), RupsError> {
+        if self.geo.len() != self.gsm.len() {
+            return Err(RupsError::MalformedSnapshot(
+                "geo and gsm halves differ in length",
+            ));
+        }
+        if self.gsm.n_channels() != n_channels {
+            return Err(RupsError::ChannelMismatch {
+                ours: n_channels,
+                theirs: self.gsm.n_channels(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -376,8 +397,8 @@ impl RupsNode {
 
     /// The caching query engine backing every distance query, with its
     /// context cache synchronised to the node's current journey context.
-    /// Exposed so harnesses can inspect [`EngineStats`] or drive batched
-    /// queries directly.
+    /// Exposed so harnesses can inspect [`EngineStats`] or run
+    /// [`SynQueryEngine::find_syn_points`] directly.
     pub fn engine(&self) -> &SynQueryEngine {
         self.engine.ensure_context(self.context_version, &self.gsm);
         &self.engine
@@ -388,65 +409,15 @@ impl RupsNode {
         self.engine.stats()
     }
 
-    /// Structural validation every neighbour snapshot must pass before it
-    /// can touch the correlation kernels: aligned halves and a channel
-    /// count matching this node's configuration (a mismatched snapshot is
-    /// trivial to produce via the wire codec, and the anchored tracking
-    /// path would otherwise feed it to `correlation` with undefined
-    /// results).
-    fn validate_neighbour(&self, neighbour: &ContextSnapshot) -> Result<(), RupsError> {
-        if neighbour.geo.len() != neighbour.gsm.len() {
-            return Err(RupsError::MalformedSnapshot(
-                "geo and gsm halves differ in length",
-            ));
-        }
-        if neighbour.gsm.n_channels() != self.cfg.n_channels {
-            return Err(RupsError::ChannelMismatch {
-                ours: self.cfg.n_channels,
-                theirs: neighbour.gsm.n_channels(),
-            });
-        }
-        Ok(())
-    }
-
     /// Answers a relative-distance query against a neighbour snapshot: the
     /// full RUPS pipeline of seeking SYN points (§IV-D) and resolving /
-    /// aggregating the distance (§IV-E, §VI-C).
+    /// aggregating the distance (§IV-E, §VI-C). This is the batch path of
+    /// [`RupsNode::fix_distances_parallel`] run on one snapshot.
     ///
     /// Positive distances mean the neighbour is ahead.
     pub fn fix_distance(&self, neighbour: &ContextSnapshot) -> Result<DistanceFix, RupsError> {
-        self.fix_distance_impl(neighbour, false)
-    }
-
-    /// Like [`RupsNode::fix_distance`] but parallelises the sliding-window
-    /// search over the rayon pool — the right call for long contexts or
-    /// when servicing many neighbours at once.
-    pub fn fix_distance_parallel(
-        &self,
-        neighbour: &ContextSnapshot,
-    ) -> Result<DistanceFix, RupsError> {
-        self.fix_distance_impl(neighbour, true)
-    }
-
-    fn fix_distance_impl(
-        &self,
-        neighbour: &ContextSnapshot,
-        parallel: bool,
-    ) -> Result<DistanceFix, RupsError> {
-        self.validate_neighbour(neighbour)?;
-        let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
-        let kernel = self.engine.kernel_for(&ctx, neighbour.gsm.len());
-        let mut scanned = 0u32;
-        let points = self.engine.query_ctx_counted(
-            &ctx,
-            &neighbour.gsm,
-            kernel,
-            parallel,
-            &mut scanned,
-            neighbour.trace,
-        )?;
-        self.engine
-            .build_fix(ctx.gsm().len(), neighbour.gsm.len(), points)
+        let (mut out, _) = self.fix_batch(std::slice::from_ref(neighbour));
+        out.pop().expect("one result per snapshot").0
     }
 
     /// Continuous-tracking query (§V-B): like [`RupsNode::fix_distance`]
@@ -487,12 +458,9 @@ impl RupsNode {
         // Validate before touching tracker state: the anchored incremental
         // check slides channel indices straight over the neighbour rows
         // and must never see a mismatched snapshot.
-        self.validate_neighbour(neighbour)?;
-        // The engine's cached interpolated context replaces the per-query
-        // clone + interpolation this path used to pay; its full-search
-        // fallback also runs through the engine's caches.
-        let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
-        let engine = &self.engine;
+        neighbour.validate(self.cfg.n_channels)?;
+        // The tracker reads the own context from the engine's cache.
+        self.engine.ensure_context(self.context_version, &self.gsm);
         match neighbour.vehicle_id {
             Some(id) => {
                 let cfg = self.cfg.clone();
@@ -500,12 +468,9 @@ impl RupsNode {
                     .trackers
                     .entry(id)
                     .or_insert_with(|| NeighbourTracker::new(cfg));
-                tracker.update_via(engine, ctx.gsm(), &neighbour.gsm)
+                tracker.update(&self.engine, &neighbour.gsm)
             }
-            None => {
-                let mut one_shot = NeighbourTracker::new(self.cfg.clone());
-                one_shot.update_via(engine, ctx.gsm(), &neighbour.gsm)
-            }
+            None => NeighbourTracker::new(self.cfg.clone()).update(&self.engine, &neighbour.gsm),
         }
     }
 
@@ -529,28 +494,49 @@ impl RupsNode {
         &self,
         neighbours: &[ContextSnapshot],
     ) -> Vec<Result<DistanceFix, RupsError>> {
-        self.fix_distances_parallel_diag(neighbours)
+        self.fix_batch(neighbours)
             .0
             .into_iter()
             .map(|(res, _)| res)
             .collect()
     }
 
-    /// The batch path with per-query [`QueryDiag`]s, plus whether the own
-    /// context was served from the engine cache (false when this batch
-    /// forced a rebuild).
-    fn fix_distances_parallel_diag(&self, neighbours: &[ContextSnapshot]) -> (DiagBatch, bool) {
-        let rebuilds_before = self.engine.stats().context_rebuilds;
-        let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
-        let context_cached = self.engine.stats().context_rebuilds == rebuilds_before;
-        let mut out = self.engine.fix_batch_ctx_diag(&ctx, neighbours);
-        // Surface structural problems as their typed errors, preserving
-        // positions: the engine only reports what its kernels notice.
-        for (nb, slot) in neighbours.iter().zip(out.iter_mut()) {
-            if let Err(e) = self.validate_neighbour(nb) {
-                slot.0 = Err(e);
-            }
-        }
+    /// The one fix path, with per-query [`QueryDiag`]s, plus whether the
+    /// own context was served from the engine cache (false when this batch
+    /// forced a rebuild). Every snapshot is validated before it is
+    /// searched: one that fails keeps its typed error at its position and
+    /// costs no query, and a batch with nothing valid leaves the engine
+    /// untouched.
+    fn fix_batch(&self, neighbours: &[ContextSnapshot]) -> (DiagBatch, bool) {
+        let n = self.cfg.n_channels;
+        let engine = &self.engine;
+        let rebuilds_before = engine.stats().context_rebuilds;
+        let ctx = neighbours
+            .iter()
+            .any(|nb| nb.validate(n).is_ok())
+            .then(|| engine.ensure_context(self.context_version, &self.gsm));
+        let context_cached = engine.stats().context_rebuilds == rebuilds_before;
+        let kernel = ctx.as_ref().map_or(Kernel::Reference, |ctx| {
+            engine.batch_kernel(ctx, neighbours)
+        });
+        let out = neighbours
+            .par_iter()
+            .map(|nb| {
+                let mut scanned = 0u32;
+                let res = nb.validate(n).and_then(|()| {
+                    let ctx = ctx.as_ref().expect("a valid snapshot installs the context");
+                    let points = engine.query(ctx, &nb.gsm, kernel, nb.trace, &mut scanned)?;
+                    engine.build_fix(ctx.gsm().len(), nb.gsm.len(), points)
+                });
+                (
+                    res,
+                    QueryDiag {
+                        kernel,
+                        windows_scanned: scanned,
+                    },
+                )
+            })
+            .collect();
         (out, context_cached)
     }
 
@@ -570,7 +556,7 @@ impl RupsNode {
     ) -> Vec<(Option<u64>, Result<GradedFix, RupsError>)> {
         let fresh = inbox.fresh(now_s);
         let snaps: Vec<ContextSnapshot> = fresh.iter().map(|s| (*s).clone()).collect();
-        let (fixes, context_cached) = self.fix_distances_parallel_diag(&snaps);
+        let (fixes, context_cached) = self.fix_batch(&snaps);
         let out: Vec<(Option<u64>, Result<GradedFix, RupsError>)> = fresh
             .iter()
             .zip(fixes)
@@ -739,16 +725,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_agrees_with_sequential() {
+    fn batch_agrees_with_single_fixes() {
         let mut a = RupsNode::new(cfg());
-        let mut b = RupsNode::new(cfg());
-        drive(&mut a, 0, 300);
-        drive(&mut b, 40, 300);
-        let snap = b.snapshot(None);
-        let s = a.fix_distance(&snap).unwrap();
-        let p = a.fix_distance_parallel(&snap).unwrap();
-        assert_eq!(s.syn_points.len(), p.syn_points.len());
-        assert!((s.distance_m - p.distance_m).abs() < 1e-9);
+        drive(&mut a, 0, 350);
+        let snaps: Vec<ContextSnapshot> = [25usize, 60, 90]
+            .iter()
+            .map(|&off| {
+                let mut v = RupsNode::new(cfg());
+                drive(&mut v, off, 350);
+                v.snapshot(None)
+            })
+            .collect();
+        let batch = a.fix_distances_parallel(&snaps);
+        for (snap, fix) in snaps.iter().zip(&batch) {
+            assert_eq!(fix.as_ref().unwrap(), &a.fix_distance(snap).unwrap());
+        }
     }
 
     #[test]
@@ -959,17 +950,12 @@ mod tests {
         let mut a = RupsNode::new(cfg());
         drive(&mut a, 0, 400);
         let bad = mismatched_neighbour(70, 400, 16);
-        // Single-shot paths.
         assert!(matches!(
             a.fix_distance(&bad),
             Err(RupsError::ChannelMismatch {
                 ours: 32,
                 theirs: 16
             })
-        ));
-        assert!(matches!(
-            a.fix_distance_parallel(&bad),
-            Err(RupsError::ChannelMismatch { .. })
         ));
         // Tracked path: previously the anchored incremental re-query could
         // bypass the engine's check; validation now happens up front and no
@@ -1001,6 +987,26 @@ mod tests {
             a.tracked_fix(&bad),
             Err(RupsError::MalformedSnapshot(_))
         ));
+    }
+
+    #[test]
+    fn batch_rejects_bad_snapshots_before_searching_them() {
+        let mut a = RupsNode::new(cfg());
+        let mut b = RupsNode::new(cfg());
+        drive(&mut a, 0, 400);
+        drive(&mut b, 70, 400);
+        let mut misaligned = b.snapshot(None);
+        misaligned.geo = misaligned.geo.tail(300);
+        let snaps = vec![misaligned, mismatched_neighbour(70, 400, 16)];
+        let before = a.engine_stats();
+        let fixes = a.fix_distances_parallel(&snaps);
+        assert!(matches!(fixes[0], Err(RupsError::MalformedSnapshot(_))));
+        assert!(matches!(fixes[1], Err(RupsError::ChannelMismatch { .. })));
+        assert_eq!(
+            a.engine_stats(),
+            before,
+            "a rejected snapshot costs no search"
+        );
     }
 
     #[test]

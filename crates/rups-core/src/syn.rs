@@ -9,14 +9,16 @@
 //! placement with the maximum score wins, provided it clears the coherency
 //! threshold; otherwise the two trajectories are declared unrelated.
 //!
-//! The search over window placements is embarrassingly parallel; the
-//! `*_parallel` variants fan the placements out over rayon.
+//! [`find_best_syn`] and [`find_syn_points`] are the stand-alone search of
+//! record: the batched [`crate::engine::SynQueryEngine`], which every
+//! [`crate::pipeline::RupsNode`] fix runs through, is tested bit for bit
+//! against them.
 
 use crate::config::RupsConfig;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
+use crate::syn_fast::{self, DenseScratch};
 use crate::window::CheckWindow;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A matched pair of trajectory offsets.
@@ -60,14 +62,15 @@ pub fn slide_scores(
     sliding: &GsmTrajectory,
     window: &CheckWindow,
 ) -> Vec<f64> {
-    let mut out = Vec::new();
-    slide_scores_into(fixed, fixed_start, sliding, window, &mut out);
-    out
+    syn_fast::with_scratch(|s, _| {
+        slide_scores_into(fixed, fixed_start, sliding, window, s);
+        std::mem::take(&mut s.scores)
+    })
 }
 
-/// [`slide_scores`] writing into a caller-provided buffer so repeated passes
-/// (one per segment per neighbour) reuse one allocation. Results are
-/// identical to [`slide_scores`].
+/// [`slide_scores`] staged in the caller's scratch arena, leaving the scores
+/// in `s.scores`, so the engine's passes stage in the arena they already
+/// hold. Results are identical to [`slide_scores`].
 ///
 /// Dense (all-finite) inputs take the incremental rolling-statistics scan —
 /// window sums update in `O(1)` per placement instead of being recomputed,
@@ -79,17 +82,17 @@ pub(crate) fn slide_scores_into(
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
-    out: &mut Vec<f64>,
+    s: &mut DenseScratch,
 ) {
-    out.clear();
+    s.scores.clear();
     let w = window.len_m;
     if sliding.len() < w {
         return;
     }
-    if w > 0 && crate::syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, out) {
+    if w > 0 && syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, s) {
         return;
     }
-    slide_scores_reference_into(fixed, fixed_start, sliding, window, out);
+    slide_scores_reference_into(fixed, fixed_start, sliding, window, &mut s.scores);
 }
 
 /// The recompute-per-placement scan of record: every window placement
@@ -133,46 +136,6 @@ fn slide_scores_reference_into(
     }));
 }
 
-/// Parallel variant of [`slide_scores`]; placements are scored across the
-/// rayon pool. Results are identical.
-///
-/// Dense inputs dispatch to the same sequential rolling scan as
-/// [`slide_scores`] — it is already `O(1)` per placement, so forking the
-/// pool would cost more than it saves, and sharing the scan keeps the
-/// parallel scores bit-identical to the sequential ones. Sparse inputs fan
-/// the per-placement recomputation out over rayon.
-pub fn slide_scores_parallel(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Vec<f64> {
-    let w = window.len_m;
-    if sliding.len() < w {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    if w > 0
-        && crate::syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, &mut out)
-    {
-        return out;
-    }
-    let n_pos = sliding.len() - w + 1;
-    (0..n_pos)
-        .into_par_iter()
-        .map(|j| {
-            fixed
-                .correlation(
-                    fixed_start..fixed_start + w,
-                    sliding,
-                    j..j + w,
-                    Some(&window.channels),
-                )
-                .unwrap_or(f64::NAN)
-        })
-        .collect()
-}
-
 /// Correlation score of one fixed segment against window placements whose
 /// start index lies in `j_range` (clamped to the valid placement range).
 /// Entry `i` of the result corresponds to placement `j_range.start + i`.
@@ -208,8 +171,8 @@ pub fn slide_scores_range(
 
 /// Index and value of the maximum finite score, with parabolic sub-sample
 /// refinement of the peak position. `None` when every score is NaN.
-/// Shared with [`crate::engine`] so both search paths pick peaks
-/// identically.
+/// Shared with [`crate::engine`] so the engine and the search of record
+/// pick peaks identically.
 pub(crate) fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
@@ -275,8 +238,8 @@ pub(crate) const PASS_TIE_MARGIN: f64 = 1e-9;
 
 /// Picks between a forward-pass hit and a (already perspective-swapped)
 /// reverse-pass hit: the forward pass wins unless the reverse pass beats it
-/// by more than [`PASS_TIE_MARGIN`]. Shared with [`crate::engine`] so both
-/// search paths select identically.
+/// by more than [`PASS_TIE_MARGIN`]. Shared with [`crate::engine`] so the
+/// engine and the search of record select identically.
 pub(crate) fn better_pass(fwd: Option<SynPoint>, rev: Option<SynPoint>) -> Option<SynPoint> {
     match (fwd, rev) {
         (Some(f), Some(r)) => Some(if f.score >= r.score - PASS_TIE_MARGIN {
@@ -288,18 +251,6 @@ pub(crate) fn better_pass(fwd: Option<SynPoint>, rev: Option<SynPoint>) -> Optio
     }
 }
 
-/// How sliding-window placements are scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SearchMode {
-    /// Reference sequential scan (`O(mwk)`).
-    Sequential,
-    /// Placements fanned out over the rayon pool.
-    Parallel,
-    /// FFT/prefix-sum scan for dense contexts (`O(k·m log m)`), falling
-    /// back to the sequential scan when missing values are present.
-    Fft,
-}
-
 /// Runs one directed sliding pass: the window of `a` ending at `a_end` slid
 /// over all of `b`. Returns the best placement as a [`SynPoint`] (without
 /// threshold filtering), or `None` if nothing correlates at all.
@@ -308,22 +259,12 @@ fn directed_best(
     a_end: usize,
     b: &GsmTrajectory,
     window: &CheckWindow,
-    mode: SearchMode,
 ) -> Option<SynPoint> {
     let w = window.len_m;
     if a_end < w || b.len() < w {
         return None;
     }
-    let best = match mode {
-        SearchMode::Parallel => peak(&slide_scores_parallel(a, a_end - w, b, window)),
-        // Pruned peak search: skips the mean-profile correlation wherever
-        // the exact score upper bound cannot beat the running best, with a
-        // result bit-identical to peak-of-full-scan (see syn_fast).
-        SearchMode::Fft => crate::syn_fast::best_syn_fast(a, a_end - w, b, window)
-            .unwrap_or_else(|| peak(&slide_scores(a, a_end - w, b, window))),
-        SearchMode::Sequential => peak(&slide_scores(a, a_end - w, b, window)),
-    };
-    let (j, score, refine) = best?;
+    let (j, score, refine) = peak(&slide_scores(a, a_end - w, b, window))?;
     Some(SynPoint {
         self_end: a_end,
         other_end: j + w,
@@ -345,36 +286,6 @@ pub fn find_best_syn(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, SearchMode::Sequential)
-}
-
-/// Parallel variant of [`find_best_syn`] (placements scored across rayon).
-pub fn find_best_syn_parallel(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, SearchMode::Parallel)
-}
-
-/// FFT-accelerated variant of [`find_best_syn`]: `O(k·m log m)` per pass on
-/// dense (interpolated) contexts, transparently falling back to the
-/// reference scan when missing values remain. Scores match the reference to
-/// floating-point rounding (see [`crate::syn_fast`]).
-pub fn find_best_syn_fft(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, SearchMode::Fft)
-}
-
-fn find_best_syn_impl(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-    mode: SearchMode,
-) -> Result<SynPoint, RupsError> {
     if ours.n_channels() != theirs.n_channels() {
         return Err(RupsError::ChannelMismatch {
             ours: ours.n_channels(),
@@ -393,12 +304,12 @@ fn find_best_syn_impl(
     let window = CheckWindow::with_len(ours, cfg, len, ours.len()).ok_or_else(too_short)?;
 
     // Pass 1: our most recent window over their trajectory.
-    let fwd = directed_best(ours, ours.len(), theirs, &window, mode);
+    let fwd = directed_best(ours, ours.len(), theirs, &window);
     // Pass 2: their most recent window over our trajectory (window channels
     // re-selected from their context).
     let rev_window = CheckWindow::with_len(theirs, cfg, window.len_m, theirs.len());
     let rev = rev_window
-        .and_then(|wnd| directed_best(theirs, theirs.len(), ours, &wnd, mode))
+        .and_then(|wnd| directed_best(theirs, theirs.len(), ours, &wnd))
         // A reverse-pass hit anchors *their* end and a window on *us*; swap
         // roles so the SynPoint is always expressed from our perspective.
         .map(swap_perspective);
@@ -434,43 +345,9 @@ pub fn find_syn_points(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, SearchMode::Sequential)
-}
-
-/// Parallel variant of [`find_syn_points`].
-pub fn find_syn_points_parallel(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, SearchMode::Parallel)
-}
-
-/// FFT-accelerated variant of [`find_syn_points`] (see
-/// [`find_best_syn_fft`]).
-pub fn find_syn_points_fft(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, SearchMode::Fft)
-}
-
-fn find_syn_points_impl(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-    mode: SearchMode,
-) -> Result<Vec<SynPoint>, RupsError> {
-    if ours.n_channels() != theirs.n_channels() {
-        return Err(RupsError::ChannelMismatch {
-            ours: ours.n_channels(),
-            theirs: theirs.n_channels(),
-        });
-    }
     // The first (most recent) segment uses the full double-sliding check so
     // single-SYN behaviour is preserved.
-    let first = find_best_syn_impl(ours, theirs, cfg, mode)?;
+    let first = find_best_syn(ours, theirs, cfg)?;
     let mut points = vec![first];
     let w = first.window_len;
 
@@ -486,7 +363,7 @@ fn find_syn_points_impl(
             .filter(|&end| end >= w)
             .and_then(|end| CheckWindow::with_len(ours, cfg, w, end).map(|wnd| (end, wnd)))
             .and_then(|(end, wnd)| {
-                directed_best(ours, end, theirs, &wnd, mode).filter(|p| p.score >= wnd.threshold)
+                directed_best(ours, end, theirs, &wnd).filter(|p| p.score >= wnd.threshold)
             });
         let rev = theirs
             .len()
@@ -494,7 +371,7 @@ fn find_syn_points_impl(
             .filter(|&end| end >= w)
             .and_then(|end| CheckWindow::with_len(theirs, cfg, w, end).map(|wnd| (end, wnd)))
             .and_then(|(end, wnd)| {
-                directed_best(theirs, end, ours, &wnd, mode).filter(|p| p.score >= wnd.threshold)
+                directed_best(theirs, end, ours, &wnd).filter(|p| p.score >= wnd.threshold)
             })
             .map(swap_perspective);
         if let Some(p) = better_pass(fwd, rev) {
@@ -547,17 +424,6 @@ mod tests {
             "noise-free self-match should be near 2, got {}",
             p.score
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = road_traj(0, 300, 24);
-        let b = road_traj(45, 300, 24);
-        let ps = find_best_syn(&a, &b, &cfg(24)).unwrap();
-        let pp = find_best_syn_parallel(&a, &b, &cfg(24)).unwrap();
-        assert_eq!(ps.self_end, pp.self_end);
-        assert_eq!(ps.other_end, pp.other_end);
-        assert!((ps.score - pp.score).abs() < 1e-12);
     }
 
     #[test]
@@ -643,19 +509,6 @@ mod tests {
         // Most recent first.
         assert_eq!(pts[0].self_end, 500);
         assert!(pts.windows(2).all(|w| w[1].self_end < w[0].self_end));
-    }
-
-    #[test]
-    fn multi_syn_parallel_matches_sequential() {
-        let a = road_traj(0, 400, 16);
-        let b = road_traj(30, 400, 16);
-        let s = find_syn_points(&a, &b, &cfg(16)).unwrap();
-        let p = find_syn_points_parallel(&a, &b, &cfg(16)).unwrap();
-        assert_eq!(s.len(), p.len());
-        for (x, y) in s.iter().zip(&p) {
-            assert_eq!(x.self_end, y.self_end);
-            assert_eq!(x.other_end, y.other_end);
-        }
     }
 
     #[test]

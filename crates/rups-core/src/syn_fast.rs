@@ -20,11 +20,12 @@
 //! the current best (`combine_dense_peak`); the bound is exact, so the
 //! pruned argmax is bit-identical to the full scan.
 //!
-//! Scores match the reference implementation to floating-point rounding;
-//! the public entry points transparently fall back to the non-finite-aware
-//! reference path when a selected channel contains missing or corrupt
-//! values. All buffers come from a process-wide scratch pool
-//! (`with_scratch`), so steady-state passes allocate nothing.
+//! Scores match the reference implementation to floating-point rounding.
+//! The kernels refuse a pass whose selected channels carry missing or
+//! corrupt values, and their callers fall back to the non-finite-aware
+//! reference path. All buffers come from the one process-wide scratch pool
+//! (`with_scratch`), which the engine's queries stage in too, so
+//! steady-state passes allocate nothing.
 
 use crate::dsp::{self, Complex};
 use crate::gsm::GsmTrajectory;
@@ -32,9 +33,8 @@ use crate::stats::{self, PairSums};
 use crate::window::CheckWindow;
 use std::sync::{Mutex, OnceLock};
 
-/// Every buffer a dense directed pass needs, pooled via [`with_scratch`]
-/// (and embedded in the engine's per-query scratch arena) so repeated
-/// passes perform no allocation after warm-up.
+/// Every buffer a directed pass needs, pooled via [`with_scratch`] so
+/// repeated passes perform no allocation after warm-up.
 #[derive(Default)]
 pub(crate) struct DenseScratch {
     /// FFT work area shared by all transform calls.
@@ -88,15 +88,18 @@ fn scratch_pool() -> &'static Mutex<Vec<DenseScratch>> {
 }
 
 /// Runs `f` with a pooled [`DenseScratch`], returning the arena to the
-/// pool afterwards. The pool grows to the peak number of concurrent
-/// callers and never shrinks, so steady-state calls are allocation-free.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch) -> R) -> R {
+/// pool afterwards; `f`'s second argument says whether the arena was
+/// reused (`false`: freshly allocated). The pool grows to the peak number
+/// of concurrent callers and never shrinks, so steady-state calls are
+/// allocation-free.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R {
     let popped = scratch_pool()
         .lock()
         .expect("syn_fast scratch pool poisoned")
         .pop();
+    let reused = popped.is_some();
     let mut s = popped.unwrap_or_default();
-    let r = f(&mut s);
+    let r = f(&mut s, reused);
     scratch_pool()
         .lock()
         .expect("syn_fast scratch pool poisoned")
@@ -122,7 +125,7 @@ pub fn slide_scores_fast(
     }
     let n_pos = sliding.len() - w + 1;
     let k = window.channels.len();
-    with_scratch(|s| {
+    with_scratch(|s, _| {
         if !dense_pass(fixed, fixed_start, sliding, window, true, s) {
             return None;
         }
@@ -140,52 +143,18 @@ pub fn slide_scores_fast(
     })
 }
 
-/// Pruned fast pass: the best placement `(j, score, refine)` without
-/// materialising the score vector (see [`combine_dense_peak`]).
-///
-/// Outer `None` means a selected channel carried a non-finite value and
-/// the caller must fall back to the reference scan; inner `None` means the
-/// pass ran but every placement was undefined.
-pub(crate) fn best_syn_fast(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Option<Option<(usize, f64, f64)>> {
-    let w = window.len_m;
-    if sliding.len() < w || w == 0 {
-        return Some(None);
-    }
-    let n_pos = sliding.len() - w + 1;
-    let k = window.channels.len();
-    with_scratch(|s| {
-        if !dense_pass(fixed, fixed_start, sliding, window, true, s) {
-            return None;
-        }
-        let (peak, _pruned) = combine_dense_peak(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-        );
-        Some(peak)
-    })
-}
-
-/// Rolling-statistics dense scan with naive dot products, writing the full
-/// score vector into `out` — the production reference scan behind
+/// Rolling-statistics dense scan with naive dot products, appending the
+/// full score vector to `s.scores` — the production reference scan behind
 /// [`crate::syn::slide_scores`] for dense inputs. Returns `false` (and
-/// leaves `out` untouched) when a selected channel carries a non-finite
-/// value, in which case the caller runs the per-placement
+/// leaves `s.scores` untouched) when a selected channel carries a
+/// non-finite value, in which case the caller runs the per-placement
 /// recompute-of-record instead.
 pub(crate) fn dense_scores_naive_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
-    out: &mut Vec<f64>,
+    s: &mut DenseScratch,
 ) -> bool {
     let w = window.len_m;
     if sliding.len() < w || w == 0 {
@@ -193,21 +162,19 @@ pub(crate) fn dense_scores_naive_into(
     }
     let n_pos = sliding.len() - w + 1;
     let k = window.channels.len();
-    with_scratch(|s| {
-        if !dense_pass(fixed, fixed_start, sliding, window, false, s) {
-            return false;
-        }
-        combine_dense_scores(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-            out,
-        );
-        true
-    })
+    if !dense_pass(fixed, fixed_start, sliding, window, false, s) {
+        return false;
+    }
+    combine_dense_scores(
+        n_pos,
+        &s.mean_f,
+        &s.mean_s[..k],
+        &s.chan_sum,
+        &s.chan_n,
+        &mut s.profile,
+        &mut s.scores,
+    );
+    true
 }
 
 /// One dense directed pass: stages the selected channels pairwise, computes
@@ -532,7 +499,7 @@ mod tests {
     use super::*;
     use crate::config::RupsConfig;
     use crate::gsm::PowerVector;
-    use crate::syn::{self, find_best_syn, find_best_syn_fft};
+    use crate::syn;
     use crate::testfield;
 
     fn dense_traj(seed: u64, start: usize, len: usize, n_channels: usize) -> GsmTrajectory {
@@ -581,14 +548,11 @@ mod tests {
         let c = cfg(17);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let reference = syn::slide_scores_reference(&a, a.len() - w.len_m, &b, &w);
-        let mut rolling = Vec::new();
-        assert!(dense_scores_naive_into(
-            &a,
-            a.len() - w.len_m,
-            &b,
-            &w,
-            &mut rolling
-        ));
+        let rolling = with_scratch(|s, _| {
+            s.scores.clear();
+            assert!(dense_scores_naive_into(&a, a.len() - w.len_m, &b, &w, s));
+            s.scores.clone()
+        });
         assert_eq!(reference.len(), rolling.len());
         for (i, (r, f)) in reference.iter().zip(&rolling).enumerate() {
             match (r.is_nan(), f.is_nan()) {
@@ -613,7 +577,13 @@ mod tests {
             let w = CheckWindow::for_context(&a, &c).unwrap();
             let full = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
             let expect = syn::peak(&full);
-            let got = best_syn_fast(&a, a.len() - w.len_m, &b, &w).expect("dense");
+            let got = with_scratch(|s, _| {
+                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, true, s));
+                let k = w.channels.len();
+                let n_pos = b.len() - w.len_m + 1;
+                let (mf, ms) = (&s.mean_f, &s.mean_s[..k]);
+                combine_dense_peak(n_pos, mf, ms, &s.chan_sum, &s.chan_n, &mut s.profile).0
+            });
             match (expect, got) {
                 (Some((ei, es, er)), Some((gi, gs, gr))) => {
                     assert_eq!(ei, gi, "seed {seed}: pruned argmax diverged");
@@ -633,7 +603,7 @@ mod tests {
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let n_pos = b.len() - w.len_m + 1;
-        let pruned = with_scratch(|s| {
+        let pruned = with_scratch(|s, _| {
             assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, true, s));
             let k = w.channels.len();
             let (peak, pruned) = combine_dense_peak(
@@ -654,19 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn fft_entry_point_equals_reference_syn_point() {
-        let a = dense_traj(9, 0, 400, 24);
-        let b = dense_traj(9, 75, 400, 24);
-        let c = cfg(24);
-        let reference = find_best_syn(&a, &b, &c).unwrap();
-        let fast = find_best_syn_fft(&a, &b, &c).unwrap();
-        assert_eq!(reference.self_end, fast.self_end);
-        assert_eq!(reference.other_end, fast.other_end);
-        assert!((reference.score - fast.score).abs() < 1e-6);
-        assert!((reference.refine_m - fast.refine_m).abs() < 1e-4);
-    }
-
-    #[test]
     fn falls_back_on_missing_values() {
         let a = dense_traj(5, 0, 300, 16);
         let mut b = dense_traj(5, 50, 300, 16);
@@ -677,9 +634,8 @@ mod tests {
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         assert!(slide_scores_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        assert!(best_syn_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        // The public entry point still answers via the fallback.
-        let p = find_best_syn_fft(&a, &b, &c).unwrap();
+        // The search still answers via the reference scan.
+        let p = syn::find_best_syn(&a, &b, &c).unwrap();
         assert_eq!(p.self_end as i64 - p.other_end as i64, 50);
     }
 
@@ -696,14 +652,13 @@ mod tests {
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         assert!(slide_scores_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        let mut out = Vec::new();
-        assert!(!dense_scores_naive_into(
+        assert!(!with_scratch(|s, _| dense_scores_naive_into(
             &a,
             a.len() - w.len_m,
             &b,
             &w,
-            &mut out
-        ));
+            s
+        )));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::engine::SynQueryEngine;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
 use crate::resolve;
-use crate::syn::{self, slide_scores_range, SynPoint};
+use crate::syn::{slide_scores_range, SynPoint};
 use crate::window::CheckWindow;
 use serde::{Deserialize, Serialize};
 
@@ -79,64 +79,31 @@ impl NeighbourTracker {
         self.shift = None;
     }
 
-    /// Produces a fix for the current pair of (interpolated) contexts.
+    /// Produces a fix against the neighbour context `theirs`, matched
+    /// against the own context installed in `engine`.
     ///
     /// Runs the cheap anchored check when a shift is known, falling back to
-    /// the full multi-SYN search when unlocked or when the anchored check
-    /// loses the neighbour.
+    /// the engine's full multi-SYN search when unlocked or when the anchored
+    /// check loses the neighbour, so re-acquisition reuses the engine's
+    /// window memo and scratch pool.
+    /// [`crate::pipeline::RupsNode::tracked_fix`] calls this.
     pub fn update(
         &mut self,
-        ours: &GsmTrajectory,
-        theirs: &GsmTrajectory,
-    ) -> Result<TrackedFix, RupsError> {
-        if let Some(shift) = self.shift {
-            if let Some(fix) = self.incremental(ours, theirs, shift) {
-                self.shift = Some(fix.1);
-                return Ok(fix.0);
-            }
-        }
-        self.full(ours, theirs)
-    }
-
-    /// Like [`NeighbourTracker::update`] but routing the full-search
-    /// fallback through a [`SynQueryEngine`] whose installed context is
-    /// `ours`, so re-acquisition reuses the engine's window memo and
-    /// scratch pool. [`crate::pipeline::RupsNode::tracked_fix`] calls this.
-    pub fn update_via(
-        &mut self,
         engine: &SynQueryEngine,
-        ours: &GsmTrajectory,
         theirs: &GsmTrajectory,
     ) -> Result<TrackedFix, RupsError> {
+        let ctx = engine.own_context()?;
+        let ours = ctx.gsm();
         if let Some(shift) = self.shift {
-            if let Some(fix) = self.incremental(ours, theirs, shift) {
-                self.shift = Some(fix.1);
-                return Ok(fix.0);
+            if let Some((fix, shift)) = self.incremental(ours, theirs, shift) {
+                self.shift = Some(shift);
+                return Ok(fix);
             }
         }
-        let points = engine.find_syn_points(theirs)?;
-        self.adopt_full(points, ours.len(), theirs.len())
-    }
-
-    fn full(
-        &mut self,
-        ours: &GsmTrajectory,
-        theirs: &GsmTrajectory,
-    ) -> Result<TrackedFix, RupsError> {
-        let points = syn::find_syn_points(ours, theirs, &self.cfg)?;
-        self.adopt_full(points, ours.len(), theirs.len())
-    }
-
-    /// Resolves, aggregates and anchors the result of a full multi-SYN
-    /// search (shared by the standalone and the engine-backed paths).
-    fn adopt_full(
-        &mut self,
-        points: Vec<SynPoint>,
-        ours_len: usize,
-        theirs_len: usize,
-    ) -> Result<TrackedFix, RupsError> {
+        let kernel = engine.kernel_for(&ctx, theirs.len());
+        let points = engine.query(&ctx, theirs, kernel, None, &mut 0)?;
         let (distance_m, _) =
-            resolve::aggregate_distance(&points, ours_len, theirs_len, self.cfg.aggregation)?;
+            resolve::aggregate_distance(&points, ours.len(), theirs.len(), self.cfg.aggregation)?;
         let best = points
             .iter()
             .map(|p| p.score)
@@ -239,13 +206,20 @@ mod tests {
         }
     }
 
+    /// An engine holding `ours` as the own context.
+    fn engine(ours: &GsmTrajectory) -> SynQueryEngine {
+        let engine = SynQueryEngine::new(cfg());
+        engine.set_context(ours);
+        engine
+    }
+
     #[test]
     fn first_update_is_full_then_incremental() {
         let mut tracker = NeighbourTracker::new(cfg());
         assert!(!tracker.is_locked());
         let ours = traj(1, 0, 300, 16);
         let theirs = traj(1, 40, 300, 16);
-        let f0 = tracker.update(&ours, &theirs).unwrap();
+        let f0 = tracker.update(&engine(&ours), &theirs).unwrap();
         assert_eq!(f0.mode, TrackMode::Full);
         assert!((f0.distance_m - 40.0).abs() < 1.0);
         assert!(tracker.is_locked());
@@ -253,7 +227,7 @@ mod tests {
         // Both vehicles advance 10 m: same shift, incremental path.
         let ours2 = traj(1, 10, 300, 16);
         let theirs2 = traj(1, 50, 300, 16);
-        let f1 = tracker.update(&ours2, &theirs2).unwrap();
+        let f1 = tracker.update(&engine(&ours2), &theirs2).unwrap();
         assert_eq!(f1.mode, TrackMode::Incremental);
         assert!((f1.distance_m - 40.0).abs() < 1.0, "got {}", f1.distance_m);
     }
@@ -264,14 +238,14 @@ mod tests {
         let mut gap = 40i64;
         let ours = traj(2, 0, 300, 16);
         let theirs = traj(2, gap as usize, 300, 16);
-        tracker.update(&ours, &theirs).unwrap();
+        tracker.update(&engine(&ours), &theirs).unwrap();
         // The gap drifts by up to ±6 m between queries; the ±25 m slack
         // keeps the anchored check locked.
         for step in 0..10 {
             gap += if step % 2 == 0 { 6 } else { -3 };
             let ours = traj(2, step * 10, 300, 16);
             let theirs = traj(2, step * 10 + gap as usize, 300, 16);
-            let fix = tracker.update(&ours, &theirs).unwrap();
+            let fix = tracker.update(&engine(&ours), &theirs).unwrap();
             assert_eq!(fix.mode, TrackMode::Incremental, "step {step}");
             assert!(
                 (fix.distance_m - gap as f64).abs() < 1.0,
@@ -286,11 +260,11 @@ mod tests {
         let mut tracker = NeighbourTracker::new(cfg()).with_slack_m(10);
         let ours = traj(3, 0, 300, 16);
         let theirs = traj(3, 30, 300, 16);
-        tracker.update(&ours, &theirs).unwrap();
+        tracker.update(&engine(&ours), &theirs).unwrap();
         // The neighbour "jumps" 80 m (way outside the slack): the anchored
         // check fails and the full search re-acquires.
         let theirs_far = traj(3, 110, 300, 16);
-        let fix = tracker.update(&ours, &theirs_far).unwrap();
+        let fix = tracker.update(&engine(&ours), &theirs_far).unwrap();
         assert_eq!(fix.mode, TrackMode::Full);
         assert!(
             (fix.distance_m - 110.0).abs() < 1.0,
@@ -298,7 +272,9 @@ mod tests {
             fix.distance_m
         );
         // And the next small step is incremental again.
-        let fix = tracker.update(&ours, &traj(3, 112, 300, 16)).unwrap();
+        let fix = tracker
+            .update(&engine(&ours), &traj(3, 112, 300, 16))
+            .unwrap();
         assert_eq!(fix.mode, TrackMode::Incremental);
     }
 
@@ -308,7 +284,7 @@ mod tests {
         let ours = traj(4, 0, 300, 16);
         let theirs = traj(999, 0, 300, 16);
         assert!(matches!(
-            tracker.update(&ours, &theirs),
+            tracker.update(&engine(&ours), &theirs),
             Err(RupsError::NoSynPoint { .. })
         ));
         assert!(!tracker.is_locked());
@@ -319,10 +295,10 @@ mod tests {
         let mut tracker = NeighbourTracker::new(cfg());
         let ours = traj(5, 0, 300, 16);
         let theirs = traj(5, 20, 300, 16);
-        tracker.update(&ours, &theirs).unwrap();
+        tracker.update(&engine(&ours), &theirs).unwrap();
         tracker.reset();
         assert!(!tracker.is_locked());
-        let fix = tracker.update(&ours, &theirs).unwrap();
+        let fix = tracker.update(&engine(&ours), &theirs).unwrap();
         assert_eq!(fix.mode, TrackMode::Full);
     }
 }

@@ -1,12 +1,13 @@
 //! Differential property tests: the batched [`SynQueryEngine`] must be
-//! score-identical to the reference double-sliding searches in [`syn`] and
-//! to the FFT fast path entry points — on hits, misses and below-threshold
-//! cases alike.
+//! score-identical to the reference double-sliding search in [`syn`], and
+//! its FFT kernel must not depend on what its caches already hold — on
+//! hits, misses and below-threshold cases alike.
 //!
 //! The reference-kernel comparisons demand *bit* equality (the engine runs
-//! the very same `slide_scores`/`peak` code); the FFT-vs-reference
-//! comparisons allow a 1e-9 score tolerance, since the prefix-sum/FFT
-//! arithmetic legitimately reassociates floating-point sums.
+//! the very same `slide_scores`/`peak` code), and so does warm-vs-cold on
+//! the FFT kernel; the FFT-vs-reference comparisons allow a 1e-9 score
+//! tolerance, since the prefix-sum/FFT arithmetic legitimately
+//! reassociates floating-point sums.
 
 use proptest::prelude::*;
 use rups_core::engine::{Kernel, SynQueryEngine};
@@ -109,9 +110,9 @@ fn assert_close(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Engine + `Kernel::Reference` is bit-identical to both the sequential
-    // and the rayon-parallel reference searches, and the single-best entry
-    // points (`find_best_syn{,_parallel}`) agree with `points[0]`.
+    // Engine + `Kernel::Reference` is bit-identical to the reference
+    // search, and the single-best entry point `find_best_syn` agrees with
+    // `points[0]`.
     #[test]
     fn reference_kernel_is_bit_identical_to_syn(
         seed in 1u64..100_000,
@@ -124,37 +125,50 @@ proptest! {
         let engine = engine_for(&ours, &c);
 
         let seq = syn::find_syn_points(&ours, &theirs, &c);
-        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference, false);
-        prop_assert_eq!(&eng, &seq, "sequential reference mismatch");
-
-        let par = syn::find_syn_points_parallel(&ours, &theirs, &c);
-        let eng_par = engine.find_syn_points_with(&theirs, Kernel::Reference, true);
-        prop_assert_eq!(&eng_par, &par, "parallel reference mismatch");
-        prop_assert_eq!(&eng_par, &eng, "parallel vs sequential mismatch");
+        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference);
+        prop_assert_eq!(&eng, &seq, "reference mismatch");
 
         let best = syn::find_best_syn(&ours, &theirs, &c);
-        let best_par = syn::find_best_syn_parallel(&ours, &theirs, &c);
         let pts = eng.expect("overlapping synthetic fields must produce SYN points");
         prop_assert_eq!(best.unwrap(), pts[0], "find_best_syn disagrees");
-        prop_assert_eq!(best_par.unwrap(), pts[0], "find_best_syn_parallel disagrees");
     }
 
-    // Engine + `Kernel::Fft` is bit-identical to the standalone
-    // `find_syn_points_fft` fast path (both are built on `syn_fast`).
+    // Engine + `Kernel::Fft` answers bit for bit the same whether its
+    // window memo, fixed-side spectra and own sliding spectra were filled
+    // by another neighbour's query first (warm) or not (cold). Neighbours
+    // sit ahead of or behind the querier, so both the forward passes (own
+    // window spectra cached) and the reverse passes (own sliding spectra
+    // cached) decide some SYN points. An odd window narrower than the band
+    // makes windows pick different channel subsets, so a cached spectrum
+    // must be reused only for the exact channel pair it was packed from.
     #[test]
-    fn fft_kernel_is_bit_identical_to_syn_fast(
+    fn warm_fft_kernel_is_bit_identical_to_cold(
         seed in 1u64..100_000,
-        gap in 10usize..70,
+        start in 0usize..80,
+        other_start in 0usize..80,
         len in 230usize..300,
     ) {
-        let c = cfg();
-        let ours = traj(seed, 0, len);
-        let theirs = traj(seed, gap, len);
-        let engine = engine_for(&ours, &c);
+        let c = RupsConfig {
+            window_channels: 7,
+            ..cfg()
+        };
+        let ours = traj(seed, 40, len);
+        let theirs = traj(seed, start, len);
+        let cold = engine_for(&ours, &c);
+        let expect = cold.find_syn_points_with(&theirs, Kernel::Fft);
 
-        let fft = syn::find_syn_points_fft(&ours, &theirs, &c);
-        let eng = engine.find_syn_points_with(&theirs, Kernel::Fft, false);
-        prop_assert_eq!(&eng, &fft, "fft entry point mismatch");
+        // Warm up on a related neighbour and on one from another field,
+        // whose windows pick other channel subsets.
+        let warm = engine_for(&ours, &c);
+        for other in [traj(seed, other_start, len), traj(seed ^ 0x5eed, start, len)] {
+            let _ = warm.find_syn_points_with(&other, Kernel::Fft);
+        }
+        let before = warm.stats();
+        let got = warm.find_syn_points_with(&theirs, Kernel::Fft);
+        prop_assert_eq!(&got, &expect, "warm engine answers differently");
+        let d = warm.stats().delta(&before);
+        prop_assert!(d.window_hits > 0, "the second query must hit the window memo: {:?}", d);
+        prop_assert!(d.fft_passes > 0 && d.fft_fallbacks == 0, "FFT kernel must run: {:?}", d);
     }
 
     // The two engine kernels agree with each other within 1e-9 on the
@@ -170,8 +184,8 @@ proptest! {
         let theirs = traj(seed, gap, len);
         let engine = engine_for(&ours, &c);
 
-        let reference = engine.find_syn_points_with(&theirs, Kernel::Reference, false);
-        let fft = engine.find_syn_points_with(&theirs, Kernel::Fft, false);
+        let reference = engine.find_syn_points_with(&theirs, Kernel::Reference);
+        let fft = engine.find_syn_points_with(&theirs, Kernel::Fft);
         assert_close(&reference, &fft)?;
     }
 
@@ -188,7 +202,7 @@ proptest! {
         let engine = engine_for(&ours, &c);
 
         let seq = syn::find_syn_points(&ours, &theirs, &c);
-        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference, false);
+        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference);
         prop_assert_eq!(&eng, &seq, "reference miss mismatch");
         prop_assert!(
             matches!(eng, Err(RupsError::NoSynPoint { .. })),
@@ -201,7 +215,7 @@ proptest! {
             "find_best_syn miss mismatch"
         );
 
-        let fft = engine.find_syn_points_with(&theirs, Kernel::Fft, false);
+        let fft = engine.find_syn_points_with(&theirs, Kernel::Fft);
         assert_close(&eng, &fft)?;
     }
 }
@@ -217,6 +231,6 @@ fn auto_kernel_matches_its_explicit_choice() {
     let engine = engine_for(&ours, &c);
     let kernel = engine.choose_kernel(theirs.len());
     let auto = engine.find_syn_points(&theirs);
-    let explicit = engine.find_syn_points_with(&theirs, kernel, false);
+    let explicit = engine.find_syn_points_with(&theirs, kernel);
     assert_eq!(auto, explicit);
 }

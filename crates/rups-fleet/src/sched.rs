@@ -177,11 +177,13 @@ mod tests {
         let tasks: Vec<u32> = (0..64).collect();
         let (_, stats) = run_tasks(&tasks, 4, |&t| {
             if t < 16 {
-                // Busy-work only on the first worker's initial block.
-                (0..50_000u64).fold(t as u64, |a, x| a.wrapping_mul(31).wrapping_add(x))
-            } else {
-                t as u64
+                // Slow tasks only on the first worker's initial block. They
+                // sleep rather than spin: a spinning worker 0 on a 2-core
+                // host can finish its whole block before the other scoped
+                // threads start, and then steal every remaining task.
+                std::thread::sleep(std::time::Duration::from_millis(2));
             }
+            t as u64
         });
         assert!(stats.steals > 0, "expected steals, got {stats:?}");
         // The expensive block cannot all have stayed on worker 0.
