@@ -90,8 +90,9 @@ fn bench_n_syn_points(c: &mut Criterion) {
 /// §V-B tracking: the anchored incremental check vs a full search, the
 /// speedup that makes 10 Hz neighbour tracking affordable.
 fn bench_tracking_vs_full(c: &mut Criterion) {
-    use rups_core::engine::SynQueryEngine;
-    use rups_core::tracker::NeighbourTracker;
+    use rups_core::geo::GeoSample;
+    use rups_core::gsm::PowerVector;
+    use rups_core::pipeline::RupsNode;
     let mut g = c.benchmark_group("ablation/tracking");
     g.sample_size(10);
     let cfg = bench_config(64, 85, 45);
@@ -101,11 +102,22 @@ fn bench_tracking_vs_full(c: &mut Criterion) {
         bench.iter(|| black_box(find_syn_points(black_box(&a), black_box(&b), &cfg)))
     });
     g.bench_function("anchored_incremental", |bench| {
-        let engine = SynQueryEngine::new(cfg.clone());
-        engine.set_context(&a);
-        let mut tracker = NeighbourTracker::new(cfg.clone());
-        tracker.update(&engine, &b).unwrap(); // acquire once outside the loop
-        bench.iter(|| black_box(tracker.update(black_box(&engine), black_box(&b)).unwrap()))
+        let node_with = |t: &rups_core::gsm::GsmTrajectory, id: u64| {
+            let mut node = RupsNode::new(cfg.clone()).with_vehicle_id(id);
+            for i in 0..t.len() {
+                let geo = GeoSample {
+                    heading_rad: 0.0,
+                    timestamp_s: i as f64,
+                };
+                let pv = PowerVector::from_fn(t.n_channels(), |ch| t.get(ch, i));
+                node.append_metre(geo, &pv).unwrap();
+            }
+            node
+        };
+        let mut ours = node_with(&a, 1);
+        let theirs = node_with(&b, 2).snapshot(None);
+        ours.tracked_fix(&theirs).unwrap(); // acquire once outside the loop
+        bench.iter(|| black_box(ours.tracked_fix(black_box(&theirs)).unwrap()))
     });
     g.finish();
 }

@@ -31,6 +31,11 @@
 //! answers bit for bit like a cold one. Cache-hit and scratch-reuse
 //! counters are exported via [`SynQueryEngine::stats`] for the bench
 //! harness.
+//!
+//! The engine's one other pass is the anchored check behind
+//! [`crate::pipeline::RupsNode::tracked_fix`]: the newest own window from
+//! the same memo, rolled over only the ±[`ANCHOR_SLACK_M`] placements
+//! around a known SYN shift, and counted as a query like any other.
 
 use crate::config::RupsConfig;
 use crate::dsp::{self, Complex};
@@ -44,8 +49,14 @@ use crate::window::CheckWindow;
 use rups_obs::{Counter, Histogram, Registry, SpanArgs, SpanRecorder, TraceContext};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
+
+/// Placement slack (± metres) of the anchored check: how far a tracked
+/// neighbour's SYN shift may drift between two fixes before the full
+/// search has to re-acquire it.
+pub const ANCHOR_SLACK_M: usize = 25;
 
 /// Which sliding-scan kernel a query (or batch of queries) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -573,20 +584,30 @@ impl SynQueryEngine {
     }
 
     /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`
-    /// plus the FFT fixed-side sums for that placement.
+    /// plus the FFT fixed-side sums for that placement. Concurrent queries
+    /// of one batch build each placement once: a miss re-checks under the
+    /// write lock and builds while holding it.
     fn window_entry(&self, ctx: &OwnContext, len: usize, end: usize) -> Option<Arc<WindowEntry>> {
         let key = (len, end);
+        let hit = |e: &Option<Arc<WindowEntry>>| {
+            self.metrics.window_hits.inc();
+            if let Some(s) = &self.spans {
+                s.event("engine.window_hit");
+            }
+            e.clone()
+        };
         if let Some(e) = self
             .windows
             .read()
             .expect("engine window lock poisoned")
             .get(&key)
         {
-            self.metrics.window_hits.inc();
-            if let Some(s) = &self.spans {
-                s.event("engine.window_hit");
-            }
-            return e.clone();
+            return hit(e);
+        }
+        let mut windows = self.windows.write().expect("engine window lock poisoned");
+        // Double-check: another task may have built it while we waited.
+        if let Some(e) = windows.get(&key) {
+            return hit(e);
         }
         self.metrics.window_misses.inc();
         let _t = self.metrics.window_build_ns.start_timer();
@@ -607,10 +628,7 @@ impl SynQueryEngine {
                 spectra: RwLock::new(HashMap::new()),
             })
         });
-        self.windows
-            .write()
-            .expect("engine window lock poisoned")
-            .insert(key, entry.clone());
+        windows.insert(key, entry.clone());
         entry
     }
 
@@ -719,16 +737,16 @@ impl SynQueryEngine {
         self.with_scratch(|scratch| {
             // Forward: an own window slid over their trajectory.
             let fwd = |e: &WindowEntry, end: usize, scratch: &mut Scratch| {
-                self.directed(ctx, kernel, ours, end, theirs, &e.window, scratch, |s| {
-                    self.fft_peak_own_fixed(ctx, e, end, theirs, s)
-                })
+                let fft = |s: &mut Scratch| self.fft_peak_own_fixed(ctx, e, end, theirs, s);
+                let all = syn::ALL_PLACEMENTS;
+                self.directed(ctx, kernel, ours, end, theirs, &e.window, all, scratch, fft)
             };
             // Reverse: their window slid over ours, swapped to our view.
             let rev = |wnd: &CheckWindow, end: usize, scratch: &mut Scratch| {
-                self.directed(ctx, kernel, theirs, end, ours, wnd, scratch, |s| {
-                    self.fft_peak_their_fixed(ctx, wnd, end, theirs, s)
-                })
-                .map(syn::swap_perspective)
+                let fft = |s: &mut Scratch| self.fft_peak_their_fixed(ctx, wnd, end, theirs, s);
+                let all = syn::ALL_PLACEMENTS;
+                self.directed(ctx, kernel, theirs, end, ours, wnd, all, scratch, fft)
+                    .map(syn::swap_perspective)
             };
             // Most recent segment: the full double-sliding check.
             let entry = self
@@ -787,12 +805,46 @@ impl SynQueryEngine {
         })
     }
 
-    /// One directed pass: the `fixed` window `[end − w, end)` slid over
-    /// `sliding`, returning the best placement from the `fixed` side's
-    /// perspective. On [`Kernel::Fft`] over a dense own context `fft` scans
-    /// it from the cached side's memos; when `fft` finds a non-finite
-    /// selected row (`None`), or on [`Kernel::Reference`], the rolling
-    /// reference scan of [`crate::syn`] runs instead.
+    /// The anchored check of §V-B, counted, timed and spanned as one query:
+    /// our newest window (the one [`CheckWindow::for_context`] picks,
+    /// served from the window memo) slid only over the placements within
+    /// [`ANCHOR_SLACK_M`] of where the last SYN point put it on their
+    /// trajectory, `shift = self_end − other_end`. Returns the refined peak
+    /// when it clears the coherency threshold; `None` (the caller runs the
+    /// full search) when it does not, or when nothing is left to scan.
+    pub(crate) fn anchored(
+        &self,
+        ctx: &OwnContext,
+        theirs: &GsmTrajectory,
+        shift: i64,
+    ) -> Option<SynPoint> {
+        self.metrics.queries.inc();
+        let _t = self.metrics.query_ns.start_timer();
+        let _s = self.spans.as_ref().map(|s| s.span("engine.query"));
+        let ours = &ctx.gsm;
+        let w = self.cfg.window_len_m.min(ours.len());
+        if w < self.cfg.min_window_len_m.max(2) {
+            return None;
+        }
+        let window = &self.window_entry(ctx, w, ours.len())?.window;
+        // Last time our window sat at placement other_end − w on theirs.
+        let centre = ours.len() as i64 - shift - w as i64;
+        let slack = ANCHOR_SLACK_M as i64;
+        let js = (centre - slack).max(0) as usize..(centre + slack + 1).max(0) as usize;
+        let p = self.with_scratch(|s| {
+            let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| None);
+            self.directed(ctx, kernel, ours, ours.len(), theirs, window, js, s, no_fft)
+        })?;
+        (p.score >= window.threshold).then_some(p)
+    }
+
+    /// One directed pass: the `fixed` window `[end − w, end)` slid over the
+    /// `placements` of `sliding`, returning the best one from the `fixed`
+    /// side's perspective. On [`Kernel::Fft`] over a dense own context `fft`
+    /// scans it from the cached side's memos (every placement: FFT callers
+    /// pass [`syn::ALL_PLACEMENTS`]); when `fft` finds a non-finite selected
+    /// row (`None`), or on [`Kernel::Reference`], the rolling reference
+    /// scan of [`crate::syn`] runs instead.
     #[allow(clippy::too_many_arguments)]
     fn directed(
         &self,
@@ -802,6 +854,7 @@ impl SynQueryEngine {
         end: usize,
         sliding: &GsmTrajectory,
         window: &CheckWindow,
+        placements: Range<usize>,
         scratch: &mut Scratch,
         fft: impl FnOnce(&mut Scratch) -> Option<Option<(usize, f64, f64)>>,
     ) -> Option<SynPoint> {
@@ -826,8 +879,9 @@ impl SynQueryEngine {
                     self.metrics.fft_fallbacks.inc();
                 }
                 self.metrics.reference_passes.inc();
-                syn::slide_scores_into(fixed, end - w, sliding, window, scratch);
-                syn::peak(&scratch.scores)
+                let first = placements.start;
+                syn::slide_scores_into(fixed, end - w, sliding, window, placements, scratch);
+                syn::peak(&scratch.scores).map(|(j, score, refine)| (first + j, score, refine))
             }
         };
         drop(scan_t);

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::report::{default_flight_config, FixOutcome, FixReport};
     pub use crate::resolve::resolve_relative_distance;
     pub use crate::syn::{find_best_syn, find_syn_points, SynPoint};
-    pub use crate::tracker::{NeighbourTracker, TrackMode, TrackedFix};
+    pub use crate::tracker::{TrackMode, TrackedFix};
     pub use crate::window::CheckWindow;
 }
 

@@ -16,8 +16,9 @@ use crate::gsm::{GsmTrajectory, PowerVector};
 use crate::inbox::SnapshotInbox;
 use crate::quality::{assess, FixQuality, QualityConfig, QualityReport};
 use crate::report::{FixOutcome, FixReport};
+use crate::resolve;
 use crate::syn::SynPoint;
-use crate::tracker::{NeighbourTracker, TrackedFix};
+use crate::tracker::{TrackMode, TrackedFix};
 use rayon::prelude::*;
 use rups_obs::{Counter, FlightRecorder, Registry, SpanRecorder, TailSampler, TraceContext};
 use serde::{Deserialize, Serialize};
@@ -139,9 +140,9 @@ pub struct RupsNode {
     geo: GeoTrajectory,
     gsm: GsmTrajectory,
     binder: TrajectoryBinder,
-    /// Per-neighbour anchored-tracking state (§V-B), keyed by the
-    /// neighbour's vehicle id.
-    trackers: HashMap<u64, NeighbourTracker>,
+    /// Anchored-tracking state (§V-B): the SYN shift `self_end −
+    /// other_end` last fixed against each tracked neighbour id.
+    anchors: HashMap<u64, i64>,
     /// The caching/batching query engine every distance query runs through.
     engine: SynQueryEngine,
     /// Bumped on every context append; gates the engine's context cache.
@@ -179,7 +180,7 @@ impl Clone for RupsNode {
             geo: self.geo.clone(),
             gsm: self.gsm.clone(),
             binder: self.binder.clone(),
-            trackers: self.trackers.clone(),
+            anchors: self.anchors.clone(),
             engine: SynQueryEngine::with_registry(self.cfg.clone(), Arc::clone(&registry)),
             context_version: self.context_version,
             quality_counters: QualityCounters::register(&registry),
@@ -216,7 +217,7 @@ impl RupsNode {
             geo: GeoTrajectory::new(),
             gsm: GsmTrajectory::new(n),
             binder: TrajectoryBinder::new(n, f64::NEG_INFINITY),
-            trackers: HashMap::new(),
+            anchors: HashMap::new(),
             engine,
             context_version: 0,
             quality_counters: QualityCounters::register(&registry),
@@ -422,10 +423,12 @@ impl RupsNode {
 
     /// Continuous-tracking query (§V-B): like [`RupsNode::fix_distance`]
     /// but stateful per neighbour. The first query against a neighbour id
-    /// runs the full multi-SYN search; subsequent queries only verify and
-    /// refine the known SYN anchor within a small slack — a fraction of the
-    /// full cost, suitable for 10 Hz tracking. Falls back to the full
-    /// search automatically if the anchor is lost.
+    /// runs the full multi-SYN search and keeps the shift of its newest SYN
+    /// point as the anchor; subsequent queries run the engine's anchored
+    /// check, which only verifies and refines that anchor within
+    /// ±[`ANCHOR_SLACK_M`](crate::engine::ANCHOR_SLACK_M) metres — a
+    /// fraction of the full cost, suitable for 10 Hz tracking. When the
+    /// check loses the neighbour, the full search re-acquires it.
     ///
     /// Snapshots without a `vehicle_id` cannot be tracked and always take
     /// the full path.
@@ -455,34 +458,47 @@ impl RupsNode {
     /// assert!((second.distance_m - 45.0).abs() < 1.0);
     /// ```
     pub fn tracked_fix(&mut self, neighbour: &ContextSnapshot) -> Result<TrackedFix, RupsError> {
-        // Validate before touching tracker state: the anchored incremental
-        // check slides channel indices straight over the neighbour rows
-        // and must never see a mismatched snapshot.
+        // Validate first: the anchored check slides channel indices
+        // straight over the neighbour rows and must never see a
+        // mismatched snapshot.
         neighbour.validate(self.cfg.n_channels)?;
-        // The tracker reads the own context from the engine's cache.
-        self.engine.ensure_context(self.context_version, &self.gsm);
-        match neighbour.vehicle_id {
-            Some(id) => {
-                let cfg = self.cfg.clone();
-                let tracker = self
-                    .trackers
-                    .entry(id)
-                    .or_insert_with(|| NeighbourTracker::new(cfg));
-                tracker.update(&self.engine, &neighbour.gsm)
+        let shift = |p: &SynPoint| p.self_end as i64 - p.other_end as i64;
+        let anchor = neighbour
+            .vehicle_id
+            .and_then(|id| Some((id, *self.anchors.get(&id)?)));
+        if let Some((id, anchor)) = anchor {
+            let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
+            if let Some(p) = self.engine.anchored(&ctx, &neighbour.gsm, anchor) {
+                self.anchors.insert(id, shift(&p));
+                let len = ctx.gsm().len();
+                return Ok(TrackedFix {
+                    distance_m: resolve::resolve_relative_distance(&p, len, neighbour.len()),
+                    score: p.score,
+                    mode: TrackMode::Incremental,
+                });
             }
-            None => NeighbourTracker::new(self.cfg.clone()).update(&self.engine, &neighbour.gsm),
         }
+        let fix = self.fix_distance(neighbour)?;
+        if let Some(id) = neighbour.vehicle_id {
+            self.anchors.insert(id, shift(&fix.syn_points[0]));
+        }
+        Ok(TrackedFix {
+            distance_m: fix.distance_m,
+            score: fix.best_score,
+            mode: TrackMode::Full,
+        })
     }
 
     /// Drops the tracking anchor held for a neighbour (e.g. after it left
-    /// radio range). Returns whether state existed.
+    /// radio range), so its next tracked fix runs the full search. Returns
+    /// whether an anchor existed.
     pub fn forget_neighbour(&mut self, vehicle_id: u64) -> bool {
-        self.trackers.remove(&vehicle_id).is_some()
+        self.anchors.remove(&vehicle_id).is_some()
     }
 
-    /// Number of neighbours currently tracked.
+    /// Number of neighbours currently anchored.
     pub fn tracked_neighbours(&self) -> usize {
-        self.trackers.len()
+        self.anchors.len()
     }
 
     /// Fixes distances to many neighbours concurrently (one rayon task per
@@ -892,6 +908,186 @@ mod tests {
         let f2 = a.tracked_fix(&anon).unwrap();
         assert_eq!(f2.mode, TrackMode::Full);
         assert_eq!(a.tracked_neighbours(), 0);
+    }
+
+    /// A 16-channel node, every channel in the window, keeping
+    /// `context_m` metres.
+    fn tracking_node(context_m: usize) -> RupsNode {
+        RupsNode::new(RupsConfig {
+            n_channels: 16,
+            window_channels: 16,
+            max_context_m: context_m,
+            ..RupsConfig::default()
+        })
+    }
+
+    /// Appends road metres `road` of testfield `seed` to `node`.
+    fn drive_field(node: &mut RupsNode, seed: u64, road: std::ops::Range<usize>) {
+        for i in road {
+            let s = i as f64;
+            let geo = GeoSample {
+                heading_rad: 0.0,
+                timestamp_s: s,
+            };
+            let pv = PowerVector::from_fn(16, |ch| Some(crate::testfield::rssi(seed, s, ch)));
+            node.append_metre(geo, &pv).unwrap();
+        }
+    }
+
+    /// Vehicle `id`'s beacon: road metres `start..start + 300` of
+    /// testfield `seed`.
+    fn tracked_neighbour(seed: u64, start: usize, id: u64) -> ContextSnapshot {
+        let mut node = tracking_node(300).with_vehicle_id(id);
+        drive_field(&mut node, seed, start..start + 300);
+        node.snapshot(None)
+    }
+
+    #[test]
+    fn first_tracked_fix_is_full_then_incremental() {
+        use crate::tracker::TrackMode;
+        let mut ours = tracking_node(300);
+        drive_field(&mut ours, 1, 0..300);
+        assert_eq!(ours.tracked_neighbours(), 0);
+        let f0 = ours.tracked_fix(&tracked_neighbour(1, 40, 2)).unwrap();
+        assert_eq!(f0.mode, TrackMode::Full);
+        assert!((f0.distance_m - 40.0).abs() < 1.0);
+        assert_eq!(ours.tracked_neighbours(), 1);
+
+        // Both vehicles advance 10 m: same shift, incremental path.
+        drive_field(&mut ours, 1, 300..310);
+        let f1 = ours.tracked_fix(&tracked_neighbour(1, 50, 2)).unwrap();
+        assert_eq!(f1.mode, TrackMode::Incremental);
+        assert!((f1.distance_m - 40.0).abs() < 1.0, "got {}", f1.distance_m);
+    }
+
+    #[test]
+    fn tracked_fix_follows_a_changing_gap() {
+        use crate::tracker::TrackMode;
+        let mut ours = tracking_node(300);
+        drive_field(&mut ours, 2, 0..300);
+        let mut gap = 40usize;
+        ours.tracked_fix(&tracked_neighbour(2, gap, 2)).unwrap();
+        // The gap drifts by up to ±6 m between queries; the ±25 m slack
+        // keeps the anchored check locked.
+        for step in 0..10usize {
+            gap = if step % 2 == 0 { gap + 6 } else { gap - 3 };
+            if step > 0 {
+                drive_field(&mut ours, 2, step * 10 + 290..step * 10 + 300);
+            }
+            let fix = ours
+                .tracked_fix(&tracked_neighbour(2, step * 10 + gap, 2))
+                .unwrap();
+            assert_eq!(fix.mode, TrackMode::Incremental, "step {step}");
+            assert!(
+                (fix.distance_m - gap as f64).abs() < 1.0,
+                "step {step}: {}",
+                fix.distance_m
+            );
+        }
+    }
+
+    #[test]
+    fn losing_the_neighbour_falls_back_to_full_search() {
+        use crate::tracker::TrackMode;
+        let mut ours = tracking_node(300);
+        drive_field(&mut ours, 3, 0..300);
+        ours.tracked_fix(&tracked_neighbour(3, 30, 2)).unwrap();
+        // The neighbour "jumps" 80 m (way outside the slack): the anchored
+        // check fails and the full search re-acquires.
+        let fix = ours.tracked_fix(&tracked_neighbour(3, 110, 2)).unwrap();
+        assert_eq!(fix.mode, TrackMode::Full);
+        assert!(
+            (fix.distance_m - 110.0).abs() < 1.0,
+            "got {}",
+            fix.distance_m
+        );
+        // And the next small step is incremental again.
+        let fix = ours.tracked_fix(&tracked_neighbour(3, 112, 2)).unwrap();
+        assert_eq!(fix.mode, TrackMode::Incremental);
+    }
+
+    #[test]
+    fn unrelated_tracked_contexts_error_cleanly() {
+        let mut ours = tracking_node(300);
+        drive_field(&mut ours, 4, 0..300);
+        let mut theirs = tracking_node(300).with_vehicle_id(2);
+        drive_field(&mut theirs, 999, 0..300);
+        assert!(matches!(
+            ours.tracked_fix(&theirs.snapshot(None)),
+            Err(RupsError::NoSynPoint { .. })
+        ));
+        assert_eq!(ours.tracked_neighbours(), 0, "a miss holds no anchor");
+    }
+
+    #[test]
+    fn forgetting_a_neighbour_forces_full_search() {
+        use crate::tracker::TrackMode;
+        let mut ours = tracking_node(300);
+        drive_field(&mut ours, 5, 0..300);
+        let theirs = tracked_neighbour(5, 20, 2);
+        ours.tracked_fix(&theirs).unwrap();
+        assert!(ours.forget_neighbour(2));
+        assert_eq!(ours.tracked_neighbours(), 0);
+        let fix = ours.tracked_fix(&theirs).unwrap();
+        assert_eq!(fix.mode, TrackMode::Full);
+    }
+
+    #[test]
+    fn incremental_fixes_are_engine_queries() {
+        use crate::tracker::TrackMode;
+        let spans = Arc::new(SpanRecorder::new(4096));
+        let mut ours = tracking_node(300).with_span_recorder(Arc::clone(&spans));
+        drive_field(&mut ours, 6, 0..300);
+        let first = ours.tracked_fix(&tracked_neighbour(6, 40, 2)).unwrap();
+        assert_eq!(first.mode, TrackMode::Full);
+        // A new context version: the first anchored check builds today's
+        // window, every later one reads it from the memo.
+        drive_field(&mut ours, 6, 300..310);
+        let (mut mark, _) = spans.take_since(0);
+        for (i, gap) in [40usize, 42, 38].into_iter().enumerate() {
+            let before = ours.engine_stats();
+            let fix = ours
+                .tracked_fix(&tracked_neighbour(6, 10 + gap, 2))
+                .unwrap();
+            assert_eq!(fix.mode, TrackMode::Incremental, "fix {i}");
+            let d = ours.engine_stats().delta(&before);
+            assert_eq!((d.queries, d.reference_passes), (1, 1), "fix {i}: {d:?}");
+            assert_eq!(d.fft_passes, 0, "fix {i}: {d:?}");
+            let memo = if i == 0 { (0, 1) } else { (1, 0) };
+            assert_eq!((d.window_hits, d.window_misses), memo, "fix {i}: {d:?}");
+            let (next, new) = spans.take_since(mark);
+            mark = next;
+            let count = |name: &str| new.iter().filter(|r| r.name == name).count();
+            if cfg!(feature = "obs") {
+                assert_eq!(count("engine.query"), 1, "fix {i}");
+                assert_eq!(count("engine.kernel_scan"), 1, "fix {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_batch_builds_each_window_once() {
+        let mut a = RupsNode::new(cfg());
+        drive(&mut a, 0, 400);
+        let snaps: Vec<ContextSnapshot> = (0..8usize)
+            .map(|k| {
+                let mut v = RupsNode::new(cfg());
+                drive(&mut v, 30 + 5 * k, 400);
+                v.snapshot(None)
+            })
+            .collect();
+        let before = a.engine_stats();
+        let fixes = a.fix_distances_parallel(&snaps);
+        assert!(fixes.iter().all(|f| f.is_ok()));
+        let d = a.engine_stats().delta(&before);
+        // Equal lengths share one window length, so the own windows differ
+        // only in where the multi-SYN segments end.
+        let c = cfg();
+        let placements = (0..c.n_syn_points)
+            .filter(|s| s * c.syn_segment_stride_m + c.window_len_m <= 400)
+            .count() as u64;
+        assert_eq!(d.window_misses, placements, "{d:?}");
+        assert_eq!(d.window_hits, 7 * placements, "{d:?}");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::gsm::GsmTrajectory;
 use crate::syn_fast::{self, DenseScratch};
 use crate::window::CheckWindow;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A matched pair of trajectory offsets.
 ///
@@ -53,6 +54,10 @@ impl SynPoint {
     }
 }
 
+/// Every window placement: the range the full scans ask for (clamped to
+/// what the sliding trajectory offers).
+pub(crate) const ALL_PLACEMENTS: Range<usize> = 0..usize::MAX;
+
 /// Correlation score of one fixed segment against every window placement on
 /// `sliding`. Entry `j` of the result is the score of the `sliding` window
 /// ending at `w + j` (i.e. covering `[j, j + w)`); `NaN` where undefined.
@@ -63,36 +68,42 @@ pub fn slide_scores(
     window: &CheckWindow,
 ) -> Vec<f64> {
     syn_fast::with_scratch(|s, _| {
-        slide_scores_into(fixed, fixed_start, sliding, window, s);
+        slide_scores_into(fixed, fixed_start, sliding, window, ALL_PLACEMENTS, s);
         std::mem::take(&mut s.scores)
     })
 }
 
-/// [`slide_scores`] staged in the caller's scratch arena, leaving the scores
-/// in `s.scores`, so the engine's passes stage in the arena they already
-/// hold. Results are identical to [`slide_scores`].
+/// [`slide_scores`] over the placements in `placements` (clamped to the
+/// valid ones), staged in the caller's scratch arena: entry `i` of
+/// `s.scores` scores placement `placements.start + i`. The engine's full
+/// passes ask for every placement; its anchored check (§V-B) asks for the
+/// few around a known SYN shift.
 ///
 /// Dense (all-finite) inputs take the incremental rolling-statistics scan —
 /// window sums update in `O(1)` per placement instead of being recomputed,
 /// turning the `O(mwk)` pass into `O(mwk / w + mk)`-ish work dominated by
-/// the dot products. Inputs with missing or non-finite samples fall back to
-/// [`slide_scores_reference`], which handles partial windows.
+/// the dot products. Inputs with missing or non-finite samples in the
+/// scanned rows fall back to [`slide_scores_reference`], which handles
+/// partial windows.
 pub(crate) fn slide_scores_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
+    placements: Range<usize>,
     s: &mut DenseScratch,
 ) {
     s.scores.clear();
-    let w = window.len_m;
-    if sliding.len() < w {
+    let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
+    let js = placements.start.min(n_pos)..placements.end.min(n_pos);
+    if js.is_empty() {
         return;
     }
-    if w > 0 && syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, s) {
-        return;
+    let dense = window.len_m > 0
+        && syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, js.clone(), s);
+    if !dense {
+        slide_scores_reference_into(fixed, fixed_start, sliding, window, js, &mut s.scores);
     }
-    slide_scores_reference_into(fixed, fixed_start, sliding, window, &mut s.scores);
 }
 
 /// The recompute-per-placement scan of record: every window placement
@@ -107,24 +118,23 @@ pub fn slide_scores_reference(
     window: &CheckWindow,
 ) -> Vec<f64> {
     let mut out = Vec::new();
-    slide_scores_reference_into(fixed, fixed_start, sliding, window, &mut out);
+    let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
+    slide_scores_reference_into(fixed, fixed_start, sliding, window, 0..n_pos, &mut out);
     out
 }
 
+/// [`slide_scores_reference`] over the valid placements `js`.
 fn slide_scores_reference_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
+    js: Range<usize>,
     out: &mut Vec<f64>,
 ) {
-    out.clear();
     let w = window.len_m;
-    if sliding.len() < w {
-        return;
-    }
-    let n_pos = sliding.len() - w + 1;
-    out.extend((0..n_pos).map(|j| {
+    out.clear();
+    out.extend(js.map(|j| {
         fixed
             .correlation(
                 fixed_start..fixed_start + w,
@@ -136,44 +146,12 @@ fn slide_scores_reference_into(
     }));
 }
 
-/// Correlation score of one fixed segment against window placements whose
-/// start index lies in `j_range` (clamped to the valid placement range).
-/// Entry `i` of the result corresponds to placement `j_range.start + i`.
-/// Used by the tracking mode, which only re-checks placements near the
-/// previously established SYN shift (§V-B).
-pub fn slide_scores_range(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-    j_range: std::ops::Range<usize>,
-) -> Vec<f64> {
-    let w = window.len_m;
-    if sliding.len() < w {
-        return Vec::new();
-    }
-    let max_j = sliding.len() - w;
-    let lo = j_range.start.min(max_j + 1);
-    let hi = j_range.end.min(max_j + 1);
-    (lo..hi)
-        .map(|j| {
-            fixed
-                .correlation(
-                    fixed_start..fixed_start + w,
-                    sliding,
-                    j..j + w,
-                    Some(&window.channels),
-                )
-                .unwrap_or(f64::NAN)
-        })
-        .collect()
-}
-
-/// Index and value of the maximum finite score, with parabolic sub-sample
-/// refinement of the peak position. `None` when every score is NaN.
-/// Shared with [`crate::engine`] so the engine and the search of record
-/// pick peaks identically.
-pub(crate) fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
+/// Index and value of the maximum finite score (the first one on ties),
+/// with parabolic sub-sample refinement of the peak position, in
+/// `[-0.5, 0.5]` and 0 at either end of `scores`. `None` when every score
+/// is NaN. Every search path — the engine's full and anchored passes and
+/// the search of record — picks its peak here.
+pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
         if s.is_nan() {
@@ -530,28 +508,6 @@ mod tests {
         let (i, _, r) = peak(&scores).unwrap();
         assert_eq!(i, 0);
         assert_eq!(r, 0.0);
-    }
-
-    #[test]
-    fn slide_scores_range_matches_full_scan_on_its_window() {
-        let a = road_traj(0, 200, 16);
-        let b = road_traj(50, 200, 16);
-        let c = cfg(16);
-        let w = CheckWindow::for_context(&a, &c).unwrap();
-        let full = slide_scores(&a, 200 - w.len_m, &b, &w);
-        let ranged = slide_scores_range(&a, 200 - w.len_m, &b, &w, 20..40);
-        assert_eq!(ranged.len(), 20);
-        for (i, r) in ranged.iter().enumerate() {
-            // The full scan rolls its window sums incrementally while the
-            // ranged scan recomputes per placement, so agreement is to
-            // floating-point rounding rather than bit-exact.
-            assert!((full[20 + i] - r).abs() < 1e-9, "placement {}", 20 + i);
-        }
-        // Out-of-range windows clamp to the valid placements.
-        let tail = slide_scores_range(&a, 200 - w.len_m, &b, &w, 10_000..20_000);
-        assert!(tail.is_empty());
-        let clipped = slide_scores_range(&a, 200 - w.len_m, &b, &w, 0..usize::MAX);
-        assert_eq!(clipped.len(), full.len());
     }
 
     #[test]

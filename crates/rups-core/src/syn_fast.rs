@@ -31,6 +31,7 @@ use crate::dsp::{self, Complex};
 use crate::gsm::GsmTrajectory;
 use crate::stats::{self, PairSums};
 use crate::window::CheckWindow;
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 /// Every buffer a directed pass needs, pooled via [`with_scratch`] so
@@ -126,7 +127,7 @@ pub fn slide_scores_fast(
     let n_pos = sliding.len() - w + 1;
     let k = window.channels.len();
     with_scratch(|s, _| {
-        if !dense_pass(fixed, fixed_start, sliding, window, true, s) {
+        if !dense_pass(fixed, fixed_start, sliding, window, 0..n_pos, true, s) {
             return None;
         }
         let mut scores = Vec::with_capacity(n_pos);
@@ -143,26 +144,24 @@ pub fn slide_scores_fast(
     })
 }
 
-/// Rolling-statistics dense scan with naive dot products, appending the
-/// full score vector to `s.scores` — the production reference scan behind
+/// Rolling-statistics dense scan with naive dot products over the
+/// non-empty, valid window `placements`, appending one score per placement
+/// to `s.scores` — the production reference scan behind
 /// [`crate::syn::slide_scores`] for dense inputs. Returns `false` (and
 /// leaves `s.scores` untouched) when a selected channel carries a
-/// non-finite value, in which case the caller runs the per-placement
-/// recompute-of-record instead.
+/// non-finite value in the scanned rows, in which case the caller runs the
+/// per-placement recompute-of-record instead.
 pub(crate) fn dense_scores_naive_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
+    placements: Range<usize>,
     s: &mut DenseScratch,
 ) -> bool {
-    let w = window.len_m;
-    if sliding.len() < w || w == 0 {
-        return false;
-    }
-    let n_pos = sliding.len() - w + 1;
+    let n_pos = placements.len();
     let k = window.channels.len();
-    if !dense_pass(fixed, fixed_start, sliding, window, false, s) {
+    if !dense_pass(fixed, fixed_start, sliding, window, placements, false, s) {
         return false;
     }
     combine_dense_scores(
@@ -177,37 +176,44 @@ pub(crate) fn dense_scores_naive_into(
     true
 }
 
-/// One dense directed pass: stages the selected channels pairwise, computes
-/// their correlation lags (packed FFT when `use_fft`, a 4-lane naive dot
-/// otherwise), and accumulates the rolling per-placement statistics into
-/// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`.
+/// One dense directed pass over the non-empty, valid window `placements`:
+/// stages the selected channels pairwise (the sliding rows cut to the
+/// metres those placements cover), computes their correlation lags (packed
+/// FFT when `use_fft`, a 4-lane naive dot otherwise), and accumulates the
+/// rolling per-placement statistics into
+/// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`, whose entry `i` belongs
+/// to placement `placements.start + i`.
 ///
 /// Returns `false` without touching the accumulators' meaning when any
-/// selected row carries a non-finite value — the dense kernels assume
-/// full-support windows, and [`PairSums`] would otherwise silently skip
-/// samples the `n = w` shortcut still counts.
+/// selected row carries a non-finite value in the staged metres — the
+/// dense kernels assume full-support windows, and [`PairSums`] would
+/// otherwise silently skip samples the `n = w` shortcut still counts.
 pub(crate) fn dense_pass(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
+    placements: Range<usize>,
     use_fft: bool,
     s: &mut DenseScratch,
 ) -> bool {
     let w = window.len_m;
-    let n_pos = sliding.len() - w + 1;
+    let n_pos = placements.len();
+    let rows = placements.start..placements.end + w - 1;
     let k = window.channels.len();
     for &ch in &window.channels {
         if fixed.channel(ch)[fixed_start..fixed_start + w]
             .iter()
             .any(|v| !v.is_finite())
-            || sliding.channel(ch).iter().any(|v| !v.is_finite())
+            || sliding.channel(ch)[rows.clone()]
+                .iter()
+                .any(|v| !v.is_finite())
         {
             return false;
         }
     }
     s.prepare(n_pos, k);
-    let size = dsp::corr_fft_size(w, sliding.len());
+    let size = dsp::corr_fft_size(w, rows.len());
     let mut ci = 0usize;
     while ci < k {
         let cha = window.channels[ci];
@@ -220,7 +226,7 @@ pub(crate) fn dense_pass(
         );
         s.s64a.clear();
         s.s64a
-            .extend(sliding.channel(cha).iter().map(|&v| v as f64));
+            .extend(sliding.channel(cha)[rows.clone()].iter().map(|&v| v as f64));
         s.f64b.clear();
         s.s64b.clear();
         if let Some(chb) = chb {
@@ -230,7 +236,7 @@ pub(crate) fn dense_pass(
                     .map(|&v| v as f64),
             );
             s.s64b
-                .extend(sliding.channel(chb).iter().map(|&v| v as f64));
+                .extend(sliding.channel(chb)[rows.clone()].iter().map(|&v| v as f64));
         }
         if use_fft {
             dsp::real_spectra_pair_into(
@@ -550,7 +556,15 @@ mod tests {
         let reference = syn::slide_scores_reference(&a, a.len() - w.len_m, &b, &w);
         let rolling = with_scratch(|s, _| {
             s.scores.clear();
-            assert!(dense_scores_naive_into(&a, a.len() - w.len_m, &b, &w, s));
+            let n_pos = b.len() - w.len_m + 1;
+            assert!(dense_scores_naive_into(
+                &a,
+                a.len() - w.len_m,
+                &b,
+                &w,
+                0..n_pos,
+                s
+            ));
             s.scores.clone()
         });
         assert_eq!(reference.len(), rolling.len());
@@ -578,9 +592,9 @@ mod tests {
             let full = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
             let expect = syn::peak(&full);
             let got = with_scratch(|s, _| {
-                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, true, s));
-                let k = w.channels.len();
                 let n_pos = b.len() - w.len_m + 1;
+                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, true, s));
+                let k = w.channels.len();
                 let (mf, ms) = (&s.mean_f, &s.mean_s[..k]);
                 combine_dense_peak(n_pos, mf, ms, &s.chan_sum, &s.chan_n, &mut s.profile).0
             });
@@ -604,7 +618,7 @@ mod tests {
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let n_pos = b.len() - w.len_m + 1;
         let pruned = with_scratch(|s, _| {
-            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, true, s));
+            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, true, s));
             let k = w.channels.len();
             let (peak, pruned) = combine_dense_peak(
                 n_pos,
@@ -657,6 +671,7 @@ mod tests {
             a.len() - w.len_m,
             &b,
             &w,
+            0..b.len() - w.len_m + 1,
             s
         )));
     }

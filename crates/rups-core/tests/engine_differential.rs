@@ -7,13 +7,19 @@
 //! the very same `slide_scores`/`peak` code), and so does warm-vs-cold on
 //! the FFT kernel; the FFT-vs-reference comparisons allow a 1e-9 score
 //! tolerance, since the prefix-sum/FFT arithmetic legitimately
-//! reassociates floating-point sums.
+//! reassociates floating-point sums. The anchored check behind
+//! `RupsNode::tracked_fix` rolls its window sums where the recompute scan
+//! of record re-derives them, so it agrees with that scan to 1e-6.
 
 use proptest::prelude::*;
-use rups_core::engine::{Kernel, SynQueryEngine};
+use rups_core::engine::{Kernel, SynQueryEngine, ANCHOR_SLACK_M};
+use rups_core::geo::{GeoSample, GeoTrajectory};
 use rups_core::gsm::{GsmTrajectory, PowerVector};
+use rups_core::pipeline::{ContextSnapshot, RupsNode};
 use rups_core::syn::{self, SynPoint};
 use rups_core::testfield;
+use rups_core::tracker::TrackMode;
+use rups_core::window::CheckWindow;
 use rups_core::{RupsConfig, RupsError};
 
 const N_CHANNELS: usize = 12;
@@ -217,6 +223,196 @@ proptest! {
 
         let fft = engine.find_syn_points_with(&theirs, Kernel::Fft);
         assert_close(&eng, &fft)?;
+    }
+}
+
+/// Tolerance of the anchored check against the recompute scan of record:
+/// rolled and recomputed window sums of unquantised rows round apart.
+const ANCHORED_TOL: f64 = 1e-6;
+
+/// `t` rounded to the wire codec's 0.5 dB steps.
+fn quantised(t: &GsmTrajectory) -> GsmTrajectory {
+    GsmTrajectory::from_rows(
+        (0..t.n_channels())
+            .map(|ch| {
+                t.channel(ch)
+                    .iter()
+                    .map(|v| (v * 2.0).round() / 2.0)
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+/// Vehicle 2's beacon carrying `gsm`.
+fn beacon(gsm: GsmTrajectory) -> ContextSnapshot {
+    let mut geo = GeoTrajectory::new();
+    for i in 0..gsm.len() {
+        geo.push(GeoSample {
+            heading_rad: 0.0,
+            timestamp_s: i as f64,
+        });
+    }
+    ContextSnapshot {
+        vehicle_id: Some(2),
+        geo,
+        gsm,
+        trace: None,
+    }
+}
+
+/// A node whose own context is `ours`.
+fn node_for(ours: &GsmTrajectory, c: &RupsConfig) -> RupsNode {
+    let mut node = RupsNode::new(c.clone());
+    for i in 0..ours.len() {
+        let geo = GeoSample {
+            heading_rad: 0.0,
+            timestamp_s: i as f64,
+        };
+        let pv = PowerVector::from_fn(ours.n_channels(), |ch| ours.get(ch, i));
+        node.append_metre(geo, &pv).unwrap();
+    }
+    node
+}
+
+/// The anchored check of record: [`syn::peak`] over the recompute scan
+/// [`syn::slide_scores_reference`] cut to the ±[`ANCHOR_SLACK_M`]
+/// placements around `shift`, as `(distance_m, score)` when it clears the
+/// coherency threshold, plus the cut range.
+fn anchored_of_record(
+    ours: &GsmTrajectory,
+    theirs: &GsmTrajectory,
+    shift: i64,
+    c: &RupsConfig,
+) -> (Option<(f64, f64)>, std::ops::Range<usize>) {
+    let window = CheckWindow::for_context(ours, c).expect("own context fits a window");
+    let w = window.len_m;
+    let centre = ours.len() as i64 - shift - w as i64;
+    let slack = ANCHOR_SLACK_M as i64;
+    let scores = syn::slide_scores_reference(ours, ours.len() - w, theirs, &window);
+    let lo = ((centre - slack).max(0) as usize).min(scores.len());
+    let hi = ((centre + slack + 1).max(0) as usize).min(scores.len());
+    let fix = syn::peak(&scores[lo..hi])
+        .filter(|&(_, score, _)| score >= window.threshold)
+        .map(|(i, score, refine)| {
+            // Our newest metre matched their metre lo + i + w − 1 + refine.
+            let other_end = (lo + i + w) as f64 + refine;
+            (theirs.len() as f64 - other_end, score)
+        });
+    (fix, lo..hi)
+}
+
+/// Anchors a node on `anchor` (a full search), then tracks `theirs`: the
+/// fix must be the anchored check of record when that clears the
+/// threshold, and otherwise exactly what the full search answers.
+fn assert_anchored_matches_record(
+    ours: &GsmTrajectory,
+    anchor: &ContextSnapshot,
+    theirs: GsmTrajectory,
+    c: &RupsConfig,
+) -> Result<std::ops::Range<usize>, TestCaseError> {
+    let mut node = node_for(ours, c);
+    let full = node
+        .fix_distance(anchor)
+        .expect("the anchor neighbour overlaps");
+    let first = node.tracked_fix(anchor).unwrap();
+    prop_assert_eq!(first.mode, TrackMode::Full);
+    let p = full.syn_points[0];
+    let shift = p.self_end as i64 - p.other_end as i64;
+    let (record, range) = anchored_of_record(ours, &theirs, shift, c);
+    let snap = beacon(theirs);
+    let fallback = node.fix_distance(&snap);
+    let got = node.tracked_fix(&snap);
+    match (record, got) {
+        (Some((distance_m, score)), Ok(fix)) => {
+            prop_assert_eq!(fix.mode, TrackMode::Incremental);
+            prop_assert!(
+                (fix.distance_m - distance_m).abs() <= ANCHORED_TOL,
+                "placement or refinement diverge: {} vs record {}",
+                fix.distance_m,
+                distance_m
+            );
+            prop_assert!(
+                (fix.score - score).abs() <= ANCHORED_TOL,
+                "scores diverge: {} vs record {}",
+                fix.score,
+                score
+            );
+        }
+        (None, Ok(fix)) => {
+            prop_assert_eq!(fix.mode, TrackMode::Full);
+            let full = fallback.expect("the fallback fixed the neighbour");
+            prop_assert_eq!(fix.distance_m.to_bits(), full.distance_m.to_bits());
+            prop_assert_eq!(fix.score.to_bits(), full.best_score.to_bits());
+        }
+        (None, Err(e)) => prop_assert_eq!(Err(e), fallback.map(|_| ())),
+        (Some(r), Err(e)) => prop_assert!(false, "record fixed {:?}, tracker {:?}", r, e),
+    }
+    Ok(range)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // The anchored check behind `tracked_fix` picks the placement and
+    // refinement of the recompute scan of record over the anchored range,
+    // and its score agrees to 1e-6, in the middle of their trajectory, at
+    // either end of it and beyond it, on quantised and unquantised rows,
+    // and with a NaN in a selected channel inside the range.
+    #[test]
+    fn anchored_check_matches_the_scan_of_record(
+        seed in 1u64..100_000,
+        gap in 25usize..60,
+        far in 5usize..20,
+        drift in 0usize..40,
+        len in 280usize..320,
+        nan_at in 0usize..100,
+    ) {
+        let c = cfg();
+        let ours = traj(seed, 0, len);
+        let w = c.window_len_m;
+        let check = |anchor: &ContextSnapshot, theirs: GsmTrajectory| {
+            assert_anchored_matches_record(&ours, anchor, theirs, &c)
+        };
+        let anchored = |gap: usize| beacon(quantised(&traj(seed, gap, len)));
+        let near = anchored(gap);
+        // The neighbour drifted up to ±20 m since the anchor.
+        let moved = gap + drift - 20;
+        // Placement of our newest window at the anchored shift.
+        let centre = len - gap - w;
+
+        // Inside their trajectory, quantised as on the wire and not.
+        let range = check(&near, quantised(&traj(seed, moved, len)))?;
+        prop_assert_eq!(range.len(), 2 * ANCHOR_SLACK_M + 1);
+        check(&near, traj(seed, moved, len))?;
+
+        // Clamped at placement 0: a neighbour so far ahead that our window
+        // sits at placement `far` < 25 on its trajectory.
+        let far_gap = len - w - far;
+        let range = check(&anchored(far_gap), quantised(&traj(seed, far_gap + drift - 20, len)))?;
+        prop_assert!(range.start == 0 && range.len() < 2 * ANCHOR_SLACK_M + 1, "{:?}", range);
+
+        // Clamped at the last placement: their newest metres end near our
+        // window's expected placement.
+        let short = centre + w + drift / 2;
+        let range = check(&near, quantised(&traj(seed, moved, short)))?;
+        prop_assert!(range.end == short - w + 1 && range.start > 0, "{:?}", range);
+
+        // Wholly past their newest metre: no anchored fix, the full search
+        // answers.
+        let shorter = centre + w - ANCHOR_SLACK_M - 1 - drift;
+        let range = check(&near, quantised(&traj(seed, moved, shorter)))?;
+        prop_assert!(range.is_empty(), "{:?}", range);
+
+        // A NaN in a selected channel inside the range: the rolling scan
+        // refuses the rows and the per-placement scan runs.
+        let window = CheckWindow::for_context(&ours, &c).unwrap();
+        let theirs = quantised(&traj(seed, moved, len));
+        let mut rows: Vec<Vec<f32>> =
+            (0..N_CHANNELS).map(|ch| theirs.channel(ch).to_vec()).collect();
+        let ch = window.channels[nan_at % window.channels.len()];
+        rows[ch][centre - ANCHOR_SLACK_M + nan_at] = f32::NAN;
+        check(&near, GsmTrajectory::from_rows(rows))?;
     }
 }
 
