@@ -29,12 +29,9 @@ fn bench_fig09_radio_configs(c: &mut Criterion) {
 fn bench_fig10_aggregation(c: &mut Criterion) {
     let mut g = c.benchmark_group("accuracy/fig10_aggregation");
     g.sample_size(10);
-    let p = fig10::Params {
-        scale: bench_scale(),
-        ..fig10::quick_params()
-    };
+    let scale = bench_scale();
     g.bench_function("full_figure", |b| {
-        b.iter(|| black_box(fig10::run(black_box(&p))))
+        b.iter(|| black_box(fig10::run(black_box(&scale))))
     });
     g.finish();
 }

@@ -13,7 +13,6 @@ fn bench_fig01_spectrogram(c: &mut Criterion) {
     let p = fig01::Params {
         n_channels: 64,
         len_m: 120,
-        ..Default::default()
     };
     g.bench_function("two_roads_three_entries", |b| {
         b.iter(|| black_box(fig01::run(black_box(&p))))

@@ -239,9 +239,17 @@ impl RupsNode {
     /// engine counters under `rups_core_engine_*`, quality grades under
     /// `rups_core_quality_*`), so one registry can aggregate a node plus
     /// its V2V link and inbox into a single exported snapshot. Call before
-    /// driving queries: the engine is re-created, so its caches start cold.
+    /// driving queries: the engine is re-created, so its caches start cold;
+    /// a span recorder already attached stays attached.
+    ///
+    /// Metrics are per registry, not per node: every node rebound onto one
+    /// registry (each vehicle on a `rups-fleet` shard) shares its counters,
+    /// so [`RupsNode::engine_stats`] reports the registry's total.
     pub fn with_observability(mut self, registry: Arc<Registry>) -> Self {
         self.engine = SynQueryEngine::with_registry(self.cfg.clone(), Arc::clone(&registry));
+        if let Some(spans) = &self.spans {
+            self.engine.attach_spans(Arc::clone(spans));
+        }
         self.quality_counters = QualityCounters::register(&registry);
         self.registry = registry;
         self
@@ -405,7 +413,12 @@ impl RupsNode {
         &self.engine
     }
 
-    /// Cache-hit / scratch-reuse / kernel counters of the query engine.
+    /// Cache-hit / scratch-reuse / kernel counters of the query engine,
+    /// read from the `rups_core_engine_*` counters of this node's registry.
+    /// [`Registry::counter`] hands every engine on one registry the same
+    /// handles, so nodes sharing a registry (via
+    /// [`RupsNode::with_observability`]) each report the registry's total:
+    /// summing `engine_stats()` over them counts every query once per node.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine.stats()
     }
@@ -1030,6 +1043,38 @@ mod tests {
         assert_eq!(ours.tracked_neighbours(), 0);
         let fix = ours.tracked_fix(&theirs).unwrap();
         assert_eq!(fix.mode, TrackMode::Full);
+    }
+
+    #[test]
+    fn span_recorder_survives_either_builder_order() {
+        let theirs = tracked_neighbour(9, 45, 2);
+        let registry = || Arc::new(Registry::new());
+        for spans_first in [true, false] {
+            let spans = Arc::new(SpanRecorder::new(4096));
+            let node = tracking_node(300);
+            let mut ours = if spans_first {
+                node.with_span_recorder(Arc::clone(&spans))
+                    .with_observability(registry())
+            } else {
+                node.with_observability(registry())
+                    .with_span_recorder(Arc::clone(&spans))
+            };
+            drive_field(&mut ours, 9, 0..300);
+            let fix = ours.fix_distance(&theirs).unwrap();
+            assert!(
+                (fix.distance_m - 45.0).abs() < 1.0,
+                "got {}",
+                fix.distance_m
+            );
+            let queries = spans
+                .recent()
+                .iter()
+                .filter(|r| r.name == "engine.query")
+                .count();
+            if cfg!(feature = "obs") {
+                assert_eq!(queries, 1, "spans first: {spans_first}");
+            }
+        }
     }
 
     #[test]

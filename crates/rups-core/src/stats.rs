@@ -108,49 +108,6 @@ impl PairSums {
     }
 }
 
-/// Result of a single-pass mean/variance/covariance accumulation over the
-/// positions where both inputs are present (derived from [`PairSums`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairMoments {
-    /// Number of positions where both operands were present.
-    pub n: usize,
-    /// Mean of the first operand over the common support.
-    pub mean_a: f64,
-    /// Mean of the second operand over the common support.
-    pub mean_b: f64,
-    /// Sum of squared deviations of the first operand.
-    pub ss_a: f64,
-    /// Sum of squared deviations of the second operand.
-    pub ss_b: f64,
-    /// Sum of cross deviations.
-    pub ss_ab: f64,
-}
-
-/// Accumulates pairwise moments, ignoring any position where either value
-/// is `NaN`.
-pub fn pair_moments(a: &[f32], b: &[f32]) -> PairMoments {
-    let s = PairSums::accumulate(a, b);
-    if s.n == 0 {
-        return PairMoments {
-            n: 0,
-            mean_a: 0.0,
-            mean_b: 0.0,
-            ss_a: 0.0,
-            ss_b: 0.0,
-            ss_ab: 0.0,
-        };
-    }
-    let n = s.n as f64;
-    PairMoments {
-        n: s.n,
-        mean_a: s.sum_a / n,
-        mean_b: s.sum_b / n,
-        ss_a: s.sum_aa - s.sum_a * s.sum_a / n,
-        ss_b: s.sum_bb - s.sum_b * s.sum_b / n,
-        ss_ab: s.sum_ab - s.sum_a * s.sum_b / n,
-    }
-}
-
 /// Pearson's correlation coefficient (Eq. (1) of the paper) between two
 /// equal-length slices, computed over the positions where both are present.
 ///
@@ -522,7 +479,9 @@ mod tests {
         let b: Vec<f32> = (0..64)
             .map(|i| (i as f32 * 0.11).cos() * 15.0 - 60.0)
             .collect();
-        let m = pair_moments(&a, &b);
+        let s = PairSums::accumulate(&a, &b);
+        let (sum_mean_a, sum_mean_b) = s.means().unwrap();
+        let sum_ss_ab = s.sum_ab - s.sum_a * s.sum_b / s.n as f64;
         let na = a.len() as f64;
         let mean_a: f64 = a.iter().map(|&x| x as f64).sum::<f64>() / na;
         let mean_b: f64 = b.iter().map(|&x| x as f64).sum::<f64>() / na;
@@ -531,8 +490,8 @@ mod tests {
             .zip(&b)
             .map(|(&x, &y)| (x as f64 - mean_a) * (y as f64 - mean_b))
             .sum();
-        assert!((m.mean_a - mean_a).abs() < 1e-9);
-        assert!((m.mean_b - mean_b).abs() < 1e-9);
-        assert!((m.ss_ab - ss_ab).abs() < 1e-6);
+        assert!((sum_mean_a - mean_a).abs() < 1e-9);
+        assert!((sum_mean_b - mean_b).abs() < 1e-9);
+        assert!((sum_ss_ab - ss_ab).abs() < 1e-6);
     }
 }

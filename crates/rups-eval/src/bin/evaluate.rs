@@ -10,15 +10,18 @@
 //!            ext-scalability abl-window abl-channels
 //!            abl-interp   (default: all)
 //!   --quick  reduced scale (fast; for smoke runs and debug builds)
-//!   --json DIR  also write each figure as DIR/<id>.json
+//!   --json DIR  also write each figure as DIR/<id>.json, and the side
+//!               artefacts a figure returns beside it (an artefact named
+//!               <id>.json takes the figure's place)
 //! ```
+//!
+//! Without `--json` nothing is written.
 //!
 //! Run with `--release`: the accuracy experiments replay hundreds of
 //! queries over ~200-channel × 900 s traces.
 
-use rups_eval::figures::{self, EvalScale};
+use rups_eval::figures::{self, Artefact};
 use rups_eval::series::Figure;
-use std::io::Write as _;
 
 struct Args {
     quick: bool,
@@ -64,145 +67,52 @@ fn parse_args() -> Args {
     args
 }
 
-fn run_figure(id: &str, quick: bool, scale: EvalScale) -> Figure {
+/// `quick_params()` under `--quick`, the paper-scale default otherwise.
+fn preset<P: Default>(quick: bool, quick_params: fn() -> P) -> P {
+    if quick {
+        quick_params()
+    } else {
+        P::default()
+    }
+}
+
+/// Runs one figure: its series plus the side artefacts it hands back.
+fn run_figure(id: &str, quick: bool) -> (Figure, Vec<Artefact>) {
+    use figures::*;
+    let scale = &if quick {
+        EvalScale::quick()
+    } else {
+        EvalScale::paper()
+    };
+    let alone = |fig: Figure| (fig, Vec::new());
     match id {
-        "fig1" => {
-            let mut p = figures::fig01::Params::default();
-            if quick {
-                p.n_channels = 64;
-            }
-            figures::fig01::run(&p)
-        }
-        "fig2" => {
-            let p = if quick {
-                figures::fig02::quick_params()
-            } else {
-                figures::fig02::Params::default()
-            };
-            figures::fig02::run(&p)
-        }
-        "fig3" => {
-            let p = if quick {
-                figures::fig03::quick_params()
-            } else {
-                figures::fig03::Params::default()
-            };
-            figures::fig03::run(&p)
-        }
-        "fig4" => {
-            let p = if quick {
-                figures::fig04::quick_params()
-            } else {
-                figures::fig04::Params::default()
-            };
-            figures::fig04::run(&p)
-        }
-        "sec5a" => {
-            let p = if quick {
-                figures::cost::quick_params()
-            } else {
-                figures::cost::Params::default()
-            };
-            figures::cost::run(&p)
-        }
-        "sec5b" => {
-            let p = if quick {
-                figures::comm::quick_params()
-            } else {
-                figures::comm::Params::default()
-            };
-            figures::comm::run(&p)
-        }
-        "fig9" => figures::fig09::run(&figures::fig09::Params {
-            scale,
-            ..figures::fig09::Params::default()
-        }),
-        "fig10" => figures::fig10::run(&figures::fig10::Params {
-            scale,
-            ..figures::fig10::Params::default()
-        }),
-        "fig11" => figures::fig11::run(&figures::fig11::Params { scale }),
-        "fig12" => figures::fig12::run(&figures::fig12::Params { scale }),
-        "ext-diagnosis" => {
-            let p = if quick {
-                figures::ext_diagnosis::quick_params()
-            } else {
-                figures::ext_diagnosis::Params::default()
-            };
-            figures::ext_diagnosis::run(&p)
-        }
-        "ext-faults" => {
-            let p = if quick {
-                figures::ext_faults::quick_params()
-            } else {
-                figures::ext_faults::Params::default()
-            };
-            figures::ext_faults::run(&p)
-        }
-        "ext-fusion" => {
-            let p = if quick {
-                figures::ext_fusion::quick_params()
-            } else {
-                figures::ext_fusion::Params::default()
-            };
-            figures::ext_fusion::run(&p)
-        }
-        "ext-fpr" => {
-            let p = if quick {
-                figures::ext_fpr::quick_params()
-            } else {
-                figures::ext_fpr::Params::default()
-            };
-            figures::ext_fpr::run(&p)
-        }
+        "fig1" => alone(fig01::run(&preset(quick, fig01::quick_params))),
+        "fig2" => alone(fig02::run(&preset(quick, fig02::quick_params))),
+        "fig3" => alone(fig03::run(&preset(quick, fig03::quick_params))),
+        "fig4" => alone(fig04::run(&preset(quick, fig04::quick_params))),
+        "sec5a" => alone(cost::run(&preset(quick, cost::quick_params))),
+        "sec5b" => alone(comm::run(&preset(quick, comm::quick_params))),
+        "fig9" => alone(fig09::run(scale)),
+        "fig10" => alone(fig10::run(scale)),
+        "fig11" => alone(fig11::run(scale)),
+        "fig12" => alone(fig12::run(scale)),
+        "ext-diagnosis" => ext_diagnosis::run(scale),
+        "ext-faults" => alone(ext_faults::run(&preset(quick, ext_faults::quick_params))),
+        "ext-fusion" => alone(ext_fusion::run(&preset(quick, ext_fusion::quick_params))),
+        "ext-fpr" => alone(ext_fpr::run(&preset(quick, ext_fpr::quick_params))),
         "ext-fleet-observability" => {
-            let p = if quick {
-                figures::ext_fleet_observability::quick_params()
-            } else {
-                figures::ext_fleet_observability::Params::default()
-            };
-            figures::ext_fleet_observability::run(&p)
+            ext_fleet_observability::run(&preset(quick, ext_fleet_observability::quick_params))
         }
-        "ext-fleet-scale" => {
-            let p = if quick {
-                figures::ext_fleet_scale::quick_params()
-            } else {
-                figures::ext_fleet_scale::Params::default()
-            };
-            figures::ext_fleet_scale::run(&p)
-        }
+        "ext-fleet-scale" => ext_fleet_scale::run(&preset(quick, ext_fleet_scale::quick_params)),
         "ext-observability" => {
-            let p = if quick {
-                figures::ext_observability::quick_params()
-            } else {
-                figures::ext_observability::Params::default()
-            };
-            figures::ext_observability::run(&p)
+            ext_observability::run(&preset(quick, ext_observability::quick_params))
         }
-        "ext-multiband" => figures::ext_multiband::run(&figures::ext_multiband::Params {
-            scale,
-            ..figures::ext_multiband::Params::default()
-        }),
-        "ext-pedestrian" => figures::ext_pedestrian::run(&figures::ext_pedestrian::Params {
-            scale,
-            ..figures::ext_pedestrian::Params::default()
-        }),
-        "ext-scalability" => figures::ext_scalability::run(&figures::ext_scalability::Params {
-            scale,
-            ..figures::ext_scalability::Params::default()
-        }),
-        "abl-window" => figures::ablations::window_length(&figures::ablations::Params {
-            scale,
-            ..figures::ablations::Params::default()
-        }),
-        "abl-channels" => figures::ablations::channel_count(&figures::ablations::Params {
-            scale,
-            ..figures::ablations::Params::default()
-        }),
-        "abl-interp" => figures::ablations::interpolation(&figures::ablations::Params {
-            scale,
-            ..figures::ablations::Params::default()
-        }),
+        "ext-multiband" => alone(ext_multiband::run(scale)),
+        "ext-pedestrian" => alone(ext_pedestrian::run(scale)),
+        "ext-scalability" => alone(ext_scalability::run(scale)),
+        "abl-window" => alone(ablations::window_length(scale)),
+        "abl-channels" => alone(ablations::channel_count(scale)),
+        "abl-interp" => alone(ablations::interpolation(scale)),
         other => {
             eprintln!("unknown figure {other}");
             std::process::exit(2);
@@ -238,11 +148,6 @@ const ALL_FIGURES: [&str; 23] = [
 
 fn main() {
     let args = parse_args();
-    let scale = if args.quick {
-        EvalScale::quick()
-    } else {
-        EvalScale::paper()
-    };
 
     let selected: Vec<String> = if args.figures.is_empty() {
         ALL_FIGURES.iter().map(|s| s.to_string()).collect()
@@ -262,16 +167,23 @@ fn main() {
 
     for id in &selected {
         let t0 = std::time::Instant::now();
-        let fig = run_figure(id, args.quick, scale);
+        let (fig, artefacts) = run_figure(id, args.quick);
         let dt = t0.elapsed().as_secs_f64();
         println!("{}", fig.render_text(12));
         println!("   [{id} regenerated in {dt:.1} s]\n");
         if let Some(dir) = &args.json_dir {
-            let path = format!("{dir}/{id}.json");
-            let mut f = std::fs::File::create(&path).expect("create json file");
-            let json = serde_json::to_string_pretty(&fig).expect("serialize figure");
-            f.write_all(json.as_bytes()).expect("write json");
-            println!("   [wrote {path}]");
+            let figure_file = format!("{id}.json");
+            let mut files = Vec::new();
+            if !artefacts.iter().any(|a| a.file == figure_file) {
+                let json = serde_json::to_string_pretty(&fig).expect("serialize figure");
+                files.push((figure_file, json));
+            }
+            files.extend(artefacts.into_iter().map(|a| (a.file.to_string(), a.json)));
+            for (file, json) in files {
+                let path = format!("{dir}/{file}");
+                std::fs::write(&path, json).expect("write json");
+                println!("   [wrote {path}]");
+            }
         }
     }
 }

@@ -15,37 +15,12 @@ use crate::queries::{run_queries, sample_query_times, summarize_rde};
 use crate::series::{render_table, Figure, Series};
 use crate::tracegen::{generate, ScenarioTrace, TraceConfig};
 use rups_core::config::RupsConfig;
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters shared by the ablation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-    /// Road setting.
-    pub road: RoadClass,
-}
+/// Road setting of every ablation.
+const ROAD: RoadClass = RoadClass::Urban4Lane;
 
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            road: RoadClass::Urban4Lane,
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        ..Default::default()
-    }
-}
-
-fn base_trace(p: &Params, radios: usize) -> ScenarioTrace {
-    let s = &p.scale;
+fn base_trace(s: &EvalScale, radios: usize) -> ScenarioTrace {
     generate(&TraceConfig {
         n_channels: s.n_channels,
         scanned_channels: s.scanned_channels,
@@ -53,7 +28,7 @@ fn base_trace(p: &Params, radios: usize) -> ScenarioTrace {
         duration_s: s.duration_s,
         leader_radios: radios,
         follower_radios: radios,
-        ..TraceConfig::new(s.seed ^ 0xAB1A, p.road)
+        ..TraceConfig::new(s.seed ^ 0xAB1A, ROAD)
     })
 }
 
@@ -64,17 +39,17 @@ fn mean_and_rate(trace: &ScenarioTrace, cfg: &RupsConfig, scale: &EvalScale) -> 
 }
 
 /// Window-length accuracy sweep.
-pub fn window_length(p: &Params) -> Figure {
-    let trace = base_trace(p, 4);
+pub fn window_length(s: &EvalScale) -> Figure {
+    let trace = base_trace(s, 4);
     let mut x = Vec::new();
     let mut mean_y = Vec::new();
     let mut rate_y = Vec::new();
     for w in [25usize, 45, 65, 85, 120] {
         let cfg = RupsConfig {
             window_len_m: w,
-            ..p.scale.rups_config()
+            ..s.rups_config()
         };
-        let (mean, rate) = mean_and_rate(&trace, &cfg, &p.scale);
+        let (mean, rate) = mean_and_rate(&trace, &cfg, s);
         x.push(w as f64);
         mean_y.push(mean.unwrap_or(f64::NAN));
         rate_y.push(rate);
@@ -98,21 +73,21 @@ pub fn window_length(p: &Params) -> Figure {
 }
 
 /// Window-width (channel count) accuracy sweep.
-pub fn channel_count(p: &Params) -> Figure {
-    let trace = base_trace(p, 4);
+pub fn channel_count(s: &EvalScale) -> Figure {
+    let trace = base_trace(s, 4);
     let mut x = Vec::new();
     let mut mean_y = Vec::new();
     let mut rate_y = Vec::new();
-    let max_k = p.scale.n_channels;
+    let max_k = s.n_channels;
     for k in [6usize, 12, 24, 45, 90] {
         if k > max_k {
             break;
         }
         let cfg = RupsConfig {
             window_channels: k,
-            ..p.scale.rups_config()
+            ..s.rups_config()
         };
-        let (mean, rate) = mean_and_rate(&trace, &cfg, &p.scale);
+        let (mean, rate) = mean_and_rate(&trace, &cfg, s);
         x.push(k as f64);
         mean_y.push(mean.unwrap_or(f64::NAN));
         rate_y.push(rate);
@@ -135,17 +110,17 @@ pub fn channel_count(p: &Params) -> Figure {
 }
 
 /// Missing-channel interpolation on/off, at 1 and 4 radios.
-pub fn interpolation(p: &Params) -> Figure {
+pub fn interpolation(s: &EvalScale) -> Figure {
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for radios in [1usize, 4] {
-        let trace = base_trace(p, radios);
+        let trace = base_trace(s, radios);
         for interp in [true, false] {
             let cfg = RupsConfig {
                 interpolate_missing: interp,
-                ..p.scale.rups_config()
+                ..s.rups_config()
             };
-            let (mean, rate) = mean_and_rate(&trace, &cfg, &p.scale);
+            let (mean, rate) = mean_and_rate(&trace, &cfg, s);
             rows.push(vec![
                 format!("{radios} radio(s)"),
                 if interp { "interpolated" } else { "raw NaN" }.to_string(),
@@ -179,7 +154,7 @@ mod tests {
 
     #[test]
     fn window_sweep_produces_monotone_axes() {
-        let fig = window_length(&quick_params());
+        let fig = window_length(&EvalScale::quick());
         assert_eq!(fig.series.len(), 2);
         assert!(fig.series[0].x.windows(2).all(|w| w[0] < w[1]));
         // At least one window length answers queries at quick scale.
@@ -188,7 +163,7 @@ mod tests {
 
     #[test]
     fn wider_windows_do_not_destroy_answer_rates() {
-        let fig = channel_count(&quick_params());
+        let fig = channel_count(&EvalScale::quick());
         let rates = &fig.series[1].y;
         assert!(!rates.is_empty());
         let last = *rates.last().unwrap();
@@ -197,7 +172,7 @@ mod tests {
 
     #[test]
     fn interpolation_helps_single_radio_answer_rate() {
-        let fig = interpolation(&quick_params());
+        let fig = interpolation(&EvalScale::quick());
         // Rows: (1, on), (1, off), (4, on), (4, off); series carry (rate, mean).
         let rate = |i: usize| fig.series[i].x[0];
         assert!(

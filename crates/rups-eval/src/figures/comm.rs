@@ -16,6 +16,9 @@ use serde::{Deserialize, Serialize};
 use v2v_sim::tracking::TrackingSession;
 use v2v_sim::wsm::{exchange_time_s, WsmConfig};
 
+/// Vehicle speed for the tracking scenario, m/s.
+const SPEED_MPS: f64 = 10.0;
+
 /// Parameters of the §V-B communication measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Params {
@@ -23,8 +26,6 @@ pub struct Params {
     pub n_channels: usize,
     /// Context lengths to evaluate, metres.
     pub max_context_m: usize,
-    /// Vehicle speed for the tracking scenario, m/s.
-    pub speed_mps: f64,
     /// Tracking window length, seconds.
     pub tracking_secs: usize,
 }
@@ -34,7 +35,6 @@ impl Default for Params {
         Self {
             n_channels: 194,
             max_context_m: 1000,
-            speed_mps: 10.0,
             tracking_secs: 60,
         }
     }
@@ -46,7 +46,6 @@ pub fn quick_params() -> Params {
         n_channels: 48,
         max_context_m: 200,
         tracking_secs: 20,
-        ..Default::default()
     }
 }
 
@@ -90,14 +89,14 @@ pub fn run(p: &Params) -> Figure {
     }
 
     // Tracking: one full context then 10 Hz incremental updates while the
-    // vehicle adds `speed_mps` metres of trajectory per second.
+    // vehicle adds `SPEED_MPS` metres of trajectory per second.
     let mut session = TrackingSession::new(250);
     let full_len = p.max_context_m;
     let mut total_incremental_bytes = 0usize;
     let mut n_updates = 0usize;
     let mut first_full_bytes = 0usize;
     for sec in 0..=p.tracking_secs {
-        let len = full_len + (sec as f64 * p.speed_mps) as usize;
+        let len = full_len + (sec as f64 * SPEED_MPS) as usize;
         let snap = snapshot_of_len(len, p.n_channels);
         if let Some(update) = session.next_update(&snap) {
             if sec == 0 {

@@ -19,8 +19,8 @@
 //! | kernel slowdown  | one vehicle's engine histogram inflates     | `fix_p99_latency`           | engine |
 //!
 //! The acceptance claims, asserted by the in-module test and re-checked
-//! by CI from the committed artefact
-//! (`results/ext-diagnosis-report.json`):
+//! by CI from the report the figure returns (`ext-diagnosis-report.json`,
+//! written by `evaluate --json`):
 //!
 //! * zero alarms on the clean warmup segment before the first onset;
 //! * every fault detected within ≤ 3 aggregation windows of its onset;
@@ -37,8 +37,8 @@
 //! [`Alarm`]: rups_obs::Alarm
 //! [`diagnose`]: fn@rups_obs::diagnose
 
-use crate::figures::{results_path, write_json, EvalScale};
-use crate::rig::{tag_beacon, ConvoyRig, ConvoySpec};
+use crate::figures::{Artefact, EvalScale, CONVOY_CONTEXT_M, CONVOY_HORIZON_S, CONVOY_WARMUP_M};
+use crate::rig::{tag_beacon, ConvoyRig, ConvoySpec, SPAN_RING};
 use crate::series::{Figure, Series};
 use rups_core::geo::{GeoSample, GeoTrajectory};
 use rups_fuse::{FuseConfig, Fuser};
@@ -56,96 +56,61 @@ use v2v_sim::fault::FaultConfig;
 /// healthy diagnosis baseline).
 const DETECTION_HORIZON_W: u64 = 3;
 
-/// Parameters of the diagnosis run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs (duration, band width, master seed).
-    pub scale: EvalScale,
-    /// Convoy size (ids `1..=n`, id 1 is the fusion anchor).
-    pub n_vehicles: usize,
-    /// True gap between adjacent vehicles, metres.
-    pub gap_m: f64,
-    /// Journey context each vehicle beacons, metres.
-    pub context_m: usize,
-    /// Metres driven before the first beacon (context build-up).
-    pub warmup_m: usize,
-    /// Staleness horizon of each vehicle's inbox, seconds.
-    pub horizon_s: f64,
-    /// Seconds between fix/fuse epochs (beaconing stays at 1 Hz).
-    pub fix_stride_s: usize,
-    /// Seconds per fleet-aggregation window (= one detector observation).
-    pub window_stride_s: usize,
-    /// Healthy channel impairments (mild, i.i.d.; the staged faults are
-    /// injected on top).
-    pub base_faults: FaultConfig,
-    /// Capacity of each vehicle's span ring.
-    pub span_capacity: usize,
-    /// Vehicle whose *receiver* blacks out during the burst-loss fault.
-    pub burst_target: u64,
-    /// First window of the burst-loss fault.
-    pub burst_onset_w: u64,
-    /// First window *after* the burst-loss fault.
-    pub burst_clear_w: u64,
-    /// Vehicle whose clock jumps during the clock fault.
-    pub clock_target: u64,
-    /// First window of the clock fault.
-    pub clock_onset_w: u64,
-    /// First window *after* the clock fault.
-    pub clock_clear_w: u64,
-    /// Seconds the faulty clock falls behind (must exceed `horizon_s` so
-    /// receivers reject the beacons as stale).
-    pub clock_jump_s: f64,
-    /// Vehicle whose engine slows down during the slowdown fault.
-    pub engine_target: u64,
-    /// First window of the slowdown fault.
-    pub engine_onset_w: u64,
-    /// First window *after* the slowdown fault.
-    pub engine_clear_w: u64,
-    /// Simulated slow-query duration, nanoseconds.
-    pub engine_spike_ns: u64,
-    /// Slow queries injected per fix epoch while the slowdown is active.
-    pub engine_spikes_per_epoch: usize,
-    /// Where to write the diagnosis artefact JSON; `None` skips it.
-    pub out_path: Option<String>,
+/// Convoy size (ids `1..=n`, id 1 is the fusion anchor).
+const N_VEHICLES: usize = 6;
+/// True gap between adjacent vehicles, metres.
+const GAP_M: f64 = 40.0;
+/// Seconds between fix/fuse epochs (beaconing stays at 1 Hz).
+const FIX_STRIDE_S: u64 = 5;
+/// Seconds per fleet-aggregation window (= one detector observation).
+const WINDOW_STRIDE_S: usize = 20;
+/// Seconds the faulty clock falls behind (beyond the inbox horizon, so
+/// receivers reject the beacons as stale).
+const CLOCK_JUMP_S: f64 = 45.0;
+/// Simulated slow-query duration, nanoseconds.
+const ENGINE_SPIKE_NS: u64 = 2_000_000_000;
+/// Slow queries injected per fix epoch while the slowdown is active.
+const ENGINE_SPIKES_PER_EPOCH: usize = 8;
+
+/// One staged degradation: the vehicle and pipeline stage it hits, the
+/// detector binding expected to catch it, and its windows
+/// `[onset_w, clear_w)`.
+struct StagedFault {
+    name: &'static str,
+    detector: &'static str,
+    target: u64,
+    stage: Stage,
+    onset_w: u64,
+    clear_w: u64,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            n_vehicles: 6,
-            gap_m: 40.0,
-            context_m: 250,
-            warmup_m: 260,
-            horizon_s: 10.0,
-            fix_stride_s: 5,
-            window_stride_s: 20,
-            base_faults: FaultConfig::iid_loss(0.02),
-            span_capacity: 4096,
-            burst_target: 3,
-            burst_onset_w: 5,
-            burst_clear_w: 7,
-            clock_target: 4,
-            clock_onset_w: 7,
-            clock_clear_w: 9,
-            clock_jump_s: 45.0,
-            engine_target: 2,
-            engine_onset_w: 9,
-            engine_clear_w: 11,
-            engine_spike_ns: 2_000_000_000,
-            engine_spikes_per_epoch: 8,
-            out_path: Some(results_path("ext-diagnosis-report.json")),
-        }
-    }
-}
-
-/// Smaller run for tests and `--quick` smoke passes.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        ..Params::default()
-    }
-}
+/// Fault A: one vehicle's *receiver* blacks out.
+const BURST_LOSS: StagedFault = StagedFault {
+    name: "burst_loss_spike",
+    detector: "link_delivery_rate",
+    target: 3,
+    stage: Stage::Link,
+    onset_w: 5,
+    clear_w: 7,
+};
+/// Fault B: one vehicle's clock falls [`CLOCK_JUMP_S`] behind.
+const CLOCK_JUMP: StagedFault = StagedFault {
+    name: "clock_jump",
+    detector: "validation_rejection_rate",
+    target: 4,
+    stage: Stage::Beacon,
+    onset_w: 7,
+    clear_w: 9,
+};
+/// Fault C: one vehicle's engine slows down.
+const KERNEL_SLOWDOWN: StagedFault = StagedFault {
+    name: "kernel_slowdown",
+    detector: "fix_p99_latency",
+    target: 2,
+    stage: Stage::Engine,
+    onset_w: 9,
+    clear_w: 11,
+};
 
 /// One staged degradation: what was injected, what the detectors and the
 /// diagnoser concluded.
@@ -241,21 +206,21 @@ pub fn detectors() -> Vec<DetectorSpec> {
     specs
 }
 
-/// Runs the experiment, writing the artefact when a path is set.
-pub fn run(p: &Params) -> Figure {
-    let s = &p.scale;
-    let mut cfg = s.rups_config();
-    cfg.max_context_m = p.context_m + 150;
+/// Runs the experiment; returns the figure plus its diagnosis report.
+pub fn run(s: &EvalScale) -> (Figure, Vec<Artefact>) {
+    // Healthy channel impairments (mild, i.i.d.); the staged faults are
+    // injected on top.
+    let base_faults = FaultConfig::iid_loss(0.02);
     let mut rig = ConvoyRig::new(ConvoySpec {
-        cfg,
-        n_vehicles: p.n_vehicles,
-        gap_m: p.gap_m,
+        cfg: s.convoy_config(),
+        n_vehicles: N_VEHICLES,
+        gap_m: GAP_M,
         field_seed: s.seed ^ 0xD1A6,
-        context_m: p.context_m,
-        horizon_s: p.horizon_s,
-        faults: p.base_faults,
+        context_m: CONVOY_CONTEXT_M,
+        horizon_s: CONVOY_HORIZON_S,
+        faults: base_faults,
         link_seed: s.seed ^ 0xD1A6,
-        span_capacity: p.span_capacity,
+        span_capacity: SPAN_RING,
     });
     let anchor = &rig.vehicle(1).registry;
     let fuser = Fuser::new(FuseConfig {
@@ -267,13 +232,13 @@ pub fn run(p: &Params) -> Figure {
     anchor.gauge(CLOCK_OFFSET_GAUGE).set(0.0);
     let mut bank = DetectorBank::new(detectors()).with_registry(anchor);
 
-    let stride = p.window_stride_s as u64;
+    let stride = WINDOW_STRIDE_S as u64;
     // A fault spanning windows [onset, clear) is active at the metres
     // whose window delta closes inside that range (windows close *after*
     // the metre's traffic, so the boundary metre belongs to the window
     // being emitted, not the next one).
-    let active = |epoch_m: u64, onset_w: u64, clear_w: u64| -> bool {
-        epoch_m > onset_w * stride && epoch_m <= clear_w * stride
+    let active = |f: &StagedFault, epoch_m: u64| -> bool {
+        epoch_m > f.onset_w * stride && epoch_m <= f.clear_w * stride
     };
     let blackout = FaultConfig::iid_loss(1.0);
     let mut blackout_on = false;
@@ -291,26 +256,26 @@ pub fn run(p: &Params) -> Figure {
     let mut reports: Vec<DiagnosisReport> = Vec::new();
     let mut timeline: Vec<WindowRow> = Vec::new();
 
-    let total_m = p.warmup_m + s.duration_s as usize;
+    let total_m = CONVOY_WARMUP_M + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
         rig.drive(t);
-        if metre < p.warmup_m {
+        if metre < CONVOY_WARMUP_M {
             continue;
         }
-        let epoch_m = (metre - p.warmup_m) as u64;
+        let epoch_m = (metre - CONVOY_WARMUP_M) as u64;
 
         // Fault A: black out one vehicle's receiver, mid-run, via the
         // link's runtime per-receiver override.
-        let want_blackout = active(epoch_m, p.burst_onset_w, p.burst_clear_w);
+        let want_blackout = active(&BURST_LOSS, epoch_m);
         if want_blackout != blackout_on {
             rig.link()
-                .set_receiver_faults(p.burst_target, want_blackout.then_some(blackout))
+                .set_receiver_faults(BURST_LOSS.target, want_blackout.then_some(blackout))
                 .expect("blackout override validates");
             blackout_on = want_blackout;
         }
-        let clock_active = active(epoch_m, p.clock_onset_w, p.clock_clear_w);
-        let engine_active = active(epoch_m, p.engine_onset_w, p.engine_clear_w);
+        let clock_active = active(&CLOCK_JUMP, epoch_m);
+        let engine_active = active(&KERNEL_SLOWDOWN, epoch_m);
 
         // Everyone beacons a traced snapshot (1 Hz), tagging its own
         // `v2v.beacon` span, and drains its inbox.
@@ -320,14 +285,14 @@ pub fn run(p: &Params) -> Figure {
                 tag_beacon(ring, snap);
                 // Fault B: the faulty vehicle's clock falls behind, so its
                 // beacons carry timestamps past the staleness horizon.
-                if clock_active && id == p.clock_target {
+                if clock_active && id == CLOCK_JUMP.target {
                     let shifted: Vec<GeoSample> = snap
                         .geo
                         .samples()
                         .iter()
                         .map(|g| GeoSample {
                             heading_rad: g.heading_rad,
-                            timestamp_s: g.timestamp_s - p.clock_jump_s,
+                            timestamp_s: g.timestamp_s - CLOCK_JUMP_S,
                         })
                         .collect();
                     snap.geo = GeoTrajectory::from_samples(shifted);
@@ -350,17 +315,17 @@ pub fn run(p: &Params) -> Figure {
             }
         }
 
-        if epoch_m.is_multiple_of(p.fix_stride_s as u64) {
+        if epoch_m.is_multiple_of(FIX_STRIDE_S) {
             let _ = fuser.solve_traced(&rig.fix_graph(&rig.grade_all(t)), None);
             // Fault C: the target vehicle's kernel slows down — its
             // engine histogram records seconds-long queries.
             if engine_active {
                 let h = rig
-                    .vehicle(p.engine_target)
+                    .vehicle(KERNEL_SLOWDOWN.target)
                     .registry
                     .histogram("rups_core_engine_query_ns");
-                for _ in 0..p.engine_spikes_per_epoch {
-                    h.record(p.engine_spike_ns);
+                for _ in 0..ENGINE_SPIKES_PER_EPOCH {
+                    h.record(ENGINE_SPIKE_NS);
                 }
             }
         }
@@ -427,79 +392,46 @@ pub fn run(p: &Params) -> Figure {
         }
     }
 
-    let first_onset = p
-        .burst_onset_w
-        .min(p.clock_onset_w)
-        .min(p.engine_onset_w);
+    let staged = [BURST_LOSS, CLOCK_JUMP, KERNEL_SLOWDOWN];
+    let first_onset = staged.iter().map(|f| f.onset_w).min().unwrap_or(0);
     let false_alarms_before_onset = alarms
         .iter()
         .filter(|a| a.window_index < first_onset)
         .count() as u64;
 
-    let outcome = |name: &str,
-                   detector: &str,
-                   node: u64,
-                   stage: Stage,
-                   onset: u64,
-                   clear: u64|
-     -> FaultOutcome {
+    let outcome = |f: &StagedFault| -> FaultOutcome {
         let hit = alarms.iter().position(|a| {
-            a.detector == detector
-                && a.window_index >= onset
-                && a.window_index <= onset + DETECTION_HORIZON_W
+            a.detector == f.detector
+                && a.window_index >= f.onset_w
+                && a.window_index <= f.onset_w + DETECTION_HORIZON_W
         });
         let report = hit.map(|i| &reports[i]);
         let detected_window = hit.map(|i| alarms[i].window_index);
-        let localised_correctly = report
-            .is_some_and(|r| r.worst_node == node && r.worst_stage == stage);
+        let localised_correctly =
+            report.is_some_and(|r| r.worst_node == f.target && r.worst_stage == f.stage);
         FaultOutcome {
-            name: name.to_string(),
-            detector: detector.to_string(),
-            expect_node: node,
-            expect_stage: stage,
-            onset_window: onset,
-            clear_window: clear,
+            name: f.name.to_string(),
+            detector: f.detector.to_string(),
+            expect_node: f.target,
+            expect_stage: f.stage,
+            onset_window: f.onset_w,
+            clear_window: f.clear_w,
             detected_window,
-            detection_latency_windows: detected_window.map(|w| w - onset),
+            detection_latency_windows: detected_window.map(|w| w - f.onset_w),
             localised_node: report.map(|r| r.worst_node),
             localised_stage: report.map(|r| r.worst_stage),
             localised_correctly,
         }
     };
-    let faults = vec![
-        outcome(
-            "burst_loss_spike",
-            "link_delivery_rate",
-            p.burst_target,
-            Stage::Link,
-            p.burst_onset_w,
-            p.burst_clear_w,
-        ),
-        outcome(
-            "clock_jump",
-            "validation_rejection_rate",
-            p.clock_target,
-            Stage::Beacon,
-            p.clock_onset_w,
-            p.clock_clear_w,
-        ),
-        outcome(
-            "kernel_slowdown",
-            "fix_p99_latency",
-            p.engine_target,
-            Stage::Engine,
-            p.engine_onset_w,
-            p.engine_clear_w,
-        ),
-    ];
-    let all_localised = faults.iter().all(|f| f.localised_correctly)
-        && false_alarms_before_onset == 0;
+    let faults: Vec<FaultOutcome> = staged.iter().map(outcome).collect();
+    let all_localised =
+        faults.iter().all(|f| f.localised_correctly) && false_alarms_before_onset == 0;
 
     let artifact = DiagnosisArtifact {
         figure_id: "ext-diagnosis".into(),
-        n_vehicles: p.n_vehicles,
-        window_stride_s: p.window_stride_s,
-        base_faults: p.base_faults,
+        n_vehicles: N_VEHICLES,
+        window_stride_s: WINDOW_STRIDE_S,
+        base_faults,
         windows_observed: bank.windows_seen(),
         first_onset_window: first_onset,
         false_alarms_before_onset,
@@ -510,18 +442,13 @@ pub fn run(p: &Params) -> Figure {
         timeline,
     };
 
-    let mut notes = Vec::new();
-    if let Some(path) = &p.out_path {
-        write_json(path, &artifact);
-        notes.push(format!("diagnosis artefact written to {path}"));
-    }
-    notes.push(format!(
+    let mut notes = vec![format!(
         "{} fleet windows observed, {} alarms, {} false alarms before window {}",
         artifact.windows_observed,
         artifact.alarms.len(),
         artifact.false_alarms_before_onset,
         artifact.first_onset_window,
-    ));
+    )];
     for f in &artifact.faults {
         notes.push(match f.detected_window {
             Some(w) => format!(
@@ -571,12 +498,14 @@ pub fn run(p: &Params) -> Figure {
         ),
     ];
 
-    Figure {
+    let figure = Figure {
         id: "ext-diagnosis".into(),
         title: "Online detection and automated diagnosis of staged degradations".into(),
         notes,
         series,
-    }
+    };
+    let report = Artefact::pretty("ext-diagnosis-report.json", &artifact);
+    (figure, vec![report])
 }
 
 #[cfg(test)]
@@ -585,14 +514,13 @@ mod tests {
 
     #[test]
     fn staged_faults_are_detected_in_time_and_localised_correctly() {
-        let mut p = quick_params();
-        let out = std::env::temp_dir().join("rups-ext-diagnosis-test.json");
-        p.out_path = Some(out.to_string_lossy().into_owned());
-        let fig = run(&p);
-
-        let raw = std::fs::read_to_string(&out).expect("artefact written");
-        std::fs::remove_file(&out).ok();
-        let art: DiagnosisArtifact = serde_json::from_str(&raw).expect("artefact parses");
+        let (fig, artefacts) = run(&EvalScale::quick());
+        let [report] = &artefacts[..] else {
+            panic!("expected the diagnosis report alone")
+        };
+        assert_eq!(report.file, "ext-diagnosis-report.json");
+        let raw = &report.json;
+        let art: DiagnosisArtifact = serde_json::from_str(raw).expect("artefact parses");
         assert_eq!(art.figure_id, "ext-diagnosis");
 
         // The clean warmup segment never false-alarms.

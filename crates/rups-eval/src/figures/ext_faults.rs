@@ -20,7 +20,7 @@
 //!
 //! [`ConvoyRig`]: crate::rig::ConvoyRig
 
-use crate::figures::EvalScale;
+use crate::figures::{EvalScale, CONVOY_CONTEXT_M, CONVOY_HORIZON_S, CONVOY_WARMUP_M};
 use crate::rig::{acceptance_faults, ConvoyRig, ConvoySpec, SPAN_RING};
 use crate::series::{Figure, Series};
 use serde::{Deserialize, Serialize};
@@ -35,19 +35,14 @@ pub struct Cell {
     pub faults: FaultConfig,
 }
 
+/// True front–rear gap, metres (both vehicles hold it exactly).
+const GAP_M: f64 = 60.0;
+
 /// Parameters of the fault-robustness experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
     /// Scale knobs (duration, band width, master seed).
     pub scale: EvalScale,
-    /// True front–rear gap, metres (both vehicles hold it exactly).
-    pub gap_m: f64,
-    /// Journey context the front vehicle beacons, metres.
-    pub context_m: usize,
-    /// Metres driven before the first beacon (context build-up).
-    pub warmup_m: usize,
-    /// Staleness horizon of the receiver's inbox, seconds.
-    pub horizon_s: f64,
     /// The fault severities to sweep.
     pub cells: Vec<Cell>,
 }
@@ -56,12 +51,6 @@ impl Default for Params {
     fn default() -> Self {
         Self {
             scale: EvalScale::paper(),
-            gap_m: 60.0,
-            // The SYN search needs the *shared* road segment (context − gap)
-            // to fit the 85 m correlation window, with margin.
-            context_m: 250,
-            warmup_m: 260,
-            horizon_s: 10.0,
             cells: default_cells(),
         }
     }
@@ -97,7 +86,7 @@ pub fn default_cells() -> Vec<Cell> {
     ]
 }
 
-/// Smaller run for tests.
+/// Smaller run for tests and `--quick` smoke passes.
 pub fn quick_params() -> Params {
     Params {
         scale: EvalScale::quick(),
@@ -120,20 +109,15 @@ struct CellOutcome {
 }
 
 /// Replays the two-vehicle scenario through one faulty link.
-fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
-    let s = &p.scale;
-    let mut cfg = s.rups_config();
-    // The rear vehicle only needs enough own context to cover the beaconed
-    // snapshot; capping it keeps the per-epoch SYN search cheap.
-    cfg.max_context_m = p.context_m + 150;
-    // Rear vehicle 1 and front vehicle 2, exactly `gap_m` apart.
+fn run_cell(s: &EvalScale, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
+    // Rear vehicle 1 and front vehicle 2, exactly `GAP_M` apart.
     let mut rig = ConvoyRig::new(ConvoySpec {
-        cfg,
+        cfg: s.convoy_config(),
         n_vehicles: 2,
-        gap_m: p.gap_m,
+        gap_m: GAP_M,
         field_seed: s.seed ^ 0xFA17,
-        context_m: p.context_m,
-        horizon_s: p.horizon_s,
+        context_m: CONVOY_CONTEXT_M,
+        horizon_s: CONVOY_HORIZON_S,
         faults: *faults,
         link_seed,
         span_capacity: SPAN_RING,
@@ -144,11 +128,11 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     let mut abs_errs = Vec::new();
     let mut worst: f64 = 0.0;
 
-    let total_m = p.warmup_m + s.duration_s as usize;
+    let total_m = CONVOY_WARMUP_M + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
         rig.drive(t);
-        if metre < p.warmup_m {
+        if metre < CONVOY_WARMUP_M {
             continue;
         }
 
@@ -160,7 +144,7 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
         for (_, graded) in rig.grade(1, t) {
             if let Ok(graded) = graded {
                 fixes += 1;
-                let err = (graded.fix.distance_m - p.gap_m).abs();
+                let err = (graded.fix.distance_m - GAP_M).abs();
                 abs_errs.push(err);
                 worst = worst.max(err);
             }
@@ -199,7 +183,11 @@ pub fn run(p: &Params) -> Figure {
     let mut err_y = Vec::new();
     let mut notes = Vec::new();
     for (i, cell) in p.cells.iter().enumerate() {
-        let out = run_cell(p, &cell.faults, p.scale.seed ^ 0xFA01 ^ (i as u64 * 131));
+        let out = run_cell(
+            &p.scale,
+            &cell.faults,
+            p.scale.seed ^ 0xFA01 ^ (i as u64 * 131),
+        );
         let avail = out.fixes as f64 / out.epochs.max(1) as f64;
         x.push(cell.faults.expected_loss());
         avail_y.push(avail);

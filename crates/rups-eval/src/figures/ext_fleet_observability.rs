@@ -27,11 +27,11 @@
 //!   the fleet timeline alone ([`evaluate_slos`]); the verdict ships in
 //!   the artefact.
 //!
-//! Two committed artefacts:
-//! `results/ext-fleet-observability-trace.json` (the merged Chrome
-//! trace, loadable in Perfetto) and
-//! `results/ext-fleet-observability-fleet.json` (windows, worst-node
-//! rankings, clock models, SLO verdict, trace-crossing summary).
+//! Two artefacts ride along with the figure, written by `evaluate --json`:
+//! `ext-fleet-observability-trace.json` (the merged Chrome trace,
+//! loadable in Perfetto) and `ext-fleet-observability-fleet.json`
+//! (windows, worst-node rankings, clock models, SLO verdict,
+//! trace-crossing summary).
 //!
 //! [`ext_observability`]: crate::figures::ext_observability
 //! [`ConvoyRig`]: crate::rig::ConvoyRig
@@ -43,70 +43,49 @@
 //! [`default_slos`]: rups_obs::default_slos
 //! [`evaluate_slos`]: rups_obs::evaluate_slos
 
-use crate::figures::{results_path, write_json, EvalScale};
+use crate::figures::{Artefact, EvalScale, CONVOY_CONTEXT_M, CONVOY_HORIZON_S, CONVOY_WARMUP_M};
 use crate::rig::{acceptance_faults, tag_beacon, ConvoyRig, ConvoySpec};
 use crate::series::{Figure, Series};
 use rups_core::report::default_flight_config;
 use rups_fuse::{FuseConfig, Fuser};
 use rups_obs::{
-    check_fleet_rules, default_slos, evaluate_slos, merged_chrome_trace, write_chrome_trace,
-    ChromeTrace, ClockModel, FleetSnapshot, MetricsSnapshot, NodeTrace, Signal, SkewEstimator,
-    SloSpec, SloVerdict, SpanRecorder, TraceContext, TriggerEvent, FIX_ERROR_GAUGE, TRACE_ARG,
+    check_fleet_rules, default_slos, evaluate_slos, merged_chrome_trace, ChromeTrace, ClockModel,
+    FleetSnapshot, MetricsSnapshot, NodeTrace, Signal, SkewEstimator, SloSpec, SloVerdict,
+    SpanRecorder, TraceContext, TriggerEvent, FIX_ERROR_GAUGE, TRACE_ARG,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use v2v_sim::fault::FaultConfig;
 
-/// Parameters of the fleet-observability run.
+/// Convoy size (ids `1..=n`, id 1 is the fusion anchor).
+const N_VEHICLES: usize = 6;
+/// True gap between adjacent vehicles, metres (held exactly).
+const GAP_M: f64 = 40.0;
+/// Seconds between fix/fuse epochs (beaconing stays at 1 Hz).
+const FUSE_STRIDE_S: usize = 10;
+/// Capacity of each vehicle's span ring.
+const SPAN_CAPACITY: usize = 8192;
+/// p99 ceiling of the `fix_p99_latency` SLO, nanoseconds (generous so
+/// debug smoke runs judge health, not build optimisation).
+const SLO_P99_MAX_NS: f64 = 500e6;
+
+/// Parameters of the fleet-observability run. The channel is the
+/// acceptance cell ([`acceptance_faults`]: ~30 % expected burst loss plus
+/// duplication, reordering and 1 % corruption).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
     /// Scale knobs (duration, band width, master seed).
     pub scale: EvalScale,
-    /// Convoy size (ids `1..=n`, id 1 is the fusion anchor).
-    pub n_vehicles: usize,
-    /// True gap between adjacent vehicles, metres (held exactly).
-    pub gap_m: f64,
-    /// Journey context each vehicle beacons, metres.
-    pub context_m: usize,
-    /// Metres driven before the first beacon (context build-up).
-    pub warmup_m: usize,
-    /// Staleness horizon of each vehicle's inbox, seconds.
-    pub horizon_s: f64,
-    /// Seconds between fix/fuse epochs (beaconing stays at 1 Hz).
-    pub fuse_stride_s: usize,
     /// Seconds per fleet-aggregation window.
     pub window_stride_s: usize,
-    /// Channel impairments (default: the acceptance cell, ~30 % expected
-    /// burst loss plus duplication, reordering and 1 % corruption).
-    pub faults: FaultConfig,
-    /// Capacity of each vehicle's span ring.
-    pub span_capacity: usize,
-    /// p99 ceiling of the `fix_p99_latency` SLO, nanoseconds (generous by
-    /// default so debug smoke runs judge health, not build optimisation).
-    pub slo_p99_max_ns: f64,
-    /// Where to write the merged Chrome trace; `None` skips it.
-    pub trace_out_path: Option<String>,
-    /// Where to write the fleet artefact JSON; `None` skips it.
-    pub fleet_out_path: Option<String>,
 }
 
 impl Default for Params {
     fn default() -> Self {
         Self {
             scale: EvalScale::paper(),
-            n_vehicles: 6,
-            gap_m: 40.0,
-            context_m: 250,
-            warmup_m: 260,
-            horizon_s: 10.0,
-            fuse_stride_s: 10,
             window_stride_s: 60,
-            faults: acceptance_faults(),
-            span_capacity: 8192,
-            slo_p99_max_ns: 500e6,
-            trace_out_path: Some(results_path("ext-fleet-observability-trace.json")),
-            fleet_out_path: Some(results_path("ext-fleet-observability-fleet.json")),
         }
     }
 }
@@ -116,7 +95,6 @@ pub fn quick_params() -> Params {
     Params {
         scale: EvalScale::quick(),
         window_stride_s: 30,
-        ..Params::default()
     }
 }
 
@@ -264,26 +242,26 @@ fn estimate_clock(node_syncs: &[u64], anchor_syncs: &[u64]) -> (ClockModel, usiz
     (est.estimate(), k)
 }
 
-/// Runs the experiment, writing both artefacts when paths are set.
-pub fn run(p: &Params) -> Figure {
+/// Runs the experiment; returns the figure plus its merged Chrome trace
+/// and fleet record.
+pub fn run(p: &Params) -> (Figure, Vec<Artefact>) {
     let s = &p.scale;
-    let mut cfg = s.rups_config();
-    cfg.max_context_m = p.context_m + 150;
-    let n = p.n_vehicles;
+    let faults = acceptance_faults();
+    let n = N_VEHICLES;
     // Every vehicle owns a registry and span ring; the wire's fault events
     // become pid 0 of the merged trace, tagged with the trace of the beacon
     // they damaged, and its counters land in the anchor's registry (the
     // sim's one wire has no node of its own to meter it).
     let mut rig = ConvoyRig::new(ConvoySpec {
-        cfg,
+        cfg: s.convoy_config(),
         n_vehicles: n,
-        gap_m: p.gap_m,
+        gap_m: GAP_M,
         field_seed: s.seed ^ 0xF1EE7,
-        context_m: p.context_m,
-        horizon_s: p.horizon_s,
-        faults: p.faults,
+        context_m: CONVOY_CONTEXT_M,
+        horizon_s: CONVOY_HORIZON_S,
+        faults,
         link_seed: s.seed ^ 0xF1EE7,
-        span_capacity: p.span_capacity,
+        span_capacity: SPAN_CAPACITY,
     });
     // The anchor vehicle runs the fuser; its solves land in its own
     // registry and span ring.
@@ -295,7 +273,7 @@ pub fn run(p: &Params) -> Figure {
     .with_observability(Arc::clone(&anchor.registry))
     .with_spans(Arc::clone(&anchor.spans));
 
-    let truth = |a: u64, b: u64| (b as f64 - a as f64) * p.gap_m;
+    let truth = |a: u64, b: u64| (b as f64 - a as f64) * GAP_M;
     let fleet_rules = default_flight_config().rules;
     let close_window = |t_s: f64, delta: MetricsSnapshot| FleetWindow {
         t_s,
@@ -308,11 +286,11 @@ pub fn run(p: &Params) -> Figure {
     let mut err_sum = vec![0.0f64; n];
     let mut err_n = vec![0u64; n];
 
-    let total_m = p.warmup_m + s.duration_s as usize;
+    let total_m = CONVOY_WARMUP_M + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
         rig.drive(t);
-        if metre < p.warmup_m {
+        if metre < CONVOY_WARMUP_M {
             continue;
         }
 
@@ -330,8 +308,8 @@ pub fn run(p: &Params) -> Figure {
             }
         }
 
-        let epoch_m = metre - p.warmup_m;
-        if epoch_m.is_multiple_of(p.fuse_stride_s) {
+        let epoch_m = metre - CONVOY_WARMUP_M;
+        if epoch_m.is_multiple_of(FUSE_STRIDE_S) {
             // One `clock.sync` fencepost per ring per epoch: the pairs
             // against the anchor ring recover each clock's offset/drift.
             for id in rig.ids() {
@@ -365,7 +343,7 @@ pub fn run(p: &Params) -> Figure {
     if tail_delta.counters.iter().any(|c| c.value > 0) {
         windows.push(close_window((total_m - 1) as f64, tail_delta));
     }
-    let slo_specs = default_slos(p.slo_p99_max_ns);
+    let slo_specs = default_slos(SLO_P99_MAX_NS);
     let window_deltas: Vec<MetricsSnapshot> = windows.iter().map(|w| w.delta.clone()).collect();
     let slo = evaluate_slos(&slo_specs, &fleet.merged, &window_deltas);
 
@@ -410,7 +388,7 @@ pub fn run(p: &Params) -> Figure {
     let artifact = FleetArtifact {
         figure_id: "ext-fleet-observability".into(),
         n_vehicles: n,
-        faults: p.faults,
+        faults,
         window_stride_s: p.window_stride_s,
         windows,
         prometheus: fleet.to_prometheus(),
@@ -421,19 +399,11 @@ pub fn run(p: &Params) -> Figure {
         trace_summary,
     };
 
-    let mut notes = Vec::new();
-    if let Some(path) = &p.trace_out_path {
-        write_chrome_trace(path, &merged);
-        notes.push(format!(
-            "merged chrome trace ({} events, {} processes) written to {path}",
-            merged.traceEvents.len(),
-            n + 1
-        ));
-    }
-    if let Some(path) = &p.fleet_out_path {
-        write_json(path, &artifact);
-        notes.push(format!("fleet artefact written to {path}"));
-    }
+    let mut notes = vec![format!(
+        "merged chrome trace of {} events over {} processes",
+        merged.traceEvents.len(),
+        n + 1
+    )];
 
     let ts = &artifact.trace_summary;
     notes.push(format!(
@@ -507,12 +477,17 @@ pub fn run(p: &Params) -> Figure {
         }),
     ];
 
-    Figure {
+    let figure = Figure {
         id: "ext-fleet-observability".into(),
         title: "Fleet-wide tracing, aggregation and SLOs over a faulted convoy".into(),
         notes,
         series,
-    }
+    };
+    let artefacts = vec![
+        Artefact::compact("ext-fleet-observability-trace.json", &merged),
+        Artefact::pretty("ext-fleet-observability-fleet.json", &artifact),
+    ];
+    (figure, artefacts)
 }
 
 #[cfg(test)]
@@ -521,21 +496,16 @@ mod tests {
 
     #[test]
     fn one_causal_trace_crosses_the_convoy_and_slos_hold() {
-        let mut p = quick_params();
-        let dir = std::env::temp_dir();
-        let trace_path = dir.join("rups-ext-fleet-obs-test-trace.json");
-        let fleet_path = dir.join("rups-ext-fleet-obs-test-fleet.json");
-        p.trace_out_path = Some(trace_path.to_string_lossy().into_owned());
-        p.fleet_out_path = Some(fleet_path.to_string_lossy().into_owned());
-        let fig = run(&p);
+        let (fig, artefacts) = run(&quick_params());
 
         // Both artefacts parse back into their typed forms.
-        let raw = std::fs::read_to_string(&trace_path).expect("trace written");
-        std::fs::remove_file(&trace_path).ok();
-        let merged: ChromeTrace = serde_json::from_str(&raw).expect("trace parses");
-        let raw = std::fs::read_to_string(&fleet_path).expect("fleet artefact written");
-        std::fs::remove_file(&fleet_path).ok();
-        let art: FleetArtifact = serde_json::from_str(&raw).expect("fleet artefact parses");
+        let [trace, fleet] = &artefacts[..] else {
+            panic!("expected the trace and the fleet record")
+        };
+        assert_eq!(trace.file, "ext-fleet-observability-trace.json");
+        assert_eq!(fleet.file, "ext-fleet-observability-fleet.json");
+        let merged: ChromeTrace = serde_json::from_str(&trace.json).expect("trace parses");
+        let art: FleetArtifact = serde_json::from_str(&fleet.json).expect("fleet artefact parses");
         assert_eq!(art.figure_id, "ext-fleet-observability");
 
         // The merged trace is multi-process: all vehicles plus the wire
@@ -546,7 +516,7 @@ mod tests {
             .filter(|e| e.ph == "M" && e.name == "process_name")
             .map(|e| e.pid)
             .collect();
-        assert_eq!(process_names.len(), p.n_vehicles + 1);
+        assert_eq!(process_names.len(), N_VEHICLES + 1);
         assert!(merged.traceEvents.iter().any(|e| e.ph == "X"));
 
         // The acceptance claim: one causal trace crosses ≥3 vehicles and
@@ -570,7 +540,7 @@ mod tests {
 
         // Fleet aggregation is live: counters from all six vehicles,
         // worst-node rankings populated, prometheus exposition rendered.
-        assert_eq!(art.fleet.nodes.len(), p.n_vehicles);
+        assert_eq!(art.fleet.nodes.len(), N_VEHICLES);
         assert!(art.fleet.merged.counter("rups_core_inbox_accepted").unwrap() > 0);
         assert!(art.fleet.merged.counter("rups_v2v_link_dropped").unwrap() > 0);
         assert!(art
@@ -578,14 +548,13 @@ mod tests {
             .worst
             .iter()
             .any(|w| w.criterion == FIX_ERROR_GAUGE && !w.ranked.is_empty()));
-        assert!(art.prometheus.contains(&format!(
-            "rups_fleet_nodes {}",
-            p.n_vehicles
-        )));
+        assert!(art
+            .prometheus
+            .contains(&format!("rups_fleet_nodes {}", N_VEHICLES)));
         assert!(!art.windows.is_empty());
 
         // Clocks were recovered for every ring from the sync fenceposts.
-        assert_eq!(art.clocks.len(), p.n_vehicles + 1);
+        assert_eq!(art.clocks.len(), N_VEHICLES + 1);
         assert!(art.clocks.iter().all(|c| c.sync_points >= 2));
 
         // The SLO verdict holds at the acceptance fault cell, judged from

@@ -20,15 +20,29 @@
 //!   steal counts, proving the run exercised the layer rather than one
 //!   degenerate shard.
 //!
-//! Committed artefact: `results/ext-fleet-scale.json`.
+//! The sweep record ([`ScaleArtifact`]) is returned as the figure's
+//! artefact: `evaluate --json DIR` writes it as `DIR/ext-fleet-scale.json`
+//! in place of the figure series, and `results/ext-fleet-scale.json` is
+//! that record.
 //!
 //! [`ext_scalability`]: crate::figures::ext_scalability
 //! [`CellIndex`]: rups_fleet::CellIndex
 
-use crate::figures::{results_path, write_json, EvalScale};
+use crate::figures::{Artefact, EvalScale};
 use crate::series::{Figure, Series};
 use rups_fleet::{FleetConfig, FleetSim};
 use serde::{Deserialize, Serialize};
+
+/// Lanes the fleet occupies round-robin.
+const LANES: usize = 2;
+/// Initial within-lane spacing, metres.
+const INITIAL_GAP_M: f64 = 45.0;
+/// Cell side of the spatial index, metres.
+const CELL_M: f64 = 60.0;
+/// Fix-query neighbour radius, metres (≤ `CELL_M`).
+const RADIUS_M: f64 = 60.0;
+/// Geographic shards.
+const N_SHARDS: usize = 4;
 
 /// Parameters of the fleet-scaling sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,16 +53,6 @@ pub struct Params {
     pub vehicle_counts: Vec<usize>,
     /// Scheduler worker counts swept per fleet size.
     pub worker_counts: Vec<usize>,
-    /// Lanes the fleet occupies round-robin.
-    pub lanes: usize,
-    /// Initial within-lane spacing, metres.
-    pub initial_gap_m: f64,
-    /// Cell side of the spatial index, metres.
-    pub cell_m: f64,
-    /// Fix-query neighbour radius, metres (≤ `cell_m`).
-    pub radius_m: f64,
-    /// Geographic shards.
-    pub n_shards: usize,
     /// GSM channels carried in contexts.
     pub n_channels: usize,
     /// Snapshot length broadcast each epoch, metres.
@@ -59,8 +63,6 @@ pub struct Params {
     pub warmup_s: usize,
     /// Measured epochs per cell.
     pub epochs: usize,
-    /// Where to write the machine-readable artefact; `None` skips it.
-    pub out_path: Option<String>,
 }
 
 impl Default for Params {
@@ -69,17 +71,11 @@ impl Default for Params {
             scale: EvalScale::paper(),
             vehicle_counts: vec![60, 120, 240],
             worker_counts: vec![1, 2, 4],
-            lanes: 2,
-            initial_gap_m: 45.0,
-            cell_m: 60.0,
-            radius_m: 60.0,
-            n_shards: 4,
             n_channels: 48,
             context_m: 200,
             max_context_m: 280,
             warmup_s: 40,
             epochs: 4,
-            out_path: Some(results_path("ext-fleet-scale.json")),
         }
     }
 }
@@ -96,7 +92,6 @@ pub fn quick_params() -> Params {
         max_context_m: 220,
         warmup_s: 30,
         epochs: 2,
-        ..Params::default()
     }
 }
 
@@ -163,12 +158,12 @@ fn run_cell(p: &Params, n_vehicles: usize, workers: usize) -> ScaleCell {
     let run = FleetSim::run(FleetConfig {
         seed: p.scale.seed,
         n_vehicles,
-        lanes: p.lanes,
-        initial_gap_m: p.initial_gap_m,
-        n_shards: p.n_shards,
+        lanes: LANES,
+        initial_gap_m: INITIAL_GAP_M,
+        n_shards: N_SHARDS,
         workers,
-        cell_m: p.cell_m,
-        radius_m: p.radius_m,
+        cell_m: CELL_M,
+        radius_m: RADIUS_M,
         n_channels: p.n_channels,
         max_context_m: p.max_context_m,
         context_m: p.context_m,
@@ -205,8 +200,8 @@ fn run_cell(p: &Params, n_vehicles: usize, workers: usize) -> ScaleCell {
     }
 }
 
-/// Runs the sweep, writing the artefact when a path is set.
-pub fn run(p: &Params) -> Figure {
+/// Runs the sweep; returns the figure plus its sweep record.
+pub fn run(p: &Params) -> (Figure, Vec<Artefact>) {
     let mut cells = Vec::new();
     for &n in &p.vehicle_counts {
         for &w in &p.worker_counts {
@@ -216,17 +211,13 @@ pub fn run(p: &Params) -> Figure {
     let artifact = ScaleArtifact {
         figure_id: "ext-fleet-scale".into(),
         threads_available: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n_shards: p.n_shards,
-        cell_m: p.cell_m,
-        radius_m: p.radius_m,
+        n_shards: N_SHARDS,
+        cell_m: CELL_M,
+        radius_m: RADIUS_M,
         cells,
     };
 
     let mut notes = Vec::new();
-    if let Some(path) = &p.out_path {
-        write_json(path, &artifact);
-        notes.push(format!("fleet-scale artefact written to {path}"));
-    }
     for c in &artifact.cells {
         notes.push(format!(
             "n={} w={}: {} fixes in {:.3} s ({:.0}/s, {:.0}/s/core), halo {}/{} pairs ({:.1} %), \
@@ -303,12 +294,14 @@ pub fn run(p: &Params) -> Figure {
             .collect(),
     ));
 
-    Figure {
+    let figure = Figure {
         id: "ext-fleet-scale".into(),
         title: "Sharded fleet serving throughput vs fleet size and workers".into(),
         notes,
         series,
-    }
+    };
+    let record = Artefact::pretty("ext-fleet-scale.json", &artifact);
+    (figure, vec![record])
 }
 
 #[cfg(test)]
@@ -324,13 +317,13 @@ mod tests {
         p.worker_counts = vec![1, 2];
         p.warmup_s = 20;
         p.epochs = 2;
-        let out = std::env::temp_dir().join("rups-ext-fleet-scale-test.json");
-        p.out_path = Some(out.to_string_lossy().into_owned());
-        let fig = run(&p);
+        let (fig, artefacts) = run(&p);
 
-        let raw = std::fs::read_to_string(&out).expect("artefact written");
-        std::fs::remove_file(&out).ok();
-        let art: ScaleArtifact = serde_json::from_str(&raw).expect("artefact parses");
+        let [record] = &artefacts[..] else {
+            panic!("expected the sweep record alone")
+        };
+        assert_eq!(record.file, "ext-fleet-scale.json");
+        let art: ScaleArtifact = serde_json::from_str(&record.json).expect("artefact parses");
         assert_eq!(art.figure_id, "ext-fleet-scale");
         assert_eq!(art.cells.len(), 2);
 

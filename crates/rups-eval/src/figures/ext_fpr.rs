@@ -17,32 +17,30 @@ use rups_core::config::RupsConfig;
 use rups_core::syn::find_best_syn;
 use serde::{Deserialize, Serialize};
 
+/// Master seed.
+const SEED: u64 = 0xF9;
+/// Context length, metres (long enough for every window).
+const CONTEXT_LEN_M: usize = 300;
+/// True offset within related pairs, metres.
+const OFFSET_M: usize = 35;
+
 /// Parameters of the false-positive experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
-    /// Master seed.
-    pub seed: u64,
     /// Window lengths to evaluate, metres.
     pub window_lens_m: Vec<usize>,
-    /// Context length, metres (long enough for every window).
-    pub context_len_m: usize,
     /// Related/unrelated pairs per window length.
     pub n_pairs: usize,
     /// Band width.
     pub n_channels: usize,
-    /// True offset within related pairs, metres.
-    pub offset_m: usize,
 }
 
 impl Default for Params {
     fn default() -> Self {
         Self {
-            seed: 0xF9,
             window_lens_m: vec![10, 20, 40, 60, 85],
-            context_len_m: 300,
             n_pairs: 60,
             n_channels: 96,
-            offset_m: 35,
         }
     }
 }
@@ -53,7 +51,6 @@ pub fn quick_params() -> Params {
         n_pairs: 12,
         n_channels: 48,
         window_lens_m: vec![10, 40, 85],
-        ..Default::default()
     }
 }
 
@@ -68,7 +65,7 @@ pub fn run(p: &Params) -> Figure {
             n_channels: p.n_channels,
             window_len_m: w,
             window_channels: 45.min(p.n_channels),
-            max_context_m: p.context_len_m,
+            max_context_m: CONTEXT_LEN_M,
             min_window_len_m: 10.min(w),
             ..RupsConfig::default()
         };
@@ -76,17 +73,17 @@ pub fn run(p: &Params) -> Figure {
         let mut false_hits = 0usize;
         let mut err_sum = 0.0f64;
         for pair in 0..p.n_pairs {
-            let seed = p.seed ^ ((w as u64) << 24) ^ (pair as u64);
+            let seed = SEED ^ ((w as u64) << 24) ^ (pair as u64);
             // Related: same environment, second trajectory offset and
             // half an hour later.
             let env = GsmEnvironment::new(seed, EnvironmentClass::SemiOpen, 2_000.0, p.n_channels);
-            let a = sample_trajectory(&env, p.context_len_m, 0.0);
+            let a = sample_trajectory(&env, CONTEXT_LEN_M, 0.0);
             let b = {
                 // Offset entry, 1800 s later (temporal drift applies).
                 let mut traj =
-                    rups_core::gsm::GsmTrajectory::with_capacity(p.n_channels, p.context_len_m);
-                for i in 0..p.context_len_m {
-                    let pos = (100.0 + (p.offset_m + i) as f64, 0.0);
+                    rups_core::gsm::GsmTrajectory::with_capacity(p.n_channels, CONTEXT_LEN_M);
+                for i in 0..CONTEXT_LEN_M {
+                    let pos = (100.0 + (OFFSET_M + i) as f64, 0.0);
                     let pv = env.power_vector_dbm(pos, 1800.0 + i as f64, 0.0);
                     traj.push(&rups_core::gsm::PowerVector::from_values(pv));
                 }
@@ -95,7 +92,7 @@ pub fn run(p: &Params) -> Figure {
             if let Ok(syn) = find_best_syn(&a, &b, &cfg) {
                 hits += 1;
                 let implied = syn.other_end as i64 - syn.self_end as i64;
-                err_sum += (implied as f64 + p.offset_m as f64).abs();
+                err_sum += (implied as f64 + OFFSET_M as f64).abs();
             }
             // Unrelated: a completely different road.
             let env2 = GsmEnvironment::new(
@@ -104,7 +101,7 @@ pub fn run(p: &Params) -> Figure {
                 2_000.0,
                 p.n_channels,
             );
-            let c = sample_trajectory(&env2, p.context_len_m, 0.0);
+            let c = sample_trajectory(&env2, CONTEXT_LEN_M, 0.0);
             if find_best_syn(&a, &c, &cfg).is_ok() {
                 false_hits += 1;
             }

@@ -27,7 +27,7 @@
 //! [`FixGraph`]: rups_fuse::FixGraph
 //! [`Fuser`]: rups_fuse::Fuser
 
-use crate::figures::EvalScale;
+use crate::figures::{EvalScale, CONVOY_CONTEXT_M, CONVOY_HORIZON_S, CONVOY_WARMUP_M};
 use crate::rig::{best_fix, ConvoyRig, ConvoySpec, SPAN_RING};
 use crate::series::{Figure, Series};
 use rups_fuse::{FuseConfig, Fuser};
@@ -38,6 +38,14 @@ use v2v_sim::fault::FaultConfig;
 
 pub use super::ext_faults::Cell;
 
+/// True gap between adjacent vehicles, metres (held exactly). Short gaps
+/// keep several spans inside the shared-context window, so the graph gets
+/// the chord redundancy fusion needs; the longest spans stay out of
+/// direct reach, which is the coverage story.
+const GAP_M: f64 = 40.0;
+/// Seconds between fuse epochs (beaconing stays at 1 Hz).
+const FUSE_STRIDE_S: usize = 10;
+
 /// Parameters of the fusion experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
@@ -45,16 +53,6 @@ pub struct Params {
     pub scale: EvalScale,
     /// Convoy size (ids `1..=n`, id 1 at the rear).
     pub n_vehicles: usize,
-    /// True gap between adjacent vehicles, metres (held exactly).
-    pub gap_m: f64,
-    /// Journey context each vehicle beacons, metres.
-    pub context_m: usize,
-    /// Metres driven before the first beacon (context build-up).
-    pub warmup_m: usize,
-    /// Staleness horizon of each vehicle's inbox, seconds.
-    pub horizon_s: f64,
-    /// Seconds between fuse epochs (beaconing stays at 1 Hz).
-    pub fuse_stride_s: usize,
     /// The fault severities to sweep.
     pub cells: Vec<Cell>,
 }
@@ -64,15 +62,6 @@ impl Default for Params {
         Self {
             scale: EvalScale::paper(),
             n_vehicles: 6,
-            // Short gaps keep several spans inside the shared-context
-            // window, so the graph gets the chord redundancy fusion needs;
-            // the longest spans stay out of direct reach, which is the
-            // coverage story.
-            gap_m: 40.0,
-            context_m: 250,
-            warmup_m: 260,
-            horizon_s: 10.0,
-            fuse_stride_s: 10,
             cells: default_cells(),
         }
     }
@@ -87,7 +76,7 @@ pub fn default_cells() -> Vec<Cell> {
     cells
 }
 
-/// Smaller run for tests.
+/// Smaller run for tests and `--quick` smoke passes.
 pub fn quick_params() -> Params {
     Params {
         scale: EvalScale::quick(),
@@ -117,15 +106,13 @@ struct CellOutcome {
 /// Replays the convoy through one faulty link and fuses each epoch.
 fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     let s = &p.scale;
-    let mut cfg = s.rups_config();
-    cfg.max_context_m = p.context_m + 150;
     let mut rig = ConvoyRig::new(ConvoySpec {
-        cfg,
+        cfg: s.convoy_config(),
         n_vehicles: p.n_vehicles,
-        gap_m: p.gap_m,
+        gap_m: GAP_M,
         field_seed: s.seed ^ 0xF05E,
-        context_m: p.context_m,
-        horizon_s: p.horizon_s,
+        context_m: CONVOY_CONTEXT_M,
+        horizon_s: CONVOY_HORIZON_S,
         faults: *faults,
         link_seed,
         span_capacity: SPAN_RING,
@@ -139,7 +126,7 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     .with_observability(Arc::clone(&registry));
 
     // Truth: vehicle k sits (k−1)·gap ahead of vehicle 1, all at 1 m/s.
-    let truth = |a: u64, b: u64| (b as f64 - a as f64) * p.gap_m;
+    let truth = |a: u64, b: u64| (b as f64 - a as f64) * GAP_M;
     let n = p.n_vehicles;
 
     let mut fuse_epochs = 0usize;
@@ -150,11 +137,11 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
     let mut fused_slots = 0usize;
     let mut pair_slots = 0usize;
 
-    let total_m = p.warmup_m + s.duration_s as usize;
+    let total_m = CONVOY_WARMUP_M + s.duration_s as usize;
     for metre in 0..total_m {
         let t = metre as f64;
         rig.drive(t);
-        if metre < p.warmup_m {
+        if metre < CONVOY_WARMUP_M {
             continue;
         }
 
@@ -164,7 +151,7 @@ fn run_cell(p: &Params, faults: &FaultConfig, link_seed: u64) -> CellOutcome {
         }
         rig.deliver(t);
 
-        if !(metre - p.warmup_m).is_multiple_of(p.fuse_stride_s) {
+        if !(metre - CONVOY_WARMUP_M).is_multiple_of(FUSE_STRIDE_S) {
             continue;
         }
         fuse_epochs += 1;
@@ -243,7 +230,7 @@ pub fn run(p: &Params) -> Figure {
     notes.push(format!(
         "{} vehicles, {:.0} m gaps; fused positions answer every connected pair, \
          including spans whose shared context is too short for any direct fix",
-        p.n_vehicles, p.gap_m
+        p.n_vehicles, GAP_M
     ));
     Figure {
         id: "ext-fusion".into(),

@@ -13,41 +13,15 @@ use crate::queries::{run_queries, sample_query_times, summarize_rde};
 use crate::series::{Figure, Series};
 use crate::tracegen::{generate, TraceConfig};
 use rups_core::config::RupsConfig;
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters of the multiband experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-    /// Road setting (default: the hardest, under elevated roads).
-    pub road: RoadClass,
-    /// FM channels fused in the multi-band variant.
-    pub fm_channels: usize,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            road: RoadClass::UnderElevated,
-            fm_channels: 24,
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        ..Default::default()
-    }
-}
+/// Road setting: the hardest, under elevated roads.
+const ROAD: RoadClass = RoadClass::UnderElevated;
+/// FM channels fused in the multi-band variant.
+const FM_CHANNELS: usize = 24;
 
 /// Runs one variant and returns (per-query errors, answer rate).
-fn run_variant(p: &Params, fm_channels: usize) -> (Vec<f64>, f64) {
-    let s = &p.scale;
+fn run_variant(s: &EvalScale, fm_channels: usize) -> (Vec<f64>, f64) {
     let cfg = RupsConfig {
         n_channels: s.n_channels + fm_channels,
         ..s.rups_config()
@@ -60,7 +34,7 @@ fn run_variant(p: &Params, fm_channels: usize) -> (Vec<f64>, f64) {
             route_len_m: s.route_len_m(),
             duration_s: s.duration_s,
             fm_channels,
-            ..TraceConfig::new(seed, p.road)
+            ..TraceConfig::new(seed, ROAD)
         });
         let times = sample_query_times(&trace, s.queries_per_seed(), s.seed ^ 0xFB1);
         all.extend(run_queries(&trace, &cfg, &times));
@@ -70,9 +44,9 @@ fn run_variant(p: &Params, fm_channels: usize) -> (Vec<f64>, f64) {
 }
 
 /// Runs the experiment.
-pub fn run(p: &Params) -> Figure {
-    let (gsm_errs, gsm_rate) = run_variant(p, 0);
-    let (multi_errs, multi_rate) = run_variant(p, p.fm_channels);
+pub fn run(s: &EvalScale) -> Figure {
+    let (gsm_errs, gsm_rate) = run_variant(s, 0);
+    let (multi_errs, multi_rate) = run_variant(s, FM_CHANNELS);
 
     let mean = |v: &[f64]| {
         if v.is_empty() {
@@ -85,12 +59,11 @@ pub fn run(p: &Params) -> Figure {
     let m_multi = mean(&multi_errs);
     Figure {
         id: "ext-multiband".into(),
-        title: format!("FM-band fusion on {} (§VII future work)", p.road),
+        title: format!("FM-band fusion on {ROAD} (§VII future work)"),
         notes: vec![
             format!("GSM only:      mean RDE {m_gsm:.1} m, answer rate {gsm_rate:.2}"),
             format!(
-                "GSM + {} FM ch: mean RDE {m_multi:.1} m, answer rate {multi_rate:.2}",
-                p.fm_channels
+                "GSM + {FM_CHANNELS} FM ch: mean RDE {m_multi:.1} m, answer rate {multi_rate:.2}"
             ),
             "FM carriers penetrate under elevated decks and are temporally \
              rock-stable, shoring RUPS up exactly where GSM is weakest"
@@ -98,7 +71,7 @@ pub fn run(p: &Params) -> Figure {
         ],
         series: vec![
             Series::cdf("GSM only", gsm_errs),
-            Series::cdf(format!("GSM + {} FM channels", p.fm_channels), multi_errs),
+            Series::cdf(format!("GSM + {FM_CHANNELS} FM channels"), multi_errs),
         ],
     }
 }
@@ -109,7 +82,7 @@ mod tests {
 
     #[test]
     fn fm_fusion_does_not_hurt_under_elevated_roads() {
-        let fig = run(&quick_params());
+        let fig = run(&EvalScale::quick());
         assert_eq!(fig.series.len(), 2);
         let gsm = &fig.series[0];
         let multi = &fig.series[1];

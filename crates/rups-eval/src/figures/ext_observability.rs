@@ -8,7 +8,7 @@
 //! the rig's wire ring. While the scenario replays, the
 //! harness samples the registry every `epoch_stride` query epochs and
 //! emits the per-window [`MetricsSnapshot::delta`]s as a machine-readable
-//! timeline (`results/ext-observability-metrics.json` by default).
+//! timeline (`ext-observability-metrics.json`).
 //!
 //! The timeline is the observability acceptance artefact: it carries the
 //! engine context/window cache hit and miss counters, the SYN-stage
@@ -16,25 +16,26 @@
 //! friends), the link fault counters (`rups_v2v_link_dropped`, …) and the
 //! per-grade fix-quality counters, per window and cumulatively. Window
 //! deltas are slimmed ([`MetricsSnapshot::compact`]) and capped at
-//! [`Params::max_windows`] so the committed artefact stays reviewable;
-//! the cumulative snapshot stays complete.
+//! `MAX_WINDOWS` so the committed artefact stays reviewable; the
+//! cumulative snapshot stays complete.
 //!
 //! Two forensic artefacts ride along: the rear and wire rings are exported
-//! as one Chrome trace-event JSON (`results/ext-observability-trace.json`,
+//! as one Chrome trace-event JSON (`ext-observability-trace.json`,
 //! loadable in `chrome://tracing`/Perfetto), and a
 //! [`FlightRecorder`] wired into the rear node
 //! watches the run. Two thirds in, a burst of structurally valid but
 //! unrelated "rogue" snapshots is injected into the inbox; the resulting
 //! fix-error spike trips the recorder and its black box — registry
 //! deltas, recent spans, per-fix [`FixReport`](rups_core::report::FixReport)s
-//! — lands in `results/ext-observability-flight.json`.
+//! — becomes `ext-observability-flight.json`. The figure returns all three
+//! files as [`Artefact`]s; `evaluate --json DIR` writes them.
 //!
 //! [`ext_faults`]: crate::figures::ext_faults
 //! [`ConvoyRig`]: crate::rig::ConvoyRig
 //! [`MetricsSnapshot::delta`]: rups_obs::MetricsSnapshot::delta
 
-use crate::figures::{results_path, write_json, EvalScale};
-use crate::rig::{acceptance_faults, ConvoyRig, ConvoySpec};
+use crate::figures::{Artefact, EvalScale, CONVOY_CONTEXT_M, CONVOY_HORIZON_S, CONVOY_WARMUP_M};
+use crate::rig::{acceptance_faults, ConvoyRig, ConvoySpec, SPAN_RING};
 use crate::series::{Figure, Series};
 use rups_core::config::RupsConfig;
 use rups_core::geo::GeoSample;
@@ -42,67 +43,39 @@ use rups_core::gsm::PowerVector;
 use rups_core::pipeline::{ContextSnapshot, RupsNode};
 use rups_core::report::default_flight_config;
 use rups_core::testfield;
-use rups_obs::{chrome_trace, write_chrome_trace, FlightRecorder, MetricsSnapshot};
+use rups_obs::{chrome_trace, FlightRecorder, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use v2v_sim::fault::FaultConfig;
 
-/// Parameters of the telemetry-under-faults run.
+/// True front–rear gap, metres.
+const GAP_M: f64 = 60.0;
+/// Hard cap on timeline windows in the artefact (the committed file must
+/// stay diff-reviewable; see EXPERIMENTS.md).
+const MAX_WINDOWS: usize = 24;
+/// Newest span records exported into the Chrome trace.
+const TRACE_MAX_EVENTS: usize = 2048;
+/// Rogue (structurally valid, unrelated-field) snapshots injected two
+/// thirds into the run to demonstrate the flight recorder.
+const ROGUE_BURST: u64 = 4;
+
+/// Parameters of the telemetry-under-faults run. The channel is the
+/// ext-faults acceptance cell ([`acceptance_faults`]: ~30 % expected
+/// burst loss plus 1 % corruption).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
     /// Scale knobs (duration, band width, master seed).
     pub scale: EvalScale,
-    /// True front–rear gap, metres.
-    pub gap_m: f64,
-    /// Journey context the front vehicle beacons, metres.
-    pub context_m: usize,
-    /// Metres driven before the first beacon (context build-up).
-    pub warmup_m: usize,
-    /// Staleness horizon of the receiver's inbox, seconds.
-    pub horizon_s: f64,
-    /// Channel impairments (default: the ext-faults acceptance cell,
-    /// ~30 % expected burst loss plus 1 % corruption).
-    pub faults: FaultConfig,
     /// Query epochs aggregated into one timeline window. The effective
-    /// stride grows as needed to keep the timeline under `max_windows`.
+    /// stride grows as needed to keep the timeline under `MAX_WINDOWS`.
     pub epoch_stride: usize,
-    /// Hard cap on timeline windows in the artefact (the committed file
-    /// must stay diff-reviewable; see EXPERIMENTS.md).
-    pub max_windows: usize,
-    /// Capacity of each span ring.
-    pub span_capacity: usize,
-    /// Newest span records exported into the Chrome trace.
-    pub trace_max_events: usize,
-    /// Rogue (structurally valid, unrelated-field) snapshots injected two
-    /// thirds into the run to demonstrate the flight recorder; 0 disables
-    /// the injection.
-    pub rogue_burst: usize,
-    /// Where to write the metrics timeline JSON; `None` skips the write.
-    pub out_path: Option<String>,
-    /// Where to write the Chrome trace-event JSON; `None` skips it.
-    pub trace_out_path: Option<String>,
-    /// Where to write the flight-recorder dump (written only when a
-    /// trigger fired); `None` skips it.
-    pub flight_out_path: Option<String>,
 }
 
 impl Default for Params {
     fn default() -> Self {
         Self {
             scale: EvalScale::paper(),
-            gap_m: 60.0,
-            context_m: 250,
-            warmup_m: 260,
-            horizon_s: 10.0,
-            faults: acceptance_faults(),
             epoch_stride: 60,
-            max_windows: 24,
-            span_capacity: 4096,
-            trace_max_events: 2048,
-            rogue_burst: 4,
-            out_path: Some(results_path("ext-observability-metrics.json")),
-            trace_out_path: Some(results_path("ext-observability-trace.json")),
-            flight_out_path: Some(results_path("ext-observability-flight.json")),
         }
     }
 }
@@ -112,7 +85,6 @@ pub fn quick_params() -> Params {
     Params {
         scale: EvalScale::quick(),
         epoch_stride: 30,
-        ..Params::default()
     }
 }
 
@@ -163,11 +135,12 @@ fn ratio(snap: &MetricsSnapshot, num: &str, miss: &str) -> f64 {
     }
 }
 
-/// Runs the experiment, writing the timeline to `p.out_path` when set.
-pub fn run(p: &Params) -> Figure {
+/// Runs the experiment; returns the figure plus its metrics timeline,
+/// Chrome trace and (when a trigger fired) flight dump.
+pub fn run(p: &Params) -> (Figure, Vec<Artefact>) {
     let s = &p.scale;
-    let mut cfg = s.rups_config();
-    cfg.max_context_m = p.context_m + 150;
+    let cfg = s.convoy_config();
+    let faults = acceptance_faults();
     let field_seed = s.seed ^ 0xFA17;
 
     // Rear vehicle 1 receives: its registry also meters the link and its
@@ -177,13 +150,13 @@ pub fn run(p: &Params) -> Figure {
         ConvoySpec {
             cfg: cfg.clone(),
             n_vehicles: 2,
-            gap_m: p.gap_m,
+            gap_m: GAP_M,
             field_seed,
-            context_m: p.context_m,
-            horizon_s: p.horizon_s,
-            faults: p.faults,
+            context_m: CONVOY_CONTEXT_M,
+            horizon_s: CONVOY_HORIZON_S,
+            faults,
             link_seed: s.seed ^ 0x0B5E,
-            span_capacity: p.span_capacity,
+            span_capacity: SPAN_RING,
         },
         |id, node, registry, spans| match id {
             1 => node.with_flight_recorder(Arc::new(
@@ -198,31 +171,31 @@ pub fn run(p: &Params) -> Figure {
     let flight = Arc::clone(rear.node.flight_recorder().expect("wired above"));
 
     // One query epoch per metre after warmup; the stride grows as needed
-    // so the committed timeline never exceeds `max_windows` entries.
+    // so the committed timeline never exceeds `MAX_WINDOWS` entries.
     let duration_epochs = s.duration_s as usize;
     let stride = p
         .epoch_stride
         .max(1)
-        .max(duration_epochs.div_ceil(p.max_windows.max(1)));
+        .max(duration_epochs.div_ceil(MAX_WINDOWS));
     let inject_epoch = duration_epochs * 2 / 3;
     let mut entries = Vec::new();
     let mut prev = registry.snapshot();
     let mut epochs = 0usize;
 
-    let total_m = p.warmup_m + duration_epochs;
+    let total_m = CONVOY_WARMUP_M + duration_epochs;
     for metre in 0..total_m {
         let t = metre as f64;
         rig.drive(t);
-        if metre < p.warmup_m {
+        if metre < CONVOY_WARMUP_M {
             continue;
         }
 
         rig.beacon(2, t);
         rig.deliver(t);
         epochs += 1;
-        if p.rogue_burst > 0 && epochs == inject_epoch {
-            for i in 0..p.rogue_burst as u64 {
-                let rogue = rogue_snapshot(&cfg, p.context_m, field_seed ^ (0x60D + i), 100 + i, t);
+        if epochs == inject_epoch {
+            for i in 0..ROGUE_BURST {
+                let rogue = rogue_snapshot(&cfg, field_seed ^ (0x60D + i), 100 + i, t);
                 let _ = rig.accept(1, rogue, t);
             }
         }
@@ -253,43 +226,34 @@ pub fn run(p: &Params) -> Figure {
     let timeline = MetricsTimeline {
         figure_id: "ext-observability".into(),
         epoch_stride: stride,
-        faults: p.faults,
+        faults,
         entries,
         cumulative,
         spans_recorded: spans.recorded_total() + rig.wire().recorded_total(),
     };
-    let mut notes = Vec::new();
-    if let Some(path) = &p.out_path {
-        write_json(path, &timeline);
-        notes.push(format!("metrics timeline written to {path}"));
-    }
-    if let Some(path) = &p.trace_out_path {
-        // The rear ring and the wire's fault events, in recording order.
-        let mut records = spans.recent();
-        records.extend(rig.wire().recent());
-        records.sort_by_key(|r| r.start_ns + r.dur_ns);
-        let trace = chrome_trace(&records[records.len().saturating_sub(p.trace_max_events)..]);
-        write_chrome_trace(path, &trace);
-        notes.push(format!(
-            "chrome trace ({} events) written to {path}",
-            trace.traceEvents.len()
+    // The rear ring and the wire's fault events, in recording order.
+    let mut records = spans.recent();
+    records.extend(rig.wire().recent());
+    records.sort_by_key(|r| r.start_ns + r.dur_ns);
+    let trace = chrome_trace(&records[records.len().saturating_sub(TRACE_MAX_EVENTS)..]);
+    let mut notes = vec![
+        format!("chrome trace of {} events", trace.traceEvents.len()),
+        format!(
+            "{ROGUE_BURST} rogue snapshots injected at epoch {inject_epoch} to trip the flight recorder"
+        ),
+    ];
+    let mut artefacts = vec![
+        Artefact::pretty("ext-observability-metrics.json", &timeline),
+        Artefact::compact("ext-observability-trace.json", &trace),
+    ];
+    if flight.has_triggered() {
+        artefacts.push(Artefact::compact(
+            "ext-observability-flight.json",
+            &flight.dump(),
         ));
-    }
-    if p.rogue_burst > 0 {
-        notes.push(format!(
-            "{} rogue snapshots injected at epoch {inject_epoch} to trip the flight recorder",
-            p.rogue_burst
-        ));
-    }
-    if let Some(path) = &p.flight_out_path {
-        if flight.has_triggered() {
-            flight.dump_to(path);
-            notes.push(format!(
-                "flight recorder triggered; black box written to {path}"
-            ));
-        } else {
-            notes.push("flight recorder armed but never triggered; no black box written".into());
-        }
+        notes.push("flight recorder triggered; black box attached".into());
+    } else {
+        notes.push("flight recorder armed but never triggered; no black box".into());
     }
 
     // The figure view of the timeline: cache/delivery health per window.
@@ -375,37 +339,32 @@ pub fn run(p: &Params) -> Figure {
     notes.push(format!(
         "{} spans recorded into the rear and wire rings ({} slots each; {} timeline windows of {} epochs)",
         timeline.spans_recorded,
-        p.span_capacity,
+        SPAN_RING,
         timeline.entries.len(),
         stride,
     ));
 
-    Figure {
+    let figure = Figure {
         id: "ext-observability".into(),
         title: "Unified telemetry under V2V channel faults".into(),
         notes,
         series,
-    }
+    };
+    (figure, artefacts)
 }
 
 /// A structurally valid snapshot whose GSM field comes from an unrelated
 /// seed: the SYN search against it can only miss, so a burst of these in
 /// the inbox drives the fix-error rate up and trips the flight recorder's
 /// `fix_error_spike` rule.
-fn rogue_snapshot(
-    cfg: &RupsConfig,
-    context_m: usize,
-    seed: u64,
-    vehicle_id: u64,
-    t: f64,
-) -> ContextSnapshot {
+fn rogue_snapshot(cfg: &RupsConfig, seed: u64, vehicle_id: u64, t: f64) -> ContextSnapshot {
     let mut rogue = RupsNode::new(cfg.clone()).with_vehicle_id(vehicle_id);
-    for j in 0..context_m {
+    for j in 0..CONVOY_CONTEXT_M {
         rogue
             .append_metre(
                 GeoSample {
                     heading_rad: 0.0,
-                    timestamp_s: t - (context_m - 1 - j) as f64,
+                    timestamp_s: t - (CONVOY_CONTEXT_M - 1 - j) as f64,
                 },
                 &PowerVector::from_fn(cfg.n_channels, |ch| {
                     Some(testfield::rssi(seed, j as f64, ch))
@@ -413,7 +372,7 @@ fn rogue_snapshot(
             )
             .expect("rogue synthetic drive never mismatches");
     }
-    rogue.snapshot(Some(context_m))
+    rogue.snapshot(Some(CONVOY_CONTEXT_M))
 }
 
 #[cfg(test)]
@@ -421,21 +380,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timeline_lands_on_disk_with_live_counters() {
-        let mut p = quick_params();
-        let dir = std::env::temp_dir();
-        let path = dir.join("rups-ext-observability-test-metrics.json");
-        let trace_path = dir.join("rups-ext-observability-test-trace.json");
-        let flight_path = dir.join("rups-ext-observability-test-flight.json");
-        p.out_path = Some(path.to_string_lossy().into_owned());
-        p.trace_out_path = Some(trace_path.to_string_lossy().into_owned());
-        p.flight_out_path = Some(flight_path.to_string_lossy().into_owned());
-        let fig = run(&p);
+    fn timeline_trace_and_black_box_carry_live_counters() {
+        let (fig, artefacts) = run(&quick_params());
+        let file = |name: &str| {
+            &artefacts
+                .iter()
+                .find(|a| a.file == name)
+                .unwrap_or_else(|| panic!("{name} returned"))
+                .json
+        };
 
         // The artefact parses back into the typed timeline.
-        let raw = std::fs::read_to_string(&path).expect("timeline written");
-        std::fs::remove_file(&path).ok();
-        let tl: MetricsTimeline = serde_json::from_str(&raw).expect("timeline parses");
+        let tl: MetricsTimeline =
+            serde_json::from_str(file("ext-observability-metrics.json")).expect("timeline parses");
         assert_eq!(tl.figure_id, "ext-observability");
         assert!(!tl.entries.is_empty());
 
@@ -470,26 +427,25 @@ mod tests {
         assert_eq!(windowed, queries);
 
         // The stride cap bounded the committed artefact.
-        assert!(tl.entries.len() <= p.max_windows);
+        assert!(tl.entries.len() <= MAX_WINDOWS);
 
         // The Chrome trace parses back and carries both complete spans and
         // the per-component thread-name metadata.
-        let raw = std::fs::read_to_string(&trace_path).expect("trace written");
-        std::fs::remove_file(&trace_path).ok();
-        let trace: rups_obs::ChromeTrace = serde_json::from_str(&raw).expect("trace parses");
+        let trace: rups_obs::ChromeTrace =
+            serde_json::from_str(file("ext-observability-trace.json")).expect("trace parses");
         assert!(!trace.traceEvents.is_empty());
         assert!(trace.traceEvents.iter().any(|e| e.ph == "X"));
         assert!(trace
             .traceEvents
             .iter()
             .any(|e| e.ph == "M" && e.name == "thread_name"));
-        assert!(trace.traceEvents.len() <= p.trace_max_events + 16);
+        assert!(trace.traceEvents.len() <= TRACE_MAX_EVENTS + 16);
 
         // The rogue burst tripped the flight recorder: the black box holds
         // registry deltas, recent spans and per-fix reports.
-        let raw = std::fs::read_to_string(&flight_path).expect("flight dump written");
-        std::fs::remove_file(&flight_path).ok();
-        let dump: rups_obs::FlightDump = serde_json::from_str(&raw).expect("flight dump parses");
+        let dump: rups_obs::FlightDump =
+            serde_json::from_str(file("ext-observability-flight.json"))
+                .expect("flight dump parses");
         assert!(dump.triggered.iter().any(|t| t.rule == "fix_error_spike"));
         assert!(!dump.windows.is_empty());
         assert!(!dump.spans.is_empty());

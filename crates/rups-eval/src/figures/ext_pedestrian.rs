@@ -12,38 +12,13 @@ use crate::figures::EvalScale;
 use crate::queries::{run_queries, sample_query_times, summarize_rde};
 use crate::series::{Figure, Series};
 use crate::tracegen::{generate, Mobility, TraceConfig};
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters of the pedestrian experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-    /// Road setting (sidewalk along a 4-lane urban street).
-    pub road: RoadClass,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            road: RoadClass::Urban4Lane,
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        ..Default::default()
-    }
-}
+/// Road setting: a sidewalk along a 4-lane urban street.
+const ROAD: RoadClass = RoadClass::Urban4Lane;
 
 /// One mobility variant: (coverage, error samples, answer rate).
-fn run_variant(p: &Params, mobility: Mobility) -> (f64, Vec<f64>, f64) {
-    let s = &p.scale;
+fn run_variant(s: &EvalScale, mobility: Mobility) -> (f64, Vec<f64>, f64) {
     let mut coverage_sum = 0.0;
     let mut all = Vec::new();
     let seeds = s.trace_seeds(0xFED);
@@ -64,7 +39,7 @@ fn run_variant(p: &Params, mobility: Mobility) -> (f64, Vec<f64>, f64) {
                 0.1
             },
             mobility,
-            ..TraceConfig::new(seed, p.road)
+            ..TraceConfig::new(seed, ROAD)
         });
         coverage_sum += trace.follower.gsm.coverage();
         let times = sample_query_times(&trace, s.queries_per_seed(), s.seed ^ 0xFE1);
@@ -76,7 +51,7 @@ fn run_variant(p: &Params, mobility: Mobility) -> (f64, Vec<f64>, f64) {
 }
 
 /// Runs the experiment.
-pub fn run(p: &Params) -> Figure {
+pub fn run(s: &EvalScale) -> Figure {
     let variants = [
         (Mobility::Vehicle, "car"),
         (Mobility::Bicycle, "bicycle"),
@@ -85,7 +60,7 @@ pub fn run(p: &Params) -> Figure {
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (mobility, label) in variants {
-        let (coverage, errs, rate) = run_variant(p, mobility);
+        let (coverage, errs, rate) = run_variant(s, mobility);
         let mean = if errs.is_empty() {
             f64::NAN
         } else {
@@ -116,9 +91,9 @@ mod tests {
 
     #[test]
     fn slower_movers_get_better_coverage() {
-        let p = quick_params();
-        let (cov_car, _, _) = run_variant(&p, Mobility::Vehicle);
-        let (cov_ped, errs_ped, rate_ped) = run_variant(&p, Mobility::Pedestrian);
+        let s = EvalScale::quick();
+        let (cov_car, _, _) = run_variant(&s, Mobility::Vehicle);
+        let (cov_ped, errs_ped, rate_ped) = run_variant(&s, Mobility::Pedestrian);
         assert!(
             cov_ped > cov_car * 2.0,
             "pedestrian coverage {cov_ped:.2} vs car {cov_car:.2}"

@@ -13,38 +13,12 @@ use crate::series::{Figure, Series};
 use crate::tracegen::{generate_convoy, ConvoyTrace, TraceConfig};
 use rups_core::resolve;
 use rups_core::syn;
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters of the scalability experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-    /// Convoy sizes to evaluate.
-    pub convoy_sizes: Vec<usize>,
-    /// Query instants per convoy size.
-    pub n_instants: usize,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            convoy_sizes: vec![2, 4, 8],
-            n_instants: 10,
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        convoy_sizes: vec![2, 4],
-        n_instants: 3,
-    }
-}
+/// Convoy sizes to evaluate.
+const CONVOY_SIZES: [usize; 3] = [2, 4, 8];
+/// Query instants per convoy size.
+const N_INSTANTS: usize = 10;
 
 struct SweepOutcome {
     per_sweep_ms: f64,
@@ -106,14 +80,17 @@ fn sweep(
 }
 
 /// Runs the experiment.
-pub fn run(p: &Params) -> Figure {
-    let s = &p.scale;
+pub fn run(s: &EvalScale) -> Figure {
+    sweep_convoys(s, &CONVOY_SIZES, N_INSTANTS)
+}
+
+fn sweep_convoys(s: &EvalScale, convoy_sizes: &[usize], n_instants: usize) -> Figure {
     let cfg = s.rups_config();
     let mut x = Vec::new();
     let mut time_y = Vec::new();
     let mut rate_y = Vec::new();
     let mut notes = Vec::new();
-    for &n in &p.convoy_sizes {
+    for &n in convoy_sizes {
         let trace = generate_convoy(
             &TraceConfig {
                 n_channels: s.n_channels,
@@ -125,7 +102,7 @@ pub fn run(p: &Params) -> Figure {
             },
             n,
         );
-        let out = sweep(&trace, &cfg, p.n_instants);
+        let out = sweep(&trace, &cfg, n_instants);
         x.push((n - 1) as f64);
         time_y.push(out.per_sweep_ms);
         let rate = out.n_answered as f64 / out.n_queries.max(1) as f64;
@@ -167,7 +144,7 @@ mod tests {
 
     #[test]
     fn sweeps_scale_linearly_and_stay_correct() {
-        let fig = run(&quick_params());
+        let fig = sweep_convoys(&EvalScale::quick(), &[2, 4], 3);
         let time = &fig.series[0];
         let rates = &fig.series[1];
         assert_eq!(time.x, vec![1.0, 3.0]);

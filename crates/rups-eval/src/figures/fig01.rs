@@ -12,27 +12,34 @@ use gsm_sim::{EnvironmentClass, GsmEnvironment};
 use rups_core::gsm::{GsmTrajectory, PowerVector};
 use serde::{Deserialize, Serialize};
 
+/// Master seed.
+const SEED: u64 = 1;
+/// Time between the two entries of road 1, seconds.
+const REVISIT_GAP_S: f64 = 1800.0;
+
 /// Parameters of the Fig. 1 reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Params {
-    /// Master seed.
-    pub seed: u64,
     /// Trajectory length, metres (paper: 150).
     pub len_m: usize,
     /// Band width, channels (paper: 194).
     pub n_channels: usize,
-    /// Time between the two entries of road 1, seconds.
-    pub revisit_gap_s: f64,
 }
 
 impl Default for Params {
     fn default() -> Self {
         Self {
-            seed: 1,
             len_m: 150,
             n_channels: 194,
-            revisit_gap_s: 1800.0,
         }
+    }
+}
+
+/// Reduced band for `--quick` smoke passes.
+pub fn quick_params() -> Params {
+    Params {
+        n_channels: 64,
+        ..Params::default()
     }
 }
 
@@ -59,16 +66,16 @@ fn mean_profile(traj: &GsmTrajectory) -> Vec<f64> {
 
 /// Runs the experiment.
 pub fn run(p: &Params) -> Figure {
-    let road1 = GsmEnvironment::new(p.seed, EnvironmentClass::SemiOpen, 2_000.0, p.n_channels);
+    let road1 = GsmEnvironment::new(SEED, EnvironmentClass::SemiOpen, 2_000.0, p.n_channels);
     let road2 = GsmEnvironment::new(
-        p.seed ^ 0xBEEF,
+        SEED ^ 0xBEEF,
         EnvironmentClass::SemiOpen,
         2_000.0,
         p.n_channels,
     );
 
     let t1a = sample_trajectory(&road1, p.len_m, 0.0);
-    let t1b = sample_trajectory(&road1, p.len_m, p.revisit_gap_s);
+    let t1b = sample_trajectory(&road1, p.len_m, REVISIT_GAP_S);
     let t2 = sample_trajectory(&road2, p.len_m, 0.0);
 
     let x: Vec<f64> = (0..p.len_m).map(|i| i as f64).collect();
@@ -113,7 +120,6 @@ mod tests {
         let p = Params {
             n_channels: 64,
             len_m: 120,
-            ..Default::default()
         };
         let fig = run(&p);
         assert_eq!(fig.series.len(), 3);

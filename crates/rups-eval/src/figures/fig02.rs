@@ -13,11 +13,12 @@ use rand::{seq::index::sample, Rng, SeedableRng};
 use rups_core::stats::pearson;
 use serde::{Deserialize, Serialize};
 
+/// Master seed.
+const SEED: u64 = 2;
+
 /// Parameters of the Fig. 2 reproduction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
-    /// Master seed.
-    pub seed: u64,
     /// Number of measurement locations (paper: 20, downtown).
     pub n_locations: usize,
     /// Power-vector pairs per (location, gap) cell (paper: 100 per gap over
@@ -32,7 +33,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Self {
-            seed: 2,
             n_locations: 20,
             pairs_per_gap: 100,
             n_channels: 194,
@@ -48,15 +48,14 @@ pub fn quick_params() -> Params {
         pairs_per_gap: 30,
         n_channels: 64,
         gaps_s: vec![5.0, 120.0, 600.0, 1500.0],
-        ..Default::default()
     }
 }
 
 /// Runs the experiment.
 pub fn run(p: &Params) -> Figure {
     // Downtown setting per the paper: semi-open urban environment.
-    let env = GsmEnvironment::new(p.seed, EnvironmentClass::SemiOpen, 8_000.0, p.n_channels);
-    let mut rng = StdRng::seed_from_u64(p.seed ^ 0xF162);
+    let env = GsmEnvironment::new(SEED, EnvironmentClass::SemiOpen, 8_000.0, p.n_channels);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xF162);
 
     let locations: Vec<(f64, f64)> = (0..p.n_locations)
         .map(|_| (rng.gen_range(200.0..7_800.0), 0.0))

@@ -11,11 +11,12 @@ use crate::series::{Figure, Series};
 use gsm_sim::{EnvironmentClass, GsmEnvironment, PropagationParams};
 use serde::{Deserialize, Serialize};
 
+/// Master seed.
+const SEED: u64 = 3;
+
 /// Parameters of the Fig. 3 reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Params {
-    /// Master seed.
-    pub seed: u64,
     /// Number of distinct roads (paper: 200 segments).
     pub n_roads: usize,
     /// Trajectory length, metres (paper: 150).
@@ -27,7 +28,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Self {
-            seed: 3,
             n_roads: 60,
             len_m: 150,
             n_channels: 194,
@@ -41,7 +41,6 @@ pub fn quick_params() -> Params {
         n_roads: 10,
         len_m: 100,
         n_channels: 48,
-        ..Default::default()
     }
 }
 
@@ -68,7 +67,7 @@ pub fn run(p: &Params) -> Figure {
         let envs: Vec<GsmEnvironment> = (0..p.n_roads)
             .map(|i| {
                 GsmEnvironment::with_params(
-                    p.seed ^ (i as u64) << 8,
+                    SEED ^ (i as u64) << 8,
                     EnvironmentClass::SemiOpen,
                     params.clone(),
                     2_000.0,

@@ -12,34 +12,10 @@ use crate::queries::{run_queries, sample_query_times};
 use crate::series::{Figure, Series};
 use crate::tracegen::{generate, TraceConfig};
 use gsm_sim::RadioPlacement;
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters of the Fig. 9 reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs (queries per config, band width, duration).
-    pub scale: EvalScale,
-    /// Road setting of the experiment.
-    pub road: RoadClass,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            road: RoadClass::Urban4Lane,
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        road: RoadClass::Urban4Lane,
-    }
-}
+/// Road setting of the experiment.
+const ROAD: RoadClass = RoadClass::Urban4Lane;
 
 /// The four radio configurations of §VI-B:
 /// (label, follower radios, follower placement, leader radios, leader placement).
@@ -75,14 +51,13 @@ pub const CONFIGS: [(&str, usize, RadioPlacement, usize, RadioPlacement); 4] = [
 ];
 
 /// Collects the SYN-error samples for one radio configuration.
-pub fn syn_errors_for_config(
-    p: &Params,
+fn syn_errors_for_config(
+    s: &EvalScale,
     follower_radios: usize,
     follower_placement: RadioPlacement,
     leader_radios: usize,
     leader_placement: RadioPlacement,
 ) -> Vec<f64> {
-    let s = &p.scale;
     let rups_cfg = s.rups_config();
     let mut errs = Vec::new();
     for seed in s.trace_seeds(0xF09) {
@@ -95,7 +70,7 @@ pub fn syn_errors_for_config(
             follower_placement,
             leader_radios,
             leader_placement,
-            ..TraceConfig::new(seed, p.road)
+            ..TraceConfig::new(seed, ROAD)
         });
         let times = sample_query_times(&trace, s.queries_per_seed(), s.seed ^ 0x919);
         errs.extend(
@@ -108,11 +83,11 @@ pub fn syn_errors_for_config(
 }
 
 /// Runs the experiment.
-pub fn run(p: &Params) -> Figure {
+pub fn run(s: &EvalScale) -> Figure {
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (label, fr, fp, lr, lp) in CONFIGS {
-        let errs = syn_errors_for_config(p, fr, fp, lr, lp);
+        let errs = syn_errors_for_config(s, fr, fp, lr, lp);
         let cdf = Series::cdf(label, errs);
         if !cdf.x.is_empty() {
             notes.push(format!(
@@ -145,7 +120,7 @@ mod tests {
 
     #[test]
     fn radio_count_and_placement_order_the_cdfs() {
-        let fig = run(&quick_params());
+        let fig = run(&EvalScale::quick());
         assert_eq!(fig.series.len(), 4);
         let frac10 = |i: usize| fig.series[i].cdf_at(10.0);
         // 4 front radios beat 1 front radio at the 10 m mark.

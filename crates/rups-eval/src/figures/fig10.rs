@@ -14,34 +14,10 @@ use crate::queries::{run_queries, sample_query_times, QueryOutcome};
 use crate::series::{Figure, Series};
 use crate::tracegen::{generate, TraceConfig};
 use rups_core::config::AggregationScheme;
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters of the Fig. 10 reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-    /// Occlusion events per minute (8-lane default is heavy).
-    pub occlusion_rate_per_min: f64,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-            occlusion_rate_per_min: 2.5,
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-        ..Default::default()
-    }
-}
+/// Occlusion events per minute (heavy, as on the 8-lane road).
+const OCCLUSION_RATE_PER_MIN: f64 = 2.5;
 
 /// Re-aggregates an outcome's per-SYN estimates under `scheme` and returns
 /// the resulting |error|.
@@ -52,8 +28,7 @@ fn rde_under(outcome: &QueryOutcome, scheme: AggregationScheme) -> Option<f64> {
 }
 
 /// Runs the experiment.
-pub fn run(p: &Params) -> Figure {
-    let s = &p.scale;
+pub fn run(s: &EvalScale) -> Figure {
     let rups_cfg = s.rups_config();
     let mut outcomes = Vec::new();
     let mut n_occlusions = 0usize;
@@ -63,7 +38,7 @@ pub fn run(p: &Params) -> Figure {
             scanned_channels: s.scanned_channels,
             route_len_m: s.route_len_m(),
             duration_s: s.duration_s,
-            occlusion_rate_per_min: p.occlusion_rate_per_min,
+            occlusion_rate_per_min: OCCLUSION_RATE_PER_MIN,
             ..TraceConfig::new(seed, RoadClass::Urban8Lane)
         });
         let times = sample_query_times(&trace, s.queries_per_seed(), s.seed ^ 0xA10);
@@ -117,7 +92,7 @@ mod tests {
 
     #[test]
     fn aggregation_improves_the_tail() {
-        let fig = run(&quick_params());
+        let fig = run(&EvalScale::quick());
         assert_eq!(fig.series.len(), 3);
         let single = &fig.series[0];
         let selective = &fig.series[2];
@@ -134,7 +109,7 @@ mod tests {
 
     #[test]
     fn occlusions_present_in_trace() {
-        let fig = run(&quick_params());
+        let fig = run(&EvalScale::quick());
         let note = fig.notes.last().unwrap();
         let n: usize = note.split_whitespace().next().unwrap().parse().unwrap();
         assert!(n > 0, "expected occlusion events, note: {note}");

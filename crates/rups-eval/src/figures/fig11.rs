@@ -17,28 +17,6 @@ use gsm_sim::RadioPlacement;
 use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
 
-/// Parameters of the Fig. 11 reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-    }
-}
-
 /// The environment rows of the figure: (label, road, same lane?).
 pub const ENVIRONMENTS: [(&str, RoadClass, bool); 4] = [
     ("2-lane, suburb", RoadClass::Suburban2Lane, true),
@@ -104,7 +82,7 @@ pub fn run_cell(
 }
 
 /// Runs the full grid.
-pub fn run(p: &Params) -> Figure {
+pub fn run(scale: &EvalScale) -> Figure {
     let mut rows = Vec::new();
     let mut series: Vec<Series> = CONFIGS
         .iter()
@@ -113,7 +91,7 @@ pub fn run(p: &Params) -> Figure {
 
     for (env_idx, (env_label, road, same_lane)) in ENVIRONMENTS.iter().enumerate() {
         for (cfg_idx, (cfg_label, radios, placement)) in CONFIGS.iter().enumerate() {
-            let cell = run_cell(&p.scale, *road, *same_lane, *radios, *placement);
+            let cell = run_cell(scale, *road, *same_lane, *radios, *placement);
             let fmt = |s: Option<SampleStats>| match s {
                 Some(st) => format!("{:.1} ± {:.1}", st.mean, st.ci95),
                 None => "—".into(),
@@ -160,9 +138,9 @@ mod tests {
 
     #[test]
     fn single_cell_produces_stats() {
-        let p = quick_params();
+        let scale = EvalScale::quick();
         let cell = run_cell(
-            &p.scale,
+            &scale,
             RoadClass::Urban4Lane,
             true,
             4,
@@ -177,16 +155,16 @@ mod tests {
 
     #[test]
     fn distinct_lanes_are_harder_than_same_lane() {
-        let p = quick_params();
+        let scale = EvalScale::quick();
         let same = run_cell(
-            &p.scale,
+            &scale,
             RoadClass::Urban8Lane,
             true,
             4,
             RadioPlacement::FrontPanel,
         );
         let diff = run_cell(
-            &p.scale,
+            &scale,
             RoadClass::Urban8Lane,
             false,
             4,

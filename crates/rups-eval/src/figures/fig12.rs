@@ -11,30 +11,7 @@ use crate::figures::EvalScale;
 use crate::queries::{run_queries, sample_query_times, GpsBaseline};
 use crate::series::{render_table, Figure, Series};
 use crate::tracegen::{generate, TraceConfig};
-use serde::{Deserialize, Serialize};
 use urban_sim::road::RoadClass;
-
-/// Parameters of the Fig. 12 reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Params {
-    /// Scale knobs.
-    pub scale: EvalScale,
-}
-
-impl Default for Params {
-    fn default() -> Self {
-        Self {
-            scale: EvalScale::paper(),
-        }
-    }
-}
-
-/// Smaller run for tests.
-pub fn quick_params() -> Params {
-    Params {
-        scale: EvalScale::quick(),
-    }
-}
 
 /// Per-road labels in the paper's order.
 pub const ROADS: [(&str, RoadClass); 4] = [
@@ -83,7 +60,7 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(p: &Params) -> Figure {
+pub fn run(scale: &EvalScale) -> Figure {
     let mut series = Vec::new();
     let mut rows = Vec::new();
     let mut ratio_sum = 0.0;
@@ -92,7 +69,7 @@ pub fn run(p: &Params) -> Figure {
     let paper_gps = [4.2, 9.9, 9.8, 21.1];
 
     for (i, (label, road)) in ROADS.iter().enumerate() {
-        let out = run_road(&p.scale, *road);
+        let out = run_road(scale, *road);
         let m_rups = mean(&out.rups);
         let m_gps = mean(&out.gps);
         if m_rups.is_finite() && m_gps.is_finite() && m_rups > 0.0 {
@@ -156,7 +133,7 @@ mod tests {
 
     #[test]
     fn full_figure_structure() {
-        let fig = run(&quick_params());
+        let fig = run(&EvalScale::quick());
         assert_eq!(fig.series.len(), 8);
         assert!(fig.notes.iter().any(|n| n.contains("ratio")));
     }

@@ -33,6 +33,13 @@
 //! * [`ext_pedestrian`] — RUPS at walking/cycling speeds (§VII future work)
 //! * [`ext_scalability`] — all-neighbour query sweeps in an n-vehicle convoy (§V-B)
 //! * [`ablations`] — accuracy ablations of the design knobs (DESIGN.md §5)
+//!
+//! A figure whose knobs differ between paper scale and `--quick` takes a
+//! `Params` (with a `quick_params()` preset); one that only scales with
+//! the trace takes an [`EvalScale`]; every other knob is a `const` of its
+//! module. Figures never write files: the four with side artefacts return
+//! them next to their [`Figure`](crate::Figure), and `evaluate --json DIR`
+//! writes them.
 
 use rups_core::config::RupsConfig;
 use serde::{Deserialize, Serialize};
@@ -59,22 +66,40 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 
-/// Where a committed artefact lives: `results/<file>` at the workspace
-/// root, whatever the invocation directory.
-pub fn results_path(file: &str) -> String {
-    format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"))
+/// A side file a figure hands to `evaluate --json DIR`, which writes it
+/// as `DIR/<file>` beside the figure's `<id>.json` (in its place when the
+/// names match).
+#[derive(Debug)]
+pub struct Artefact {
+    /// File name under the `--json` directory.
+    pub file: &'static str,
+    /// The file's JSON text.
+    pub json: String,
 }
 
-/// Serialises `value` as pretty JSON to `path`, creating parent
-/// directories.
-pub fn write_json(path: &str, value: &impl Serialize) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent).expect("create artefact directory");
+impl Artefact {
+    /// `value` as pretty JSON: a record meant to be diffed.
+    pub fn pretty(file: &'static str, value: &impl Serialize) -> Self {
+        let json = serde_json::to_string_pretty(value).expect("serialize artefact");
+        Self { file, json }
     }
-    let json = serde_json::to_string_pretty(value).expect("serialize artefact");
-    std::fs::write(p, json).expect("write artefact");
+
+    /// `value` as compact JSON: a trace or dump meant for a viewer.
+    pub fn compact(file: &'static str, value: &impl Serialize) -> Self {
+        let json = serde_json::to_string(value).expect("serialize artefact");
+        Self { file, json }
+    }
 }
+
+/// Journey context every convoy figure's beacons carry, metres: the SYN
+/// search needs the shared road segment (context − gap) to fit the 85 m
+/// correlation window, with margin.
+pub(crate) const CONVOY_CONTEXT_M: usize = 250;
+/// Metres a convoy figure drives before its first beacon (context
+/// build-up).
+pub(crate) const CONVOY_WARMUP_M: usize = 260;
+/// Staleness horizon of every convoy figure's inboxes, seconds.
+pub(crate) const CONVOY_HORIZON_S: f64 = 10.0;
 
 /// Global knobs controlling how big the accuracy experiments run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -134,6 +159,17 @@ impl EvalScale {
                 24.min(self.n_channels)
             },
             ..RupsConfig::default()
+        }
+    }
+
+    /// The node configuration of a convoy figure: [`Self::rups_config`]
+    /// with the own context capped 150 m past the beaconed
+    /// [`CONVOY_CONTEXT_M`], enough to cover a snapshot while keeping the
+    /// per-epoch SYN search cheap.
+    pub(crate) fn convoy_config(&self) -> RupsConfig {
+        RupsConfig {
+            max_context_m: CONVOY_CONTEXT_M + 150,
+            ..self.rups_config()
         }
     }
 

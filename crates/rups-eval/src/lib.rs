@@ -4,9 +4,10 @@
 //! of the RUPS paper's empirical study (§III) and evaluation (§VI) on the
 //! synthetic substrate crates.
 //!
-//! Each `figures::figXX` module exposes a `run(&Params) -> Figure` function;
-//! the `evaluate` binary runs them all and prints the resulting series and
-//! headline numbers, optionally dumping JSON for plotting.
+//! Each `figures::figXX` module exposes a `run` function returning a
+//! [`Figure`] (plus side artefacts, for four of them); the `evaluate` binary
+//! runs them all and prints the resulting series and headline numbers, and
+//! with `--json DIR` writes every figure and artefact to `DIR`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -37,8 +37,8 @@ use v2v_sim::codec::{try_encode_snapshot, CodecMetrics};
 use v2v_sim::fault::FaultConfig;
 use v2v_sim::link::{Endpoint, V2vLink};
 
-/// Span-ring capacity for convoys whose spans nobody reads back (and the
-/// soak harness's rings).
+/// Span-ring capacity of a convoy's vehicles and wire (and of the soak
+/// harness's rings).
 pub const SPAN_RING: usize = 4096;
 
 /// The acceptance channel: 30 % expected loss arriving in bursts

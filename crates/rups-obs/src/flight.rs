@@ -300,19 +300,6 @@ impl FlightRecorder {
             cumulative,
         }
     }
-
-    /// Serialises [`dump`](Self::dump) to `path` (compact JSON), creating
-    /// parent directories.
-    pub fn dump_to(&self, path: &str) -> FlightDump {
-        let dump = self.dump();
-        let p = std::path::Path::new(path);
-        if let Some(parent) = p.parent() {
-            std::fs::create_dir_all(parent).expect("create flight dump dir");
-        }
-        let json = serde_json::to_string(&dump).expect("serialize flight dump");
-        std::fs::write(p, json).expect("write flight dump");
-        dump
-    }
 }
 
 #[cfg(test)]
@@ -440,22 +427,5 @@ mod tests {
         let json = serde_json::to_string(&dump).unwrap();
         let back: FlightDump = serde_json::from_str(&json).unwrap();
         assert_eq!(back, dump);
-    }
-
-    #[test]
-    fn dump_to_writes_the_black_box() {
-        let reg = Arc::new(Registry::new());
-        reg.counter("c").inc();
-        let rec = FlightRecorder::new(FlightConfig::default(), reg);
-        rec.observe(0.0);
-        rec.observe(1.0);
-        let path = std::env::temp_dir().join("rups-flight-test.json");
-        let path = path.to_string_lossy().into_owned();
-        let dump = rec.dump_to(&path);
-        let raw = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let back: FlightDump = serde_json::from_str(&raw).unwrap();
-        assert_eq!(back, dump);
-        assert_eq!(back.windows.len(), 1);
     }
 }

@@ -87,6 +87,5 @@ pub use slo::{default_slos, evaluate_slos, SloReport, SloSpec, SloVerdict};
 pub use span::{SpanArgs, SpanGuard, SpanRecord, SpanRecorder};
 pub use trace::{
     chrome_trace, chrome_trace_tail, component_of, merged_chrome_trace,
-    merged_chrome_trace_bounded, write_chrome_trace, ChromeTrace, ChromeTraceEvent, MergeLimits,
-    NodeTrace,
+    merged_chrome_trace_bounded, ChromeTrace, ChromeTraceEvent, MergeLimits, NodeTrace,
 };

@@ -287,17 +287,6 @@ pub fn chrome_trace_tail(rec: &SpanRecorder, max_events: usize) -> ChromeTrace {
     chrome_trace(&recent[skip..])
 }
 
-/// Serialises a trace to `path` (compact JSON — trace files are artefacts
-/// for viewers, not for human diffing), creating parent directories.
-pub fn write_chrome_trace(path: &str, trace: &ChromeTrace) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent).expect("create trace output dir");
-    }
-    let json = serde_json::to_string(trace).expect("serialize chrome trace");
-    std::fs::write(p, json).expect("write chrome trace");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,8 +75,7 @@ impl FaultConfig {
         Self::default()
     }
 
-    /// Uniform i.i.d. loss with probability `p` — the legacy
-    /// `V2vLink::with_loss` behaviour expressed as a degenerate
+    /// Uniform i.i.d. loss with probability `p`, expressed as a degenerate
     /// Gilbert–Elliott chain (both states lose at the same rate).
     pub fn iid_loss(p: f64) -> Self {
         let p = p.clamp(0.0, 1.0);

@@ -168,14 +168,6 @@ impl V2vLink {
         Self::with_faults(FaultConfig::ideal(), 0)
     }
 
-    /// A link dropping each (message, receiver) pair i.i.d. with
-    /// probability `loss` (deterministic in `seed`). Kept for callers that
-    /// predate the fault layer; equivalent to
-    /// `with_faults(FaultConfig::iid_loss(loss), seed)`.
-    pub fn with_loss(loss: f64, seed: u64) -> Self {
-        Self::with_faults(FaultConfig::iid_loss(loss), seed)
-    }
-
     /// A link with the full fault model (deterministic in `seed`).
     ///
     /// # Panics
@@ -570,7 +562,7 @@ mod tests {
     #[test]
     fn lossy_link_drops_deterministically() {
         let run = |seed: u64| {
-            let link = V2vLink::with_loss(0.5, seed);
+            let link = V2vLink::with_faults(FaultConfig::iid_loss(0.5), seed);
             let a = link.join(1);
             let b = link.join(2);
             for i in 0..200 {

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use rups::core::prelude::*;
 use rups::core::testfield;
 use rups::v2v::wsm::{exchange_time_s, fragment, reassemble, WsmConfig};
-use rups::v2v::{decode_snapshot, encode_snapshot, TrackingSession, Update, V2vLink};
+use rups::v2v::{decode_snapshot, encode_snapshot, FaultConfig, TrackingSession, Update, V2vLink};
 
 const N_CHANNELS: usize = 48;
 
@@ -95,7 +95,7 @@ fn fragmentation_respects_wsm_mtu_end_to_end() {
 
 #[test]
 fn lossy_link_degrades_but_does_not_corrupt() {
-    let link = V2vLink::with_loss(0.4, 7);
+    let link = V2vLink::with_faults(FaultConfig::iid_loss(0.4), 7);
     let a = link.join(1);
     let b = link.join(2);
     let node = drive_node(0, 300, 1);
