@@ -119,7 +119,11 @@ fn main() {
         s.max_committed_fraction,
         s.anomalous_retained,
         s.anomalous_traces,
-        if s.shadow_checked { "" } else { " (unchecked: no spans)" },
+        if s.shadow_checked {
+            ""
+        } else {
+            " (unchecked: no spans)"
+        },
         s.mean_record_ns,
         s.budget_ns_per_span,
         s.demotions,
@@ -152,13 +156,16 @@ fn main() {
         }
     }
     let alarms_out = std::env::var("RUPS_SOAK_ALARMS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/soak-alarms.json").to_string()
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/soak-alarms.json"
+        )
+        .to_string()
     });
     if let Some(parent) = std::path::Path::new(&alarms_out).parent() {
         std::fs::create_dir_all(parent).expect("create alarm log dir");
     }
-    let alarm_json =
-        serde_json::to_string_pretty(&outcome.alarms).expect("serialize alarm log");
+    let alarm_json = serde_json::to_string_pretty(&outcome.alarms).expect("serialize alarm log");
     std::fs::write(&alarms_out, alarm_json).expect("write alarm log");
     println!("  alarm log written to {alarms_out}");
 

@@ -73,13 +73,13 @@ fn short_soak_holds_slos_and_stays_allocation_flat() {
     );
     assert!(outcome.mem.samples > 0);
     let s = &outcome.sampler;
-    assert!(
-        s.pass,
-        "tail-sampling verdict failed in smoke soak: {s:?}"
-    );
+    assert!(s.pass, "tail-sampling verdict failed in smoke soak: {s:?}");
     // bench pulls rups-core with default features, so the span layer is
     // live and the shadow cross-check is real, not vacuous.
-    assert!(s.shadow_checked, "span layer should be live in bench builds");
+    assert!(
+        s.shadow_checked,
+        "span layer should be live in bench builds"
+    );
     assert!(s.spans_ingested > 0);
     assert!(s.traces_finished > 0, "traces must settle every epoch");
     assert!(
@@ -91,7 +91,10 @@ fn short_soak_holds_slos_and_stays_allocation_flat() {
         "exhaustive shadow cross-check: every anomalous trace retained"
     );
     // The detector bank watched the fleet-window stream.
-    assert!(outcome.alarm_windows > 0, "no fleet window reached the bank");
+    assert!(
+        outcome.alarm_windows > 0,
+        "no fleet window reached the bank"
+    );
     assert!(outcome.pass);
 
     // The verdict round-trips through JSON (the binary commits it as the

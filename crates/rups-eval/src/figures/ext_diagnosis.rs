@@ -461,7 +461,11 @@ pub fn run(s: &EvalScale) -> (Figure, Vec<Artefact>) {
                 f.onset_window,
                 f.localised_node,
                 f.localised_stage,
-                if f.localised_correctly { "correct" } else { "WRONG" },
+                if f.localised_correctly {
+                    "correct"
+                } else {
+                    "WRONG"
+                },
             ),
             None => format!(
                 "{}: NOT detected within {} windows of onset {}",
@@ -538,8 +542,7 @@ mod tests {
                 .detected_window
                 .unwrap_or_else(|| panic!("{} not detected: {raw}", f.name));
             assert!(
-                w >= f.onset_window
-                    && f.detection_latency_windows.unwrap() <= DETECTION_HORIZON_W,
+                w >= f.onset_window && f.detection_latency_windows.unwrap() <= DETECTION_HORIZON_W,
                 "{} detected too late: window {w} vs onset {}",
                 f.name,
                 f.onset_window

@@ -541,7 +541,13 @@ mod tests {
         // Fleet aggregation is live: counters from all six vehicles,
         // worst-node rankings populated, prometheus exposition rendered.
         assert_eq!(art.fleet.nodes.len(), N_VEHICLES);
-        assert!(art.fleet.merged.counter("rups_core_inbox_accepted").unwrap() > 0);
+        assert!(
+            art.fleet
+                .merged
+                .counter("rups_core_inbox_accepted")
+                .unwrap()
+                > 0
+        );
         assert!(art.fleet.merged.counter("rups_v2v_link_dropped").unwrap() > 0);
         assert!(art
             .fleet

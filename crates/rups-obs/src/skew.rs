@@ -269,7 +269,11 @@ mod tests {
         }
         let got = est.estimate();
         assert_eq!(got.drift_ppm, 0.0);
-        assert!((got.offset_ns - (3e9 - 1.0)).abs() <= 1.0, "{}", got.offset_ns);
+        assert!(
+            (got.offset_ns - (3e9 - 1.0)).abs() <= 1.0,
+            "{}",
+            got.offset_ns
+        );
         // And the model still round-trips finitely.
         assert!(got.to_local_ns(got.to_fleet_ns(7e9)).is_finite());
     }
@@ -289,7 +293,11 @@ mod tests {
         let got = est.estimate();
         assert_eq!(got.drift_ppm, 0.0, "zero local spread → phase only");
         assert!(got.offset_ns.is_finite());
-        assert!((got.offset_ns - (-1e9 + 2.0)).abs() <= 2.5, "{}", got.offset_ns);
+        assert!(
+            (got.offset_ns - (-1e9 + 2.0)).abs() <= 2.5,
+            "{}",
+            got.offset_ns
+        );
     }
 
     #[test]

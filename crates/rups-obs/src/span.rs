@@ -447,10 +447,7 @@ mod tests {
         rec.event("b");
         let (mark, batch) = rec.take_since(0);
         assert_eq!(mark, 2);
-        assert_eq!(
-            batch.iter().map(|r| r.name).collect::<Vec<_>>(),
-            ["a", "b"]
-        );
+        assert_eq!(batch.iter().map(|r| r.name).collect::<Vec<_>>(), ["a", "b"]);
         // Nothing new: empty batch, watermark unchanged.
         let (mark2, batch2) = rec.take_since(mark);
         assert_eq!((mark2, batch2.len()), (2, 0));

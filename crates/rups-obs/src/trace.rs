@@ -441,7 +441,10 @@ mod tests {
             .all(|e| e.pid == 3 || e.pid == 5));
         // Alignment: the skewed beacon and the true-clock validation land
         // on the same exported timestamp.
-        let beacon = trace.span_events().find(|e| e.name == "v2v.beacon").unwrap();
+        let beacon = trace
+            .span_events()
+            .find(|e| e.name == "v2v.beacon")
+            .unwrap();
         let validate = trace
             .span_events()
             .find(|e| e.name == "inbox.validate")

@@ -240,11 +240,7 @@ impl V2vLink {
     /// # Errors
     /// Returns the validation message when the configuration is invalid
     /// (existing overrides are left unchanged).
-    pub fn set_receiver_faults(
-        &self,
-        id: u64,
-        faults: Option<FaultConfig>,
-    ) -> Result<(), String> {
+    pub fn set_receiver_faults(&self, id: u64, faults: Option<FaultConfig>) -> Result<(), String> {
         match faults {
             Some(f) => {
                 f.validate()?;
@@ -347,13 +343,7 @@ impl V2vLink {
         }
     }
 
-    fn broadcast(
-        &self,
-        from: u64,
-        now_s: f64,
-        payload: Bytes,
-        trace: Option<TraceContext>,
-    ) -> f64 {
+    fn broadcast(&self, from: u64, now_s: f64, payload: Bytes, trace: Option<TraceContext>) -> f64 {
         let latency = exchange_time_s(payload.len(), &self.inner.cfg);
         let arrival_s = now_s + latency;
         let msg_seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
@@ -798,10 +788,13 @@ mod tests {
         }
         assert_eq!(b.poll_until(1e9).len(), 40);
         assert!(link
-            .set_receiver_faults(2, Some(FaultConfig {
-                truncate: -1.0,
-                ..FaultConfig::ideal()
-            }))
+            .set_receiver_faults(
+                2,
+                Some(FaultConfig {
+                    truncate: -1.0,
+                    ..FaultConfig::ideal()
+                })
+            )
             .is_err());
     }
 

@@ -39,14 +39,16 @@ fn fault_strategy() -> impl Strategy<Value = FaultConfig> {
         0.0f64..0.2,  // truncate
         0.0f64..0.3,  // loss (uniform)
     )
-        .prop_map(|(duplicate, reorder, corrupt, truncate, loss)| FaultConfig {
-            duplicate,
-            reorder,
-            corrupt,
-            truncate,
-            jitter_s: 0.02,
-            ..FaultConfig::iid_loss(loss)
-        })
+        .prop_map(
+            |(duplicate, reorder, corrupt, truncate, loss)| FaultConfig {
+                duplicate,
+                reorder,
+                corrupt,
+                truncate,
+                jitter_s: 0.02,
+                ..FaultConfig::iid_loss(loss)
+            },
+        )
 }
 
 /// Runs `n_beacons` traced broadcasts through a faulty link and returns
@@ -83,9 +85,7 @@ fn run_convoy(faults: FaultConfig, seed: u64, n_beacons: u32) -> rups_obs::Chrom
                     heading_rad: 0.0,
                     timestamp_s: s,
                 },
-                &PowerVector::from_fn(N_CHANNELS, |ch| {
-                    Some(rups_core::testfield::rssi(5, s, ch))
-                }),
+                &PowerVector::from_fn(N_CHANNELS, |ch| Some(rups_core::testfield::rssi(5, s, ch))),
             )
             .unwrap();
             *metre += 1;
@@ -117,11 +117,7 @@ fn run_convoy(faults: FaultConfig, seed: u64, n_beacons: u32) -> rups_obs::Chrom
         }
     }
 
-    let mut nodes = vec![NodeTrace::new(
-        SENDER,
-        "vehicle-1",
-        sender_spans.recent(),
-    )];
+    let mut nodes = vec![NodeTrace::new(SENDER, "vehicle-1", sender_spans.recent())];
     for (&id, (spans, _)) in RECEIVERS.iter().zip(inboxes.iter()) {
         nodes.push(NodeTrace::new(id, format!("vehicle-{id}"), spans.recent()));
     }
