@@ -3,7 +3,8 @@
 //!
 //! `batched` answers the whole epoch through `RupsNode::fix_distances_parallel`
 //! — one `SynQueryEngine` work-stealing pass sharing the cached interpolated
-//! context, window memo, own-side prefix sums and pooled scratch arenas.
+//! context, window memo, own-side `f64` rows and spectra and pooled scratch
+//! arenas.
 //! `naive` replays what every query used to cost before the engine: clone +
 //! interpolate the own context, re-select every window and run the reference
 //! multi-SYN search, once per neighbour, sequentially.

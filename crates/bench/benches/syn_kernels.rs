@@ -1,5 +1,5 @@
 //! Per-kernel nanoseconds for the SYN hot path: lane accumulators, the
-//! packed real-FFT layer, and the three whole-context scan variants.
+//! packed real-FFT layer, and the two whole-context scan variants.
 //!
 //! The workload lives in `rups_bench::syn_kernels` so the `bench_gate` CI
 //! binary measures exactly the same cases against the committed baseline
@@ -11,7 +11,6 @@ use rups_bench::{baseline, bench_config, synthetic_context};
 use rups_core::dsp;
 use rups_core::stats::PairSums;
 use rups_core::syn::{slide_scores, slide_scores_reference};
-use rups_core::syn_fast::slide_scores_fast;
 use rups_core::testfield;
 use rups_core::window::CheckWindow;
 
@@ -26,10 +25,6 @@ fn bench_lane_kernels(c: &mut Criterion) {
     let xs = row(3, 0, 4096);
     group.bench_function(BenchmarkId::new("sum_sumsq", 4096), |b| {
         b.iter(|| dsp::sum_sumsq(std::hint::black_box(&xs)))
-    });
-    let (mut s, mut ss) = (Vec::new(), Vec::new());
-    group.bench_function(BenchmarkId::new("prefix_sums", 4096), |b| {
-        b.iter(|| dsp::prefix_sums_into(std::hint::black_box(&xs), &mut s, &mut ss))
     });
     let pa: Vec<f32> = (0..4096).map(|i| testfield::rssi(5, i as f64, 0)).collect();
     let pb: Vec<f32> = (0..4096).map(|i| testfield::rssi(5, i as f64, 1)).collect();
@@ -58,21 +53,6 @@ fn bench_fft_kernels(c: &mut Criterion) {
             )
         })
     });
-    let (mut da, mut db, mut dots) = (Vec::new(), Vec::new(), Vec::new());
-    group.bench_function(
-        BenchmarkId::new("sliding_dot", format!("{WINDOW_M}x{CONTEXT_M}")),
-        |b| {
-            b.iter(|| {
-                dsp::sliding_dot_into(
-                    std::hint::black_box(&f),
-                    std::hint::black_box(&s),
-                    &mut da,
-                    &mut db,
-                    &mut dots,
-                )
-            })
-        },
-    );
     group.finish();
 }
 
@@ -89,9 +69,6 @@ fn bench_scan_kernels(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("rolling", &id), |b| {
         b.iter(|| slide_scores(&fixed, fixed_start, &sliding, &window))
-    });
-    group.bench_function(BenchmarkId::new("fft", &id), |b| {
-        b.iter(|| slide_scores_fast(&fixed, fixed_start, &sliding, &window).expect("dense input"))
     });
     group.finish();
 }

@@ -1,11 +1,13 @@
 //! Minimal DSP kernels: a planned iterative radix-2 FFT, real-input
-//! complex-packing transforms, and FFT-based cross-correlation.
+//! complex-packing transforms, FFT-based cross-correlation and a four-lane
+//! `(Σx, Σx²)` reduction.
 //!
 //! The reference SYN search costs `O(mwk)` (§V-A). For *dense* contexts
 //! (after missing-channel interpolation) the per-channel sliding dot
 //! products are a plain cross-correlation, which an FFT computes in
-//! `O(m log m)` — the engine behind [`crate::syn_fast`]. No external DSP
-//! crates are available offline, so the transform is implemented here from
+//! `O(m log m)` — the engine's FFT kernel
+//! ([`Kernel::Fft`](crate::engine::Kernel::Fft)). No external DSP crates
+//! are available offline, so the transform is implemented here from
 //! scratch and tested against naive references.
 //!
 //! Three layers keep the hot path microsecond-scale:
@@ -355,121 +357,8 @@ pub fn corr_from_spectra_pair_into(
     }
 }
 
-/// Linear cross-correlation of real inputs via FFT:
-/// `out[j] = Σ_i f[i] · s[j + i]` for `j ∈ 0 ..= s.len() − f.len()`.
-///
-/// This is exactly the per-channel sliding dot product of the SYN search
-/// with `f` the fixed window and `s` the sliding trajectory row. Panics if
-/// `f` is longer than `s` or either is empty.
-pub fn sliding_dot(f: &[f64], s: &[f64]) -> Vec<f64> {
-    let mut fa = Vec::new();
-    let mut fb = Vec::new();
-    let mut out = Vec::new();
-    sliding_dot_into(f, s, &mut fa, &mut fb, &mut out);
-    out
-}
-
-/// [`sliding_dot`] writing into caller-provided buffers, so a hot loop (one
-/// call per channel per directed pass) performs no allocation after the
-/// first iteration. `fa`/`fb` are FFT work areas; `out` receives the
-/// correlation lags. Results are identical to [`sliding_dot`].
-///
-/// Internally this packs the reversed window and the sliding row into one
-/// complex forward transform (the rows are real), so a call costs two
-/// planned transforms rather than three.
-pub fn sliding_dot_into(
-    f: &[f64],
-    s: &[f64],
-    fa: &mut Vec<Complex>,
-    fb: &mut Vec<Complex>,
-    out: &mut Vec<f64>,
-) {
-    assert!(
-        !f.is_empty() && f.len() <= s.len(),
-        "need 0 < f.len() <= s.len()"
-    );
-    let n_out = s.len() - f.len() + 1;
-    let size = corr_fft_size(f.len(), s.len());
-    let plan = plan_for(size);
-    // Pack reversed-f + i·s into one forward transform.
-    fa.clear();
-    fa.resize(size, Complex::default());
-    for (i, &v) in f.iter().rev().enumerate() {
-        fa[i].re = v;
-    }
-    for (i, &v) in s.iter().enumerate() {
-        fa[i].im = v;
-    }
-    plan.process(fa, false);
-    // F[k]·S[k] from the packed spectrum, mirrored into fb.
-    fb.clear();
-    fb.resize(size, Complex::default());
-    for k in 0..size {
-        let p = fa[k];
-        let q = fa[(size - k) & (size - 1)].conj();
-        let fr = Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im + q.im));
-        let sl = Complex::new(0.5 * (p.im - q.im), 0.5 * (q.re - p.re));
-        fb[k] = fr * sl;
-    }
-    plan.process(fb, true);
-    let scale = 1.0 / size as f64;
-    // Correlation lag j lives at convolution index (f.len() − 1) + j.
-    out.clear();
-    out.extend((0..n_out).map(|j| fb[f.len() - 1 + j].re * scale));
-}
-
-/// Prefix sums of `x` and `x²`: `out.0[j] = Σ_{i<j} x[i]` (length `n+1`).
-pub fn prefix_sums(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let mut s = Vec::new();
-    let mut ss = Vec::new();
-    prefix_sums_into(x, &mut s, &mut ss);
-    (s, ss)
-}
-
-/// [`prefix_sums`] writing into caller-provided buffers (see
-/// [`sliding_dot_into`] for the motivation). Results are identical.
-///
-/// The loop is hand-unrolled four elements per iteration; the running
-/// totals stay strictly sequential (every prefix value is observable), so
-/// the unroll only amortises loop overhead without reassociating sums.
-pub fn prefix_sums_into(x: &[f64], s: &mut Vec<f64>, ss: &mut Vec<f64>) {
-    s.clear();
-    ss.clear();
-    s.reserve(x.len() + 1);
-    ss.reserve(x.len() + 1);
-    s.push(0.0);
-    ss.push(0.0);
-    let (mut acc, mut acc2) = (0.0f64, 0.0f64);
-    let mut chunks = x.chunks_exact(4);
-    for c in &mut chunks {
-        let (a, b, cc, d) = (c[0], c[1], c[2], c[3]);
-        acc += a;
-        acc2 += a * a;
-        s.push(acc);
-        ss.push(acc2);
-        acc += b;
-        acc2 += b * b;
-        s.push(acc);
-        ss.push(acc2);
-        acc += cc;
-        acc2 += cc * cc;
-        s.push(acc);
-        ss.push(acc2);
-        acc += d;
-        acc2 += d * d;
-        s.push(acc);
-        ss.push(acc2);
-    }
-    for &v in chunks.remainder() {
-        acc += v;
-        acc2 += v * v;
-        s.push(acc);
-        ss.push(acc2);
-    }
-}
-
 /// `(Σx, Σx²)` of a row in one pass, hand-unrolled into four independent
-/// f64 lanes — the fixed-window sum builder of the FFT kernels. Lane
+/// f64 lanes — the fixed-window sum builder of every dense scan. Lane
 /// partials are combined in a fixed `(0+1)+(2+3)` order, so results are
 /// deterministic (though not bit-identical to a sequential fold).
 pub fn sum_sumsq(x: &[f64]) -> (f64, f64) {
@@ -502,6 +391,49 @@ mod tests {
         (0..=s.len() - f.len())
             .map(|j| f.iter().zip(&s[j..]).map(|(a, b)| a * b).sum())
             .collect()
+    }
+
+    /// The buffers of one FFT correlation pass, reused across calls the way
+    /// the engine's passes reuse their scratch arena.
+    #[derive(Default)]
+    struct PairCorr {
+        work: Vec<Complex>,
+        fa: Vec<Complex>,
+        fb: Vec<Complex>,
+        sa: Vec<Complex>,
+        sb: Vec<Complex>,
+        out_a: Vec<f64>,
+        out_b: Vec<f64>,
+    }
+
+    impl PairCorr {
+        /// Lags of `f1` over `s1` into `out_a` and of `f2` over `s2` into
+        /// `out_b` through [`real_spectra_pair_into`] +
+        /// [`corr_from_spectra_pair_into`] at the minimal transform size;
+        /// empty `f2`/`s2` take the lone-channel form.
+        fn run(&mut self, f1: &[f64], s1: &[f64], f2: &[f64], s2: &[f64]) {
+            let (fl, sl) = (f1.len(), s1.len());
+            let size = corr_fft_size(fl, sl);
+            let w = &mut self.work;
+            real_spectra_pair_into(f1, f2, true, size, w, &mut self.fa, &mut self.fb);
+            real_spectra_pair_into(s1, s2, false, size, w, &mut self.sa, &mut self.sb);
+            let (fa, sa, fb, sb) = (&self.fa, &self.sa, &self.fb, &self.sb);
+            let (out_a, out_b) = (&mut self.out_a, &mut self.out_b);
+            corr_from_spectra_pair_into(fa, sa, fb, sb, fl, sl - fl + 1, w, out_a, out_b);
+        }
+    }
+
+    fn assert_lags(got: &[f64], f: &[f64], s: &[f64], tol: f64) {
+        let naive = naive_sliding_dot(f, s);
+        assert_eq!(got.len(), naive.len());
+        for (j, (a, b)) in got.iter().zip(&naive).enumerate() {
+            assert!(
+                (a - b).abs() < tol,
+                "({}, {}) lag {j}: fft {a} vs naive {b}",
+                f.len(),
+                s.len()
+            );
+        }
     }
 
     #[test]
@@ -619,25 +551,33 @@ mod tests {
     fn sliding_dot_matches_naive() {
         let f: Vec<f64> = (0..23).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
         let s: Vec<f64> = (0..100).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
-        let fast = sliding_dot(&f, &s);
-        let naive = naive_sliding_dot(&f, &s);
-        assert_eq!(fast.len(), naive.len());
-        for (a, b) in fast.iter().zip(&naive) {
-            assert!((a - b).abs() < 1e-6, "fast {a} vs naive {b}");
-        }
+        let f2: Vec<f64> = (0..23).map(|i| ((i * 5) % 13) as f64 - 6.0).collect();
+        let s2: Vec<f64> = (0..100).map(|i| ((i * 11) % 19) as f64 - 9.0).collect();
+        let mut p = PairCorr::default();
+        p.run(&f, &s, &f2, &s2);
+        assert_lags(&p.out_a, &f, &s, 1e-6);
+        assert_lags(&p.out_b, &f2, &s2, 1e-6);
+        p.run(&f, &s, &[], &[]);
+        assert_lags(&p.out_a, &f, &s, 1e-6);
+        assert!(p.out_b.is_empty());
     }
 
     #[test]
     fn sliding_dot_degenerate_sizes() {
-        // f.len() == s.len(): one output.
+        let mut p = PairCorr::default();
+        // f.len() == s.len(): one lag.
         let f = [1.0, 2.0, 3.0];
-        let out = sliding_dot(&f, &f);
-        assert_eq!(out.len(), 1);
-        assert!((out[0] - 14.0).abs() < 1e-9);
+        p.run(&f, &f, &[2.0, 0.0, 1.0], &f);
+        assert_eq!((p.out_a.len(), p.out_b.len()), (1, 1));
+        assert!((p.out_a[0] - 14.0).abs() < 1e-9);
+        assert!((p.out_b[0] - 5.0).abs() < 1e-9);
         // Single-element window: identity.
-        let out = sliding_dot(&[2.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(out.len(), 3);
-        assert!((out[1] - 4.0).abs() < 1e-9);
+        p.run(&[2.0], &[1.0, 2.0, 3.0], &[], &[]);
+        assert_eq!(p.out_a.len(), 3);
+        assert!((p.out_a[1] - 4.0).abs() < 1e-9);
+        // One-point row against itself: the 1-point transform.
+        p.run(&[3.0], &[-2.0], &[], &[]);
+        assert!((p.out_a[0] + 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -647,8 +587,9 @@ mod tests {
         assert_eq!(corr_fft_size(3, 5), 8);
         assert_eq!(corr_fft_size(1, 1), 1);
         assert_eq!(corr_fft_size(64, 65), 128);
-        // Lag indexing stays correct at the tight size: exhaustive check
-        // around several boundaries.
+        // Lag indexing stays correct at the tight size, paired and lone:
+        // exhaustive check around several boundaries.
+        let mut p = PairCorr::default();
         for &(fl, sl) in &[(3usize, 6usize), (64, 65), (16, 49), (2, 7), (5, 12)] {
             assert!(
                 (fl + sl - 1).is_power_of_two(),
@@ -656,12 +597,14 @@ mod tests {
             );
             let f: Vec<f64> = (0..fl).map(|i| (i as f64 * 0.7).sin() + 1.0).collect();
             let s: Vec<f64> = (0..sl).map(|i| (i as f64 * 1.1).cos() - 0.5).collect();
-            let fast = sliding_dot(&f, &s);
-            let naive = naive_sliding_dot(&f, &s);
-            assert_eq!(fast.len(), naive.len());
-            for (j, (a, b)) in fast.iter().zip(&naive).enumerate() {
-                assert!((a - b).abs() < 1e-9, "({fl},{sl}) lag {j}: {a} vs {b}");
-            }
+            let f2: Vec<f64> = (0..fl).map(|i| (i as f64 * 0.4).cos() - 2.0).collect();
+            let s2: Vec<f64> = (0..sl).map(|i| (i as f64 * 0.9).sin() + 0.5).collect();
+            p.run(&f, &s, &f2, &s2);
+            assert_lags(&p.out_a, &f, &s, 1e-9);
+            assert_lags(&p.out_b, &f2, &s2, 1e-9);
+            p.run(&f, &s, &[], &[]);
+            assert_lags(&p.out_a, &f, &s, 1e-9);
+            assert!(p.out_b.is_empty());
         }
     }
 
@@ -714,89 +657,34 @@ mod tests {
         let f2: Vec<f64> = (0..fl).map(|i| (i as f64 * 0.9).cos() - 65.0).collect();
         let s1: Vec<f64> = (0..sl).map(|i| (i as f64 * 0.7).sin() - 72.0).collect();
         let s2: Vec<f64> = (0..sl).map(|i| (i as f64 * 0.2).cos() - 60.0).collect();
-        let size = corr_fft_size(fl, sl);
-        let n_out = sl - fl + 1;
-        let mut work = Vec::new();
-        let (mut fa, mut fb, mut sa, mut sb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        real_spectra_pair_into(&f1, &f2, true, size, &mut work, &mut fa, &mut fb);
-        real_spectra_pair_into(&s1, &s2, false, size, &mut work, &mut sa, &mut sb);
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        corr_from_spectra_pair_into(
-            &fa, &sa, &fb, &sb, fl, n_out, &mut work, &mut out_a, &mut out_b,
-        );
-        let na = naive_sliding_dot(&f1, &s1);
-        let nb = naive_sliding_dot(&f2, &s2);
-        assert_eq!(out_a.len(), na.len());
-        assert_eq!(out_b.len(), nb.len());
-        for j in 0..n_out {
-            assert!((out_a[j] - na[j]).abs() < 1e-6, "a lag {j}");
-            assert!((out_b[j] - nb[j]).abs() < 1e-6, "b lag {j}");
-        }
+        let mut p = PairCorr::default();
+        p.run(&f1, &s1, &f2, &s2);
+        assert_lags(&p.out_a, &f1, &s1, 1e-6);
+        assert_lags(&p.out_b, &f2, &s2, 1e-6);
         // Lone-channel inversion path.
-        corr_from_spectra_pair_into(
-            &fa,
-            &sa,
-            &[],
-            &[],
-            fl,
-            n_out,
-            &mut work,
-            &mut out_a,
-            &mut out_b,
-        );
-        assert!(out_b.is_empty());
-        for j in 0..n_out {
-            assert!((out_a[j] - na[j]).abs() < 1e-6, "lone lag {j}");
-        }
+        p.run(&f1, &s1, &[], &[]);
+        assert!(p.out_b.is_empty());
+        assert_lags(&p.out_a, &f1, &s1, 1e-6);
     }
 
     #[test]
     fn into_variants_reuse_buffers_across_sizes() {
-        let mut fa = Vec::new();
-        let mut fb = Vec::new();
-        let mut out = Vec::new();
-        let mut s = Vec::new();
-        let mut ss = Vec::new();
-        // Grow, shrink, grow again: stale capacity must never leak into
-        // results.
+        // Grow, shrink, grow again with one set of buffers, paired and
+        // lone: stale capacity must never leak into results, which match
+        // a run on fresh buffers bit for bit.
+        let mut p = PairCorr::default();
         for &(fl, sl) in &[(5usize, 40usize), (3, 9), (17, 64)] {
             let f: Vec<f64> = (0..fl).map(|i| (i as f64 * 0.9).cos()).collect();
             let sig: Vec<f64> = (0..sl).map(|i| (i as f64 * 1.3).sin()).collect();
-            sliding_dot_into(&f, &sig, &mut fa, &mut fb, &mut out);
-            assert_eq!(out, sliding_dot(&f, &sig));
-            prefix_sums_into(&sig, &mut s, &mut ss);
-            assert_eq!((s.clone(), ss.clone()), prefix_sums(&sig));
-        }
-    }
-
-    #[test]
-    fn prefix_sums_windows() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let (s, ss) = prefix_sums(&x);
-        assert_eq!(s, vec![0.0, 1.0, 3.0, 6.0, 10.0]);
-        assert_eq!(ss, vec![0.0, 1.0, 5.0, 14.0, 30.0]);
-        // Window [1, 3): sum = 5, sumsq = 13.
-        assert_eq!(s[3] - s[1], 5.0);
-        assert_eq!(ss[3] - ss[1], 13.0);
-    }
-
-    #[test]
-    fn prefix_sums_unroll_is_exactly_sequential() {
-        // The 4-wide unroll must keep every prefix bit-identical to the
-        // sequential fold (prefix values are observable state).
-        for n in 0..23usize {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 31.0).collect();
-            let (s, ss) = prefix_sums(&x);
-            let (mut es, mut ess) = (vec![0.0], vec![0.0]);
-            let (mut a, mut a2) = (0.0f64, 0.0f64);
-            for &v in &x {
-                a += v;
-                a2 += v * v;
-                es.push(a);
-                ess.push(a2);
+            let f2: Vec<f64> = (0..fl).map(|i| (i as f64 * 0.2).sin()).collect();
+            let sig2: Vec<f64> = (0..sl).map(|i| (i as f64 * 0.6).cos()).collect();
+            for (f2, sig2) in [(&f2[..], &sig2[..]), (&[][..], &[][..])] {
+                p.run(&f, &sig, f2, sig2);
+                let mut fresh = PairCorr::default();
+                fresh.run(&f, &sig, f2, sig2);
+                assert_eq!(p.out_a, fresh.out_a, "({fl}, {sl})");
+                assert_eq!(p.out_b, fresh.out_b, "({fl}, {sl})");
             }
-            assert_eq!(s, es, "n={n}");
-            assert_eq!(ss, ess, "n={n}");
         }
     }
 

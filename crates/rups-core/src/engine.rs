@@ -1,13 +1,12 @@
 //! Batched SYN-query engine with per-context caching (§V-A, §V-B).
 //!
-//! Every distance query against a [`crate::pipeline::RupsNode`] used to
-//! recompute the same querying-side quantities from scratch: the
-//! interpolated own context, the per-window channel selections, the
-//! per-channel `f64` rows, their prefix sums and the fixed-window statistics
-//! of `[crate::syn_fast]`. Under tracking loads ("track a neighboring
-//! vehicle on every 0.1 second", §V-B) or convoy loads (tens of neighbours
-//! per epoch) those quantities are identical across queries — only the
-//! neighbour side changes.
+//! Every distance query against a [`crate::pipeline::RupsNode`] needs the
+//! same querying-side quantities: the interpolated own context, the
+//! per-window channel selections, the per-channel `f64` rows and the
+//! fixed-window sums of the dense scans. Under tracking loads ("track a
+//! neighboring vehicle on every 0.1 second", §V-B) or convoy loads (tens of
+//! neighbours per epoch) those quantities are identical across queries —
+//! only the neighbour side changes.
 //!
 //! [`SynQueryEngine`] precomputes them **once per context update** and
 //! answers any number of queries against the cached state:
@@ -19,10 +18,10 @@
 //! * per-`(len, end)` checking windows with their fixed-window sums and
 //!   memoised reversed spectra (the fixed-side inputs of the FFT kernel);
 //! * scratch arenas (FFT work areas, conversion buffers, score vectors)
-//!   from the process-wide pool of [`crate::syn_fast`], so concurrent rayon
-//!   queries allocate nothing in steady state;
-//! * a per-batch kernel choice — reference scan vs FFT/prefix-sum scan —
-//!   driven by context density and length.
+//!   from the process-wide pool the rolling scan of [`crate::syn`] stages
+//!   in too, so concurrent rayon queries allocate nothing in steady state;
+//! * a per-batch kernel choice — reference scan vs the engine's own FFT
+//!   scan — driven by context density and length.
 //!
 //! On the reference kernel, results are **bit-identical** to
 //! [`crate::syn::find_syn_points`]: both run the same rolling scan and peak
@@ -63,9 +62,11 @@ pub const ANCHOR_SLACK_M: usize = 25;
 pub enum Kernel {
     /// The NaN-aware `O(mwk)` reference scan of [`crate::syn`].
     Reference,
-    /// The `O(k·m log m)` FFT/prefix-sum scan of [`crate::syn_fast`],
-    /// falling back to the reference scan per directed pass whenever a
-    /// selected channel carries missing values.
+    /// The engine's own `O(k·m log m)` scan: packed-FFT sliding dot
+    /// products ([`crate::dsp`]) against memoised own-side spectra, rolled
+    /// window sums and a pruned peak search. Falls back to the reference
+    /// scan per directed pass whenever a selected channel carries missing
+    /// values.
     Fft,
 }
 
@@ -93,15 +94,16 @@ pub struct QueryDiag {
 
 /// Counters describing how much work the engine's caches saved.
 ///
-/// All counts are cumulative since engine creation (or the last
-/// [`SynQueryEngine::reset_stats`]).
+/// All counts are cumulative over the engine's registry: engines sharing
+/// one registry count into the same `rups_core_engine_*` counters, so
+/// bracket a workload with two snapshots and [`EngineStats::delta`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Queries answered (one per neighbour context).
     pub queries: u64,
     /// Context lookups answered from the version-keyed cache.
     pub context_hits: u64,
-    /// Context rebuilds (interpolation + row conversion + prefix sums).
+    /// Context rebuilds (interpolation + row conversion).
     pub context_rebuilds: u64,
     /// Checking-window lookups answered from the `(len, end)` memo.
     pub window_hits: u64,
@@ -333,7 +335,7 @@ type WindowMemo = HashMap<(usize, usize), Option<Arc<WindowEntry>>>;
 struct WindowEntry {
     window: CheckWindow,
     /// Per window-channel `(Σx, Σx²)` over the own fixed slice, computed
-    /// with the same [`dsp::sum_sumsq`] reduction as [`crate::syn_fast`]
+    /// with the same [`dsp::sum_sumsq`] reduction as the rolling scan
     /// (dense contexts only; empty otherwise).
     fixed_sums: Vec<(f64, f64)>,
     /// Packed time-reversed spectra of the fixed slice, one per window
@@ -345,7 +347,7 @@ struct WindowEntry {
 }
 
 /// Per-query scratch arena: every buffer a directed pass needs, popped from
-/// the process-wide pool of [`syn_fast::with_scratch`] for one query.
+/// the process-wide scratch pool for one query.
 type Scratch = syn_fast::DenseScratch;
 
 /// Caching, batching SYN-query engine (see the module docs).
@@ -522,28 +524,6 @@ impl SynQueryEngine {
         }
     }
 
-    /// Zeroes every counter reported by [`stats`](Self::stats). Latency
-    /// histograms are cumulative by design; bracket workloads with
-    /// [`rups_obs::MetricsSnapshot::delta`] instead.
-    pub fn reset_stats(&self) {
-        let m = &self.metrics;
-        for c in [
-            &m.queries,
-            &m.context_hits,
-            &m.context_rebuilds,
-            &m.window_hits,
-            &m.window_misses,
-            &m.scratch_reuses,
-            &m.scratch_allocs,
-            &m.reference_passes,
-            &m.fft_passes,
-            &m.fft_fallbacks,
-            &m.pruned_placements,
-        ] {
-            c.reset();
-        }
-    }
-
     /// The kernel the engine would pick for one query against a neighbour
     /// context of `their_len` metres, given the installed own context
     /// ([`Kernel::Reference`] when none is installed).
@@ -658,7 +638,7 @@ impl SynQueryEngine {
 
     /// The kernel for one batch of neighbours: chosen once from the
     /// own-context density and the median neighbour length.
-    pub(crate) fn batch_kernel(&self, ctx: &OwnContext, neighbours: &[ContextSnapshot]) -> Kernel {
+    pub(crate) fn batch_kernel(&self, ctx: &OwnContext, neighbours: &[&ContextSnapshot]) -> Kernel {
         if neighbours.is_empty() {
             return Kernel::Reference;
         }

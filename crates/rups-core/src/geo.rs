@@ -134,13 +134,6 @@ impl GeoTrajectory {
         out
     }
 
-    /// Path distance in metres between two metre indices (`|a − b|`, since
-    /// samples are equidistant by construction).
-    #[inline]
-    pub fn path_distance(&self, a: usize, b: usize) -> f64 {
-        a.abs_diff(b) as f64
-    }
-
     /// Distance travelled since metre index `i`, i.e. from `i` to the most
     /// recent metre mark.
     #[inline]

@@ -82,7 +82,7 @@ pub mod report;
 pub mod resolve;
 pub mod stats;
 pub mod syn;
-pub mod syn_fast;
+mod syn_fast;
 #[doc(hidden)]
 pub mod testfield;
 pub mod tracker;

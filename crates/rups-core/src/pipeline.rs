@@ -271,7 +271,8 @@ impl RupsNode {
     /// anomalous outcomes (a miss, or a fix graded
     /// [`FixQuality::Low`]) always commit their trace's spans to the
     /// sampler's durable ring, ordinary traces commit only under its
-    /// head-sampling rate.
+    /// head-sampling rate — and settles every other buffered trace (a
+    /// beacon replaced before the pass, say) as ordinary.
     pub fn with_trace_sampler(mut self, sampler: Arc<TailSampler>) -> Self {
         self.sampler = Some(sampler);
         self
@@ -430,7 +431,7 @@ impl RupsNode {
     ///
     /// Positive distances mean the neighbour is ahead.
     pub fn fix_distance(&self, neighbour: &ContextSnapshot) -> Result<DistanceFix, RupsError> {
-        let (mut out, _) = self.fix_batch(std::slice::from_ref(neighbour));
+        let (mut out, _) = self.fix_batch(&[neighbour]);
         out.pop().expect("one result per snapshot").0
     }
 
@@ -523,7 +524,8 @@ impl RupsNode {
         &self,
         neighbours: &[ContextSnapshot],
     ) -> Vec<Result<DistanceFix, RupsError>> {
-        self.fix_batch(neighbours)
+        let refs: Vec<&ContextSnapshot> = neighbours.iter().collect();
+        self.fix_batch(&refs)
             .0
             .into_iter()
             .map(|(res, _)| res)
@@ -536,7 +538,7 @@ impl RupsNode {
     /// searched: one that fails keeps its typed error at its position and
     /// costs no query, and a batch with nothing valid leaves the engine
     /// untouched.
-    fn fix_batch(&self, neighbours: &[ContextSnapshot]) -> (DiagBatch, bool) {
+    fn fix_batch(&self, neighbours: &[&ContextSnapshot]) -> (DiagBatch, bool) {
         let n = self.cfg.n_channels;
         let engine = &self.engine;
         let rebuilds_before = engine.stats().context_rebuilds;
@@ -584,8 +586,7 @@ impl RupsNode {
         quality: &QualityConfig,
     ) -> Vec<(Option<u64>, Result<GradedFix, RupsError>)> {
         let fresh = inbox.fresh(now_s);
-        let snaps: Vec<ContextSnapshot> = fresh.iter().map(|s| (*s).clone()).collect();
-        let (fixes, context_cached) = self.fix_batch(&snaps);
+        let (fixes, context_cached) = self.fix_batch(&fresh);
         let out: Vec<(Option<u64>, Result<GradedFix, RupsError>)> = fresh
             .iter()
             .zip(fixes)
@@ -633,6 +634,10 @@ impl RupsNode {
                     sampler.finish_trace(trace.trace_id, anomalous);
                 }
             }
+            // What is still buffered belongs to beacons this pass did not
+            // fix (replaced, stale or rejected before it): no later pass
+            // can give them a verdict.
+            sampler.finish_buffered();
         }
         out
     }
@@ -1460,6 +1465,39 @@ mod tests {
             assert_eq!(stats.traces_finished, 0);
             assert!(sampler.committed().is_empty());
         }
+    }
+
+    #[test]
+    fn replaced_beacons_settle_their_traces_at_the_next_fix() {
+        use crate::inbox::{InboxConfig, SnapshotInbox};
+        use crate::quality::QualityConfig;
+        use rups_obs::{SampleConfig, TailSampler};
+        use std::sync::Arc;
+
+        let spans = Arc::new(SpanRecorder::new(4096));
+        let sampler = Arc::new(TailSampler::new(SampleConfig::default()));
+        let mut a = RupsNode::new(cfg())
+            .with_span_recorder(Arc::clone(&spans))
+            .with_trace_sampler(Arc::clone(&sampler));
+        drive(&mut a, 0, 400);
+        let mut inbox =
+            SnapshotInbox::new(InboxConfig::for_rups(&cfg(), 60.0)).with_spans(Arc::clone(&spans));
+        // Three traced beacons from one sender, each replacing the last:
+        // every intake tags an `inbox.validate` span with its own trace.
+        let mut b = RupsNode::new(cfg()).with_vehicle_id(2);
+        drive(&mut b, 70, 400);
+        for seq in 1..=3u32 {
+            drive(&mut b, 469 + seq as usize, 1);
+            let (snap, _) = b.traced_snapshot(None, seq);
+            assert!(inbox.accept(snap, 521.0).unwrap());
+        }
+        assert_eq!(inbox.len(), 1);
+        let out = a.fix_inbox_parallel(&inbox, 521.0, &QualityConfig::default());
+        assert_eq!(out.len(), 1);
+        // The held beacon's trace settles on its verdict and the two it
+        // replaced as ordinary; without `obs` no span ever buffers.
+        let settled = if cfg!(feature = "obs") { 3 } else { 0 };
+        assert_eq!(sampler.stats().traces_finished, settled);
     }
 
     #[test]

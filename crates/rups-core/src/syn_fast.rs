@@ -1,30 +1,27 @@
-//! Fast SYN-search kernels for dense contexts.
+//! Dense-row kernels of the SYN search, shared by the rolling scan of
+//! [`crate::syn`] and the engine's FFT kernel.
 //!
-//! The reference double-sliding check costs `O(mwk)` (§V-A): every window
-//! placement recomputes per-channel sums over `w` metres. After
+//! The per-placement double-sliding check costs `O(mwk)` (§V-A): every
+//! window placement recomputes per-channel sums over `w` metres. After
 //! missing-channel interpolation the rows are dense, and the
 //! placement-dependent quantities reduce to
 //!
-//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — a cross-
-//!   correlation, `O(m log m)` via the packed FFT pipeline of
-//!   [`crate::dsp`] (or a naive `O(mw)` loop for the rolling reference
-//!   scan), and
+//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — a four-lane
+//!   naive loop in the rolling scan's lane-dot pass (`dense_pass`), a
+//!   packed-FFT cross-correlation in the engine's FFT kernel, and
 //! * per-channel window sums/sum-of-squares — rolled incrementally in
-//!   `O(1)` per placement (`accumulate_dense_channel`),
+//!   `O(1)` per placement (`accumulate_dense_channel`), by both.
 //!
-//! bringing one directed FFT pass down to `O(k · m log m)` with three
-//! planned transforms per *pair* of channels (two real rows share each
-//! forward transform; two correlation products share each inverse). The
-//! peak search prunes placements whose score upper bound — mean
-//! per-channel Pearson plus the profile term's hard cap of 1 — cannot beat
-//! the current best (`combine_dense_peak`); the bound is exact, so the
+//! The FFT kernel's peak search prunes placements whose score upper bound —
+//! mean per-channel Pearson plus the profile term's hard cap of 1 — cannot
+//! beat the current best (`combine_dense_peak`); the bound is exact, so the
 //! pruned argmax is bit-identical to the full scan.
 //!
-//! Scores match the reference implementation to floating-point rounding.
-//! The kernels refuse a pass whose selected channels carry missing or
-//! corrupt values, and their callers fall back to the non-finite-aware
-//! reference path. All buffers come from the one process-wide scratch pool
-//! (`with_scratch`), which the engine's queries stage in too, so
+//! Scores match the per-placement scan to floating-point rounding. The
+//! kernels refuse a pass whose selected channels carry missing or corrupt
+//! values, and their callers fall back to the non-finite-aware
+//! per-placement scan. All buffers come from the one process-wide scratch
+//! pool (`with_scratch`), which the engine's queries stage in too, so
 //! steady-state passes allocate nothing.
 
 use crate::dsp::{self, Complex};
@@ -108,42 +105,6 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R
     r
 }
 
-/// Fast equivalent of [`crate::syn::slide_scores`], producing the full
-/// per-placement score vector via the packed FFT pipeline.
-///
-/// Returns `None` when any selected channel row carries a non-finite value
-/// within the relevant ranges (the caller then falls back to the
-/// missing-value-aware reference path).
-pub fn slide_scores_fast(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Option<Vec<f64>> {
-    let w = window.len_m;
-    if sliding.len() < w || w == 0 {
-        return Some(Vec::new());
-    }
-    let n_pos = sliding.len() - w + 1;
-    let k = window.channels.len();
-    with_scratch(|s, _| {
-        if !dense_pass(fixed, fixed_start, sliding, window, 0..n_pos, true, s) {
-            return None;
-        }
-        let mut scores = Vec::with_capacity(n_pos);
-        combine_dense_scores(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-            &mut scores,
-        );
-        Some(scores)
-    })
-}
-
 /// Rolling-statistics dense scan with naive dot products over the
 /// non-empty, valid window `placements`, appending one score per placement
 /// to `s.scores` — the production reference scan behind
@@ -161,7 +122,7 @@ pub(crate) fn dense_scores_naive_into(
 ) -> bool {
     let n_pos = placements.len();
     let k = window.channels.len();
-    if !dense_pass(fixed, fixed_start, sliding, window, placements, false, s) {
+    if !dense_pass(fixed, fixed_start, sliding, window, placements, s) {
         return false;
     }
     combine_dense_scores(
@@ -176,11 +137,10 @@ pub(crate) fn dense_scores_naive_into(
     true
 }
 
-/// One dense directed pass over the non-empty, valid window `placements`:
-/// stages the selected channels pairwise (the sliding rows cut to the
-/// metres those placements cover), computes their correlation lags (packed
-/// FFT when `use_fft`, a 4-lane naive dot otherwise), and accumulates the
-/// rolling per-placement statistics into
+/// The rolling scan's lane-dot pass over the non-empty, valid window
+/// `placements`: stages each selected channel (the sliding row cut to the
+/// metres those placements cover), takes its sliding dot products with
+/// [`lane_dot`], and accumulates the rolling per-placement statistics into
 /// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`, whose entry `i` belongs
 /// to placement `placements.start + i`.
 ///
@@ -194,100 +154,43 @@ pub(crate) fn dense_pass(
     sliding: &GsmTrajectory,
     window: &CheckWindow,
     placements: Range<usize>,
-    use_fft: bool,
     s: &mut DenseScratch,
 ) -> bool {
     let w = window.len_m;
     let n_pos = placements.len();
+    let fixed_rows = fixed_start..fixed_start + w;
     let rows = placements.start..placements.end + w - 1;
-    let k = window.channels.len();
     for &ch in &window.channels {
-        if fixed.channel(ch)[fixed_start..fixed_start + w]
+        if fixed.channel(ch)[fixed_rows.clone()]
             .iter()
+            .chain(&sliding.channel(ch)[rows.clone()])
             .any(|v| !v.is_finite())
-            || sliding.channel(ch)[rows.clone()]
-                .iter()
-                .any(|v| !v.is_finite())
         {
             return false;
         }
     }
-    s.prepare(n_pos, k);
-    let size = dsp::corr_fft_size(w, rows.len());
-    let mut ci = 0usize;
-    while ci < k {
-        let cha = window.channels[ci];
-        let chb = window.channels.get(ci + 1).copied();
+    s.prepare(n_pos, window.channels.len());
+    for (ci, &ch) in window.channels.iter().enumerate() {
         s.f64a.clear();
         s.f64a.extend(
-            fixed.channel(cha)[fixed_start..fixed_start + w]
+            fixed.channel(ch)[fixed_rows.clone()]
                 .iter()
                 .map(|&v| v as f64),
         );
         s.s64a.clear();
         s.s64a
-            .extend(sliding.channel(cha)[rows.clone()].iter().map(|&v| v as f64));
-        s.f64b.clear();
-        s.s64b.clear();
-        if let Some(chb) = chb {
-            s.f64b.extend(
-                fixed.channel(chb)[fixed_start..fixed_start + w]
-                    .iter()
-                    .map(|&v| v as f64),
-            );
-            s.s64b
-                .extend(sliding.channel(chb)[rows.clone()].iter().map(|&v| v as f64));
-        }
-        if use_fft {
-            dsp::real_spectra_pair_into(
-                &s.f64a,
-                &s.f64b,
-                true,
-                size,
-                &mut s.work,
-                &mut s.spec_fa,
-                &mut s.spec_fb,
-            );
-            dsp::real_spectra_pair_into(
-                &s.s64a,
-                &s.s64b,
-                false,
-                size,
-                &mut s.work,
-                &mut s.spec_sa,
-                &mut s.spec_sb,
-            );
-            dsp::corr_from_spectra_pair_into(
-                &s.spec_fa,
-                &s.spec_sa,
-                &s.spec_fb,
-                &s.spec_sb,
-                w,
-                n_pos,
-                &mut s.work,
-                &mut s.dots_a,
-                &mut s.dots_b,
-            );
-        } else {
-            s.dots_a.clear();
-            for j in 0..n_pos {
-                s.dots_a.push(lane_dot(&s.f64a, &s.s64a[j..j + w]));
-            }
-            s.dots_b.clear();
-            if !s.f64b.is_empty() {
-                for j in 0..n_pos {
-                    s.dots_b.push(lane_dot(&s.f64b, &s.s64b[j..j + w]));
-                }
-            }
-        }
-        let sums_a = dsp::sum_sumsq(&s.f64a);
+            .extend(sliding.channel(ch)[rows.clone()].iter().map(|&v| v as f64));
+        s.dots_a.clear();
+        s.dots_a
+            .extend((0..n_pos).map(|j| lane_dot(&s.f64a, &s.s64a[j..j + w])));
+        let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64a);
         let row = &mut s.mean_s[ci];
         row.clear();
         let mf = accumulate_dense_channel(
             w,
             n_pos,
-            sums_a.0,
-            sums_a.1,
+            sum_f,
+            sumsq_f,
             &s.dots_a,
             &s.s64a,
             &mut s.chan_sum,
@@ -295,30 +198,12 @@ pub(crate) fn dense_pass(
             row,
         );
         s.mean_f.push(mf);
-        if chb.is_some() {
-            let sums_b = dsp::sum_sumsq(&s.f64b);
-            let row = &mut s.mean_s[ci + 1];
-            row.clear();
-            let mf = accumulate_dense_channel(
-                w,
-                n_pos,
-                sums_b.0,
-                sums_b.1,
-                &s.dots_b,
-                &s.s64b,
-                &mut s.chan_sum,
-                &mut s.chan_n,
-                row,
-            );
-            s.mean_f.push(mf);
-        }
-        ci += 2;
     }
     true
 }
 
 /// Dot product hand-unrolled into four independent f64 lanes (combined in
-/// a fixed `(0+1)+(2+3)` order), for the naive-dots rolling scan.
+/// a fixed `(0+1)+(2+3)` order), for the lane-dot pass.
 #[inline]
 pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
     debug_assert_eq!(f.len(), s.len());
@@ -346,9 +231,9 @@ pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
 /// per placement — rather than rebuilt, turning the `O(mw)` statistics
 /// sweep into `O(m)`.
 ///
-/// This is the placement-dependent half of Eq. (2), shared between every
-/// dense path ([`slide_scores_fast`], the rolling reference scan and
-/// [`crate::engine::SynQueryEngine`]) so they stay bit-identical.
+/// This is the placement-dependent half of Eq. (2), shared by the lane-dot
+/// pass and the engine's FFT passes, so both turn their dot products into
+/// scores the same way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn accumulate_dense_channel(
     w: usize,
@@ -527,24 +412,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_scores_match_reference_on_dense_contexts() {
-        let a = dense_traj(3, 0, 260, 20);
-        let b = dense_traj(3, 40, 260, 20);
-        let c = cfg(20);
-        let w = CheckWindow::for_context(&a, &c).unwrap();
-        let reference = syn::slide_scores_reference(&a, a.len() - w.len_m, &b, &w);
-        let fast = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).expect("dense input");
-        assert_eq!(reference.len(), fast.len());
-        for (i, (r, f)) in reference.iter().zip(&fast).enumerate() {
-            match (r.is_nan(), f.is_nan()) {
-                (true, true) => {}
-                (false, false) => {
-                    assert!((r - f).abs() < 1e-6, "placement {i}: ref {r} vs fft {f}")
-                }
-                _ => panic!("definedness mismatch at {i}: ref {r}, fft {f}"),
-            }
-        }
+    /// The lane-dot scan of `fixed`'s newest window over every placement on
+    /// `sliding`, or `None` when it refuses the rows.
+    fn lane_dot_scan(
+        fixed: &GsmTrajectory,
+        sliding: &GsmTrajectory,
+        w: &CheckWindow,
+    ) -> Option<Vec<f64>> {
+        with_scratch(|s, _| {
+            s.scores.clear();
+            let n_pos = sliding.len() - w.len_m + 1;
+            dense_scores_naive_into(fixed, fixed.len() - w.len_m, sliding, w, 0..n_pos, s)
+                .then(|| s.scores.clone())
+        })
     }
 
     #[test]
@@ -554,19 +434,7 @@ mod tests {
         let c = cfg(17);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let reference = syn::slide_scores_reference(&a, a.len() - w.len_m, &b, &w);
-        let rolling = with_scratch(|s, _| {
-            s.scores.clear();
-            let n_pos = b.len() - w.len_m + 1;
-            assert!(dense_scores_naive_into(
-                &a,
-                a.len() - w.len_m,
-                &b,
-                &w,
-                0..n_pos,
-                s
-            ));
-            s.scores.clone()
-        });
+        let rolling = lane_dot_scan(&a, &b, &w).expect("dense input");
         assert_eq!(reference.len(), rolling.len());
         for (i, (r, f)) in reference.iter().zip(&rolling).enumerate() {
             match (r.is_nan(), f.is_nan()) {
@@ -589,11 +457,11 @@ mod tests {
             let b = dense_traj(seed, off, 300, 19);
             let c = cfg(19);
             let w = CheckWindow::for_context(&a, &c).unwrap();
-            let full = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+            let full = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
             let expect = syn::peak(&full);
             let got = with_scratch(|s, _| {
                 let n_pos = b.len() - w.len_m + 1;
-                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, true, s));
+                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, s));
                 let k = w.channels.len();
                 let (mf, ms) = (&s.mean_f, &s.mean_s[..k]);
                 combine_dense_peak(n_pos, mf, ms, &s.chan_sum, &s.chan_n, &mut s.profile).0
@@ -618,7 +486,7 @@ mod tests {
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let n_pos = b.len() - w.len_m + 1;
         let pruned = with_scratch(|s, _| {
-            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, true, s));
+            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, s));
             let k = w.channels.len();
             let (peak, pruned) = combine_dense_peak(
                 n_pos,
@@ -647,8 +515,15 @@ mod tests {
         b = GsmTrajectory::from_rows(rows);
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
-        assert!(slide_scores_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        // The search still answers via the reference scan.
+        assert!(lane_dot_scan(&a, &b, &w).is_none());
+        // The scan answers through the per-placement path instead…
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let fs = a.len() - w.len_m;
+        assert_eq!(
+            bits(syn::slide_scores(&a, fs, &b, &w)),
+            bits(syn::slide_scores_reference(&a, fs, &b, &w))
+        );
+        // …and the search still answers.
         let p = syn::find_best_syn(&a, &b, &c).unwrap();
         assert_eq!(p.self_end as i64 - p.other_end as i64, 50);
     }
@@ -665,15 +540,7 @@ mod tests {
         let b = GsmTrajectory::from_rows(rows);
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
-        assert!(slide_scores_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        assert!(!with_scratch(|s, _| dense_scores_naive_into(
-            &a,
-            a.len() - w.len_m,
-            &b,
-            &w,
-            0..b.len() - w.len_m + 1,
-            s
-        )));
+        assert!(lane_dot_scan(&a, &b, &w).is_none());
     }
 
     #[test]
@@ -682,7 +549,7 @@ mod tests {
         let b = dense_traj(1, 0, 30, 8);
         let c = cfg(8);
         let w = CheckWindow::for_context(&a, &c).unwrap();
-        let scores = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+        let scores = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
         assert!(scores.is_empty());
     }
 
@@ -694,9 +561,9 @@ mod tests {
         let w = CheckWindow::for_context(&a, &c).unwrap();
         // Warm the pool, then verify repeated calls agree (stale buffer
         // state from the pool must never leak into results).
-        let first = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+        let first = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
         for _ in 0..3 {
-            let again = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+            let again = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
             assert_eq!(first, again);
         }
     }

@@ -178,21 +178,33 @@ proptest! {
     }
 
     // The two engine kernels agree with each other within 1e-9 on the
-    // scores and exactly on every discrete placement.
+    // scores and exactly on every discrete placement, also when every
+    // sample sits on a large constant dBm offset (catastrophic
+    // cancellation in the rolled `Σx²` and the Pearson variance term).
     #[test]
     fn kernels_agree_within_tolerance(
         seed in 1u64..100_000,
         gap in 5usize..80,
         len in 225usize..310,
+        offset in -2000.0f32..2000.0,
     ) {
         let c = cfg();
-        let ours = traj(seed, 0, len);
-        let theirs = traj(seed, gap, len);
+        let shifted = |t: GsmTrajectory| {
+            GsmTrajectory::from_rows(
+                (0..N_CHANNELS)
+                    .map(|ch| t.channel(ch).iter().map(|v| v + offset).collect())
+                    .collect(),
+            )
+        };
+        let ours = shifted(traj(seed, 0, len));
+        let theirs = shifted(traj(seed, gap, len));
         let engine = engine_for(&ours, &c);
 
         let reference = engine.find_syn_points_with(&theirs, Kernel::Reference);
         let fft = engine.find_syn_points_with(&theirs, Kernel::Fft);
         assert_close(&reference, &fft)?;
+        let s = engine.stats();
+        prop_assert!(s.fft_passes > 0 && s.fft_fallbacks == 0, "FFT kernel must run: {:?}", s);
     }
 
     // Unrelated journeys (disjoint synthetic fields) must miss — with the

@@ -9,7 +9,6 @@ use rups_core::motion::DeadReckoner;
 use rups_core::resolve::resolve_relative_distance;
 use rups_core::stats;
 use rups_core::syn::{find_best_syn, slide_scores, slide_scores_reference, SynPoint};
-use rups_core::syn_fast::slide_scores_fast;
 use rups_core::testfield;
 use rups_core::window::CheckWindow;
 
@@ -270,11 +269,12 @@ proptest! {
         prop_assert!(cfg.threshold_for_window(lo) <= cfg.threshold_for_window(hi) + 1e-12);
     }
 
-    // Differential: the incremental rolling-sum scan and the packed-FFT
-    // scan against the recompute-per-placement reference, under
-    // catastrophic-cancellation stress — long contexts whose samples sit
-    // on a large constant dBm offset, so the rolled `Σx²` and the Pearson
-    // variance term both cancel heavily.
+    // Differential: the incremental rolling-sum scan against the
+    // recompute-per-placement reference, under catastrophic-cancellation
+    // stress — long contexts whose samples sit on a large constant dBm
+    // offset, so the rolled `Σx²` and the Pearson variance term both
+    // cancel heavily. The engine's FFT kernel meets the same offsets in
+    // `engine_differential::kernels_agree_within_tolerance`.
     #[test]
     fn incremental_kernels_match_recompute_reference_under_offsets(
         seed in 0u64..10_000,
@@ -300,24 +300,20 @@ proptest! {
         let fs = len - w.len_m;
         let reference = slide_scores_reference(&a, fs, &b, &w);
         let rolling = slide_scores(&a, fs, &b, &w);
-        let fft = slide_scores_fast(&a, fs, &b, &w).expect("dense input");
         prop_assert_eq!(reference.len(), rolling.len());
-        prop_assert_eq!(reference.len(), fft.len());
-        for (j, &r) in reference.iter().enumerate() {
-            for (name, v) in [("rolling", rolling[j]), ("fft", fft[j])] {
-                match (r.is_nan(), v.is_nan()) {
-                    (true, true) => {}
-                    (false, false) => prop_assert!(
-                        (r - v).abs() < 1e-6,
-                        "{} diverged at placement {}: {} vs {} (offset {})",
-                        name, j, r, v, offset
-                    ),
-                    _ => prop_assert!(
-                        false,
-                        "{} definedness mismatch at {}: {} vs {}",
-                        name, j, r, v
-                    ),
-                }
+        for (j, (&r, &v)) in reference.iter().zip(&rolling).enumerate() {
+            match (r.is_nan(), v.is_nan()) {
+                (true, true) => {}
+                (false, false) => prop_assert!(
+                    (r - v).abs() < 1e-6,
+                    "rolling diverged at placement {}: {} vs {} (offset {})",
+                    j, r, v, offset
+                ),
+                _ => prop_assert!(
+                    false,
+                    "rolling definedness mismatch at {}: {} vs {}",
+                    j, r, v
+                ),
             }
         }
     }
@@ -371,8 +367,10 @@ proptest! {
         }
     }
 
-    // Differential: the packed-FFT sliding dot product against the naive
-    // `O(mw)` sum, across arbitrary (including exact power-of-two
+    // Differential: the engine's packed-FFT sliding dot products — two
+    // channels through `real_spectra_pair_into` +
+    // `corr_from_spectra_pair_into`, then the lone-channel form — against
+    // the naive `O(mw)` sum, across arbitrary (including exact power-of-two
     // boundary) length combinations.
     #[test]
     fn sliding_dot_matches_naive_sum(
@@ -382,20 +380,33 @@ proptest! {
         offset in -500.0f64..500.0,
     ) {
         let s_len = f_len + extra;
-        let f: Vec<f64> =
-            (0..f_len).map(|i| testfield::rssi(seed, i as f64, 0) as f64 + offset).collect();
-        let s: Vec<f64> =
-            (0..s_len).map(|i| testfield::rssi(seed, i as f64, 1) as f64 + offset).collect();
-        let dots = dsp::sliding_dot(&f, &s);
-        prop_assert_eq!(dots.len(), s_len - f_len + 1);
+        let n_out = s_len - f_len + 1;
+        let row = |ch: usize, len: usize| -> Vec<f64> {
+            (0..len).map(|i| testfield::rssi(seed, i as f64, ch) as f64 + offset).collect()
+        };
+        let (fa, sa, fb, sb) = (row(0, f_len), row(1, s_len), row(2, f_len), row(3, s_len));
+        let size = dsp::corr_fft_size(f_len, s_len);
         let scale = 1.0 + f_len as f64 * offset * offset;
-        for (j, &d) in dots.iter().enumerate() {
-            let naive: f64 = f.iter().zip(&s[j..j + f_len]).map(|(x, y)| x * y).sum();
-            prop_assert!(
-                (d - naive).abs() < 1e-6 * scale.max(1.0),
-                "lag {}: fft {} vs naive {}",
-                j, d, naive
+        let (mut work, mut out_a, mut out_b) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut xfa, mut xfb, mut xsa, mut xsb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (f2, s2) in [(&fb[..], &sb[..]), (&[][..], &[][..])] {
+            dsp::real_spectra_pair_into(&fa, f2, true, size, &mut work, &mut xfa, &mut xfb);
+            dsp::real_spectra_pair_into(&sa, s2, false, size, &mut work, &mut xsa, &mut xsb);
+            dsp::corr_from_spectra_pair_into(
+                &xfa, &xsa, &xfb, &xsb, f_len, n_out, &mut work, &mut out_a, &mut out_b,
             );
+            prop_assert_eq!(out_b.len(), if f2.is_empty() { 0 } else { n_out });
+            for (f, s, dots) in [(&fa, &sa, &out_a), (&fb, &sb, &out_b)] {
+                for (j, &d) in dots.iter().enumerate() {
+                    let naive: f64 = f.iter().zip(&s[j..j + f_len]).map(|(x, y)| x * y).sum();
+                    prop_assert!(
+                        (d - naive).abs() < 1e-6 * scale.max(1.0),
+                        "lag {}: fft {} vs naive {}",
+                        j, d, naive
+                    );
+                }
+            }
+            prop_assert_eq!(out_a.len(), n_out);
         }
     }
 }

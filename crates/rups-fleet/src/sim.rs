@@ -492,14 +492,14 @@ impl FleetSim {
         // Query: build the task list in globally sorted order, then drain
         // it with the work-stealing scheduler.
         let candidates = self.index.candidate_count();
-        let mut fresh_by_observer: BTreeMap<u64, BTreeMap<u64, ContextSnapshot>> = BTreeMap::new();
+        let mut fresh_by_observer: BTreeMap<u64, BTreeMap<u64, &ContextSnapshot>> = BTreeMap::new();
         for id in self.shards.vehicle_ids() {
             let home = self.shards.home_of(id).unwrap();
             let inbox = &self.shards.shard(home).vehicles[&id].inbox;
             let mut by_sender = BTreeMap::new();
             for snap in inbox.fresh(t) {
                 if let Some(from) = snap.vehicle_id {
-                    by_sender.insert(from, snap.clone());
+                    by_sender.insert(from, snap);
                 }
             }
             fresh_by_observer.insert(id, by_sender);

@@ -22,9 +22,6 @@
 //!   them. Solver iterations land in the `rups_fuse_solve_iterations`
 //!   histogram and the post-fit residual in the
 //!   `rups_fuse_residual_rms_m` gauge.
-//! * [`planar`] carries the genuinely nonlinear range-residual variant
-//!   (translation *and* rotation gauge), used to verify the solver
-//!   machinery beyond the linear along-road model.
 //! * [`synth`] generates random connected scenarios with known ground
 //!   truth — the verification harness the property/differential suites
 //!   and the golden fixture are built on.
@@ -55,11 +52,9 @@
 
 pub mod graph;
 mod linalg;
-pub mod planar;
 pub mod solve;
 pub mod synth;
 
 pub use graph::{weight_for, FixEdge, FixGraph};
-pub use planar::{solve_planar, PlanarConfig, PlanarGraph, PlanarSolution, RangeEdge};
 pub use solve::{FuseConfig, FuseError, FusedSolution, Fuser, OutlierConfig, RejectedEdge};
 pub use synth::{generate, SynthConfig, SynthRng, SynthScenario};

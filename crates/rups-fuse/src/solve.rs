@@ -13,9 +13,7 @@
 //! anchor column removed and step until the update stalls. For this
 //! signed-displacement model the problem is linear, so Gauss–Newton
 //! reaches the optimum in a single step — the iterative loop exists
-//! because outlier rejection re-enters it with a changed active set, and
-//! it keeps the solver shape shared with the nonlinear planar variant
-//! ([`crate::planar`]).
+//! because outlier rejection re-enters it with a changed active set.
 //!
 //! # Outlier rejection
 //!

@@ -1,20 +1,15 @@
-//! Differential tests: the Gauss–Newton solvers against brute-force
-//! references on small graphs.
+//! Differential tests: the Gauss–Newton solver against a brute-force
+//! reference on small graphs.
 //!
-//! The references share no machinery with the production path:
-//! - 1-D: Gauss–Seidel coordinate descent — each sweep sets every free
-//!   node to the weighted mean of its neighbours' implied positions,
-//!   which is the exact single-coordinate minimiser of the quadratic
-//!   cost. Convexity makes the fixed point the global optimum.
-//! - Planar: per-coordinate ternary search over a shrinking interval —
-//!   derivative-free, so it cannot inherit a Jacobian mistake.
+//! The reference shares no machinery with the production path: Gauss–Seidel
+//! coordinate descent — each sweep sets every free node to the weighted
+//! mean of its neighbours' implied positions, which is the exact
+//! single-coordinate minimiser of the quadratic cost. Convexity makes the
+//! fixed point the global optimum.
 
 use proptest::prelude::*;
 use rups_core::quality::FixQuality;
-use rups_fuse::{
-    generate, solve_planar, FixGraph, FuseConfig, Fuser, OutlierConfig, PlanarConfig, PlanarGraph,
-    SynthConfig, SynthRng,
-};
+use rups_fuse::{generate, FixGraph, FuseConfig, Fuser, OutlierConfig, SynthConfig};
 
 /// Reference 1-D solver: coordinate descent to the weighted least-squares
 /// optimum with `anchor` pinned at 0. Exact per-coordinate minimiser, so
@@ -73,57 +68,6 @@ fn cost_1d(graph: &FixGraph, pos: &[(u64, f64)]) -> f64 {
         .sum()
 }
 
-/// Reference planar solver: per-coordinate ternary search, interval
-/// halved each round. Derivative-free descent to a local minimum of the
-/// range cost from the same initial layout the production solver gets.
-fn planar_descent(graph: &PlanarGraph, rounds: usize) -> Vec<(u64, [f64; 2])> {
-    let mut pos = graph.nodes.clone();
-    pos.sort_by_key(|&(n, _)| n);
-    let cost = |pos: &[(u64, [f64; 2])]| -> f64 {
-        let of = |id: u64| pos[pos.binary_search_by_key(&id, |&(n, _)| n).unwrap()].1;
-        graph
-            .edges
-            .iter()
-            .map(|e| {
-                let (pa, pb) = (of(e.a), of(e.b));
-                let r = ((pb[0] - pa[0]).powi(2) + (pb[1] - pa[1]).powi(2)).sqrt() - e.range_m;
-                e.weight * r * r
-            })
-            .sum()
-    };
-    let mut span = 16.0;
-    for _ in 0..rounds {
-        // Gauge fixing mirrors solve_planar: node 0 pinned, node 1's y
-        // pinned.
-        for i in 0..pos.len() {
-            let axes: &[usize] = match i {
-                0 => &[],
-                1 => &[0],
-                _ => &[0, 1],
-            };
-            for &axis in axes {
-                let centre = pos[i].1[axis];
-                let (mut lo, mut hi) = (centre - span, centre + span);
-                for _ in 0..48 {
-                    let (m1, m2) = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0);
-                    pos[i].1[axis] = m1;
-                    let c1 = cost(&pos);
-                    pos[i].1[axis] = m2;
-                    let c2 = cost(&pos);
-                    if c1 < c2 {
-                        hi = m2;
-                    } else {
-                        lo = m1;
-                    }
-                }
-                pos[i].1[axis] = (lo + hi) / 2.0;
-            }
-        }
-        span = (span * 0.75).max(1e-6);
-    }
-    pos
-}
-
 proptest! {
     // The production solver and the coordinate-descent reference agree
     // on every position (same anchor, rejection off so the edge sets
@@ -158,57 +102,6 @@ proptest! {
         }
         let (c_gn, c_ref) = (cost_1d(&s.graph, &sol.positions), cost_1d(&s.graph, &reference));
         prop_assert!(c_gn <= c_ref + 1e-6, "GN cost {c_gn} vs reference {c_ref}");
-    }
-
-    // The planar solver agrees with derivative-free descent on the
-    // gauge-free observables (pairwise distances) and on the cost.
-    #[test]
-    fn planar_solver_matches_ternary_descent(
-        seed in 0u64..2000,
-        jitter in 0.5f64..4.0,
-    ) {
-        let mut rng = SynthRng::new(seed);
-        let truth: Vec<(u64, [f64; 2])> = [[0.0, 0.0], [55.0, 5.0], [60.0, 42.0], [8.0, 38.0]]
-            .iter()
-            .enumerate()
-            .map(|(i, &[x, y])| {
-                (i as u64, [x + rng.range(-6.0, 6.0), y + rng.range(-6.0, 6.0)])
-            })
-            .collect();
-        let mut g = PlanarGraph::default();
-        for &(id, [x, y]) in &truth {
-            g.insert_node(id, [
-                x + rng.range(-jitter, jitter),
-                y + rng.range(-jitter, jitter),
-            ]);
-        }
-        for a in 0..4usize {
-            for b in (a + 1)..4 {
-                let (pa, pb) = (truth[a].1, truth[b].1);
-                let d = ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2)).sqrt();
-                // Mild measurement noise keeps the optimum off the truth,
-                // so agreement is about the solver, not the scenario.
-                g.insert_range(a as u64, b as u64, d + rng.range(-0.3, 0.3), 1.0);
-            }
-        }
-        let sol = solve_planar(&g, &PlanarConfig::default()).unwrap();
-        prop_assert!(sol.converged);
-        let reference = planar_descent(&g, 64);
-        let dist = |pos: &[(u64, [f64; 2])], a: u64, b: u64| {
-            let of = |id: u64| pos[id as usize].1;
-            let (pa, pb) = (of(a), of(b));
-            ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2)).sqrt()
-        };
-        for a in 0..4u64 {
-            for b in (a + 1)..4 {
-                let d_gn = sol.distance(a, b).unwrap();
-                let d_ref = dist(&reference, a, b);
-                prop_assert!(
-                    (d_gn - d_ref).abs() < 2e-3,
-                    "pair ({a},{b}): GN {d_gn} vs reference {d_ref} (seed {seed})"
-                );
-            }
-        }
     }
 }
 

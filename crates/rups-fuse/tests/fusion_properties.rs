@@ -11,16 +11,11 @@
 //!   contains the truth);
 //! - a `Low`-grade fix can never outweigh a `High`-grade one;
 //! - gross corrupted chords are rejected before they perturb the fused
-//!   solution beyond the noise floor;
-//! - the planar solver's estimates are invariant (as distances) under
-//!   rotation of the input frame.
+//!   solution beyond the noise floor.
 
 use proptest::prelude::*;
 use rups_core::quality::{FixQuality, QualityReport};
-use rups_fuse::{
-    generate, solve_planar, weight_for, FuseConfig, Fuser, OutlierConfig, PlanarConfig,
-    PlanarGraph, SynthConfig, SynthRng,
-};
+use rups_fuse::{generate, weight_for, FuseConfig, Fuser, OutlierConfig, SynthConfig};
 
 fn scenario_cfg(seed: u64, n_nodes: usize, n_chords: usize, noise: f64) -> SynthConfig {
     SynthConfig {
@@ -200,58 +195,6 @@ proptest! {
                 prop_assert!(
                     (got - want).abs() < 10.0,
                     "pair ({a},{b}): fused {got} vs truth {want} (seed {seed})"
-                );
-            }
-        }
-    }
-
-    // Rotating the planar input frame rotates the solution with it: the
-    // pairwise distance spectrum — the only gauge-free observable — is
-    // unchanged.
-    #[test]
-    fn planar_estimates_are_rotation_invariant(
-        seed in 0u64..2000,
-        angle in 0.05f64..6.2,
-    ) {
-        let mut rng = SynthRng::new(seed);
-        // A noisy quad with all six ranges measured exactly.
-        let truth: Vec<(u64, [f64; 2])> = (0..4)
-            .map(|i| {
-                let base = [[0.0, 0.0], [60.0, 0.0], [65.0, 45.0], [-5.0, 40.0]][i as usize];
-                (i, [base[0] + rng.range(-8.0, 8.0), base[1] + rng.range(-8.0, 8.0)])
-            })
-            .collect();
-        let (sin, cos) = angle.sin_cos();
-        let rotate = |[x, y]: [f64; 2]| [cos * x - sin * y, sin * x + cos * y];
-        let build = |frame: &dyn Fn([f64; 2]) -> [f64; 2]| {
-            let mut g = PlanarGraph::default();
-            for &(id, p) in &truth {
-                let q = frame(p);
-                // Initial guess: frame-mapped truth plus a deterministic
-                // nudge, so the solver has real work to do.
-                g.insert_node(id, [q[0] + 1.5 + id as f64, q[1] - 2.0]);
-            }
-            for a in 0..4u64 {
-                for b in (a + 1)..4 {
-                    let (pa, pb) = (truth[a as usize].1, truth[b as usize].1);
-                    let d = ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2)).sqrt();
-                    g.insert_range(a, b, d, 1.0);
-                }
-            }
-            g
-        };
-        let id_frame = build(&|p| p);
-        let rot_frame = build(&|p| rotate(p));
-        let sol_a = solve_planar(&id_frame, &PlanarConfig::default()).unwrap();
-        let sol_b = solve_planar(&rot_frame, &PlanarConfig::default()).unwrap();
-        prop_assert!(sol_a.converged && sol_b.converged);
-        for a in 0..4u64 {
-            for b in (a + 1)..4 {
-                let da = sol_a.distance(a, b).unwrap();
-                let db = sol_b.distance(a, b).unwrap();
-                prop_assert!(
-                    (da - db).abs() < 1e-6,
-                    "pair ({a},{b}): {da} vs {db} at angle {angle}"
                 );
             }
         }

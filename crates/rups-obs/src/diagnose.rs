@@ -128,17 +128,8 @@ pub struct DiagnosisReport {
     /// Spans of those traces across *all* nodes (the cross-node view of
     /// the exemplar traces), chronological per node.
     pub exemplar_spans: Vec<ExemplarSpan>,
-    /// The worst node's flight-recorder dump, when the caller attached
-    /// one via [`DiagnosisReport::with_flight`].
+    /// The worst node's flight-recorder dump, when the caller attached one.
     pub flight: Option<FlightDump>,
-}
-
-impl DiagnosisReport {
-    /// Attaches the worst node's flight-recorder dump.
-    pub fn with_flight(mut self, dump: FlightDump) -> Self {
-        self.flight = Some(dump);
-        self
-    }
 }
 
 /// Scores one `(node, stage)` pair; `None` when the stage's signal has no

@@ -42,12 +42,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
     }
-
-    /// Resets to zero (for harness `reset_stats` paths; exporters should
-    /// prefer [`MetricsSnapshot::delta`]).
-    pub fn reset(&self) {
-        self.0.store(0, Relaxed);
-    }
 }
 
 /// A last-value-wins gauge holding an `f64`. Cloning shares the value.
