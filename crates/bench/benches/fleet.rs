@@ -1,74 +1,11 @@
 //! End-to-end sharded fleet epochs (beacon → route → relay → receive →
 //! query) at 1 and 4 scheduler workers, plus the cell-index maintenance
-//! and halo-query microbenches the serving layer rests on.
-//!
-//! The workload lives in `rups_bench::fleet` so the `bench_gate` CI
-//! binary measures exactly the same cases against the committed baseline
-//! (`results/BENCH_fleet.json`).
+//! and halo-query microbenches the serving layer rests on: the gated
+//! [`rups_bench::fleet`] workload, printed and, with `RUPS_BENCH_OUT_DIR`
+//! set, written as its baseline.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use rups_bench::baseline;
-use rups_bench::fleet::{
-    grid_positions, measure, EpochStepper, EPOCH_WORKERS, INDEX_CELL_M, INDEX_VEHICLES,
-};
-use rups_fleet::CellIndex;
-
-fn bench_fleet(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet");
-    for &w in &EPOCH_WORKERS {
-        // The stepper transparently re-warms its sim when the scenario
-        // budget runs out, so Criterion can iterate as often as it likes.
-        let mut stepper = EpochStepper::new(w, 400);
-        group.bench_function(BenchmarkId::new("epoch/32v", format!("{w}w")), |b| {
-            b.iter(|| {
-                let fixes = stepper.step();
-                assert!(fixes > 0);
-                fixes
-            })
-        });
-    }
-
-    let n = INDEX_VEHICLES;
-    let mut idx = CellIndex::new(INDEX_CELL_M);
-    let mut positions = grid_positions(n);
-    for (i, &p) in positions.iter().enumerate() {
-        idx.update(i as u64, p);
-    }
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function(BenchmarkId::new("cell_update", format!("{n}v")), |b| {
-        b.iter(|| {
-            for (i, p) in positions.iter_mut().enumerate() {
-                p.0 += 3.0;
-                idx.update(i as u64, *p);
-            }
-        })
-    });
-    group.bench_function(BenchmarkId::new("halo_query", format!("{n}v")), |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for i in 0..n {
-                total += idx.neighbours_within(i as u64, INDEX_CELL_M).len();
-            }
-            assert!(total > 0);
-            total
-        })
-    });
-    group.finish();
-}
-
-/// Re-measures every case with a plain wall clock and writes the
-/// committed machine-readable baseline (`results/BENCH_fleet.json`,
-/// format in EXPERIMENTS.md).
-fn write_baseline() {
-    let out = measure(15);
-    let path = baseline::default_path("fleet");
-    baseline::write(&path, &out);
-    eprintln!("baseline written to {path}");
-}
-
-criterion_group!(fleet, bench_fleet);
+use rups_bench::baseline::{publish, BASELINE_SAMPLES};
 
 fn main() {
-    fleet();
-    write_baseline();
+    publish(&rups_bench::fleet::measure(BASELINE_SAMPLES));
 }

@@ -1,13 +1,18 @@
-//! Machine-readable perf baselines, written next to the Criterion output.
+//! The one timing harness of rups-bench and its machine-readable perf
+//! baselines.
 //!
-//! Criterion's `estimates.json` is per-run and buried under `target/`;
-//! regressions are easiest to catch from one small committed file per
-//! bench. Each bench that wants a baseline measures its own medians with
-//! [`measure_median_ns_per_op`] (same workload as its Criterion group)
-//! and writes a [`Baseline`] to `results/BENCH_<bench>.json` via
-//! [`write()`]. The format is documented in `EXPERIMENTS.md`.
+//! Every bench case is timed by [`measure_median_ns_per_op`] and printed
+//! as one `<bench>/<id>` line. The four gated workloads (`syn_batch`,
+//! `syn_kernels`, `fleet`, `codec`) return a [`Baseline`]; [`publish`]
+//! prints it and, when `RUPS_BENCH_OUT_DIR` is set, writes
+//! `BENCH_<bench>.json` there. The committed copies in `results/` are what
+//! `bench_gate` compares a fresh run against ([`compare`]). The figure
+//! benches time their cases with [`time_case`] and print them only. The
+//! format is documented in `EXPERIMENTS.md`.
 
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
 
 /// One benchmarked case, e.g. `batched/8`.
@@ -46,17 +51,37 @@ pub struct Baseline {
     pub engine: Option<CacheRates>,
 }
 
+/// Samples behind every committed `results/BENCH_<bench>.json`.
+pub const BASELINE_SAMPLES: usize = 15;
+
+/// Samples of one call each behind every [`time_case`].
+const CASE_SAMPLES: usize = 10;
+
+/// The environment variable naming the directory baselines are written to
+/// and read from instead of the workspace `results/`.
+const OUT_DIR_VAR: &str = "RUPS_BENCH_OUT_DIR";
+
 /// Where `BENCH_<bench>.json` lives: the workspace `results/` directory,
 /// overridable with the `RUPS_BENCH_OUT_DIR` environment variable.
 pub fn default_path(bench: &str) -> String {
-    let dir = std::env::var("RUPS_BENCH_OUT_DIR")
+    let dir = std::env::var(OUT_DIR_VAR)
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").to_string());
     format!("{dir}/BENCH_{bench}.json")
 }
 
+/// Where the verdict on the baseline at `baseline_path` is written: the
+/// same file stem with the extension `verdict.json`, so a verdict never
+/// lands on the baseline it was compared against.
+pub fn verdict_path(baseline_path: &str) -> String {
+    Path::new(baseline_path)
+        .with_extension("verdict.json")
+        .to_string_lossy()
+        .into_owned()
+}
+
 /// Serialises the baseline to `path`, creating parent directories.
-pub fn write(path: &str, baseline: &Baseline) {
-    let p = std::path::Path::new(path);
+fn write(path: &str, baseline: &Baseline) {
+    let p = Path::new(path);
     if let Some(parent) = p.parent() {
         std::fs::create_dir_all(parent).expect("create baseline output dir");
     }
@@ -93,6 +118,70 @@ pub fn measure_median_ns_per_op(
         .collect();
     per_op.sort_by(|a, b| a.total_cmp(b));
     median_of_sorted(&per_op)
+}
+
+/// Times one print-only case of `bench` — one warmup call of `op`, then
+/// ten samples of one call each — and prints it. What `op` returns goes
+/// through [`black_box`] so its work is not optimised away.
+pub fn time_case<T>(bench: &str, id: impl Into<String>, mut op: impl FnMut() -> T) {
+    let ns = measure_median_ns_per_op(CASE_SAMPLES, 1, 1, || {
+        black_box(op());
+    });
+    let case = BenchCase {
+        id: id.into(),
+        ops_per_iter: 1,
+        median_ns_per_op: ns,
+        samples: CASE_SAMPLES,
+    };
+    print(&Baseline {
+        bench: bench.into(),
+        cases: vec![case],
+        engine: None,
+    });
+}
+
+/// Prints every case of `baseline`, one `<bench>/<id>` line each, and its
+/// engine cache-hit rates when it has them.
+fn print(baseline: &Baseline) {
+    for c in &baseline.cases {
+        println!(
+            "{}/{}: median {} per op over {} samples",
+            baseline.bench,
+            c.id,
+            format_ns(c.median_ns_per_op),
+            c.samples
+        );
+    }
+    if let Some(e) = &baseline.engine {
+        println!(
+            "{}: engine context hit rate {:.3}, window hit rate {:.3}, scratch reuse rate {:.3}",
+            baseline.bench, e.context_hit_rate, e.window_hit_rate, e.scratch_reuse_rate
+        );
+    }
+}
+
+/// Prints a gated workload's fresh baseline and writes it to
+/// [`default_path`] only when `RUPS_BENCH_OUT_DIR` is set, so a plain
+/// `cargo bench` never rewrites the committed `results/` baselines.
+pub fn publish(baseline: &Baseline) {
+    print(baseline);
+    if std::env::var_os(OUT_DIR_VAR).is_some() {
+        let path = default_path(&baseline.bench);
+        write(&path, baseline);
+        eprintln!("baseline written to {path}");
+    }
+}
+
+fn format_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.3} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.3} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.3} us", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
+    }
 }
 
 fn median_of_sorted(sorted: &[f64]) -> f64 {
@@ -274,7 +363,7 @@ pub fn compare(baseline: &Baseline, current: &Baseline, cfg: &CompareConfig) -> 
 
 /// Serialises a verdict to `path`, creating parent directories.
 pub fn write_verdict(path: &str, verdict: &CompareVerdict) {
-    let p = std::path::Path::new(path);
+    let p = Path::new(path);
     if let Some(parent) = p.parent() {
         std::fs::create_dir_all(parent).expect("create verdict output dir");
     }
@@ -438,6 +527,22 @@ mod tests {
         let back: CompareVerdict = serde_json::from_str(&json).unwrap();
         assert_eq!(back, v);
         assert!(!back.pass);
+    }
+
+    #[test]
+    fn verdict_path_never_names_its_baseline() {
+        assert_eq!(
+            verdict_path("results/BENCH_codec.json"),
+            "results/BENCH_codec.verdict.json"
+        );
+        // A baseline without an extension gains one instead of being
+        // overwritten by its own verdict.
+        assert_eq!(verdict_path("/tmp/base"), "/tmp/base.verdict.json");
+        // Only the file name changes, never a directory on the way.
+        assert_eq!(
+            verdict_path("/tmp/x.json.d/BENCH_codec.json"),
+            "/tmp/x.json.d/BENCH_codec.verdict.json"
+        );
     }
 
     #[test]

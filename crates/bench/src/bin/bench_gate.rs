@@ -83,7 +83,7 @@ fn gate_one(name: &str, current: Baseline, args: &Args) -> bool {
     let out_path = args
         .out_path
         .clone()
-        .unwrap_or_else(|| baseline_path.replace(".json", ".verdict.json"));
+        .unwrap_or_else(|| baseline::verdict_path(&baseline_path));
     eprintln!(
         "bench_gate[{name}]: baseline {baseline_path}, tolerance {:.0}%",
         args.cfg.tolerance * 100.0

@@ -1,6 +1,6 @@
 //! The `codec` workload: encode and decode of paper-band journey contexts,
-//! shared between the Criterion bench (`benches/codec_wsm.rs`) and the CI
-//! regression gate.
+//! measured by the `codec_wsm` bench and by the CI regression gate
+//! (`bench_gate`).
 //!
 //! A context of `len` metres over the 194-channel band is one beacon of the
 //! §V-B exchange; 600 m is what the `track` benchmark workload beacons each

@@ -1,11 +1,8 @@
-//! The `fleet` workload, shared between the Criterion bench and the CI
+//! The `fleet` workload, measured by the `fleet` bench and by the CI
 //! regression gate (`bench_gate`): one full sharded epoch (beacon →
 //! route → relay → receive → query) of a 32-vehicle fleet at 1 and 4
 //! scheduler workers, plus the cell-index maintenance and halo-query
 //! microbenches underneath it.
-//!
-//! Lives in the library so the gate binary re-measures exactly the
-//! committed-baseline workload without pulling in Criterion.
 
 use crate::baseline::{self, Baseline, BenchCase};
 use rups_fleet::{CellIndex, FleetConfig, FleetSim};
@@ -21,7 +18,7 @@ pub const INDEX_CELL_M: f64 = 50.0;
 
 /// The epoch-case configuration: a 32-vehicle, 4-shard fleet on the
 /// defaults (120 m cells, ideal links).
-pub fn fleet_config(workers: usize, epochs: usize) -> FleetConfig {
+fn fleet_config(workers: usize, epochs: usize) -> FleetConfig {
     FleetConfig {
         seed: 7,
         n_vehicles: EPOCH_VEHICLES,
@@ -36,50 +33,9 @@ pub fn fleet_config(workers: usize, epochs: usize) -> FleetConfig {
     }
 }
 
-/// Steps measured epochs off a pre-warmed [`FleetSim`], transparently
-/// rebuilding (and re-warming) the sim when its scenario budget runs
-/// out — Criterion decides iteration counts, not us, and a [`FleetSim`]
-/// only simulates a finite drive.
-pub struct EpochStepper {
-    workers: usize,
-    budget: usize,
-    left: usize,
-    sim: FleetSim,
-}
-
-impl EpochStepper {
-    /// Builds and warms a stepper good for `budget` epochs per sim.
-    pub fn new(workers: usize, budget: usize) -> Self {
-        assert!(budget > 0);
-        let sim = Self::warmed(workers, budget);
-        Self {
-            workers,
-            budget,
-            left: budget,
-            sim,
-        }
-    }
-
-    fn warmed(workers: usize, budget: usize) -> FleetSim {
-        let mut sim = FleetSim::new(fleet_config(workers, budget));
-        sim.warm_up();
-        sim
-    }
-
-    /// Runs one measured epoch; returns its successful fix count.
-    pub fn step(&mut self) -> usize {
-        if self.left == 0 {
-            self.sim = Self::warmed(self.workers, self.budget);
-            self.left = self.budget;
-        }
-        self.left -= 1;
-        self.sim.step_epoch().fixes_ok()
-    }
-}
-
 /// A 16×16 grid of positions at 35 m spacing: ~2 vehicles per 50 m cell,
 /// so every 3×3 halo holds a realistic double-digit candidate set.
-pub fn grid_positions(n: usize) -> Vec<(f64, f64)> {
+fn grid_positions(n: usize) -> Vec<(f64, f64)> {
     (0..n)
         .map(|i| ((i % 16) as f64 * 35.0, (i / 16) as f64 * 35.0))
         .collect()
@@ -92,12 +48,12 @@ pub fn grid_positions(n: usize) -> Vec<(f64, f64)> {
 pub fn measure(samples: usize) -> Baseline {
     let mut cases = Vec::new();
     for &w in &EPOCH_WORKERS {
-        // One warmup call plus `samples` timed calls fit the budget, so
-        // the gate never pays a mid-measurement rebuild.
-        let mut stepper = EpochStepper::new(w, samples + 2);
+        // A `FleetSim` only simulates a finite drive: one warmup call plus
+        // `samples` timed calls fit a `samples + 2`-epoch scenario.
+        let mut sim = FleetSim::new(fleet_config(w, samples + 2));
+        sim.warm_up();
         let ns = baseline::measure_median_ns_per_op(samples, 1, 1, || {
-            let fixes = stepper.step();
-            assert!(fixes > 0, "epoch produced no fixes");
+            assert!(sim.step_epoch().fixes_ok() > 0, "epoch produced no fixes");
         });
         cases.push(BenchCase {
             id: format!("epoch/{EPOCH_VEHICLES}v_{w}w"),
@@ -163,14 +119,5 @@ mod tests {
         assert!(ids.contains(&"epoch/32v_4w"));
         assert!(ids.contains(&"cell_update/256v"));
         assert!(ids.contains(&"halo_query/256v"));
-    }
-
-    #[test]
-    fn stepper_rebuilds_past_its_budget() {
-        let mut stepper = EpochStepper::new(1, 2);
-        // Three steps force one transparent rebuild; fixes keep flowing.
-        for _ in 0..3 {
-            assert!(stepper.step() > 0);
-        }
     }
 }

@@ -1,8 +1,10 @@
-//! Shared workload builders for the Criterion benches.
+//! Shared workload builders for the rups-bench targets.
 //!
 //! Every bench regenerating a paper figure pulls its workload from here so
 //! the benchmarked code path is exactly the one the `evaluate` binary runs,
-//! only at a bench-friendly scale.
+//! only at a bench-friendly scale. The four gated workloads live in their
+//! own modules so the bench targets and `bench_gate` measure the same
+//! cases, and [`baseline`] times and prints every case.
 
 use rups_core::config::RupsConfig;
 use rups_core::gsm::{GsmTrajectory, PowerVector};
@@ -43,8 +45,9 @@ pub fn bench_config(n_channels: usize, window_len_m: usize, window_channels: usi
     }
 }
 
-/// The scale used by the figure benches: small enough for Criterion's
-/// repetitions, large enough to exercise the real path.
+/// The scale used by the figure benches: small enough for
+/// [`baseline::time_case`]'s repetitions, large enough to exercise the
+/// real path.
 pub fn bench_scale() -> EvalScale {
     EvalScale {
         n_queries: 4,

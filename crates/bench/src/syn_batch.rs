@@ -1,9 +1,14 @@
-//! The `syn_batch` workload, shared between the Criterion bench and the
+//! The `syn_batch` workload, measured by the `syn_batch` bench and by the
 //! CI regression gate (`bench_gate`): one epoch of neighbour distance
 //! queries through the batched engine vs the naive pre-engine path.
 //!
-//! Extracted from `benches/syn_batch.rs` so the gate binary can re-measure
-//! the exact committed-baseline workload without pulling in Criterion.
+//! `batched` answers the whole epoch through
+//! `RupsNode::fix_distances_parallel` — one `SynQueryEngine`
+//! work-stealing pass sharing the cached interpolated context, window
+//! memo, own-side `f64` rows and spectra and pooled scratch arenas.
+//! `naive` replays what every query used to cost before the engine: clone
+//! and interpolate the own context, re-select every window and run the
+//! reference multi-SYN search, once per neighbour, sequentially.
 
 use crate::baseline::{self, Baseline, BenchCase, CacheRates};
 use crate::{bench_config, synthetic_context};
@@ -22,7 +27,7 @@ pub const BATCH_SIZES: [usize; 3] = [1, 8, 32];
 
 /// The querying node: a full synthetic context under the paper's window
 /// geometry.
-pub fn build_node(seed: u64) -> RupsNode {
+fn build_node(seed: u64) -> RupsNode {
     let cfg = bench_config(N_CHANNELS, 85, 24);
     let mut node = RupsNode::new(cfg);
     let ctx = synthetic_context(seed, 0, CONTEXT_M, N_CHANNELS);
@@ -41,7 +46,7 @@ pub fn build_node(seed: u64) -> RupsNode {
 }
 
 /// `n` neighbour snapshots at staggered offsets over the same field.
-pub fn neighbour_snapshots(seed: u64, n: usize) -> Vec<ContextSnapshot> {
+fn neighbour_snapshots(seed: u64, n: usize) -> Vec<ContextSnapshot> {
     (0..n)
         .map(|i| {
             // Snapshot validation requires aligned geo/gsm halves.
@@ -64,7 +69,7 @@ pub fn neighbour_snapshots(seed: u64, n: usize) -> Vec<ContextSnapshot> {
 
 /// The pre-engine query path: per-neighbour context interpolation plus the
 /// reference multi-SYN search, no caching of any querying-side quantity.
-pub fn naive_fix(node: &RupsNode, neighbour: &GsmTrajectory) -> f64 {
+fn naive_fix(node: &RupsNode, neighbour: &GsmTrajectory) -> f64 {
     let ours = node.gsm_trajectory().interpolated();
     let points = syn::find_syn_points(&ours, neighbour, node.config()).unwrap();
     let (distance_m, _) = resolve::aggregate_distance(

@@ -1,6 +1,6 @@
 //! The `syn_kernels` workload: per-kernel nanosecond medians for every
-//! primitive on the SYN hot path, shared between the Criterion bench and
-//! the CI regression gate.
+//! primitive on the SYN hot path, measured by the `syn_kernels` bench and
+//! by the CI regression gate (`bench_gate`).
 //!
 //! The batched `syn_batch` workload answers "did the end-to-end fix get
 //! slower"; this one answers "which kernel". Each case isolates one

@@ -6,8 +6,8 @@
 //! The reference-kernel comparisons demand *bit* equality (the engine runs
 //! the very same `slide_scores`/`peak` code), and so does warm-vs-cold on
 //! the FFT kernel; the FFT-vs-reference comparisons allow a 1e-9 score
-//! tolerance, since the prefix-sum/FFT arithmetic legitimately
-//! reassociates floating-point sums. The anchored check behind
+//! tolerance, since the FFT correlation and the rolling window statistics
+//! legitimately reassociate floating-point sums. The anchored check behind
 //! `RupsNode::tracked_fix` rolls its window sums where the recompute scan
 //! of record re-derives them, so it agrees with that scan to 1e-6.
 

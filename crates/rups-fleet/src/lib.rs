@@ -17,8 +17,7 @@
 //!   steal-on-idle, deterministic output for any worker count.
 //!
 //! [`sim::FleetSim`] wires them to `urban-sim` scenarios, `v2v-sim`
-//! faulty links, per-shard `rups-obs` registries and optional `rups-fuse`
-//! neighbourhood fusion in one city-scale run.
+//! faulty links and per-shard `rups-obs` registries in one city-scale run.
 //!
 //! [`RupsNode`]: rups_core::pipeline::RupsNode
 
@@ -30,4 +29,4 @@ pub mod sim;
 pub use cell::{CellIndex, CellStats};
 pub use sched::{run_tasks, StealStats};
 pub use shard::{RoutedBeacon, Shard, ShardConfig, ShardSet, Vehicle, RELAY_ID_BASE};
-pub use sim::{EpochOutcome, FleetConfig, FleetFix, FleetRun, FleetSim, FusedEpoch};
+pub use sim::{EpochOutcome, FleetConfig, FleetFix, FleetRun, FleetSim};

@@ -38,7 +38,6 @@ use rups_core::inbox::{InboxConfig, SnapshotInbox};
 use rups_core::pipeline::{ContextSnapshot, GradedFix, RupsNode};
 use rups_core::quality::{self, QualityConfig};
 use rups_core::testfield;
-use rups_fuse::{FixGraph, FuseConfig, Fuser};
 use rups_obs::{FleetAggregator, FleetSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use urban_sim::{FleetLayout, FleetScenario, RoadClass, Route};
@@ -86,8 +85,6 @@ pub struct FleetConfig {
     pub channel_capacity: usize,
     /// Fault model of every shard-local link.
     pub faults: FaultConfig,
-    /// Solve the per-epoch neighbourhood fix graph with `rups-fuse`.
-    pub fuse: bool,
 }
 
 impl Default for FleetConfig {
@@ -111,7 +108,6 @@ impl Default for FleetConfig {
             rx_slack_s: 0.5,
             channel_capacity: 4096,
             faults: FaultConfig::ideal(),
-            fuse: false,
         }
     }
 }
@@ -158,15 +154,6 @@ pub struct FleetFix {
     pub result: Result<GradedFix, RupsError>,
 }
 
-/// Per-epoch fusion summary, when enabled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedEpoch {
-    /// Vehicles the solver placed.
-    pub resolved: usize,
-    /// Mean `|fused − truth|` over resolved vehicles, metres.
-    pub mean_abs_err_m: f64,
-}
-
 /// Everything one measured epoch produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochOutcome {
@@ -188,8 +175,6 @@ pub struct EpochOutcome {
     pub relayed: usize,
     /// Wall-clock seconds spent in the parallel query phase.
     pub query_wall_s: f64,
-    /// Fusion summary, when [`FleetConfig::fuse`] is set.
-    pub fused: Option<FusedEpoch>,
 }
 
 impl EpochOutcome {
@@ -542,12 +527,6 @@ impl FleetSim {
             .collect();
         drop(tasks);
 
-        let fused = if self.cfg.fuse {
-            self.fuse_epoch(&fixes, t)
-        } else {
-            None
-        };
-
         EpochOutcome {
             t_s: t,
             fixes,
@@ -557,41 +536,7 @@ impl FleetSim {
             rehomes,
             relayed,
             query_wall_s,
-            fused,
         }
-    }
-
-    /// Solves the epoch's fix graph and scores it against ground truth.
-    fn fuse_epoch(&self, fixes: &[FleetFix], t: f64) -> Option<FusedEpoch> {
-        let mut graph = FixGraph::new();
-        for fix in fixes {
-            if let Ok(graded) = &fix.result {
-                graph.insert_fix(fix.observer, fix.neighbour, graded);
-            }
-        }
-        if graph.is_empty() {
-            return None;
-        }
-        let anchor = graph.nodes().iter().copied().min()?;
-        let fuser = Fuser::new(FuseConfig {
-            anchor: Some(anchor),
-            ..FuseConfig::default()
-        });
-        let solution = fuser.solve(&graph).ok()?;
-        let errs: Vec<f64> = solution
-            .positions
-            .iter()
-            .filter(|(id, _)| *id != anchor)
-            .map(|&(id, pos)| (pos - self.truth_gap_m(anchor, id, t)).abs())
-            .collect();
-        Some(FusedEpoch {
-            resolved: solution.positions.len(),
-            mean_abs_err_m: if errs.is_empty() {
-                0.0
-            } else {
-                errs.iter().sum::<f64>() / errs.len() as f64
-            },
-        })
     }
 
     /// Runs warm-up plus every measured epoch and aggregates shard
@@ -653,18 +598,6 @@ mod tests {
         let last = run.epochs.last().unwrap();
         let err = last.mean_abs_err_m().expect("fixes in final epoch");
         assert!(err < 10.0, "mean |error| {err} m too large");
-    }
-
-    #[test]
-    fn fusion_resolves_the_neighbourhood() {
-        let run = FleetSim::run(FleetConfig {
-            fuse: true,
-            ..tiny_cfg()
-        });
-        let fused: Vec<&FusedEpoch> = run.epochs.iter().filter_map(|e| e.fused.as_ref()).collect();
-        assert!(!fused.is_empty(), "fusion never solved");
-        assert!(fused.iter().any(|f| f.resolved >= 3));
-        assert!(fused.iter().all(|f| f.mean_abs_err_m.is_finite()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! stage moved from its own baseline, picks the worst pair, and pulls
 //! exemplar traces (by [`TraceContext`](crate::TraceContext) id) from the
 //! guilty node's span ring so the report carries evidence, not just a
-//! verdict. The caller may attach the matching flight-recorder dump.
+//! verdict.
 //!
 //! Stage evidence is one [`Signal`] per stage ([`Stage::signal`]),
 //! compared between the two windows and normalised into `[0, 1]`:
@@ -23,7 +23,7 @@
 //! | fuse   | [`Signal::FuseRejectionsPerSolve`]    | rise of rejections per solve |
 
 use crate::detect::Alarm;
-use crate::flight::{FlightDump, SpanDump};
+use crate::flight::SpanDump;
 use crate::registry::MetricsSnapshot;
 use crate::signal::Signal;
 use crate::span::SpanRecord;
@@ -128,8 +128,6 @@ pub struct DiagnosisReport {
     /// Spans of those traces across *all* nodes (the cross-node view of
     /// the exemplar traces), chronological per node.
     pub exemplar_spans: Vec<ExemplarSpan>,
-    /// The worst node's flight-recorder dump, when the caller attached one.
-    pub flight: Option<FlightDump>,
 }
 
 /// Scores one `(node, stage)` pair; `None` when the stage's signal has no
@@ -232,7 +230,6 @@ pub fn diagnose(
         scores,
         exemplar_traces,
         exemplar_spans,
-        flight: None,
     })
 }
 

@@ -77,10 +77,10 @@ pub use hist::{
     N_BUCKETS, TOP_BUCKET_LO,
 };
 pub use registry::{
-    escape_help, escape_label_value, sanitize_metric_name, Counter, CounterSample, Gauge,
-    GaugeSample, MetricsSnapshot, Registry,
+    escape_label_value, sanitize_metric_name, Counter, CounterSample, Gauge, GaugeSample,
+    MetricsSnapshot, Registry,
 };
-pub use sample::{SampleConfig, SamplerStats, TailSampler, OVERHEAD_HELP};
+pub use sample::{SampleConfig, SamplerStats, TailSampler};
 pub use signal::{Direction, Reading, Signal, CLOCK_OFFSET_GAUGE, FIX_ERROR_GAUGE};
 pub use skew::{ClockModel, SkewEstimator};
 pub use slo::{default_slos, evaluate_slos, SloReport, SloSpec, SloVerdict};

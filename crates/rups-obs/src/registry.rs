@@ -341,14 +341,6 @@ impl MetricsSnapshot {
     /// the first (in sorted snapshot order) wins, keeping the exposition
     /// parseable.
     pub fn to_prometheus(&self) -> String {
-        self.to_prometheus_with_help(&[])
-    }
-
-    /// [`to_prometheus`](Self::to_prometheus) with `# HELP` lines: `help`
-    /// maps metric names (raw or sanitised) to their description. HELP text
-    /// is escaped per the exposition format ([`escape_help`]), so
-    /// backslashes and newlines in a description cannot corrupt the frame.
-    pub fn to_prometheus_with_help(&self, help: &[(&str, &str)]) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let mut seen: Vec<String> = Vec::new();
@@ -360,18 +352,10 @@ impl MetricsSnapshot {
             seen.push(clean.clone());
             Some(clean)
         };
-        let help_for = |raw: &str, clean: &str| -> Option<String> {
-            help.iter()
-                .find(|(n, _)| *n == raw || *n == clean)
-                .map(|(_, text)| escape_help(text))
-        };
         for c in &self.counters {
             let Some(name) = claim(&c.name, &mut seen) else {
                 continue;
             };
-            if let Some(h) = help_for(&c.name, &name) {
-                let _ = writeln!(out, "# HELP {name} {h}");
-            }
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {}", c.value);
         }
@@ -379,9 +363,6 @@ impl MetricsSnapshot {
             let Some(name) = claim(&g.name, &mut seen) else {
                 continue;
             };
-            if let Some(h) = help_for(&g.name, &name) {
-                let _ = writeln!(out, "# HELP {name} {h}");
-            }
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {}", g.value);
         }
@@ -389,9 +370,6 @@ impl MetricsSnapshot {
             let Some(name) = claim(&h.name, &mut seen) else {
                 continue;
             };
-            if let Some(txt) = help_for(&h.name, &name) {
-                let _ = writeln!(out, "# HELP {name} {txt}");
-            }
             let h = HistogramSample {
                 name: name.clone(),
                 ..h.clone()
@@ -420,21 +398,6 @@ impl MetricsSnapshot {
         }
         out
     }
-}
-
-/// Escapes HELP text per the Prometheus exposition format: `\` becomes
-/// `\\` and a line feed becomes `\n`. (HELP text does not escape double
-/// quotes — only label values do.)
-pub fn escape_help(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(ch),
-        }
-    }
-    out
 }
 
 /// Escapes a label value per the Prometheus exposition format: `\` becomes
@@ -582,9 +545,8 @@ mod tests {
         }
     }
 
-    /// Inverse of the exposition escapes, for round-trip testing only:
-    /// `\\` → `\`, `\n` → line feed, `\"` → `"` (the last never appears in
-    /// HELP text but is harmless to accept).
+    /// Inverse of the label-value escapes, for round-trip testing only:
+    /// `\\` → `\`, `\n` → line feed, `\"` → `"`.
     fn unescape_exposition(s: &str) -> String {
         let mut out = String::with_capacity(s.len());
         let mut chars = s.chars();
@@ -610,8 +572,7 @@ mod tests {
     #[test]
     fn exposition_escaping_round_trips() {
         // Every nasty input must survive escape → unescape unchanged, and
-        // the escaped form must be frame-safe (single line, and for label
-        // values no bare quote).
+        // the escaped form must be frame-safe (single line, no bare quote).
         let cases = [
             "plain text",
             "back\\slash",
@@ -623,9 +584,6 @@ mod tests {
             "",
         ];
         for c in cases {
-            let h = escape_help(c);
-            assert!(!h.contains('\n'), "HELP must stay one line: {h:?}");
-            assert_eq!(unescape_exposition(&h), c, "HELP round-trip of {c:?}");
             let l = escape_label_value(c);
             assert!(!l.contains('\n'), "label must stay one line: {l:?}");
             let mut bare_quote = false;
@@ -638,30 +596,6 @@ mod tests {
             }
             assert!(!bare_quote, "unescaped quote in label value: {l:?}");
             assert_eq!(unescape_exposition(&l), c, "label round-trip of {c:?}");
-        }
-    }
-
-    #[test]
-    fn help_lines_are_emitted_escaped() {
-        let reg = Registry::new();
-        reg.counter("rups_x_total").add(1);
-        reg.histogram("rups_h_ns").record(7);
-        let text = reg.snapshot().to_prometheus_with_help(&[
-            ("rups_x_total", "totals with a \\ and\na newline"),
-            ("rups_h_ns", "latency"),
-            ("rups_missing", "never emitted"),
-        ]);
-        assert!(text.contains("# HELP rups_x_total totals with a \\\\ and\\na newline"));
-        assert!(text.contains("# HELP rups_h_ns latency"));
-        assert!(!text.contains("rups_missing"));
-        // HELP precedes TYPE for the same metric.
-        let help_at = text.find("# HELP rups_x_total").unwrap();
-        let type_at = text.find("# TYPE rups_x_total").unwrap();
-        assert!(help_at < type_at);
-        // The exposition still parses line-by-line: no raw newline leaked
-        // into any comment line.
-        for line in text.lines().filter(|l| l.starts_with("# HELP")) {
-            assert!(line.split_whitespace().count() >= 3, "empty HELP: {line}");
         }
     }
 

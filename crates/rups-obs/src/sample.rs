@@ -56,37 +56,6 @@ pub const OVERHEAD_DEMOTIONS: &str = "rups_obs_overhead_demotions";
 /// Gauge publishing the effective head-sample rate after degradation.
 pub const OVERHEAD_HEAD_RATE: &str = "rups_obs_overhead_head_rate";
 
-/// `# HELP` strings for the sampler's meta-metrics (and the detector
-/// bank's alarm counter), for
-/// [`MetricsSnapshot::to_prometheus_with_help`](crate::MetricsSnapshot::to_prometheus_with_help).
-pub const OVERHEAD_HELP: &[(&str, &str)] = &[
-    (
-        OVERHEAD_RECORD_NS,
-        "Telemetry record-path cost per ingested span (self-measured), ns",
-    ),
-    (
-        OVERHEAD_RETAINED_BYTES,
-        "Bytes of span data committed to the durable trace store",
-    ),
-    (OVERHEAD_SPANS_INGESTED, "Spans offered to the tail sampler"),
-    (
-        OVERHEAD_SPANS_COMMITTED,
-        "Spans committed by the tail sampler",
-    ),
-    (
-        OVERHEAD_DEMOTIONS,
-        "Degradation-ladder steps: head-rate halvings under overhead-budget pressure",
-    ),
-    (
-        OVERHEAD_HEAD_RATE,
-        "Effective head-sample rate after degradation, in [0, 1]",
-    ),
-    (
-        crate::detect::ALARMS_TOTAL,
-        "Alarms emitted by the online detector bank",
-    ),
-];
-
 /// Tail-sampling policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SampleConfig {
@@ -631,25 +600,13 @@ mod tests {
     }
 
     #[test]
-    fn overhead_meta_metrics_expose_prometheus_help_type_and_escaping() {
+    fn overhead_meta_metrics_expose_prometheus_types() {
         let reg = Registry::new();
         let sampler = TailSampler::new(SampleConfig::default()).with_registry(&reg);
         reg.counter(crate::detect::ALARMS_TOTAL).add(3);
         sampler.ingest(&[traced(5, 1_000)]);
         sampler.finish_trace(5, true);
-        // Swap in an adversarial help string for the head-rate gauge:
-        // backslash and newline must be escaped per the exposition format.
-        let help: Vec<(&str, &str)> = OVERHEAD_HELP
-            .iter()
-            .map(|&(n, h)| {
-                if n == OVERHEAD_HEAD_RATE {
-                    (n, "rate \\ after\nladder")
-                } else {
-                    (n, h)
-                }
-            })
-            .collect();
-        let text = reg.snapshot().to_prometheus_with_help(&help);
+        let text = reg.snapshot().to_prometheus();
         for (name, ty) in [
             (OVERHEAD_RECORD_NS, "histogram"),
             (OVERHEAD_RETAINED_BYTES, "counter"),
@@ -662,15 +619,7 @@ mod tests {
                 text.contains(&format!("# TYPE {name} {ty}")),
                 "missing TYPE for {name}:\n{text}"
             );
-            assert!(
-                text.contains(&format!("# HELP {name} ")),
-                "missing HELP for {name}"
-            );
         }
-        assert!(
-            text.contains("# HELP rups_obs_overhead_head_rate rate \\\\ after\\nladder"),
-            "backslash and newline escaped in HELP:\n{text}"
-        );
         assert!(text.contains("rups_obs_alarms_total 3"));
     }
 }
