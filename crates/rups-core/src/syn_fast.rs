@@ -6,9 +6,11 @@
 //! missing-channel interpolation the rows are dense, and the
 //! placement-dependent quantities reduce to
 //!
-//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — a four-lane
-//!   naive loop in the rolling scan's lane-dot pass (`dense_pass`), a
-//!   packed-FFT cross-correlation in the engine's FFT kernel, and
+//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — four-lane
+//!   naive dot products in the rolling scan's lane-dot pass (`lane_dots`,
+//!   eight placements per load of the fixed row on AVX hosts, bit-identical
+//!   to the scalar `lane_dot`), a packed-FFT cross-correlation in the
+//!   engine's FFT kernel, and
 //! * per-channel window sums/sum-of-squares — rolled incrementally in
 //!   `O(1)` per placement (`accumulate_dense_channel`), by both.
 //!
@@ -140,7 +142,9 @@ pub(crate) fn dense_scores_naive_into(
 /// The rolling scan's lane-dot pass over the non-empty, valid window
 /// `placements`: stages each selected channel (the sliding row cut to the
 /// metres those placements cover), takes its sliding dot products with
-/// [`lane_dot`], and accumulates the rolling per-placement statistics into
+/// [`lane_dots`] (the AVX block pass where the CPU has it, bit-identical to
+/// [`lane_dot`] per placement), and accumulates the rolling per-placement
+/// statistics into
 /// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`, whose entry `i` belongs
 /// to placement `placements.start + i`.
 ///
@@ -180,9 +184,7 @@ pub(crate) fn dense_pass(
         s.s64a.clear();
         s.s64a
             .extend(sliding.channel(ch)[rows.clone()].iter().map(|&v| v as f64));
-        s.dots_a.clear();
-        s.dots_a
-            .extend((0..n_pos).map(|j| lane_dot(&s.f64a, &s.s64a[j..j + w])));
+        lane_dots(&s.f64a, &s.s64a, n_pos, &mut s.dots_a);
         let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64a);
         let row = &mut s.mean_s[ci];
         row.clear();
@@ -221,6 +223,97 @@ pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
         out += a * b;
     }
     out
+}
+
+/// Sliding dot products of the fixed row `f` against every placement of
+/// `s`: `out` is refilled with `n_pos` entries, `out[j]` equal to
+/// `lane_dot(f, &s[j..j + f.len()])` bit for bit. Panics when `n_pos > 0`
+/// and `s` is shorter than `n_pos + f.len() - 1`.
+///
+/// On x86_64 hosts with AVX the blocked `lane_dots_avx` pass runs; the
+/// CPU check alone picks it. Everywhere else the scalar loop runs.
+pub(crate) fn lane_dots(f: &[f64], s: &[f64], n_pos: usize, out: &mut Vec<f64>) {
+    assert_covers(s, n_pos, f.len());
+    out.clear();
+    out.resize(n_pos, 0.0);
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx") {
+        // SAFETY: the CPU supports AVX, checked on the line above.
+        unsafe { lane_dots_avx(f, s, out) };
+        return;
+    }
+    let w = f.len();
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = lane_dot(f, &s[j..j + w]);
+    }
+}
+
+/// Panics unless the sliding row `s` covers `n_pos` placements of a
+/// `w`-long fixed row, i.e. `s.len() >= n_pos + w - 1`.
+fn assert_covers(s: &[f64], n_pos: usize, w: usize) {
+    assert!(
+        n_pos == 0 || s.len() >= n_pos + w - 1,
+        "lane_dots: sliding row of {} values is shorter than {n_pos} placements of {w}",
+        s.len()
+    );
+}
+
+/// Placements the AVX pass scores per load of a fixed-row chunk.
+#[cfg(target_arch = "x86_64")]
+const AVX_BLOCK: usize = 8;
+
+/// [`lane_dots`] over `out.len()` placements, in blocks of [`AVX_BLOCK`]
+/// placements with one `__m256d` accumulator each: each 4-wide chunk of
+/// `f` is loaded once per block, and the accumulator's four lanes are
+/// [`lane_dot`]'s four lanes. Bit-identical to [`lane_dot`]: a separate
+/// multiply then add rounds twice exactly like the scalar `acc += f * s`
+/// (no FMA, which would round once), the lanes are combined in the same
+/// `(0+1)+(2+3)` order and the `w mod 4` tail is added in the same order.
+/// Placements after the last full block go through [`lane_dot`].
+///
+/// # Safety
+///
+/// The CPU must support AVX. Any slice lengths are sound: the bounds the
+/// raw loads need are asserted before the first one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn lane_dots_avx(f: &[f64], s: &[f64], out: &mut [f64]) {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+    let (w, n_pos) = (f.len(), out.len());
+    assert_covers(s, n_pos, w);
+    let chunked = w - w % 4;
+    let blocked = n_pos - n_pos % AVX_BLOCK;
+    for j0 in (0..blocked).step_by(AVX_BLOCK) {
+        let mut acc: [__m256d; AVX_BLOCK] = [_mm256_setzero_pd(); AVX_BLOCK];
+        for i in (0..chunked).step_by(4) {
+            // SAFETY: `i + 4 <= chunked <= w == f.len()`. Each sliding load
+            // reads `s[j0 + b + i..j0 + b + i + 4]`, whose end is at most
+            // `(blocked - 1) + chunked <= n_pos - 1 + w <= s.len()`
+            // (asserted above).
+            let fv = unsafe { _mm256_loadu_pd(f.as_ptr().add(i)) };
+            for (b, a) in acc.iter_mut().enumerate() {
+                // SAFETY: in bounds, as above.
+                let sv = unsafe { _mm256_loadu_pd(s.as_ptr().add(j0 + b + i)) };
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(fv, sv));
+            }
+        }
+        for (b, a) in acc.iter().enumerate() {
+            let j = j0 + b;
+            let mut lanes = [0.0f64; 4];
+            // SAFETY: `lanes` holds exactly the four f64 the store writes.
+            unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), *a) };
+            let mut dot = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            for (x, y) in f[chunked..].iter().zip(&s[j + chunked..j + w]) {
+                dot += x * y;
+            }
+            out[j] = dot;
+        }
+    }
+    for (j, o) in out.iter_mut().enumerate().skip(blocked) {
+        *o = lane_dot(f, &s[j..j + w]);
+    }
 }
 
 /// Accumulates one dense channel's per-placement Pearson contributions into
@@ -425,6 +518,77 @@ mod tests {
             dense_scores_naive_into(fixed, fixed.len() - w.len_m, sliding, w, 0..n_pos, s)
                 .then(|| s.scores.clone())
         })
+    }
+
+    /// `len` dBm values: f32-representable, as the lane-dot pass stages
+    /// them, or at full f64 precision. f32 values multiply exactly in f64,
+    /// so only the full-precision rows make a fused multiply-add or a
+    /// reordered tail show in the bits.
+    fn dbm_row(seed: u64, len: usize, f32_exact: bool) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let x = -75.0 + 20.0 * testfield::value_noise(seed, 3, i as f64 * 0.37);
+                if f32_exact {
+                    x as f32 as f64
+                } else {
+                    x
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn lane_dots_match_lane_dot_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        let avx = is_x86_feature_detected!("avx");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx = false;
+        if !avx {
+            eprintln!("no AVX on this host: only the scalar lane-dot path is checked");
+        }
+        let mut got = Vec::new();
+        for w in [1, 2, 3, 4, 5, 7, 8, 45, 84, 85, 86, 100] {
+            for n_pos in [0, 1, 7, 8, 9, 15, 16, 17, 51, 316] {
+                for f32_exact in [true, false] {
+                    let f = dbm_row(w as u64, w, f32_exact);
+                    let s = dbm_row(1000 + n_pos as u64, n_pos + w - 1, f32_exact);
+                    let expect: Vec<u64> = (0..n_pos)
+                        .map(|j| lane_dot(&f, &s[j..j + w]).to_bits())
+                        .collect();
+                    let case = format!("w {w}, n_pos {n_pos}, f32 {f32_exact}");
+                    lane_dots(&f, &s, n_pos, &mut got);
+                    assert_eq!(bits(&got), expect, "lane_dots, {case}");
+                    #[cfg(target_arch = "x86_64")]
+                    if avx {
+                        let mut out = vec![f64::NAN; n_pos];
+                        // SAFETY: the CPU supports AVX, checked above.
+                        unsafe { lane_dots_avx(&f, &s, &mut out) };
+                        assert_eq!(bits(&out), expect, "AVX pass, {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than")]
+    fn lane_dots_refuse_a_short_sliding_row() {
+        let (w, n_pos) = (84, 16);
+        let f = dbm_row(1, w, true);
+        let s = dbm_row(2, n_pos + w - 2, true);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx") {
+            let mut out = vec![0.0; n_pos];
+            // SAFETY: the CPU supports AVX; the short row must trip the
+            // length assert before any load.
+            unsafe { lane_dots_avx(&f, &s, &mut out) };
+            return;
+        }
+        lane_dots(&f, &s, n_pos, &mut Vec::new());
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! × window width) and measures ≈1.2 ms for a 1000 m context with a
 //! 45-channel × 100 m window on an i7-2640M. We time the same kernel on
 //! this machine across a small parameter grid and verify the linear
-//! scaling in each parameter empirically. (The `rups-bench` crate holds the
-//! Criterion version with proper statistics.)
+//! scaling in each parameter empirically. Each point is the median of
+//! single timed calls after one warm-up call.
 
 use crate::series::{Figure, Series};
 use rups_core::config::RupsConfig;
 use rups_core::gsm::{GsmTrajectory, PowerVector};
+use rups_core::stats::median;
 use rups_core::syn::find_best_syn;
 use rups_core::testfield;
 use serde::{Deserialize, Serialize};
@@ -26,7 +27,7 @@ pub struct Params {
     pub window_channels: usize,
     /// Band width the contexts carry.
     pub n_channels: usize,
-    /// Timing repetitions per point.
+    /// Timed single calls per point; the point is their median.
     pub reps: usize,
 }
 
@@ -37,7 +38,7 @@ impl Default for Params {
             window_len_m: 100,
             window_channels: 45,
             n_channels: 194,
-            reps: 5,
+            reps: 51,
         }
     }
 }
@@ -80,15 +81,17 @@ pub fn run(p: &Params) -> Figure {
         };
         let a = synthetic_context(11, 0, m, p.n_channels);
         let b = synthetic_context(11, m / 3, m, p.n_channels);
-        // Warm-up, then time.
+        // Warm-up, then time each call on its own.
         let _ = find_best_syn(&a, &b, &cfg);
-        let t0 = Instant::now();
-        for _ in 0..p.reps {
-            let _ = find_best_syn(&a, &b, &cfg);
-        }
-        let per_call = t0.elapsed().as_secs_f64() * 1e3 / p.reps as f64;
+        let calls_ms: Vec<f64> = (0..p.reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                let _ = find_best_syn(&a, &b, &cfg);
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
         x.push(m as f64);
-        y_ms.push(per_call);
+        y_ms.push(median(&calls_ms).expect("at least one timed call"));
     }
 
     let mut notes = vec![format!(
