@@ -7,14 +7,7 @@
 //! essential: a GSM fingerprint only works because revisiting a location
 //! reproduces the same signal structure.
 
-/// SplitMix64 mixer: maps any 64-bit input to a well-distributed output.
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use rups_core::testfield::splitmix64;
 
 /// Combines a seed with up to three lattice coordinates into one hash.
 #[inline]

@@ -14,8 +14,8 @@
 //! so that typical received levels sit in the −70…−100 dBm range the
 //! paper's Fig. 1 colour scale shows.
 
-use crate::noise::splitmix64;
 use crate::params::PropagationParams;
+use rups_core::testfield::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// One GSM carrier (a transceiver at a site).

@@ -77,18 +77,13 @@ impl std::ops::Sub for Complex {
     }
 }
 
-/// Smallest power of two ≥ `n`.
-pub fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 /// Transform size for the linear correlation of an `f_len`-point window
 /// against an `s_len`-point row: the correlation has `f_len + s_len − 1`
 /// distinct lags, so that — not `f_len + s_len` — is what must fit without
 /// circular wrap-around. At exact power-of-two boundaries the distinction
 /// halves the transform.
 pub fn corr_fft_size(f_len: usize, s_len: usize) -> usize {
-    next_pow2(f_len + s_len - 1)
+    (f_len + s_len - 1).next_power_of_two()
 }
 
 /// A reusable FFT plan for one power-of-two size: the bit-reversal
@@ -136,16 +131,6 @@ impl FftPlan {
             len <<= 1;
         }
         Self { n, rev, tw }
-    }
-
-    /// The transform size this plan serves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether this is the trivial 1-point plan.
-    pub fn is_empty(&self) -> bool {
-        self.n <= 1
     }
 
     /// In-place iterative radix-2 Cooley–Tukey FFT using the precomputed
@@ -206,23 +191,11 @@ pub fn plan_for(n: usize) -> Arc<FftPlan> {
     {
         return Arc::clone(p);
     }
+    // Planned outside the write lock: a size that is not a power of two
+    // panics here without poisoning the process-wide cache.
+    let plan = Arc::new(FftPlan::new(n));
     let mut guard = plan_cache().write().expect("FFT plan cache poisoned");
-    Arc::clone(guard.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
-}
-
-/// In-place iterative radix-2 Cooley–Tukey FFT.
-///
-/// `data.len()` must be a power of two. `inverse` computes the unscaled
-/// inverse transform; divide by `n` afterwards to invert exactly. Uses the
-/// shared plan cache; hot loops that already hold a plan should call
-/// [`FftPlan::process`] directly.
-pub fn fft(data: &mut [Complex], inverse: bool) {
-    assert!(
-        data.len().is_power_of_two(),
-        "FFT length must be a power of two, got {}",
-        data.len()
-    );
-    plan_for(data.len()).process(data, inverse);
+    Arc::clone(guard.entry(n).or_insert(plan))
 }
 
 /// Spectra of two real rows via **one** complex transform of `size` — the
@@ -387,6 +360,11 @@ pub fn sum_sumsq(x: &[f64]) -> (f64, f64) {
 mod tests {
     use super::*;
 
+    /// In-place transform of `data` through its size's shared plan.
+    fn fft(data: &mut [Complex], inverse: bool) {
+        plan_for(data.len()).process(data, inverse);
+    }
+
     fn naive_sliding_dot(f: &[f64], s: &[f64]) -> Vec<f64> {
         (0..=s.len() - f.len())
             .map(|j| f.iter().zip(&s[j..]).map(|(a, b)| a * b).sum())
@@ -478,8 +456,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn fft_rejects_non_pow2() {
-        let mut data = vec![Complex::default(); 12];
-        fft(&mut data, false);
+        // Panics before the cache's write lock: the other tests of this
+        // process keep sharing the cache.
+        plan_for(12);
     }
 
     #[test]
@@ -543,8 +522,6 @@ mod tests {
         let a = plan_for(128);
         let b = plan_for(128);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.len(), 128);
-        assert!(!a.is_empty());
     }
 
     #[test]

@@ -23,13 +23,17 @@
 //! * a per-batch kernel choice — reference scan vs the engine's own FFT
 //!   scan — driven by context density and length.
 //!
-//! On the reference kernel, results are **bit-identical** to
-//! [`crate::syn::find_syn_points`]: both run the same rolling scan and peak
-//! search; the engine only changes *where* the inputs come from. The FFT
-//! kernel agrees with it to floating-point rounding, and a warm engine
-//! answers bit for bit like a cold one. Cache-hit and scratch-reuse
-//! counters are exported via [`SynQueryEngine::stats`] for the bench
-//! harness.
+//! Every directed pass fills one scratch arena — from the FFT kernel, or
+//! from the rolling lane-dot pass on the reference kernel and on FFT
+//! fallbacks — and ends in one resolve step, the exact pruned peak search
+//! `syn_fast::combine_dense_peak`; rows both dense kernels refuse take the
+//! recompute scan of record and [`crate::syn::peak`]. On the reference kernel, results are
+//! **bit-identical** to [`crate::syn::find_syn_points`], which scores every
+//! placement of the same rolling scan before picking its peak: the pruning
+//! bound is exact. The FFT kernel agrees with it to floating-point
+//! rounding, and a warm engine answers bit for bit like a cold one.
+//! Cache-hit, scratch-reuse and pruning counters are exported via
+//! [`SynQueryEngine::stats`] for the bench harness.
 //!
 //! The engine's one other pass is the anchored check behind
 //! [`crate::pipeline::RupsNode::tracked_fix`]: the newest own window from
@@ -41,7 +45,6 @@ use crate::dsp::{self, Complex};
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
 use crate::pipeline::{ContextSnapshot, DistanceFix};
-use crate::resolve;
 use crate::syn::{self, SynPoint};
 use crate::syn_fast;
 use crate::window::CheckWindow;
@@ -57,16 +60,22 @@ use std::sync::{Arc, RwLock};
 /// search has to re-acquire it.
 pub const ANCHOR_SLACK_M: usize = 25;
 
+/// Every window placement: the range the full passes ask for (clamped to
+/// what the sliding trajectory offers).
+const ALL: Range<usize> = 0..usize::MAX;
+
 /// Which sliding-scan kernel a query (or batch of queries) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The NaN-aware `O(mwk)` reference scan of [`crate::syn`].
+    /// The rolling `O(mwk)` scan of [`crate::syn::slide_scores`] (lane-dot
+    /// pass, rolled window sums), NaN-aware through its per-placement
+    /// fallback.
     Reference,
     /// The engine's own `O(k·m log m)` scan: packed-FFT sliding dot
-    /// products ([`crate::dsp`]) against memoised own-side spectra, rolled
-    /// window sums and a pruned peak search. Falls back to the reference
-    /// scan per directed pass whenever a selected channel carries missing
-    /// values.
+    /// products ([`crate::dsp`]) against memoised own-side spectra and
+    /// rolled window sums. Falls back to the reference scan per directed
+    /// pass whenever a selected channel carries missing values. Both
+    /// kernels take their peak from the same pruned search.
     Fft,
 }
 
@@ -124,7 +133,7 @@ pub struct EngineStats {
     pub fft_fallbacks: u64,
     /// Window placements whose mean-profile correlation the pruned peak
     /// search skipped because their exact score upper bound could not beat
-    /// the running best (FFT passes only).
+    /// the running best (every dense pass: rolling full, anchored and FFT).
     pub pruned_placements: u64,
 }
 
@@ -656,18 +665,7 @@ impl SynQueryEngine {
     ) -> Result<DistanceFix, RupsError> {
         let _t = self.metrics.resolve_ns.start_timer();
         let _s = self.spans.as_ref().map(|s| s.span("engine.resolve"));
-        let (distance_m, estimates_m) =
-            resolve::aggregate_distance(&points, ours_len, theirs_len, self.cfg.aggregation)?;
-        let best_score = points
-            .iter()
-            .map(|p| p.score)
-            .fold(f64::NEG_INFINITY, f64::max);
-        Ok(DistanceFix {
-            distance_m,
-            syn_points: points,
-            estimates_m,
-            best_score,
-        })
+        DistanceFix::from_syn_points(points, ours_len, theirs_len, self.cfg.aggregation)
     }
 
     /// The engine's double-sliding multi-SYN search: the control flow of
@@ -717,15 +715,13 @@ impl SynQueryEngine {
         self.with_scratch(|scratch| {
             // Forward: an own window slid over their trajectory.
             let fwd = |e: &WindowEntry, end: usize, scratch: &mut Scratch| {
-                let fft = |s: &mut Scratch| self.fft_peak_own_fixed(ctx, e, end, theirs, s);
-                let all = syn::ALL_PLACEMENTS;
-                self.directed(ctx, kernel, ours, end, theirs, &e.window, all, scratch, fft)
+                let fft = |s: &mut Scratch| self.fft_pass_own_fixed(ctx, e, end, theirs, s);
+                self.directed(ctx, kernel, ours, end, theirs, &e.window, ALL, scratch, fft)
             };
             // Reverse: their window slid over ours, swapped to our view.
             let rev = |wnd: &CheckWindow, end: usize, scratch: &mut Scratch| {
-                let fft = |s: &mut Scratch| self.fft_peak_their_fixed(ctx, wnd, end, theirs, s);
-                let all = syn::ALL_PLACEMENTS;
-                self.directed(ctx, kernel, theirs, end, ours, wnd, all, scratch, fft)
+                let fft = |s: &mut Scratch| self.fft_pass_their_fixed(ctx, wnd, end, theirs, s);
+                self.directed(ctx, kernel, theirs, end, ours, wnd, ALL, scratch, fft)
                     .map(syn::swap_perspective)
             };
             // Most recent segment: the full double-sliding check.
@@ -812,19 +808,22 @@ impl SynQueryEngine {
         let slack = ANCHOR_SLACK_M as i64;
         let js = (centre - slack).max(0) as usize..(centre + slack + 1).max(0) as usize;
         let p = self.with_scratch(|s| {
-            let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| None);
+            let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| false);
             self.directed(ctx, kernel, ours, ours.len(), theirs, window, js, s, no_fft)
         })?;
         (p.score >= window.threshold).then_some(p)
     }
 
     /// One directed pass: the `fixed` window `[end − w, end)` slid over the
-    /// `placements` of `sliding`, returning the best one from the `fixed`
-    /// side's perspective. On [`Kernel::Fft`] over a dense own context `fft`
-    /// scans it from the cached side's memos (every placement: FFT callers
-    /// pass [`syn::ALL_PLACEMENTS`]); when `fft` finds a non-finite selected
-    /// row (`None`), or on [`Kernel::Reference`], the rolling reference
-    /// scan of [`crate::syn`] runs instead.
+    /// `placements` of `sliding` (clamped to the valid ones), returning the
+    /// best one from the `fixed` side's perspective. On [`Kernel::Fft`] over
+    /// a dense own context `fft` fills the scratch arena from the cached
+    /// side's memos (every placement: FFT callers pass [`ALL`]); when it
+    /// finds a non-finite selected row (`false`), or on
+    /// [`Kernel::Reference`], the rolling lane-dot pass fills it instead.
+    /// Every filled arena resolves through the one pruned peak search;
+    /// rows both dense kernels refuse take the recompute scan of record
+    /// and [`syn::peak`].
     #[allow(clippy::too_many_arguments)]
     fn directed(
         &self,
@@ -836,7 +835,7 @@ impl SynQueryEngine {
         window: &CheckWindow,
         placements: Range<usize>,
         scratch: &mut Scratch,
-        fft: impl FnOnce(&mut Scratch) -> Option<Option<(usize, f64, f64)>>,
+        fft: impl FnOnce(&mut Scratch) -> bool,
     ) -> Option<SynPoint> {
         let w = window.len_m;
         if end < w || sliding.len() < w {
@@ -844,32 +843,33 @@ impl SynQueryEngine {
         }
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let fft_peak = if kernel == Kernel::Fft && ctx.dense {
-            fft(scratch)
+        let n_pos = sliding.len() - w + 1;
+        let js = placements.start.min(n_pos)..placements.end.min(n_pos);
+        let dense = if kernel == Kernel::Fft && ctx.dense && fft(scratch) {
+            self.metrics.fft_passes.inc();
+            true
         } else {
-            None
+            if kernel == Kernel::Fft {
+                self.metrics.fft_fallbacks.inc();
+            }
+            self.metrics.reference_passes.inc();
+            syn_fast::dense_pass(fixed, end - w, sliding, window, js.clone(), scratch)
         };
-        let best = match fft_peak {
-            Some(p) => {
-                self.metrics.fft_passes.inc();
-                p
-            }
-            None => {
-                if kernel == Kernel::Fft {
-                    self.metrics.fft_fallbacks.inc();
-                }
-                self.metrics.reference_passes.inc();
-                let first = placements.start;
-                syn::slide_scores_into(fixed, end - w, sliding, window, placements, scratch);
-                syn::peak(&scratch.scores).map(|(j, score, refine)| (first + j, score, refine))
-            }
+        let best = if dense {
+            let (peak, pruned) = syn_fast::combine_dense_peak(scratch);
+            self.metrics.pruned_placements.add(pruned);
+            peak
+        } else {
+            let scores = &mut scratch.scores;
+            syn::slide_scores_reference_into(fixed, end - w, sliding, window, js.clone(), scores);
+            syn::peak(scores)
         };
         drop(scan_t);
         drop(scan_s);
         let (j, score, refine) = best?;
         Some(SynPoint {
             self_end: end,
-            other_end: j + w,
+            other_end: js.start + j + w,
             refine_m: refine,
             score,
             window_len: w,
@@ -930,23 +930,24 @@ impl SynQueryEngine {
     }
 
     /// FFT forward pass: own window fixed (cached sums + cached reversed
-    /// spectra), neighbour rows sliding. Returns the pruned peak, or `None`
-    /// (caller falls back) when a selected neighbour row carries a
-    /// non-finite value; the own side is dense by precondition.
-    fn fft_peak_own_fixed(
+    /// spectra), neighbour rows sliding, accumulated into `s` over every
+    /// placement. Returns `false` (the caller falls back) when a selected
+    /// neighbour row carries a non-finite value; the own side is dense by
+    /// precondition.
+    fn fft_pass_own_fixed(
         &self,
         ctx: &OwnContext,
         entry: &WindowEntry,
         end: usize,
         theirs: &GsmTrajectory,
         s: &mut Scratch,
-    ) -> Option<Option<(usize, f64, f64)>> {
+    ) -> bool {
         let window = &entry.window;
         let w = window.len_m;
         let n_pos = theirs.len() - w + 1;
         for &ch in &window.channels {
             if theirs.channel(ch).iter().any(|v| !v.is_finite()) {
-                return None;
+                return false;
             }
         }
         let k = window.channels.len();
@@ -1024,31 +1025,22 @@ impl SynQueryEngine {
             }
             ci += 2;
         }
-        let (peak, pruned) = syn_fast::combine_dense_peak(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-        );
-        self.metrics.pruned_placements.add(pruned);
-        Some(peak)
+        true
     }
 
     /// FFT reverse pass: neighbour window fixed (staged fresh), own rows
     /// sliding — their packed spectra come straight from the context cache,
     /// and the rolling window statistics read the cached `f64` rows.
-    /// Returns the pruned peak, or `None` when the neighbour window slice
-    /// carries a non-finite value.
-    fn fft_peak_their_fixed(
+    /// Accumulates into `s` over every placement; returns `false` when the
+    /// neighbour window slice carries a non-finite value.
+    fn fft_pass_their_fixed(
         &self,
         ctx: &OwnContext,
         window: &CheckWindow,
         end: usize,
         theirs: &GsmTrajectory,
         s: &mut Scratch,
-    ) -> Option<Option<(usize, f64, f64)>> {
+    ) -> bool {
         let w = window.len_m;
         let n_pos = ctx.gsm.len() - w + 1;
         for &ch in &window.channels {
@@ -1056,7 +1048,7 @@ impl SynQueryEngine {
                 .iter()
                 .any(|v| !v.is_finite())
             {
-                return None;
+                return false;
             }
         }
         let k = window.channels.len();
@@ -1136,16 +1128,7 @@ impl SynQueryEngine {
             }
             ci += 2;
         }
-        let (peak, pruned) = syn_fast::combine_dense_peak(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-        );
-        self.metrics.pruned_placements.add(pruned);
-        Some(peak)
+        true
     }
 }
 
@@ -1188,7 +1171,14 @@ mod tests {
         assert_eq!(expect.len(), got.len());
         for (e, g) in expect.iter().zip(&got) {
             assert_eq!(e, g, "engine must replicate the reference bit-for-bit");
+            assert_eq!(e.score.to_bits(), g.score.to_bits());
+            assert_eq!(e.refine_m.to_bits(), g.refine_m.to_bits());
         }
+        // The rolling passes resolve through the pruned peak search, which
+        // skips placements the full scan of record scores.
+        let s = engine.stats();
+        assert_eq!((s.fft_passes, s.fft_fallbacks), (0, 0), "{s:?}");
+        assert!(s.pruned_placements > 0, "{s:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! over V2V.
 
 use crate::binding::{ScanSample, TrajectoryBinder};
-use crate::config::RupsConfig;
+use crate::config::{AggregationScheme, RupsConfig};
 use crate::engine::{EngineStats, Kernel, QueryDiag, SynQueryEngine};
 use crate::error::RupsError;
 use crate::geo::{GeoSample, GeoTrajectory};
@@ -107,6 +107,32 @@ pub struct DistanceFix {
     pub estimates_m: Vec<f64>,
     /// Best trajectory correlation coefficient observed (Eq. (2) scale).
     pub best_score: f64,
+}
+
+impl DistanceFix {
+    /// Resolves `points` between trajectories of `len_self` and `len_other`
+    /// metres (§IV-E) and aggregates them by `scheme` (§VI-C) into a fix
+    /// carrying the best score among them. Errors like
+    /// [`resolve::aggregate_distance`] when `points` is empty.
+    pub fn from_syn_points(
+        points: Vec<SynPoint>,
+        len_self: usize,
+        len_other: usize,
+        scheme: AggregationScheme,
+    ) -> Result<Self, RupsError> {
+        let (distance_m, estimates_m) =
+            resolve::aggregate_distance(&points, len_self, len_other, scheme)?;
+        let best_score = points
+            .iter()
+            .map(|p| p.score)
+            .fold(f64::NEG_INFINITY, f64::max);
+        Ok(Self {
+            distance_m,
+            syn_points: points,
+            estimates_m,
+            best_score,
+        })
+    }
 }
 
 /// Pre-registered per-grade quality counters (`rups_core_quality_*`): how
@@ -1103,6 +1129,8 @@ mod tests {
             let d = ours.engine_stats().delta(&before);
             assert_eq!((d.queries, d.reference_passes), (1, 1), "fix {i}: {d:?}");
             assert_eq!(d.fft_passes, 0, "fix {i}: {d:?}");
+            // The anchored pass takes the pruned peak too.
+            assert!(d.pruned_placements > 0, "fix {i}: {d:?}");
             let memo = if i == 0 { (0, 1) } else { (1, 0) };
             assert_eq!((d.window_hits, d.window_misses), memo, "fix {i}: {d:?}");
             let (next, new) = spans.take_since(mark);

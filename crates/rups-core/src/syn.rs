@@ -17,7 +17,7 @@
 use crate::config::RupsConfig;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
-use crate::syn_fast::{self, DenseScratch};
+use crate::syn_fast;
 use crate::window::CheckWindow;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -54,30 +54,9 @@ impl SynPoint {
     }
 }
 
-/// Every window placement: the range the full scans ask for (clamped to
-/// what the sliding trajectory offers).
-pub(crate) const ALL_PLACEMENTS: Range<usize> = 0..usize::MAX;
-
 /// Correlation score of one fixed segment against every window placement on
 /// `sliding`. Entry `j` of the result is the score of the `sliding` window
 /// ending at `w + j` (i.e. covering `[j, j + w)`); `NaN` where undefined.
-pub fn slide_scores(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Vec<f64> {
-    syn_fast::with_scratch(|s, _| {
-        slide_scores_into(fixed, fixed_start, sliding, window, ALL_PLACEMENTS, s);
-        std::mem::take(&mut s.scores)
-    })
-}
-
-/// [`slide_scores`] over the placements in `placements` (clamped to the
-/// valid ones), staged in the caller's scratch arena: entry `i` of
-/// `s.scores` scores placement `placements.start + i`. The engine's full
-/// passes ask for every placement; its anchored check (§V-B) asks for the
-/// few around a known SYN shift.
 ///
 /// Dense (all-finite) inputs take the incremental rolling-statistics scan —
 /// window sums update in `O(1)` per placement instead of being recomputed,
@@ -85,25 +64,21 @@ pub fn slide_scores(
 /// the dot products. Inputs with missing or non-finite samples in the
 /// scanned rows fall back to [`slide_scores_reference`], which handles
 /// partial windows.
-pub(crate) fn slide_scores_into(
+pub fn slide_scores(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
-    placements: Range<usize>,
-    s: &mut DenseScratch,
-) {
-    s.scores.clear();
+) -> Vec<f64> {
     let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
-    let js = placements.start.min(n_pos)..placements.end.min(n_pos);
-    if js.is_empty() {
-        return;
-    }
-    let dense = window.len_m > 0
-        && syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, js.clone(), s);
-    if !dense {
-        slide_scores_reference_into(fixed, fixed_start, sliding, window, js, &mut s.scores);
-    }
+    syn_fast::with_scratch(|s, _| {
+        if syn_fast::dense_pass(fixed, fixed_start, sliding, window, 0..n_pos, s) {
+            syn_fast::combine_dense_scores(s);
+            std::mem::take(&mut s.scores)
+        } else {
+            slide_scores_reference(fixed, fixed_start, sliding, window)
+        }
+    })
 }
 
 /// The recompute-per-placement scan of record: every window placement
@@ -123,8 +98,10 @@ pub fn slide_scores_reference(
     out
 }
 
-/// [`slide_scores_reference`] over the valid placements `js`.
-fn slide_scores_reference_into(
+/// [`slide_scores_reference`] over the valid placements `js`, refilling
+/// `out` (entry `i` scores placement `js.start + i`): the engine's answer
+/// for rows the dense kernels refuse.
+pub(crate) fn slide_scores_reference_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
@@ -149,8 +126,9 @@ fn slide_scores_reference_into(
 /// Index and value of the maximum finite score (the first one on ties),
 /// with parabolic sub-sample refinement of the peak position, in
 /// `[-0.5, 0.5]` and 0 at either end of `scores`. `None` when every score
-/// is NaN. Every search path — the engine's full and anchored passes and
-/// the search of record — picks its peak here.
+/// is NaN. The stand-alone search picks its peak here, and so does the
+/// engine for rows its dense kernels refuse; its dense passes take the same
+/// peak from a pruned search that shares this refinement.
 pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
@@ -162,24 +140,30 @@ pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
         }
     }
     let (i, s) = best?;
-    // Parabolic interpolation around the peak for sub-metre resolution.
-    let refine = if i > 0 && i + 1 < scores.len() {
-        let l = scores[i - 1];
-        let r = scores[i + 1];
-        if l.is_nan() || r.is_nan() {
-            0.0
-        } else {
-            let denom = l - 2.0 * s + r;
-            if denom.abs() < 1e-12 {
-                0.0
-            } else {
-                (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
-            }
-        }
-    } else {
+    Some((i, s, refine_peak(i, s, scores.len(), |j| scores[j])))
+}
+
+/// Parabolic interpolation around the peak `score` at placement `i` of `n`
+/// for sub-metre resolution, in `[-0.5, 0.5]`; `score_at` yields the
+/// neighbours' scores. 0 at either end of the placements, next to an
+/// undefined (NaN) neighbour, and on a flat top. Shared by [`peak`] and the
+/// pruned peak search, so both refine bit for bit alike.
+pub(crate) fn refine_peak(
+    i: usize,
+    score: f64,
+    n: usize,
+    mut score_at: impl FnMut(usize) -> f64,
+) -> f64 {
+    if i == 0 || i + 1 >= n {
+        return 0.0;
+    }
+    let (l, r) = (score_at(i - 1), score_at(i + 1));
+    let denom = l - 2.0 * score + r;
+    if l.is_nan() || r.is_nan() || denom.abs() < 1e-12 {
         0.0
-    };
-    Some((i, s, refine))
+    } else {
+        (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
+    }
 }
 
 /// Adaptive window sizing (§V-C): use the configured length when both

@@ -1,5 +1,5 @@
 //! Dense-row kernels of the SYN search, shared by the rolling scan of
-//! [`crate::syn`] and the engine's FFT kernel.
+//! [`crate::syn::slide_scores`] and every dense pass of the engine.
 //!
 //! The per-placement double-sliding check costs `O(mwk)` (§V-A): every
 //! window placement recomputes per-channel sums over `w` metres. After
@@ -14,10 +14,14 @@
 //! * per-channel window sums/sum-of-squares — rolled incrementally in
 //!   `O(1)` per placement (`accumulate_dense_channel`), by both.
 //!
-//! The FFT kernel's peak search prunes placements whose score upper bound —
-//! mean per-channel Pearson plus the profile term's hard cap of 1 — cannot
-//! beat the current best (`combine_dense_peak`); the bound is exact, so the
-//! pruned argmax is bit-identical to the full scan.
+//! Both fill one accumulator arena ([`DenseScratch`]). Every dense pass of
+//! the engine — rolling full, rolling anchored and FFT — resolves it with
+//! one peak search (`combine_dense_peak`) that prunes placements whose score
+//! upper bound — mean per-channel Pearson plus the profile term's hard cap
+//! of 1 — cannot beat the current best; the bound is exact, so the pruned
+//! argmax is bit-identical to the full scan. Only the stand-alone
+//! [`crate::syn::slide_scores`] scores every placement
+//! (`combine_dense_scores`).
 //!
 //! Scores match the per-placement scan to floating-point rounding. The
 //! kernels refuse a pass whose selected channels carry missing or corrupt
@@ -29,6 +33,7 @@
 use crate::dsp::{self, Complex};
 use crate::gsm::GsmTrajectory;
 use crate::stats::{self, PairSums};
+use crate::syn;
 use crate::window::CheckWindow;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
@@ -61,9 +66,10 @@ pub(crate) struct DenseScratch {
     /// channel per placement (f32, matching the reference quantisation).
     pub mean_f: Vec<f32>,
     pub mean_s: Vec<Vec<f32>>,
-    /// Mean-profile staging for one placement.
+    /// Mean-profile staging for one placement (`k` long).
     pub profile: Vec<f32>,
-    /// Final per-placement scores (full-combine paths only).
+    /// Per-placement scores: the full scan of `combine_dense_scores`, or
+    /// the engine's recompute scan of rows the dense kernels refuse.
     pub scores: Vec<f64>,
 }
 
@@ -78,6 +84,24 @@ impl DenseScratch {
         self.mean_f.clear();
         while self.mean_s.len() < k {
             self.mean_s.push(Vec::new());
+        }
+        self.profile.clear();
+        self.profile.resize(k, 0.0);
+    }
+
+    /// The Eq. (2) score of placement `j` from the filled accumulators: mean
+    /// per-channel Pearson plus the mean-profile Pearson; NaN when either
+    /// term is undefined. Stages the placement's profile in `profile`.
+    fn score_at(&mut self, j: usize) -> f64 {
+        if self.chan_n[j] == 0 {
+            return f64::NAN;
+        }
+        for (slot, row) in self.profile.iter_mut().zip(&self.mean_s) {
+            *slot = row[j];
+        }
+        match stats::pearson(&self.mean_f, &self.profile) {
+            Some(mp) => self.chan_sum[j] / self.chan_n[j] as f64 + mp,
+            None => f64::NAN,
         }
     }
 }
@@ -107,51 +131,19 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R
     r
 }
 
-/// Rolling-statistics dense scan with naive dot products over the
-/// non-empty, valid window `placements`, appending one score per placement
-/// to `s.scores` — the production reference scan behind
-/// [`crate::syn::slide_scores`] for dense inputs. Returns `false` (and
-/// leaves `s.scores` untouched) when a selected channel carries a
-/// non-finite value in the scanned rows, in which case the caller runs the
-/// per-placement recompute-of-record instead.
-pub(crate) fn dense_scores_naive_into(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-    placements: Range<usize>,
-    s: &mut DenseScratch,
-) -> bool {
-    let n_pos = placements.len();
-    let k = window.channels.len();
-    if !dense_pass(fixed, fixed_start, sliding, window, placements, s) {
-        return false;
-    }
-    combine_dense_scores(
-        n_pos,
-        &s.mean_f,
-        &s.mean_s[..k],
-        &s.chan_sum,
-        &s.chan_n,
-        &mut s.profile,
-        &mut s.scores,
-    );
-    true
-}
-
-/// The rolling scan's lane-dot pass over the non-empty, valid window
-/// `placements`: stages each selected channel (the sliding row cut to the
-/// metres those placements cover), takes its sliding dot products with
-/// [`lane_dots`] (the AVX block pass where the CPU has it, bit-identical to
-/// [`lane_dot`] per placement), and accumulates the rolling per-placement
-/// statistics into
-/// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`, whose entry `i` belongs
-/// to placement `placements.start + i`.
+/// The rolling scan's lane-dot pass over the valid window `placements`:
+/// stages each selected channel (the sliding row cut to the metres those
+/// placements cover), takes its sliding dot products with [`lane_dots`]
+/// (the AVX block pass where the CPU has it, bit-identical to [`lane_dot`]
+/// per placement), and accumulates the rolling per-placement statistics
+/// into `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`, whose entry `i`
+/// belongs to placement `placements.start + i`.
 ///
-/// Returns `false` without touching the accumulators' meaning when any
-/// selected row carries a non-finite value in the staged metres — the
-/// dense kernels assume full-support windows, and [`PairSums`] would
-/// otherwise silently skip samples the `n = w` shortcut still counts.
+/// Returns `false` without touching the accumulators' meaning when there is
+/// nothing to scan (an empty window or range), or when any selected row
+/// carries a non-finite value in the staged metres — the dense kernels
+/// assume full-support windows, and [`PairSums`] would otherwise silently
+/// skip samples the `n = w` shortcut still counts.
 pub(crate) fn dense_pass(
     fixed: &GsmTrajectory,
     fixed_start: usize,
@@ -162,6 +154,9 @@ pub(crate) fn dense_pass(
 ) -> bool {
     let w = window.len_m;
     let n_pos = placements.len();
+    if w == 0 || n_pos == 0 {
+        return false;
+    }
     let fixed_rows = fixed_start..fixed_start + w;
     let rows = placements.start..placements.end + w - 1;
     for &ch in &window.channels {
@@ -366,54 +361,20 @@ pub(crate) fn accumulate_dense_channel(
     (sum_f / w as f64) as f32
 }
 
-/// The Eq. (2) score of placement `j` from the per-channel accumulators:
-/// mean per-channel Pearson plus the mean-profile Pearson; NaN when either
-/// term is undefined. `profile` is a caller-provided `k`-length staging
-/// buffer.
-fn dense_score_at(
-    j: usize,
-    mean_f: &[f32],
-    mean_s: &[Vec<f32>],
-    chan_sum: &[f64],
-    chan_n: &[u32],
-    profile: &mut [f32],
-) -> f64 {
-    if chan_n[j] == 0 {
-        return f64::NAN;
-    }
-    for (slot, row) in profile.iter_mut().zip(mean_s) {
-        *slot = row[j];
-    }
-    match stats::pearson(mean_f, profile) {
-        Some(mp) => chan_sum[j] / chan_n[j] as f64 + mp,
-        None => f64::NAN,
+/// Every placement's Eq. (2) score from an arena a dense pass filled,
+/// refilling `s.scores` — the full scan behind [`crate::syn::slide_scores`].
+pub(crate) fn combine_dense_scores(s: &mut DenseScratch) {
+    s.scores.clear();
+    for j in 0..s.chan_n.len() {
+        let score = s.score_at(j);
+        s.scores.push(score);
     }
 }
 
-/// Combines the per-channel accumulators of [`accumulate_dense_channel`]
-/// into final Eq. (2) scores, appending one score per placement to
-/// `scores`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn combine_dense_scores(
-    n_pos: usize,
-    mean_f: &[f32],
-    mean_s: &[Vec<f32>],
-    chan_sum: &[f64],
-    chan_n: &[u32],
-    profile: &mut Vec<f32>,
-    scores: &mut Vec<f64>,
-) {
-    let k = mean_f.len();
-    profile.clear();
-    profile.resize(k, 0.0);
-    for j in 0..n_pos {
-        scores.push(dense_score_at(j, mean_f, mean_s, chan_sum, chan_n, profile));
-    }
-}
-
-/// Pruned peak search over the dense accumulators: returns the first
-/// maximum `(j, score, refine)` exactly as `syn::peak(full_scores)` would,
-/// plus the number of placements whose mean-profile Pearson was skipped.
+/// Pruned peak search over an arena a dense pass filled: returns the first
+/// maximum `(j, score, refine)` exactly as `syn::peak` over
+/// [`combine_dense_scores`] would, plus the number of placements whose
+/// mean-profile Pearson was skipped.
 ///
 /// The upper bound is exact, not heuristic: the profile term is clamped to
 /// `[−1, 1]` by [`PairSums::pearson`], so `score(j) ≤ partial(j) + 1`, and
@@ -421,61 +382,33 @@ pub(crate) fn combine_dense_scores(
 /// A placement with `fl(partial + 1) ≤ best` therefore can never satisfy
 /// the strict `score > best` test of the reference first-max scan, and
 /// skipping its `O(k)` profile correlation cannot change the argmax. The
-/// peak's neighbours are evaluated exactly afterwards, so the parabolic
-/// refinement is bit-identical too.
-pub(crate) fn combine_dense_peak(
-    n_pos: usize,
-    mean_f: &[f32],
-    mean_s: &[Vec<f32>],
-    chan_sum: &[f64],
-    chan_n: &[u32],
-    profile: &mut Vec<f32>,
-) -> (Option<(usize, f64, f64)>, u64) {
-    let k = mean_f.len();
-    profile.clear();
-    profile.resize(k, 0.0);
+/// peak's neighbours are evaluated exactly afterwards for the shared
+/// [`syn::refine_peak`], so the refinement is bit-identical too.
+pub(crate) fn combine_dense_peak(s: &mut DenseScratch) -> (Option<(usize, f64, f64)>, u64) {
+    let n_pos = s.chan_n.len();
     let mut best: Option<(usize, f64)> = None;
     let mut pruned = 0u64;
     for j in 0..n_pos {
-        if chan_n[j] == 0 {
+        if s.chan_n[j] == 0 {
             continue;
         }
         if let Some((_, b)) = best {
-            let partial = chan_sum[j] / chan_n[j] as f64;
+            let partial = s.chan_sum[j] / s.chan_n[j] as f64;
             if partial + 1.0 <= b {
                 pruned += 1;
                 continue;
             }
         }
-        let score = dense_score_at(j, mean_f, mean_s, chan_sum, chan_n, profile);
-        if score.is_nan() {
-            continue;
-        }
-        if best.is_none_or(|(_, b)| score > b) {
+        let score = s.score_at(j);
+        if !score.is_nan() && best.is_none_or(|(_, b)| score > b) {
             best = Some((j, score));
         }
     }
-    let Some((i, sc)) = best else {
-        return (None, pruned);
-    };
-    // Exact neighbours for the parabolic refinement, mirroring syn::peak.
-    let refine = if i > 0 && i + 1 < n_pos {
-        let l = dense_score_at(i - 1, mean_f, mean_s, chan_sum, chan_n, profile);
-        let r = dense_score_at(i + 1, mean_f, mean_s, chan_sum, chan_n, profile);
-        if l.is_nan() || r.is_nan() {
-            0.0
-        } else {
-            let denom = l - 2.0 * sc + r;
-            if denom.abs() < 1e-12 {
-                0.0
-            } else {
-                (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
-            }
-        }
-    } else {
-        0.0
-    };
-    (Some((i, sc, refine)), pruned)
+    let peak = best.map(|(i, score)| {
+        let refine = syn::refine_peak(i, score, n_pos, |j| s.score_at(j));
+        (i, score, refine)
+    });
+    (peak, pruned)
 }
 
 #[cfg(test)]
@@ -483,7 +416,6 @@ mod tests {
     use super::*;
     use crate::config::RupsConfig;
     use crate::gsm::PowerVector;
-    use crate::syn;
     use crate::testfield;
 
     fn dense_traj(seed: u64, start: usize, len: usize, n_channels: usize) -> GsmTrajectory {
@@ -513,10 +445,11 @@ mod tests {
         w: &CheckWindow,
     ) -> Option<Vec<f64>> {
         with_scratch(|s, _| {
-            s.scores.clear();
             let n_pos = sliding.len() - w.len_m + 1;
-            dense_scores_naive_into(fixed, fixed.len() - w.len_m, sliding, w, 0..n_pos, s)
-                .then(|| s.scores.clone())
+            dense_pass(fixed, fixed.len() - w.len_m, sliding, w, 0..n_pos, s).then(|| {
+                combine_dense_scores(s);
+                s.scores.clone()
+            })
         })
     }
 
@@ -626,9 +559,7 @@ mod tests {
             let got = with_scratch(|s, _| {
                 let n_pos = b.len() - w.len_m + 1;
                 assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, s));
-                let k = w.channels.len();
-                let (mf, ms) = (&s.mean_f, &s.mean_s[..k]);
-                combine_dense_peak(n_pos, mf, ms, &s.chan_sum, &s.chan_n, &mut s.profile).0
+                combine_dense_peak(s).0
             });
             match (expect, got) {
                 (Some((ei, es, er)), Some((gi, gs, gr))) => {
@@ -651,15 +582,7 @@ mod tests {
         let n_pos = b.len() - w.len_m + 1;
         let pruned = with_scratch(|s, _| {
             assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, s));
-            let k = w.channels.len();
-            let (peak, pruned) = combine_dense_peak(
-                n_pos,
-                &s.mean_f,
-                &s.mean_s[..k],
-                &s.chan_sum,
-                &s.chan_n,
-                &mut s.profile,
-            );
+            let (peak, pruned) = combine_dense_peak(s);
             assert!(peak.is_some());
             pruned
         });

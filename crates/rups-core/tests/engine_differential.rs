@@ -3,13 +3,18 @@
 //! its FFT kernel must not depend on what its caches already hold — on
 //! hits, misses and below-threshold cases alike.
 //!
-//! The reference-kernel comparisons demand *bit* equality (the engine runs
-//! the very same `slide_scores`/`peak` code), and so does warm-vs-cold on
-//! the FFT kernel; the FFT-vs-reference comparisons allow a 1e-9 score
-//! tolerance, since the FFT correlation and the rolling window statistics
-//! legitimately reassociate floating-point sums. The anchored check behind
+//! The reference-kernel comparisons demand *bit* equality — the engine
+//! takes its peak from a pruned search over the same rolling accumulators
+//! that `syn::slide_scores` scores in full before `syn::peak` picks one, and
+//! the pruning bound is exact — and so does warm-vs-cold on the FFT kernel;
+//! the FFT-vs-reference comparisons allow a 1e-9 score tolerance, since the
+//! FFT correlation and the rolling window statistics legitimately
+//! reassociate floating-point sums. The anchored check behind
 //! `RupsNode::tracked_fix` rolls its window sums where the recompute scan
 //! of record re-derives them, so it agrees with that scan to 1e-6.
+//!
+//! Each property runs 8 cases, or `PROPTEST_CASES` when that is set (CI
+//! runs 256).
 
 use proptest::prelude::*;
 use rups_core::engine::{Kernel, SynQueryEngine, ANCHOR_SLACK_M};
@@ -24,6 +29,16 @@ use rups_core::{RupsConfig, RupsError};
 
 const N_CHANNELS: usize = 12;
 const SCORE_TOL: f64 = 1e-9;
+
+/// 8 cases per property, or `PROPTEST_CASES` when set.
+fn cases() -> ProptestConfig {
+    ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(8),
+    )
+}
 
 fn traj(seed: u64, start: usize, len: usize) -> GsmTrajectory {
     let mut t = GsmTrajectory::with_capacity(N_CHANNELS, len);
@@ -114,7 +129,7 @@ fn assert_close(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(cases())]
 
     // Engine + `Kernel::Reference` is bit-identical to the reference
     // search, and the single-best entry point `find_best_syn` agrees with
@@ -364,7 +379,7 @@ fn assert_anchored_matches_record(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(cases())]
 
     // The anchored check behind `tracked_fix` picks the placement and
     // refinement of the recompute scan of record over the anchored range,

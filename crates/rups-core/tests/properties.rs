@@ -326,7 +326,7 @@ proptest! {
         b in proptest::collection::vec(-120.0f64..120.0, 0..48),
         reversed in any::<bool>(),
     ) {
-        let size = dsp::next_pow2(a.len().max(b.len()).max(2) * 2);
+        let size = (a.len().max(b.len()).max(2) * 2).next_power_of_two();
         let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
         dsp::real_spectra_pair_into(&a, &b, reversed, size, &mut work, &mut xa, &mut xb);
         let complex_fft = |row: &[f64]| {
@@ -340,7 +340,7 @@ proptest! {
                     buf[i].re = v;
                 }
             }
-            dsp::fft(&mut buf, false);
+            dsp::plan_for(size).process(&mut buf, false);
             buf
         };
         let ra = complex_fft(&a);

@@ -8,7 +8,6 @@ use rand::{seq::SliceRandom, SeedableRng};
 use rayon::prelude::*;
 use rups_core::config::RupsConfig;
 use rups_core::pipeline::DistanceFix;
-use rups_core::resolve;
 use rups_core::syn;
 use serde::{Deserialize, Serialize};
 
@@ -32,45 +31,30 @@ pub struct QueryOutcome {
 /// the leader, exactly as in the paper's experiments.
 pub fn query_at(trace: &ScenarioTrace, cfg: &RupsConfig, t: f64) -> QueryOutcome {
     let truth_m = trace.truth_gap_at(t);
+    let miss = |syn_errors_m| QueryOutcome {
+        t,
+        truth_m,
+        fix: None,
+        syn_errors_m,
+        rde_m: None,
+    };
     let interp = cfg.interpolate_missing;
     let Some((ours, ours_true_s)) =
         trace
             .follower
             .context_at(t, cfg.max_context_m, interp, Some(2))
     else {
-        return QueryOutcome {
-            t,
-            truth_m,
-            fix: None,
-            syn_errors_m: vec![],
-            rde_m: None,
-        };
+        return miss(vec![]);
     };
     let Some((theirs, theirs_true_s)) =
         trace
             .leader
             .context_at(t, cfg.max_context_m, interp, Some(1))
     else {
-        return QueryOutcome {
-            t,
-            truth_m,
-            fix: None,
-            syn_errors_m: vec![],
-            rde_m: None,
-        };
+        return miss(vec![]);
     };
-
-    let points = match syn::find_syn_points(&ours.gsm, &theirs.gsm, cfg) {
-        Ok(p) => p,
-        Err(_) => {
-            return QueryOutcome {
-                t,
-                truth_m,
-                fix: None,
-                syn_errors_m: vec![],
-                rde_m: None,
-            }
-        }
+    let Ok(points) = syn::find_syn_points(&ours.gsm, &theirs.gsm, cfg) else {
+        return miss(vec![]);
     };
     let syn_errors_m: Vec<f64> = points
         .iter()
@@ -80,39 +64,16 @@ pub fn query_at(trace: &ScenarioTrace, cfg: &RupsConfig, t: f64) -> QueryOutcome
             (s_self - s_other).abs()
         })
         .collect();
-    let (distance_m, estimates_m) = match resolve::aggregate_distance(
-        &points,
-        ours.gsm.len(),
-        theirs.gsm.len(),
-        cfg.aggregation,
-    ) {
-        Ok(x) => x,
-        Err(_) => {
-            return QueryOutcome {
-                t,
-                truth_m,
-                fix: None,
-                syn_errors_m,
-                rde_m: None,
-            }
-        }
-    };
-    let best_score = points
-        .iter()
-        .map(|p| p.score)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let rde = (distance_m - truth_m).abs();
-    QueryOutcome {
-        t,
-        truth_m,
-        fix: Some(DistanceFix {
-            distance_m,
-            syn_points: points,
-            estimates_m,
-            best_score,
-        }),
-        syn_errors_m,
-        rde_m: Some(rde),
+    let (ours_len, theirs_len) = (ours.gsm.len(), theirs.gsm.len());
+    match DistanceFix::from_syn_points(points, ours_len, theirs_len, cfg.aggregation) {
+        Ok(fix) => QueryOutcome {
+            t,
+            truth_m,
+            rde_m: Some((fix.distance_m - truth_m).abs()),
+            fix: Some(fix),
+            syn_errors_m,
+        },
+        Err(_) => miss(syn_errors_m),
     }
 }
 

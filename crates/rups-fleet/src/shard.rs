@@ -30,6 +30,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, SyncSender, TrySendError};
 use rups_core::inbox::SnapshotInbox;
 use rups_core::pipeline::RupsNode;
+use rups_core::testfield::splitmix64;
 use rups_obs::{Counter, Gauge, Registry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -178,13 +179,6 @@ pub struct ShardSet {
     home: BTreeMap<u64, usize>,
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ShardSet {
     /// Builds `cfg.n_shards` empty shards.
     ///
@@ -206,7 +200,8 @@ impl ShardSet {
 
     /// Deterministic owner shard of a cell.
     pub fn shard_for_cell(&self, cell: CellCoord) -> usize {
-        let key = mix((cell.0 as u64).wrapping_mul(0x85EB_CA6B) ^ (cell.1 as u64).rotate_left(32));
+        let key =
+            splitmix64((cell.0 as u64).wrapping_mul(0x85EB_CA6B) ^ (cell.1 as u64).rotate_left(32));
         (key % self.shards.len() as u64) as usize
     }
 

@@ -603,7 +603,6 @@ mod tests {
             gauges: Vec::new(),
             histograms: vec![h.clone()],
         };
-        assert!(snap(&now).try_delta(&snap(&then)).is_err());
         // The exposition keeps the totals and labels no bucket it cannot
         // bound.
         let text = snap(&long).to_prometheus();

@@ -86,6 +86,6 @@ pub use skew::{ClockModel, SkewEstimator};
 pub use slo::{default_slos, evaluate_slos, SloReport, SloSpec, SloVerdict};
 pub use span::{SpanArgs, SpanGuard, SpanRecord, SpanRecorder};
 pub use trace::{
-    chrome_trace, chrome_trace_tail, component_of, merged_chrome_trace,
-    merged_chrome_trace_bounded, ChromeTrace, ChromeTraceEvent, MergeLimits, NodeTrace,
+    chrome_trace, component_of, merged_chrome_trace, merged_chrome_trace_bounded, ChromeTrace,
+    ChromeTraceEvent, MergeLimits, NodeTrace,
 };

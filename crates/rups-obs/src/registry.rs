@@ -10,7 +10,7 @@
 //! <metric>`, e.g. `rups_core_engine_context_hits` or
 //! `rups_v2v_link_dropped`. Latency histograms end in `_ns`.
 
-use crate::hist::{bucket_hi, Histogram, HistogramSample, ShapeMismatch};
+use crate::hist::{bucket_hi, Histogram, HistogramSample};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -274,35 +274,6 @@ impl MetricsSnapshot {
                 })
                 .collect(),
         }
-    }
-
-    /// Shape-checked [`delta`](Self::delta): the first histogram whose
-    /// bucket layout disagrees with its earlier sample aborts the whole
-    /// subtraction with a typed [`ShapeMismatch`] (naming the offending
-    /// histogram) instead of degrading silently. Counter resets still
-    /// saturate to the full current value, per Prometheus semantics.
-    pub fn try_delta(&self, earlier: &MetricsSnapshot) -> Result<MetricsSnapshot, ShapeMismatch> {
-        Ok(MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|c| CounterSample {
-                    name: c.name.clone(),
-                    value: c
-                        .value
-                        .saturating_sub(earlier.counter(&c.name).unwrap_or(0)),
-                })
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|h| match earlier.histogram(&h.name) {
-                    Some(prev) => h.try_delta(prev),
-                    None => Ok(h.clone()),
-                })
-                .collect::<Result<_, _>>()?,
-        })
     }
 
     /// A copy with the noise removed: zero-valued counters and
@@ -600,20 +571,18 @@ mod tests {
     }
 
     #[test]
-    fn try_delta_surfaces_shape_mismatch_by_name() {
+    fn delta_degrades_per_histogram_on_shape_mismatch() {
         let reg = Registry::new();
         reg.counter("c").add(2);
         reg.histogram("h_ns").record(100);
         let full = reg.snapshot();
         let compacted = full.compact(); // clears bucket arrays
-        let err = full.try_delta(&compacted).unwrap_err();
-        assert_eq!(err.name, "h_ns");
-        // The infallible path still answers, degrading per-histogram.
+                                        // A mismatched layout keeps the histogram's full current value.
         let d = full.delta(&compacted);
         assert_eq!(d.counter("c"), Some(0));
         assert_eq!(d.histogram("h_ns").unwrap().count, 1);
-        // Matching shapes pass through the typed path.
-        let ok = full.try_delta(&full).unwrap();
+        // Matching shapes subtract.
+        let ok = full.delta(&full);
         assert_eq!(ok.counter("c"), Some(0));
         assert_eq!(ok.histogram("h_ns").unwrap().count, 0);
     }

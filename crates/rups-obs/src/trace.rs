@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON export of a [`SpanRecorder`] ring.
+//! Chrome trace-event JSON export of a [`SpanRecorder`](crate::SpanRecorder) ring.
 //!
 //! [`chrome_trace`] renders recorded spans into the Trace Event Format
 //! that `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
@@ -11,7 +11,7 @@
 //! timeline. [`SpanArgs`] pairs surface as the event's `args` object.
 
 use crate::skew::ClockModel;
-use crate::span::{SpanArgs, SpanRecord, SpanRecorder};
+use crate::span::{SpanArgs, SpanRecord};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
@@ -80,7 +80,8 @@ fn args_value(args: &SpanArgs) -> Value {
     )
 }
 
-/// Renders span records (oldest first, as [`SpanRecorder::recent`]
+/// Renders span records (oldest first, as
+/// [`SpanRecorder::recent`](crate::SpanRecorder::recent)
 /// returns them) into a loadable [`ChromeTrace`].
 pub fn chrome_trace(records: &[SpanRecord]) -> ChromeTrace {
     // Stable track order: components sorted by name, tid assigned 1-based.
@@ -279,14 +280,6 @@ pub fn merged_chrome_trace_bounded(nodes: &[NodeTrace], limits: MergeLimits) -> 
     ChromeTrace { traceEvents: meta }
 }
 
-/// [`chrome_trace`] over the retained ring contents of a recorder,
-/// keeping only the newest `max_events` records.
-pub fn chrome_trace_tail(rec: &SpanRecorder, max_events: usize) -> ChromeTrace {
-    let recent = rec.recent();
-    let skip = recent.len().saturating_sub(max_events);
-    chrome_trace(&recent[skip..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,19 +360,6 @@ mod tests {
             &q.args,
             Value::Map(kv) if kv.iter().any(|(k, v)| k == "window_len_m" && v.as_i64() == Some(85))
         ));
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn recorder_tail_export_bounds_events() {
-        let rec = SpanRecorder::new(64);
-        for _ in 0..10 {
-            rec.event("engine.context_hit");
-        }
-        let full = chrome_trace_tail(&rec, usize::MAX);
-        assert_eq!(full.span_events().count(), 10);
-        let tail = chrome_trace_tail(&rec, 4);
-        assert_eq!(tail.span_events().count(), 4);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ([`Drive::metre_marks`]) that become the vehicle's RUPS geographical
 //! trajectory.
 
-use crate::road::Route;
+use crate::road::{unit, Route};
+use rups_core::testfield::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// One ground-truth motion sample.
@@ -78,24 +79,13 @@ impl MotionProfile {
     }
 }
 
-fn mix(h: u64) -> u64 {
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(h: u64) -> f64 {
-    h as f64 / u64::MAX as f64
-}
-
 /// Smooth unit-amplitude noise over `x` (lattice spacing 1).
 fn noise1(seed: u64, x: f64) -> f64 {
     let k = x.floor();
     let t = x - k;
     let sm = t * t * (3.0 - 2.0 * t);
-    let a = unit(mix(seed ^ (k as i64 as u64).wrapping_mul(0x2545_F491))) * 2.0 - 1.0;
-    let b = unit(mix(seed ^ ((k as i64 + 1) as u64).wrapping_mul(0x2545_F491))) * 2.0 - 1.0;
+    let at = |i: i64| unit(splitmix64(seed ^ (i as u64).wrapping_mul(0x2545_F491))) * 2.0 - 1.0;
+    let (a, b) = (at(k as i64), at(k as i64 + 1));
     a + sm * (b - a)
 }
 
@@ -142,15 +132,15 @@ impl Drive {
 
         // Seeded signal layout for this route/seed.
         let signal_pos = |k: usize| -> f64 {
-            let jitter = unit(mix(seed ^ 0x516 ^ (k as u64) << 1)) - 0.5;
+            let jitter = unit(splitmix64(seed ^ 0x516 ^ (k as u64) << 1)) - 0.5;
             spacing * (k as f64 + 1.0 + 0.4 * jitter)
         };
         let signal_is_red = |k: usize, arrival_t: f64| -> bool {
             // A 60 s signal cycle with 40 % red, phase hashed per signal.
-            let phase = unit(mix(seed ^ 0xF00D ^ (k as u64) << 3)) * 60.0;
+            let phase = unit(splitmix64(seed ^ 0xF00D ^ (k as u64) << 3)) * 60.0;
             ((arrival_t + phase) % 60.0) < 24.0
         };
-        let dwell = |k: usize| 10.0 + 25.0 * unit(mix(seed ^ 0xD3E1 ^ (k as u64) << 5));
+        let dwell = |k: usize| 10.0 + 25.0 * unit(splitmix64(seed ^ 0xD3E1 ^ (k as u64) << 5));
 
         let n_steps = (duration_s / SIM_DT_S).ceil() as usize;
         let mut states = Vec::with_capacity(n_steps + 1);
@@ -340,9 +330,9 @@ impl Drive {
 
 /// Approximate standard normal from three hashed uniforms.
 fn gauss(seed: u64, i: u64) -> f64 {
-    let u1 = unit(mix(seed ^ i.wrapping_mul(0xA24B_AED4)));
-    let u2 = unit(mix(seed ^ i.wrapping_mul(0x9FB2_1C65) ^ 0xFF));
-    let u3 = unit(mix(seed ^ i.wrapping_mul(0xE837_31D1) ^ 0xFFFF));
+    let u1 = unit(splitmix64(seed ^ i.wrapping_mul(0xA24B_AED4)));
+    let u2 = unit(splitmix64(seed ^ i.wrapping_mul(0x9FB2_1C65) ^ 0xFF));
+    let u3 = unit(splitmix64(seed ^ i.wrapping_mul(0xE837_31D1) ^ 0xFFFF));
     (u1 + u2 + u3 - 1.5) * 2.0
 }
 
@@ -375,7 +365,7 @@ impl OdometryModel {
     /// small per-vehicle scale bias, plus compass noise. Deterministic in
     /// `seed`.
     pub fn realistic(seed: u64) -> Self {
-        let u = |k: u64| unit(mix(seed ^ k)) - 0.5;
+        let u = |k: u64| unit(splitmix64(seed ^ k)) - 0.5;
         Self {
             scale_bias: 0.02 * u(1),       // within ±1 % (tyre wear/pressure)
             per_metre_sigma: 0.05,         // 5 cm per metre

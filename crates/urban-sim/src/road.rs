@@ -5,6 +5,7 @@
 //! the same coordinate RUPS trajectories live in, which makes ground-truth
 //! relative distances trivially `s_front − s_rear`.
 
+use rups_core::testfield::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// The four road settings of the paper's evaluation (§VI-C/D).
@@ -151,7 +152,7 @@ impl Route {
         let mut heading: f64 = 0.0;
         let mut total = 0.0;
         while total < len_m {
-            h = next(h);
+            h = splitmix64(h);
             let u = unit(h);
             let seg_len = 200.0 + u * 500.0;
             segments.push(RouteSegment {
@@ -159,14 +160,14 @@ impl Route {
                 heading_rad: heading,
             });
             total += seg_len;
-            h = next(h);
+            h = splitmix64(h);
             let turn_draw = unit(h);
             heading += if turn_draw < 0.15 {
                 std::f64::consts::FRAC_PI_2 // left turn
             } else if turn_draw < 0.30 {
                 -std::f64::consts::FRAC_PI_2 // right turn
             } else if turn_draw < 0.55 {
-                (unit(next(h)) - 0.5) * 0.3 // gentle curve
+                (unit(splitmix64(h)) - 0.5) * 0.3 // gentle curve
             } else {
                 0.0
             };
@@ -230,15 +231,8 @@ impl Route {
     }
 }
 
-/// xorshift-style step for the route generator.
-fn next(h: u64) -> u64 {
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(h: u64) -> f64 {
+/// A 64-bit hash as a uniform draw in `[0, 1]`.
+pub(crate) fn unit(h: u64) -> f64 {
     h as f64 / u64::MAX as f64
 }
 

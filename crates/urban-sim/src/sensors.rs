@@ -8,9 +8,10 @@
 //! back into per-metre geographical trajectories.
 
 use crate::drive::Drive;
-use crate::road::Route;
+use crate::road::{unit, Route};
 use rups_core::geo::angle_diff;
 use rups_core::motion::{mag_for_heading, ImuSample, RotationMatrix, Vec3};
+use rups_core::testfield::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// Sampling rates of the instrument suite (§V-A: "0.3 Hz for OBD and around
@@ -71,16 +72,12 @@ impl Default for SensorNoise {
     }
 }
 
-fn mix(h: u64) -> u64 {
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn gauss(seed: u64, i: u64, k: u64) -> f64 {
-    let u =
-        |x: u64| mix(seed ^ i.wrapping_mul(0x9E37_79B9) ^ (k << 48) ^ x) as f64 / u64::MAX as f64;
+    let u = |x: u64| {
+        unit(splitmix64(
+            seed ^ i.wrapping_mul(0x9E37_79B9) ^ (k << 48) ^ x,
+        ))
+    };
     (u(1) + u(2) + u(3) - 1.5) * 2.0
 }
 

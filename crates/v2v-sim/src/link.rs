@@ -18,6 +18,7 @@ use crate::wsm::{exchange_time_s, WsmConfig};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use rups_core::testfield::splitmix64;
 use rups_obs::{Counter, Histogram, Registry, SpanRecorder, TraceContext};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -148,17 +149,10 @@ pub struct Endpoint {
     pending: RefCell<Vec<Delivery>>,
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One deterministic uniform draw in `[0, 1)` for a `(seed, message,
 /// receiver, purpose)` tuple.
 fn draw(seed: u64, msg_seq: u64, id: u64, salt: u64) -> f64 {
-    mix(seed ^ msg_seq.wrapping_mul(31) ^ id ^ salt.wrapping_mul(0x9E37_79B9)) as f64
+    splitmix64(seed ^ msg_seq.wrapping_mul(31) ^ id ^ salt.wrapping_mul(0x9E37_79B9)) as f64
         / u64::MAX as f64
 }
 
