@@ -1,4 +1,5 @@
-//! Steady-state allocation budget for the warm fix path.
+//! Steady-state allocation budget for the warm fix path and the warm
+//! stand-alone search.
 //!
 //! The engine's scratch arenas, memoised window entries, and cached packed
 //! spectra exist so that a warm query performs no per-channel or
@@ -6,13 +7,17 @@
 //! global allocator: after a few warm-up queries, one more fix against the
 //! same neighbour must stay under a small constant allocation budget (the
 //! returned `DistanceFix` itself owns a couple of vectors; nothing in the
-//! kernel loops may allocate).
+//! kernel loops may allocate). The stand-alone `syn::find_best_syn` scores
+//! into the same pooled arenas, so a warm search allocates only its
+//! checking windows. Both checks share one test function: the counter is
+//! global, and a test running in parallel would count into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rups_bench::{bench_config, synthetic_context};
 use rups_core::pipeline::{ContextSnapshot, RupsNode};
+use rups_core::syn::find_best_syn;
 use rups_core::{GeoSample, GeoTrajectory, PowerVector};
 
 struct CountingAlloc;
@@ -85,12 +90,18 @@ fn neighbour(seed: u64, offset: usize, context_m: usize) -> ContextSnapshot {
 /// at these context lengths.
 const MAX_ALLOCS_PER_WARM_QUERY: u64 = 64;
 
+/// A warm stand-alone search allocates its two checking windows (a few
+/// vectors each) and nothing per placement: a score vector handed out per
+/// pass would add the dozen reallocations of a growing vector per pass.
+const MAX_ALLOCS_PER_WARM_SEARCH: u64 = 12;
+
 #[test]
 fn warm_fix_path_stays_within_constant_allocation_budget() {
-    // Two context lengths so the budget provably does not scale with the
-    // input: both are long enough (w = 85 >= 8*log2(m)) to keep the FFT
-    // kernel, the spectra caches, and the pruned peak scan on the hot path.
-    for context_m in [340usize, 480] {
+    // Three context lengths so the budget provably does not scale with the
+    // input. At 340 and 480 m (w = 85 >= 8*log2(m)) the FFT kernel, the
+    // spectra caches and the pruned peak scan are on the hot path; at
+    // 2000 m the rolling kernel's bound-first pass is.
+    for context_m in [340usize, 480, 2000] {
         let node = build_node(21, context_m);
         let snap = neighbour(21, 20, context_m);
         // Warm every layer: own-context rows and sliding spectra, window
@@ -113,4 +124,20 @@ fn warm_fix_path_stays_within_constant_allocation_budget() {
              (budget {MAX_ALLOCS_PER_WARM_QUERY}) — a kernel loop is allocating"
         );
     }
+
+    let cfg = bench_config(N_CHANNELS, WINDOW_M, N_CHANNELS);
+    let ours = synthetic_context(21, 0, 480, N_CHANNELS);
+    let theirs = synthetic_context(21, 20, 480, N_CHANNELS);
+    for _ in 0..3 {
+        find_best_syn(&ours, &theirs, &cfg).unwrap();
+    }
+    let before = allocations();
+    let p = find_best_syn(&ours, &theirs, &cfg).unwrap();
+    let per_search = allocations() - before;
+    assert_eq!(p.self_end - p.other_end, 20);
+    assert!(
+        per_search < MAX_ALLOCS_PER_WARM_SEARCH,
+        "warm find_best_syn performed {per_search} allocations \
+         (budget {MAX_ALLOCS_PER_WARM_SEARCH}) — a search pass is allocating"
+    );
 }

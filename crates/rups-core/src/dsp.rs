@@ -333,23 +333,23 @@ pub fn corr_from_spectra_pair_into(
 /// `(Σx, Σx²)` of a row in one pass, hand-unrolled into four independent
 /// f64 lanes — the fixed-window sum builder of every dense scan. Lane
 /// partials are combined in a fixed `(0+1)+(2+3)` order, so results are
-/// deterministic (though not bit-identical to a sequential fold).
-pub fn sum_sumsq(x: &[f64]) -> (f64, f64) {
+/// deterministic (though not bit-identical to a sequential fold). `f32`
+/// rows are widened value by value, exactly, so they sum bit for bit like
+/// their `f64` copies.
+pub fn sum_sumsq<T: Copy + Into<f64>>(x: &[T]) -> (f64, f64) {
     let mut s = [0.0f64; 4];
     let mut q = [0.0f64; 4];
     let mut chunks = x.chunks_exact(4);
     for c in &mut chunks {
-        s[0] += c[0];
-        q[0] += c[0] * c[0];
-        s[1] += c[1];
-        q[1] += c[1] * c[1];
-        s[2] += c[2];
-        q[2] += c[2] * c[2];
-        s[3] += c[3];
-        q[3] += c[3] * c[3];
+        for (l, &v) in c.iter().enumerate() {
+            let v: f64 = v.into();
+            s[l] += v;
+            q[l] += v * v;
+        }
     }
     let (mut sum, mut sumsq) = ((s[0] + s[1]) + (s[2] + s[3]), (q[0] + q[1]) + (q[2] + q[3]));
     for &v in chunks.remainder() {
+        let v: f64 = v.into();
         sum += v;
         sumsq += v * v;
     }

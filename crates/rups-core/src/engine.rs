@@ -23,16 +23,17 @@
 //! * a per-batch kernel choice — reference scan vs the engine's own FFT
 //!   scan — driven by context density and length.
 //!
-//! Every directed pass fills one scratch arena — from the FFT kernel, or
-//! from the rolling lane-dot pass on the reference kernel and on FFT
-//! fallbacks — and ends in one resolve step, the exact pruned peak search
-//! `syn_fast::combine_dense_peak`; rows both dense kernels refuse take the
-//! recompute scan of record and [`crate::syn::peak`]. On the reference kernel, results are
+//! Every directed pass takes an exact peak. The FFT kernel fills a scratch
+//! arena and prunes its peak search (`syn_fast::combine_dense_peak`); the
+//! reference kernel and FFT fallbacks run the bound-first rolling pass
+//! (`syn_fast::bounded_peak`), which pays a placement's per-channel dot
+//! products only while it can still win and answers nothing below a floor
+//! its caller would drop anyway. Rows both refuse take the recompute scan
+//! of record and [`crate::syn::peak`]. On the reference kernel, results are
 //! **bit-identical** to [`crate::syn::find_syn_points`], which scores every
-//! placement of the same rolling scan before picking its peak: the pruning
-//! bound is exact. The FFT kernel agrees with it to floating-point
-//! rounding, and a warm engine answers bit for bit like a cold one.
-//! Cache-hit, scratch-reuse and pruning counters are exported via
+//! placement before picking its peak. The FFT kernel agrees to rounding,
+//! and a warm engine answers bit for bit like a cold one. Cache-hit,
+//! scratch-reuse and pruning counters are exported via
 //! [`SynQueryEngine::stats`] for the bench harness.
 //!
 //! The engine's one other pass is the anchored check behind
@@ -67,15 +68,15 @@ const ALL: Range<usize> = 0..usize::MAX;
 /// Which sliding-scan kernel a query (or batch of queries) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The rolling `O(mwk)` scan of [`crate::syn::slide_scores`] (lane-dot
-    /// pass, rolled window sums), NaN-aware through its per-placement
-    /// fallback.
+    /// The rolling `O(mwk)` scan of [`crate::syn::slide_scores`], run bound
+    /// first: a placement's per-channel dot products only while it can
+    /// still win. NaN-aware through its per-placement fallback.
     Reference,
     /// The engine's own `O(k·m log m)` scan: packed-FFT sliding dot
     /// products ([`crate::dsp`]) against memoised own-side spectra and
     /// rolled window sums. Falls back to the reference scan per directed
-    /// pass whenever a selected channel carries missing values. Both
-    /// kernels take their peak from the same pruned search.
+    /// pass whenever a selected channel carries missing values. Its peak
+    /// search skips the profile term wherever it cannot win.
     Fft,
 }
 
@@ -131,9 +132,9 @@ pub struct EngineStats {
     /// Directed passes that requested the FFT scan but fell back to the
     /// reference scan because a selected neighbour channel carried NaN.
     pub fft_fallbacks: u64,
-    /// Window placements whose mean-profile correlation the pruned peak
-    /// search skipped because their exact score upper bound could not beat
-    /// the running best (every dense pass: rolling full, anchored and FFT).
+    /// Window placements an exact score bound dropped before their full
+    /// score: the rolling passes' per-channel bound (full and anchored) and
+    /// the profile terms the FFT passes' peak search skipped.
     pub pruned_placements: u64,
 }
 
@@ -714,44 +715,56 @@ impl SynQueryEngine {
         }
         self.with_scratch(|scratch| {
             // Forward: an own window slid over their trajectory.
-            let fwd = |e: &WindowEntry, end: usize, scratch: &mut Scratch| {
+            let fwd = |e: &WindowEntry, end: usize, floor: f64, s: &mut Scratch| {
                 let fft = |s: &mut Scratch| self.fft_pass_own_fixed(ctx, e, end, theirs, s);
-                self.directed(ctx, kernel, ours, end, theirs, &e.window, ALL, scratch, fft)
+                let window = &e.window;
+                self.directed(ctx, kernel, ours, end, theirs, window, ALL, floor, s, fft)
             };
             // Reverse: their window slid over ours, swapped to our view.
-            let rev = |wnd: &CheckWindow, end: usize, scratch: &mut Scratch| {
+            let rev = |wnd: &CheckWindow, end: usize, floor: f64, s: &mut Scratch| {
                 let fft = |s: &mut Scratch| self.fft_pass_their_fixed(ctx, wnd, end, theirs, s);
-                self.directed(ctx, kernel, theirs, end, ours, wnd, ALL, scratch, fft)
+                self.directed(ctx, kernel, theirs, end, ours, wnd, ALL, floor, s, fft)
                     .map(syn::swap_perspective)
             };
             // Most recent segment: the full double-sliding check.
             let entry = self
                 .window_entry(ctx, w, ours.len())
                 .ok_or_else(too_short)?;
-            *scanned += 1;
-            let best_fwd = fwd(&entry, ours.len(), scratch);
-            let best_rev =
-                CheckWindow::with_len(theirs, &self.cfg, w, theirs.len()).and_then(|wnd| {
-                    *scanned += 1;
-                    rev(&wnd, theirs.len(), scratch)
-                });
-            let best = match syn::better_pass(best_fwd, best_rev) {
-                Some(b) => b,
-                None => {
+            let rev_wnd = CheckWindow::with_len(theirs, &self.cfg, w, theirs.len());
+            *scanned += 1 + u32::from(rev_wnd.is_some());
+            let threshold = entry.window.threshold;
+            let newest = |floor: f64, scratch: &mut Scratch| {
+                let best_fwd = fwd(&entry, ours.len(), floor, scratch);
+                let best_rev = rev_wnd
+                    .as_ref()
+                    .and_then(|wnd| rev(wnd, theirs.len(), floor, scratch));
+                syn::better_pass(best_fwd, best_rev)
+            };
+            // A rolling pass whose peak is below `threshold −
+            // PASS_TIE_MARGIN` can neither clear the threshold nor out-tie a
+            // pass that does, so that floor changes no hit. A miss re-runs
+            // without it, so that it reports the unbounded search's best
+            // score. FFT passes take no floor.
+            let floor = match kernel {
+                Kernel::Reference => threshold - syn::PASS_TIE_MARGIN,
+                Kernel::Fft => f64::NEG_INFINITY,
+            };
+            let mut best = newest(floor, scratch);
+            if floor > f64::NEG_INFINITY && best.is_none_or(|p| p.score < threshold) {
+                best = newest(f64::NEG_INFINITY, scratch);
+            }
+            let best = match best {
+                Some(b) if b.score >= threshold => b,
+                miss => {
                     return Err(RupsError::NoSynPoint {
-                        best_score: f64::NEG_INFINITY,
-                        threshold: entry.window.threshold,
+                        best_score: miss.map_or(f64::NEG_INFINITY, |p| p.score),
+                        threshold,
                     })
                 }
             };
-            if best.score < entry.window.threshold {
-                return Err(RupsError::NoSynPoint {
-                    best_score: best.score,
-                    threshold: entry.window.threshold,
-                });
-            }
             let mut points = vec![best];
-            // Older segments, symmetrically (cf. syn::find_syn_points).
+            // Older segments, symmetrically (cf. syn::find_syn_points),
+            // keeping only peaks that clear their window's threshold.
             for s in 1..self.cfg.n_syn_points {
                 let older_fwd = ours
                     .len()
@@ -760,7 +773,7 @@ impl SynQueryEngine {
                     .and_then(|end| self.window_entry(ctx, w, end).map(|e| (end, e)))
                     .and_then(|(end, e)| {
                         *scanned += 1;
-                        fwd(&e, end, scratch).filter(|p| p.score >= e.window.threshold)
+                        fwd(&e, end, e.window.threshold, scratch)
                     });
                 let older_rev = theirs
                     .len()
@@ -771,7 +784,7 @@ impl SynQueryEngine {
                     })
                     .and_then(|(end, wnd)| {
                         *scanned += 1;
-                        rev(&wnd, end, scratch).filter(|p| p.score >= wnd.threshold)
+                        rev(&wnd, end, wnd.threshold, scratch)
                     });
                 if let Some(p) = syn::better_pass(older_fwd, older_rev) {
                     points.push(p);
@@ -807,23 +820,23 @@ impl SynQueryEngine {
         let centre = ours.len() as i64 - shift - w as i64;
         let slack = ANCHOR_SLACK_M as i64;
         let js = (centre - slack).max(0) as usize..(centre + slack + 1).max(0) as usize;
-        let p = self.with_scratch(|s| {
+        self.with_scratch(|s| {
             let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| false);
-            self.directed(ctx, kernel, ours, ours.len(), theirs, window, js, s, no_fft)
-        })?;
-        (p.score >= window.threshold).then_some(p)
+            let (end, floor) = (ours.len(), window.threshold);
+            self.directed(ctx, kernel, ours, end, theirs, window, js, floor, s, no_fft)
+        })
     }
 
     /// One directed pass: the `fixed` window `[end − w, end)` slid over the
     /// `placements` of `sliding` (clamped to the valid ones), returning the
-    /// best one from the `fixed` side's perspective. On [`Kernel::Fft`] over
-    /// a dense own context `fft` fills the scratch arena from the cached
-    /// side's memos (every placement: FFT callers pass [`ALL`]); when it
-    /// finds a non-finite selected row (`false`), or on
-    /// [`Kernel::Reference`], the rolling lane-dot pass fills it instead.
-    /// Every filled arena resolves through the one pruned peak search;
-    /// rows both dense kernels refuse take the recompute scan of record
-    /// and [`syn::peak`].
+    /// best one from the `fixed` side's perspective, or `None` when it
+    /// scores below `floor`. On [`Kernel::Fft`] over a dense own context
+    /// `fft` fills the scratch arena from the cached side's memos (every
+    /// placement: FFT callers pass [`ALL`]) and the pruned peak search
+    /// resolves it. When `fft` finds a non-finite selected row (`false`), or
+    /// on [`Kernel::Reference`], the bound-first rolling pass answers
+    /// instead; rows it refuses too take the recompute scan of record and
+    /// [`syn::peak`].
     #[allow(clippy::too_many_arguments)]
     fn directed(
         &self,
@@ -834,6 +847,7 @@ impl SynQueryEngine {
         sliding: &GsmTrajectory,
         window: &CheckWindow,
         placements: Range<usize>,
+        floor: f64,
         scratch: &mut Scratch,
         fft: impl FnOnce(&mut Scratch) -> bool,
     ) -> Option<SynPoint> {
@@ -847,16 +861,15 @@ impl SynQueryEngine {
         let js = placements.start.min(n_pos)..placements.end.min(n_pos);
         let dense = if kernel == Kernel::Fft && ctx.dense && fft(scratch) {
             self.metrics.fft_passes.inc();
-            true
+            Some(syn_fast::combine_dense_peak(&scratch.acc))
         } else {
             if kernel == Kernel::Fft {
                 self.metrics.fft_fallbacks.inc();
             }
             self.metrics.reference_passes.inc();
-            syn_fast::dense_pass(fixed, end - w, sliding, window, js.clone(), scratch)
+            syn_fast::bounded_peak(fixed, end - w, sliding, window, js.clone(), floor, scratch)
         };
-        let best = if dense {
-            let (peak, pruned) = syn_fast::combine_dense_peak(scratch);
+        let best = if let Some((peak, pruned)) = dense {
             self.metrics.pruned_placements.add(pruned);
             peak
         } else {
@@ -866,7 +879,7 @@ impl SynQueryEngine {
         };
         drop(scan_t);
         drop(scan_s);
-        let (j, score, refine) = best?;
+        let (j, score, refine) = best.filter(|&(_, score, _)| score >= floor)?;
         Some(SynPoint {
             self_end: end,
             other_end: js.start + j + w,
@@ -953,7 +966,7 @@ impl SynQueryEngine {
         let k = window.channels.len();
         let size = dsp::corr_fft_size(w, theirs.len());
         let fixed_spectra = self.fixed_spectra(ctx, entry, end, size, s);
-        s.prepare(n_pos, k);
+        s.acc.prepare(n_pos, k);
         let mut ci = 0usize;
         while ci < k {
             let ch_a = window.channels[ci];
@@ -991,37 +1004,11 @@ impl SynQueryEngine {
                 &mut s.dots_a,
                 &mut s.dots_b,
             );
-            let (sum_f, sumsq_f) = entry.fixed_sums[ci];
-            let row = &mut s.mean_s[ci];
-            row.clear();
-            let mf = syn_fast::accumulate_dense_channel(
-                w,
-                n_pos,
-                sum_f,
-                sumsq_f,
-                &s.dots_a,
-                &s.s64a,
-                &mut s.chan_sum,
-                &mut s.chan_n,
-                row,
-            );
-            s.mean_f.push(mf);
+            let sums = &entry.fixed_sums;
+            s.acc.add_channel(ci, w, sums[ci], &s.dots_a, &s.s64a);
             if ch_b.is_some() {
-                let (sum_f, sumsq_f) = entry.fixed_sums[ci + 1];
-                let row = &mut s.mean_s[ci + 1];
-                row.clear();
-                let mf = syn_fast::accumulate_dense_channel(
-                    w,
-                    n_pos,
-                    sum_f,
-                    sumsq_f,
-                    &s.dots_b,
-                    &s.s64b,
-                    &mut s.chan_sum,
-                    &mut s.chan_n,
-                    row,
-                );
-                s.mean_f.push(mf);
+                s.acc
+                    .add_channel(ci + 1, w, sums[ci + 1], &s.dots_b, &s.s64b);
             }
             ci += 2;
         }
@@ -1053,7 +1040,7 @@ impl SynQueryEngine {
         }
         let k = window.channels.len();
         let size = dsp::corr_fft_size(w, ctx.gsm.len());
-        s.prepare(n_pos, k);
+        s.acc.prepare(n_pos, k);
         let mut ci = 0usize;
         while ci < k {
             let ch_a = window.channels[ci];
@@ -1094,37 +1081,12 @@ impl SynQueryEngine {
                 &mut s.dots_a,
                 &mut s.dots_b,
             );
-            let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64a);
-            let row = &mut s.mean_s[ci];
-            row.clear();
-            let mf = syn_fast::accumulate_dense_channel(
-                w,
-                n_pos,
-                sum_f,
-                sumsq_f,
-                &s.dots_a,
-                &ctx.rows64[ch_a],
-                &mut s.chan_sum,
-                &mut s.chan_n,
-                row,
-            );
-            s.mean_f.push(mf);
+            let sums = dsp::sum_sumsq(&s.f64a);
+            s.acc.add_channel(ci, w, sums, &s.dots_a, &ctx.rows64[ch_a]);
             if let Some(ch_b) = ch_b {
-                let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64b);
-                let row = &mut s.mean_s[ci + 1];
-                row.clear();
-                let mf = syn_fast::accumulate_dense_channel(
-                    w,
-                    n_pos,
-                    sum_f,
-                    sumsq_f,
-                    &s.dots_b,
-                    &ctx.rows64[ch_b],
-                    &mut s.chan_sum,
-                    &mut s.chan_n,
-                    row,
-                );
-                s.mean_f.push(mf);
+                let sums = dsp::sum_sumsq(&s.f64b);
+                s.acc
+                    .add_channel(ci + 1, w, sums, &s.dots_b, &ctx.rows64[ch_b]);
             }
             ci += 2;
         }
@@ -1174,11 +1136,84 @@ mod tests {
             assert_eq!(e.score.to_bits(), g.score.to_bits());
             assert_eq!(e.refine_m.to_bits(), g.refine_m.to_bits());
         }
-        // The rolling passes resolve through the pruned peak search, which
-        // skips placements the full scan of record scores.
+        // The rolling passes' bound drops placements the full scan of
+        // record scores.
         let s = engine.stats();
         assert_eq!((s.fft_passes, s.fft_fallbacks), (0, 0), "{s:?}");
         assert!(s.pruned_placements > 0, "{s:?}");
+    }
+
+    #[test]
+    fn rolling_bound_drops_most_placements_on_a_long_context() {
+        // A discover-shaped pair: 64 channels, a 24-channel window, 2000 m
+        // of own context and a 1200 m neighbour 30 m ahead.
+        let c = RupsConfig {
+            n_channels: 64,
+            window_channels: 24,
+            max_context_m: 2000,
+            ..RupsConfig::default()
+        };
+        let ours = traj(23, 0, 2000, 64);
+        let theirs = traj(23, 830, 1200, 64);
+        let engine = SynQueryEngine::new(c.clone());
+        engine.set_context(&ours);
+        assert_eq!(engine.choose_kernel(theirs.len()), Kernel::Reference);
+        let got = engine.find_syn_points(&theirs).unwrap();
+        assert_eq!(got, syn::find_syn_points(&ours, &theirs, &c).unwrap());
+        // Every segment slides a forward window over their 1200 m and a
+        // reverse window over our 2000 m.
+        let s = engine.stats();
+        let w = c.window_len_m;
+        let segments = c.n_syn_points as u64;
+        assert_eq!(s.reference_passes, 2 * segments, "{s:?}");
+        let scanned = segments * ((1200 - w + 1) + (2000 - w + 1)) as u64;
+        assert!(
+            s.pruned_placements * 10 >= scanned * 9,
+            "the bound dropped {} of {scanned} placements",
+            s.pruned_placements
+        );
+    }
+
+    #[test]
+    fn newest_segment_floor_keeps_the_tie_margin() {
+        // Both contexts end on the same road metre, so each newest window
+        // lies on the other context and the two passes score one match,
+        // apart only by how their window sums rolled. With the threshold on
+        // the higher score, the search of record keeps the lower forward
+        // peak (within PASS_TIE_MARGIN) and misses; a floor at the
+        // threshold itself would drop the forward pass and hit.
+        let c = cfg(12);
+        let peak = |a: &GsmTrajectory, b: &GsmTrajectory| {
+            let w = CheckWindow::with_len(a, &c, c.window_len_m, a.len()).unwrap();
+            let scores = syn::slide_scores(a, a.len() - w.len_m, b, &w);
+            syn::peak(&scores).unwrap().1
+        };
+        for seed in 1..50 {
+            let (ours, theirs) = (traj(seed, 0, 300, 12), traj(seed, 50, 250, 12));
+            let (f, r) = (peak(&ours, &theirs), peak(&theirs, &ours));
+            if f == r {
+                continue;
+            }
+            let (a, b) = if f < r {
+                (ours, theirs)
+            } else {
+                (theirs, ours)
+            };
+            let c = RupsConfig {
+                coherency_threshold: f.max(r),
+                ..c
+            };
+            let expect = syn::find_syn_points(&a, &b, &c);
+            assert!(
+                matches!(expect, Err(RupsError::NoSynPoint { .. })),
+                "{expect:?}"
+            );
+            let engine = SynQueryEngine::new(c);
+            engine.set_context(&a);
+            assert_eq!(engine.find_syn_points_with(&b, Kernel::Reference), expect);
+            return;
+        }
+        panic!("no seed split the two passes' scores");
     }
 
     #[test]

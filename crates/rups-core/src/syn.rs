@@ -70,14 +70,27 @@ pub fn slide_scores(
     sliding: &GsmTrajectory,
     window: &CheckWindow,
 ) -> Vec<f64> {
-    let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
+    with_slide_scores(fixed, fixed_start, sliding, window, <[f64]>::to_vec)
+}
+
+/// Runs `f` on the [`slide_scores`] of one pass, scored into the pooled
+/// scratch arena's buffer, so that a warm pass allocates nothing.
+fn with_slide_scores<R>(
+    fixed: &GsmTrajectory,
+    fixed_start: usize,
+    sliding: &GsmTrajectory,
+    window: &CheckWindow,
+    f: impl FnOnce(&[f64]) -> R,
+) -> R {
     syn_fast::with_scratch(|s, _| {
-        if syn_fast::dense_pass(fixed, fixed_start, sliding, window, 0..n_pos, s) {
+        if syn_fast::dense_pass(fixed, fixed_start, sliding, window, s) {
             syn_fast::combine_dense_scores(s);
-            std::mem::take(&mut s.scores)
         } else {
-            slide_scores_reference(fixed, fixed_start, sliding, window)
+            let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
+            let scores = &mut s.scores;
+            slide_scores_reference_into(fixed, fixed_start, sliding, window, 0..n_pos, scores);
         }
+        f(&s.scores)
     })
 }
 
@@ -128,7 +141,7 @@ pub(crate) fn slide_scores_reference_into(
 /// `[-0.5, 0.5]` and 0 at either end of `scores`. `None` when every score
 /// is NaN. The stand-alone search picks its peak here, and so does the
 /// engine for rows its dense kernels refuse; its dense passes take the same
-/// peak from a pruned search that shares this refinement.
+/// peak from bounded searches that share this refinement.
 pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
@@ -147,7 +160,7 @@ pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
 /// for sub-metre resolution, in `[-0.5, 0.5]`; `score_at` yields the
 /// neighbours' scores. 0 at either end of the placements, next to an
 /// undefined (NaN) neighbour, and on a flat top. Shared by [`peak`] and the
-/// pruned peak search, so both refine bit for bit alike.
+/// engine's bounded peak searches, so all refine bit for bit alike.
 pub(crate) fn refine_peak(
     i: usize,
     score: f64,
@@ -226,7 +239,7 @@ fn directed_best(
     if a_end < w || b.len() < w {
         return None;
     }
-    let (j, score, refine) = peak(&slide_scores(a, a_end - w, b, window))?;
+    let (j, score, refine) = with_slide_scores(a, a_end - w, b, window, peak)?;
     Some(SynPoint {
         self_end: a_end,
         other_end: j + w,

@@ -6,22 +6,25 @@
 //! missing-channel interpolation the rows are dense, and the
 //! placement-dependent quantities reduce to
 //!
-//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — four-lane
-//!   naive dot products in the rolling scan's lane-dot pass (`lane_dots`,
-//!   eight placements per load of the fixed row on AVX hosts, bit-identical
-//!   to the scalar `lane_dot`), a packed-FFT cross-correlation in the
-//!   engine's FFT kernel, and
-//! * per-channel window sums/sum-of-squares — rolled incrementally in
-//!   `O(1)` per placement (`accumulate_dense_channel`), by both.
+//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — four-lane naive
+//!   dot products (`lane_dot`; the full scan's `lane_dots` takes eight
+//!   placements per load of the fixed row on AVX hosts, bit for bit
+//!   alike), or a packed-FFT cross-correlation in the engine's FFT kernel,
+//! * per-channel window sums/sum-of-squares, rolled in `O(1)` per
+//!   placement (`roll`) by every pass.
 //!
-//! Both fill one accumulator arena ([`DenseScratch`]). Every dense pass of
-//! the engine — rolling full, rolling anchored and FFT — resolves it with
-//! one peak search (`combine_dense_peak`) that prunes placements whose score
-//! upper bound — mean per-channel Pearson plus the profile term's hard cap
-//! of 1 — cannot beat the current best; the bound is exact, so the pruned
-//! argmax is bit-identical to the full scan. Only the stand-alone
-//! [`crate::syn::slide_scores`] scores every placement
-//! (`combine_dense_scores`).
+//! The full-scan passes — `slide_scores`'s lane-dot pass (`dense_pass`) and
+//! the engine's FFT passes — fill one accumulator arena ([`DenseAcc`]) a
+//! channel at a time. `slide_scores` scores every placement from it
+//! (`combine_dense_scores`); the FFT passes take the pruned peak
+//! (`combine_dense_peak`), which skips the profile term wherever the mean
+//! per-channel Pearson plus 1 cannot beat the running best. The engine's
+//! rolling passes bound the other way round (`bounded_peak`): the profile
+//! term needs only the rolled window means, so it comes first, and the
+//! per-channel dot products are paid only while the exact bound on the
+//! rest can still win — the early abandoning of exact subsequence search
+//! (Rakthanmanon et al., KDD 2012). Both bounds are exact, so every peak is
+//! bit-identical to [`crate::syn::peak`] over the full scan.
 //!
 //! Scores match the per-placement scan to floating-point rounding. The
 //! kernels refuse a pass whose selected channels carry missing or corrupt
@@ -37,6 +40,10 @@ use crate::syn;
 use crate::window::CheckWindow;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
+
+/// A pass's peak as [`syn::peak`] returns it: placement (counted from the
+/// first one scanned), Eq. (2) score and parabolic refinement.
+pub(crate) type Peak = (usize, f64, f64);
 
 /// Every buffer a directed pass needs, pooled via [`with_scratch`] so
 /// repeated passes perform no allocation after warm-up.
@@ -59,51 +66,135 @@ pub(crate) struct DenseScratch {
     /// Correlation lags of the current channel pair.
     pub dots_a: Vec<f64>,
     pub dots_b: Vec<f64>,
-    /// Per-placement Σ of defined per-channel Pearsons / their count.
-    pub chan_sum: Vec<f64>,
-    pub chan_n: Vec<u32>,
-    /// Fixed-window means per channel and sliding-window means per
-    /// channel per placement (f32, matching the reference quantisation).
-    pub mean_f: Vec<f32>,
-    pub mean_s: Vec<Vec<f32>>,
-    /// Mean-profile staging for one placement (`k` long).
-    pub profile: Vec<f32>,
+    /// The per-placement accumulators every dense pass fills.
+    pub acc: DenseAcc,
+    /// Bounded pass: per window channel the fixed-window `(Σf, Σf²)` and
+    /// the sliding-window `(Σs, Σs²)` rolled to the current placement;
+    /// `rolled` at every [`CHECKPOINT`]-th placement, placement-major; and
+    /// each placement's mean-profile Pearson, NaN where undefined.
+    fixed_sums: Vec<(f64, f64)>,
+    rolled: Vec<(f64, f64)>,
+    checkpoints: Vec<(f64, f64)>,
+    profile: Vec<f64>,
     /// Per-placement scores: the full scan of `combine_dense_scores`, or
-    /// the engine's recompute scan of rows the dense kernels refuse.
+    /// the recompute scan of rows the dense kernels refuse.
     pub scores: Vec<f64>,
 }
 
-impl DenseScratch {
-    /// Resets the per-pass accumulators for `n_pos` placements over `k`
-    /// window channels. Capacity is retained.
+/// Per-placement accumulators of a dense pass over `n_pos` placements and
+/// `k` window channels.
+#[derive(Default)]
+pub(crate) struct DenseAcc {
+    /// Window channels.
+    k: usize,
+    /// Per-placement Σ of defined per-channel Pearsons / their count
+    /// (full-scan passes).
+    chan_sum: Vec<f64>,
+    chan_n: Vec<u32>,
+    /// Fixed-window mean per window channel (f32, matching the reference
+    /// quantisation).
+    mean_f: Vec<f32>,
+    /// Sliding-window means, placement-major: entry `j·k + ci` belongs to
+    /// window channel `ci` at placement `j`, so placement `j`'s mean
+    /// profile is one slice.
+    means: Vec<f32>,
+}
+
+impl DenseAcc {
+    /// Resets the accumulators for `n_pos` placements over `k` window
+    /// channels. Capacity is retained.
     pub(crate) fn prepare(&mut self, n_pos: usize, k: usize) {
+        self.k = k;
         self.chan_sum.clear();
         self.chan_sum.resize(n_pos, 0.0);
         self.chan_n.clear();
         self.chan_n.resize(n_pos, 0);
         self.mean_f.clear();
-        while self.mean_s.len() < k {
-            self.mean_s.push(Vec::new());
+        self.mean_f.resize(k, 0.0);
+        self.means.clear();
+        self.means.resize(n_pos * k, 0.0);
+    }
+
+    /// Accumulates window channel `ci` from its fixed-window `(Σf, Σf²)`,
+    /// its per-placement dot products `dots` and its sliding row `s_row`:
+    /// every placement's Pearson goes into `chan_sum`/`chan_n` and its
+    /// window mean into `means`. The one accumulate step of the full-scan
+    /// passes, so the lane-dot and the FFT passes turn dot products into
+    /// scores the same way.
+    pub(crate) fn add_channel(
+        &mut self,
+        ci: usize,
+        w: usize,
+        fixed_sums: (f64, f64),
+        dots: &[f64],
+        s_row: &[f64],
+    ) {
+        self.mean_f[ci] = window_mean(fixed_sums.0, w);
+        let mut sums = dsp::sum_sumsq(&s_row[..w]);
+        for j in 0..self.chan_sum.len() {
+            if j > 0 {
+                sums = roll(sums, &s_row[j - 1..j + w]);
+            }
+            if let Some(r) = channel_pearson(w, fixed_sums, sums, dots[j]) {
+                self.chan_sum[j] += r;
+                self.chan_n[j] += 1;
+            }
+            self.means[j * self.k + ci] = window_mean(sums.0, w);
         }
-        self.profile.clear();
-        self.profile.resize(k, 0.0);
+    }
+
+    /// Placement `j`'s mean-profile Pearson, the second term of Eq. (2);
+    /// NaN where undefined.
+    fn profile_at(&self, j: usize) -> f64 {
+        let profile = &self.means[j * self.k..(j + 1) * self.k];
+        stats::pearson(&self.mean_f, profile).unwrap_or(f64::NAN)
     }
 
     /// The Eq. (2) score of placement `j` from the filled accumulators: mean
     /// per-channel Pearson plus the mean-profile Pearson; NaN when either
-    /// term is undefined. Stages the placement's profile in `profile`.
-    fn score_at(&mut self, j: usize) -> f64 {
+    /// term is undefined.
+    fn score_at(&self, j: usize) -> f64 {
         if self.chan_n[j] == 0 {
             return f64::NAN;
         }
-        for (slot, row) in self.profile.iter_mut().zip(&self.mean_s) {
-            *slot = row[j];
-        }
-        match stats::pearson(&self.mean_f, &self.profile) {
-            Some(mp) => self.chan_sum[j] / self.chan_n[j] as f64 + mp,
-            None => f64::NAN,
-        }
+        self.chan_sum[j] / self.chan_n[j] as f64 + self.profile_at(j)
     }
+}
+
+/// The mean of a `w`-metre window from its sum, quantised to f32 like the
+/// reference path's profile.
+fn window_mean(sum: f64, w: usize) -> f32 {
+    (sum / w as f64) as f32
+}
+
+/// One channel's Pearson at one placement from its window sums and dot
+/// product: the [`PairSums`] math of the reference path, so thresholds and
+/// degenerate-variance handling agree.
+fn channel_pearson(w: usize, fixed: (f64, f64), sliding: (f64, f64), dot: f64) -> Option<f64> {
+    PairSums {
+        n: w,
+        sum_a: fixed.0,
+        sum_b: sliding.0,
+        sum_aa: fixed.1,
+        sum_bb: sliding.1,
+        sum_ab: dot,
+    }
+    .pearson()
+}
+
+/// One step of the roll every pass runs: sliding-window sums `(Σs, Σs²)`,
+/// seeded once with [`dsp::sum_sumsq`] over the first placement, moved on
+/// by one metre in `O(1)` rather than rebuilt, which turns the `O(mw)`
+/// statistics sweep into `O(m)`. `span` runs from the metre leaving the
+/// window to the one entering it; an `f32` row rolls bit for bit like its
+/// `f64` copy.
+#[inline]
+fn roll<T: Copy + Into<f64>>((sum, sumsq): (f64, f64), span: &[T]) -> (f64, f64) {
+    let (dropped, added): (f64, f64) = (span[0].into(), span[span.len() - 1].into());
+    (
+        sum + (added - dropped),
+        sumsq + (added * added - dropped * dropped),
+    )
 }
 
 fn scratch_pool() -> &'static Mutex<Vec<DenseScratch>> {
@@ -131,44 +222,50 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R
     r
 }
 
-/// The rolling scan's lane-dot pass over the valid window `placements`:
-/// stages each selected channel (the sliding row cut to the metres those
-/// placements cover), takes its sliding dot products with [`lane_dots`]
-/// (the AVX block pass where the CPU has it, bit-identical to [`lane_dot`]
-/// per placement), and accumulates the rolling per-placement statistics
-/// into `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`, whose entry `i`
-/// belongs to placement `placements.start + i`.
+/// True when every selected channel is finite over the fixed window and
+/// the sliding metres a pass reads: the dense kernels assume full-support
+/// windows, where [`PairSums`] would skip samples `n = w` still counts.
+fn rows_finite(
+    window: &CheckWindow,
+    fixed: &GsmTrajectory,
+    fixed_start: usize,
+    sliding: &GsmTrajectory,
+    rows: Range<usize>,
+) -> bool {
+    window.channels.iter().all(|&ch| {
+        fixed.channel(ch)[fixed_start..fixed_start + window.len_m]
+            .iter()
+            .chain(&sliding.channel(ch)[rows.clone()])
+            .all(|v| v.is_finite())
+    })
+}
+
+/// The lane-dot pass of the full scan over every window placement on
+/// `sliding`: stages each selected channel, takes its sliding dot products
+/// with [`lane_dots`] (the AVX block pass where the CPU has it,
+/// bit-identical to [`lane_dot`] per placement), and accumulates them into
+/// `s.acc`.
 ///
 /// Returns `false` without touching the accumulators' meaning when there is
-/// nothing to scan (an empty window or range), or when any selected row
-/// carries a non-finite value in the staged metres — the dense kernels
-/// assume full-support windows, and [`PairSums`] would otherwise silently
-/// skip samples the `n = w` shortcut still counts.
+/// nothing to scan, or when a selected row carries a non-finite value
+/// ([`rows_finite`]).
 pub(crate) fn dense_pass(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
-    placements: Range<usize>,
     s: &mut DenseScratch,
 ) -> bool {
     let w = window.len_m;
-    let n_pos = placements.len();
+    let n_pos = (sliding.len() + 1).saturating_sub(w);
     if w == 0 || n_pos == 0 {
         return false;
     }
     let fixed_rows = fixed_start..fixed_start + w;
-    let rows = placements.start..placements.end + w - 1;
-    for &ch in &window.channels {
-        if fixed.channel(ch)[fixed_rows.clone()]
-            .iter()
-            .chain(&sliding.channel(ch)[rows.clone()])
-            .any(|v| !v.is_finite())
-        {
-            return false;
-        }
+    if !rows_finite(window, fixed, fixed_start, sliding, 0..sliding.len()) {
+        return false;
     }
-    s.prepare(n_pos, window.channels.len());
+    s.acc.prepare(n_pos, window.channels.len());
     for (ci, &ch) in window.channels.iter().enumerate() {
         s.f64a.clear();
         s.f64a.extend(
@@ -177,45 +274,165 @@ pub(crate) fn dense_pass(
                 .map(|&v| v as f64),
         );
         s.s64a.clear();
-        s.s64a
-            .extend(sliding.channel(ch)[rows.clone()].iter().map(|&v| v as f64));
+        s.s64a.extend(sliding.channel(ch).iter().map(|&v| v as f64));
         lane_dots(&s.f64a, &s.s64a, n_pos, &mut s.dots_a);
-        let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64a);
-        let row = &mut s.mean_s[ci];
-        row.clear();
-        let mf = accumulate_dense_channel(
-            w,
-            n_pos,
-            sum_f,
-            sumsq_f,
-            &s.dots_a,
-            &s.s64a,
-            &mut s.chan_sum,
-            &mut s.chan_n,
-            row,
-        );
-        s.mean_f.push(mf);
+        let sums = dsp::sum_sumsq(&s.f64a);
+        s.acc.add_channel(ci, w, sums, &s.dots_a, &s.s64a);
     }
     true
 }
 
+/// Placements the bounded pass visits first, those with the highest profile
+/// term, so that its running best is high from the start.
+const SEEDS: usize = 8;
+
+/// Placements between two checkpoints of the bounded pass's roll.
+const CHECKPOINT: usize = 8;
+
+/// The engine's rolling pass over the valid window `placements` of
+/// `sliding`: the peak [`syn::peak`] picks over the full scan of those
+/// placements, bit for bit — `None` inside when it scores below `floor` —
+/// and the number of placements the exact bound dropped before their full
+/// score. `None` (the caller falls back to the recompute scan) when a
+/// selected row is not finite ([`rows_finite`]).
+///
+/// It rolls every selected channel's window sums (the full scan's roll,
+/// seeded at the first placement and kept every [`CHECKPOINT`] placements)
+/// and takes each placement's mean-profile Pearson `P(j)` from the rolled
+/// means alone. It visits the [`SEEDS`] placements with the highest `P(j)`
+/// first, then the rest in order, adding per-channel Pearsons in window
+/// order, each [`lane_dot`] taken only when its channel is reached. After
+/// `c` of `k` channels with sum `S` over `n` defined ones, a placement is
+/// dropped once `P(j) + (S + r)/(n + r) + PASS_TIE_MARGIN < max(best,
+/// floor)`, `r = k − c`: Pearsons are clamped to ≤ 1 and the margin dwarfs
+/// the rounding of a sum of a few dozen terms, so the bound is exact.
+/// Survivors are scored by the full scan's expression in its order, the
+/// lowest placement wins among equal maxima, and the peak's neighbours are
+/// scored in full for [`syn::refine_peak`].
+pub(crate) fn bounded_peak(
+    fixed: &GsmTrajectory,
+    fixed_start: usize,
+    sliding: &GsmTrajectory,
+    window: &CheckWindow,
+    placements: Range<usize>,
+    floor: f64,
+    s: &mut DenseScratch,
+) -> Option<(Option<Peak>, u64)> {
+    let (w, k, n_pos) = (window.len_m, window.channels.len(), placements.len());
+    if w == 0 || n_pos == 0 {
+        return Some((None, 0));
+    }
+    let (first, rows) = (placements.start, placements.start..placements.end + w - 1);
+    if !rows_finite(window, fixed, fixed_start, sliding, rows) {
+        return None;
+    }
+    let fixed_rows = fixed_start..fixed_start + w;
+    // `s.acc` holds one placement at a time: its mean profile against the
+    // fixed window's.
+    s.acc.prepare(1, k);
+    s.fixed_sums.clear();
+    s.rolled.clear();
+    for (ci, &ch) in window.channels.iter().enumerate() {
+        let sums = dsp::sum_sumsq(&fixed.channel(ch)[fixed_rows.clone()]);
+        s.fixed_sums.push(sums);
+        s.acc.mean_f[ci] = window_mean(sums.0, w);
+        s.rolled
+            .push(dsp::sum_sumsq(&sliding.channel(ch)[first..first + w]));
+    }
+    s.checkpoints.clear();
+    s.profile.clear();
+    for j in 0..n_pos {
+        let rolled = s.rolled.iter_mut().zip(&mut s.acc.means);
+        for ((sums, mean), &ch) in rolled.zip(&window.channels) {
+            if j > 0 {
+                *sums = roll(*sums, &sliding.channel(ch)[first + j - 1..first + j + w]);
+            }
+            *mean = window_mean(sums.0, w);
+        }
+        if j % CHECKPOINT == 0 {
+            s.checkpoints.extend_from_slice(&s.rolled);
+        }
+        s.profile.push(s.acc.profile_at(0));
+    }
+    let (profile, checkpoints, fixed_sums) = (&s.profile, &s.checkpoints, &s.fixed_sums);
+
+    // Placement j's Eq. (2) score (NaN where undefined), or None once its
+    // exact bound falls below `target`.
+    let score = |j: usize, target: f64| -> Option<f64> {
+        let p = profile[j];
+        if p.is_nan() {
+            return Some(f64::NAN);
+        }
+        let (at, from) = (first + j, j - j % CHECKPOINT);
+        let (mut sum, mut n) = (0.0, 0u32);
+        for (ci, &ch) in window.channels.iter().enumerate() {
+            let left = (k - ci) as f64;
+            if p + (sum + left) / (n as f64 + left) + syn::PASS_TIE_MARGIN < target {
+                return None;
+            }
+            let row = sliding.channel(ch);
+            let mut sums = checkpoints[from / CHECKPOINT * k + ci];
+            for i in first + from + 1..=at {
+                sums = roll(sums, &row[i - 1..i + w]);
+            }
+            let dot = lane_dot(&fixed.channel(ch)[fixed_rows.clone()], &row[at..at + w]);
+            if let Some(r) = channel_pearson(w, fixed_sums[ci], sums, dot) {
+                sum += r;
+                n += 1;
+            }
+        }
+        Some(if n == 0 { f64::NAN } else { sum / n as f64 + p })
+    };
+
+    // The SEEDS highest profile terms, highest first, from one linear scan.
+    let mut seeds = [(f64::NEG_INFINITY, usize::MAX); SEEDS];
+    for (j, &p) in profile.iter().enumerate() {
+        if let Some(i) = seeds.iter().position(|&(q, _)| p >= q) {
+            seeds.copy_within(i..SEEDS - 1, i + 1);
+            seeds[i] = (p, j);
+        }
+    }
+    let seeds = seeds.map(|(_, j)| j);
+    let rest = (0..n_pos).filter(|j| !seeds.contains(j));
+    let mut best: Option<(usize, f64)> = None;
+    let mut pruned = 0u64;
+    for j in seeds.into_iter().filter(|&j| j < n_pos).chain(rest) {
+        match score(j, best.map_or(floor, |(_, b)| b.max(floor))) {
+            None => pruned += 1,
+            Some(x) if !x.is_nan() && best.is_none_or(|(i, b)| x > b || (x == b && j < i)) => {
+                best = Some((j, x))
+            }
+            Some(_) => {}
+        }
+    }
+    let peak = best.filter(|&(_, b)| b >= floor).map(|(i, x)| {
+        let full = |j| score(j, f64::NEG_INFINITY).unwrap_or(f64::NAN);
+        (i, x, syn::refine_peak(i, x, n_pos, full))
+    });
+    Some((peak, pruned))
+}
+
 /// Dot product hand-unrolled into four independent f64 lanes (combined in
-/// a fixed `(0+1)+(2+3)` order), for the lane-dot pass.
+/// a fixed `(0+1)+(2+3)` order). `f32` operands are widened exactly, so they
+/// multiply bit for bit like their `f64` copies.
 #[inline]
-pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
+pub(crate) fn lane_dot<F: Copy, S: Copy>(f: &[F], s: &[S]) -> f64
+where
+    f64: From<F> + From<S>,
+{
     debug_assert_eq!(f.len(), s.len());
     let mut acc = [0.0f64; 4];
     let mut fc = f.chunks_exact(4);
     let mut sc = s.chunks_exact(4);
     for (cf, cs) in (&mut fc).zip(&mut sc) {
-        acc[0] += cf[0] * cs[0];
-        acc[1] += cf[1] * cs[1];
-        acc[2] += cf[2] * cs[2];
-        acc[3] += cf[3] * cs[3];
+        acc[0] += f64::from(cf[0]) * f64::from(cs[0]);
+        acc[1] += f64::from(cf[1]) * f64::from(cs[1]);
+        acc[2] += f64::from(cf[2]) * f64::from(cs[2]);
+        acc[3] += f64::from(cf[3]) * f64::from(cs[3]);
     }
     let mut out = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (a, b) in fc.remainder().iter().zip(sc.remainder()) {
-        out += a * b;
+    for (&a, &b) in fc.remainder().iter().zip(sc.remainder()) {
+        out += f64::from(a) * f64::from(b);
     }
     out
 }
@@ -311,68 +528,17 @@ unsafe fn lane_dots_avx(f: &[f64], s: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Accumulates one dense channel's per-placement Pearson contributions into
-/// `chan_sum`/`chan_n`, pushes the per-placement sliding-window means into
-/// `means_row`, and returns the fixed-window mean. `dots[j]` must be the
-/// fixed·sliding dot product at placement `j`; the window sums over
-/// `s_row` are **rolled** — seeded once over `[0, w)` and updated in `O(1)`
-/// per placement — rather than rebuilt, turning the `O(mw)` statistics
-/// sweep into `O(m)`.
-///
-/// This is the placement-dependent half of Eq. (2), shared by the lane-dot
-/// pass and the engine's FFT passes, so both turn their dot products into
-/// scores the same way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_dense_channel(
-    w: usize,
-    n_pos: usize,
-    sum_f: f64,
-    sumsq_f: f64,
-    dots: &[f64],
-    s_row: &[f64],
-    chan_sum: &mut [f64],
-    chan_n: &mut [u32],
-    means_row: &mut Vec<f32>,
-) -> f32 {
-    let (mut sum_s, mut sumsq_s) = dsp::sum_sumsq(&s_row[..w]);
-    for j in 0..n_pos {
-        if j > 0 {
-            let dropped = s_row[j - 1];
-            let added = s_row[j + w - 1];
-            sum_s += added - dropped;
-            sumsq_s += added * added - dropped * dropped;
-        }
-        // Reuse the exact PairSums → Pearson math of the reference path
-        // so thresholds and degenerate-variance handling agree.
-        let sums = PairSums {
-            n: w,
-            sum_a: sum_f,
-            sum_b: sum_s,
-            sum_aa: sumsq_f,
-            sum_bb: sumsq_s,
-            sum_ab: dots[j],
-        };
-        if let Some(r) = sums.pearson() {
-            chan_sum[j] += r;
-            chan_n[j] += 1;
-        }
-        means_row.push((sum_s / w as f64) as f32);
-    }
-    (sum_f / w as f64) as f32
-}
-
 /// Every placement's Eq. (2) score from an arena a dense pass filled,
 /// refilling `s.scores` — the full scan behind [`crate::syn::slide_scores`].
 pub(crate) fn combine_dense_scores(s: &mut DenseScratch) {
+    let acc = &s.acc;
     s.scores.clear();
-    for j in 0..s.chan_n.len() {
-        let score = s.score_at(j);
-        s.scores.push(score);
-    }
+    s.scores
+        .extend((0..acc.chan_n.len()).map(|j| acc.score_at(j)));
 }
 
-/// Pruned peak search over an arena a dense pass filled: returns the first
-/// maximum `(j, score, refine)` exactly as `syn::peak` over
+/// Pruned peak search over the accumulators an FFT pass filled: returns
+/// the first maximum `(j, score, refine)` exactly as `syn::peak` over
 /// [`combine_dense_scores`] would, plus the number of placements whose
 /// mean-profile Pearson was skipped.
 ///
@@ -384,28 +550,28 @@ pub(crate) fn combine_dense_scores(s: &mut DenseScratch) {
 /// skipping its `O(k)` profile correlation cannot change the argmax. The
 /// peak's neighbours are evaluated exactly afterwards for the shared
 /// [`syn::refine_peak`], so the refinement is bit-identical too.
-pub(crate) fn combine_dense_peak(s: &mut DenseScratch) -> (Option<(usize, f64, f64)>, u64) {
-    let n_pos = s.chan_n.len();
+pub(crate) fn combine_dense_peak(acc: &DenseAcc) -> (Option<Peak>, u64) {
+    let n_pos = acc.chan_n.len();
     let mut best: Option<(usize, f64)> = None;
     let mut pruned = 0u64;
     for j in 0..n_pos {
-        if s.chan_n[j] == 0 {
+        if acc.chan_n[j] == 0 {
             continue;
         }
         if let Some((_, b)) = best {
-            let partial = s.chan_sum[j] / s.chan_n[j] as f64;
+            let partial = acc.chan_sum[j] / acc.chan_n[j] as f64;
             if partial + 1.0 <= b {
                 pruned += 1;
                 continue;
             }
         }
-        let score = s.score_at(j);
+        let score = acc.score_at(j);
         if !score.is_nan() && best.is_none_or(|(_, b)| score > b) {
             best = Some((j, score));
         }
     }
     let peak = best.map(|(i, score)| {
-        let refine = syn::refine_peak(i, score, n_pos, |j| s.score_at(j));
+        let refine = syn::refine_peak(i, score, n_pos, |j| acc.score_at(j));
         (i, score, refine)
     });
     (peak, pruned)
@@ -445,12 +611,56 @@ mod tests {
         w: &CheckWindow,
     ) -> Option<Vec<f64>> {
         with_scratch(|s, _| {
-            let n_pos = sliding.len() - w.len_m + 1;
-            dense_pass(fixed, fixed.len() - w.len_m, sliding, w, 0..n_pos, s).then(|| {
+            dense_pass(fixed, fixed.len() - w.len_m, sliding, w, s).then(|| {
                 combine_dense_scores(s);
                 s.scores.clone()
             })
         })
+    }
+
+    /// The bounded pass of `fixed`'s newest window over `placements` of
+    /// `sliding` at `floor`, on rows it must accept.
+    fn bounded(
+        fixed: &GsmTrajectory,
+        sliding: &GsmTrajectory,
+        w: &CheckWindow,
+        placements: Range<usize>,
+        floor: f64,
+    ) -> (Option<Peak>, u64) {
+        let fs = fixed.len() - w.len_m;
+        with_scratch(|s, _| bounded_peak(fixed, fs, sliding, w, placements, floor, s))
+            .expect("dense rows")
+    }
+
+    fn peak_bits(p: Option<Peak>) -> Option<(usize, u64, u64)> {
+        p.map(|(j, score, refine)| (j, score.to_bits(), refine.to_bits()))
+    }
+
+    /// The bounded pass over every placement answers `syn::peak` over the
+    /// full scan bit for bit at floors up to that peak's score, and nothing
+    /// above it. Returns the placements the bound dropped at no floor.
+    fn assert_bounded_is_full_scan_peak(
+        fixed: &GsmTrajectory,
+        sliding: &GsmTrajectory,
+        w: &CheckWindow,
+    ) -> u64 {
+        let full = syn::slide_scores(fixed, fixed.len() - w.len_m, sliding, w);
+        let expect = syn::peak(&full);
+        let mut floors = vec![f64::NEG_INFINITY, w.threshold];
+        if let Some((_, max, _)) = expect {
+            floors.extend([max.next_down(), max, max.next_up()]);
+        }
+        for floor in floors {
+            let (got, _) = bounded(fixed, sliding, w, 0..full.len(), floor);
+            let want = expect.filter(|&(_, score, _)| score >= floor);
+            assert_eq!(peak_bits(got), peak_bits(want), "floor {floor}");
+        }
+        bounded(fixed, sliding, w, 0..full.len(), f64::NEG_INFINITY).1
+    }
+
+    /// `rows` (one per channel) as a trajectory.
+    fn from_rows(rows: &[Vec<f32>]) -> GsmTrajectory {
+        GsmTrajectory::from_rows(rows.to_vec())
     }
 
     /// `len` dBm values: f32-representable, as the lane-dot pass stages
@@ -557,9 +767,8 @@ mod tests {
             let full = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
             let expect = syn::peak(&full);
             let got = with_scratch(|s, _| {
-                let n_pos = b.len() - w.len_m + 1;
-                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, s));
-                combine_dense_peak(s).0
+                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, s));
+                combine_dense_peak(&s.acc).0
             });
             match (expect, got) {
                 (Some((ei, es, er)), Some((gi, gs, gr))) => {
@@ -581,8 +790,8 @@ mod tests {
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let n_pos = b.len() - w.len_m + 1;
         let pruned = with_scratch(|s, _| {
-            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, 0..n_pos, s));
-            let (peak, pruned) = combine_dense_peak(s);
+            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, s));
+            let (peak, pruned) = combine_dense_peak(&s.acc);
             assert!(peak.is_some());
             pruned
         });
@@ -590,6 +799,140 @@ mod tests {
             pruned > (n_pos as u64) / 4,
             "expected the bound to skip a sizeable share of {n_pos} placements, pruned {pruned}"
         );
+    }
+
+    #[test]
+    fn bounded_peak_is_the_full_scan_peak_at_every_floor() {
+        for (seed, off, len) in [(7u64, 30usize, 300usize), (8, 55, 300), (9, 10, 260)] {
+            let a = dense_traj(seed, 0, len, 19);
+            let b = dense_traj(seed, off, len, 19);
+            let w = CheckWindow::for_context(&a, &cfg(19)).unwrap();
+            // Most placements are dropped before their full score.
+            let n_pos = (len - w.len_m + 1) as u64;
+            let pruned = assert_bounded_is_full_scan_peak(&a, &b, &w);
+            assert!(pruned * 10 > n_pos * 9, "dropped {pruned} of {n_pos}");
+            // Unrelated rows: the peak sits below the threshold.
+            let far = dense_traj(seed ^ 0xFA2, 0, len, 19);
+            assert_bounded_is_full_scan_peak(&a, &far, &w);
+        }
+    }
+
+    #[test]
+    fn bounded_peak_over_a_placement_range_rolls_from_its_first_placement() {
+        let a = dense_traj(12, 0, 320, 16);
+        let b = dense_traj(12, 40, 320, 16);
+        let w = CheckWindow::for_context(&a, &cfg(16)).unwrap();
+        for js in [0..51, 150..201, 200..236] {
+            // The full scan of the sliding metres those placements cover.
+            let rows: Vec<Vec<f32>> = (0..16)
+                .map(|ch| b.channel(ch)[js.start..js.end + w.len_m - 1].to_vec())
+                .collect();
+            let cut = from_rows(&rows);
+            let full = syn::slide_scores(&a, a.len() - w.len_m, &cut, &w);
+            let (got, _) = bounded(&a, &b, &w, js.clone(), f64::NEG_INFINITY);
+            assert_eq!(peak_bits(got), peak_bits(syn::peak(&full)), "{js:?}");
+        }
+    }
+
+    /// Whole-dBm rows keep every rolled sum, dot product and mean exact, so
+    /// equal windows score bit for bit alike wherever they sit.
+    fn whole_dbm_rows(seed: u64, len: usize, n_channels: usize) -> Vec<Vec<f32>> {
+        (0..n_channels)
+            .map(|ch| {
+                (0..len)
+                    .map(|i| testfield::rssi(seed, i as f64, ch).round())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bounded_peak_keeps_the_first_of_equal_maxima() {
+        let (n_ch, w_m) = (12, 40);
+        let fixed = whole_dbm_rows(3, 200, n_ch);
+        let mut sliding = whole_dbm_rows(4, 300, n_ch);
+        // The fixed window twice on the sliding rows: at placement 40 and
+        // at placement 230. Equal profile terms rank the later copy first.
+        for row in 0..n_ch {
+            let window = fixed[row][200 - w_m..].to_vec();
+            sliding[row][40..40 + w_m].copy_from_slice(&window);
+            sliding[row][230..230 + w_m].copy_from_slice(&window);
+        }
+        let (a, b) = (from_rows(&fixed), from_rows(&sliding));
+        let c = RupsConfig {
+            window_len_m: w_m,
+            ..cfg(n_ch)
+        };
+        let w = CheckWindow::for_context(&a, &c).unwrap();
+        let full = syn::slide_scores(&a, a.len() - w_m, &b, &w);
+        assert_eq!(full[40].to_bits(), full[230].to_bits(), "an exact tie");
+        assert_eq!(syn::peak(&full).map(|p| p.0), Some(40));
+        assert_bounded_is_full_scan_peak(&a, &b, &w);
+    }
+
+    #[test]
+    fn bounded_peak_skips_undefined_profiles_and_channels() {
+        let (n_ch, len) = (10, 260);
+        let a = dense_traj(17, 0, len, n_ch);
+        let b = dense_traj(17, 45, len, n_ch);
+        let w = CheckWindow::for_context(&a, &cfg(n_ch)).unwrap();
+        let rows = |t: &GsmTrajectory| -> Vec<Vec<f32>> {
+            (0..n_ch).map(|ch| t.channel(ch).to_vec()).collect()
+        };
+        let fixed_rows = len - w.len_m..len;
+        // A selected channel flat over the fixed window: its Pearson is
+        // undefined at every placement.
+        let mut flat_channel = rows(&a);
+        flat_channel[w.channels[2]][fixed_rows.clone()].fill(-70.0);
+        let flat = from_rows(&flat_channel);
+        let wf = CheckWindow::with_len(&flat, &cfg(n_ch), w.len_m, len).unwrap();
+        assert!(wf.channels.contains(&w.channels[2]));
+        assert_bounded_is_full_scan_peak(&flat, &b, &wf);
+        // Every channel at one level over a stretch of the sliding rows:
+        // the placements inside it have no profile term.
+        let mut level = rows(&b);
+        for row in &mut level {
+            row[60..60 + 2 * w.len_m].fill(-70.0);
+        }
+        assert_bounded_is_full_scan_peak(&a, &from_rows(&level), &w);
+        // A fixed window whose channels share one mean, each a rotation of
+        // one whole-dBm window: no placement has a profile term, and there
+        // is no peak.
+        let mut same_mean = whole_dbm_rows(17, len, n_ch);
+        let base = same_mean[0][fixed_rows.clone()].to_vec();
+        for (ch, row) in same_mean.iter_mut().enumerate() {
+            row[fixed_rows.clone()].copy_from_slice(&base);
+            row[fixed_rows.clone()].rotate_left(7 * ch);
+        }
+        let same = from_rows(&same_mean);
+        let ws = CheckWindow::with_len(&same, &cfg(n_ch), w.len_m, len).unwrap();
+        assert_eq!(
+            bounded(&same, &b, &ws, 0..len - w.len_m + 1, f64::NEG_INFINITY).0,
+            None
+        );
+        assert_bounded_is_full_scan_peak(&same, &b, &ws);
+    }
+
+    #[test]
+    fn widened_f32_rows_sum_and_dot_like_their_f64_copies() {
+        for len in [0, 1, 3, 4, 7, 85, 86] {
+            let f: Vec<f32> = dbm_row(len as u64, len, true)
+                .iter()
+                .map(|&v| v as f32)
+                .collect();
+            let s: Vec<f32> = dbm_row(99, len, true).iter().map(|&v| v as f32).collect();
+            let (f64s, s64s): (Vec<f64>, Vec<f64>) = (
+                f.iter().map(|&v| v as f64).collect(),
+                s.iter().map(|&v| v as f64).collect(),
+            );
+            assert_eq!(lane_dot(&f, &s).to_bits(), lane_dot(&f64s, &s64s).to_bits());
+            let (sum, sumsq) = dsp::sum_sumsq(&f);
+            let (sum64, sumsq64) = dsp::sum_sumsq(&f64s);
+            assert_eq!(
+                (sum.to_bits(), sumsq.to_bits()),
+                (sum64.to_bits(), sumsq64.to_bits())
+            );
+        }
     }
 
     #[test]
@@ -603,6 +946,19 @@ mod tests {
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         assert!(lane_dot_scan(&a, &b, &w).is_none());
+        let n_pos = b.len() - w.len_m + 1;
+        let refused = with_scratch(|s, _| {
+            bounded_peak(
+                &a,
+                a.len() - w.len_m,
+                &b,
+                &w,
+                0..n_pos,
+                f64::NEG_INFINITY,
+                s,
+            )
+        });
+        assert!(refused.is_none());
         // The scan answers through the per-placement path instead…
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         let fs = a.len() - w.len_m;

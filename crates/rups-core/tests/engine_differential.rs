@@ -3,10 +3,12 @@
 //! its FFT kernel must not depend on what its caches already hold — on
 //! hits, misses and below-threshold cases alike.
 //!
-//! The reference-kernel comparisons demand *bit* equality — the engine
-//! takes its peak from a pruned search over the same rolling accumulators
-//! that `syn::slide_scores` scores in full before `syn::peak` picks one, and
-//! the pruning bound is exact — and so does warm-vs-cold on the FFT kernel;
+//! The reference-kernel comparisons demand *bit* equality — the engine's
+//! rolling passes take their peak from a bound-first search over the same
+//! rolled sums and dot products that `syn::slide_scores` scores in full
+//! before `syn::peak` picks one, the bound is exact, and the floors below
+//! which a pass answers nothing change no hit and no miss score — and so
+//! does warm-vs-cold on the FFT kernel;
 //! the FFT-vs-reference comparisons allow a 1e-9 score tolerance, since the
 //! FFT correlation and the rolling window statistics legitimately
 //! reassociate floating-point sums. The anchored check behind
@@ -152,6 +154,50 @@ proptest! {
         let best = syn::find_best_syn(&ours, &theirs, &c);
         let pts = eng.expect("overlapping synthetic fields must produce SYN points");
         prop_assert_eq!(best.unwrap(), pts[0], "find_best_syn disagrees");
+    }
+
+    // The rolling passes' floors change no answer. The newest segment's
+    // passes drop peaks below `threshold − PASS_TIE_MARGIN` and re-run
+    // without a floor on a miss; older segments drop peaks below their
+    // threshold. With the threshold drawn across the scores the passes
+    // reach, a window narrower than the band, and neighbours that are
+    // unrelated or overlap less than the older segments reach back, the
+    // newest segment hits and misses and older segments clear the
+    // threshold or not. Every outcome, miss scores included, is the
+    // reference search's bit for bit.
+    #[test]
+    fn floored_rolling_passes_answer_like_the_full_search(
+        seed in 1u64..100_000,
+        gap in 10usize..140,
+        len in 230usize..300,
+        threshold in 0.6f64..1.95,
+        related in any::<bool>(),
+    ) {
+        let c = RupsConfig {
+            window_channels: 7,
+            coherency_threshold: threshold,
+            ..cfg()
+        };
+        let ours = traj(seed, 0, len);
+        let field = if related { seed } else { seed ^ 0xF100D };
+        let theirs = traj(field, gap, len);
+        let engine = engine_for(&ours, &c);
+        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference);
+        let seq = syn::find_syn_points(&ours, &theirs, &c);
+        prop_assert_eq!(&eng, &seq, "reference mismatch");
+        match (eng, seq) {
+            (Ok(a), Ok(b)) => {
+                for (p, q) in a.iter().zip(&b) {
+                    prop_assert_eq!(p.score.to_bits(), q.score.to_bits());
+                    prop_assert_eq!(p.refine_m.to_bits(), q.refine_m.to_bits());
+                }
+            }
+            (
+                Err(RupsError::NoSynPoint { best_score: a, .. }),
+                Err(RupsError::NoSynPoint { best_score: b, .. }),
+            ) => prop_assert_eq!(a.to_bits(), b.to_bits(), "miss scores differ"),
+            other => prop_assert!(false, "outcomes differ: {:?}", other),
+        }
     }
 
     // Engine + `Kernel::Fft` answers bit for bit the same whether its

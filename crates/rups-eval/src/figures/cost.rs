@@ -2,13 +2,18 @@
 //!
 //! The paper bounds the search by `O(mwk)` (context length × window length
 //! × window width) and measures ≈1.2 ms for a 1000 m context with a
-//! 45-channel × 100 m window on an i7-2640M. We time the same kernel on
+//! 45-channel × 100 m window on an i7-2640M. We time the same search on
 //! this machine across a small parameter grid and verify the linear
-//! scaling in each parameter empirically. Each point is the median of
-//! single timed calls after one warm-up call.
+//! scaling in each parameter empirically: the stand-alone search of record
+//! (`syn::find_best_syn`, every placement scored), and the production
+//! search every fix runs — a warm `SynQueryEngine` answering the same two
+//! passes on its rolling kernel, forced because these shapes would
+//! otherwise pick the FFT kernel. Each point is the median of single timed
+//! calls after one warm-up call.
 
 use crate::series::{Figure, Series};
 use rups_core::config::RupsConfig;
+use rups_core::engine::{Kernel, SynQueryEngine};
 use rups_core::gsm::{GsmTrajectory, PowerVector};
 use rups_core::stats::median;
 use rups_core::syn::find_best_syn;
@@ -67,31 +72,53 @@ pub fn synthetic_context(seed: u64, start: usize, len: usize, n_channels: usize)
     t
 }
 
+/// The search of one grid point: its configuration, our `m`-metre context
+/// and a neighbour's, `m / 3` metres ahead; and a warm engine holding our
+/// context that runs one SYN segment, the two passes of `find_best_syn`.
+fn search(p: &Params, m: usize) -> (RupsConfig, GsmTrajectory, GsmTrajectory, SynQueryEngine) {
+    let cfg = RupsConfig {
+        n_channels: p.n_channels,
+        window_len_m: p.window_len_m.min(m / 2).max(10),
+        window_channels: p.window_channels,
+        max_context_m: m.max(1000),
+        ..RupsConfig::default()
+    };
+    let a = synthetic_context(11, 0, m, p.n_channels);
+    let b = synthetic_context(11, m / 3, m, p.n_channels);
+    let engine = SynQueryEngine::new(RupsConfig {
+        n_syn_points: 1,
+        ..cfg.clone()
+    });
+    engine.set_context(&a);
+    (cfg, a, b, engine)
+}
+
+/// Median wall time of `reps` single calls of `f` after one warm-up call,
+/// in milliseconds.
+fn median_call_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(f());
+    let calls_ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    median(&calls_ms).expect("at least one timed call")
+}
+
 /// Runs the measurement.
 pub fn run(p: &Params) -> Figure {
     let mut x = Vec::new();
     let mut y_ms = Vec::new();
+    let mut engine_ms = Vec::new();
     for &m in &p.context_lens_m {
-        let cfg = RupsConfig {
-            n_channels: p.n_channels,
-            window_len_m: p.window_len_m.min(m / 2).max(10),
-            window_channels: p.window_channels,
-            max_context_m: m.max(1000),
-            ..RupsConfig::default()
-        };
-        let a = synthetic_context(11, 0, m, p.n_channels);
-        let b = synthetic_context(11, m / 3, m, p.n_channels);
-        // Warm-up, then time each call on its own.
-        let _ = find_best_syn(&a, &b, &cfg);
-        let calls_ms: Vec<f64> = (0..p.reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = find_best_syn(&a, &b, &cfg);
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
+        let (cfg, a, b, engine) = search(p, m);
         x.push(m as f64);
-        y_ms.push(median(&calls_ms).expect("at least one timed call"));
+        y_ms.push(median_call_ms(p.reps, || find_best_syn(&a, &b, &cfg)));
+        engine_ms.push(median_call_ms(p.reps, || {
+            engine.find_syn_points_with(&b, Kernel::Reference)
+        }));
     }
 
     let mut notes = vec![format!(
@@ -107,19 +134,23 @@ pub fn run(p: &Params) -> Figure {
     }
     if let Some(i) = p.context_lens_m.iter().position(|&m| m == 1000) {
         notes.push(format!(
-            "1000 m context: {:.2} ms per search (paper: ≈1.2 ms on an i7-2640M)",
-            y_ms[i]
+            "1000 m context: {:.2} ms per stand-alone search, {:.2} ms per engine search \
+             (paper: ≈1.2 ms on an i7-2640M)",
+            y_ms[i], engine_ms[i]
         ));
     }
     Figure {
         id: "sec5a".into(),
         title: "Computational cost of seeking a SYN point (O(mwk))".into(),
         notes,
-        series: vec![Series::new(
-            "search time (ms) vs context length (m)",
-            x,
-            y_ms,
-        )],
+        series: vec![
+            Series::new("search time (ms) vs context length (m)", x.clone(), y_ms),
+            Series::new(
+                "engine search time (ms, warm, rolling kernel) vs context length (m)",
+                x,
+                engine_ms,
+            ),
+        ],
     }
 }
 
@@ -136,6 +167,23 @@ mod tests {
         // 2× context should take > 1.2× time (linear-ish; ample slack for
         // timer noise in debug builds).
         assert!(s.y[1] > s.y[0] * 1.2, "times {:?}", s.y);
+        let e = &fig.series[1];
+        assert_eq!(e.x, s.x);
+        assert!(e.y.iter().all(|&ms| ms > 0.0), "engine times {:?}", e.y);
+    }
+
+    #[test]
+    fn both_searches_find_the_same_point() {
+        let p = Params {
+            context_lens_m: vec![100, 200, 1000],
+            ..quick_params()
+        };
+        for &m in &p.context_lens_m {
+            let (cfg, a, b, engine) = search(&p, m);
+            let expect = find_best_syn(&a, &b, &cfg).unwrap();
+            let got = engine.find_syn_points_with(&b, Kernel::Reference).unwrap();
+            assert_eq!(got, vec![expect], "context {m} m");
+        }
     }
 
     #[test]
