@@ -9,8 +9,10 @@
 //! returned `DistanceFix` itself owns a couple of vectors; nothing in the
 //! kernel loops may allocate). The stand-alone `syn::find_best_syn` scores
 //! into the same pooled arenas, so a warm search allocates only its
-//! checking windows. Both checks share one test function: the counter is
-//! global, and a test running in parallel would count into it.
+//! checking windows. A warm batch of neighbours through
+//! `fix_distances_parallel` stays within the per-query budget for each of
+//! its queries. All checks share one test function: the counter is global,
+//! and a test running in parallel would count into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,6 +126,31 @@ fn warm_fix_path_stays_within_constant_allocation_budget() {
              (budget {MAX_ALLOCS_PER_WARM_QUERY}) — a kernel loop is allocating"
         );
     }
+
+    // A warm batch of three neighbours at 2000 m: the reverse passes share
+    // the own context's rolled table, and each query rolls its neighbour's
+    // into the buffers of a pooled arena, so the batch stays within the
+    // per-query budget for each of its queries.
+    let node = build_node(21, 2000);
+    let snaps: Vec<ContextSnapshot> = [20, 35, 50]
+        .iter()
+        .map(|&offset| neighbour(21, offset, 2000))
+        .collect();
+    for _ in 0..3 {
+        node.fix_distances_parallel(&snaps);
+    }
+    let before = allocations();
+    let fixes = node.fix_distances_parallel(&snaps);
+    let per_batch = allocations() - before;
+    for (fix, offset) in fixes.into_iter().zip([20.0, 35.0, 50.0]) {
+        let d = fix.unwrap().distance_m;
+        assert!((d - offset).abs() < 1.5, "batch fix drifted to {d}");
+    }
+    let budget = snaps.len() as u64 * MAX_ALLOCS_PER_WARM_QUERY;
+    assert!(
+        per_batch < budget,
+        "warm 3-neighbour batch performed {per_batch} allocations (budget {budget})"
+    );
 
     let cfg = bench_config(N_CHANNELS, WINDOW_M, N_CHANNELS);
     let ours = synthetic_context(21, 0, 480, N_CHANNELS);

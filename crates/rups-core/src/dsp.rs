@@ -206,10 +206,11 @@ pub fn plan_for(n: usize) -> Arc<FftPlan> {
 /// `size`); `b` may be empty, in which case this is a plain padded real
 /// FFT of `a` and `xb` is left cleared. With `reversed` set, both rows are
 /// written time-reversed (the fixed-window side of a correlation).
-/// `work` is a caller-reused transform buffer.
-pub fn real_spectra_pair_into(
-    a: &[f64],
-    b: &[f64],
+/// `work` is a caller-reused transform buffer. `f32` rows widen exactly,
+/// so they transform bit for bit like their `f64` copies.
+pub fn real_spectra_pair_into<T: Copy + Into<f64>>(
+    a: &[T],
+    b: &[T],
     reversed: bool,
     size: usize,
     work: &mut Vec<Complex>,
@@ -227,17 +228,17 @@ pub fn real_spectra_pair_into(
     work.resize(size, Complex::default());
     if reversed {
         for (i, &v) in a.iter().rev().enumerate() {
-            work[i].re = v;
+            work[i].re = v.into();
         }
         for (i, &v) in b.iter().rev().enumerate() {
-            work[i].im = v;
+            work[i].im = v.into();
         }
     } else {
         for (i, &v) in a.iter().enumerate() {
-            work[i].re = v;
+            work[i].re = v.into();
         }
         for (i, &v) in b.iter().enumerate() {
-            work[i].im = v;
+            work[i].im = v.into();
         }
     }
     plan.process(work, false);

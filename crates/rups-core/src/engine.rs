@@ -2,24 +2,29 @@
 //!
 //! Every distance query against a [`crate::pipeline::RupsNode`] needs the
 //! same querying-side quantities: the interpolated own context, the
-//! per-window channel selections, the per-channel `f64` rows and the
-//! fixed-window sums of the dense scans. Under tracking loads ("track a
-//! neighboring vehicle on every 0.1 second", §V-B) or convoy loads (tens of
-//! neighbours per epoch) those quantities are identical across queries —
-//! only the neighbour side changes.
+//! per-window channel selections, the own rows' rolled window statistics
+//! and the fixed-window sums of the dense scans. Under tracking loads
+//! ("track a neighboring vehicle on every 0.1 second", §V-B) or convoy
+//! loads (tens of neighbours per epoch) those quantities are identical
+//! across queries — only the neighbour side changes.
 //!
 //! [`SynQueryEngine`] precomputes them **once per context update** and
 //! answers any number of queries against the cached state:
 //!
 //! * the interpolated own context, rebuilt only when the context version
 //!   changes;
-//! * per-channel `f64` rows and memoised packed spectra over the dense
-//!   context (the sliding-side inputs of the FFT kernel);
+//! * per window length, the own rows' rolled window means and sums
+//!   (`syn_fast::RolledTable`): the sliding side of every reverse rolling
+//!   pass, filled a channel at a time on first use and shared by the
+//!   reverse passes of every query in a batch;
+//! * memoised packed spectra over the dense context (the sliding-side
+//!   inputs of the FFT kernel);
 //! * per-`(len, end)` checking windows with their fixed-window sums and
 //!   memoised reversed spectra (the fixed-side inputs of the FFT kernel);
-//! * scratch arenas (FFT work areas, conversion buffers, score vectors)
-//!   from the process-wide pool the rolling scan of [`crate::syn`] stages
-//!   in too, so concurrent rayon queries allocate nothing in steady state;
+//! * scratch arenas (FFT work areas, score vectors, the table a query rolls
+//!   its neighbour's rows into for its forward passes) from the
+//!   process-wide pool the rolling scan of [`crate::syn`] stages in too, so
+//!   concurrent rayon queries allocate nothing in steady state;
 //! * a per-batch kernel choice — reference scan vs the engine's own FFT
 //!   scan — driven by context density and length.
 //!
@@ -47,12 +52,11 @@ use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
 use crate::pipeline::{ContextSnapshot, DistanceFix};
 use crate::syn::{self, SynPoint};
-use crate::syn_fast;
+use crate::syn_fast::{self, RolledTable};
 use crate::window::CheckWindow;
 use rups_obs::{Counter, Histogram, Registry, SpanArgs, SpanRecorder, TraceContext};
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 
@@ -61,22 +65,21 @@ use std::sync::{Arc, RwLock};
 /// search has to re-acquire it.
 pub const ANCHOR_SLACK_M: usize = 25;
 
-/// Every window placement: the range the full passes ask for (clamped to
-/// what the sliding trajectory offers).
-const ALL: Range<usize> = 0..usize::MAX;
-
 /// Which sliding-scan kernel a query (or batch of queries) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The rolling `O(mwk)` scan of [`crate::syn::slide_scores`], run bound
-    /// first: a placement's per-channel dot products only while it can
-    /// still win. NaN-aware through its per-placement fallback.
+    /// first: every placement's profile term from rolled window means that
+    /// the passes over one trajectory share, then a placement's per-channel
+    /// dot products only while it can still win. NaN-aware through its
+    /// per-placement fallback.
     Reference,
     /// The engine's own `O(k·m log m)` scan: packed-FFT sliding dot
-    /// products ([`crate::dsp`]) against memoised own-side spectra and
-    /// rolled window sums. Falls back to the reference scan per directed
-    /// pass whenever a selected channel carries missing values. Its peak
-    /// search skips the profile term wherever it cannot win.
+    /// products ([`crate::dsp`]) against memoised own-side spectra, with
+    /// window sums rolled over the `f32` rows. Falls back to the reference
+    /// scan per directed pass whenever a selected channel carries missing
+    /// values. Its peak search skips the profile term wherever it cannot
+    /// win. It rolls no tables.
     Fft,
 }
 
@@ -250,7 +253,11 @@ struct SpectraPair {
 /// `usize::MAX` as the lone-channel sentinel.
 type SpectraKey = (usize, usize, usize);
 
-/// The querying vehicle's context, fully preprocessed for matching.
+/// The querying vehicle's context, fully preprocessed for matching: the
+/// matching rows, their packed spectra for the FFT kernel and their rolled
+/// tables for the rolling kernel, both filled on first use. Every pass
+/// reads the `f32` rows, which widen to `f64` exactly, so the context keeps
+/// no `f64` copy.
 pub(crate) struct OwnContext {
     /// Version stamp of the raw context this was built from.
     version: u64,
@@ -258,16 +265,18 @@ pub(crate) struct OwnContext {
     /// exactly what `RupsNode::own_matching_context` used to rebuild per
     /// query.
     gsm: GsmTrajectory,
-    /// True when every cell of `gsm` is finite (FFT and rolling kernels
-    /// applicable).
+    /// True when every cell of `gsm` is finite (the FFT kernel applicable).
     dense: bool,
-    /// Per-channel `f64` rows of `gsm` (dense contexts only).
-    rows64: Vec<Vec<f64>>,
     /// Packed spectra of the own sliding rows, keyed by transform size and
     /// channel pair: the sliding-side inputs of every reverse FFT pass,
     /// shared across all neighbours and segments. Lazily filled because
     /// the transform size depends on the query's window length.
     sliding_spectra: RwLock<HashMap<SpectraKey, Arc<SpectraPair>>>,
+    /// Rolled window statistics of `gsm` over every placement, per window
+    /// length: the sliding side of every reverse rolling pass, so the
+    /// passes of all neighbours and segments roll each own channel once.
+    /// Channels fill on first use, so FFT passes pay nothing for them.
+    tables: RwLock<HashMap<usize, Arc<RolledTable>>>,
 }
 
 impl OwnContext {
@@ -279,20 +288,32 @@ impl OwnContext {
         };
         let n = gsm.n_channels();
         let dense = (0..n).all(|ch| gsm.channel(ch).iter().all(|v| v.is_finite()));
-        let rows64 = if dense {
-            (0..n)
-                .map(|ch| gsm.channel(ch).iter().map(|&v| v as f64).collect())
-                .collect()
-        } else {
-            Vec::new()
-        };
         Self {
             version,
             gsm,
             dense,
-            rows64,
             sliding_spectra: RwLock::new(HashMap::new()),
+            tables: RwLock::new(HashMap::new()),
         }
+    }
+
+    /// The rolled table of the own rows at window length `w`, created empty
+    /// on first use.
+    fn table(&self, w: usize) -> Arc<RolledTable> {
+        let tables = self.tables.read().expect("own-context table lock poisoned");
+        if let Some(t) = tables.get(&w) {
+            return Arc::clone(t);
+        }
+        drop(tables);
+        let mut tables = self
+            .tables
+            .write()
+            .expect("own-context table lock poisoned");
+        let placements = 0..(self.gsm.len() + 1).saturating_sub(w);
+        let table = tables
+            .entry(w)
+            .or_insert_with(|| Arc::new(RolledTable::new(self.gsm.n_channels(), w, placements)));
+        Arc::clone(table)
     }
 
     /// The cached packed spectra of own rows `(ch_a, ch_b)` at `size`,
@@ -317,8 +338,8 @@ impl OwnContext {
         {
             return Arc::clone(p);
         }
-        let b: &[f64] = ch_b.map_or(&[], |ch| &self.rows64[ch]);
-        dsp::real_spectra_pair_into(&self.rows64[ch_a], b, false, size, work, xa, xb);
+        let b: &[f32] = ch_b.map_or(&[], |ch| self.gsm.channel(ch));
+        dsp::real_spectra_pair_into(self.gsm.channel(ch_a), b, false, size, work, xa, xb);
         let pair = Arc::new(SpectraPair {
             a: xa.clone(),
             b: xb.clone(),
@@ -607,7 +628,7 @@ impl SynQueryEngine {
                 window
                     .channels
                     .iter()
-                    .map(|&ch| dsp::sum_sumsq(&ctx.rows64[ch][end - len..end]))
+                    .map(|&ch| dsp::sum_sumsq(&ctx.gsm.channel(ch)[end - len..end]))
                     .collect()
             } else {
                 Vec::new()
@@ -713,17 +734,24 @@ impl SynQueryEngine {
         if w < self.cfg.min_window_len_m.max(2) {
             return Err(too_short());
         }
+        let own_table = ctx.table(w);
         self.with_scratch(|scratch| {
+            // The forward passes roll their trajectory once, into the
+            // arena's table.
+            scratch
+                .table
+                .reset(theirs.n_channels(), w, 0..theirs.len() + 1 - w);
             // Forward: an own window slid over their trajectory.
             let fwd = |e: &WindowEntry, end: usize, floor: f64, s: &mut Scratch| {
                 let fft = |s: &mut Scratch| self.fft_pass_own_fixed(ctx, e, end, theirs, s);
                 let window = &e.window;
-                self.directed(ctx, kernel, ours, end, theirs, window, ALL, floor, s, fft)
+                self.directed(ctx, kernel, ours, end, theirs, None, window, floor, s, fft)
             };
             // Reverse: their window slid over ours, swapped to our view.
             let rev = |wnd: &CheckWindow, end: usize, floor: f64, s: &mut Scratch| {
                 let fft = |s: &mut Scratch| self.fft_pass_their_fixed(ctx, wnd, end, theirs, s);
-                self.directed(ctx, kernel, theirs, end, ours, wnd, ALL, floor, s, fft)
+                let table = Some(&*own_table);
+                self.directed(ctx, kernel, theirs, end, ours, table, wnd, floor, s, fft)
                     .map(syn::swap_perspective)
             };
             // Most recent segment: the full double-sliding check.
@@ -819,24 +847,30 @@ impl SynQueryEngine {
         // Last time our window sat at placement other_end − w on theirs.
         let centre = ours.len() as i64 - shift - w as i64;
         let slack = ANCHOR_SLACK_M as i64;
-        let js = (centre - slack).max(0) as usize..(centre + slack + 1).max(0) as usize;
+        let n_pos = (theirs.len() + 1).saturating_sub(w) as i64;
+        let js = (centre - slack).clamp(0, n_pos) as usize
+            ..(centre + slack + 1).clamp(0, n_pos) as usize;
         self.with_scratch(|s| {
+            s.table.reset(theirs.n_channels(), w, js);
             let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| false);
             let (end, floor) = (ours.len(), window.threshold);
-            self.directed(ctx, kernel, ours, end, theirs, window, js, floor, s, no_fft)
+            self.directed(
+                ctx, kernel, ours, end, theirs, None, window, floor, s, no_fft,
+            )
         })
     }
 
     /// One directed pass: the `fixed` window `[end − w, end)` slid over the
-    /// `placements` of `sliding` (clamped to the valid ones), returning the
-    /// best one from the `fixed` side's perspective, or `None` when it
-    /// scores below `floor`. On [`Kernel::Fft`] over a dense own context
-    /// `fft` fills the scratch arena from the cached side's memos (every
-    /// placement: FFT callers pass [`ALL`]) and the pruned peak search
-    /// resolves it. When `fft` finds a non-finite selected row (`false`), or
-    /// on [`Kernel::Reference`], the bound-first rolling pass answers
-    /// instead; rows it refuses too take the recompute scan of record and
-    /// [`syn::peak`].
+    /// placements of `sliding` that its rolled table covers — `table`, or
+    /// the arena's own `scratch.table` when `None` — returning the best one
+    /// from the `fixed` side's perspective, or `None` when it scores below
+    /// `floor`. On [`Kernel::Fft`] over a dense own context `fft` fills the
+    /// scratch arena from the cached side's memos (every placement: FFT
+    /// passes run over full tables) and the pruned peak search resolves it.
+    /// When `fft` finds a non-finite selected row (`false`), or on
+    /// [`Kernel::Reference`], the bound-first rolling pass answers from the
+    /// table instead; rows it refuses too take the recompute scan of record
+    /// and [`syn::peak`].
     #[allow(clippy::too_many_arguments)]
     fn directed(
         &self,
@@ -845,8 +879,8 @@ impl SynQueryEngine {
         fixed: &GsmTrajectory,
         end: usize,
         sliding: &GsmTrajectory,
+        table: Option<&RolledTable>,
         window: &CheckWindow,
-        placements: Range<usize>,
         floor: f64,
         scratch: &mut Scratch,
         fft: impl FnOnce(&mut Scratch) -> bool,
@@ -857,8 +891,7 @@ impl SynQueryEngine {
         }
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let n_pos = sliding.len() - w + 1;
-        let js = placements.start.min(n_pos)..placements.end.min(n_pos);
+        let js = table.map_or_else(|| scratch.table.placements(), RolledTable::placements);
         let dense = if kernel == Kernel::Fft && ctx.dense && fft(scratch) {
             self.metrics.fft_passes.inc();
             Some(syn_fast::combine_dense_peak(&scratch.acc))
@@ -867,7 +900,8 @@ impl SynQueryEngine {
                 self.metrics.fft_fallbacks.inc();
             }
             self.metrics.reference_passes.inc();
-            syn_fast::bounded_peak(fixed, end - w, sliding, window, js.clone(), floor, scratch)
+            let (table, bound) = (table.unwrap_or(&scratch.table), &mut scratch.bound);
+            syn_fast::bounded_peak(fixed, end - w, sliding, table, window, floor, bound)
         };
         let best = if let Some((peak, pruned)) = dense {
             self.metrics.pruned_placements.add(pruned);
@@ -890,8 +924,8 @@ impl SynQueryEngine {
     }
 
     /// The memoised packed reversed spectra of `entry`'s fixed slice at
-    /// `size`, built on first use from the cached `f64` rows (channels
-    /// paired in window order, exactly like a fresh forward pass).
+    /// `size`, built on first use from the own rows (channels paired in
+    /// window order, exactly like a fresh forward pass).
     fn fixed_spectra(
         &self,
         ctx: &OwnContext,
@@ -916,8 +950,8 @@ impl SynQueryEngine {
         while ci < k {
             let ch_a = window.channels[ci];
             let ch_b = window.channels.get(ci + 1).copied();
-            let fixed_a = &ctx.rows64[ch_a][end - w..end];
-            let fixed_b: &[f64] = ch_b.map_or(&[], |ch| &ctx.rows64[ch][end - w..end]);
+            let fixed_a = &ctx.gsm.channel(ch_a)[end - w..end];
+            let fixed_b: &[f32] = ch_b.map_or(&[], |ch| &ctx.gsm.channel(ch)[end - w..end]);
             dsp::real_spectra_pair_into(
                 fixed_a,
                 fixed_b,
@@ -971,17 +1005,13 @@ impl SynQueryEngine {
         while ci < k {
             let ch_a = window.channels[ci];
             let ch_b = window.channels.get(ci + 1).copied();
-            s.s64a.clear();
-            s.s64a
-                .extend(theirs.channel(ch_a).iter().map(|&v| v as f64));
-            s.s64b.clear();
-            if let Some(ch_b) = ch_b {
-                s.s64b
-                    .extend(theirs.channel(ch_b).iter().map(|&v| v as f64));
-            }
+            let (row_a, row_b) = (
+                theirs.channel(ch_a),
+                ch_b.map_or(&[][..], |ch| theirs.channel(ch)),
+            );
             dsp::real_spectra_pair_into(
-                &s.s64a,
-                &s.s64b,
+                row_a,
+                row_b,
                 false,
                 size,
                 &mut s.work,
@@ -1005,19 +1035,18 @@ impl SynQueryEngine {
                 &mut s.dots_b,
             );
             let sums = &entry.fixed_sums;
-            s.acc.add_channel(ci, w, sums[ci], &s.dots_a, &s.s64a);
+            s.acc.add_channel(ci, w, sums[ci], &s.dots_a, row_a);
             if ch_b.is_some() {
-                s.acc
-                    .add_channel(ci + 1, w, sums[ci + 1], &s.dots_b, &s.s64b);
+                s.acc.add_channel(ci + 1, w, sums[ci + 1], &s.dots_b, row_b);
             }
             ci += 2;
         }
         true
     }
 
-    /// FFT reverse pass: neighbour window fixed (staged fresh), own rows
+    /// FFT reverse pass: neighbour window fixed (transformed fresh), own rows
     /// sliding — their packed spectra come straight from the context cache,
-    /// and the rolling window statistics read the cached `f64` rows.
+    /// and the rolling window statistics read the own rows.
     /// Accumulates into `s` over every placement; returns `false` when the
     /// neighbour window slice carries a non-finite value.
     fn fft_pass_their_fixed(
@@ -1045,17 +1074,11 @@ impl SynQueryEngine {
         while ci < k {
             let ch_a = window.channels[ci];
             let ch_b = window.channels.get(ci + 1).copied();
-            s.f64a.clear();
-            s.f64a
-                .extend(theirs.channel(ch_a)[end - w..end].iter().map(|&v| v as f64));
-            s.f64b.clear();
-            if let Some(ch_b) = ch_b {
-                s.f64b
-                    .extend(theirs.channel(ch_b)[end - w..end].iter().map(|&v| v as f64));
-            }
+            let fixed_a = &theirs.channel(ch_a)[end - w..end];
+            let fixed_b: &[f32] = ch_b.map_or(&[], |ch| &theirs.channel(ch)[end - w..end]);
             dsp::real_spectra_pair_into(
-                &s.f64a,
-                &s.f64b,
+                fixed_a,
+                fixed_b,
                 true,
                 size,
                 &mut s.work,
@@ -1081,12 +1104,12 @@ impl SynQueryEngine {
                 &mut s.dots_a,
                 &mut s.dots_b,
             );
-            let sums = dsp::sum_sumsq(&s.f64a);
-            s.acc.add_channel(ci, w, sums, &s.dots_a, &ctx.rows64[ch_a]);
+            let sums = dsp::sum_sumsq(fixed_a);
+            s.acc
+                .add_channel(ci, w, sums, &s.dots_a, ctx.gsm.channel(ch_a));
             if let Some(ch_b) = ch_b {
-                let sums = dsp::sum_sumsq(&s.f64b);
-                s.acc
-                    .add_channel(ci + 1, w, sums, &s.dots_b, &ctx.rows64[ch_b]);
+                let (sums, row) = (dsp::sum_sumsq(fixed_b), ctx.gsm.channel(ch_b));
+                s.acc.add_channel(ci + 1, w, sums, &s.dots_b, row);
             }
             ci += 2;
         }
@@ -1097,7 +1120,9 @@ impl SynQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::GeoSample;
     use crate::gsm::PowerVector;
+    use crate::pipeline::RupsNode;
     use crate::testfield;
 
     fn traj(seed: u64, start: usize, len: usize, n_channels: usize) -> GsmTrajectory {
@@ -1214,6 +1239,122 @@ mod tests {
             return;
         }
         panic!("no seed split the two passes' scores");
+    }
+
+    fn node(c: &RupsConfig, seed: u64, start: usize, len: usize) -> RupsNode {
+        let mut node = RupsNode::new(c.clone());
+        for i in 0..len {
+            let s = (start + i) as f64;
+            let power = PowerVector::from_fn(c.n_channels, |ch| Some(testfield::rssi(seed, s, ch)));
+            let geo = GeoSample {
+                heading_rad: 0.0,
+                timestamp_s: s,
+            };
+            node.append_metre(geo, &power).unwrap();
+        }
+        node
+    }
+
+    /// A SYN point with its scores as bits.
+    type PointBits = (usize, usize, u64, u64, usize);
+
+    fn point_bits(points: &[SynPoint]) -> Vec<PointBits> {
+        points
+            .iter()
+            .map(|p| {
+                let (score, refine) = (p.score.to_bits(), p.refine_m.to_bits());
+                (p.self_end, p.other_end, score, refine, p.window_len)
+            })
+            .collect()
+    }
+
+    /// A query's answer, with scores as bits: its SYN points, or the best
+    /// score and threshold of a miss.
+    fn answer_bits(answer: Result<Vec<SynPoint>, RupsError>) -> Result<Vec<PointBits>, (u64, u64)> {
+        answer.map(|p| point_bits(&p)).map_err(|e| match e {
+            RupsError::NoSynPoint {
+                best_score,
+                threshold,
+            } => (best_score.to_bits(), threshold.to_bits()),
+            other => panic!("{other:?}"),
+        })
+    }
+
+    #[test]
+    fn batched_fixes_share_one_own_table_per_window_length() {
+        // Three neighbours of two lengths: the 60 m one shrinks the window
+        // to 36 m, the others keep 40 m, so the own context rolls two
+        // tables, each shared by its queries' reverse passes.
+        let c = RupsConfig {
+            window_len_m: 40,
+            ..cfg(16)
+        };
+        let own = node(&c, 31, 0, 400);
+        let snaps: Vec<_> = [(60, 300), (250, 60), (120, 250)]
+            .iter()
+            .map(|&(start, len)| node(&c, 31, start, len).snapshot(None))
+            .collect();
+        let fixes = own.fix_distances_parallel(&snaps);
+        let ctx = own.engine().own_context().unwrap();
+        for (snap, fix) in snaps.iter().zip(fixes) {
+            let expect = syn::find_syn_points(ctx.gsm(), &snap.gsm, &c).unwrap();
+            assert_eq!(point_bits(&fix.unwrap().syn_points), point_bits(&expect));
+        }
+        let mut lens: Vec<usize> = ctx.tables.read().unwrap().keys().copied().collect();
+        lens.sort_unstable();
+        assert_eq!(lens, [36, 40]);
+        let s = own.engine_stats();
+        assert_eq!((s.fft_passes, s.fft_fallbacks), (0, 0), "{s:?}");
+    }
+
+    #[test]
+    fn own_rows_refuse_only_the_passes_that_select_them() {
+        let c = RupsConfig {
+            window_channels: 8,
+            interpolate_missing: false,
+            ..cfg(16)
+        };
+        let rows = |seed: u64, start: usize, len: usize| -> Vec<Vec<f32>> {
+            let t = traj(seed, start, len, 16);
+            (0..16).map(|ch| t.channel(ch).to_vec()).collect()
+        };
+        // Channel 0 is 40 dB below the rest, so no window selects it.
+        let weak = |mut r: Vec<Vec<f32>>| {
+            r[0].iter_mut().for_each(|v| *v -= 40.0);
+            r
+        };
+        let theirs = GsmTrajectory::from_rows(weak(rows(19, 45, 300)));
+        let clean = weak(rows(19, 0, 300));
+        let mut holed = clean.clone();
+        holed[0][150] = f32::NAN;
+        let run = |ours: &GsmTrajectory, theirs: &GsmTrajectory, c: &RupsConfig| {
+            let engine = SynQueryEngine::new(c.clone());
+            engine.set_context(ours);
+            let got = engine.find_syn_points_with(theirs, Kernel::Reference);
+            let expect = syn::find_syn_points(ours, theirs, c);
+            assert_eq!(answer_bits(got.clone()), answer_bits(expect));
+            (got, engine.stats().pruned_placements)
+        };
+        // A hole in the unselected channel refuses no pass: every pass
+        // drops exactly the placements it drops without the hole.
+        let (with_hole, pruned) = run(&GsmTrajectory::from_rows(holed.clone()), &theirs, &c);
+        let (without, pruned_clean) = run(&GsmTrajectory::from_rows(clean), &theirs, &c);
+        assert!(with_hole.is_ok());
+        assert_eq!(answer_bits(with_hole), answer_bits(without));
+        assert_eq!(pruned, pruned_clean);
+        // With every channel selected the hole lies on every reverse pass:
+        // those take the recompute scan, and a miss against an unrelated
+        // neighbour reports the search of record's best score bit for bit.
+        let all = RupsConfig {
+            window_channels: 16,
+            ..c
+        };
+        let unrelated = GsmTrajectory::from_rows(weak(rows(977, 0, 300)));
+        let (miss, _) = run(&GsmTrajectory::from_rows(holed), &unrelated, &all);
+        assert!(
+            matches!(miss, Err(RupsError::NoSynPoint { .. })),
+            "{miss:?}"
+        );
     }
 
     #[test]

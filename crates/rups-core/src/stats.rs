@@ -85,9 +85,16 @@ impl PairSums {
     /// Pearson's correlation coefficient from the sums; `None` for fewer
     /// than two points or zero variance on either side.
     pub fn pearson(&self) -> Option<f64> {
-        if self.n < 2 {
-            return None;
-        }
+        let (defined, r) = self.pearson_parts();
+        defined.then_some(r)
+    }
+
+    /// Whether [`PairSums::pearson`] is defined, and its value where it is
+    /// (meaningless where not). Computed without branches, so callers that
+    /// take many coefficients at once can run their divisions and square
+    /// roots side by side.
+    #[inline]
+    pub(crate) fn pearson_parts(&self) -> (bool, f64) {
         let n = self.n as f64;
         let var_a = self.sum_aa - self.sum_a * self.sum_a / n;
         let var_b = self.sum_bb - self.sum_b * self.sum_b / n;
@@ -95,11 +102,9 @@ impl PairSums {
         // variance; reject anything within that numerical noise band.
         let tol_a = self.sum_aa.abs() * f64::EPSILON * n;
         let tol_b = self.sum_bb.abs() * f64::EPSILON * n;
-        if var_a <= tol_a || var_b <= tol_b {
-            return None;
-        }
         let cov = self.sum_ab - self.sum_a * self.sum_b / n;
-        Some((cov / (var_a * var_b).sqrt()).clamp(-1.0, 1.0))
+        let r = (cov / (var_a * var_b).sqrt()).clamp(-1.0, 1.0);
+        (self.n >= 2 && var_a > tol_a && var_b > tol_b, r)
     }
 
     /// Means of both operands over the common support.

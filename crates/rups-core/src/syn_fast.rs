@@ -11,7 +11,7 @@
 //!   placements per load of the fixed row on AVX hosts, bit for bit
 //!   alike), or a packed-FFT cross-correlation in the engine's FFT kernel,
 //! * per-channel window sums/sum-of-squares, rolled in `O(1)` per
-//!   placement (`roll`) by every pass.
+//!   placement (`roll`).
 //!
 //! The full-scan passes — `slide_scores`'s lane-dot pass (`dense_pass`) and
 //! the engine's FFT passes — fill one accumulator arena ([`DenseAcc`]) a
@@ -25,6 +25,17 @@
 //! rest can still win — the early abandoning of exact subsequence search
 //! (Rakthanmanon et al., KDD 2012). Both bounds are exact, so every peak is
 //! bit-identical to [`crate::syn::peak`] over the full scan.
+//!
+//! A bounded pass reads its sliding side from a [`RolledTable`]: one
+//! trajectory's window means and checkpointed window sums at one window
+//! length, rolled a channel at a time on first use. The passes of a batch
+//! that slide over one trajectory share it — the engine keeps the own
+//! context's table per window length and a neighbour's in the query's
+//! scratch — so each channel is rolled once per batch, not once per pass.
+//! From the table's channel-major means the profile terms are scored a
+//! block of placements at a time (`profile_terms`), in
+//! [`PairSums::accumulate`]'s summation order, so they equal
+//! [`stats::pearson`] bit for bit.
 //!
 //! Scores match the per-placement scan to floating-point rounding. The
 //! kernels refuse a pass whose selected channels carry missing or corrupt
@@ -57,28 +68,32 @@ pub(crate) struct DenseScratch {
     /// Spectra of the sliding rows of the current channel pair.
     pub spec_sa: Vec<Complex>,
     pub spec_sb: Vec<Complex>,
-    /// `f64` stagings of the fixed-window rows.
-    pub f64a: Vec<f64>,
-    pub f64b: Vec<f64>,
-    /// `f64` stagings of the sliding rows.
-    pub s64a: Vec<f64>,
-    pub s64b: Vec<f64>,
+    /// `f64` stagings of the lane-dot pass's fixed-window and sliding rows.
+    fixed64: Vec<f64>,
+    sliding64: Vec<f64>,
     /// Correlation lags of the current channel pair.
     pub dots_a: Vec<f64>,
     pub dots_b: Vec<f64>,
-    /// The per-placement accumulators every dense pass fills.
+    /// The per-placement accumulators every full-scan pass fills.
     pub acc: DenseAcc,
-    /// Bounded pass: per window channel the fixed-window `(Σf, Σf²)` and
-    /// the sliding-window `(Σs, Σs²)` rolled to the current placement;
-    /// `rolled` at every [`CHECKPOINT`]-th placement, placement-major; and
-    /// each placement's mean-profile Pearson, NaN where undefined.
-    fixed_sums: Vec<(f64, f64)>,
-    rolled: Vec<(f64, f64)>,
-    checkpoints: Vec<(f64, f64)>,
-    profile: Vec<f64>,
+    /// The bounded pass's buffers.
+    pub bound: BoundScratch,
+    /// The rolled table of the trajectory a query slides its own windows
+    /// over: re-targeted per query, its channel buffers reused.
+    pub table: RolledTable,
     /// Per-placement scores: the full scan of `combine_dense_scores`, or
     /// the recompute scan of rows the dense kernels refuse.
     pub scores: Vec<f64>,
+}
+
+/// The buffers of [`bounded_peak`]: per window channel the fixed-window
+/// `(Σf, Σf²)` and mean, and each placement's mean-profile Pearson, NaN
+/// where undefined.
+#[derive(Default)]
+pub(crate) struct BoundScratch {
+    fixed_sums: Vec<(f64, f64)>,
+    fixed_means: Vec<f32>,
+    profile: Vec<f64>,
 }
 
 /// Per-placement accumulators of a dense pass over `n_pos` placements and
@@ -116,18 +131,19 @@ impl DenseAcc {
     }
 
     /// Accumulates window channel `ci` from its fixed-window `(Σf, Σf²)`,
-    /// its per-placement dot products `dots` and its sliding row `s_row`:
-    /// every placement's Pearson goes into `chan_sum`/`chan_n` and its
-    /// window mean into `means`. The one accumulate step of the full-scan
-    /// passes, so the lane-dot and the FFT passes turn dot products into
-    /// scores the same way.
-    pub(crate) fn add_channel(
+    /// its per-placement dot products `dots` and its sliding row `s_row`
+    /// (`f32` rows widen exactly, so they roll bit for bit like `f64`
+    /// copies): every placement's Pearson goes into `chan_sum`/`chan_n` and
+    /// its window mean into `means`. The one accumulate step of the
+    /// full-scan passes, so the lane-dot and the FFT passes turn dot
+    /// products into scores the same way.
+    pub(crate) fn add_channel<T: Copy + Into<f64>>(
         &mut self,
         ci: usize,
         w: usize,
         fixed_sums: (f64, f64),
         dots: &[f64],
-        s_row: &[f64],
+        s_row: &[T],
     ) {
         self.mean_f[ci] = window_mean(fixed_sums.0, w);
         let mut sums = dsp::sum_sumsq(&s_row[..w]);
@@ -223,20 +239,20 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R
 }
 
 /// True when every selected channel is finite over the fixed window and
-/// the sliding metres a pass reads: the dense kernels assume full-support
-/// windows, where [`PairSums`] would skip samples `n = w` still counts.
+/// `sliding_finite` holds for it (its sliding metres a pass reads are
+/// finite): the dense kernels assume full-support windows, where
+/// [`PairSums`] would skip samples `n = w` still counts.
 fn rows_finite(
     window: &CheckWindow,
     fixed: &GsmTrajectory,
     fixed_start: usize,
-    sliding: &GsmTrajectory,
-    rows: Range<usize>,
+    sliding_finite: impl Fn(usize) -> bool,
 ) -> bool {
     window.channels.iter().all(|&ch| {
         fixed.channel(ch)[fixed_start..fixed_start + window.len_m]
             .iter()
-            .chain(&sliding.channel(ch)[rows.clone()])
             .all(|v| v.is_finite())
+            && sliding_finite(ch)
     })
 }
 
@@ -262,22 +278,24 @@ pub(crate) fn dense_pass(
         return false;
     }
     let fixed_rows = fixed_start..fixed_start + w;
-    if !rows_finite(window, fixed, fixed_start, sliding, 0..sliding.len()) {
+    let row_finite = |ch| sliding.channel(ch).iter().all(|v: &f32| v.is_finite());
+    if !rows_finite(window, fixed, fixed_start, row_finite) {
         return false;
     }
     s.acc.prepare(n_pos, window.channels.len());
     for (ci, &ch) in window.channels.iter().enumerate() {
-        s.f64a.clear();
-        s.f64a.extend(
+        s.fixed64.clear();
+        s.fixed64.extend(
             fixed.channel(ch)[fixed_rows.clone()]
                 .iter()
                 .map(|&v| v as f64),
         );
-        s.s64a.clear();
-        s.s64a.extend(sliding.channel(ch).iter().map(|&v| v as f64));
-        lane_dots(&s.f64a, &s.s64a, n_pos, &mut s.dots_a);
-        let sums = dsp::sum_sumsq(&s.f64a);
-        s.acc.add_channel(ci, w, sums, &s.dots_a, &s.s64a);
+        s.sliding64.clear();
+        s.sliding64
+            .extend(sliding.channel(ch).iter().map(|&v| v as f64));
+        lane_dots(&s.fixed64, &s.sliding64, n_pos, &mut s.dots_a);
+        let sums = dsp::sum_sumsq(&s.fixed64);
+        s.acc.add_channel(ci, w, sums, &s.dots_a, &s.sliding64);
     }
     true
 }
@@ -286,24 +304,212 @@ pub(crate) fn dense_pass(
 /// term, so that its running best is high from the start.
 const SEEDS: usize = 8;
 
-/// Placements between two checkpoints of the bounded pass's roll.
+/// Placements between two checkpoints of a [`RolledTable`]'s roll.
 const CHECKPOINT: usize = 8;
 
-/// The engine's rolling pass over the valid window `placements` of
+/// Placements whose profile terms [`profile_terms`] scores together.
+const PROFILE_BLOCK: usize = 4;
+
+/// One trajectory's rolled window statistics at one window length over a
+/// range of placements: the sliding side of every bounded pass over that
+/// trajectory. Channels are filled on first use and then shared, so the
+/// passes that slide over one trajectory roll each channel once. A filled
+/// channel holds whether its row is finite over the metres the range reads,
+/// its `f32` window mean at every placement, and its `(Σ, Σ²)` every
+/// [`CHECKPOINT`] placements, rolled from the range's first placement.
+#[derive(Default)]
+pub(crate) struct RolledTable {
+    /// Window length.
+    w: usize,
+    /// The placements covered.
+    placements: Range<usize>,
+    /// Per trajectory channel, filled on first use.
+    channels: Vec<OnceLock<ChannelRoll>>,
+    /// Buffers of the channels filled before the last [`RolledTable::reset`],
+    /// reused by the next fills.
+    spare: Mutex<Vec<ChannelRoll>>,
+}
+
+/// One channel of a [`RolledTable`].
+#[derive(Default)]
+struct ChannelRoll {
+    /// Every metre the table's placements read is finite.
+    finite: bool,
+    /// The window mean at each placement, `f32` like the reference profile
+    /// (finite rows only).
+    means: Vec<f32>,
+    /// `(Σ, Σ²)` at every [`CHECKPOINT`]-th placement (finite rows only).
+    checkpoints: Vec<(f64, f64)>,
+}
+
+impl ChannelRoll {
+    /// Rolls `row` over `placements` of a `w`-metre window: seeded with
+    /// [`dsp::sum_sumsq`] at the first placement and moved on by [`roll`],
+    /// as the full scan rolls.
+    fn fill(&mut self, row: &[f32], w: usize, placements: Range<usize>) {
+        self.means.clear();
+        self.checkpoints.clear();
+        self.finite = placements.is_empty()
+            || row[placements.start..placements.end + w - 1]
+                .iter()
+                .all(|v| v.is_finite());
+        if !self.finite {
+            return;
+        }
+        let mut sums = (0.0, 0.0);
+        for (j, at) in placements.enumerate() {
+            sums = if j == 0 {
+                dsp::sum_sumsq(&row[at..at + w])
+            } else {
+                roll(sums, &row[at - 1..at + w])
+            };
+            if j % CHECKPOINT == 0 {
+                self.checkpoints.push(sums);
+            }
+            self.means.push(window_mean(sums.0, w));
+        }
+    }
+}
+
+impl RolledTable {
+    /// An empty table over the valid window `placements` of a trajectory
+    /// with `n_channels` channels, at window length `w`.
+    pub(crate) fn new(n_channels: usize, w: usize, placements: Range<usize>) -> Self {
+        let mut table = Self::default();
+        table.reset(n_channels, w, placements);
+        table
+    }
+
+    /// Empties the table and re-targets it, keeping the buffers of the
+    /// channels it had filled for its next fills.
+    pub(crate) fn reset(&mut self, n_channels: usize, w: usize, placements: Range<usize>) {
+        let spare = self.spare.get_mut().expect("rolled table lock poisoned");
+        spare.extend(self.channels.iter_mut().filter_map(OnceLock::take));
+        self.channels.resize_with(n_channels, OnceLock::new);
+        (self.w, self.placements) = (w, placements);
+    }
+
+    /// The placements the table covers.
+    pub(crate) fn placements(&self) -> Range<usize> {
+        self.placements.clone()
+    }
+
+    /// Channel `ch` of `sliding`, the trajectory the table covers, rolled
+    /// on first use.
+    fn channel(&self, sliding: &GsmTrajectory, ch: usize) -> &ChannelRoll {
+        self.channels[ch].get_or_init(|| {
+            let spare = self.spare.lock().expect("rolled table lock poisoned").pop();
+            let mut roll = spare.unwrap_or_default();
+            roll.fill(sliding.channel(ch), self.w, self.placements());
+            roll
+        })
+    }
+}
+
+/// Every placement's mean-profile Pearson, the second term of Eq. (2) (NaN
+/// where undefined), from the fixed window's channel means `fixed` and the
+/// sliding windows' means, channel-major: `means(ci)[j]` is window channel
+/// `ci`'s mean at placement `j`. Refills `out` with `n_pos` entries, each
+/// bit for bit [`stats::pearson`] of `fixed` against that placement's
+/// (finite) means: the sums follow [`PairSums::accumulate`]'s order — four
+/// lanes over channels merged `(0+1)+(2+3)`, then the `k mod 4` remainder —
+/// over [`PROFILE_BLOCK`] placements at a time, and each block's
+/// coefficients come from the branch-free [`PairSums::pearson_parts`], so
+/// that their divisions and square roots run side by side.
+fn profile_terms<'a>(
+    fixed: &[f32],
+    means: impl Fn(usize) -> &'a [f32],
+    n_pos: usize,
+    out: &mut Vec<f64>,
+) {
+    const B: usize = PROFILE_BLOCK;
+    let (k, chunked) = (fixed.len(), fixed.len() - fixed.len() % 4);
+    let merge = |l: [f64; 4]| (l[0] + l[1]) + (l[2] + l[3]);
+    let (mut sa, mut saa) = ([0.0; 4], [0.0; 4]);
+    for (c, &f) in fixed[..chunked].iter().enumerate() {
+        let f = f64::from(f);
+        sa[c % 4] += f;
+        saa[c % 4] += f * f;
+    }
+    let (mut sum_a, mut sum_aa) = (merge(sa), merge(saa));
+    for &f in &fixed[chunked..] {
+        let f = f64::from(f);
+        sum_a += f;
+        sum_aa += f * f;
+    }
+    out.clear();
+    for j0 in (0..n_pos).step_by(B) {
+        let len = B.min(n_pos - j0);
+        // The block's means of window channel `c`, zero-padded past the
+        // last placement.
+        let block = |c: usize| -> [f64; B] {
+            let row = &means(c)[j0..j0 + len];
+            let xs: [f32; B] = row.try_into().unwrap_or_else(|_| {
+                let mut padded = [0.0; B];
+                padded[..len].copy_from_slice(row);
+                padded
+            });
+            xs.map(f64::from)
+        };
+        // `(Σs, Σs², Σfs)` at each placement of the block: per lane over
+        // the chunked channels, merged, then the remainder channels.
+        let add = |[sb, sbb, sab]: &mut [[f64; B]; 3], f: f32, xs: [f64; B]| {
+            let f = f64::from(f);
+            for (b, x) in xs.into_iter().enumerate() {
+                sb[b] += x;
+                sbb[b] += x * x;
+                sab[b] += f * x;
+            }
+        };
+        let lanes: [[[f64; B]; 3]; 4] = std::array::from_fn(|l| {
+            let mut lane = [[0.0; B]; 3];
+            for c in (l..chunked).step_by(4) {
+                add(&mut lane, fixed[c], block(c));
+            }
+            lane
+        });
+        let mut sums = std::array::from_fn(|i| {
+            std::array::from_fn(|b| merge(std::array::from_fn(|l| lanes[l][i][b])))
+        });
+        for (c, &f) in fixed.iter().enumerate().skip(chunked) {
+            add(&mut sums, f, block(c));
+        }
+        let [sum_b, sum_bb, sum_ab] = sums;
+        let terms: [f64; B] = std::array::from_fn(|b| {
+            let (defined, r) = PairSums {
+                n: k,
+                sum_a,
+                sum_b: sum_b[b],
+                sum_aa,
+                sum_bb: sum_bb[b],
+                sum_ab: sum_ab[b],
+            }
+            .pearson_parts();
+            if defined {
+                r
+            } else {
+                f64::NAN
+            }
+        });
+        out.extend_from_slice(&terms[..len]);
+    }
+}
+
+/// The engine's rolling pass over the placements `table` covers of
 /// `sliding`: the peak [`syn::peak`] picks over the full scan of those
 /// placements, bit for bit — `None` inside when it scores below `floor` —
 /// and the number of placements the exact bound dropped before their full
 /// score. `None` (the caller falls back to the recompute scan) when a
-/// selected row is not finite ([`rows_finite`]).
+/// selected row is not finite over the metres the pass reads.
 ///
-/// It rolls every selected channel's window sums (the full scan's roll,
-/// seeded at the first placement and kept every [`CHECKPOINT`] placements)
-/// and takes each placement's mean-profile Pearson `P(j)` from the rolled
-/// means alone. It visits the [`SEEDS`] placements with the highest `P(j)`
-/// first, then the rest in order, adding per-channel Pearsons in window
-/// order, each [`lane_dot`] taken only when its channel is reached. After
-/// `c` of `k` channels with sum `S` over `n` defined ones, a placement is
-/// dropped once `P(j) + (S + r)/(n + r) + PASS_TIE_MARGIN < max(best,
+/// The sliding side comes only from `table`, rolled at `window`'s length:
+/// each placement's mean-profile Pearson `P(j)` is scored from its rolled
+/// means ([`profile_terms`]). The pass visits the [`SEEDS`] placements with
+/// the highest `P(j)` first, then the rest in order, adding per-channel
+/// Pearsons in window order, each [`lane_dot`] taken only when its channel
+/// is reached (its window sums rolled on from the table's checkpoint).
+/// After `c` of `k` channels with sum `S` over `n` defined ones, a placement
+/// is dropped once `P(j) + (S + r)/(n + r) + PASS_TIE_MARGIN < max(best,
 /// floor)`, `r = k − c`: Pearsons are clamped to ≤ 1 and the margin dwarfs
 /// the rounding of a sum of a few dozen terms, so the bound is exact.
 /// Survivors are scored by the full scan's expression in its order, the
@@ -313,48 +519,37 @@ pub(crate) fn bounded_peak(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
+    table: &RolledTable,
     window: &CheckWindow,
-    placements: Range<usize>,
     floor: f64,
-    s: &mut DenseScratch,
+    s: &mut BoundScratch,
 ) -> Option<(Option<Peak>, u64)> {
-    let (w, k, n_pos) = (window.len_m, window.channels.len(), placements.len());
+    let (w, k, n_pos) = (window.len_m, window.channels.len(), table.placements.len());
+    debug_assert_eq!(w, table.w, "a table rolls one window length");
     if w == 0 || n_pos == 0 {
         return Some((None, 0));
     }
-    let (first, rows) = (placements.start, placements.start..placements.end + w - 1);
-    if !rows_finite(window, fixed, fixed_start, sliding, rows) {
+    if !rows_finite(window, fixed, fixed_start, |ch| {
+        table.channel(sliding, ch).finite
+    }) {
         return None;
     }
     let fixed_rows = fixed_start..fixed_start + w;
-    // `s.acc` holds one placement at a time: its mean profile against the
-    // fixed window's.
-    s.acc.prepare(1, k);
     s.fixed_sums.clear();
-    s.rolled.clear();
-    for (ci, &ch) in window.channels.iter().enumerate() {
+    s.fixed_means.clear();
+    for &ch in &window.channels {
         let sums = dsp::sum_sumsq(&fixed.channel(ch)[fixed_rows.clone()]);
         s.fixed_sums.push(sums);
-        s.acc.mean_f[ci] = window_mean(sums.0, w);
-        s.rolled
-            .push(dsp::sum_sumsq(&sliding.channel(ch)[first..first + w]));
+        s.fixed_means.push(window_mean(sums.0, w));
     }
-    s.checkpoints.clear();
-    s.profile.clear();
-    for j in 0..n_pos {
-        let rolled = s.rolled.iter_mut().zip(&mut s.acc.means);
-        for ((sums, mean), &ch) in rolled.zip(&window.channels) {
-            if j > 0 {
-                *sums = roll(*sums, &sliding.channel(ch)[first + j - 1..first + j + w]);
-            }
-            *mean = window_mean(sums.0, w);
-        }
-        if j % CHECKPOINT == 0 {
-            s.checkpoints.extend_from_slice(&s.rolled);
-        }
-        s.profile.push(s.acc.profile_at(0));
-    }
-    let (profile, checkpoints, fixed_sums) = (&s.profile, &s.checkpoints, &s.fixed_sums);
+    let rolled = |ci: usize| table.channel(sliding, window.channels[ci]);
+    profile_terms(
+        &s.fixed_means,
+        |ci| &rolled(ci).means,
+        n_pos,
+        &mut s.profile,
+    );
+    let (first, profile, fixed_sums) = (table.placements.start, &s.profile, &s.fixed_sums);
 
     // Placement j's Eq. (2) score (NaN where undefined), or None once its
     // exact bound falls below `target`.
@@ -371,7 +566,7 @@ pub(crate) fn bounded_peak(
                 return None;
             }
             let row = sliding.channel(ch);
-            let mut sums = checkpoints[from / CHECKPOINT * k + ci];
+            let mut sums = rolled(ci).checkpoints[from / CHECKPOINT];
             for i in first + from + 1..=at {
                 sums = roll(sums, &row[i - 1..i + w]);
             }
@@ -628,7 +823,8 @@ mod tests {
         floor: f64,
     ) -> (Option<Peak>, u64) {
         let fs = fixed.len() - w.len_m;
-        with_scratch(|s, _| bounded_peak(fixed, fs, sliding, w, placements, floor, s))
+        let table = RolledTable::new(sliding.n_channels(), w.len_m, placements);
+        with_scratch(|s, _| bounded_peak(fixed, fs, sliding, &table, w, floor, &mut s.bound))
             .expect("dense rows")
     }
 
@@ -914,6 +1110,115 @@ mod tests {
     }
 
     #[test]
+    fn profile_terms_are_stats_pearson_bit_for_bit() {
+        let mean = |seed: u64, i: usize| dbm_row(seed, i + 1, false)[i] as f32;
+        let mut got = Vec::new();
+        for k in 0..=48 {
+            let fixed: Vec<f32> = (0..k).map(|c| mean(7, c)).collect();
+            for n_pos in [1, PROFILE_BLOCK - 1, PROFILE_BLOCK, PROFILE_BLOCK + 1, 37] {
+                // Channel-major means; placement 0 is one level on every
+                // channel, a constant profile.
+                let rows: Vec<Vec<f32>> = (0..k)
+                    .map(|c| {
+                        let row = dbm_row(100 + c as u64, n_pos, true);
+                        let mut row: Vec<f32> = row.iter().map(|&v| v as f32).collect();
+                        row[0] = -70.0;
+                        row
+                    })
+                    .collect();
+                profile_terms(&fixed, |c| &rows[c], n_pos, &mut got);
+                let expect: Vec<u64> = (0..n_pos)
+                    .map(|j| {
+                        let profile: Vec<f32> = rows.iter().map(|r| r[j]).collect();
+                        stats::pearson(&fixed, &profile)
+                            .unwrap_or(f64::NAN)
+                            .to_bits()
+                    })
+                    .collect();
+                assert_eq!(bits(&got), expect, "k {k}, n_pos {n_pos}");
+                assert!(got[0].is_nan(), "a constant profile has no term");
+                if k < 2 {
+                    assert!(got.iter().all(|p| p.is_nan()), "k {k}");
+                }
+            }
+        }
+        // A constant fixed profile leaves every placement undefined.
+        let row: Vec<f32> = dbm_row(1, 9, true).iter().map(|&v| v as f32).collect();
+        profile_terms(&[-70.0; 6], |_| &row, 9, &mut got);
+        assert!(got.iter().all(|p| p.is_nan()));
+    }
+
+    #[test]
+    fn bounded_peak_on_a_shared_table_answers_like_a_table_per_pass() {
+        let a = dense_traj(14, 0, 320, 16);
+        let b = dense_traj(14, 40, 320, 16);
+        let w = CheckWindow::for_context(&a, &cfg(16)).unwrap();
+        let wl = w.len_m;
+        // Windows ending at several metres of `a`, each with its own
+        // channels, slide over full and anchored ranges of `b`.
+        let windows: Vec<(usize, CheckWindow)> = [320, 300, 260, 200]
+            .iter()
+            .map(|&end| (end, CheckWindow::with_len(&a, &cfg(16), wl, end).unwrap()))
+            .collect();
+        for js in [0..b.len() - wl + 1, 150..201, 0..3] {
+            let shared = RolledTable::new(16, wl, js.clone());
+            for (end, wnd) in &windows {
+                for floor in [f64::NEG_INFINITY, wnd.threshold] {
+                    let pass = |table: &RolledTable| {
+                        with_scratch(|s, _| {
+                            bounded_peak(&a, end - wl, &b, table, wnd, floor, &mut s.bound)
+                        })
+                        .expect("dense rows")
+                    };
+                    let own = RolledTable::new(16, wl, js.clone());
+                    let (got, want) = (pass(&shared), pass(&own));
+                    assert_eq!((peak_bits(got.0), got.1), (peak_bits(want.0), want.1));
+                    // Both are the full scan's peak over those placements.
+                    let cut: Vec<Vec<f32>> = (0..16)
+                        .map(|ch| b.channel(ch)[js.start..js.end + wl - 1].to_vec())
+                        .collect();
+                    let full = syn::slide_scores(&a, end - wl, &from_rows(&cut), wnd);
+                    let expect = syn::peak(&full).filter(|&(_, x, _)| x >= floor);
+                    assert_eq!(peak_bits(got.0), peak_bits(expect), "{js:?} {end}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reset_table_rolls_its_new_trajectory() {
+        let a = dense_traj(15, 0, 300, 12);
+        let w = CheckWindow::for_context(&a, &cfg(12)).unwrap();
+        let fs = a.len() - w.len_m;
+        let mut table = RolledTable::default();
+        // Each trajectory re-targets the one table, whose filled channels'
+        // buffers the next fills reuse; a hole refuses only its own pass.
+        let mut holed: Vec<Vec<f32>> = (0..12)
+            .map(|ch| dense_traj(15, 10, 200, 12).channel(ch).to_vec())
+            .collect();
+        holed[w.channels[0]][100] = f32::NAN;
+        let slidings = [
+            dense_traj(15, 30, 300, 12),
+            from_rows(&holed),
+            dense_traj(15, 70, 150, 12),
+            dense_traj(15, 30, 300, 12),
+        ];
+        for sliding in &slidings {
+            let n_pos = sliding.len() - w.len_m + 1;
+            table.reset(12, w.len_m, 0..n_pos);
+            let got = with_scratch(|s, _| {
+                bounded_peak(&a, fs, sliding, &table, &w, f64::NEG_INFINITY, &mut s.bound)
+            });
+            let dense = (0..12).all(|ch| sliding.channel(ch).iter().all(|v| v.is_finite()));
+            assert_eq!(got.is_some(), dense);
+            if let Some((peak, _)) = got {
+                let full = syn::slide_scores(&a, fs, sliding, &w);
+                assert_eq!(peak_bits(peak), peak_bits(syn::peak(&full)));
+            }
+        }
+    }
+
+    #[test]
     fn widened_f32_rows_sum_and_dot_like_their_f64_copies() {
         for len in [0, 1, 3, 4, 7, 85, 86] {
             let f: Vec<f32> = dbm_row(len as u64, len, true)
@@ -946,17 +1251,10 @@ mod tests {
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         assert!(lane_dot_scan(&a, &b, &w).is_none());
-        let n_pos = b.len() - w.len_m + 1;
+        let table = RolledTable::new(16, w.len_m, 0..b.len() - w.len_m + 1);
         let refused = with_scratch(|s, _| {
-            bounded_peak(
-                &a,
-                a.len() - w.len_m,
-                &b,
-                &w,
-                0..n_pos,
-                f64::NEG_INFINITY,
-                s,
-            )
+            let fs = a.len() - w.len_m;
+            bounded_peak(&a, fs, &b, &table, &w, f64::NEG_INFINITY, &mut s.bound)
         });
         assert!(refused.is_none());
         // The scan answers through the per-placement path instead…

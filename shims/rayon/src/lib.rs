@@ -1,8 +1,9 @@
 //! Workspace-local stand-in for the subset of `rayon` this workspace
 //! uses: `par_iter()`/`into_par_iter()` followed by `map(...).collect()`.
 //!
-//! Work is executed on real OS threads via `std::thread::scope`, chunked
-//! evenly across the available cores, and results are returned in input
+//! Work is chunked evenly across the available cores and executed via
+//! `std::thread::scope`: the calling thread works the first chunk and one
+//! spawned helper each of the others, and results are returned in input
 //! order. Single-element and single-core workloads run inline to avoid
 //! spawn overhead.
 
@@ -48,17 +49,23 @@ where
     }
     let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
     let f = &f;
-    std::thread::scope(|scope| {
-        let mut slots = out.as_mut_slice();
-        for chunk in chunks {
-            let (head, rest) = slots.split_at_mut(chunk.len());
-            slots = rest;
-            scope.spawn(move || {
-                for (slot, item) in head.iter_mut().zip(chunk) {
-                    *slot = Some(f(item));
-                }
-            });
+    let fill = move |slots: &mut [Option<O>], chunk: Vec<T>| {
+        for (slot, item) in slots.iter_mut().zip(chunk) {
+            *slot = Some(f(item));
         }
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().expect("at least two items");
+        let (head, mut slots) = out.split_at_mut(first.len());
+        // Helpers take every chunk after the first; the caller works the
+        // first one instead of idling until they finish.
+        for chunk in chunks {
+            let (mine, rest) = slots.split_at_mut(chunk.len());
+            slots = rest;
+            scope.spawn(move || fill(mine, chunk));
+        }
+        fill(head, first);
     });
     out.into_iter()
         .map(|o| o.expect("worker filled every slot"))
@@ -212,6 +219,16 @@ mod tests {
         let data = vec![1u64, 2, 3, 4, 5];
         let out: Vec<u64> = data.par_iter().map(|&x| x * x).collect();
         assert_eq!(out, vec![1, 4, 9, 16, 25]);
+    }
+
+    #[test]
+    fn caller_thread_works_the_first_chunk() {
+        let caller = std::thread::current().id();
+        let ids: Vec<_> = (0..3usize)
+            .into_par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        assert_eq!(ids[0], caller);
     }
 
     #[test]
