@@ -11,16 +11,22 @@
 //! into the same pooled arenas, so a warm search allocates only its
 //! checking windows. A warm batch of neighbours through
 //! `fix_distances_parallel` stays within the per-query budget for each of
-//! its queries. All checks share one test function: the counter is global,
-//! and a test running in parallel would count into it.
+//! its queries, and so does a warm query on trace-driven rows, where many
+//! placements stay alive channel after channel. All checks share one test
+//! function: the counter is global, and a test running in parallel would
+//! count into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rups_bench::{bench_config, synthetic_context};
+use rups_core::config::RupsConfig;
+use rups_core::engine::SynQueryEngine;
 use rups_core::pipeline::{ContextSnapshot, RupsNode};
 use rups_core::syn::find_best_syn;
 use rups_core::{GeoSample, GeoTrajectory, PowerVector};
+use rups_eval::tracegen::{generate, TraceConfig};
+use urban_sim::road::RoadClass;
 
 struct CountingAlloc;
 
@@ -100,14 +106,13 @@ const MAX_ALLOCS_PER_WARM_SEARCH: u64 = 12;
 #[test]
 fn warm_fix_path_stays_within_constant_allocation_budget() {
     // Three context lengths so the budget provably does not scale with the
-    // input. At 340 and 480 m (w = 85 >= 8*log2(m)) the FFT kernel, the
-    // spectra caches and the pruned peak scan are on the hot path; at
-    // 2000 m the rolling kernel's bound-first pass is.
+    // input. At 340 and 480 m (w = 85 >= 8*log2(m)) the FFT kernel and its
+    // spectra caches feed the score loop; at 2000 m lane dot products do.
     for context_m in [340usize, 480, 2000] {
         let node = build_node(21, context_m);
         let snap = neighbour(21, 20, context_m);
-        // Warm every layer: own-context rows and sliding spectra, window
-        // entries with their fixed sums and reversed spectra, and the
+        // Warm every layer: own-context rows, rolled tables and sliding
+        // spectra, window entries with their reversed spectra, and the
         // scratch-arena pool.
         for _ in 0..3 {
             node.fix_distance(&snap).unwrap();
@@ -151,6 +156,37 @@ fn warm_fix_path_stays_within_constant_allocation_budget() {
         per_batch < budget,
         "warm 3-neighbour batch performed {per_batch} allocations (budget {budget})"
     );
+
+    // A warm query on interpolated trace contexts (never-heard rows stay
+    // NaN, so the reference kernel runs): the score loop's alive
+    // placements, running sums and one channel's dot products come from
+    // the pooled arena however many placements survive a channel.
+    let drive = generate(&TraceConfig::quick(20160523, RoadClass::Urban4Lane));
+    let c = RupsConfig {
+        n_channels: drive.config.n_channels,
+        window_channels: 24,
+        ..RupsConfig::default()
+    };
+    let t = drive.config.duration_s * 0.75;
+    let context = |v: &rups_eval::tracegen::VehicleTrace| {
+        v.context_at(t, c.max_context_m, true, None).unwrap().0.gsm
+    };
+    let (ours, theirs) = (context(&drive.follower), context(&drive.leader));
+    let engine = SynQueryEngine::new(c.clone());
+    engine.set_context(&ours);
+    for _ in 0..3 {
+        engine.find_syn_points(&theirs).unwrap();
+    }
+    let before = allocations();
+    let points = engine.find_syn_points(&theirs).unwrap();
+    let per_query = allocations() - before;
+    assert!(!points.is_empty());
+    assert!(
+        per_query < MAX_ALLOCS_PER_WARM_QUERY,
+        "warm trace-driven query performed {per_query} allocations \
+         (budget {MAX_ALLOCS_PER_WARM_QUERY})"
+    );
+    assert!(engine.stats().pruned_placements > 0);
 
     let cfg = bench_config(N_CHANNELS, WINDOW_M, N_CHANNELS);
     let ours = synthetic_context(21, 0, 480, N_CHANNELS);

@@ -2,11 +2,11 @@
 //!
 //! Every distance query against a [`crate::pipeline::RupsNode`] needs the
 //! same querying-side quantities: the interpolated own context, the
-//! per-window channel selections, the own rows' rolled window statistics
-//! and the fixed-window sums of the dense scans. Under tracking loads
-//! ("track a neighboring vehicle on every 0.1 second", §V-B) or convoy
-//! loads (tens of neighbours per epoch) those quantities are identical
-//! across queries — only the neighbour side changes.
+//! per-window channel selections and the own rows' rolled window
+//! statistics. Under tracking loads ("track a neighboring vehicle on every
+//! 0.1 second", §V-B) or convoy loads (tens of neighbours per epoch) those
+//! quantities are identical across queries — only the neighbour side
+//! changes.
 //!
 //! [`SynQueryEngine`] precomputes them **once per context update** and
 //! answers any number of queries against the cached state:
@@ -14,32 +14,31 @@
 //! * the interpolated own context, rebuilt only when the context version
 //!   changes;
 //! * per window length, the own rows' rolled window means and sums
-//!   (`syn_fast::RolledTable`): the sliding side of every reverse rolling
-//!   pass, filled a channel at a time on first use and shared by the
-//!   reverse passes of every query in a batch;
+//!   (`syn_fast::RolledTable`): the sliding side of every reverse pass,
+//!   filled a channel at a time on first use and shared by the reverse
+//!   passes of every query in a batch;
 //! * memoised packed spectra over the dense context (the sliding-side
 //!   inputs of the FFT kernel);
-//! * per-`(len, end)` checking windows with their fixed-window sums and
-//!   memoised reversed spectra (the fixed-side inputs of the FFT kernel);
-//! * scratch arenas (FFT work areas, score vectors, the table a query rolls
-//!   its neighbour's rows into for its forward passes) from the
-//!   process-wide pool the rolling scan of [`crate::syn`] stages in too, so
+//! * per-`(len, end)` checking windows with memoised reversed spectra (the
+//!   fixed-side inputs of the FFT kernel);
+//! * scratch arenas (FFT work areas, the score loop's buffers, the table a
+//!   query rolls its neighbour's rows into for its forward passes) from the
+//!   process-wide pool the full scan of [`crate::syn`] runs in too, so
 //!   concurrent rayon queries allocate nothing in steady state;
-//! * a per-batch kernel choice — reference scan vs the engine's own FFT
-//!   scan — driven by context density and length.
+//! * a per-batch kernel choice — lane dot products vs the engine's own FFT
+//!   correlation — driven by context density and length.
 //!
-//! Every directed pass takes an exact peak. The FFT kernel fills a scratch
-//! arena and prunes its peak search (`syn_fast::combine_dense_peak`); the
-//! reference kernel and FFT fallbacks run the bound-first rolling pass
-//! (`syn_fast::bounded_peak`), which pays a placement's per-channel dot
-//! products only while it can still win and answers nothing below a floor
-//! its caller would drop anyway. Rows both refuse take the recompute scan
-//! of record and [`crate::syn::peak`]. On the reference kernel, results are
-//! **bit-identical** to [`crate::syn::find_syn_points`], which scores every
-//! placement before picking its peak. The FFT kernel agrees to rounding,
-//! and a warm engine answers bit for bit like a cold one. Cache-hit,
-//! scratch-reuse and pruning counters are exported via
-//! [`SynQueryEngine::stats`] for the bench harness.
+//! Every directed pass takes an exact peak through the one score loop of
+//! `syn_fast::DensePass`: the kernel only picks where its dot products come
+//! from. The loop walks the window's channels in order and drops a
+//! placement as soon as its exact bound can no longer win, or reach a floor
+//! its caller would drop anyway. Rows it refuses take the recompute scan of
+//! record and [`crate::syn::peak`]. On the reference kernel, results are
+//! **bit-identical** to [`crate::syn::find_syn_points`], which runs the
+//! same loop with no bound and scores every placement before picking its
+//! peak. The FFT kernel agrees to rounding, and a warm engine answers bit
+//! for bit like a cold one. Cache-hit, scratch-reuse and pruning counters
+//! are exported via [`SynQueryEngine::stats`] for the bench harness.
 //!
 //! The engine's one other pass is the anchored check behind
 //! [`crate::pipeline::RupsNode::tracked_fix`]: the newest own window from
@@ -68,18 +67,17 @@ pub const ANCHOR_SLACK_M: usize = 25;
 /// Which sliding-scan kernel a query (or batch of queries) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The rolling `O(mwk)` scan of [`crate::syn::slide_scores`], run bound
-    /// first: every placement's profile term from rolled window means that
-    /// the passes over one trajectory share, then a placement's per-channel
-    /// dot products only while it can still win. NaN-aware through its
-    /// per-placement fallback.
+    /// The `O(mwk)` scan of [`crate::syn::slide_scores`], run bounded: the
+    /// score loop takes lane dot products at the placements still alive, a
+    /// channel at a time. NaN-aware through its per-placement fallback.
     Reference,
-    /// The engine's own `O(k·m log m)` scan: packed-FFT sliding dot
-    /// products ([`crate::dsp`]) against memoised own-side spectra, with
-    /// window sums rolled over the `f32` rows. Falls back to the reference
-    /// scan per directed pass whenever a selected channel carries missing
-    /// values. Its peak search skips the profile term wherever it cannot
-    /// win. It rolls no tables.
+    /// The engine's own `O(k·m log m)` dot products: packed-FFT
+    /// correlations ([`crate::dsp`]) against memoised own-side spectra, at
+    /// every placement, which the same bounded score loop then reads, with
+    /// its window statistics from the same rolled tables. Needs a wholly
+    /// finite own context (lane dot products otherwise); a pass whose
+    /// selected channels carry missing values takes the reference
+    /// kernel's per-placement fallback.
     Fft,
 }
 
@@ -116,11 +114,11 @@ pub struct EngineStats {
     pub queries: u64,
     /// Context lookups answered from the version-keyed cache.
     pub context_hits: u64,
-    /// Context rebuilds (interpolation + row conversion).
+    /// Context rebuilds (interpolation of the raw context).
     pub context_rebuilds: u64,
     /// Checking-window lookups answered from the `(len, end)` memo.
     pub window_hits: u64,
-    /// Checking-window constructions (channel selection + fixed sums).
+    /// Checking-window constructions (channel selection).
     pub window_misses: u64,
     /// Scratch arenas this engine's queries reused from the process-wide
     /// pool.
@@ -135,9 +133,9 @@ pub struct EngineStats {
     /// Directed passes that requested the FFT scan but fell back to the
     /// reference scan because a selected neighbour channel carried NaN.
     pub fft_fallbacks: u64,
-    /// Window placements an exact score bound dropped before their full
-    /// score: the rolling passes' per-channel bound (full and anchored) and
-    /// the profile terms the FFT passes' peak search skipped.
+    /// Window placements the score loop's exact bound dropped before their
+    /// full score, on every directed pass that ran it (either kernel, full
+    /// and anchored).
     pub pruned_placements: u64,
 }
 
@@ -239,8 +237,8 @@ impl EngineMetrics {
     }
 }
 
-/// A channel pair's packed sliding-row spectra (`b` empty for a lone
-/// trailing channel). Cached because the packing makes each channel's
+/// A channel pair's packed spectra (`b` empty for a lone trailing
+/// channel). Cached because the packing makes each channel's
 /// spectrum partner-dependent in floating point: a cache hit must return
 /// exactly what a fresh [`dsp::real_spectra_pair_into`] over the same pair
 /// would produce.
@@ -255,7 +253,7 @@ type SpectraKey = (usize, usize, usize);
 
 /// The querying vehicle's context, fully preprocessed for matching: the
 /// matching rows, their packed spectra for the FFT kernel and their rolled
-/// tables for the rolling kernel, both filled on first use. Every pass
+/// tables for every reverse pass, both filled on first use. Every pass
 /// reads the `f32` rows, which widen to `f64` exactly, so the context keeps
 /// no `f64` copy.
 pub(crate) struct OwnContext {
@@ -273,9 +271,9 @@ pub(crate) struct OwnContext {
     /// the transform size depends on the query's window length.
     sliding_spectra: RwLock<HashMap<SpectraKey, Arc<SpectraPair>>>,
     /// Rolled window statistics of `gsm` over every placement, per window
-    /// length: the sliding side of every reverse rolling pass, so the
-    /// passes of all neighbours and segments roll each own channel once.
-    /// Channels fill on first use, so FFT passes pay nothing for them.
+    /// length: the sliding side of every reverse pass, so the passes of all
+    /// neighbours and segments roll each own channel once. Channels fill on
+    /// first use.
     tables: RwLock<HashMap<usize, Arc<RolledTable>>>,
 }
 
@@ -361,20 +359,16 @@ impl OwnContext {
 /// that resolve to no window, so misses are cached too.
 type WindowMemo = HashMap<(usize, usize), Option<Arc<WindowEntry>>>;
 
-/// A memoised checking window plus the fixed-side statistics of the FFT
+/// A memoised checking window plus the fixed-side spectra of the FFT
 /// kernel for its exact `[end − len, end)` placement on the own context.
 struct WindowEntry {
     window: CheckWindow,
-    /// Per window-channel `(Σx, Σx²)` over the own fixed slice, computed
-    /// with the same [`dsp::sum_sumsq`] reduction as the rolling scan
-    /// (dense contexts only; empty otherwise).
-    fixed_sums: Vec<(f64, f64)>,
-    /// Packed time-reversed spectra of the fixed slice, one per window
-    /// channel, keyed by transform size (which depends on the neighbour's
-    /// context length). Channels are packed pairwise in window order —
-    /// exactly how a fresh forward pass pairs them — so the cached spectra
-    /// are bit-identical to fresh ones.
-    spectra: RwLock<HashMap<usize, Arc<Vec<Vec<Complex>>>>>,
+    /// Packed time-reversed spectra of the fixed slice, one per pair of
+    /// window channels, keyed by transform size (which depends on the
+    /// neighbour's context length). Channels are packed pairwise in window
+    /// order — exactly how a fresh forward pass pairs them — so the cached
+    /// spectra are bit-identical to fresh ones.
+    spectra: RwLock<HashMap<usize, Arc<Vec<Arc<SpectraPair>>>>>,
 }
 
 /// Per-query scratch arena: every buffer a directed pass needs, popped from
@@ -594,8 +588,8 @@ impl SynQueryEngine {
         })
     }
 
-    /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`
-    /// plus the FFT fixed-side sums for that placement. Concurrent queries
+    /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`,
+    /// with room for that placement's FFT fixed-side spectra. Concurrent queries
     /// of one batch build each placement once: a miss re-checks under the
     /// write lock and builds while holding it.
     fn window_entry(&self, ctx: &OwnContext, len: usize, end: usize) -> Option<Arc<WindowEntry>> {
@@ -624,18 +618,8 @@ impl SynQueryEngine {
         let _t = self.metrics.window_build_ns.start_timer();
         let _s = self.spans.as_ref().map(|s| s.span("engine.window_build"));
         let entry = CheckWindow::with_len(&ctx.gsm, &self.cfg, len, end).map(|window| {
-            let fixed_sums = if ctx.dense {
-                window
-                    .channels
-                    .iter()
-                    .map(|&ch| dsp::sum_sumsq(&ctx.gsm.channel(ch)[end - len..end]))
-                    .collect()
-            } else {
-                Vec::new()
-            };
             Arc::new(WindowEntry {
                 window,
-                fixed_sums,
                 spectra: RwLock::new(HashMap::new()),
             })
         });
@@ -743,13 +727,13 @@ impl SynQueryEngine {
                 .reset(theirs.n_channels(), w, 0..theirs.len() + 1 - w);
             // Forward: an own window slid over their trajectory.
             let fwd = |e: &WindowEntry, end: usize, floor: f64, s: &mut Scratch| {
-                let fft = |s: &mut Scratch| self.fft_pass_own_fixed(ctx, e, end, theirs, s);
+                let fft = |s: &mut Scratch| self.fft_dots(ctx, Some(e), &e.window, end, theirs, s);
                 let window = &e.window;
                 self.directed(ctx, kernel, ours, end, theirs, None, window, floor, s, fft)
             };
             // Reverse: their window slid over ours, swapped to our view.
             let rev = |wnd: &CheckWindow, end: usize, floor: f64, s: &mut Scratch| {
-                let fft = |s: &mut Scratch| self.fft_pass_their_fixed(ctx, wnd, end, theirs, s);
+                let fft = |s: &mut Scratch| self.fft_dots(ctx, None, wnd, end, theirs, s);
                 let table = Some(&*own_table);
                 self.directed(ctx, kernel, theirs, end, ours, table, wnd, floor, s, fft)
                     .map(syn::swap_perspective)
@@ -768,11 +752,11 @@ impl SynQueryEngine {
                     .and_then(|wnd| rev(wnd, theirs.len(), floor, scratch));
                 syn::better_pass(best_fwd, best_rev)
             };
-            // A rolling pass whose peak is below `threshold −
-            // PASS_TIE_MARGIN` can neither clear the threshold nor out-tie a
-            // pass that does, so that floor changes no hit. A miss re-runs
-            // without it, so that it reports the unbounded search's best
-            // score. FFT passes take no floor.
+            // A pass whose peak is below `threshold − PASS_TIE_MARGIN` can
+            // neither clear the threshold nor out-tie a pass that does, so
+            // that floor changes no hit. A miss re-runs without it, so that
+            // it reports the unbounded search's best score. The FFT
+            // kernel's newest passes take no floor, and so never re-run.
             let floor = match kernel {
                 Kernel::Reference => threshold - syn::PASS_TIE_MARGIN,
                 Kernel::Fft => f64::NEG_INFINITY,
@@ -852,7 +836,7 @@ impl SynQueryEngine {
             ..(centre + slack + 1).clamp(0, n_pos) as usize;
         self.with_scratch(|s| {
             s.table.reset(theirs.n_channels(), w, js);
-            let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| false);
+            let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| {});
             let (end, floor) = (ours.len(), window.threshold);
             self.directed(
                 ctx, kernel, ours, end, theirs, None, window, floor, s, no_fft,
@@ -864,13 +848,11 @@ impl SynQueryEngine {
     /// placements of `sliding` that its rolled table covers — `table`, or
     /// the arena's own `scratch.table` when `None` — returning the best one
     /// from the `fixed` side's perspective, or `None` when it scores below
-    /// `floor`. On [`Kernel::Fft`] over a dense own context `fft` fills the
-    /// scratch arena from the cached side's memos (every placement: FFT
-    /// passes run over full tables) and the pruned peak search resolves it.
-    /// When `fft` finds a non-finite selected row (`false`), or on
-    /// [`Kernel::Reference`], the bound-first rolling pass answers from the
-    /// table instead; rows it refuses too take the recompute scan of record
-    /// and [`syn::peak`].
+    /// `floor`. The bounded score loop resolves it: on [`Kernel::Fft`] over
+    /// a dense own context, from the dot products `fft` fills into
+    /// `scratch.fft_dots` (every placement: FFT passes run over full
+    /// tables); on [`Kernel::Reference`], from lane dot products. Rows the
+    /// loop refuses take the recompute scan of record and [`syn::peak`].
     #[allow(clippy::too_many_arguments)]
     fn directed(
         &self,
@@ -883,7 +865,7 @@ impl SynQueryEngine {
         window: &CheckWindow,
         floor: f64,
         scratch: &mut Scratch,
-        fft: impl FnOnce(&mut Scratch) -> bool,
+        fft: impl FnOnce(&mut Scratch),
     ) -> Option<SynPoint> {
         let w = window.len_m;
         if end < w || sliding.len() < w {
@@ -891,19 +873,41 @@ impl SynQueryEngine {
         }
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let js = table.map_or_else(|| scratch.table.placements(), RolledTable::placements);
-        let dense = if kernel == Kernel::Fft && ctx.dense && fft(scratch) {
+        let finite = syn_fast::DensePass {
+            fixed,
+            fixed_start: end - w,
+            sliding,
+            table: table.unwrap_or(&scratch.table),
+            window,
+            dots: syn_fast::Dots::Lanes,
+        }
+        .finite();
+        let fft_dots = kernel == Kernel::Fft && ctx.dense && finite;
+        if fft_dots {
+            fft(scratch);
             self.metrics.fft_passes.inc();
-            Some(syn_fast::combine_dense_peak(&scratch.acc))
         } else {
             if kernel == Kernel::Fft {
                 self.metrics.fft_fallbacks.inc();
             }
             self.metrics.reference_passes.inc();
-            let (table, bound) = (table.unwrap_or(&scratch.table), &mut scratch.bound);
-            syn_fast::bounded_peak(fixed, end - w, sliding, table, window, floor, bound)
-        };
-        let best = if let Some((peak, pruned)) = dense {
+        }
+        let table = table.unwrap_or(&scratch.table);
+        let js = table.placements();
+        let best = if finite {
+            let pass = syn_fast::DensePass {
+                fixed,
+                fixed_start: end - w,
+                sliding,
+                table,
+                window,
+                dots: if fft_dots {
+                    syn_fast::Dots::Fft(&scratch.fft_dots)
+                } else {
+                    syn_fast::Dots::Lanes
+                },
+            };
+            let (peak, pruned) = pass.peak(floor, &mut scratch.pass);
             self.metrics.pruned_placements.add(pruned);
             peak
         } else {
@@ -933,7 +937,7 @@ impl SynQueryEngine {
         end: usize,
         size: usize,
         s: &mut Scratch,
-    ) -> Arc<Vec<Vec<Complex>>> {
+    ) -> Arc<Vec<Arc<SpectraPair>>> {
         if let Some(sp) = entry
             .spectra
             .read()
@@ -944,14 +948,12 @@ impl SynQueryEngine {
         }
         let window = &entry.window;
         let w = window.len_m;
-        let k = window.channels.len();
-        let mut out: Vec<Vec<Complex>> = Vec::with_capacity(k);
-        let mut ci = 0usize;
-        while ci < k {
-            let ch_a = window.channels[ci];
-            let ch_b = window.channels.get(ci + 1).copied();
-            let fixed_a = &ctx.gsm.channel(ch_a)[end - w..end];
-            let fixed_b: &[f32] = ch_b.map_or(&[], |ch| &ctx.gsm.channel(ch)[end - w..end]);
+        let mut out = Vec::with_capacity(window.channels.len().div_ceil(2));
+        for pair in window.channels.chunks(2) {
+            let fixed_a = &ctx.gsm.channel(pair[0])[end - w..end];
+            let fixed_b: &[f32] = pair
+                .get(1)
+                .map_or(&[], |&ch| &ctx.gsm.channel(ch)[end - w..end]);
             dsp::real_spectra_pair_into(
                 fixed_a,
                 fixed_b,
@@ -961,11 +963,10 @@ impl SynQueryEngine {
                 &mut s.spec_fa,
                 &mut s.spec_fb,
             );
-            out.push(s.spec_fa.clone());
-            if ch_b.is_some() {
-                out.push(s.spec_fb.clone());
-            }
-            ci += 2;
+            out.push(Arc::new(SpectraPair {
+                a: s.spec_fa.clone(),
+                b: s.spec_fb.clone(),
+            }));
         }
         let arc = Arc::new(out);
         entry
@@ -976,144 +977,58 @@ impl SynQueryEngine {
         arc
     }
 
-    /// FFT forward pass: own window fixed (cached sums + cached reversed
-    /// spectra), neighbour rows sliding, accumulated into `s` over every
-    /// placement. Returns `false` (the caller falls back) when a selected
-    /// neighbour row carries a non-finite value; the own side is dense by
-    /// precondition.
-    fn fft_pass_own_fixed(
+    /// Fills `s.fft_dots` with an FFT pass's dot products at every
+    /// placement, window channel by window channel. With `entry` our window
+    /// `[end − w, end)` is fixed (its reversed spectra memoised there) and
+    /// their rows slide; without, their window `[end − w, end)` is fixed
+    /// and our rows slide (their spectra memoised on the context). The
+    /// other side is transformed fresh, its channels paired in window
+    /// order like the memoised side's.
+    fn fft_dots(
         &self,
         ctx: &OwnContext,
-        entry: &WindowEntry,
-        end: usize,
-        theirs: &GsmTrajectory,
-        s: &mut Scratch,
-    ) -> bool {
-        let window = &entry.window;
-        let w = window.len_m;
-        let n_pos = theirs.len() - w + 1;
-        for &ch in &window.channels {
-            if theirs.channel(ch).iter().any(|v| !v.is_finite()) {
-                return false;
-            }
-        }
-        let k = window.channels.len();
-        let size = dsp::corr_fft_size(w, theirs.len());
-        let fixed_spectra = self.fixed_spectra(ctx, entry, end, size, s);
-        s.acc.prepare(n_pos, k);
-        let mut ci = 0usize;
-        while ci < k {
-            let ch_a = window.channels[ci];
-            let ch_b = window.channels.get(ci + 1).copied();
-            let (row_a, row_b) = (
-                theirs.channel(ch_a),
-                ch_b.map_or(&[][..], |ch| theirs.channel(ch)),
-            );
-            dsp::real_spectra_pair_into(
-                row_a,
-                row_b,
-                false,
-                size,
-                &mut s.work,
-                &mut s.spec_sa,
-                &mut s.spec_sb,
-            );
-            let fb: &[Complex] = if ch_b.is_some() {
-                &fixed_spectra[ci + 1]
-            } else {
-                &[]
-            };
-            dsp::corr_from_spectra_pair_into(
-                &fixed_spectra[ci],
-                &s.spec_sa,
-                fb,
-                &s.spec_sb,
-                w,
-                n_pos,
-                &mut s.work,
-                &mut s.dots_a,
-                &mut s.dots_b,
-            );
-            let sums = &entry.fixed_sums;
-            s.acc.add_channel(ci, w, sums[ci], &s.dots_a, row_a);
-            if ch_b.is_some() {
-                s.acc.add_channel(ci + 1, w, sums[ci + 1], &s.dots_b, row_b);
-            }
-            ci += 2;
-        }
-        true
-    }
-
-    /// FFT reverse pass: neighbour window fixed (transformed fresh), own rows
-    /// sliding — their packed spectra come straight from the context cache,
-    /// and the rolling window statistics read the own rows.
-    /// Accumulates into `s` over every placement; returns `false` when the
-    /// neighbour window slice carries a non-finite value.
-    fn fft_pass_their_fixed(
-        &self,
-        ctx: &OwnContext,
+        entry: Option<&WindowEntry>,
         window: &CheckWindow,
         end: usize,
         theirs: &GsmTrajectory,
         s: &mut Scratch,
-    ) -> bool {
-        let w = window.len_m;
-        let n_pos = ctx.gsm.len() - w + 1;
-        for &ch in &window.channels {
-            if theirs.channel(ch)[end - w..end]
-                .iter()
-                .any(|v| !v.is_finite())
-            {
-                return false;
+    ) {
+        let (w, forward) = (window.len_m, entry.is_some());
+        let m = if forward { theirs.len() } else { ctx.gsm.len() };
+        let (n_pos, size) = (m - w + 1, dsp::corr_fft_size(w, m));
+        let fixed_spectra = entry.map(|e| self.fixed_spectra(ctx, e, end, size, s));
+        let rows = |ch: usize| {
+            let row = theirs.channel(ch);
+            if forward {
+                row
+            } else {
+                &row[end - w..end]
             }
+        };
+        s.fft_dots.clear();
+        for (i, pair) in window.channels.chunks(2).enumerate() {
+            let ch_b = pair.get(1).copied();
+            let memo = match &fixed_spectra {
+                Some(fixed) => Arc::clone(&fixed[i]),
+                None => {
+                    let (work, sa, sb) = (&mut s.work, &mut s.spec_sa, &mut s.spec_sb);
+                    ctx.sliding_spectra(size, pair[0], ch_b, work, sa, sb)
+                }
+            };
+            let (a, b) = (rows(pair[0]), ch_b.map_or(&[][..], rows));
+            let (work, xa, xb) = (&mut s.work, &mut s.spec_fa, &mut s.spec_fb);
+            dsp::real_spectra_pair_into(a, b, !forward, size, work, xa, xb);
+            let (memo, fresh) = ((&memo.a, &memo.b), (&s.spec_fa, &s.spec_fb));
+            let ((fa, fb), (sa, sb)) = if forward {
+                (memo, fresh)
+            } else {
+                (fresh, memo)
+            };
+            let (work, da, db) = (&mut s.work, &mut s.dots_a, &mut s.dots_b);
+            dsp::corr_from_spectra_pair_into(fa, sa, fb, sb, w, n_pos, work, da, db);
+            s.fft_dots.extend_from_slice(&s.dots_a);
+            s.fft_dots.extend_from_slice(&s.dots_b);
         }
-        let k = window.channels.len();
-        let size = dsp::corr_fft_size(w, ctx.gsm.len());
-        s.acc.prepare(n_pos, k);
-        let mut ci = 0usize;
-        while ci < k {
-            let ch_a = window.channels[ci];
-            let ch_b = window.channels.get(ci + 1).copied();
-            let fixed_a = &theirs.channel(ch_a)[end - w..end];
-            let fixed_b: &[f32] = ch_b.map_or(&[], |ch| &theirs.channel(ch)[end - w..end]);
-            dsp::real_spectra_pair_into(
-                fixed_a,
-                fixed_b,
-                true,
-                size,
-                &mut s.work,
-                &mut s.spec_fa,
-                &mut s.spec_fb,
-            );
-            let sliding = ctx.sliding_spectra(
-                size,
-                ch_a,
-                ch_b,
-                &mut s.work,
-                &mut s.spec_sa,
-                &mut s.spec_sb,
-            );
-            dsp::corr_from_spectra_pair_into(
-                &s.spec_fa,
-                &sliding.a,
-                &s.spec_fb,
-                &sliding.b,
-                w,
-                n_pos,
-                &mut s.work,
-                &mut s.dots_a,
-                &mut s.dots_b,
-            );
-            let sums = dsp::sum_sumsq(fixed_a);
-            s.acc
-                .add_channel(ci, w, sums, &s.dots_a, ctx.gsm.channel(ch_a));
-            if let Some(ch_b) = ch_b {
-                let (sums, row) = (dsp::sum_sumsq(fixed_b), ctx.gsm.channel(ch_b));
-                s.acc.add_channel(ci + 1, w, sums, &s.dots_b, row);
-            }
-            ci += 2;
-        }
-        true
     }
 }
 

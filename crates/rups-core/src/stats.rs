@@ -161,8 +161,8 @@ pub fn relative_change(reference: &[f32], other: &[f32]) -> Option<f64> {
 
 /// Arithmetic mean over the non-NaN entries. `None` when nothing survives
 /// the filter (empty input or all-NaN). NaN estimates appear legitimately
-/// — `combine_dense_scores` emits NaN for undefined placements — so the
-/// aggregation kernels treat them as "no estimate", never as data.
+/// — the full scan of `syn::slide_scores` scores undefined placements NaN
+/// — so the aggregation kernels treat them as "no estimate", never as data.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     let mut n = 0usize;
     let mut sum = 0.0f64;
@@ -423,8 +423,8 @@ mod tests {
         // Table: (input, mean, median, selective_average).
         type Case = (&'static [f64], Option<f64>, Option<f64>, Option<f64>);
         let cases: &[Case] = &[
-            // NaN scores from combine_dense_scores must be ignored, not
-            // panic the sort or poison the sums.
+            // NaN scores from syn::slide_scores must be ignored, not panic
+            // the sort or poison the sums.
             (
                 &[3.0, f64::NAN, 1.0],
                 Some(2.0),

@@ -58,12 +58,11 @@ impl SynPoint {
 /// `sliding`. Entry `j` of the result is the score of the `sliding` window
 /// ending at `w + j` (i.e. covering `[j, j + w)`); `NaN` where undefined.
 ///
-/// Dense (all-finite) inputs take the incremental rolling-statistics scan —
-/// window sums update in `O(1)` per placement instead of being recomputed,
-/// turning the `O(mwk)` pass into `O(mwk / w + mk)`-ish work dominated by
-/// the dot products. Inputs with missing or non-finite samples in the
-/// scanned rows fall back to [`slide_scores_reference`], which handles
-/// partial windows.
+/// Dense (all-finite) inputs take the score loop of every dense pass with
+/// no bound — window sums roll in `O(1)` per placement instead of being
+/// recomputed, leaving `O(mwk)` work in the dot products alone. Inputs with
+/// missing or non-finite samples in the scanned rows fall back to
+/// [`slide_scores_reference`], which handles partial windows.
 pub fn slide_scores(
     fixed: &GsmTrajectory,
     fixed_start: usize,
@@ -83,10 +82,19 @@ fn with_slide_scores<R>(
     f: impl FnOnce(&[f64]) -> R,
 ) -> R {
     syn_fast::with_scratch(|s, _| {
-        if syn_fast::dense_pass(fixed, fixed_start, sliding, window, s) {
-            syn_fast::combine_dense_scores(s);
+        let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
+        s.table.reset(sliding.n_channels(), window.len_m, 0..n_pos);
+        let pass = syn_fast::DensePass {
+            fixed,
+            fixed_start,
+            sliding,
+            table: &s.table,
+            window,
+            dots: syn_fast::Dots::Lanes,
+        };
+        if pass.finite() {
+            pass.scores(&mut s.pass, &mut s.scores);
         } else {
-            let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
             let scores = &mut s.scores;
             slide_scores_reference_into(fixed, fixed_start, sliding, window, 0..n_pos, scores);
         }
@@ -113,7 +121,7 @@ pub fn slide_scores_reference(
 
 /// [`slide_scores_reference`] over the valid placements `js`, refilling
 /// `out` (entry `i` scores placement `js.start + i`): the engine's answer
-/// for rows the dense kernels refuse.
+/// for rows the score loop refuses.
 pub(crate) fn slide_scores_reference_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
@@ -140,8 +148,8 @@ pub(crate) fn slide_scores_reference_into(
 /// with parabolic sub-sample refinement of the peak position, in
 /// `[-0.5, 0.5]` and 0 at either end of `scores`. `None` when every score
 /// is NaN. The stand-alone search picks its peak here, and so does the
-/// engine for rows its dense kernels refuse; its dense passes take the same
-/// peak from bounded searches that share this refinement.
+/// engine for rows its score loop refuses; its dense passes take the same
+/// peak from a bounded loop that shares this refinement.
 pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
@@ -160,7 +168,7 @@ pub fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
 /// for sub-metre resolution, in `[-0.5, 0.5]`; `score_at` yields the
 /// neighbours' scores. 0 at either end of the placements, next to an
 /// undefined (NaN) neighbour, and on a flat top. Shared by [`peak`] and the
-/// engine's bounded peak searches, so all refine bit for bit alike.
+/// engine's bounded passes, so all refine bit for bit alike.
 pub(crate) fn refine_peak(
     i: usize,
     score: f64,

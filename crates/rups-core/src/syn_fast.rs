@@ -1,5 +1,6 @@
-//! Dense-row kernels of the SYN search, shared by the rolling scan of
-//! [`crate::syn::slide_scores`] and every dense pass of the engine.
+//! The one score loop of every dense SYN pass: the stand-alone full scan of
+//! [`crate::syn::slide_scores`] and the engine's rolling, anchored and FFT
+//! passes.
 //!
 //! The per-placement double-sliding check costs `O(mwk)` (§V-A): every
 //! window placement recomputes per-channel sums over `w` metres. After
@@ -7,46 +8,44 @@
 //! placement-dependent quantities reduce to
 //!
 //! * per-channel sliding dot products `Σ f_i · s_{j+i}` — four-lane naive
-//!   dot products (`lane_dot`; the full scan's `lane_dots` takes eight
-//!   placements per load of the fixed row on AVX hosts, bit for bit
-//!   alike), or a packed-FFT cross-correlation in the engine's FFT kernel,
+//!   dot products ([`lane_dot`]; [`lane_dots`] takes eight placements per
+//!   load of the fixed row on AVX hosts, bit for bit alike), or the
+//!   packed-FFT cross-correlation of the engine's FFT kernel ([`Dots`]),
 //! * per-channel window sums/sum-of-squares, rolled in `O(1)` per
 //!   placement (`roll`).
 //!
-//! The full-scan passes — `slide_scores`'s lane-dot pass (`dense_pass`) and
-//! the engine's FFT passes — fill one accumulator arena ([`DenseAcc`]) a
-//! channel at a time. `slide_scores` scores every placement from it
-//! (`combine_dense_scores`); the FFT passes take the pruned peak
-//! (`combine_dense_peak`), which skips the profile term wherever the mean
-//! per-channel Pearson plus 1 cannot beat the running best. The engine's
-//! rolling passes bound the other way round (`bounded_peak`): the profile
-//! term needs only the rolled window means, so it comes first, and the
-//! per-channel dot products are paid only while the exact bound on the
-//! rest can still win — the early abandoning of exact subsequence search
-//! (Rakthanmanon et al., KDD 2012). Both bounds are exact, so every peak is
-//! bit-identical to [`crate::syn::peak`] over the full scan.
-//!
-//! A bounded pass reads its sliding side from a [`RolledTable`]: one
-//! trajectory's window means and checkpointed window sums at one window
+//! A pass ([`DensePass`]) reads its sliding side from a [`RolledTable`]:
+//! one trajectory's window means and checkpointed window sums at one window
 //! length, rolled a channel at a time on first use. The passes of a batch
 //! that slide over one trajectory share it — the engine keeps the own
 //! context's table per window length and a neighbour's in the query's
 //! scratch — so each channel is rolled once per batch, not once per pass.
-//! From the table's channel-major means the profile terms are scored a
-//! block of placements at a time (`profile_terms`), in
-//! [`PairSums::accumulate`]'s summation order, so they equal
-//! [`stats::pearson`] bit for bit.
+//! From the table's channel-major means every placement's profile term
+//! `P(j)`, the second term of Eq. (2), is scored a block of placements at a
+//! time (`profile_terms`), in [`PairSums::accumulate`]'s summation order,
+//! so it equals [`stats::pearson`](crate::stats::pearson) bit for bit.
 //!
-//! Scores match the per-placement scan to floating-point rounding. The
-//! kernels refuse a pass whose selected channels carry missing or corrupt
-//! values, and their callers fall back to the non-finite-aware
-//! per-placement scan. All buffers come from the one process-wide scratch
-//! pool (`with_scratch`), which the engine's queries stage in too, so
+//! The loop then walks the window's channels in window order. For each
+//! channel it takes the dot products of the placements still alive and
+//! adds that channel's Pearson to each one's running sum `S` over `n`
+//! defined channels. A bounded pass first scores the [`SEEDS`] placements
+//! with the highest `P(j)`, then drops a placement as soon as its exact
+//! bound falls below the best score — the early abandoning of exact
+//! subsequence search (Rakthanmanon et al., KDD 2012), run channel-major
+//! so that it vectorises across placements. The full scan is the same loop
+//! with no bound. Every peak is bit-identical to [`crate::syn::peak`] over
+//! the full scan.
+//!
+//! Scores match the per-placement scan to floating-point rounding. A pass
+//! refuses rows whose selected channels carry missing or corrupt values,
+//! and its callers fall back to the non-finite-aware per-placement scan.
+//! All buffers come from the one process-wide scratch pool
+//! (`with_scratch`), which the engine's queries stage in too, so
 //! steady-state passes allocate nothing.
 
 use crate::dsp::{self, Complex};
 use crate::gsm::GsmTrajectory;
-use crate::stats::{self, PairSums};
+use crate::stats::PairSums;
 use crate::syn;
 use crate::window::CheckWindow;
 use std::ops::Range;
@@ -62,119 +61,44 @@ pub(crate) type Peak = (usize, f64, f64);
 pub(crate) struct DenseScratch {
     /// FFT work area shared by all transform calls.
     pub work: Vec<Complex>,
-    /// Spectra of the (reversed) fixed rows of the current channel pair.
+    /// Spectra of the current channel pair's rows that an FFT pass
+    /// transforms fresh (fixed and reversed, or sliding).
     pub spec_fa: Vec<Complex>,
     pub spec_fb: Vec<Complex>,
-    /// Spectra of the sliding rows of the current channel pair.
+    /// Staging for the sliding-row spectra an FFT pass memoises.
     pub spec_sa: Vec<Complex>,
     pub spec_sb: Vec<Complex>,
-    /// `f64` stagings of the lane-dot pass's fixed-window and sliding rows.
-    fixed64: Vec<f64>,
-    sliding64: Vec<f64>,
     /// Correlation lags of the current channel pair.
     pub dots_a: Vec<f64>,
     pub dots_b: Vec<f64>,
-    /// The per-placement accumulators every full-scan pass fills.
-    pub acc: DenseAcc,
-    /// The bounded pass's buffers.
-    pub bound: BoundScratch,
-    /// The rolled table of the trajectory a query slides its own windows
-    /// over: re-targeted per query, its channel buffers reused.
+    /// An FFT pass's dot products at every placement, window channel by
+    /// window channel: the source of [`Dots::Fft`].
+    pub fft_dots: Vec<f64>,
+    /// The score loop's buffers.
+    pub pass: PassScratch,
+    /// The rolled table of the trajectory a pass slides over when no
+    /// shared one serves it: re-targeted per query, its channel buffers
+    /// reused.
     pub table: RolledTable,
-    /// Per-placement scores: the full scan of `combine_dense_scores`, or
-    /// the recompute scan of rows the dense kernels refuse.
+    /// Per-placement scores: the full scan, or the recompute scan of rows
+    /// the score loop refuses.
     pub scores: Vec<f64>,
 }
 
-/// The buffers of [`bounded_peak`]: per window channel the fixed-window
-/// `(Σf, Σf²)` and mean, and each placement's mean-profile Pearson, NaN
-/// where undefined.
+/// The buffers of the score loop: per window channel the fixed-window
+/// `(Σf, Σf²)` and mean, each placement's profile term (NaN where
+/// undefined), the placements still alive with their running `(S, n)`, and
+/// one channel's dot products and window sums at them; and the rows
+/// [`lane_dots`] widens.
 #[derive(Default)]
-pub(crate) struct BoundScratch {
+pub(crate) struct PassScratch {
     fixed_sums: Vec<(f64, f64)>,
     fixed_means: Vec<f32>,
     profile: Vec<f64>,
-}
-
-/// Per-placement accumulators of a dense pass over `n_pos` placements and
-/// `k` window channels.
-#[derive(Default)]
-pub(crate) struct DenseAcc {
-    /// Window channels.
-    k: usize,
-    /// Per-placement Σ of defined per-channel Pearsons / their count
-    /// (full-scan passes).
-    chan_sum: Vec<f64>,
-    chan_n: Vec<u32>,
-    /// Fixed-window mean per window channel (f32, matching the reference
-    /// quantisation).
-    mean_f: Vec<f32>,
-    /// Sliding-window means, placement-major: entry `j·k + ci` belongs to
-    /// window channel `ci` at placement `j`, so placement `j`'s mean
-    /// profile is one slice.
-    means: Vec<f32>,
-}
-
-impl DenseAcc {
-    /// Resets the accumulators for `n_pos` placements over `k` window
-    /// channels. Capacity is retained.
-    pub(crate) fn prepare(&mut self, n_pos: usize, k: usize) {
-        self.k = k;
-        self.chan_sum.clear();
-        self.chan_sum.resize(n_pos, 0.0);
-        self.chan_n.clear();
-        self.chan_n.resize(n_pos, 0);
-        self.mean_f.clear();
-        self.mean_f.resize(k, 0.0);
-        self.means.clear();
-        self.means.resize(n_pos * k, 0.0);
-    }
-
-    /// Accumulates window channel `ci` from its fixed-window `(Σf, Σf²)`,
-    /// its per-placement dot products `dots` and its sliding row `s_row`
-    /// (`f32` rows widen exactly, so they roll bit for bit like `f64`
-    /// copies): every placement's Pearson goes into `chan_sum`/`chan_n` and
-    /// its window mean into `means`. The one accumulate step of the
-    /// full-scan passes, so the lane-dot and the FFT passes turn dot
-    /// products into scores the same way.
-    pub(crate) fn add_channel<T: Copy + Into<f64>>(
-        &mut self,
-        ci: usize,
-        w: usize,
-        fixed_sums: (f64, f64),
-        dots: &[f64],
-        s_row: &[T],
-    ) {
-        self.mean_f[ci] = window_mean(fixed_sums.0, w);
-        let mut sums = dsp::sum_sumsq(&s_row[..w]);
-        for j in 0..self.chan_sum.len() {
-            if j > 0 {
-                sums = roll(sums, &s_row[j - 1..j + w]);
-            }
-            if let Some(r) = channel_pearson(w, fixed_sums, sums, dots[j]) {
-                self.chan_sum[j] += r;
-                self.chan_n[j] += 1;
-            }
-            self.means[j * self.k + ci] = window_mean(sums.0, w);
-        }
-    }
-
-    /// Placement `j`'s mean-profile Pearson, the second term of Eq. (2);
-    /// NaN where undefined.
-    fn profile_at(&self, j: usize) -> f64 {
-        let profile = &self.means[j * self.k..(j + 1) * self.k];
-        stats::pearson(&self.mean_f, profile).unwrap_or(f64::NAN)
-    }
-
-    /// The Eq. (2) score of placement `j` from the filled accumulators: mean
-    /// per-channel Pearson plus the mean-profile Pearson; NaN when either
-    /// term is undefined.
-    fn score_at(&self, j: usize) -> f64 {
-        if self.chan_n[j] == 0 {
-            return f64::NAN;
-        }
-        self.chan_sum[j] / self.chan_n[j] as f64 + self.profile_at(j)
-    }
+    alive: Vec<(usize, f64, u32)>,
+    dots: Vec<f64>,
+    wide: Vec<f64>,
+    rolled: Vec<(f64, f64)>,
 }
 
 /// The mean of a `w`-metre window from its sum, quantised to f32 like the
@@ -184,9 +108,14 @@ fn window_mean(sum: f64, w: usize) -> f32 {
 }
 
 /// One channel's Pearson at one placement from its window sums and dot
-/// product: the [`PairSums`] math of the reference path, so thresholds and
-/// degenerate-variance handling agree.
-fn channel_pearson(w: usize, fixed: (f64, f64), sliding: (f64, f64), dot: f64) -> Option<f64> {
+/// product, and whether it is defined: the [`PairSums`] math of the
+/// reference path, so thresholds and degenerate-variance handling agree.
+fn channel_pearson_parts(
+    w: usize,
+    fixed: (f64, f64),
+    sliding: (f64, f64),
+    dot: f64,
+) -> (bool, f64) {
     PairSums {
         n: w,
         sum_a: fixed.0,
@@ -195,7 +124,7 @@ fn channel_pearson(w: usize, fixed: (f64, f64), sliding: (f64, f64), dot: f64) -
         sum_bb: sliding.1,
         sum_ab: dot,
     }
-    .pearson()
+    .pearson_parts()
 }
 
 /// One step of the roll every pass runs: sliding-window sums `(Σs, Σs²)`,
@@ -238,70 +167,8 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R
     r
 }
 
-/// True when every selected channel is finite over the fixed window and
-/// `sliding_finite` holds for it (its sliding metres a pass reads are
-/// finite): the dense kernels assume full-support windows, where
-/// [`PairSums`] would skip samples `n = w` still counts.
-fn rows_finite(
-    window: &CheckWindow,
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding_finite: impl Fn(usize) -> bool,
-) -> bool {
-    window.channels.iter().all(|&ch| {
-        fixed.channel(ch)[fixed_start..fixed_start + window.len_m]
-            .iter()
-            .all(|v| v.is_finite())
-            && sliding_finite(ch)
-    })
-}
-
-/// The lane-dot pass of the full scan over every window placement on
-/// `sliding`: stages each selected channel, takes its sliding dot products
-/// with [`lane_dots`] (the AVX block pass where the CPU has it,
-/// bit-identical to [`lane_dot`] per placement), and accumulates them into
-/// `s.acc`.
-///
-/// Returns `false` without touching the accumulators' meaning when there is
-/// nothing to scan, or when a selected row carries a non-finite value
-/// ([`rows_finite`]).
-pub(crate) fn dense_pass(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-    s: &mut DenseScratch,
-) -> bool {
-    let w = window.len_m;
-    let n_pos = (sliding.len() + 1).saturating_sub(w);
-    if w == 0 || n_pos == 0 {
-        return false;
-    }
-    let fixed_rows = fixed_start..fixed_start + w;
-    let row_finite = |ch| sliding.channel(ch).iter().all(|v: &f32| v.is_finite());
-    if !rows_finite(window, fixed, fixed_start, row_finite) {
-        return false;
-    }
-    s.acc.prepare(n_pos, window.channels.len());
-    for (ci, &ch) in window.channels.iter().enumerate() {
-        s.fixed64.clear();
-        s.fixed64.extend(
-            fixed.channel(ch)[fixed_rows.clone()]
-                .iter()
-                .map(|&v| v as f64),
-        );
-        s.sliding64.clear();
-        s.sliding64
-            .extend(sliding.channel(ch).iter().map(|&v| v as f64));
-        lane_dots(&s.fixed64, &s.sliding64, n_pos, &mut s.dots_a);
-        let sums = dsp::sum_sumsq(&s.fixed64);
-        s.acc.add_channel(ci, w, sums, &s.dots_a, &s.sliding64);
-    }
-    true
-}
-
-/// Placements the bounded pass visits first, those with the highest profile
-/// term, so that its running best is high from the start.
+/// Placements a bounded pass scores first, those with the highest profile
+/// term, so that its best is high before the rest are walked.
 const SEEDS: usize = 8;
 
 /// Placements between two checkpoints of a [`RolledTable`]'s roll.
@@ -311,7 +178,7 @@ const CHECKPOINT: usize = 8;
 const PROFILE_BLOCK: usize = 4;
 
 /// One trajectory's rolled window statistics at one window length over a
-/// range of placements: the sliding side of every bounded pass over that
+/// range of placements: the sliding side of every dense pass over that
 /// trajectory. Channels are filled on first use and then shared, so the
 /// passes that slide over one trajectory roll each channel once. A filled
 /// channel holds whether its row is finite over the metres the range reads,
@@ -344,8 +211,7 @@ struct ChannelRoll {
 
 impl ChannelRoll {
     /// Rolls `row` over `placements` of a `w`-metre window: seeded with
-    /// [`dsp::sum_sumsq`] at the first placement and moved on by [`roll`],
-    /// as the full scan rolls.
+    /// [`dsp::sum_sumsq`] at the first placement and moved on by [`roll`].
     fn fill(&mut self, row: &[f32], w: usize, placements: Range<usize>) {
         self.means.clear();
         self.checkpoints.clear();
@@ -410,12 +276,13 @@ impl RolledTable {
 /// where undefined), from the fixed window's channel means `fixed` and the
 /// sliding windows' means, channel-major: `means(ci)[j]` is window channel
 /// `ci`'s mean at placement `j`. Refills `out` with `n_pos` entries, each
-/// bit for bit [`stats::pearson`] of `fixed` against that placement's
-/// (finite) means: the sums follow [`PairSums::accumulate`]'s order — four
-/// lanes over channels merged `(0+1)+(2+3)`, then the `k mod 4` remainder —
-/// over [`PROFILE_BLOCK`] placements at a time, and each block's
-/// coefficients come from the branch-free [`PairSums::pearson_parts`], so
-/// that their divisions and square roots run side by side.
+/// bit for bit [`stats::pearson`](crate::stats::pearson) of `fixed` against
+/// that placement's (finite) means: the sums follow
+/// [`PairSums::accumulate`]'s order — four lanes over channels merged
+/// `(0+1)+(2+3)`, then the `k mod 4` remainder — over [`PROFILE_BLOCK`]
+/// placements at a time, and each block's coefficients come from the
+/// branch-free [`PairSums::pearson_parts`], so that their divisions and
+/// square roots run side by side.
 fn profile_terms<'a>(
     fixed: &[f32],
     means: impl Fn(usize) -> &'a [f32],
@@ -495,116 +362,246 @@ fn profile_terms<'a>(
     }
 }
 
-/// The engine's rolling pass over the placements `table` covers of
-/// `sliding`: the peak [`syn::peak`] picks over the full scan of those
-/// placements, bit for bit — `None` inside when it scores below `floor` —
-/// and the number of placements the exact bound dropped before their full
-/// score. `None` (the caller falls back to the recompute scan) when a
-/// selected row is not finite over the metres the pass reads.
-///
-/// The sliding side comes only from `table`, rolled at `window`'s length:
-/// each placement's mean-profile Pearson `P(j)` is scored from its rolled
-/// means ([`profile_terms`]). The pass visits the [`SEEDS`] placements with
-/// the highest `P(j)` first, then the rest in order, adding per-channel
-/// Pearsons in window order, each [`lane_dot`] taken only when its channel
-/// is reached (its window sums rolled on from the table's checkpoint).
-/// After `c` of `k` channels with sum `S` over `n` defined ones, a placement
-/// is dropped once `P(j) + (S + r)/(n + r) + PASS_TIE_MARGIN < max(best,
-/// floor)`, `r = k − c`: Pearsons are clamped to ≤ 1 and the margin dwarfs
-/// the rounding of a sum of a few dozen terms, so the bound is exact.
-/// Survivors are scored by the full scan's expression in its order, the
-/// lowest placement wins among equal maxima, and the peak's neighbours are
-/// scored in full for [`syn::refine_peak`].
-pub(crate) fn bounded_peak(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    table: &RolledTable,
-    window: &CheckWindow,
-    floor: f64,
-    s: &mut BoundScratch,
-) -> Option<(Option<Peak>, u64)> {
-    let (w, k, n_pos) = (window.len_m, window.channels.len(), table.placements.len());
-    debug_assert_eq!(w, table.w, "a table rolls one window length");
-    if w == 0 || n_pos == 0 {
-        return Some((None, 0));
-    }
-    if !rows_finite(window, fixed, fixed_start, |ch| {
-        table.channel(sliding, ch).finite
-    }) {
-        return None;
-    }
-    let fixed_rows = fixed_start..fixed_start + w;
-    s.fixed_sums.clear();
-    s.fixed_means.clear();
-    for &ch in &window.channels {
-        let sums = dsp::sum_sumsq(&fixed.channel(ch)[fixed_rows.clone()]);
-        s.fixed_sums.push(sums);
-        s.fixed_means.push(window_mean(sums.0, w));
-    }
-    let rolled = |ci: usize| table.channel(sliding, window.channels[ci]);
-    profile_terms(
-        &s.fixed_means,
-        |ci| &rolled(ci).means,
-        n_pos,
-        &mut s.profile,
-    );
-    let (first, profile, fixed_sums) = (table.placements.start, &s.profile, &s.fixed_sums);
+/// Where a pass's per-channel sliding dot products come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Dots<'a> {
+    /// [`lane_dots`] over the fixed and sliding rows, taken only at the
+    /// placements still alive, a run of consecutive ones at a time.
+    Lanes,
+    /// The FFT kernel's correlations: every placement's dot products, one
+    /// row of the table's placement count per window channel, in window
+    /// order.
+    Fft(&'a [f64]),
+}
 
-    // Placement j's Eq. (2) score (NaN where undefined), or None once its
-    // exact bound falls below `target`.
-    let score = |j: usize, target: f64| -> Option<f64> {
-        let p = profile[j];
-        if p.is_nan() {
-            return Some(f64::NAN);
-        }
-        let (at, from) = (first + j, j - j % CHECKPOINT);
-        let (mut sum, mut n) = (0.0, 0u32);
-        for (ci, &ch) in window.channels.iter().enumerate() {
-            let left = (k - ci) as f64;
-            if p + (sum + left) / (n as f64 + left) + syn::PASS_TIE_MARGIN < target {
-                return None;
-            }
-            let row = sliding.channel(ch);
-            let mut sums = rolled(ci).checkpoints[from / CHECKPOINT];
-            for i in first + from + 1..=at {
-                sums = roll(sums, &row[i - 1..i + w]);
-            }
-            let dot = lane_dot(&fixed.channel(ch)[fixed_rows.clone()], &row[at..at + w]);
-            if let Some(r) = channel_pearson(w, fixed_sums[ci], sums, dot) {
-                sum += r;
-                n += 1;
-            }
-        }
-        Some(if n == 0 { f64::NAN } else { sum / n as f64 + p })
-    };
+/// One dense pass: the `fixed` window `[fixed_start, fixed_start + w)`
+/// against the placements of `sliding` that `table` covers, rolled at the
+/// window's length.
+pub(crate) struct DensePass<'a> {
+    pub fixed: &'a GsmTrajectory,
+    pub fixed_start: usize,
+    pub sliding: &'a GsmTrajectory,
+    pub table: &'a RolledTable,
+    pub window: &'a CheckWindow,
+    pub dots: Dots<'a>,
+}
 
-    // The SEEDS highest profile terms, highest first, from one linear scan.
-    let mut seeds = [(f64::NEG_INFINITY, usize::MAX); SEEDS];
-    for (j, &p) in profile.iter().enumerate() {
-        if let Some(i) = seeds.iter().position(|&(q, _)| p >= q) {
-            seeds.copy_within(i..SEEDS - 1, i + 1);
-            seeds[i] = (p, j);
-        }
+impl DensePass<'_> {
+    /// True when every selected channel is finite over the fixed window and
+    /// over the sliding metres the pass reads: the loop assumes
+    /// full-support windows, where [`PairSums`] would skip samples `n = w`
+    /// still counts. Rows that fail take the recompute scan of record.
+    pub(crate) fn finite(&self) -> bool {
+        let fixed_rows = self.fixed_start..self.fixed_start + self.window.len_m;
+        self.window.channels.iter().all(|&ch| {
+            self.fixed.channel(ch)[fixed_rows.clone()]
+                .iter()
+                .all(|v| v.is_finite())
+                && self.table.channel(self.sliding, ch).finite
+        })
     }
-    let seeds = seeds.map(|(_, j)| j);
-    let rest = (0..n_pos).filter(|j| !seeds.contains(j));
-    let mut best: Option<(usize, f64)> = None;
-    let mut pruned = 0u64;
-    for j in seeds.into_iter().filter(|&j| j < n_pos).chain(rest) {
-        match score(j, best.map_or(floor, |(_, b)| b.max(floor))) {
-            None => pruned += 1,
-            Some(x) if !x.is_nan() && best.is_none_or(|(i, b)| x > b || (x == b && j < i)) => {
-                best = Some((j, x))
+
+    /// Every placement's Eq. (2) score (NaN where undefined), refilling
+    /// `out`: the score loop with no bound, the full scan behind
+    /// [`syn::slide_scores`]. The rows must be [`finite`](Self::finite).
+    pub(crate) fn scores(&self, s: &mut PassScratch, out: &mut Vec<f64>) {
+        self.prepare(s);
+        s.alive.clear();
+        s.alive.extend((0..s.profile.len()).map(|j| (j, 0.0, 0)));
+        self.run(f64::NEG_INFINITY, s);
+        out.clear();
+        out.extend(
+            s.alive
+                .iter()
+                .map(|&(j, sum, n)| score(s.profile[j], sum, n)),
+        );
+    }
+
+    /// The peak [`syn::peak`] picks over the full scan, bit for bit —
+    /// `None` inside when it scores below `floor` — and the number of
+    /// placements the exact bound dropped before their full score. The
+    /// rows must be [`finite`](Self::finite).
+    ///
+    /// The [`SEEDS`] placements with the highest profile terms run through
+    /// the loop first, bounded by `floor` alone, and set the best score;
+    /// the rest then run bounded by `max(best, floor)`. Among the
+    /// placements scored in full, the lowest one wins among equal maxima,
+    /// and the peak's neighbours are scored in full for
+    /// [`syn::refine_peak`].
+    pub(crate) fn peak(&self, floor: f64, s: &mut PassScratch) -> (Option<Peak>, u64) {
+        self.prepare(s);
+        let n_pos = self.table.placements.len();
+        // The SEEDS highest profile terms, from one linear scan.
+        let mut seeds = [(f64::NEG_INFINITY, usize::MAX); SEEDS];
+        for (j, &p) in s.profile.iter().enumerate() {
+            if let Some(i) = seeds.iter().position(|&(q, _)| p >= q) {
+                seeds.copy_within(i..SEEDS - 1, i + 1);
+                seeds[i] = (p, j);
             }
-            Some(_) => {}
+        }
+        let mut seeds = seeds.map(|(_, j)| j);
+        seeds.sort_unstable();
+        s.alive.clear();
+        s.alive
+            .extend(seeds.iter().filter(|&&j| j < n_pos).map(|&j| (j, 0.0, 0)));
+        let mut pruned = self.run(floor, s);
+        let best = best_scored(s, None);
+        let profile = &s.profile;
+        s.alive.clear();
+        s.alive.extend(
+            (0..n_pos)
+                .filter(|j| !profile[*j].is_nan() && !seeds.contains(j))
+                .map(|j| (j, 0.0, 0)),
+        );
+        pruned += self.run(best.map_or(floor, |(_, b)| b.max(floor)), s);
+        let peak = best_scored(s, best)
+            .filter(|&(_, x)| x >= floor)
+            .map(|(i, x)| (i, x, syn::refine_peak(i, x, n_pos, |j| self.score_at(j, s))));
+        (peak, pruned)
+    }
+
+    /// Placement `j`'s full score, through the loop with no bound.
+    fn score_at(&self, j: usize, s: &mut PassScratch) -> f64 {
+        s.alive.clear();
+        s.alive.push((j, 0.0, 0));
+        self.run(f64::NEG_INFINITY, s);
+        let (_, sum, n) = s.alive[0];
+        score(s.profile[j], sum, n)
+    }
+
+    /// Fills the fixed window's per-channel sums and means and every
+    /// placement's profile term from the table's means.
+    fn prepare(&self, s: &mut PassScratch) {
+        let w = self.window.len_m;
+        debug_assert_eq!(w, self.table.w, "a table rolls one window length");
+        let fixed_rows = self.fixed_start..self.fixed_start + w;
+        s.fixed_sums.clear();
+        s.fixed_means.clear();
+        for &ch in &self.window.channels {
+            let sums = dsp::sum_sumsq(&self.fixed.channel(ch)[fixed_rows.clone()]);
+            s.fixed_sums.push(sums);
+            s.fixed_means.push(window_mean(sums.0, w));
+        }
+        let rolled = |ci: usize| self.table.channel(self.sliding, self.window.channels[ci]);
+        let n_pos = self.table.placements.len();
+        profile_terms(
+            &s.fixed_means,
+            |ci| &rolled(ci).means,
+            n_pos,
+            &mut s.profile,
+        );
+    }
+
+    /// The score loop over the ascending placements of `s.alive`, returning
+    /// how many it dropped. It walks the window's channels in window order,
+    /// and before each one drops every placement whose exact bound
+    /// `P + (S + r)/(n + r) + PASS_TIE_MARGIN`, with `r` channels left,
+    /// falls below `target` (a target above −∞ needs every placement's
+    /// profile term defined): Pearsons are clamped to ≤ 1 and the margin
+    /// dwarfs the rounding of a sum of a few dozen terms, so no dropped
+    /// placement can reach `target`. It then takes the channel's dot
+    /// products at the placements left, a run of consecutive ones at a
+    /// time, with their window sums rolled to the run's first placement
+    /// from the table's checkpoint and then along the run — the full
+    /// scan's roll, so the bits are the same — and adds each one's Pearson
+    /// to its running `(S, n)`.
+    fn run(&self, target: f64, s: &mut PassScratch) -> u64 {
+        let (w, k) = (self.window.len_m, self.window.channels.len());
+        let (first, n_pos) = (self.table.placements.start, self.table.placements.len());
+        let fixed_rows = self.fixed_start..self.fixed_start + w;
+        let mut dropped = 0;
+        for (ci, &ch) in self.window.channels.iter().enumerate() {
+            if target > f64::NEG_INFINITY {
+                let (left, before, profile) = ((k - ci) as f64, s.alive.len(), &s.profile);
+                s.alive.retain(|&(j, sum, n)| {
+                    profile[j] + (sum + left) / (n as f64 + left) + syn::PASS_TIE_MARGIN >= target
+                });
+                dropped += (before - s.alive.len()) as u64;
+            }
+            if s.alive.is_empty() {
+                break;
+            }
+            let (row, rolled) = (
+                self.sliding.channel(ch),
+                self.table.channel(self.sliding, ch),
+            );
+            let f = &self.fixed.channel(ch)[fixed_rows.clone()];
+            let len = s.alive.len();
+            s.dots.resize(len, 0.0);
+            s.rolled.resize(len, (0.0, 0.0));
+            let mut i = 0;
+            while i < len {
+                let j = s.alive[i].0;
+                let run = run_len(&s.alive[i..]);
+                let span = &row[first + j..first + j + run + w - 1];
+                let dots = &mut s.dots[i..i + run];
+                match self.dots {
+                    Dots::Fft(all) => dots.copy_from_slice(&all[ci * n_pos + j..][..run]),
+                    Dots::Lanes => lane_dots(f, span, dots, &mut s.wide),
+                }
+                let base = j - j % CHECKPOINT;
+                let mut sums = rolled.checkpoints[base / CHECKPOINT];
+                for at in base + 1..=j {
+                    sums = roll(sums, &row[first + at - 1..first + at + w]);
+                }
+                s.rolled[i] = sums;
+                for (t, out) in s.rolled[i + 1..i + run].iter_mut().enumerate() {
+                    sums = roll(sums, &span[t..=t + w]);
+                    *out = sums;
+                }
+                i += run;
+            }
+            // The Pearsons replace the dot products (NaN where undefined),
+            // side by side so that their divisions vectorise.
+            let fixed = s.fixed_sums[ci];
+            for (dot, &sums) in s.dots.iter_mut().zip(&s.rolled) {
+                let (defined, r) = channel_pearson_parts(w, fixed, sums, *dot);
+                *dot = if defined { r } else { f64::NAN };
+            }
+            for (entry, &r) in s.alive.iter_mut().zip(&s.dots) {
+                if !r.is_nan() {
+                    entry.1 += r;
+                    entry.2 += 1;
+                }
+            }
+        }
+        dropped
+    }
+}
+
+/// How many placements at the head of the ascending `alive` are
+/// consecutive.
+fn run_len(alive: &[(usize, f64, u32)]) -> usize {
+    let j = alive[0].0;
+    if alive[alive.len() - 1].0 - j == alive.len() - 1 {
+        return alive.len();
+    }
+    (alive.iter().zip(j..))
+        .take_while(|&(&(a, ..), b)| a == b)
+        .count()
+}
+
+/// The Eq. (2) score of a placement from its profile term and its running
+/// `(S, n)`: mean per-channel Pearson plus the profile term, NaN when
+/// either is undefined.
+fn score(profile: f64, sum: f64, n: u32) -> f64 {
+    if n == 0 {
+        f64::NAN
+    } else {
+        sum / n as f64 + profile
+    }
+}
+
+/// The best of `best` and the placements the loop scored in full in
+/// `s.alive`: the highest score, the lowest placement among equal ones.
+fn best_scored(s: &PassScratch, mut best: Option<(usize, f64)>) -> Option<(usize, f64)> {
+    for &(j, sum, n) in &s.alive {
+        let x = score(s.profile[j], sum, n);
+        if !x.is_nan() && best.is_none_or(|(i, b)| x > b || (x == b && j < i)) {
+            best = Some((j, x));
         }
     }
-    let peak = best.filter(|&(_, b)| b >= floor).map(|(i, x)| {
-        let full = |j| score(j, f64::NEG_INFINITY).unwrap_or(f64::NAN);
-        (i, x, syn::refine_peak(i, x, n_pos, full))
-    });
-    Some((peak, pruned))
+    best
 }
 
 /// Dot product hand-unrolled into four independent f64 lanes (combined in
@@ -632,36 +629,40 @@ where
     out
 }
 
-/// Sliding dot products of the fixed row `f` against every placement of
-/// `s`: `out` is refilled with `n_pos` entries, `out[j]` equal to
-/// `lane_dot(f, &s[j..j + f.len()])` bit for bit. Panics when `n_pos > 0`
-/// and `s` is shorter than `n_pos + f.len() - 1`.
+/// Sliding dot products of the fixed row `f` against consecutive
+/// placements of `s`: `out[j]` is set to `lane_dot(f, &s[j..j + f.len()])`
+/// bit for bit. Panics when `out` is not empty and `s` is shorter than
+/// `out.len() + f.len() - 1`.
 ///
-/// On x86_64 hosts with AVX the blocked `lane_dots_avx` pass runs; the
-/// CPU check alone picks it. Everywhere else the scalar loop runs.
-pub(crate) fn lane_dots(f: &[f64], s: &[f64], n_pos: usize, out: &mut Vec<f64>) {
-    assert_covers(s, n_pos, f.len());
-    out.clear();
-    out.resize(n_pos, 0.0);
+/// On x86_64 hosts with AVX, runs of at least [`AVX_BLOCK`] placements take
+/// the blocked `lane_dots_avx` pass over `f64` copies of the rows, widened
+/// once into `wide` (exactly) so that each value is converted once rather
+/// than once per placement that reads it; the CPU check alone picks it.
+/// Everywhere else the scalar loop runs on the `f32` rows.
+pub(crate) fn lane_dots(f: &[f32], s: &[f32], out: &mut [f64], wide: &mut Vec<f64>) {
+    let (w, n_pos) = (f.len(), out.len());
+    assert_covers(s.len(), n_pos, w);
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx") {
+    if n_pos >= AVX_BLOCK && is_x86_feature_detected!("avx") {
+        wide.clear();
+        wide.extend(f.iter().map(|&v| f64::from(v)));
+        wide.extend(s[..n_pos + w - 1].iter().map(|&v| f64::from(v)));
+        let (f, s) = wide.split_at(w);
         // SAFETY: the CPU supports AVX, checked on the line above.
         unsafe { lane_dots_avx(f, s, out) };
         return;
     }
-    let w = f.len();
     for (j, o) in out.iter_mut().enumerate() {
         *o = lane_dot(f, &s[j..j + w]);
     }
 }
 
-/// Panics unless the sliding row `s` covers `n_pos` placements of a
-/// `w`-long fixed row, i.e. `s.len() >= n_pos + w - 1`.
-fn assert_covers(s: &[f64], n_pos: usize, w: usize) {
+/// Panics unless a sliding row of `s_len` values covers `n_pos` placements
+/// of a `w`-long fixed row, i.e. `s_len >= n_pos + w - 1`.
+fn assert_covers(s_len: usize, n_pos: usize, w: usize) {
     assert!(
-        n_pos == 0 || s.len() >= n_pos + w - 1,
-        "lane_dots: sliding row of {} values is shorter than {n_pos} placements of {w}",
-        s.len()
+        n_pos == 0 || s_len >= n_pos + w - 1,
+        "lane_dots: sliding row of {s_len} values is shorter than {n_pos} placements of {w}"
     );
 }
 
@@ -689,7 +690,7 @@ unsafe fn lane_dots_avx(f: &[f64], s: &[f64], out: &mut [f64]) {
         __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
     };
     let (w, n_pos) = (f.len(), out.len());
-    assert_covers(s, n_pos, w);
+    assert_covers(s.len(), n_pos, w);
     let chunked = w - w % 4;
     let blocked = n_pos - n_pos % AVX_BLOCK;
     for j0 in (0..blocked).step_by(AVX_BLOCK) {
@@ -723,60 +724,12 @@ unsafe fn lane_dots_avx(f: &[f64], s: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Every placement's Eq. (2) score from an arena a dense pass filled,
-/// refilling `s.scores` — the full scan behind [`crate::syn::slide_scores`].
-pub(crate) fn combine_dense_scores(s: &mut DenseScratch) {
-    let acc = &s.acc;
-    s.scores.clear();
-    s.scores
-        .extend((0..acc.chan_n.len()).map(|j| acc.score_at(j)));
-}
-
-/// Pruned peak search over the accumulators an FFT pass filled: returns
-/// the first maximum `(j, score, refine)` exactly as `syn::peak` over
-/// [`combine_dense_scores`] would, plus the number of placements whose
-/// mean-profile Pearson was skipped.
-///
-/// The upper bound is exact, not heuristic: the profile term is clamped to
-/// `[−1, 1]` by [`PairSums::pearson`], so `score(j) ≤ partial(j) + 1`, and
-/// IEEE addition is monotonic — `fl(partial + profile) ≤ fl(partial + 1)`.
-/// A placement with `fl(partial + 1) ≤ best` therefore can never satisfy
-/// the strict `score > best` test of the reference first-max scan, and
-/// skipping its `O(k)` profile correlation cannot change the argmax. The
-/// peak's neighbours are evaluated exactly afterwards for the shared
-/// [`syn::refine_peak`], so the refinement is bit-identical too.
-pub(crate) fn combine_dense_peak(acc: &DenseAcc) -> (Option<Peak>, u64) {
-    let n_pos = acc.chan_n.len();
-    let mut best: Option<(usize, f64)> = None;
-    let mut pruned = 0u64;
-    for j in 0..n_pos {
-        if acc.chan_n[j] == 0 {
-            continue;
-        }
-        if let Some((_, b)) = best {
-            let partial = acc.chan_sum[j] / acc.chan_n[j] as f64;
-            if partial + 1.0 <= b {
-                pruned += 1;
-                continue;
-            }
-        }
-        let score = acc.score_at(j);
-        if !score.is_nan() && best.is_none_or(|(_, b)| score > b) {
-            best = Some((j, score));
-        }
-    }
-    let peak = best.map(|(i, score)| {
-        let refine = syn::refine_peak(i, score, n_pos, |j| acc.score_at(j));
-        (i, score, refine)
-    });
-    (peak, pruned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RupsConfig;
     use crate::gsm::PowerVector;
+    use crate::stats;
     use crate::testfield;
 
     fn dense_traj(seed: u64, start: usize, len: usize, n_channels: usize) -> GsmTrajectory {
@@ -798,19 +751,48 @@ mod tests {
         }
     }
 
-    /// The lane-dot scan of `fixed`'s newest window over every placement on
-    /// `sliding`, or `None` when it refuses the rows.
+    /// The pass of `fixed`'s window ending at `end` over the placements of
+    /// `sliding` that `table` covers, with lane dot products.
+    fn lanes<'a>(
+        fixed: &'a GsmTrajectory,
+        end: usize,
+        sliding: &'a GsmTrajectory,
+        table: &'a RolledTable,
+        window: &'a CheckWindow,
+    ) -> DensePass<'a> {
+        let (fixed_start, dots) = (end - window.len_m, Dots::Lanes);
+        DensePass {
+            fixed,
+            fixed_start,
+            sliding,
+            table,
+            window,
+            dots,
+        }
+    }
+
+    /// The unbounded loop of `fixed`'s newest window over every placement
+    /// on `sliding`, or `None` when it refuses the rows.
     fn lane_dot_scan(
         fixed: &GsmTrajectory,
         sliding: &GsmTrajectory,
         w: &CheckWindow,
     ) -> Option<Vec<f64>> {
-        with_scratch(|s, _| {
-            dense_pass(fixed, fixed.len() - w.len_m, sliding, w, s).then(|| {
-                combine_dense_scores(s);
-                s.scores.clone()
-            })
-        })
+        let table = RolledTable::new(
+            sliding.n_channels(),
+            w.len_m,
+            0..sliding.len() - w.len_m + 1,
+        );
+        let pass = lanes(fixed, fixed.len(), sliding, &table, w);
+        let mut out = Vec::new();
+        with_scratch(|s, _| pass.finite().then(|| pass.scores(&mut s.pass, &mut out)))?;
+        Some(out)
+    }
+
+    /// A bounded pass at `floor`, on rows it must accept.
+    fn peak_of(pass: &DensePass<'_>, floor: f64) -> (Option<Peak>, u64) {
+        assert!(pass.finite(), "dense rows");
+        with_scratch(|s, _| pass.peak(floor, &mut s.pass))
     }
 
     /// The bounded pass of `fixed`'s newest window over `placements` of
@@ -822,10 +804,8 @@ mod tests {
         placements: Range<usize>,
         floor: f64,
     ) -> (Option<Peak>, u64) {
-        let fs = fixed.len() - w.len_m;
         let table = RolledTable::new(sliding.n_channels(), w.len_m, placements);
-        with_scratch(|s, _| bounded_peak(fixed, fs, sliding, &table, w, floor, &mut s.bound))
-            .expect("dense rows")
+        peak_of(&lanes(fixed, fixed.len(), sliding, &table, w), floor)
     }
 
     fn peak_bits(p: Option<Peak>) -> Option<(usize, u64, u64)> {
@@ -859,10 +839,10 @@ mod tests {
         GsmTrajectory::from_rows(rows.to_vec())
     }
 
-    /// `len` dBm values: f32-representable, as the lane-dot pass stages
-    /// them, or at full f64 precision. f32 values multiply exactly in f64,
-    /// so only the full-precision rows make a fused multiply-add or a
-    /// reordered tail show in the bits.
+    /// `len` dBm values: f32-representable, as the rows store them, or at
+    /// full f64 precision. f32 values multiply exactly in f64, so only the
+    /// full-precision rows make a fused multiply-add or a reordered tail
+    /// show in the bits.
     fn dbm_row(seed: u64, len: usize, f32_exact: bool) -> Vec<f64> {
         (0..len)
             .map(|i| {
@@ -889,23 +869,34 @@ mod tests {
         if !avx {
             eprintln!("no AVX on this host: only the scalar lane-dot path is checked");
         }
-        let mut got = Vec::new();
+        let mut wide = Vec::new();
         for w in [1, 2, 3, 4, 5, 7, 8, 45, 84, 85, 86, 100] {
             for n_pos in [0, 1, 7, 8, 9, 15, 16, 17, 51, 316] {
-                for f32_exact in [true, false] {
-                    let f = dbm_row(w as u64, w, f32_exact);
-                    let s = dbm_row(1000 + n_pos as u64, n_pos + w - 1, f32_exact);
-                    let expect: Vec<u64> = (0..n_pos)
-                        .map(|j| lane_dot(&f, &s[j..j + w]).to_bits())
-                        .collect();
-                    let case = format!("w {w}, n_pos {n_pos}, f32 {f32_exact}");
-                    lane_dots(&f, &s, n_pos, &mut got);
-                    assert_eq!(bits(&got), expect, "lane_dots, {case}");
-                    #[cfg(target_arch = "x86_64")]
-                    if avx {
+                let (f, s) = (
+                    f32_row(w as u64, w),
+                    f32_row(1000 + n_pos as u64, n_pos + w - 1),
+                );
+                let expect: Vec<u64> = (0..n_pos)
+                    .map(|j| lane_dot(&f, &s[j..j + w]).to_bits())
+                    .collect();
+                let mut got = vec![f64::NAN; n_pos];
+                lane_dots(&f, &s, &mut got, &mut wide);
+                assert_eq!(bits(&got), expect, "lane_dots, w {w}, n_pos {n_pos}");
+                // The AVX pass itself, on f32-representable rows (what
+                // `lane_dots` widens) and on full-precision rows, where a
+                // fused multiply-add or a reordered tail would show.
+                #[cfg(target_arch = "x86_64")]
+                if avx {
+                    for f32_exact in [true, false] {
+                        let f = dbm_row(w as u64, w, f32_exact);
+                        let s = dbm_row(1000 + n_pos as u64, n_pos + w - 1, f32_exact);
+                        let expect: Vec<u64> = (0..n_pos)
+                            .map(|j| lane_dot(&f, &s[j..j + w]).to_bits())
+                            .collect();
                         let mut out = vec![f64::NAN; n_pos];
                         // SAFETY: the CPU supports AVX, checked above.
                         unsafe { lane_dots_avx(&f, &s, &mut out) };
+                        let case = format!("w {w}, n_pos {n_pos}, f32 {f32_exact}");
                         assert_eq!(bits(&out), expect, "AVX pass, {case}");
                     }
                 }
@@ -913,21 +904,26 @@ mod tests {
         }
     }
 
+    /// `len` f32 dBm values.
+    fn f32_row(seed: u64, len: usize) -> Vec<f32> {
+        dbm_row(seed, len, true).iter().map(|&v| v as f32).collect()
+    }
+
     #[test]
     #[should_panic(expected = "shorter than")]
     fn lane_dots_refuse_a_short_sliding_row() {
         let (w, n_pos) = (84, 16);
-        let f = dbm_row(1, w, true);
-        let s = dbm_row(2, n_pos + w - 2, true);
+        let mut out = vec![0.0; n_pos];
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx") {
-            let mut out = vec![0.0; n_pos];
+            let (f, s) = (dbm_row(1, w, true), dbm_row(2, n_pos + w - 2, true));
             // SAFETY: the CPU supports AVX; the short row must trip the
             // length assert before any load.
             unsafe { lane_dots_avx(&f, &s, &mut out) };
             return;
         }
-        lane_dots(&f, &s, n_pos, &mut Vec::new());
+        let (f, s) = (f32_row(1, w), f32_row(2, n_pos + w - 2));
+        lane_dots(&f, &s, &mut out, &mut Vec::new());
     }
 
     #[test]
@@ -953,6 +949,32 @@ mod tests {
         }
     }
 
+    /// The bounded pass of `fixed`'s newest window over every placement on
+    /// `sliding` at `floor`, reading its dot products from a precomputed
+    /// table as an FFT pass does: here every placement's [`lane_dot`], so
+    /// the answer must be the lane pass's bit for bit.
+    fn precomputed(
+        fixed: &GsmTrajectory,
+        sliding: &GsmTrajectory,
+        w: &CheckWindow,
+        floor: f64,
+    ) -> (Option<Peak>, u64) {
+        let (fs, n_pos) = (fixed.len() - w.len_m, sliding.len() - w.len_m + 1);
+        let dots: Vec<f64> = (w.channels.iter())
+            .flat_map(|&ch| {
+                let f = &fixed.channel(ch)[fs..fs + w.len_m];
+                let s = sliding.channel(ch);
+                (0..n_pos).map(move |j| lane_dot(f, &s[j..j + w.len_m]))
+            })
+            .collect();
+        let table = RolledTable::new(sliding.n_channels(), w.len_m, 0..n_pos);
+        let pass = DensePass {
+            dots: Dots::Fft(&dots),
+            ..lanes(fixed, fixed.len(), sliding, &table, w)
+        };
+        peak_of(&pass, floor)
+    }
+
     #[test]
     fn pruned_peak_equals_full_scan_peak() {
         for (seed, off) in [(7u64, 30usize), (8, 55), (9, 10)] {
@@ -962,38 +984,41 @@ mod tests {
             let w = CheckWindow::for_context(&a, &c).unwrap();
             let full = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
             let expect = syn::peak(&full);
-            let got = with_scratch(|s, _| {
-                assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, s));
-                combine_dense_peak(&s.acc).0
-            });
-            match (expect, got) {
-                (Some((ei, es, er)), Some((gi, gs, gr))) => {
-                    assert_eq!(ei, gi, "seed {seed}: pruned argmax diverged");
-                    assert!(es.to_bits() == gs.to_bits(), "seed {seed}: score bits");
-                    assert!(er.to_bits() == gr.to_bits(), "seed {seed}: refine bits");
-                }
-                (None, None) => {}
-                other => panic!("seed {seed}: {other:?}"),
+            assert!(expect.is_some());
+            let n_pos = full.len();
+            for floor in [f64::NEG_INFINITY, w.threshold] {
+                let want = expect.filter(|&(_, x, _)| x >= floor);
+                let (got, pruned) = precomputed(&a, &b, &w, floor);
+                assert_eq!(
+                    peak_bits(got),
+                    peak_bits(want),
+                    "seed {seed}, floor {floor}"
+                );
+                let (lane_peak, lane_pruned) = bounded(&a, &b, &w, 0..n_pos, floor);
+                assert_eq!(
+                    (peak_bits(got), pruned),
+                    (peak_bits(lane_peak), lane_pruned)
+                );
             }
         }
     }
 
     #[test]
-    fn pruning_actually_skips_profile_evaluations() {
+    fn precomputed_dots_pass_drops_most_placements() {
         let a = dense_traj(33, 0, 350, 16);
         let b = dense_traj(33, 60, 350, 16);
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let n_pos = b.len() - w.len_m + 1;
-        let pruned = with_scratch(|s, _| {
-            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, s));
-            let (peak, pruned) = combine_dense_peak(&s.acc);
-            assert!(peak.is_some());
-            pruned
-        });
+        let (peak, pruned) = precomputed(&a, &b, &w, f64::NEG_INFINITY);
+        assert!(peak.is_some());
+        // The table's dot products are the lane pass's, so it drops the
+        // same placements.
+        let lanes = bounded(&a, &b, &w, 0..n_pos, f64::NEG_INFINITY).1;
+        assert_eq!(pruned, lanes);
         assert!(
             pruned > (n_pos as u64) / 4,
-            "expected the bound to skip a sizeable share of {n_pos} placements, pruned {pruned}"
+            "expected the bound to drop a sizeable share of {n_pos} placements, pruned {pruned}"
         );
     }
 
@@ -1164,12 +1189,8 @@ mod tests {
             let shared = RolledTable::new(16, wl, js.clone());
             for (end, wnd) in &windows {
                 for floor in [f64::NEG_INFINITY, wnd.threshold] {
-                    let pass = |table: &RolledTable| {
-                        with_scratch(|s, _| {
-                            bounded_peak(&a, end - wl, &b, table, wnd, floor, &mut s.bound)
-                        })
-                        .expect("dense rows")
-                    };
+                    let pass =
+                        |table: &RolledTable| peak_of(&lanes(&a, *end, &b, table, wnd), floor);
                     let own = RolledTable::new(16, wl, js.clone());
                     let (got, want) = (pass(&shared), pass(&own));
                     assert_eq!((peak_bits(got.0), got.1), (peak_bits(want.0), want.1));
@@ -1206,12 +1227,11 @@ mod tests {
         for sliding in &slidings {
             let n_pos = sliding.len() - w.len_m + 1;
             table.reset(12, w.len_m, 0..n_pos);
-            let got = with_scratch(|s, _| {
-                bounded_peak(&a, fs, sliding, &table, &w, f64::NEG_INFINITY, &mut s.bound)
-            });
+            let pass = lanes(&a, a.len(), sliding, &table, &w);
             let dense = (0..12).all(|ch| sliding.channel(ch).iter().all(|v| v.is_finite()));
-            assert_eq!(got.is_some(), dense);
-            if let Some((peak, _)) = got {
+            assert_eq!(pass.finite(), dense);
+            if dense {
+                let (peak, _) = peak_of(&pass, f64::NEG_INFINITY);
                 let full = syn::slide_scores(&a, fs, sliding, &w);
                 assert_eq!(peak_bits(peak), peak_bits(syn::peak(&full)));
             }
@@ -1252,11 +1272,7 @@ mod tests {
         let w = CheckWindow::for_context(&a, &c).unwrap();
         assert!(lane_dot_scan(&a, &b, &w).is_none());
         let table = RolledTable::new(16, w.len_m, 0..b.len() - w.len_m + 1);
-        let refused = with_scratch(|s, _| {
-            let fs = a.len() - w.len_m;
-            bounded_peak(&a, fs, &b, &table, &w, f64::NEG_INFINITY, &mut s.bound)
-        });
-        assert!(refused.is_none());
+        assert!(!lanes(&a, a.len(), &b, &table, &w).finite());
         // The scan answers through the per-placement path instead…
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         let fs = a.len() - w.len_m;

@@ -4,11 +4,10 @@
 //! hits, misses and below-threshold cases alike.
 //!
 //! The reference-kernel comparisons demand *bit* equality — the engine's
-//! rolling passes take their peak from a bound-first search over the same
-//! rolled sums and dot products that `syn::slide_scores` scores in full
-//! before `syn::peak` picks one, the bound is exact, and the floors below
-//! which a pass answers nothing change no hit and no miss score — and so
-//! does warm-vs-cold on the FFT kernel;
+//! passes take their peak from a bounded run of the score loop that
+//! `syn::slide_scores` runs unbounded before `syn::peak` picks one, the
+//! bound is exact, and the floors below which a pass answers nothing change
+//! no hit and no miss score — and so does warm-vs-cold on the FFT kernel;
 //! the FFT-vs-reference comparisons allow a 1e-9 score tolerance, since the
 //! FFT correlation and the rolling window statistics legitimately
 //! reassociate floating-point sums. The anchored check behind
