@@ -21,12 +21,25 @@
 //!   inputs of the FFT kernel);
 //! * per-`(len, end)` checking windows with memoised reversed spectra (the
 //!   fixed-side inputs of the FFT kernel);
-//! * scratch arenas (FFT work areas, the score loop's buffers, the table a
-//!   query rolls its neighbour's rows into for its forward passes) from the
-//!   process-wide pool the full scan of [`crate::syn`] runs in too, so
-//!   concurrent rayon queries allocate nothing in steady state;
+//! * scratch arenas, one per query: the table its neighbour's rows roll
+//!   into for its forward passes, and the FFT work areas and score-loop
+//!   buffers that the batch's running passes share, from the process-wide
+//!   pool the full scan of [`crate::syn`] draws on too, so concurrent passes
+//!   allocate nothing in steady state;
 //! * a per-batch kernel choice — lane dot products vs the engine's own FFT
 //!   correlation — driven by context density and length.
+//!
+//! A batch of neighbours runs as one search whose unit of work is the
+//! directed pass — query, segment, direction — not the query: each query's
+//! forward and reverse passes over every segment are independent apart
+//! from the resolve steps between the newest segment and the older ones,
+//! so a batch of 3 queries hands the rayon workers about 30 passes instead
+//! of 3 queries, and the threads share them evenly. The caller resolves
+//! each pair and assembles every query's points in segment order, so
+//! answers are bit-identical for any number of workers. A one-query batch
+//! (a single fix, the full search behind a tracked fix, a fix on a
+//! `rups-fleet` scheduler worker), and any batch on a one-thread pool, runs
+//! its passes in order on its caller.
 //!
 //! Every directed pass takes an exact peak through the one score loop of
 //! `syn_fast::DensePass`: the kernel only picks where its dot products come
@@ -48,16 +61,19 @@
 use crate::config::RupsConfig;
 use crate::dsp::{self, Complex};
 use crate::error::RupsError;
-use crate::gsm::GsmTrajectory;
+use crate::gsm::{self, GsmTrajectory};
 use crate::pipeline::{ContextSnapshot, DistanceFix};
 use crate::syn::{self, SynPoint};
-use crate::syn_fast::{self, RolledTable};
+use crate::syn_fast::{self, Arena, PooledArena, RolledTable};
 use crate::window::CheckWindow;
-use rups_obs::{Counter, Histogram, Registry, SpanArgs, SpanRecorder, TraceContext};
+use rayon::prelude::*;
+use rups_obs::{
+    Counter, Histogram, Registry, SpanArgs, SpanGuard, SpanRecorder, Timer, TraceContext,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Placement slack (± metres) of the anchored check: how far a tracked
 /// neighbour's SYN shift may drift between two fixes before the full
@@ -121,7 +137,7 @@ pub struct EngineStats {
     /// Checking-window constructions (channel selection).
     pub window_misses: u64,
     /// Scratch arenas this engine's queries reused from the process-wide
-    /// pool.
+    /// pool: one per query.
     pub scratch_reuses: u64,
     /// Scratch arenas this engine's queries had to allocate because the
     /// pool was empty.
@@ -284,8 +300,7 @@ impl OwnContext {
         } else {
             raw.clone()
         };
-        let n = gsm.n_channels();
-        let dense = (0..n).all(|ch| gsm.channel(ch).iter().all(|v| v.is_finite()));
+        let dense = !(0..gsm.n_channels()).any(|ch| gsm::has_non_finite(gsm.channel(ch)));
         Self {
             version,
             gsm,
@@ -371,16 +386,56 @@ struct WindowEntry {
     spectra: RwLock<HashMap<usize, Arc<Vec<Arc<SpectraPair>>>>>,
 }
 
-/// Per-query scratch arena: every buffer a directed pass needs, popped from
-/// the process-wide scratch pool for one query.
+/// Every buffer a directed pass needs besides its rolled table: an arena's
+/// scratch.
 type Scratch = syn_fast::DenseScratch;
+
+/// What the passes of one batch query read besides the own context.
+struct PassInputs<'a> {
+    theirs: &'a GsmTrajectory,
+    /// The window length of every pass.
+    w: usize,
+    /// Our rows rolled at `w`: the sliding side of the reverse passes.
+    own_table: Arc<RolledTable>,
+    /// Our newest window at `w`.
+    newest: Arc<WindowEntry>,
+}
+
+/// A batch query that got as far as its passes.
+struct Query<'a> {
+    /// Its position in the batch.
+    slot: usize,
+    inputs: PassInputs<'a>,
+    /// Its `table` holds their rows rolled at `w`: the sliding side of the
+    /// forward passes. The batch's passes run in the arenas' scratch.
+    arena: PooledArena,
+    /// The query's latency sample and span, closed once its answer is
+    /// final.
+    watch: Option<(Timer, Option<SpanGuard<'a>>)>,
+    /// Its SYN points so far, newest segment first, or its miss.
+    answer: Result<Vec<SynPoint>, RupsError>,
+    /// Directed passes whose window existed.
+    scanned: u32,
+}
+
+/// One directed pass of a batch search: query `query`'s `segment` (0 the
+/// newest, `s` ending `s · syn_segment_stride_m` metres earlier), forward
+/// (our window slid over their rows) or `reverse`, answering nothing below
+/// `floor`, or below its window's threshold when `None`.
+#[derive(Clone, Copy)]
+struct Pass {
+    query: usize,
+    segment: usize,
+    reverse: bool,
+    floor: Option<f64>,
+}
 
 /// Caching, batching SYN-query engine (see the module docs).
 ///
-/// All methods take `&self`: caches use interior mutability so queries can
-/// fan out over rayon. An engine is cheap to create; its caches warm up on
-/// first use and are invalidated whenever a new context version is
-/// installed.
+/// All methods take `&self`: caches use interior mutability so a batch's
+/// passes can fan out over rayon. An engine is cheap to create; its caches
+/// warm up on first use and are invalidated whenever a new context version
+/// is installed.
 pub struct SynQueryEngine {
     cfg: RupsConfig,
     ctx: RwLock<Option<Arc<OwnContext>>>,
@@ -575,17 +630,16 @@ impl SynQueryEngine {
         }
     }
 
-    /// Runs `f` with an arena from the process-wide scratch pool, counting
-    /// the pop as a reuse or an allocation.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
-        syn_fast::with_scratch(|s, reused| {
-            if reused {
-                self.metrics.scratch_reuses.inc();
-            } else {
-                self.metrics.scratch_allocs.inc();
-            }
-            f(s)
-        })
+    /// An arena from the process-wide pool, its pop counted as a reuse or
+    /// an allocation.
+    fn arena(&self) -> PooledArena {
+        let (arena, reused) = PooledArena::pop();
+        if reused {
+            self.metrics.scratch_reuses.inc();
+        } else {
+            self.metrics.scratch_allocs.inc();
+        }
+        arena
     }
 
     /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`,
@@ -636,19 +690,20 @@ impl SynQueryEngine {
     /// bits) match [`crate::syn::find_syn_points`] run against the same
     /// interpolated context.
     pub fn find_syn_points(&self, theirs: &GsmTrajectory) -> Result<Vec<SynPoint>, RupsError> {
-        let ctx = self.own_context()?;
-        let kernel = self.kernel_for(&ctx, theirs.len());
-        self.query(&ctx, theirs, kernel, None, &mut 0)
+        let kernel = self.kernel_for(&*self.own_context()?, theirs.len());
+        self.find_syn_points_with(theirs, kernel)
     }
 
-    /// [`find_syn_points`](Self::find_syn_points) with an explicit kernel.
+    /// [`find_syn_points`](Self::find_syn_points) with an explicit kernel:
+    /// a one-query [`search`](Self::search), without its diagnostics.
     pub fn find_syn_points_with(
         &self,
         theirs: &GsmTrajectory,
         kernel: Kernel,
     ) -> Result<Vec<SynPoint>, RupsError> {
         let ctx = self.own_context()?;
-        self.query(&ctx, theirs, kernel, None, &mut 0)
+        let mut answers = self.search(&ctx, &[(theirs, None)], kernel);
+        answers.pop().expect("one answer per query").0
     }
 
     /// The kernel for one batch of neighbours: chosen once from the
@@ -674,25 +729,115 @@ impl SynQueryEngine {
         DistanceFix::from_syn_points(points, ours_len, theirs_len, self.cfg.aggregation)
     }
 
-    /// The engine's double-sliding multi-SYN search: the control flow of
-    /// [`crate::syn::find_syn_points`] (adaptive length, forward +
-    /// perspective-swapped reverse passes, threshold filtering, multi-SYN
-    /// stride loop), with the own side served from the cache. Counts the
-    /// directed passes it actually ran into `scanned`. When the neighbour
-    /// snapshot carried a [`TraceContext`] the `engine.query` span joins that
-    /// causal trace (its args gain `trace` + `clock` alongside the window
-    /// sizes).
-    pub(crate) fn query(
+    /// The engine's double-sliding multi-SYN search over a batch of
+    /// neighbours, each given with the trace its snapshot carried: per
+    /// neighbour the control flow of [`crate::syn::find_syn_points`]
+    /// (adaptive length, forward + perspective-swapped reverse passes,
+    /// threshold filtering, multi-SYN stride loop), with the own side served
+    /// from the cache. Answers each neighbour in batch order, with the
+    /// directed passes it scanned.
+    ///
+    /// Every query's newest pair of passes runs first, then every hit's
+    /// older pairs (see the module docs); the caller resolves each pair in
+    /// between and assembles each query's points in segment order. Each
+    /// query counts as one and records one `engine.query` span and one
+    /// `rups_core_engine_query_ns` sample, from the batch's start until the
+    /// round of passes that held its last pass returns. When the neighbour
+    /// snapshot carried a [`TraceContext`], the span joins that causal trace
+    /// (its args gain `trace` + `clock` alongside the window sizes).
+    pub(crate) fn search(
         &self,
         ctx: &OwnContext,
-        theirs: &GsmTrajectory,
+        batch: &[(&GsmTrajectory, Option<TraceContext>)],
         kernel: Kernel,
+    ) -> Vec<(Result<Vec<SynPoint>, RupsError>, u32)> {
+        let mut answers: Vec<_> = batch.iter().map(|_| (Ok(Vec::new()), 0)).collect();
+        let mut queries = Vec::with_capacity(batch.len());
+        for (slot, &(theirs, trace)) in batch.iter().enumerate() {
+            match self.stage(ctx, slot, theirs, trace) {
+                Ok(q) => queries.push(q),
+                Err(e) => answers[slot].0 = Err(e),
+            }
+        }
+        // Most recent segment: the full double-sliding check. A pass whose
+        // peak is below `threshold − PASS_TIE_MARGIN` can neither clear the
+        // threshold nor out-tie a pass that does, so that floor changes no
+        // hit. A miss re-runs without it, so that it reports the unbounded
+        // search's best score. The FFT kernel's newest passes take no
+        // floor, and so never re-run.
+        let floor = |q: &Query<'_>| match kernel {
+            Kernel::Reference => q.inputs.newest.window.threshold - syn::PASS_TIE_MARGIN,
+            Kernel::Fft => f64::NEG_INFINITY,
+        };
+        let newest: Vec<_> = (queries.iter().enumerate())
+            .map(|(i, q)| (i, 0, Some(floor(q))))
+            .collect();
+        let found = self.pairs(ctx, kernel, &mut queries, &newest);
+        let mut best: Vec<_> = (found.into_iter().zip(&mut queries))
+            .map(|((peak, scanned), q)| {
+                q.scanned += scanned;
+                peak
+            })
+            .collect();
+        let rerun: Vec<_> = (queries.iter().enumerate())
+            .filter(|&(i, q)| {
+                let threshold = q.inputs.newest.window.threshold;
+                floor(q) > f64::NEG_INFINITY && best[i].is_none_or(|p| p.score < threshold)
+            })
+            .map(|(i, _)| (i, 0, Some(f64::NEG_INFINITY)))
+            .collect();
+        let found = self.pairs(ctx, kernel, &mut queries, &rerun);
+        for (&(i, ..), (peak, _)) in rerun.iter().zip(found) {
+            best[i] = peak;
+        }
+        for (q, best) in queries.iter_mut().zip(best) {
+            let threshold = q.inputs.newest.window.threshold;
+            q.answer = match best {
+                Some(b) if b.score >= threshold => Ok(vec![b]),
+                miss => {
+                    q.watch = None;
+                    Err(RupsError::NoSynPoint {
+                        best_score: miss.map_or(f64::NEG_INFINITY, |p| p.score),
+                        threshold,
+                    })
+                }
+            };
+        }
+        // Older segments of every hit, symmetrically (cf.
+        // syn::find_syn_points), keeping only peaks that clear their
+        // window's threshold.
+        let older: Vec<_> = (queries.iter().enumerate())
+            .filter(|(_, q)| q.answer.is_ok())
+            .flat_map(|(i, _)| (1..self.cfg.n_syn_points).map(move |s| (i, s, None)))
+            .collect();
+        let found = self.pairs(ctx, kernel, &mut queries, &older);
+        for (&(i, ..), (peak, scanned)) in older.iter().zip(found) {
+            let q = &mut queries[i];
+            q.scanned += scanned;
+            if let (Ok(points), Some(p)) = (&mut q.answer, peak) {
+                points.push(p);
+            }
+        }
+        for q in queries {
+            answers[q.slot] = (q.answer, q.scanned);
+        }
+        answers
+    }
+
+    /// Counts one query of a batch and stages it: checks its shape, takes
+    /// its window length, our newest window and our rolled table at it, and
+    /// an arena to roll their rows into. Opens its span and latency sample,
+    /// which an error closes at once.
+    fn stage<'a>(
+        &'a self,
+        ctx: &OwnContext,
+        slot: usize,
+        theirs: &'a GsmTrajectory,
         trace: Option<TraceContext>,
-        scanned: &mut u32,
-    ) -> Result<Vec<SynPoint>, RupsError> {
+    ) -> Result<Query<'a>, RupsError> {
         self.metrics.queries.inc();
-        let _t = self.metrics.query_ns.start_timer();
-        let mut _s = self.spans.as_ref().map(|s| s.span("engine.query"));
+        let timer = self.metrics.query_ns.start_timer();
+        let mut span = self.spans.as_ref().map(|s| s.span("engine.query"));
         let ours = &ctx.gsm;
         if ours.n_channels() != theirs.n_channels() {
             return Err(RupsError::ChannelMismatch {
@@ -702,7 +847,7 @@ impl SynQueryEngine {
         }
         let shorter = ours.len().min(theirs.len());
         let w = syn::adaptive_window_len(shorter, &self.cfg);
-        if let Some(g) = _s.as_mut() {
+        if let Some(g) = span.as_mut() {
             // Two slots of the four carry the causal trace when present,
             // the other two the query's own shape.
             let base = trace.map_or_else(SpanArgs::new, |t| t.args());
@@ -719,91 +864,148 @@ impl SynQueryEngine {
             return Err(too_short());
         }
         let own_table = ctx.table(w);
-        self.with_scratch(|scratch| {
-            // The forward passes roll their trajectory once, into the
-            // arena's table.
-            scratch
-                .table
-                .reset(theirs.n_channels(), w, 0..theirs.len() + 1 - w);
-            // Forward: an own window slid over their trajectory.
-            let fwd = |e: &WindowEntry, end: usize, floor: f64, s: &mut Scratch| {
-                let fft = |s: &mut Scratch| self.fft_dots(ctx, Some(e), &e.window, end, theirs, s);
-                let window = &e.window;
-                self.directed(ctx, kernel, ours, end, theirs, None, window, floor, s, fft)
-            };
-            // Reverse: their window slid over ours, swapped to our view.
-            let rev = |wnd: &CheckWindow, end: usize, floor: f64, s: &mut Scratch| {
-                let fft = |s: &mut Scratch| self.fft_dots(ctx, None, wnd, end, theirs, s);
-                let table = Some(&*own_table);
-                self.directed(ctx, kernel, theirs, end, ours, table, wnd, floor, s, fft)
-                    .map(syn::swap_perspective)
-            };
-            // Most recent segment: the full double-sliding check.
-            let entry = self
-                .window_entry(ctx, w, ours.len())
-                .ok_or_else(too_short)?;
-            let rev_wnd = CheckWindow::with_len(theirs, &self.cfg, w, theirs.len());
-            *scanned += 1 + u32::from(rev_wnd.is_some());
-            let threshold = entry.window.threshold;
-            let newest = |floor: f64, scratch: &mut Scratch| {
-                let best_fwd = fwd(&entry, ours.len(), floor, scratch);
-                let best_rev = rev_wnd
-                    .as_ref()
-                    .and_then(|wnd| rev(wnd, theirs.len(), floor, scratch));
-                syn::better_pass(best_fwd, best_rev)
-            };
-            // A pass whose peak is below `threshold − PASS_TIE_MARGIN` can
-            // neither clear the threshold nor out-tie a pass that does, so
-            // that floor changes no hit. A miss re-runs without it, so that
-            // it reports the unbounded search's best score. The FFT
-            // kernel's newest passes take no floor, and so never re-run.
-            let floor = match kernel {
-                Kernel::Reference => threshold - syn::PASS_TIE_MARGIN,
-                Kernel::Fft => f64::NEG_INFINITY,
-            };
-            let mut best = newest(floor, scratch);
-            if floor > f64::NEG_INFINITY && best.is_none_or(|p| p.score < threshold) {
-                best = newest(f64::NEG_INFINITY, scratch);
-            }
-            let best = match best {
-                Some(b) if b.score >= threshold => b,
-                miss => {
-                    return Err(RupsError::NoSynPoint {
-                        best_score: miss.map_or(f64::NEG_INFINITY, |p| p.score),
-                        threshold,
-                    })
-                }
-            };
-            let mut points = vec![best];
-            // Older segments, symmetrically (cf. syn::find_syn_points),
-            // keeping only peaks that clear their window's threshold.
-            for s in 1..self.cfg.n_syn_points {
-                let older_fwd = ours
-                    .len()
-                    .checked_sub(s * self.cfg.syn_segment_stride_m)
-                    .filter(|&end| end >= w)
-                    .and_then(|end| self.window_entry(ctx, w, end).map(|e| (end, e)))
-                    .and_then(|(end, e)| {
-                        *scanned += 1;
-                        fwd(&e, end, e.window.threshold, scratch)
-                    });
-                let older_rev = theirs
-                    .len()
-                    .checked_sub(s * self.cfg.syn_segment_stride_m)
-                    .filter(|&end| end >= w)
-                    .and_then(|end| {
-                        CheckWindow::with_len(theirs, &self.cfg, w, end).map(|wnd| (end, wnd))
-                    })
-                    .and_then(|(end, wnd)| {
-                        *scanned += 1;
-                        rev(&wnd, end, wnd.threshold, scratch)
-                    });
-                if let Some(p) = syn::better_pass(older_fwd, older_rev) {
-                    points.push(p);
-                }
-            }
-            Ok(points)
+        // The forward passes roll their trajectory once, into the arena's
+        // table.
+        let mut arena = self.arena();
+        let placements = 0..theirs.len() + 1 - w;
+        arena.table.reset(theirs.n_channels(), w, placements);
+        let newest = self
+            .window_entry(ctx, w, ours.len())
+            .ok_or_else(too_short)?;
+        Ok(Query {
+            slot,
+            inputs: PassInputs {
+                theirs,
+                w,
+                own_table,
+                newest,
+            },
+            arena,
+            watch: Some((timer, span)),
+            answer: Ok(Vec::new()),
+            scanned: 0,
         })
+    }
+
+    /// Runs the forward and reverse pass of each `(query, segment, floor)`
+    /// (see [`Pass`]) and answers, per pair, the better peak
+    /// ([`syn::better_pass`]) and how many of the two found their window.
+    /// When the batch holds one query or the pool one thread, the passes
+    /// run in order on the caller, each in its query's arena; otherwise
+    /// they [`spread`](Self::spread) over the rayon workers.
+    fn pairs(
+        &self,
+        ctx: &OwnContext,
+        kernel: Kernel,
+        queries: &mut [Query<'_>],
+        pairs: &[(usize, usize, Option<f64>)],
+    ) -> Vec<(Option<SynPoint>, u32)> {
+        let passes = pairs.iter().flat_map(|&(query, segment, floor)| {
+            [false, true].map(|reverse| Pass {
+                query,
+                segment,
+                reverse,
+                floor,
+            })
+        });
+        let found: Vec<_> = if queries.len() == 1 || rayon::current_num_threads() == 1 {
+            passes
+                .map(|p| {
+                    let q = &mut queries[p.query];
+                    let Arena { table, scratch } = &mut *q.arena;
+                    self.pass(ctx, kernel, &q.inputs, table, p, scratch)
+                })
+                .collect()
+        } else {
+            self.spread(ctx, kernel, queries, passes.collect())
+        };
+        (found.chunks(2))
+            .map(|pair| {
+                let scanned = pair.iter().filter(|p| p.is_some()).count() as u32;
+                let best = syn::better_pass(pair[0].flatten(), pair[1].flatten());
+                (best, scanned)
+            })
+            .collect()
+    }
+
+    /// Runs `passes` over the rayon workers, answering like
+    /// [`pass`](Self::pass) in input order. The running passes share the
+    /// arenas' scratch: one set per query, topped up from the pool when the
+    /// workers outnumber the queries.
+    fn spread(
+        &self,
+        ctx: &OwnContext,
+        kernel: Kernel,
+        queries: &mut [Query<'_>],
+        passes: Vec<Pass>,
+    ) -> Vec<Option<Option<SynPoint>>> {
+        let threads = rayon::current_num_threads();
+        let mut extra: Vec<_> = (queries.len()..threads)
+            .map(|_| PooledArena::pop().0)
+            .collect();
+        let mut free = Vec::with_capacity(queries.len().max(threads));
+        for a in queries.iter_mut().map(|q| &mut q.arena).chain(&mut extra) {
+            free.push(std::mem::take(&mut a.scratch));
+        }
+        let free = Mutex::new(free);
+        let shared = &*queries;
+        let found = (passes.into_par_iter())
+            .map(|p| {
+                let s = free.lock().expect("no pass panics holding the list").pop();
+                let mut s = s.expect("a scratch set per worker");
+                let q = &shared[p.query];
+                let found = self.pass(ctx, kernel, &q.inputs, &q.arena.table, p, &mut s);
+                free.lock()
+                    .expect("no pass panics holding the list")
+                    .push(s);
+                found
+            })
+            .collect();
+        let mut free = free.into_inner().expect("no pass panics holding the list");
+        for a in queries.iter_mut().map(|q| &mut q.arena).chain(&mut extra) {
+            a.scratch = free.pop().expect("every scratch set is back");
+        }
+        found
+    }
+
+    /// One directed pass of a batch query (see [`Pass`]): `None` when its
+    /// window does not exist, otherwise its peak from our perspective.
+    /// `table` holds their rows rolled at the query's window length.
+    fn pass(
+        &self,
+        ctx: &OwnContext,
+        kernel: Kernel,
+        q: &PassInputs<'_>,
+        table: &RolledTable,
+        p: Pass,
+        scratch: &mut Scratch,
+    ) -> Option<Option<SynPoint>> {
+        let (ours, theirs, w) = (&ctx.gsm, q.theirs, q.w);
+        let stride = p.segment * self.cfg.syn_segment_stride_m;
+        let end_of = |len: usize| len.checked_sub(stride).filter(|&end| end >= w);
+        if p.reverse {
+            // Their window slid over ours, swapped to our view.
+            let end = end_of(theirs.len())?;
+            let wnd = CheckWindow::with_len(theirs, &self.cfg, w, end)?;
+            let fft = |s: &mut Scratch| self.fft_dots(ctx, None, &wnd, end, theirs, s);
+            let (own, floor) = (&*q.own_table, p.floor.unwrap_or(wnd.threshold));
+            let peak = self.directed(
+                ctx, kernel, theirs, end, ours, own, &wnd, floor, scratch, fft,
+            );
+            return Some(peak.map(syn::swap_perspective));
+        }
+        // Our window slid over theirs.
+        let end = end_of(ours.len())?;
+        let e = match p.segment {
+            0 => Arc::clone(&q.newest),
+            _ => self.window_entry(ctx, w, end)?,
+        };
+        let fft = |s: &mut Scratch| self.fft_dots(ctx, Some(&e), &e.window, end, theirs, s);
+        let (wnd, floor) = (&e.window, p.floor.unwrap_or(e.window.threshold));
+        let peak = self.directed(
+            ctx, kernel, ours, end, theirs, table, wnd, floor, scratch, fft,
+        );
+        Some(peak)
     }
 
     /// The anchored check of §V-B, counted, timed and spanned as one query:
@@ -834,21 +1036,20 @@ impl SynQueryEngine {
         let n_pos = (theirs.len() + 1).saturating_sub(w) as i64;
         let js = (centre - slack).clamp(0, n_pos) as usize
             ..(centre + slack + 1).clamp(0, n_pos) as usize;
-        self.with_scratch(|s| {
-            s.table.reset(theirs.n_channels(), w, js);
-            let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| {});
-            let (end, floor) = (ours.len(), window.threshold);
-            self.directed(
-                ctx, kernel, ours, end, theirs, None, window, floor, s, no_fft,
-            )
-        })
+        let mut arena = self.arena();
+        let Arena { table, scratch } = &mut *arena;
+        table.reset(theirs.n_channels(), w, js);
+        let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| {});
+        let (end, floor) = (ours.len(), window.threshold);
+        self.directed(
+            ctx, kernel, ours, end, theirs, table, window, floor, scratch, no_fft,
+        )
     }
 
     /// One directed pass: the `fixed` window `[end − w, end)` slid over the
-    /// placements of `sliding` that its rolled table covers — `table`, or
-    /// the arena's own `scratch.table` when `None` — returning the best one
-    /// from the `fixed` side's perspective, or `None` when it scores below
-    /// `floor`. The bounded score loop resolves it: on [`Kernel::Fft`] over
+    /// placements of `sliding` that its rolled `table` covers, returning the
+    /// best one from the `fixed` side's perspective, or `None` when it
+    /// scores below `floor`. The bounded score loop resolves it: on [`Kernel::Fft`] over
     /// a dense own context, from the dot products `fft` fills into
     /// `scratch.fft_dots` (every placement: FFT passes run over full
     /// tables); on [`Kernel::Reference`], from lane dot products. Rows the
@@ -861,7 +1062,7 @@ impl SynQueryEngine {
         fixed: &GsmTrajectory,
         end: usize,
         sliding: &GsmTrajectory,
-        table: Option<&RolledTable>,
+        table: &RolledTable,
         window: &CheckWindow,
         floor: f64,
         scratch: &mut Scratch,
@@ -877,7 +1078,7 @@ impl SynQueryEngine {
             fixed,
             fixed_start: end - w,
             sliding,
-            table: table.unwrap_or(&scratch.table),
+            table,
             window,
             dots: syn_fast::Dots::Lanes,
         }
@@ -892,7 +1093,6 @@ impl SynQueryEngine {
             }
             self.metrics.reference_passes.inc();
         }
-        let table = table.unwrap_or(&scratch.table);
         let js = table.placements();
         let best = if finite {
             let pass = syn_fast::DensePass {

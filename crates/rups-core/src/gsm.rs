@@ -401,8 +401,25 @@ impl GsmTrajectory {
     }
 }
 
-/// Linear interpolation of `NaN` runs within one channel row.
+/// True when `row` holds a value that is not finite (`NaN` or ±∞). A fold
+/// with no early exit, so that it vectorises: on the dense rows a context
+/// usually holds it costs a fraction of a short-circuiting scan.
+pub(crate) fn has_non_finite(row: &[f32]) -> bool {
+    row.iter().fold(false, |any, v| any | !v.is_finite())
+}
+
+/// Linear interpolation of `NaN` runs within one channel row. A row with
+/// no `NaN`, found by one vectorised fold, is left as it is without the
+/// scan.
 fn interpolate_row(row: &mut [f32]) {
+    if row.iter().fold(false, |any, v| any | v.is_nan()) {
+        fill_nan_runs(row);
+    }
+}
+
+/// The scan behind [`interpolate_row`]: each `NaN` run is filled linearly
+/// between the measurements around it, or with the nearest one at an edge.
+fn fill_nan_runs(row: &mut [f32]) {
     let n = row.len();
     let mut i = 0usize;
     let mut last_valid: Option<usize> = None;
@@ -619,6 +636,54 @@ mod tests {
         let t = GsmTrajectory::from_rows(rows);
         assert_eq!(t.top_k_channels(0..10, 2), vec![1, 2]);
         assert_eq!(t.top_k_channels(0..10, 10), vec![0, 1, 2]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn interpolate_row_equals_the_scan_bit_for_bit(
+            values in proptest::collection::vec(
+                proptest::prop_oneof![
+                    10 => -110.0f32..-40.0,
+                    1 => proptest::strategy::Just(f32::INFINITY),
+                    1 => proptest::strategy::Just(f32::NEG_INFINITY),
+                ],
+                0..48,
+            ),
+            holes in proptest::collection::vec(0u8..4, 48),
+            shape in 0u8..5,
+        ) {
+            // No NaN, a leading run, a trailing run, scattered runs
+            // (interior ones included), or nothing measured at all.
+            let mut row = values;
+            let n = row.len();
+            match shape {
+                0 => {}
+                1 => row[..n.div_ceil(3)].fill(NAN),
+                2 => row[n - n.div_ceil(3)..].fill(NAN),
+                3 => row
+                    .iter_mut()
+                    .zip(&holes)
+                    .filter(|(_, &h)| h == 0)
+                    .for_each(|(v, _)| *v = NAN),
+                _ => row.fill(NAN),
+            }
+            let (mut fast, mut scan) = (row.clone(), row);
+            interpolate_row(&mut fast);
+            fill_nan_runs(&mut scan);
+            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&fast), bits(&scan));
+        }
+    }
+
+    #[test]
+    fn has_non_finite_flags_nan_and_infinities() {
+        assert!(!has_non_finite(&[]));
+        assert!(!has_non_finite(&[-60.0, 0.0, -0.0, f32::MIN_POSITIVE]));
+        for bad in [NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut row = vec![-70.0; 37];
+            row[29] = bad;
+            assert!(has_non_finite(&row), "{bad}");
+        }
     }
 
     #[test]

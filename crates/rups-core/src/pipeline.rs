@@ -19,7 +19,6 @@ use crate::report::{FixOutcome, FixReport};
 use crate::resolve;
 use crate::syn::SynPoint;
 use crate::tracker::{TrackMode, TrackedFix};
-use rayon::prelude::*;
 use rups_obs::{Counter, FlightRecorder, Registry, SpanRecorder, TailSampler, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -453,7 +452,8 @@ impl RupsNode {
     /// Answers a relative-distance query against a neighbour snapshot: the
     /// full RUPS pipeline of seeking SYN points (§IV-D) and resolving /
     /// aggregating the distance (§IV-E, §VI-C). This is the batch path of
-    /// [`RupsNode::fix_distances_parallel`] run on one snapshot.
+    /// [`RupsNode::fix_distances_parallel`] run on one snapshot, whose
+    /// passes run on the calling thread.
     ///
     /// Positive distances mean the neighbour is ahead.
     pub fn fix_distance(&self, neighbour: &ContextSnapshot) -> Result<DistanceFix, RupsError> {
@@ -541,11 +541,11 @@ impl RupsNode {
         self.anchors.len()
     }
 
-    /// Fixes distances to many neighbours concurrently (one rayon task per
-    /// neighbour), preserving input order. This is the heavy-traffic path
-    /// discussed in §V-B: one epoch of queries runs as a single batched
-    /// work-stealing pass through the engine, with the own-side caches
-    /// shared across every task and the kernel chosen once per batch.
+    /// Fixes distances to many neighbours concurrently, preserving input
+    /// order. This is the heavy-traffic path discussed in §V-B: one epoch of
+    /// queries runs as a single batched search through the engine, its
+    /// directed passes spread over the rayon workers, with the own-side
+    /// caches shared across every pass and the kernel chosen once per batch.
     pub fn fix_distances_parallel(
         &self,
         neighbours: &[ContextSnapshot],
@@ -563,28 +563,47 @@ impl RupsNode {
     /// forced a rebuild). Every snapshot is validated before it is
     /// searched: one that fails keeps its typed error at its position and
     /// costs no query, and a batch with nothing valid leaves the engine
-    /// untouched.
+    /// untouched. The valid ones run as one engine search, and each answer
+    /// is resolved into a fix on the caller.
     fn fix_batch(&self, neighbours: &[&ContextSnapshot]) -> (DiagBatch, bool) {
-        let n = self.cfg.n_channels;
         let engine = &self.engine;
         let rebuilds_before = engine.stats().context_rebuilds;
-        let ctx = neighbours
+        let checks: Vec<Result<(), RupsError>> = neighbours
             .iter()
-            .any(|nb| nb.validate(n).is_ok())
+            .map(|nb| nb.validate(self.cfg.n_channels))
+            .collect();
+        let ctx = checks
+            .iter()
+            .any(Result::is_ok)
             .then(|| engine.ensure_context(self.context_version, &self.gsm));
         let context_cached = engine.stats().context_rebuilds == rebuilds_before;
         let kernel = ctx.as_ref().map_or(Kernel::Reference, |ctx| {
             engine.batch_kernel(ctx, neighbours)
         });
+        let batch: Vec<_> = neighbours
+            .iter()
+            .zip(&checks)
+            .filter(|(_, check)| check.is_ok())
+            .map(|(nb, _)| (&nb.gsm, nb.trace))
+            .collect();
+        let mut answers = ctx
+            .as_ref()
+            .map(|ctx| engine.search(ctx, &batch, kernel))
+            .unwrap_or_default()
+            .into_iter();
+        let own_len = ctx.as_ref().map_or(0, |ctx| ctx.gsm().len());
         let out = neighbours
-            .par_iter()
-            .map(|nb| {
-                let mut scanned = 0u32;
-                let res = nb.validate(n).and_then(|()| {
-                    let ctx = ctx.as_ref().expect("a valid snapshot installs the context");
-                    let points = engine.query(ctx, &nb.gsm, kernel, nb.trace, &mut scanned)?;
-                    engine.build_fix(ctx.gsm().len(), nb.gsm.len(), points)
-                });
+            .iter()
+            .zip(checks)
+            .map(|(nb, check)| {
+                let (res, scanned) = match check {
+                    Err(e) => (Err(e), 0),
+                    Ok(()) => {
+                        let (points, scanned) = answers.next().expect("one answer per query");
+                        let fix = points.and_then(|p| engine.build_fix(own_len, nb.gsm.len(), p));
+                        (fix, scanned)
+                    }
+                };
                 (
                     res,
                     QueryDiag {
@@ -598,8 +617,10 @@ impl RupsNode {
     }
 
     /// Queries every vetted, fresh-enough neighbour context held by a
-    /// [`SnapshotInbox`] in one parallel batch and grades each successful
-    /// fix with [`assess`]. This is the degraded-operation entry point: a
+    /// [`SnapshotInbox`] in one batched search, its directed passes spread
+    /// over the rayon workers like those of
+    /// [`RupsNode::fix_distances_parallel`], and grades each successful fix
+    /// with [`assess`]. This is the degraded-operation entry point: a
     /// marginal context (short after a turn, weak correlation, disagreeing
     /// SYN points) still yields a fix — downgraded to
     /// [`crate::quality::FixQuality::Low`] with a widened error bound —
@@ -732,6 +753,7 @@ impl RupsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syn;
 
     /// Structured synthetic field, deterministic in road metre + channel.
     fn field(s: f64, ch: usize) -> f32 {
@@ -1281,6 +1303,158 @@ mod tests {
             before,
             "a rejected snapshot costs no search"
         );
+    }
+
+    /// A fix with its scores as bits, or its error (a miss's best score
+    /// and threshold as bits), and the directed passes its query scanned.
+    type AnswerBits = (Result<(u64, Vec<[u64; 5]>), String>, u32);
+
+    fn answer_bits((res, diag): &(Result<DistanceFix, RupsError>, QueryDiag)) -> AnswerBits {
+        let bits = match res {
+            Ok(fix) => Ok((
+                fix.distance_m.to_bits(),
+                fix.syn_points
+                    .iter()
+                    .map(|p| {
+                        let (score, refine) = (p.score.to_bits(), p.refine_m.to_bits());
+                        let ends = [p.self_end, p.other_end, p.window_len].map(|e| e as u64);
+                        [ends[0], ends[1], score, refine, ends[2]]
+                    })
+                    .collect(),
+            )),
+            Err(RupsError::NoSynPoint {
+                best_score,
+                threshold,
+            }) => Err(format!(
+                "miss {:x} {:x}",
+                best_score.to_bits(),
+                threshold.to_bits()
+            )),
+            Err(e) => Err(format!("{e:?}")),
+        };
+        (bits, diag.windows_scanned)
+    }
+
+    #[test]
+    fn a_batch_fixes_alike_on_any_number_of_workers() {
+        // A 40 m window over 400 m of context runs the rolling reference
+        // kernel; an 85 m one over 300 m runs FFT.
+        for (window_len_m, own_m, kernel) in [(40, 400, Kernel::Reference), (85, 300, Kernel::Fft)]
+        {
+            let c = RupsConfig {
+                window_len_m,
+                ..cfg()
+            };
+            let mut a = RupsNode::new(c.clone());
+            drive(&mut a, 0, own_m);
+            let neighbour = |start: usize, len: usize| {
+                let mut v = RupsNode::new(c.clone());
+                drive(&mut v, start, len);
+                v
+            };
+            // Two hits, a channel-mismatched snapshot, a miss (a far-away
+            // road), a neighbour too short for any window.
+            let snaps = [
+                neighbour(60, own_m - 50).snapshot(None),
+                mismatched_neighbour(60, 300, 16),
+                neighbour(100_000, 300).snapshot(None),
+                neighbour(30, 300).snapshot(Some(6)),
+                neighbour(25, own_m).snapshot(None),
+            ];
+            let refs: Vec<&ContextSnapshot> = snaps.iter().collect();
+            let counters = |s: EngineStats| {
+                let (passes, pruned) = (s.reference_passes + s.fft_passes, s.pruned_placements);
+                [s.queries, passes, pruned, s.window_hits, s.window_misses]
+            };
+            // Each run on a clone: a fresh registry and cold caches.
+            let run = |workers: usize| {
+                let node = a.clone();
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(workers)
+                    .build()
+                    .unwrap();
+                let (out, _) = pool.install(|| node.fix_batch(&refs));
+                assert!(out.iter().all(|(_, diag)| diag.kernel == kernel));
+                let bits: Vec<AnswerBits> = out.iter().map(answer_bits).collect();
+                (bits, counters(node.engine_stats()))
+            };
+            let one = run(1);
+            assert_eq!(run(2), one, "{kernel:?}: 2 workers");
+            assert_eq!(run(3), one, "{kernel:?}: 3 workers");
+            // The same snapshots fixed one at a time, in turn.
+            let node = a.clone();
+            let alone: Vec<AnswerBits> = refs
+                .iter()
+                .map(|&snap| answer_bits(&node.fix_batch(&[snap]).0[0]))
+                .collect();
+            assert_eq!((alone, counters(node.engine_stats())), one, "{kernel:?}");
+            let (bits, _) = &one;
+            assert!(bits[0].0.is_ok() && bits[4].0.is_ok(), "{bits:?}");
+            assert!(bits[1]
+                .0
+                .as_ref()
+                .is_err_and(|e| e.starts_with("ChannelMismatch")));
+            assert!(bits[2].0.as_ref().is_err_and(|e| e.starts_with("miss")));
+            assert!(bits[3]
+                .0
+                .as_ref()
+                .is_err_and(|e| e.starts_with("InsufficientContext")));
+            if kernel == Kernel::Reference {
+                // The search of record, per neighbour: a floored miss
+                // reports its best score bit for bit.
+                let ctx = node.engine().own_context().unwrap();
+                for (i, snap) in snaps.iter().enumerate().filter(|&(i, _)| i != 1) {
+                    let expect = syn::find_syn_points(ctx.gsm(), &snap.gsm, &c).and_then(|p| {
+                        DistanceFix::from_syn_points(p, own_m, snap.len(), c.aggregation)
+                    });
+                    let diag = QueryDiag {
+                        kernel,
+                        windows_scanned: bits[i].1,
+                    };
+                    assert_eq!(answer_bits(&(expect, diag)), bits[i], "neighbour {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_traced_batch_spans_and_times_each_query() {
+        let spans = Arc::new(SpanRecorder::new(4096));
+        let registry = Arc::new(Registry::new());
+        let mut a = RupsNode::new(cfg())
+            .with_observability(Arc::clone(&registry))
+            .with_span_recorder(Arc::clone(&spans));
+        drive(&mut a, 0, 400);
+        let snaps: Vec<ContextSnapshot> = [(2, 30), (3, 100_000), (4, 60)]
+            .into_iter()
+            .map(|(id, start)| {
+                let mut v = RupsNode::new(cfg()).with_vehicle_id(id);
+                drive(&mut v, start, 350);
+                v.traced_snapshot(None, 7).0
+            })
+            .collect();
+        let fixes = a.fix_distances_parallel(&snaps);
+        assert!(fixes[0].is_ok() && fixes[1].is_err() && fixes[2].is_ok());
+        if cfg!(feature = "obs") {
+            let queries: Vec<_> = spans
+                .recent()
+                .into_iter()
+                .filter(|r| r.name == "engine.query")
+                .collect();
+            assert_eq!(queries.len(), 3);
+            for snap in &snaps {
+                let trace = snap.trace.expect("traced beacon").args();
+                let joined: Vec<_> = queries
+                    .iter()
+                    .filter(|r| trace.iter().all(|(k, v)| r.args.get(k) == Some(v)))
+                    .collect();
+                assert_eq!(joined.len(), 1, "{snap:?}");
+                assert_eq!(joined[0].args.get("neighbour_len_m"), Some(350));
+            }
+            let samples = registry.snapshot();
+            let query_ns = samples.histogram("rups_core_engine_query_ns").unwrap();
+            assert_eq!(query_ns.count, 3);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::config::RupsConfig;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
-use crate::syn_fast;
+use crate::syn_fast::{self, Arena, PooledArena};
 use crate::window::CheckWindow;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -81,25 +81,25 @@ fn with_slide_scores<R>(
     window: &CheckWindow,
     f: impl FnOnce(&[f64]) -> R,
 ) -> R {
-    syn_fast::with_scratch(|s, _| {
-        let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
-        s.table.reset(sliding.n_channels(), window.len_m, 0..n_pos);
-        let pass = syn_fast::DensePass {
-            fixed,
-            fixed_start,
-            sliding,
-            table: &s.table,
-            window,
-            dots: syn_fast::Dots::Lanes,
-        };
-        if pass.finite() {
-            pass.scores(&mut s.pass, &mut s.scores);
-        } else {
-            let scores = &mut s.scores;
-            slide_scores_reference_into(fixed, fixed_start, sliding, window, 0..n_pos, scores);
-        }
-        f(&s.scores)
-    })
+    let (mut arena, _) = PooledArena::pop();
+    let Arena { table, scratch: s } = &mut *arena;
+    let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
+    table.reset(sliding.n_channels(), window.len_m, 0..n_pos);
+    let pass = syn_fast::DensePass {
+        fixed,
+        fixed_start,
+        sliding,
+        table,
+        window,
+        dots: syn_fast::Dots::Lanes,
+    };
+    if pass.finite() {
+        pass.scores(&mut s.pass, &mut s.scores);
+    } else {
+        let scores = &mut s.scores;
+        slide_scores_reference_into(fixed, fixed_start, sliding, window, 0..n_pos, scores);
+    }
+    f(&s.scores)
 }
 
 /// The recompute-per-placement scan of record: every window placement

@@ -39,9 +39,9 @@
 //! Scores match the per-placement scan to floating-point rounding. A pass
 //! refuses rows whose selected channels carry missing or corrupt values,
 //! and its callers fall back to the non-finite-aware per-placement scan.
-//! All buffers come from the one process-wide scratch pool
-//! (`with_scratch`), which the engine's queries stage in too, so
-//! steady-state passes allocate nothing.
+//! All buffers and tables come from one process-wide pool of arenas
+//! ([`PooledArena`]), which the engine's queries and passes stage in too,
+//! so steady-state passes allocate nothing.
 
 use crate::dsp::{self, Complex};
 use crate::gsm::GsmTrajectory;
@@ -55,8 +55,8 @@ use std::sync::{Mutex, OnceLock};
 /// first one scanned), Eq. (2) score and parabolic refinement.
 pub(crate) type Peak = (usize, f64, f64);
 
-/// Every buffer a directed pass needs, pooled via [`with_scratch`] so
-/// repeated passes perform no allocation after warm-up.
+/// Every buffer a directed pass needs besides its rolled table, pooled in
+/// an [`Arena`] so repeated passes perform no allocation after warm-up.
 #[derive(Default)]
 pub(crate) struct DenseScratch {
     /// FFT work area shared by all transform calls.
@@ -76,10 +76,6 @@ pub(crate) struct DenseScratch {
     pub fft_dots: Vec<f64>,
     /// The score loop's buffers.
     pub pass: PassScratch,
-    /// The rolled table of the trajectory a pass slides over when no
-    /// shared one serves it: re-targeted per query, its channel buffers
-    /// reused.
-    pub table: RolledTable,
     /// Per-placement scores: the full scan, or the recompute scan of rows
     /// the score loop refuses.
     pub scores: Vec<f64>,
@@ -142,29 +138,56 @@ fn roll<T: Copy + Into<f64>>((sum, sumsq): (f64, f64), span: &[T]) -> (f64, f64)
     )
 }
 
-fn scratch_pool() -> &'static Mutex<Vec<DenseScratch>> {
-    static POOL: OnceLock<Mutex<Vec<DenseScratch>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
+/// What a query stages in: the table its neighbour's rows roll into, and
+/// the buffers of one running pass.
+#[derive(Default)]
+pub(crate) struct Arena {
+    /// Re-targeted per query; keeps its filled channels' buffers.
+    pub table: RolledTable,
+    pub scratch: DenseScratch,
 }
 
-/// Runs `f` with a pooled [`DenseScratch`], returning the arena to the
-/// pool afterwards; `f`'s second argument says whether the arena was
-/// reused (`false`: freshly allocated). The pool grows to the peak number
-/// of concurrent callers and never shrinks, so steady-state calls are
-/// allocation-free.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch, bool) -> R) -> R {
-    let popped = scratch_pool()
-        .lock()
-        .expect("syn_fast scratch pool poisoned")
-        .pop();
-    let reused = popped.is_some();
-    let mut s = popped.unwrap_or_default();
-    let r = f(&mut s, reused);
-    scratch_pool()
-        .lock()
-        .expect("syn_fast scratch pool poisoned")
-        .push(s);
-    r
+/// An [`Arena`] held out of the process-wide pool, returned to it on drop.
+/// The pool grows to the peak number of arenas held at once and never
+/// shrinks, and a returned arena keeps its buffers, so steady-state holders
+/// are allocation-free.
+pub(crate) struct PooledArena(Arena);
+
+fn arena_pool() -> &'static Mutex<Vec<Arena>> {
+    static POOL: Mutex<Vec<Arena>> = Mutex::new(Vec::new());
+    &POOL
+}
+
+impl PooledArena {
+    /// Pops an arena from the pool, or makes one when the pool is empty;
+    /// the flag says whether it was reused.
+    pub(crate) fn pop() -> (Self, bool) {
+        let popped = arena_pool().lock().expect("arena pool poisoned").pop();
+        let reused = popped.is_some();
+        (Self(popped.unwrap_or_default()), reused)
+    }
+}
+
+impl std::ops::Deref for PooledArena {
+    type Target = Arena;
+    fn deref(&self) -> &Arena {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for PooledArena {
+    fn deref_mut(&mut self) -> &mut Arena {
+        &mut self.0
+    }
+}
+
+impl Drop for PooledArena {
+    fn drop(&mut self) {
+        // A poisoned pool only loses this arena.
+        if let Ok(mut pool) = arena_pool().lock() {
+            pool.push(std::mem::take(&mut self.0));
+        }
+    }
 }
 
 /// Placements a bounded pass scores first, those with the highest profile
@@ -785,14 +808,16 @@ mod tests {
         );
         let pass = lanes(fixed, fixed.len(), sliding, &table, w);
         let mut out = Vec::new();
-        with_scratch(|s, _| pass.finite().then(|| pass.scores(&mut s.pass, &mut out)))?;
+        let (mut a, _) = PooledArena::pop();
+        pass.finite()
+            .then(|| pass.scores(&mut a.scratch.pass, &mut out))?;
         Some(out)
     }
 
     /// A bounded pass at `floor`, on rows it must accept.
     fn peak_of(pass: &DensePass<'_>, floor: f64) -> (Option<Peak>, u64) {
         assert!(pass.finite(), "dense rows");
-        with_scratch(|s, _| pass.peak(floor, &mut s.pass))
+        pass.peak(floor, &mut PooledArena::pop().0.scratch.pass)
     }
 
     /// The bounded pass of `fixed`'s newest window over `placements` of
