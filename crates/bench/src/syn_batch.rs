@@ -3,9 +3,10 @@
 //! queries through the batched engine vs the naive pre-engine path.
 //!
 //! `batched` answers the whole epoch through
-//! `RupsNode::fix_distances_parallel` — one `SynQueryEngine`
-//! work-stealing pass sharing the cached interpolated context, window
-//! memo, own-side `f64` rows and spectra and pooled scratch arenas.
+//! `RupsNode::fix_distances_parallel` — one `SynQueryEngine` search whose
+//! directed passes spread over the rayon shim's cursor map, sharing the
+//! cached interpolated context, window memo, the own rows' rolled tables,
+//! spectra and pooled scratch arenas.
 //! `naive` replays what every query used to cost before the engine: clone
 //! and interpolate the own context, re-select every window and run the
 //! reference multi-SYN search, once per neighbour, sequentially.

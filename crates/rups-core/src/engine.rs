@@ -695,7 +695,7 @@ impl SynQueryEngine {
     }
 
     /// [`find_syn_points`](Self::find_syn_points) with an explicit kernel:
-    /// a one-query [`search`](Self::search), without its diagnostics.
+    /// a one-query `search`, without its diagnostics.
     pub fn find_syn_points_with(
         &self,
         theirs: &GsmTrajectory,

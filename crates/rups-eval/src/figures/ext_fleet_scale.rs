@@ -6,8 +6,8 @@
 //! experiment measures the *system* path instead: hundreds of vehicles on
 //! one 8-lane road, bucketed by a uniform-grid [`CellIndex`], owned by
 //! geographic shards with cross-shard beacon routing, and queried by the
-//! work-stealing epoch scheduler. Each `(fleet size × worker count)` cell
-//! runs the same scenario and records:
+//! epoch scheduler, one observer per work item. Each `(fleet size × worker
+//! count)` cell runs the same scenario and records:
 //!
 //! * **Sub-quadratic pair workload** — ordered halo candidates per epoch
 //!   versus the all-pairs bound `n·(n−1)`; the committed artefact asserts
@@ -16,9 +16,9 @@
 //!   1, 2, … workers, plus the per-core rate; the scheduler's determinism
 //!   guarantee means every worker count produces the *same* fixes, so the
 //!   curves measure pure execution speed.
-//! * **Machinery coverage** — shard re-homings, cross-shard relays and
-//!   steal counts, proving the run exercised the layer rather than one
-//!   degenerate shard.
+//! * **Machinery coverage** — shard re-homings and cross-shard relays,
+//!   proving the run exercised the layer rather than one degenerate
+//!   shard.
 //!
 //! The sweep record ([`ScaleArtifact`]) is returned as the figure's
 //! artefact: `evaluate --json DIR` writes it as `DIR/ext-fleet-scale.json`
@@ -116,8 +116,6 @@ pub struct ScaleCell {
     pub pair_bound: usize,
     /// `candidates / pair_bound` — the sub-quadratic headline.
     pub halo_fraction: f64,
-    /// Scheduler steal operations over all epochs.
-    pub steals: u64,
     /// Shard re-homings over all measured epochs.
     pub rehomes: usize,
     /// Cross-shard beacons relayed over all measured epochs.
@@ -186,7 +184,6 @@ fn run_cell(p: &Params, n_vehicles: usize, workers: usize) -> ScaleCell {
         candidates,
         pair_bound,
         halo_fraction: candidates as f64 / pair_bound as f64,
-        steals: run.epochs.iter().map(|e| e.steals.steals).sum(),
         rehomes: run.epochs.iter().map(|e| e.rehomes).sum(),
         relayed: run.epochs.iter().map(|e| e.relayed).sum(),
         query_wall_s,
@@ -221,7 +218,7 @@ pub fn run(p: &Params) -> (Figure, Vec<Artefact>) {
     for c in &artifact.cells {
         notes.push(format!(
             "n={} w={}: {} fixes in {:.3} s ({:.0}/s, {:.0}/s/core), halo {}/{} pairs ({:.1} %), \
-             {} steals, {} rehomes, {} relays, err {:.2} m",
+             {} rehomes, {} relays, err {:.2} m",
             c.n_vehicles,
             c.workers,
             c.fixes_ok,
@@ -231,7 +228,6 @@ pub fn run(p: &Params) -> (Figure, Vec<Artefact>) {
             c.candidates,
             c.pair_bound,
             100.0 * c.halo_fraction,
-            c.steals,
             c.rehomes,
             c.relayed,
             c.mean_abs_err_m,

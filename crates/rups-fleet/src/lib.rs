@@ -12,9 +12,9 @@
 //!   the engines, inboxes, faulty V2V link, codec handles and telemetry
 //!   registry of the vehicles in its cells, with cross-shard beacon
 //!   routing over bounded channels and deterministic cell→shard hashing.
-//! - [`sched::run_tasks`] — a work-stealing epoch scheduler draining the
-//!   fleet's pending fix queries into per-worker deques with
-//!   steal-on-idle, deterministic output for any worker count.
+//! - [`sched`] — the epoch scheduler: one item per observer, handed out
+//!   from one atomic cursor with the caller as worker 0 (the rayon shim's
+//!   scheme), deterministic output for any worker count.
 //!
 //! [`sim::FleetSim`] wires them to `urban-sim` scenarios, `v2v-sim`
 //! faulty links and per-shard `rups-obs` registries in one city-scale run.
@@ -27,6 +27,6 @@ pub mod shard;
 pub mod sim;
 
 pub use cell::{CellIndex, CellStats};
-pub use sched::{run_tasks, StealStats};
+pub use sched::StealStats;
 pub use shard::{RoutedBeacon, Shard, ShardConfig, ShardSet, Vehicle, RELAY_ID_BASE};
 pub use sim::{EpochOutcome, FleetConfig, FleetFix, FleetRun, FleetSim};

@@ -225,11 +225,6 @@ impl ShardSet {
         &self.shards
     }
 
-    /// Exclusive access to all shards.
-    pub fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
-    }
-
     /// Ids of every resident vehicle, ascending.
     pub fn vehicle_ids(&self) -> Vec<u64> {
         self.home.keys().copied().collect()

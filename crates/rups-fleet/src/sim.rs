@@ -16,10 +16,12 @@
 //! 4. **receive** — every vehicle polls its endpoint, filters deliveries
 //!    to its current halo candidates and feeds them through the shard
 //!    codec into its vetted inbox.
-//! 5. **query** — all pending `(observer, neighbour)` fix queries within
-//!    the configured radius are built in globally sorted order and drained
-//!    by the work-stealing scheduler ([`crate::sched`]); results land in
-//!    task order, so the output is deterministic for any worker count.
+//! 5. **query** — every observer's pending fix queries (its in-radius
+//!    neighbours with a fresh snapshot) form one item, in ascending
+//!    observer order; the scheduler ([`crate::sched`]) hands the items out
+//!    from one cursor, so an observer's fixes run back to back on one
+//!    worker, and results land in item order, so the output is
+//!    deterministic for any worker count.
 //!
 //! Phases 1–4 are sequential and deterministic; phase 5 is the only
 //! parallel section and each fix query is a pure function of the
@@ -167,7 +169,7 @@ pub struct EpochOutcome {
     /// Fix queries actually scheduled (candidates within radius with a
     /// fresh snapshot in the observer's inbox).
     pub tasks: usize,
-    /// Scheduler statistics.
+    /// Scheduler statistics: the fixes each worker ran.
     pub steals: StealStats,
     /// Vehicles migrated between shards this epoch.
     pub rehomes: usize,
@@ -238,12 +240,13 @@ impl FleetRun {
     }
 }
 
-struct FixTask<'a> {
+/// One observer's share of the query phase: a fix against every
+/// in-radius neighbour holding a fresh snapshot, in neighbour order.
+struct ObserverTask<'a> {
     observer: u64,
-    neighbour: u64,
-    truth_m: f64,
     node: &'a RupsNode,
-    snap: &'a ContextSnapshot,
+    /// `(neighbour, truth_m, snapshot)` per fix query.
+    queries: Vec<(u64, f64, &'a ContextSnapshot)>,
 }
 
 /// The sharded many-vehicle simulation driver.
@@ -474,64 +477,71 @@ impl FleetSim {
             }
         }
 
-        // Query: build the task list in globally sorted order, then drain
-        // it with the work-stealing scheduler.
+        // Query: one item per observer, in ascending observer order, each
+        // holding its fix queries in neighbour order.
         let candidates = self.index.candidate_count();
-        let mut fresh_by_observer: BTreeMap<u64, BTreeMap<u64, &ContextSnapshot>> = BTreeMap::new();
+        let mut tasks: Vec<ObserverTask<'_>> = Vec::new();
         for id in self.shards.vehicle_ids() {
             let home = self.shards.home_of(id).unwrap();
-            let inbox = &self.shards.shard(home).vehicles[&id].inbox;
+            let vehicle = &self.shards.shard(home).vehicles[&id];
             let mut by_sender = BTreeMap::new();
-            for snap in inbox.fresh(t) {
+            for snap in vehicle.inbox.fresh(t) {
                 if let Some(from) = snap.vehicle_id {
                     by_sender.insert(from, snap);
                 }
             }
-            fresh_by_observer.insert(id, by_sender);
-        }
-        let mut tasks: Vec<FixTask<'_>> = Vec::new();
-        for (&id, by_sender) in &fresh_by_observer {
-            let home = self.shards.home_of(id).unwrap();
-            let node = &self.shards.shard(home).vehicles[&id].node;
-            for nb in self.index.neighbours_within(id, self.cfg.radius_m) {
-                if let Some(snap) = by_sender.get(&nb) {
-                    tasks.push(FixTask {
-                        observer: id,
-                        neighbour: nb,
-                        truth_m: self.truth_gap_m(id, nb, t),
-                        node,
-                        snap,
-                    });
-                }
+            let queries: Vec<_> = self
+                .index
+                .neighbours_within(id, self.cfg.radius_m)
+                .into_iter()
+                .filter_map(|nb| {
+                    let snap = *by_sender.get(&nb)?;
+                    Some((nb, self.truth_gap_m(id, nb, t), snap))
+                })
+                .collect();
+            if !queries.is_empty() {
+                tasks.push(ObserverTask {
+                    observer: id,
+                    node: &vehicle.node,
+                    queries,
+                });
             }
         }
-        let n_tasks = tasks.len();
         let qcfg = self.qcfg;
         let started = std::time::Instant::now();
         let (results, steals) = sched::run_tasks(&tasks, self.cfg.workers, |task| {
-            task.node.fix_distance(task.snap).map(|fix| GradedFix {
-                report: quality::assess(&fix, &qcfg),
-                fix,
-            })
+            task.queries
+                .iter()
+                .map(|&(_, _, snap)| {
+                    task.node.fix_distance(snap).map(|fix| GradedFix {
+                        report: quality::assess(&fix, &qcfg),
+                        fix,
+                    })
+                })
+                .collect()
         });
         let query_wall_s = started.elapsed().as_secs_f64();
         let fixes: Vec<FleetFix> = tasks
             .iter()
             .zip(results)
-            .map(|(task, result)| FleetFix {
-                observer: task.observer,
-                neighbour: task.neighbour,
-                truth_m: task.truth_m,
-                result,
+            .flat_map(|(task, results)| {
+                task.queries
+                    .iter()
+                    .zip(results)
+                    .map(|(&(neighbour, truth_m, _), result)| FleetFix {
+                        observer: task.observer,
+                        neighbour,
+                        truth_m,
+                        result,
+                    })
             })
             .collect();
-        drop(tasks);
 
         EpochOutcome {
             t_s: t,
+            tasks: fixes.len(),
             fixes,
             candidates,
-            tasks: n_tasks,
             steals,
             rehomes,
             relayed,
@@ -590,6 +600,20 @@ mod tests {
         assert!(!fleet.nodes.is_empty());
         // The index was maintained incrementally, not rebuilt.
         assert!(run.cell_stats.updates > run.cell_stats.moves);
+    }
+
+    #[test]
+    fn the_scheduler_counts_every_fix_once() {
+        let workers = 3;
+        let run = FleetSim::run(FleetConfig {
+            workers,
+            ..tiny_cfg()
+        });
+        for e in &run.epochs {
+            assert_eq!(e.steals.per_worker.iter().sum::<u64>(), e.tasks as u64);
+            assert!(e.steals.per_worker.len() <= workers);
+            assert_eq!(e.steals.steals, 0);
+        }
     }
 
     #[test]

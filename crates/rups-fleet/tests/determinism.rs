@@ -3,10 +3,10 @@
 //! Part A: the same fleet configuration run with 1, 2 and 4 scheduler
 //! workers — under bursty link faults — must produce bit-identical
 //! per-epoch fix sets. Worker count may only change wall-clock time and
-//! steal counts, never results.
+//! which worker ran each observer's fixes, never results.
 //!
 //! Part B: with ideal links, the full sharded machinery (cell index,
-//! cross-shard routing, relays, re-homing, work stealing) must produce
+//! cross-shard routing, relays, re-homing, parallel queries) must produce
 //! exactly the fixes of a straight-line unsharded reference loop that
 //! delivers every in-radius beacon directly and queries a sorted double
 //! loop sequentially. Sharding is an execution strategy, not a model
@@ -193,8 +193,8 @@ fn reference_run(cfg: &FleetConfig) -> Vec<Vec<RefFix>> {
 #[test]
 fn sharded_run_matches_unsharded_reference() {
     // Ideal links so delivery sets are provably equal; multiple shards,
-    // multiple workers and cell_m == radius_m so routing, stealing and
-    // re-homing all actually fire while matching the reference.
+    // multiple workers and cell_m == radius_m so routing, parallel queries
+    // and re-homing all actually fire while matching the reference.
     let cfg = FleetConfig {
         workers: 2,
         ..base_cfg()

@@ -1,5 +1,6 @@
 //! Workspace-local stand-in for the subset of `rayon` this workspace
-//! uses: `par_iter()`/`into_par_iter()` followed by `map(...).collect()`.
+//! uses: `par_iter()`/`into_par_iter()` followed by `map(...).collect()`
+//! into a `Vec`, plus the pool and thread-count calls.
 //!
 //! Items are claimed one at a time from a shared atomic cursor and run on
 //! `std::thread::scope` threads: the calling thread claims the first item
@@ -159,21 +160,9 @@ impl<T: Send> ParIter<T> {
             _out: PhantomData,
         }
     }
-
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        par_map_collect(self.items, f);
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
-/// A mapped parallel pipeline; executes on `collect`/`sum`/`reduce`.
+/// A mapped parallel pipeline; executes on `collect`.
 pub struct ParMap<T, O, F> {
     items: Vec<T>,
     f: F,
@@ -189,20 +178,6 @@ where
     pub fn collect<C: FromParallelIterator<O>>(self) -> C {
         C::from_par_vec(par_map_collect(self.items, self.f))
     }
-
-    pub fn sum<S: std::iter::Sum<O>>(self) -> S {
-        par_map_collect(self.items, self.f).into_iter().sum()
-    }
-
-    pub fn reduce<ID, R>(self, identity: ID, reduce: R) -> O
-    where
-        ID: Fn() -> O,
-        R: Fn(O, O) -> O,
-    {
-        par_map_collect(self.items, self.f)
-            .into_iter()
-            .fold(identity(), reduce)
-    }
 }
 
 /// Collection types buildable from an ordered parallel result.
@@ -213,12 +188,6 @@ pub trait FromParallelIterator<O> {
 impl<O> FromParallelIterator<O> for Vec<O> {
     fn from_par_vec(items: Vec<O>) -> Self {
         items
-    }
-}
-
-impl<O, E> FromParallelIterator<Result<O, E>> for Result<Vec<O>, E> {
-    fn from_par_vec(items: Vec<Result<O, E>>) -> Self {
-        items.into_iter().collect()
     }
 }
 
@@ -235,19 +204,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-macro_rules! range_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            fn into_par_iter(self) -> ParIter<$t> {
-                ParIter { items: self.collect() }
-            }
-        }
-    )*};
-}
-
-range_par_iter!(u32, u64, usize, i32, i64);
-
 /// `par_iter()` — borrowing conversion.
 pub trait IntoParallelRefIterator<'data> {
     type Item: Send + 'data;
@@ -263,13 +219,6 @@ impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
     }
 }
 
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Item = &'data T;
-    fn par_iter(&'data self) -> ParIter<&'data T> {
-        self.as_slice().par_iter()
-    }
-}
-
 pub mod prelude {
     pub use super::{FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator};
 }
@@ -280,13 +229,15 @@ mod tests {
 
     #[test]
     fn map_collect_preserves_order() {
-        let out: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 2).collect();
+        let items: Vec<usize> = (0..1000).collect();
+        let out: Vec<usize> = items.into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_iter_over_slice() {
-        let data = vec![1u64, 2, 3, 4, 5];
+        // A `Vec` reaches the slice impl through auto-deref.
+        let data: Vec<u64> = (1..=5).collect();
         let out: Vec<u64> = data.par_iter().map(|&x| x * x).collect();
         assert_eq!(out, vec![1, 4, 9, 16, 25]);
     }
@@ -294,7 +245,7 @@ mod tests {
     #[test]
     fn caller_thread_works_the_first_chunk() {
         let caller = std::thread::current().id();
-        let ids: Vec<_> = (0..3usize)
+        let ids: Vec<_> = vec![(); 3]
             .into_par_iter()
             .map(|_| std::thread::current().id())
             .collect();
@@ -327,7 +278,7 @@ mod tests {
             .build()
             .unwrap();
         let threads = pool.install(|| {
-            (0..64usize)
+            vec![(); 64]
                 .into_par_iter()
                 .map(|_| std::thread::current().id())
                 .collect::<Vec<_>>()
@@ -346,7 +297,7 @@ mod tests {
             .unwrap();
         let caller = std::thread::current().id();
         let ids: Vec<_> = one.install(|| {
-            (0..5usize)
+            vec![(); 5]
                 .into_par_iter()
                 .map(|_| std::thread::current().id())
                 .collect()

@@ -24,7 +24,8 @@
 //! * [`fleet`] (`rups-fleet`) — the geographically sharded many-vehicle
 //!   serving layer: uniform-grid cell index with 3×3 halo candidate
 //!   enumeration, shared-nothing per-shard engines with cross-shard
-//!   beacon routing, and a deterministic work-stealing epoch scheduler.
+//!   beacon routing, and a deterministic epoch scheduler that hands out
+//!   one observer's fixes per item.
 //! * [`eval`] (`rups-eval`) — the experiment harness regenerating every
 //!   paper figure (also available as the `evaluate` binary).
 //!
