@@ -132,30 +132,37 @@ fn warm_fix_path_stays_within_constant_allocation_budget() {
         );
     }
 
-    // A warm batch of three neighbours at 2000 m: the reverse passes share
-    // the own context's rolled table, and each query rolls its neighbour's
-    // into the buffers of a pooled arena, so the batch stays within the
+    // Warm batches of three neighbours at 480 m (FFT) and 2000 m (lane dot
+    // products): the reverse passes share the own context's rolled table
+    // and spectra, and each query rolls and transforms its neighbour's rows
+    // into the buffers of a pooled arena, so a batch stays within the
     // per-query budget for each of its queries.
-    let node = build_node(21, 2000);
-    let snaps: Vec<ContextSnapshot> = [20, 35, 50]
-        .iter()
-        .map(|&offset| neighbour(21, offset, 2000))
-        .collect();
-    for _ in 0..3 {
-        node.fix_distances_parallel(&snaps);
+    for context_m in [480usize, 2000] {
+        let node = build_node(21, context_m);
+        let snaps: Vec<ContextSnapshot> = [20, 35, 50]
+            .iter()
+            .map(|&offset| neighbour(21, offset, context_m))
+            .collect();
+        for _ in 0..3 {
+            node.fix_distances_parallel(&snaps);
+        }
+        let before = allocations();
+        let fixes = node.fix_distances_parallel(&snaps);
+        let per_batch = allocations() - before;
+        for (fix, offset) in fixes.into_iter().zip([20.0, 35.0, 50.0]) {
+            let d = fix.unwrap().distance_m;
+            assert!(
+                (d - offset).abs() < 1.5,
+                "context {context_m}: batch fix drifted to {d}"
+            );
+        }
+        let budget = snaps.len() as u64 * MAX_ALLOCS_PER_WARM_QUERY;
+        assert!(
+            per_batch < budget,
+            "context {context_m}: warm 3-neighbour batch performed {per_batch} allocations \
+             (budget {budget})"
+        );
     }
-    let before = allocations();
-    let fixes = node.fix_distances_parallel(&snaps);
-    let per_batch = allocations() - before;
-    for (fix, offset) in fixes.into_iter().zip([20.0, 35.0, 50.0]) {
-        let d = fix.unwrap().distance_m;
-        assert!((d - offset).abs() < 1.5, "batch fix drifted to {d}");
-    }
-    let budget = snaps.len() as u64 * MAX_ALLOCS_PER_WARM_QUERY;
-    assert!(
-        per_batch < budget,
-        "warm 3-neighbour batch performed {per_batch} allocations (budget {budget})"
-    );
 
     // A warm query on interpolated trace contexts (never-heard rows stay
     // NaN, so the reference kernel runs): the score loop's alive

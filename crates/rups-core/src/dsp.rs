@@ -10,19 +10,25 @@
 //! are available offline, so the transform is implemented here from
 //! scratch and tested against naive references.
 //!
-//! Three layers keep the hot path microsecond-scale:
+//! Four layers keep the hot path microsecond-scale:
 //!
-//! * [`FftPlan`] — twiddle factors and the bit-reversal permutation are
-//!   computed once per transform size and shared process-wide through
-//!   [`plan_for`], so a steady-state transform performs no trigonometry
-//!   and no planning work;
+//! * [`FftPlan`] — twiddle factors (forward and conjugated) and the
+//!   bit-reversal permutation are computed once per transform size and
+//!   shared process-wide through [`plan_for`], so a steady-state transform
+//!   performs no trigonometry, no planning work and no per-butterfly
+//!   branch on its direction;
 //! * real complex-packing — two real rows ride one complex transform
 //!   ([`real_spectra_pair_into`]), and two correlation products share one
 //!   inverse transform ([`corr_from_spectra_pair_into`]), halving the
 //!   transform count of a multi-channel pass;
-//! * spectrum-level entry points — callers that cache one side of the
-//!   correlation (the engine caches its own context's spectra) pay only
-//!   for the other side plus the inverse transform.
+//! * half-length spectra — a real row's spectrum is conjugate-symmetric, so
+//!   every split spectrum keeps bins `0..=n/2` only and the correlation
+//!   writes the mirrored product bins from their partners;
+//! * spectrum-level entry points and a crate-private spectra memo
+//!   (`SpectraMemo`) — callers that hold one side of a correlation (the
+//!   engine memoises its own rows, its windows and, per query, the
+//!   neighbour's rows) transform each channel pair once and pay only for
+//!   the rest plus the inverse transform.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -100,6 +106,8 @@ pub struct FftPlan {
     /// `len = 2, 4, …, n` the `len/2` factors `e^{−2πik/len}`. Total
     /// `n − 1` entries.
     tw: Vec<Complex>,
+    /// The same twiddles conjugated, for the inverse transform.
+    tw_inv: Vec<Complex>,
 }
 
 impl FftPlan {
@@ -130,13 +138,16 @@ impl FftPlan {
             }
             len <<= 1;
         }
-        Self { n, rev, tw }
+        let tw_inv = tw.iter().map(|w| w.conj()).collect();
+        Self { n, rev, tw, tw_inv }
     }
 
     /// In-place iterative radix-2 Cooley–Tukey FFT using the precomputed
     /// permutation and twiddles. `inverse` computes the unscaled inverse
     /// transform; divide by `n` afterwards to invert exactly (the
-    /// correlation helpers below handle that).
+    /// correlation helpers below handle that). The direction only picks the
+    /// twiddle table: each stage's butterflies run over the two halves of
+    /// every `len`-point block.
     pub fn process(&self, data: &mut [Complex], inverse: bool) {
         let n = self.n;
         assert_eq!(data.len(), n, "plan is for size {n}, got {}", data.len());
@@ -149,23 +160,19 @@ impl FftPlan {
                 data.swap(i, j);
             }
         }
+        let twiddles = if inverse { &self.tw_inv } else { &self.tw };
         let mut len = 2usize;
-        let mut tw_base = 0usize;
         while len <= n {
             let half = len / 2;
-            let tw = &self.tw[tw_base..tw_base + half];
-            let mut i = 0usize;
-            while i < n {
-                for k in 0..half {
-                    let w = if inverse { tw[k].conj() } else { tw[k] };
-                    let u = data[i + k];
-                    let v = data[i + k + half] * w;
-                    data[i + k] = u + v;
-                    data[i + k + half] = u - v;
+            let tw = &twiddles[half - 1..len - 1];
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((u, v), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let (a, b) = (*u, *v * w);
+                    *u = a + b;
+                    *v = a - b;
                 }
-                i += len;
             }
-            tw_base += half;
             len <<= 1;
         }
     }
@@ -198,9 +205,11 @@ pub fn plan_for(n: usize) -> Arc<FftPlan> {
     Arc::clone(guard.entry(n).or_insert(plan))
 }
 
-/// Spectra of two real rows via **one** complex transform of `size` — the
-/// real complex-packing trick: transform `a + i·b`, then split the result
-/// using the conjugate symmetry of real-input spectra.
+/// Half-length spectra of two real rows via **one** complex transform of
+/// `size` — the real complex-packing trick: transform `a + i·b`, then split
+/// the result using the conjugate symmetry of real-input spectra. Each
+/// spectrum keeps bins `0..=size/2`: bin `size − k` of a real row's
+/// spectrum is the conjugate of bin `k`.
 ///
 /// `a` and `b` are zero-padded to `size` (each must be no longer than
 /// `size`); `b` may be empty, in which case this is a plain padded real
@@ -246,7 +255,7 @@ pub fn real_spectra_pair_into<T: Copy + Into<f64>>(
 }
 
 /// Splits the spectrum `x` of the packed signal `a + i·b` (both real) into
-/// the individual spectra `xa` and `xb`:
+/// bins `0..=n/2` of the individual spectra `xa` and `xb`:
 /// `A[k] = (X[k] + conj(X[n−k]))/2`, `B[k] = −i·(X[k] − conj(X[n−k]))/2`.
 fn split_packed_spectrum(
     x: &[Complex],
@@ -254,34 +263,41 @@ fn split_packed_spectrum(
     xb: &mut Vec<Complex>,
     want_b: bool,
 ) {
-    let n = x.len();
+    let (n, bins) = (x.len(), x.len() / 2 + 1);
+    // Exact reservations: a memo entry keeps what its spectra need, not a
+    // doubled capacity.
     xa.clear();
-    xa.resize(n, Complex::default());
+    xa.reserve_exact(bins);
     xb.clear();
     if want_b {
-        xb.resize(n, Complex::default());
+        xb.reserve_exact(bins);
     }
-    for k in 0..n {
+    for k in 0..bins {
         let p = x[k];
         let q = x[(n - k) & (n - 1)].conj();
-        xa[k] = Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im + q.im));
+        xa.push(Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im + q.im)));
         if want_b {
             // −i·(p − q)/2: re = (p.im − q.im)/2, im = −(p.re − q.re)/2.
-            xb[k] = Complex::new(0.5 * (p.im - q.im), 0.5 * (q.re - p.re));
+            xb.push(Complex::new(0.5 * (p.im - q.im), 0.5 * (q.re - p.re)));
         }
     }
 }
 
-/// Correlation lags of **two** channel pairs from their spectra via one
-/// inverse transform: the products `Fa·Sa` and `Fb·Sb` (both
+/// Correlation lags of **two** channel pairs from their half-length spectra
+/// via one inverse transform: the products `Fa·Sa` and `Fb·Sb` (both
 /// conjugate-symmetric, hence real after inversion) are packed as
 /// `P = Fa·Sa + i·(Fb·Sb)`, inverted once, and split from the real and
-/// imaginary parts.
+/// imaginary parts. Product bin `n − k` is written from bin `k`'s products
+/// with their signs flipped, `conj(Fa·Sa) + i·conj(Fb·Sb)`: the arithmetic
+/// a full-length product does on the mirrored, conjugate spectrum bins, so
+/// the lags are its bits (on degenerate rows a lag that is exactly zero may
+/// carry the other sign).
 ///
 /// `fa`/`fb` must be spectra of *time-reversed* `f_len`-point fixed rows
 /// (see [`real_spectra_pair_into`] with `reversed`), `sa`/`sb` spectra of
-/// the sliding rows. Writes `n_out` lags per channel. Pass `fb`/`sb` as
-/// empty slices for a lone trailing channel; `out_b` is then left cleared.
+/// the sliding rows, all of one transform size. Writes `n_out` lags per
+/// channel. Pass `fb`/`sb` as empty slices for a lone trailing channel;
+/// `out_b` is then left cleared.
 #[allow(clippy::too_many_arguments)]
 pub fn corr_from_spectra_pair_into(
     fa: &[Complex],
@@ -294,13 +310,15 @@ pub fn corr_from_spectra_pair_into(
     out_a: &mut Vec<f64>,
     out_b: &mut Vec<f64>,
 ) {
-    let n = fa.len();
-    assert_eq!(sa.len(), n, "spectra sizes must agree");
+    let bins = fa.len();
+    assert_eq!(sa.len(), bins, "spectra sizes must agree");
     let have_b = !fb.is_empty();
     if have_b {
-        assert_eq!(fb.len(), n, "spectra sizes must agree");
-        assert_eq!(sb.len(), n, "spectra sizes must agree");
+        assert_eq!(fb.len(), bins, "spectra sizes must agree");
+        assert_eq!(sb.len(), bins, "spectra sizes must agree");
     }
+    // The transform size whose bins 0..=n/2 the spectra hold.
+    let n = (2 * (bins - 1)).max(1);
     assert!(
         f_len >= 1 && f_len - 1 + n_out <= n,
         "lags must fit the transform: f_len {f_len}, n_out {n_out}, size {n}"
@@ -308,16 +326,20 @@ pub fn corr_from_spectra_pair_into(
     let plan = plan_for(n);
     work.clear();
     work.resize(n, Complex::default());
+    // Bins 0 and n/2 are their own mirrors: the direct write comes second.
     if have_b {
-        for k in 0..n {
+        for k in 0..bins {
             let pa = fa[k] * sa[k];
             let pb = fb[k] * sb[k];
+            work[(n - k) & (n - 1)] = Complex::new(pa.re + pb.im, pb.re - pa.im);
             // pa + i·pb
             work[k] = Complex::new(pa.re - pb.im, pa.im + pb.re);
         }
     } else {
-        for k in 0..n {
-            work[k] = fa[k] * sa[k];
+        for k in 0..bins {
+            let pa = fa[k] * sa[k];
+            work[(n - k) & (n - 1)] = pa.conj();
+            work[k] = pa;
         }
     }
     plan.process(work, true);
@@ -328,6 +350,91 @@ pub fn corr_from_spectra_pair_into(
     out_b.clear();
     if have_b {
         out_b.extend((0..n_out).map(|j| work[f_len - 1 + j].im * scale));
+    }
+}
+
+/// A channel pair's half-length packed spectra (`b` empty for a lone
+/// trailing channel). Memoised per pair because the packing makes each
+/// channel's spectrum partner-dependent in floating point: a memo hit must
+/// return exactly what a fresh [`real_spectra_pair_into`] over the same
+/// pair would produce.
+#[derive(Default)]
+pub(crate) struct SpectraPair {
+    pub a: Vec<Complex>,
+    pub b: Vec<Complex>,
+}
+
+/// Memo key: `(transform size, first channel, second channel)`.
+type SpectraKey = (usize, usize, Option<usize>);
+
+/// The packed spectra of one set of real rows, per transform size and
+/// channel pair, each transformed once on first use and then shared by
+/// every correlation that reads it, from any thread. The engine keeps one
+/// over its own rows, one per checking window over that window's reversed
+/// slice, and one per query over the neighbour's rows, held in the query's
+/// pooled arena; [`reset`](Self::reset) empties that one for the next
+/// query and keeps its entries' buffers, so a warm query fills it without
+/// allocating.
+#[derive(Default)]
+pub(crate) struct SpectraMemo {
+    state: RwLock<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    entries: HashMap<SpectraKey, Arc<SpectraPair>>,
+    /// Entries emptied by the last reset, refilled by later misses.
+    spare: Vec<Arc<SpectraPair>>,
+}
+
+impl SpectraMemo {
+    /// The spectra of the rows of `pair` (one channel, or two packed in
+    /// order) at `size`, time-reversed when `reversed`. A miss transforms
+    /// `row(ch)` for each channel through `work` under the write lock,
+    /// after looking again, so concurrent misses fill each pair once. A
+    /// memo must always be asked for one orientation of one set of rows.
+    pub(crate) fn pair<'r, T: Copy + Into<f64> + 'r>(
+        &self,
+        size: usize,
+        pair: &[usize],
+        reversed: bool,
+        row: impl Fn(usize) -> &'r [T],
+        work: &mut Vec<Complex>,
+    ) -> Arc<SpectraPair> {
+        let key = (size, pair[0], pair.get(1).copied());
+        let state = self.state.read().expect("spectra memo lock poisoned");
+        if let Some(hit) = state.entries.get(&key) {
+            return Arc::clone(hit);
+        }
+        drop(state);
+        let mut state = self.state.write().expect("spectra memo lock poisoned");
+        let MemoState { entries, spare } = &mut *state;
+        if let Some(hit) = entries.get(&key) {
+            return Arc::clone(hit);
+        }
+        let mut entry = spare.pop().unwrap_or_default();
+        let SpectraPair { a, b } = Arc::get_mut(&mut entry).expect("spare entries are unshared");
+        let second = pair.get(1).map_or(&[][..], |&ch| row(ch));
+        real_spectra_pair_into(row(pair[0]), second, reversed, size, work, a, b);
+        entries.insert(key, Arc::clone(&entry));
+        entry
+    }
+
+    /// Empties the memo, keeping the buffers of the entries no one still
+    /// holds for its next fills.
+    pub(crate) fn reset(&mut self) {
+        let state = self.state.get_mut().expect("spectra memo lock poisoned");
+        let unshared = state.entries.drain().map(|(_, e)| e);
+        state
+            .spare
+            .extend(unshared.filter(|e| Arc::strong_count(e) == 1));
+    }
+
+    /// The number of pairs held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        let state = self.state.read().expect("spectra memo lock poisoned");
+        state.entries.len()
     }
 }
 
@@ -518,6 +625,244 @@ mod tests {
         }
     }
 
+    /// A real row of `len` dBm-like values, distinct from seed to seed.
+    fn real_row(seed: u64, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i as f64 + 1.0) * (0.37 + seed as f64 * 0.11)).sin() * 20.0 - 70.0)
+            .collect()
+    }
+
+    /// Two real rows packed as `a + i·b`, zero-padded to `n`.
+    fn packed(a: &[f64], b: &[f64], n: usize) -> Vec<Complex> {
+        let mut x = vec![Complex::default(); n];
+        for (i, &v) in a.iter().enumerate() {
+            x[i].re = v;
+        }
+        for (i, &v) in b.iter().enumerate() {
+            x[i].im = v;
+        }
+        x
+    }
+
+    fn complex_bits(x: &[Complex]) -> Vec<(u64, u64)> {
+        x.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// The butterfly loop as it was before the conjugated twiddle table:
+    /// one `inverse` branch and one conjugation per butterfly.
+    fn process_conj_per_butterfly(plan: &FftPlan, data: &mut [Complex], inverse: bool) {
+        let n = plan.n;
+        if n <= 1 {
+            return;
+        }
+        for i in 1..n {
+            let j = plan.rev[i] as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut len = 2usize;
+        let mut tw_base = 0usize;
+        while len <= n {
+            let half = len / 2;
+            let tw = &plan.tw[tw_base..tw_base + half];
+            let mut i = 0usize;
+            while i < n {
+                for k in 0..half {
+                    let w = if inverse { tw[k].conj() } else { tw[k] };
+                    let u = data[i + k];
+                    let v = data[i + k + half] * w;
+                    data[i + k] = u + v;
+                    data[i + k + half] = u - v;
+                }
+                i += len;
+            }
+            tw_base += half;
+            len <<= 1;
+        }
+    }
+
+    /// The split of a packed spectrum into full-length spectra, every bin
+    /// from its own formula.
+    fn split_full(x: &[Complex]) -> (Vec<Complex>, Vec<Complex>) {
+        let n = x.len();
+        (0..n)
+            .map(|k| {
+                let (p, q) = (x[k], x[(n - k) & (n - 1)].conj());
+                let a = Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im + q.im));
+                let b = Complex::new(0.5 * (p.im - q.im), 0.5 * (q.re - p.re));
+                (a, b)
+            })
+            .unzip()
+    }
+
+    /// Full-length spectra of `a` and `b` (`b` may be empty) at `n`,
+    /// `a` and `b` time-reversed when `reversed`.
+    fn full_spectra(
+        a: &[f64],
+        b: &[f64],
+        reversed: bool,
+        n: usize,
+    ) -> (Vec<Complex>, Vec<Complex>) {
+        let rev = |r: &[f64]| -> Vec<f64> {
+            if reversed {
+                r.iter().rev().copied().collect()
+            } else {
+                r.to_vec()
+            }
+        };
+        let mut x = packed(&rev(a), &rev(b), n);
+        fft(&mut x, false);
+        split_full(&x)
+    }
+
+    #[test]
+    fn butterflies_match_the_per_butterfly_conj_loop_bit_for_bit() {
+        for log in 0..=12 {
+            let n = 1usize << log;
+            let plan = plan_for(n);
+            let tw_conj: Vec<Complex> = plan.tw.iter().map(|w| w.conj()).collect();
+            assert_eq!(complex_bits(&plan.tw_inv), complex_bits(&tw_conj), "n={n}");
+            // Rows shorter than the transform, as the correlations pad them.
+            let len = n - n / 4;
+            let x = packed(&real_row(1, len), &real_row(2, len / 2), n);
+            for inverse in [false, true] {
+                let (mut got, mut want) = (x.clone(), x.clone());
+                plan.process(&mut got, inverse);
+                process_conj_per_butterfly(&plan, &mut want, inverse);
+                assert_eq!(
+                    complex_bits(&got),
+                    complex_bits(&want),
+                    "n={n} inverse={inverse}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn half_spectra_are_the_full_spectra_up_to_their_exact_conjugates() {
+        let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
+        for log in 0..=12 {
+            let n = 1usize << log;
+            let len = n.min(85);
+            let (a, b) = (real_row(3, len), real_row(4, len.div_ceil(2)));
+            for (b, reversed) in [(&b[..], false), (&b[..], true), (&[][..], false)] {
+                real_spectra_pair_into(&a, b, reversed, n, &mut work, &mut xa, &mut xb);
+                let (fa, fb) = full_spectra(&a, b, reversed, n);
+                let case = format!("n={n} lone={} reversed={reversed}", b.is_empty());
+                assert_eq!(complex_bits(&xa), complex_bits(&fa[..=n / 2]), "{case}");
+                let mirrored = |x: &[Complex]| -> Vec<Complex> {
+                    (0..n).map(|k| x[(n - k) & (n - 1)].conj()).collect()
+                };
+                // Bins 0 and n/2 are their own mirrors.
+                let inner = |x: &[Complex]| complex_bits(&x[1..(n / 2).max(1)]);
+                let (fam, fbm) = (mirrored(&fa), mirrored(&fb));
+                assert_eq!(inner(&fa), inner(&fam), "{case}");
+                if b.is_empty() {
+                    assert!(xb.is_empty(), "{case}");
+                } else {
+                    assert_eq!(complex_bits(&xb), complex_bits(&fb[..=n / 2]), "{case}");
+                    assert_eq!(inner(&fb), inner(&fbm), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn correlations_match_a_full_length_product_bit_for_bit() {
+        // Sizes 1, 2 and 4, then f + s − 1 at and one past a power of two.
+        let cases = [
+            (1usize, 1usize),
+            (1, 2),
+            (2, 2),
+            (1, 4),
+            (2, 3),
+            (3, 3),
+            (16, 49),
+            (16, 50),
+            (85, 172),
+            (85, 173),
+        ];
+        let mut p = PairCorr::default();
+        let mut full_work = Vec::new();
+        for (fl, sl) in cases {
+            let n = corr_fft_size(fl, sl);
+            let (f1, f2) = (real_row(5, fl), real_row(6, fl));
+            let (s1, s2) = (real_row(7, sl), real_row(8, sl));
+            for (f2, s2) in [(&f2[..], &s2[..]), (&[][..], &[][..])] {
+                p.run(&f1, &s1, f2, s2);
+                let (fa, fb) = full_spectra(&f1, f2, true, n);
+                let (sa, sb) = full_spectra(&s1, s2, false, n);
+                full_work.clear();
+                full_work.extend((0..n).map(|k| {
+                    let pa = fa[k] * sa[k];
+                    if f2.is_empty() {
+                        pa
+                    } else {
+                        let pb = fb[k] * sb[k];
+                        Complex::new(pa.re - pb.im, pa.im + pb.re)
+                    }
+                }));
+                fft(&mut full_work, true);
+                let scale = 1.0 / n as f64;
+                let lags = sl - fl + 1;
+                let lag = |j: usize| full_work[fl - 1 + j];
+                let want_a: Vec<u64> = (0..lags).map(|j| (lag(j).re * scale).to_bits()).collect();
+                let got_a: Vec<u64> = p.out_a.iter().map(|v| v.to_bits()).collect();
+                let case = format!("({fl}, {sl}) lone={}", f2.is_empty());
+                assert_eq!(got_a, want_a, "{case}");
+                if !f2.is_empty() {
+                    let want_b: Vec<u64> =
+                        (0..lags).map(|j| (lag(j).im * scale).to_bits()).collect();
+                    let got_b: Vec<u64> = p.out_b.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got_b, want_b, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_memo_fills_each_pair_once_and_refills_in_place_after_a_reset() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let rows = [real_row(9, 40), real_row(10, 40), real_row(11, 40)];
+        let reads = AtomicUsize::new(0);
+        let row = |ch: usize| {
+            reads.fetch_add(1, Relaxed);
+            &rows[ch][..]
+        };
+        // Four threads miss the same pair at once: one fills it.
+        let memo = SpectraMemo::default();
+        let barrier = std::sync::Barrier::new(4);
+        let got: Vec<Arc<SpectraPair>> = std::thread::scope(|scope| {
+            let ask = || {
+                barrier.wait();
+                memo.pair(64, &[0, 1], false, row, &mut Vec::new())
+            };
+            let handles: Vec<_> = (0..4).map(|_| scope.spawn(ask)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(reads.load(Relaxed), 2, "one fill reads each row once");
+        assert!(got.iter().all(|p| Arc::ptr_eq(p, &got[0])));
+        let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
+        real_spectra_pair_into(&rows[0], &rows[1], false, 64, &mut work, &mut xa, &mut xb);
+        assert_eq!(complex_bits(&got[0].a), complex_bits(&xa));
+        assert_eq!(complex_bits(&got[0].b), complex_bits(&xb));
+        // A lone channel and another size are entries of their own.
+        memo.pair(64, &[2], false, row, &mut work);
+        memo.pair(128, &[0, 1], false, row, &mut work);
+        assert_eq!((memo.len(), reads.load(Relaxed)), (3, 5));
+        // A reset empties the memo; its next fills reuse the entries.
+        drop(got);
+        let mut memo = memo;
+        memo.reset();
+        assert_eq!(memo.len(), 0);
+        let again = memo.pair(64, &[0, 1], false, row, &mut work);
+        assert_eq!(complex_bits(&again.a), complex_bits(&xa));
+        assert_eq!(complex_bits(&again.b), complex_bits(&xb));
+        let spare = memo.state.read().unwrap().spare.len();
+        assert_eq!(spare, 2, "a refill takes a spare entry");
+    }
+
     #[test]
     fn plans_are_shared_per_size() {
         let a = plan_for(128);
@@ -594,6 +939,7 @@ mod tests {
         let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
         for reversed in [false, true] {
             real_spectra_pair_into(&a, &b, reversed, n, &mut work, &mut xa, &mut xb);
+            assert_eq!((xa.len(), xb.len()), (n / 2 + 1, n / 2 + 1));
             for (row, got) in [(&a, &xa), (&b, &xb)] {
                 let mut direct = vec![Complex::default(); n];
                 if reversed {

@@ -17,15 +17,17 @@
 //!   (`syn_fast::RolledTable`): the sliding side of every reverse pass,
 //!   filled a channel at a time on first use and shared by the reverse
 //!   passes of every query in a batch;
-//! * memoised packed spectra over the dense context (the sliding-side
-//!   inputs of the FFT kernel);
+//! * memoised packed spectra of the dense own rows (the sliding side of the
+//!   FFT kernel's reverse passes);
 //! * per-`(len, end)` checking windows with memoised reversed spectra (the
-//!   fixed-side inputs of the FFT kernel);
+//!   fixed side of its forward passes);
 //! * scratch arenas, one per query: the table its neighbour's rows roll
-//!   into for its forward passes, and the FFT work areas and score-loop
-//!   buffers that the batch's running passes share, from the process-wide
-//!   pool the full scan of [`crate::syn`] draws on too, so concurrent passes
-//!   allocate nothing in steady state;
+//!   into and the memo their packed spectra fill, read by all its forward
+//!   passes on any worker, so each neighbour channel pair is transformed
+//!   once per query; and the FFT work areas and score-loop buffers that the
+//!   batch's running passes share, from the process-wide pool the full scan
+//!   of [`crate::syn`] draws on too, so concurrent passes allocate nothing
+//!   in steady state;
 //! * a per-batch kernel choice — lane dot products vs the engine's own FFT
 //!   correlation — driven by context density and length.
 //!
@@ -59,7 +61,7 @@
 //! around a known SYN shift, and counted as a query like any other.
 
 use crate::config::RupsConfig;
-use crate::dsp::{self, Complex};
+use crate::dsp::{self, SpectraMemo};
 use crate::error::RupsError;
 use crate::gsm::{self, GsmTrajectory};
 use crate::pipeline::{ContextSnapshot, DistanceFix};
@@ -253,20 +255,6 @@ impl EngineMetrics {
     }
 }
 
-/// A channel pair's packed spectra (`b` empty for a lone trailing
-/// channel). Cached because the packing makes each channel's
-/// spectrum partner-dependent in floating point: a cache hit must return
-/// exactly what a fresh [`dsp::real_spectra_pair_into`] over the same pair
-/// would produce.
-struct SpectraPair {
-    a: Vec<Complex>,
-    b: Vec<Complex>,
-}
-
-/// Cache key for [`SpectraPair`]: `(fft_size, ch_a, ch_b)`, with
-/// `usize::MAX` as the lone-channel sentinel.
-type SpectraKey = (usize, usize, usize);
-
 /// The querying vehicle's context, fully preprocessed for matching: the
 /// matching rows, their packed spectra for the FFT kernel and their rolled
 /// tables for every reverse pass, both filled on first use. Every pass
@@ -281,11 +269,11 @@ pub(crate) struct OwnContext {
     gsm: GsmTrajectory,
     /// True when every cell of `gsm` is finite (the FFT kernel applicable).
     dense: bool,
-    /// Packed spectra of the own sliding rows, keyed by transform size and
-    /// channel pair: the sliding-side inputs of every reverse FFT pass,
-    /// shared across all neighbours and segments. Lazily filled because
-    /// the transform size depends on the query's window length.
-    sliding_spectra: RwLock<HashMap<SpectraKey, Arc<SpectraPair>>>,
+    /// Packed spectra of the own rows, per transform size and channel pair:
+    /// the sliding side of every reverse FFT pass, shared across all
+    /// neighbours and segments. Filled on first use, because the transform
+    /// size depends on the query's window and neighbour lengths.
+    spectra: SpectraMemo,
     /// Rolled window statistics of `gsm` over every placement, per window
     /// length: the sliding side of every reverse pass, so the passes of all
     /// neighbours and segments roll each own channel once. Channels fill on
@@ -305,7 +293,7 @@ impl OwnContext {
             version,
             gsm,
             dense,
-            sliding_spectra: RwLock::new(HashMap::new()),
+            spectra: SpectraMemo::default(),
             tables: RwLock::new(HashMap::new()),
         }
     }
@@ -329,41 +317,6 @@ impl OwnContext {
         Arc::clone(table)
     }
 
-    /// The cached packed spectra of own rows `(ch_a, ch_b)` at `size`,
-    /// computing and memoising them on first use. The caller's scratch
-    /// buffers stage the computation; the cached copy is what every later
-    /// hit returns, bit-identical to a fresh evaluation.
-    fn sliding_spectra(
-        &self,
-        size: usize,
-        ch_a: usize,
-        ch_b: Option<usize>,
-        work: &mut Vec<Complex>,
-        xa: &mut Vec<Complex>,
-        xb: &mut Vec<Complex>,
-    ) -> Arc<SpectraPair> {
-        let key = (size, ch_a, ch_b.unwrap_or(usize::MAX));
-        if let Some(p) = self
-            .sliding_spectra
-            .read()
-            .expect("own-context spectra lock poisoned")
-            .get(&key)
-        {
-            return Arc::clone(p);
-        }
-        let b: &[f32] = ch_b.map_or(&[], |ch| self.gsm.channel(ch));
-        dsp::real_spectra_pair_into(self.gsm.channel(ch_a), b, false, size, work, xa, xb);
-        let pair = Arc::new(SpectraPair {
-            a: xa.clone(),
-            b: xb.clone(),
-        });
-        self.sliding_spectra
-            .write()
-            .expect("own-context spectra lock poisoned")
-            .insert(key, Arc::clone(&pair));
-        pair
-    }
-
     /// The preprocessed matching context.
     pub(crate) fn gsm(&self) -> &GsmTrajectory {
         &self.gsm
@@ -378,16 +331,14 @@ type WindowMemo = HashMap<(usize, usize), Option<Arc<WindowEntry>>>;
 /// kernel for its exact `[end − len, end)` placement on the own context.
 struct WindowEntry {
     window: CheckWindow,
-    /// Packed time-reversed spectra of the fixed slice, one per pair of
-    /// window channels, keyed by transform size (which depends on the
-    /// neighbour's context length). Channels are packed pairwise in window
-    /// order — exactly how a fresh forward pass pairs them — so the cached
-    /// spectra are bit-identical to fresh ones.
-    spectra: RwLock<HashMap<usize, Arc<Vec<Arc<SpectraPair>>>>>,
+    /// Packed time-reversed spectra of the fixed slice, per transform size
+    /// (which depends on the neighbour's context length) and pair of window
+    /// channels, paired in window order like every FFT pass's rows.
+    spectra: SpectraMemo,
 }
 
-/// Every buffer a directed pass needs besides its rolled table: an arena's
-/// scratch.
+/// Every buffer a directed pass needs besides its sliding side's rolled
+/// table and spectra: an arena's scratch.
 type Scratch = syn_fast::DenseScratch;
 
 /// What the passes of one batch query read besides the own context.
@@ -406,8 +357,10 @@ struct Query<'a> {
     /// Its position in the batch.
     slot: usize,
     inputs: PassInputs<'a>,
-    /// Its `table` holds their rows rolled at `w`: the sliding side of the
-    /// forward passes. The batch's passes run in the arenas' scratch.
+    /// Its `table` holds their rows rolled at `w` and its `spectra` their
+    /// rows' packed spectra: the sliding side of the forward passes, shared
+    /// by the query's forward passes on any worker. The batch's passes run
+    /// in the arenas' scratch.
     arena: PooledArena,
     /// The query's latency sample and span, closed once its answer is
     /// final.
@@ -674,7 +627,7 @@ impl SynQueryEngine {
         let entry = CheckWindow::with_len(&ctx.gsm, &self.cfg, len, end).map(|window| {
             Arc::new(WindowEntry {
                 window,
-                spectra: RwLock::new(HashMap::new()),
+                spectra: SpectraMemo::default(),
             })
         });
         windows.insert(key, entry.clone());
@@ -864,11 +817,12 @@ impl SynQueryEngine {
             return Err(too_short());
         }
         let own_table = ctx.table(w);
-        // The forward passes roll their trajectory once, into the arena's
-        // table.
+        // The forward passes roll and transform their trajectory once, into
+        // the arena's table and spectra.
         let mut arena = self.arena();
         let placements = 0..theirs.len() + 1 - w;
         arena.table.reset(theirs.n_channels(), w, placements);
+        arena.spectra.reset();
         let newest = self
             .window_entry(ctx, w, ours.len())
             .ok_or_else(too_short)?;
@@ -912,8 +866,12 @@ impl SynQueryEngine {
             passes
                 .map(|p| {
                     let q = &mut queries[p.query];
-                    let Arena { table, scratch } = &mut *q.arena;
-                    self.pass(ctx, kernel, &q.inputs, table, p, scratch)
+                    let Arena {
+                        table,
+                        spectra,
+                        scratch,
+                    } = &mut *q.arena;
+                    self.pass(ctx, kernel, &q.inputs, (table, spectra), p, scratch)
                 })
                 .collect()
         } else {
@@ -954,7 +912,8 @@ impl SynQueryEngine {
                 let s = free.lock().expect("no pass panics holding the list").pop();
                 let mut s = s.expect("a scratch set per worker");
                 let q = &shared[p.query];
-                let found = self.pass(ctx, kernel, &q.inputs, &q.arena.table, p, &mut s);
+                let theirs = (&q.arena.table, &q.arena.spectra);
+                let found = self.pass(ctx, kernel, &q.inputs, theirs, p, &mut s);
                 free.lock()
                     .expect("no pass panics holding the list")
                     .push(s);
@@ -970,13 +929,14 @@ impl SynQueryEngine {
 
     /// One directed pass of a batch query (see [`Pass`]): `None` when its
     /// window does not exist, otherwise its peak from our perspective.
-    /// `table` holds their rows rolled at the query's window length.
+    /// `(table, spectra)` hold their rows rolled at the query's window
+    /// length and their rows' spectra.
     fn pass(
         &self,
         ctx: &OwnContext,
         kernel: Kernel,
         q: &PassInputs<'_>,
-        table: &RolledTable,
+        (table, spectra): (&RolledTable, &SpectraMemo),
         p: Pass,
         scratch: &mut Scratch,
     ) -> Option<Option<SynPoint>> {
@@ -987,7 +947,8 @@ impl SynQueryEngine {
             // Their window slid over ours, swapped to our view.
             let end = end_of(theirs.len())?;
             let wnd = CheckWindow::with_len(theirs, &self.cfg, w, end)?;
-            let fft = |s: &mut Scratch| self.fft_dots(ctx, None, &wnd, end, theirs, s);
+            let fft =
+                |s: &mut Scratch| fft_dots((theirs, None), (ours, &ctx.spectra), &wnd, end, s);
             let (own, floor) = (&*q.own_table, p.floor.unwrap_or(wnd.threshold));
             let peak = self.directed(
                 ctx, kernel, theirs, end, ours, own, &wnd, floor, scratch, fft,
@@ -1000,7 +961,8 @@ impl SynQueryEngine {
             0 => Arc::clone(&q.newest),
             _ => self.window_entry(ctx, w, end)?,
         };
-        let fft = |s: &mut Scratch| self.fft_dots(ctx, Some(&e), &e.window, end, theirs, s);
+        let fixed = (ours, Some(&e.spectra));
+        let fft = |s: &mut Scratch| fft_dots(fixed, (theirs, spectra), &e.window, end, s);
         let (wnd, floor) = (&e.window, p.floor.unwrap_or(e.window.threshold));
         let peak = self.directed(
             ctx, kernel, ours, end, theirs, table, wnd, floor, scratch, fft,
@@ -1037,7 +999,7 @@ impl SynQueryEngine {
         let js = (centre - slack).clamp(0, n_pos) as usize
             ..(centre + slack + 1).clamp(0, n_pos) as usize;
         let mut arena = self.arena();
-        let Arena { table, scratch } = &mut *arena;
+        let Arena { table, scratch, .. } = &mut *arena;
         table.reset(theirs.n_channels(), w, js);
         let (kernel, no_fft) = (Kernel::Reference, |_: &mut Scratch| {});
         let (end, floor) = (ours.len(), window.threshold);
@@ -1126,109 +1088,42 @@ impl SynQueryEngine {
             window_len: w,
         })
     }
+}
 
-    /// The memoised packed reversed spectra of `entry`'s fixed slice at
-    /// `size`, built on first use from the own rows (channels paired in
-    /// window order, exactly like a fresh forward pass).
-    fn fixed_spectra(
-        &self,
-        ctx: &OwnContext,
-        entry: &WindowEntry,
-        end: usize,
-        size: usize,
-        s: &mut Scratch,
-    ) -> Arc<Vec<Arc<SpectraPair>>> {
-        if let Some(sp) = entry
-            .spectra
-            .read()
-            .expect("window spectra lock poisoned")
-            .get(&size)
-        {
-            return Arc::clone(sp);
-        }
-        let window = &entry.window;
-        let w = window.len_m;
-        let mut out = Vec::with_capacity(window.channels.len().div_ceil(2));
-        for pair in window.channels.chunks(2) {
-            let fixed_a = &ctx.gsm.channel(pair[0])[end - w..end];
-            let fixed_b: &[f32] = pair
-                .get(1)
-                .map_or(&[], |&ch| &ctx.gsm.channel(ch)[end - w..end]);
-            dsp::real_spectra_pair_into(
-                fixed_a,
-                fixed_b,
-                true,
-                size,
-                &mut s.work,
-                &mut s.spec_fa,
-                &mut s.spec_fb,
-            );
-            out.push(Arc::new(SpectraPair {
-                a: s.spec_fa.clone(),
-                b: s.spec_fb.clone(),
-            }));
-        }
-        let arc = Arc::new(out);
-        entry
-            .spectra
-            .write()
-            .expect("window spectra lock poisoned")
-            .insert(size, Arc::clone(&arc));
-        arc
-    }
-
-    /// Fills `s.fft_dots` with an FFT pass's dot products at every
-    /// placement, window channel by window channel. With `entry` our window
-    /// `[end − w, end)` is fixed (its reversed spectra memoised there) and
-    /// their rows slide; without, their window `[end − w, end)` is fixed
-    /// and our rows slide (their spectra memoised on the context). The
-    /// other side is transformed fresh, its channels paired in window
-    /// order like the memoised side's.
-    fn fft_dots(
-        &self,
-        ctx: &OwnContext,
-        entry: Option<&WindowEntry>,
-        window: &CheckWindow,
-        end: usize,
-        theirs: &GsmTrajectory,
-        s: &mut Scratch,
-    ) {
-        let (w, forward) = (window.len_m, entry.is_some());
-        let m = if forward { theirs.len() } else { ctx.gsm.len() };
-        let (n_pos, size) = (m - w + 1, dsp::corr_fft_size(w, m));
-        let fixed_spectra = entry.map(|e| self.fixed_spectra(ctx, e, end, size, s));
-        let rows = |ch: usize| {
-            let row = theirs.channel(ch);
-            if forward {
-                row
-            } else {
-                &row[end - w..end]
+/// Fills `s.fft_dots` with an FFT pass's dot products at every placement,
+/// window channel by window channel: the window `[end − w, end)` of the
+/// `fixed` rows slid over the full `sliding` rows, each side's channels
+/// paired in window order. Each side's spectra come from its memo, filled
+/// on first use; a fixed side without one (a neighbour's window, which no
+/// other pass slides) is transformed fresh.
+fn fft_dots(
+    (fixed, fixed_memo): (&GsmTrajectory, Option<&SpectraMemo>),
+    (sliding, sliding_memo): (&GsmTrajectory, &SpectraMemo),
+    window: &CheckWindow,
+    end: usize,
+    s: &mut Scratch,
+) {
+    let (w, m) = (window.len_m, sliding.len());
+    let (n_pos, size) = (m - w + 1, dsp::corr_fft_size(w, m));
+    let fixed_row = |ch: usize| &fixed.channel(ch)[end - w..end];
+    let sliding_row = |ch: usize| sliding.channel(ch);
+    s.fft_dots.clear();
+    for pair in window.channels.chunks(2) {
+        let slid = sliding_memo.pair(size, pair, false, sliding_row, &mut s.work);
+        let memo = fixed_memo.map(|f| f.pair(size, pair, true, fixed_row, &mut s.work));
+        let (fa, fb) = match &memo {
+            Some(f) => (&f.a, &f.b),
+            None => {
+                let b = pair.get(1).map_or(&[][..], |&ch| fixed_row(ch));
+                let (work, fa, fb) = (&mut s.work, &mut s.spec_fa, &mut s.spec_fb);
+                dsp::real_spectra_pair_into(fixed_row(pair[0]), b, true, size, work, fa, fb);
+                (&s.spec_fa, &s.spec_fb)
             }
         };
-        s.fft_dots.clear();
-        for (i, pair) in window.channels.chunks(2).enumerate() {
-            let ch_b = pair.get(1).copied();
-            let memo = match &fixed_spectra {
-                Some(fixed) => Arc::clone(&fixed[i]),
-                None => {
-                    let (work, sa, sb) = (&mut s.work, &mut s.spec_sa, &mut s.spec_sb);
-                    ctx.sliding_spectra(size, pair[0], ch_b, work, sa, sb)
-                }
-            };
-            let (a, b) = (rows(pair[0]), ch_b.map_or(&[][..], rows));
-            let (work, xa, xb) = (&mut s.work, &mut s.spec_fa, &mut s.spec_fb);
-            dsp::real_spectra_pair_into(a, b, !forward, size, work, xa, xb);
-            let (memo, fresh) = ((&memo.a, &memo.b), (&s.spec_fa, &s.spec_fb));
-            let ((fa, fb), (sa, sb)) = if forward {
-                (memo, fresh)
-            } else {
-                (fresh, memo)
-            };
-            let (work, da, db) = (&mut s.work, &mut s.dots_a, &mut s.dots_b);
-            dsp::corr_from_spectra_pair_into(fa, sa, fb, sb, w, n_pos, work, da, db);
-            s.fft_dots.extend_from_slice(&s.dots_a);
-            s.fft_dots.extend_from_slice(&s.dots_b);
-        }
+        let (work, da, db) = (&mut s.work, &mut s.dots_a, &mut s.dots_b);
+        dsp::corr_from_spectra_pair_into(fa, &slid.a, fb, &slid.b, w, n_pos, work, da, db);
+        s.fft_dots.extend_from_slice(&s.dots_a);
+        s.fft_dots.extend_from_slice(&s.dots_b);
     }
 }
 
@@ -1470,6 +1365,44 @@ mod tests {
             matches!(miss, Err(RupsError::NoSynPoint { .. })),
             "{miss:?}"
         );
+    }
+
+    #[test]
+    fn an_fft_query_transforms_each_neighbour_channel_pair_once() {
+        // 24 channels, all in every window: 12 channel pairs. The five
+        // forward passes share one transform of their rows per pair, held
+        // in the query's arena, not one per pass (60).
+        let c = cfg(24);
+        let ours = traj(43, 0, 300, 24);
+        let theirs = traj(43, 40, 260, 24);
+        let engine = SynQueryEngine::new(c.clone());
+        engine.set_context(&ours);
+        assert_eq!(engine.choose_kernel(theirs.len()), Kernel::Fft);
+        let ctx = engine.own_context().unwrap();
+        let mut queries = vec![engine.stage(&ctx, 0, &theirs, None).unwrap()];
+        let segments: Vec<_> = (0..c.n_syn_points).map(|s| (0, s, None)).collect();
+        let found = engine.pairs(&ctx, Kernel::Fft, &mut queries, &segments);
+        assert!(found.iter().all(|&(_, scanned)| scanned == 2), "{found:?}");
+        let pairs = 24 / 2;
+        assert_eq!(queries[0].arena.spectra.len(), pairs);
+        // Our rows, slid by every reverse pass at one transform size.
+        assert_eq!(ctx.spectra.len(), pairs);
+        let s = engine.stats();
+        assert_eq!((s.fft_passes, s.fft_fallbacks), (10, 0), "{s:?}");
+        // A warm engine, whose memos hold other neighbours' sizes (a 440 m
+        // neighbour takes 1024-point forward transforms) and whose arenas
+        // held other rows, answers bit for bit like a cold one.
+        drop(queries);
+        let cold = SynQueryEngine::new(c.clone());
+        cold.set_context(&ours);
+        let expect = cold.find_syn_points_with(&theirs, Kernel::Fft);
+        assert_eq!(expect.as_ref().map(Vec::len), Ok(c.n_syn_points));
+        for (off, len) in [(25, 440), (55, 280)] {
+            let other = traj(43, off, len, 24);
+            engine.find_syn_points_with(&other, Kernel::Fft).unwrap();
+        }
+        let got = engine.find_syn_points_with(&theirs, Kernel::Fft);
+        assert_eq!(answer_bits(got), answer_bits(expect));
     }
 
     #[test]

@@ -1390,6 +1390,10 @@ mod tests {
             assert_eq!((alone, counters(node.engine_stats())), one, "{kernel:?}");
             let (bits, _) = &one;
             assert!(bits[0].0.is_ok() && bits[4].0.is_ok(), "{bits:?}");
+            // Every segment of the first hit has both windows: on FFT, its
+            // four older forward passes, spread over the workers, read the
+            // neighbour spectra its newest one filled.
+            assert_eq!(bits[0].1, 2 * c.n_syn_points as u32, "{bits:?}");
             assert!(bits[1]
                 .0
                 .as_ref()

@@ -82,7 +82,9 @@ fn with_slide_scores<R>(
     f: impl FnOnce(&[f64]) -> R,
 ) -> R {
     let (mut arena, _) = PooledArena::pop();
-    let Arena { table, scratch: s } = &mut *arena;
+    let Arena {
+        table, scratch: s, ..
+    } = &mut *arena;
     let n_pos = (sliding.len() + 1).saturating_sub(window.len_m);
     table.reset(sliding.n_channels(), window.len_m, 0..n_pos);
     let pass = syn_fast::DensePass {

@@ -61,13 +61,10 @@ pub(crate) type Peak = (usize, f64, f64);
 pub(crate) struct DenseScratch {
     /// FFT work area shared by all transform calls.
     pub work: Vec<Complex>,
-    /// Spectra of the current channel pair's rows that an FFT pass
-    /// transforms fresh (fixed and reversed, or sliding).
+    /// Spectra of the current channel pair's fixed rows when an FFT pass
+    /// transforms them fresh (a neighbour's window).
     pub spec_fa: Vec<Complex>,
     pub spec_fb: Vec<Complex>,
-    /// Staging for the sliding-row spectra an FFT pass memoises.
-    pub spec_sa: Vec<Complex>,
-    pub spec_sb: Vec<Complex>,
     /// Correlation lags of the current channel pair.
     pub dots_a: Vec<f64>,
     pub dots_b: Vec<f64>,
@@ -138,12 +135,14 @@ fn roll<T: Copy + Into<f64>>((sum, sumsq): (f64, f64), span: &[T]) -> (f64, f64)
     )
 }
 
-/// What a query stages in: the table its neighbour's rows roll into, and
-/// the buffers of one running pass.
+/// What a query stages in: the table its neighbour's rows roll into, the
+/// memo their packed spectra fill, and the buffers of one running pass.
 #[derive(Default)]
 pub(crate) struct Arena {
     /// Re-targeted per query; keeps its filled channels' buffers.
     pub table: RolledTable,
+    /// Emptied per query; keeps its entries' buffers.
+    pub spectra: dsp::SpectraMemo,
     pub scratch: DenseScratch,
 }
 
