@@ -12,7 +12,8 @@
 //! answers any number of queries against the cached state:
 //!
 //! * the interpolated own context, rebuilt only when the context version
-//!   changes;
+//!   changes. It holds every cache below but the arenas, so each cache goes
+//!   with the rows it was built from;
 //! * per window length, the own rows' rolled window means and sums
 //!   (`syn_fast::RolledTable`): the sliding side of every reverse pass,
 //!   filled a channel at a time on first use and shared by the reverse
@@ -21,27 +22,28 @@
 //!   FFT kernel's reverse passes);
 //! * per-`(len, end)` checking windows with memoised reversed spectra (the
 //!   fixed side of its forward passes);
-//! * scratch arenas, one per query: the table its neighbour's rows roll
-//!   into and the memo their packed spectra fill, read by all its forward
-//!   passes on any worker, so each neighbour channel pair is transformed
-//!   once per query; and the FFT work areas and score-loop buffers that the
-//!   batch's running passes share, from the process-wide pool the full scan
-//!   of [`crate::syn`] draws on too, so concurrent passes allocate nothing
-//!   in steady state;
-//! * a per-batch kernel choice — lane dot products vs the engine's own FFT
-//!   correlation — driven by context density and length.
+//! * scratch arenas from the process-wide pool the full scan of
+//!   [`crate::syn`] draws on too: one per query, holding the table its
+//!   neighbour's rows roll into and the memo their packed spectra fill, read
+//!   by all its forward passes on any worker, so each neighbour channel pair
+//!   is transformed once per query; and one per running pass, for its FFT
+//!   work areas and score-loop buffers, so passes allocate nothing in
+//!   steady state;
+//! * a per-query kernel choice — lane dot products vs the engine's own FFT
+//!   correlation — driven by context density and the query's length, so a
+//!   batch answers each neighbour as it answers it alone.
 //!
 //! A batch of neighbours runs as one search whose unit of work is the
-//! directed pass — query, segment, direction — not the query: each query's
-//! forward and reverse passes over every segment are independent apart
-//! from the resolve steps between the newest segment and the older ones,
-//! so a batch of 3 queries hands the rayon workers about 30 passes instead
-//! of 3 queries, and the threads share them evenly. The caller resolves
-//! each pair and assembles every query's points in segment order, so
-//! answers are bit-identical for any number of workers. A one-query batch
-//! (a single fix, the full search behind a tracked fix, a fix on a
-//! `rups-fleet` scheduler worker), and any batch on a one-thread pool, runs
-//! its passes in order on its caller.
+//! directed pass — query, segment, direction — not the query, in two
+//! rounds. The first runs every query's newest pair of passes, which
+//! settles hit or miss; the second runs every hit's older pairs together
+//! with every floored miss's unfloored re-run. A batch of 3 queries thus
+//! hands the rayon workers about 30 passes instead of 3 queries, and the
+//! threads share them evenly. The caller resolves each pair and assembles
+//! every query's points in segment order, so answers are bit-identical for
+//! any number of workers. A one-query batch (a single fix, the full search
+//! behind a tracked fix, a fix on a `rups-fleet` scheduler worker) runs the
+//! same passes in order on its caller.
 //!
 //! Every directed pass takes an exact peak through the one score loop of
 //! `syn_fast::DensePass`: the kernel only picks where its dot products come
@@ -64,7 +66,7 @@ use crate::config::RupsConfig;
 use crate::dsp::{self, SpectraMemo};
 use crate::error::RupsError;
 use crate::gsm::{self, GsmTrajectory};
-use crate::pipeline::{ContextSnapshot, DistanceFix};
+use crate::pipeline::DistanceFix;
 use crate::syn::{self, SynPoint};
 use crate::syn_fast::{self, Arena, PooledArena, RolledTable};
 use crate::window::CheckWindow;
@@ -75,14 +77,14 @@ use rups_obs::{
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Placement slack (± metres) of the anchored check: how far a tracked
 /// neighbour's SYN shift may drift between two fixes before the full
 /// search has to re-acquire it.
 pub const ANCHOR_SLACK_M: usize = 25;
 
-/// Which sliding-scan kernel a query (or batch of queries) runs.
+/// Which sliding-scan kernel a query runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The `O(mwk)` scan of [`crate::syn::slide_scores`], run bounded: the
@@ -114,7 +116,8 @@ impl Kernel {
 /// actually scanned before giving up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryDiag {
-    /// The kernel chosen for the batch this query ran in.
+    /// The kernel this query ran on, chosen from its own length whatever
+    /// batch it ran in.
     pub kernel: Kernel,
     /// Directed sliding passes (forward + reverse, across all SYN
     /// segments) that actually executed for this query.
@@ -139,7 +142,8 @@ pub struct EngineStats {
     /// Checking-window constructions (channel selection).
     pub window_misses: u64,
     /// Scratch arenas this engine's queries reused from the process-wide
-    /// pool: one per query.
+    /// pool: one per query (the arenas its passes take their scratch from
+    /// are not counted).
     pub scratch_reuses: u64,
     /// Scratch arenas this engine's queries had to allocate because the
     /// pool was empty.
@@ -279,6 +283,9 @@ pub(crate) struct OwnContext {
     /// neighbours and segments roll each own channel once. Channels fill on
     /// first use.
     tables: RwLock<HashMap<usize, Arc<RolledTable>>>,
+    /// Checking windows selected from `gsm`: the fixed side of every
+    /// forward pass.
+    windows: RwLock<WindowMemo>,
 }
 
 impl OwnContext {
@@ -295,6 +302,7 @@ impl OwnContext {
             dense,
             spectra: SpectraMemo::default(),
             tables: RwLock::new(HashMap::new()),
+            windows: RwLock::new(HashMap::new()),
         }
     }
 
@@ -341,26 +349,22 @@ struct WindowEntry {
 /// table and spectra: an arena's scratch.
 type Scratch = syn_fast::DenseScratch;
 
-/// What the passes of one batch query read besides the own context.
-struct PassInputs<'a> {
+/// A batch query that got as far as its passes.
+struct Query<'a> {
+    /// Its position in the batch.
+    slot: usize,
     theirs: &'a GsmTrajectory,
+    /// The kernel of every pass.
+    kernel: Kernel,
     /// The window length of every pass.
     w: usize,
     /// Our rows rolled at `w`: the sliding side of the reverse passes.
     own_table: Arc<RolledTable>,
     /// Our newest window at `w`.
     newest: Arc<WindowEntry>,
-}
-
-/// A batch query that got as far as its passes.
-struct Query<'a> {
-    /// Its position in the batch.
-    slot: usize,
-    inputs: PassInputs<'a>,
     /// Its `table` holds their rows rolled at `w` and its `spectra` their
     /// rows' packed spectra: the sliding side of the forward passes, shared
-    /// by the query's forward passes on any worker. The batch's passes run
-    /// in the arenas' scratch.
+    /// by the query's forward passes on any worker.
     arena: PooledArena,
     /// The query's latency sample and span, closed once its answer is
     /// final.
@@ -395,7 +399,6 @@ pub struct SynQueryEngine {
     /// Own-version counter for standalone (non-`RupsNode`) use via
     /// [`SynQueryEngine::set_context`].
     own_version: AtomicU64,
-    windows: RwLock<WindowMemo>,
     registry: Arc<Registry>,
     metrics: EngineMetrics,
     /// Span sink for the query stages, when attached (None costs one
@@ -438,7 +441,6 @@ impl SynQueryEngine {
             cfg,
             ctx: RwLock::new(None),
             own_version: AtomicU64::new(0),
-            windows: RwLock::new(HashMap::new()),
             registry,
             metrics,
             spans: None,
@@ -484,7 +486,7 @@ impl SynQueryEngine {
     }
 
     /// Returns the preprocessed context for `version`, rebuilding it (and
-    /// invalidating the window memo) only when the cached version differs.
+    /// so every cache it holds) only when the cached version differs.
     pub(crate) fn ensure_context(&self, version: u64, raw: &GsmTrajectory) -> Arc<OwnContext> {
         {
             let guard = self.ctx.read().expect("engine context lock poisoned");
@@ -517,10 +519,6 @@ impl SynQueryEngine {
             .map(|s| s.span("engine.context_rebuild"));
         let ctx = Arc::new(OwnContext::build(version, raw, &self.cfg));
         *guard = Some(Arc::clone(&ctx));
-        self.windows
-            .write()
-            .expect("engine window lock poisoned")
-            .clear();
         ctx
     }
 
@@ -595,10 +593,11 @@ impl SynQueryEngine {
         arena
     }
 
-    /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`,
-    /// with room for that placement's FFT fixed-side spectra. Concurrent queries
-    /// of one batch build each placement once: a miss re-checks under the
-    /// write lock and builds while holding it.
+    /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`
+    /// in `ctx`'s window memo, with room for that placement's FFT
+    /// fixed-side spectra. Concurrent queries of one batch build each
+    /// placement once: a miss re-checks under the write lock and builds
+    /// while holding it.
     fn window_entry(&self, ctx: &OwnContext, len: usize, end: usize) -> Option<Arc<WindowEntry>> {
         let key = (len, end);
         let hit = |e: &Option<Arc<WindowEntry>>| {
@@ -608,15 +607,11 @@ impl SynQueryEngine {
             }
             e.clone()
         };
-        if let Some(e) = self
-            .windows
-            .read()
-            .expect("engine window lock poisoned")
-            .get(&key)
-        {
+        let poisoned = "own-context window lock poisoned";
+        if let Some(e) = ctx.windows.read().expect(poisoned).get(&key) {
             return hit(e);
         }
-        let mut windows = self.windows.write().expect("engine window lock poisoned");
+        let mut windows = ctx.windows.write().expect(poisoned);
         // Double-check: another task may have built it while we waited.
         if let Some(e) = windows.get(&key) {
             return hit(e);
@@ -655,19 +650,8 @@ impl SynQueryEngine {
         kernel: Kernel,
     ) -> Result<Vec<SynPoint>, RupsError> {
         let ctx = self.own_context()?;
-        let mut answers = self.search(&ctx, &[(theirs, None)], kernel);
+        let mut answers = self.search(&ctx, &[(theirs, None, kernel)]);
         answers.pop().expect("one answer per query").0
-    }
-
-    /// The kernel for one batch of neighbours: chosen once from the
-    /// own-context density and the median neighbour length.
-    pub(crate) fn batch_kernel(&self, ctx: &OwnContext, neighbours: &[&ContextSnapshot]) -> Kernel {
-        if neighbours.is_empty() {
-            return Kernel::Reference;
-        }
-        let mut lens: Vec<usize> = neighbours.iter().map(|n| n.gsm.len()).collect();
-        lens.sort_unstable();
-        self.kernel_for(ctx, lens[lens.len() / 2])
     }
 
     /// Resolves and aggregates a query's SYN points into a distance fix.
@@ -683,89 +667,80 @@ impl SynQueryEngine {
     }
 
     /// The engine's double-sliding multi-SYN search over a batch of
-    /// neighbours, each given with the trace its snapshot carried: per
-    /// neighbour the control flow of [`crate::syn::find_syn_points`]
-    /// (adaptive length, forward + perspective-swapped reverse passes,
-    /// threshold filtering, multi-SYN stride loop), with the own side served
-    /// from the cache. Answers each neighbour in batch order, with the
-    /// directed passes it scanned.
+    /// neighbours, each given with the trace its snapshot carried and the
+    /// kernel it runs on: per neighbour the control flow of
+    /// [`crate::syn::find_syn_points`] (adaptive length, forward +
+    /// perspective-swapped reverse passes, threshold filtering, multi-SYN
+    /// stride loop), with the own side served from the cache. Answers each
+    /// neighbour in batch order, with the directed passes it scanned.
     ///
-    /// Every query's newest pair of passes runs first, then every hit's
-    /// older pairs (see the module docs); the caller resolves each pair in
-    /// between and assembles each query's points in segment order. Each
-    /// query counts as one and records one `engine.query` span and one
-    /// `rups_core_engine_query_ns` sample, from the batch's start until the
-    /// round of passes that held its last pass returns. When the neighbour
-    /// snapshot carried a [`TraceContext`], the span joins that causal trace
-    /// (its args gain `trace` + `clock` alongside the window sizes).
+    /// The passes run in two rounds (see the module docs); the caller
+    /// resolves each pair in between and assembles each query's points in
+    /// segment order. Each query counts as one and records one
+    /// `engine.query` span and one `rups_core_engine_query_ns` sample, from
+    /// the batch's start until the round that held its last pass returns.
+    /// When the neighbour snapshot carried a [`TraceContext`], the span joins
+    /// that causal trace (its args gain `trace` + `clock` alongside the
+    /// window sizes).
     pub(crate) fn search(
         &self,
         ctx: &OwnContext,
-        batch: &[(&GsmTrajectory, Option<TraceContext>)],
-        kernel: Kernel,
+        batch: &[(&GsmTrajectory, Option<TraceContext>, Kernel)],
     ) -> Vec<(Result<Vec<SynPoint>, RupsError>, u32)> {
         let mut answers: Vec<_> = batch.iter().map(|_| (Ok(Vec::new()), 0)).collect();
         let mut queries = Vec::with_capacity(batch.len());
-        for (slot, &(theirs, trace)) in batch.iter().enumerate() {
-            match self.stage(ctx, slot, theirs, trace) {
+        for (slot, &(theirs, trace, kernel)) in batch.iter().enumerate() {
+            match self.stage(ctx, slot, theirs, trace, kernel) {
                 Ok(q) => queries.push(q),
                 Err(e) => answers[slot].0 = Err(e),
             }
         }
-        // Most recent segment: the full double-sliding check. A pass whose
-        // peak is below `threshold − PASS_TIE_MARGIN` can neither clear the
-        // threshold nor out-tie a pass that does, so that floor changes no
-        // hit. A miss re-runs without it, so that it reports the unbounded
-        // search's best score. The FFT kernel's newest passes take no
-        // floor, and so never re-run.
-        let floor = |q: &Query<'_>| match kernel {
-            Kernel::Reference => q.inputs.newest.window.threshold - syn::PASS_TIE_MARGIN,
+        // Round 1, the most recent segment: the full double-sliding check.
+        // A pass whose peak is below `threshold − PASS_TIE_MARGIN` can
+        // neither clear the threshold nor out-tie a pass that does, so that
+        // floor settles every hit and miss as the unbounded search would;
+        // only a miss's best score needs the re-run below. The FFT kernel's
+        // newest passes take no floor.
+        let floor = |q: &Query<'_>| match q.kernel {
+            Kernel::Reference => q.newest.window.threshold - syn::PASS_TIE_MARGIN,
             Kernel::Fft => f64::NEG_INFINITY,
         };
         let newest: Vec<_> = (queries.iter().enumerate())
             .map(|(i, q)| (i, 0, Some(floor(q))))
             .collect();
-        let found = self.pairs(ctx, kernel, &mut queries, &newest);
-        let mut best: Vec<_> = (found.into_iter().zip(&mut queries))
-            .map(|((peak, scanned), q)| {
-                q.scanned += scanned;
-                peak
+        let found = self.pairs(ctx, &queries, &newest);
+        // Round 2, in one map: the older segments of every hit,
+        // symmetrically (cf. syn::find_syn_points), keeping only peaks that
+        // clear their window's threshold; and every floored miss re-run
+        // without its floor, so that it reports the unbounded search's best
+        // score.
+        let miss = |best: Option<SynPoint>, threshold| {
+            let best_score = best.map_or(f64::NEG_INFINITY, |p| p.score);
+            Err(RupsError::NoSynPoint {
+                best_score,
+                threshold,
             })
-            .collect();
-        let rerun: Vec<_> = (queries.iter().enumerate())
-            .filter(|&(i, q)| {
-                let threshold = q.inputs.newest.window.threshold;
-                floor(q) > f64::NEG_INFINITY && best[i].is_none_or(|p| p.score < threshold)
-            })
-            .map(|(i, _)| (i, 0, Some(f64::NEG_INFINITY)))
-            .collect();
-        let found = self.pairs(ctx, kernel, &mut queries, &rerun);
-        for (&(i, ..), (peak, _)) in rerun.iter().zip(found) {
-            best[i] = peak;
-        }
-        for (q, best) in queries.iter_mut().zip(best) {
-            let threshold = q.inputs.newest.window.threshold;
-            q.answer = match best {
-                Some(b) if b.score >= threshold => Ok(vec![b]),
-                miss => {
-                    q.watch = None;
-                    Err(RupsError::NoSynPoint {
-                        best_score: miss.map_or(f64::NEG_INFINITY, |p| p.score),
-                        threshold,
-                    })
+        };
+        let mut later = Vec::new();
+        for (i, (q, (best, scanned))) in queries.iter_mut().zip(found).enumerate() {
+            q.scanned += scanned;
+            let threshold = q.newest.window.threshold;
+            match best {
+                Some(b) if b.score >= threshold => {
+                    q.answer = Ok(vec![b]);
+                    later.extend((1..self.cfg.n_syn_points).map(|s| (i, s, None)));
                 }
-            };
+                _ if floor(q) > f64::NEG_INFINITY => later.push((i, 0, Some(f64::NEG_INFINITY))),
+                best => (q.answer, q.watch) = (miss(best, threshold), None),
+            }
         }
-        // Older segments of every hit, symmetrically (cf.
-        // syn::find_syn_points), keeping only peaks that clear their
-        // window's threshold.
-        let older: Vec<_> = (queries.iter().enumerate())
-            .filter(|(_, q)| q.answer.is_ok())
-            .flat_map(|(i, _)| (1..self.cfg.n_syn_points).map(move |s| (i, s, None)))
-            .collect();
-        let found = self.pairs(ctx, kernel, &mut queries, &older);
-        for (&(i, ..), (peak, scanned)) in older.iter().zip(found) {
+        let found = self.pairs(ctx, &queries, &later);
+        for (&(i, segment, _), (peak, scanned)) in later.iter().zip(found) {
             let q = &mut queries[i];
+            if segment == 0 {
+                q.answer = miss(peak, q.newest.window.threshold);
+                continue;
+            }
             q.scanned += scanned;
             if let (Ok(points), Some(p)) = (&mut q.answer, peak) {
                 points.push(p);
@@ -787,6 +762,7 @@ impl SynQueryEngine {
         slot: usize,
         theirs: &'a GsmTrajectory,
         trace: Option<TraceContext>,
+        kernel: Kernel,
     ) -> Result<Query<'a>, RupsError> {
         self.metrics.queries.inc();
         let timer = self.metrics.query_ns.start_timer();
@@ -828,12 +804,11 @@ impl SynQueryEngine {
             .ok_or_else(too_short)?;
         Ok(Query {
             slot,
-            inputs: PassInputs {
-                theirs,
-                w,
-                own_table,
-                newest,
-            },
+            theirs,
+            kernel,
+            w,
+            own_table,
+            newest,
             arena,
             watch: Some((timer, span)),
             answer: Ok(Vec::new()),
@@ -844,14 +819,13 @@ impl SynQueryEngine {
     /// Runs the forward and reverse pass of each `(query, segment, floor)`
     /// (see [`Pass`]) and answers, per pair, the better peak
     /// ([`syn::better_pass`]) and how many of the two found their window.
-    /// When the batch holds one query or the pool one thread, the passes
-    /// run in order on the caller, each in its query's arena; otherwise
-    /// they [`spread`](Self::spread) over the rayon workers.
+    /// Every pass runs in the scratch of an arena from the process-wide
+    /// pool; a one-query batch runs its passes in order on the caller, a
+    /// larger one over the rayon workers.
     fn pairs(
         &self,
         ctx: &OwnContext,
-        kernel: Kernel,
-        queries: &mut [Query<'_>],
+        queries: &[Query<'_>],
         pairs: &[(usize, usize, Option<f64>)],
     ) -> Vec<(Option<SynPoint>, u32)> {
         let passes = pairs.iter().flat_map(|&(query, segment, floor)| {
@@ -862,20 +836,15 @@ impl SynQueryEngine {
                 floor,
             })
         });
-        let found: Vec<_> = if queries.len() == 1 || rayon::current_num_threads() == 1 {
-            passes
-                .map(|p| {
-                    let q = &mut queries[p.query];
-                    let Arena {
-                        table,
-                        spectra,
-                        scratch,
-                    } = &mut *q.arena;
-                    self.pass(ctx, kernel, &q.inputs, (table, spectra), p, scratch)
-                })
-                .collect()
+        let run = |p: Pass| {
+            let (mut arena, _) = PooledArena::pop();
+            self.pass(ctx, &queries[p.query], p, &mut arena.scratch)
+        };
+        let found: Vec<_> = if queries.len() == 1 {
+            passes.map(run).collect()
         } else {
-            self.spread(ctx, kernel, queries, passes.collect())
+            let passes: Vec<_> = passes.collect();
+            passes.into_par_iter().map(run).collect()
         };
         (found.chunks(2))
             .map(|pair| {
@@ -886,61 +855,16 @@ impl SynQueryEngine {
             .collect()
     }
 
-    /// Runs `passes` over the rayon workers, answering like
-    /// [`pass`](Self::pass) in input order. The running passes share the
-    /// arenas' scratch: one set per query, topped up from the pool when the
-    /// workers outnumber the queries.
-    fn spread(
-        &self,
-        ctx: &OwnContext,
-        kernel: Kernel,
-        queries: &mut [Query<'_>],
-        passes: Vec<Pass>,
-    ) -> Vec<Option<Option<SynPoint>>> {
-        let threads = rayon::current_num_threads();
-        let mut extra: Vec<_> = (queries.len()..threads)
-            .map(|_| PooledArena::pop().0)
-            .collect();
-        let mut free = Vec::with_capacity(queries.len().max(threads));
-        for a in queries.iter_mut().map(|q| &mut q.arena).chain(&mut extra) {
-            free.push(std::mem::take(&mut a.scratch));
-        }
-        let free = Mutex::new(free);
-        let shared = &*queries;
-        let found = (passes.into_par_iter())
-            .map(|p| {
-                let s = free.lock().expect("no pass panics holding the list").pop();
-                let mut s = s.expect("a scratch set per worker");
-                let q = &shared[p.query];
-                let theirs = (&q.arena.table, &q.arena.spectra);
-                let found = self.pass(ctx, kernel, &q.inputs, theirs, p, &mut s);
-                free.lock()
-                    .expect("no pass panics holding the list")
-                    .push(s);
-                found
-            })
-            .collect();
-        let mut free = free.into_inner().expect("no pass panics holding the list");
-        for a in queries.iter_mut().map(|q| &mut q.arena).chain(&mut extra) {
-            a.scratch = free.pop().expect("every scratch set is back");
-        }
-        found
-    }
-
     /// One directed pass of a batch query (see [`Pass`]): `None` when its
     /// window does not exist, otherwise its peak from our perspective.
-    /// `(table, spectra)` hold their rows rolled at the query's window
-    /// length and their rows' spectra.
     fn pass(
         &self,
         ctx: &OwnContext,
-        kernel: Kernel,
-        q: &PassInputs<'_>,
-        (table, spectra): (&RolledTable, &SpectraMemo),
+        q: &Query<'_>,
         p: Pass,
         scratch: &mut Scratch,
     ) -> Option<Option<SynPoint>> {
-        let (ours, theirs, w) = (&ctx.gsm, q.theirs, q.w);
+        let (ours, theirs, w, kernel) = (&ctx.gsm, q.theirs, q.w, q.kernel);
         let stride = p.segment * self.cfg.syn_segment_stride_m;
         let end_of = |len: usize| len.checked_sub(stride).filter(|&end| end >= w);
         if p.reverse {
@@ -961,6 +885,7 @@ impl SynQueryEngine {
             0 => Arc::clone(&q.newest),
             _ => self.window_entry(ctx, w, end)?,
         };
+        let (table, spectra) = (&q.arena.table, &q.arena.spectra);
         let fixed = (ours, Some(&e.spectra));
         let fft = |s: &mut Scratch| fft_dots(fixed, (theirs, spectra), &e.window, end, s);
         let (wnd, floor) = (&e.window, p.floor.unwrap_or(e.window.threshold));
@@ -1036,18 +961,18 @@ impl SynQueryEngine {
         }
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let finite = syn_fast::DensePass {
+        let mut pass = syn_fast::DensePass {
             fixed,
             fixed_start: end - w,
             sliding,
             table,
             window,
             dots: syn_fast::Dots::Lanes,
-        }
-        .finite();
-        let fft_dots = kernel == Kernel::Fft && ctx.dense && finite;
-        if fft_dots {
+        };
+        let finite = pass.finite();
+        if kernel == Kernel::Fft && ctx.dense && finite {
             fft(scratch);
+            pass.dots = syn_fast::Dots::Fft(&scratch.fft_dots);
             self.metrics.fft_passes.inc();
         } else {
             if kernel == Kernel::Fft {
@@ -1057,18 +982,6 @@ impl SynQueryEngine {
         }
         let js = table.placements();
         let best = if finite {
-            let pass = syn_fast::DensePass {
-                fixed,
-                fixed_start: end - w,
-                sliding,
-                table,
-                window,
-                dots: if fft_dots {
-                    syn_fast::Dots::Fft(&scratch.fft_dots)
-                } else {
-                    syn_fast::Dots::Lanes
-                },
-            };
             let (peak, pruned) = pass.peak(floor, &mut scratch.pass);
             self.metrics.pruned_placements.add(pruned);
             peak
@@ -1379,9 +1292,9 @@ mod tests {
         engine.set_context(&ours);
         assert_eq!(engine.choose_kernel(theirs.len()), Kernel::Fft);
         let ctx = engine.own_context().unwrap();
-        let mut queries = vec![engine.stage(&ctx, 0, &theirs, None).unwrap()];
+        let queries = [engine.stage(&ctx, 0, &theirs, None, Kernel::Fft).unwrap()];
         let segments: Vec<_> = (0..c.n_syn_points).map(|s| (0, s, None)).collect();
-        let found = engine.pairs(&ctx, Kernel::Fft, &mut queries, &segments);
+        let found = engine.pairs(&ctx, &queries, &segments);
         assert!(found.iter().all(|&(_, scanned)| scanned == 2), "{found:?}");
         let pairs = 24 / 2;
         assert_eq!(queries[0].arena.spectra.len(), pairs);
@@ -1504,6 +1417,29 @@ mod tests {
                 "directed passes must record scan latency"
             );
         }
+    }
+
+    #[test]
+    fn a_replaced_context_keeps_its_windows_to_itself() {
+        // A query still holding the old context builds that context's
+        // newest window after `set_context` replaced it with other rows of
+        // the same length; the new context's queries never see it.
+        let c = RupsConfig {
+            window_channels: 8,
+            ..cfg(24)
+        };
+        let theirs = traj(29, 40, 260, 24);
+        let engine = SynQueryEngine::new(c.clone());
+        engine.set_context(&traj(7, 0, 300, 24));
+        let old = engine.own_context().unwrap();
+        let new = traj(29, 0, 300, 24);
+        engine.set_context(&new);
+        let w = syn::adaptive_window_len(theirs.len(), &c);
+        assert!(engine.window_entry(&old, w, old.gsm.len()).is_some());
+        let cold = SynQueryEngine::new(c);
+        cold.set_context(&new);
+        let expect = answer_bits(cold.find_syn_points(&theirs));
+        assert_eq!(answer_bits(engine.find_syn_points(&theirs)), expect);
     }
 
     #[test]

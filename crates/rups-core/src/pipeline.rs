@@ -453,7 +453,8 @@ impl RupsNode {
     /// full RUPS pipeline of seeking SYN points (§IV-D) and resolving /
     /// aggregating the distance (§IV-E, §VI-C). This is the batch path of
     /// [`RupsNode::fix_distances_parallel`] run on one snapshot, whose
-    /// passes run on the calling thread.
+    /// passes run on the calling thread; a batch answers each neighbour bit
+    /// for bit as this does.
     ///
     /// Positive distances mean the neighbour is ahead.
     pub fn fix_distance(&self, neighbour: &ContextSnapshot) -> Result<DistanceFix, RupsError> {
@@ -545,7 +546,9 @@ impl RupsNode {
     /// order. This is the heavy-traffic path discussed in §V-B: one epoch of
     /// queries runs as a single batched search through the engine, its
     /// directed passes spread over the rayon workers, with the own-side
-    /// caches shared across every pass and the kernel chosen once per batch.
+    /// caches shared across every pass. Each neighbour runs the kernel its
+    /// own length picks, so the batch answers it bit for bit as
+    /// [`RupsNode::fix_distance`] would.
     pub fn fix_distances_parallel(
         &self,
         neighbours: &[ContextSnapshot],
@@ -577,18 +580,19 @@ impl RupsNode {
             .any(Result::is_ok)
             .then(|| engine.ensure_context(self.context_version, &self.gsm));
         let context_cached = engine.stats().context_rebuilds == rebuilds_before;
-        let kernel = ctx.as_ref().map_or(Kernel::Reference, |ctx| {
-            engine.batch_kernel(ctx, neighbours)
-        });
+        let kernel = |nb: &ContextSnapshot| match &ctx {
+            Some(ctx) => engine.kernel_for(ctx, nb.gsm.len()),
+            None => Kernel::Reference,
+        };
         let batch: Vec<_> = neighbours
             .iter()
             .zip(&checks)
             .filter(|(_, check)| check.is_ok())
-            .map(|(nb, _)| (&nb.gsm, nb.trace))
+            .map(|(nb, _)| (&nb.gsm, nb.trace, kernel(nb)))
             .collect();
         let mut answers = ctx
             .as_ref()
-            .map(|ctx| engine.search(ctx, &batch, kernel))
+            .map(|ctx| engine.search(ctx, &batch))
             .unwrap_or_default()
             .into_iter();
         let own_len = ctx.as_ref().map_or(0, |ctx| ctx.gsm().len());
@@ -607,7 +611,7 @@ impl RupsNode {
                 (
                     res,
                     QueryDiag {
-                        kernel,
+                        kernel: kernel(nb),
                         windows_scanned: scanned,
                     },
                 )
@@ -1338,7 +1342,9 @@ mod tests {
     #[test]
     fn a_batch_fixes_alike_on_any_number_of_workers() {
         // A 40 m window over 400 m of context runs the rolling reference
-        // kernel; an 85 m one over 300 m runs FFT.
+        // kernel; an 85 m one over 300 m runs FFT, except for the last
+        // neighbour: its 100 m shrink the window to 60 m, below 8·log₂ 300,
+        // so it runs the reference kernel in any batch.
         for (window_len_m, own_m, kernel) in [(40, 400, Kernel::Reference), (85, 300, Kernel::Fft)]
         {
             let c = RupsConfig {
@@ -1353,13 +1359,15 @@ mod tests {
                 v
             };
             // Two hits, a channel-mismatched snapshot, a miss (a far-away
-            // road), a neighbour too short for any window.
+            // road), a neighbour too short for any window, and a short
+            // neighbour on the last 100 m of our road.
             let snaps = [
                 neighbour(60, own_m - 50).snapshot(None),
                 mismatched_neighbour(60, 300, 16),
                 neighbour(100_000, 300).snapshot(None),
                 neighbour(30, 300).snapshot(Some(6)),
                 neighbour(25, own_m).snapshot(None),
+                neighbour(own_m - 100, 100).snapshot(None),
             ];
             let refs: Vec<&ContextSnapshot> = snaps.iter().collect();
             let counters = |s: EngineStats| {
@@ -1374,7 +1382,16 @@ mod tests {
                     .build()
                     .unwrap();
                 let (out, _) = pool.install(|| node.fix_batch(&refs));
-                assert!(out.iter().all(|(_, diag)| diag.kernel == kernel));
+                // Each searched neighbour (all but the mismatched one) runs
+                // the kernel its own length picks, whatever the rest run.
+                for (i, (snap, (_, diag))) in snaps.iter().zip(&out).enumerate() {
+                    let alone = node.engine().choose_kernel(snap.len());
+                    assert!(i == 1 || diag.kernel == alone, "neighbour {i}: {diag:?}");
+                }
+                assert_eq!(
+                    (out[0].1.kernel, out[5].1.kernel),
+                    (kernel, Kernel::Reference)
+                );
                 let bits: Vec<AnswerBits> = out.iter().map(answer_bits).collect();
                 (bits, counters(node.engine_stats()))
             };
