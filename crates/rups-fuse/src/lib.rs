@@ -13,14 +13,14 @@
 //!   epoch as a weighted signed-displacement edge (grades set the weights
 //!   via [`weight_for`] — disjoint per-grade bands, so
 //!   a `Low` fix can never outvote a `High` one).
-//! * [`Fuser`] solves weighted least-squares over the edge
-//!   residuals (Gauss–Newton, anchor-pinned gauge) for a consistent set
-//!   of relative positions, and its residual-based outlier gate demotes
-//!   inconsistent edges — counting them on `rups_fuse_edges_rejected`,
-//!   reporting each to an attached
-//!   [`FlightRecorder`](rups_obs::FlightRecorder), and re-solving without
-//!   them. Solver iterations land in the `rups_fuse_solve_iterations`
-//!   histogram and the post-fit residual in the
+//! * [`Fuser`] solves weighted least-squares over the edge residuals
+//!   (one linear solve of the normal equations per edge set,
+//!   anchor-pinned gauge) for a consistent set of relative positions, and
+//!   its residual-based outlier gate demotes inconsistent edges —
+//!   counting them on `rups_fuse_edges_rejected`, reporting each to an
+//!   attached [`FlightRecorder`](rups_obs::FlightRecorder), and keeping
+//!   the leave-one-out refit without them. Solve time lands in the
+//!   `rups_fuse_solve_ns` histogram and the post-fit residual in the
 //!   `rups_fuse_residual_rms_m` gauge.
 //! * [`synth`] generates random connected scenarios with known ground
 //!   truth — the verification harness the property/differential suites
@@ -56,5 +56,5 @@ pub mod solve;
 pub mod synth;
 
 pub use graph::{weight_for, FixEdge, FixGraph};
-pub use solve::{FuseConfig, FuseError, FusedSolution, Fuser, OutlierConfig, RejectedEdge};
+pub use solve::{FuseConfig, FuseError, FusedSolution, Fuser, RejectedEdge};
 pub use synth::{generate, SynthConfig, SynthRng, SynthScenario};

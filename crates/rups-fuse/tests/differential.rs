@@ -1,5 +1,5 @@
-//! Differential tests: the Gauss–Newton solver against a brute-force
-//! reference on small graphs.
+//! Differential tests: the one-solve least-squares fuser against a
+//! brute-force reference on small graphs.
 //!
 //! The reference shares no machinery with the production path: Gauss–Seidel
 //! coordinate descent — each sweep sets every free node to the weighted
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rups_core::quality::FixQuality;
-use rups_fuse::{generate, FixGraph, FuseConfig, Fuser, OutlierConfig, SynthConfig};
+use rups_fuse::{generate, FixGraph, FuseConfig, Fuser, SynthConfig};
 
 /// Reference 1-D solver: coordinate descent to the weighted least-squares
 /// optimum with `anchor` pinned at 0. Exact per-coordinate minimiser, so
@@ -73,7 +73,7 @@ proptest! {
     // on every position (same anchor, rejection off so the edge sets
     // match), and neither beats the other's cost.
     #[test]
-    fn gauss_newton_matches_coordinate_descent(
+    fn least_squares_matches_coordinate_descent(
         seed in 0u64..3000,
         n_nodes in 3usize..7,
         n_chords in 1usize..6,
@@ -87,7 +87,7 @@ proptest! {
             ..SynthConfig::default()
         });
         let sol = Fuser::new(FuseConfig {
-            outlier: OutlierConfig { enabled: false, ..OutlierConfig::default() },
+            reject_outliers: false,
             ..FuseConfig::default()
         })
         .solve(&s.graph)
@@ -97,11 +97,11 @@ proptest! {
             let x = sol.position_of(id).unwrap();
             prop_assert!(
                 (x - x_ref).abs() < 1e-4,
-                "node {id}: GN {x} vs reference {x_ref} (seed {seed})"
+                "node {id}: LS {x} vs reference {x_ref} (seed {seed})"
             );
         }
-        let (c_gn, c_ref) = (cost_1d(&s.graph, &sol.positions), cost_1d(&s.graph, &reference));
-        prop_assert!(c_gn <= c_ref + 1e-6, "GN cost {c_gn} vs reference {c_ref}");
+        let (c_ls, c_ref) = (cost_1d(&s.graph, &sol.positions), cost_1d(&s.graph, &reference));
+        prop_assert!(c_ls <= c_ref + 1e-6, "LS cost {c_ls} vs reference {c_ref}");
     }
 }
 
@@ -114,10 +114,7 @@ fn two_parallel_edges_fuse_to_the_weighted_mean() {
     g.insert_measurement(0, 1, 30.0, 3.0, FixQuality::High, 3.0);
     g.insert_measurement(0, 1, 40.0, 1.0, FixQuality::Medium, 6.0);
     let sol = Fuser::new(FuseConfig {
-        outlier: OutlierConfig {
-            enabled: false,
-            ..OutlierConfig::default()
-        },
+        reject_outliers: false,
         ..FuseConfig::default()
     })
     .solve(&g)
