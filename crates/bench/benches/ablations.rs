@@ -5,12 +5,13 @@
 //! covered by the rups-eval figure modules and integration tests.
 
 use rups_bench::baseline::time_case;
-use rups_bench::{bench_config, bench_scale, quick_trace, synthetic_context};
+use rups_bench::{bench_config, bench_scale, quick_trace};
 use rups_core::config::AggregationScheme;
 use rups_core::geo::GeoSample;
 use rups_core::gsm::{GsmTrajectory, PowerVector};
 use rups_core::pipeline::RupsNode;
 use rups_core::syn::{find_best_syn, find_syn_points};
+use rups_eval::figures::cost::synthetic_context;
 use rups_eval::queries::query_at;
 use rups_eval::sample_query_times;
 use std::hint::black_box;

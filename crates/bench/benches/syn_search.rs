@@ -6,8 +6,9 @@
 //! `syn_kernels` and `syn_batch` benches.
 
 use rups_bench::baseline::time_case;
-use rups_bench::{bench_config, synthetic_context};
+use rups_bench::bench_config;
 use rups_core::syn::find_best_syn;
+use rups_eval::figures::cost::synthetic_context;
 use std::hint::black_box;
 
 const BENCH: &str = "syn_search";

@@ -7,9 +7,9 @@
 //! second, 1000 m is the paper's 1 km / 182 KB reference payload.
 
 use crate::baseline::{self, Baseline, BenchCase};
-use crate::synthetic_context;
 use rups_core::geo::{GeoSample, GeoTrajectory};
 use rups_core::pipeline::ContextSnapshot;
+use rups_eval::figures::cost::synthetic_context;
 use std::hint::black_box;
 use v2v_sim::codec::{decode_snapshot, encode_snapshot};
 

@@ -7,8 +7,6 @@
 //! cases, and [`baseline`] times and prints every case.
 
 use rups_core::config::RupsConfig;
-use rups_core::gsm::{GsmTrajectory, PowerVector};
-use rups_core::testfield;
 use rups_eval::figures::EvalScale;
 use rups_eval::tracegen::{generate, ScenarioTrace, TraceConfig};
 use urban_sim::road::RoadClass;
@@ -19,19 +17,6 @@ pub mod fleet;
 pub mod soak;
 pub mod syn_batch;
 pub mod syn_kernels;
-
-/// A synthetic journey context of `len` metres over `n_channels` channels,
-/// starting at road metre `start` (fully covered, no missing cells).
-pub fn synthetic_context(seed: u64, start: usize, len: usize, n_channels: usize) -> GsmTrajectory {
-    let mut t = GsmTrajectory::with_capacity(n_channels, len);
-    for i in 0..len {
-        let s = (start + i) as f64;
-        t.push(&PowerVector::from_fn(n_channels, |ch| {
-            Some(testfield::rssi(seed, s, ch))
-        }));
-    }
-    t
-}
 
 /// The RUPS configuration for a synthetic-context bench with the paper's
 /// window geometry.

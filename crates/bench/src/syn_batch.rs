@@ -12,12 +12,13 @@
 //! reference multi-SYN search, once per neighbour, sequentially.
 
 use crate::baseline::{self, Baseline, BenchCase, CacheRates};
-use crate::{bench_config, synthetic_context};
+use crate::bench_config;
 use rups_core::gsm::GsmTrajectory;
 use rups_core::pipeline::{ContextSnapshot, RupsNode};
 use rups_core::resolve;
 use rups_core::syn;
 use rups_core::{GeoSample, GeoTrajectory, PowerVector};
+use rups_eval::figures::cost::synthetic_context;
 
 /// Own journey-context length, metres.
 pub const CONTEXT_M: usize = 400;

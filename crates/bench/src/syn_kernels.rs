@@ -10,12 +10,13 @@
 //! surrounding search.
 
 use crate::baseline::{self, Baseline, BenchCase};
-use crate::{bench_config, synthetic_context};
+use crate::bench_config;
 use rups_core::dsp;
 use rups_core::stats::PairSums;
 use rups_core::syn::{slide_scores, slide_scores_reference};
 use rups_core::testfield;
 use rups_core::window::CheckWindow;
+use rups_eval::figures::cost::synthetic_context;
 
 /// Fixed-window length (the paper's 85 m check window).
 pub const WINDOW_M: usize = 85;

@@ -12,19 +12,24 @@
 //! checking windows. A warm batch of neighbours through
 //! `fix_distances_parallel` stays within the per-query budget for each of
 //! its queries, and so does a warm query on trace-driven rows, where many
-//! placements stay alive channel after channel. All checks share one test
-//! function: the counter is global, and a test running in parallel would
-//! count into it.
+//! placements stay alive channel after channel. A first accept into a
+//! `SnapshotInbox` stores the offered snapshot itself, so it allocates
+//! fewer times than the snapshot has channel rows. All checks share one
+//! test function: the counter is global, and a test running in parallel
+//! would count into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rups_bench::{bench_config, synthetic_context};
+use rups_bench::bench_config;
+use rups_core::channel::RGSM_900_CHANNELS;
 use rups_core::config::RupsConfig;
 use rups_core::engine::SynQueryEngine;
+use rups_core::inbox::{InboxConfig, SnapshotInbox};
 use rups_core::pipeline::{ContextSnapshot, RupsNode};
 use rups_core::syn::find_best_syn;
 use rups_core::{GeoSample, GeoTrajectory, PowerVector};
+use rups_eval::figures::cost::synthetic_context;
 use rups_eval::tracegen::{generate, TraceConfig};
 use urban_sim::road::RoadClass;
 
@@ -209,5 +214,21 @@ fn warm_fix_path_stays_within_constant_allocation_budget() {
         per_search < MAX_ALLOCS_PER_WARM_SEARCH,
         "warm find_best_syn performed {per_search} allocations \
          (budget {MAX_ALLOCS_PER_WARM_SEARCH}) — a search pass is allocating"
+    );
+
+    // A first contact on the full band: a copy of the snapshot would
+    // allocate once per channel row.
+    let mut inbox = SnapshotInbox::new(InboxConfig::default());
+    let snap = ContextSnapshot {
+        gsm: synthetic_context(21, 0, 600, RGSM_900_CHANNELS),
+        ..neighbour(21, 0, 600)
+    };
+    let before = allocations();
+    assert_eq!(inbox.accept(snap, 600.0), Ok(true));
+    let per_accept = allocations() - before;
+    assert!(
+        per_accept < RGSM_900_CHANNELS as u64,
+        "a first accept of a {RGSM_900_CHANNELS}-channel snapshot performed \
+         {per_accept} allocations — the inbox is copying the context"
     );
 }

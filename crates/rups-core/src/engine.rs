@@ -486,8 +486,14 @@ impl SynQueryEngine {
     }
 
     /// Returns the preprocessed context for `version`, rebuilding it (and
-    /// so every cache it holds) only when the cached version differs.
-    pub(crate) fn ensure_context(&self, version: u64, raw: &GsmTrajectory) -> Arc<OwnContext> {
+    /// so every cache it holds) only when the cached version differs, and
+    /// whether this call rebuilt it. The flag is this engine's own: the
+    /// rebuild counter is shared by every engine on one registry.
+    pub(crate) fn ensure_context(
+        &self,
+        version: u64,
+        raw: &GsmTrajectory,
+    ) -> (Arc<OwnContext>, bool) {
         {
             let guard = self.ctx.read().expect("engine context lock poisoned");
             if let Some(ctx) = guard.as_ref() {
@@ -496,7 +502,7 @@ impl SynQueryEngine {
                     if let Some(s) = &self.spans {
                         s.event("engine.context_hit");
                     }
-                    return Arc::clone(ctx);
+                    return (Arc::clone(ctx), false);
                 }
             }
         }
@@ -508,7 +514,7 @@ impl SynQueryEngine {
                 if let Some(s) = &self.spans {
                     s.event("engine.context_hit");
                 }
-                return Arc::clone(ctx);
+                return (Arc::clone(ctx), false);
             }
         }
         self.metrics.context_rebuilds.inc();
@@ -519,7 +525,7 @@ impl SynQueryEngine {
             .map(|s| s.span("engine.context_rebuild"));
         let ctx = Arc::new(OwnContext::build(version, raw, &self.cfg));
         *guard = Some(Arc::clone(&ctx));
-        ctx
+        (ctx, true)
     }
 
     /// The installed own context, or the error a query without one
@@ -1445,15 +1451,25 @@ mod tests {
     #[test]
     fn context_version_gates_rebuilds() {
         let c = cfg(8);
-        let engine = SynQueryEngine::new(c);
+        let registry = Arc::new(Registry::new());
+        let engine = SynQueryEngine::with_registry(c.clone(), Arc::clone(&registry));
         let raw = traj(16, 0, 120, 8);
-        let a = engine.ensure_context(7, &raw);
-        let b = engine.ensure_context(7, &raw);
+        let (a, rebuilt) = engine.ensure_context(7, &raw);
+        assert!(rebuilt, "a cold engine builds its first context");
+        let (b, rebuilt) = engine.ensure_context(7, &raw);
         assert!(Arc::ptr_eq(&a, &b));
-        let c2 = engine.ensure_context(8, &raw);
+        assert!(!rebuilt, "the cached version is a hit");
+        let (c2, rebuilt) = engine.ensure_context(8, &raw);
         assert!(!Arc::ptr_eq(&a, &c2));
+        assert!(rebuilt, "a new version rebuilds");
         let s = engine.stats();
         assert_eq!(s.context_rebuilds, 2);
         assert_eq!(s.context_hits, 1);
+        // A neighbour's rebuild on the shared registry moves the shared
+        // counter, not this engine's flag.
+        let other = SynQueryEngine::with_registry(c, registry);
+        assert!(other.ensure_context(1, &raw).1);
+        assert!(!engine.ensure_context(8, &raw).1);
+        assert_eq!(engine.stats().context_rebuilds, 3);
     }
 }

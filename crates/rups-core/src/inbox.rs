@@ -307,18 +307,10 @@ impl SnapshotInbox {
             }
         };
         let slot = match snap.vehicle_id {
-            Some(id) => self.named.entry(id).or_insert_with(|| Held {
-                snap: snap.clone(),
-                newest_s: f64::NEG_INFINITY,
-                tagged: Vec::new(),
-            }),
-            None => self.anon.get_or_insert_with(|| Held {
-                snap: snap.clone(),
-                newest_s: f64::NEG_INFINITY,
-                tagged: Vec::new(),
-            }),
+            Some(id) => self.named.get_mut(&id),
+            None => self.anon.as_mut(),
         };
-        if newest <= slot.newest_s {
+        if slot.as_ref().is_some_and(|held| newest <= held.newest_s) {
             self.stats.ignored_outdated += 1;
             if let Some(m) = &self.metrics {
                 m.ignored_outdated.inc();
@@ -328,17 +320,31 @@ impl SnapshotInbox {
             }
             return Ok(false);
         }
+        let mut tagged = slot
+            .map(|held| std::mem::take(&mut held.tagged))
+            .unwrap_or_default();
         if let (Some(g), Some(trace)) = (guard.as_mut(), &snap.trace) {
-            if !slot.tagged.contains(&trace.trace_id) {
+            if !tagged.contains(&trace.trace_id) {
                 g.set_args(trace.args());
-                if slot.tagged.len() >= TAGGED_RING {
-                    slot.tagged.remove(0);
+                if tagged.len() >= TAGGED_RING {
+                    tagged.remove(0);
                 }
-                slot.tagged.push(trace.trace_id);
+                tagged.push(trace.trace_id);
             }
         }
-        slot.snap = snap;
-        slot.newest_s = newest;
+        // The offered snapshot itself is stored: a first contact copies
+        // no context.
+        let held = Held {
+            snap,
+            newest_s: newest,
+            tagged,
+        };
+        match held.snap.vehicle_id {
+            Some(id) => {
+                self.named.insert(id, held);
+            }
+            None => self.anon = Some(held),
+        }
         self.stats.accepted += 1;
         if let Some(m) = &self.metrics {
             m.accepted.inc();

@@ -508,7 +508,7 @@ impl RupsNode {
             .vehicle_id
             .and_then(|id| Some((id, *self.anchors.get(&id)?)));
         if let Some((id, anchor)) = anchor {
-            let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
+            let (ctx, _) = self.engine.ensure_context(self.context_version, &self.gsm);
             if let Some(p) = self.engine.anchored(&ctx, &neighbour.gsm, anchor) {
                 self.anchors.insert(id, shift(&p));
                 let len = ctx.gsm().len();
@@ -570,16 +570,16 @@ impl RupsNode {
     /// is resolved into a fix on the caller.
     fn fix_batch(&self, neighbours: &[&ContextSnapshot]) -> (DiagBatch, bool) {
         let engine = &self.engine;
-        let rebuilds_before = engine.stats().context_rebuilds;
         let checks: Vec<Result<(), RupsError>> = neighbours
             .iter()
             .map(|nb| nb.validate(self.cfg.n_channels))
             .collect();
-        let ctx = checks
-            .iter()
-            .any(Result::is_ok)
-            .then(|| engine.ensure_context(self.context_version, &self.gsm));
-        let context_cached = engine.stats().context_rebuilds == rebuilds_before;
+        let (ctx, rebuilt) = if checks.iter().any(Result::is_ok) {
+            let (ctx, rebuilt) = engine.ensure_context(self.context_version, &self.gsm);
+            (Some(ctx), rebuilt)
+        } else {
+            (None, false)
+        };
         let kernel = |nb: &ContextSnapshot| match &ctx {
             Some(ctx) => engine.kernel_for(ctx, nb.gsm.len()),
             None => Kernel::Reference,
@@ -617,7 +617,7 @@ impl RupsNode {
                 )
             })
             .collect();
-        (out, context_cached)
+        (out, !rebuilt)
     }
 
     /// Queries every vetted, fresh-enough neighbour context held by a
